@@ -81,9 +81,14 @@ def _require(condition: bool, message: str) -> None:
         raise UsageError(message)
 
 
+def _resolve_order(value: int | None, flag: str) -> int:
+    order = value if value is not None else _default_order()
+    _require(order >= 0, f"{flag} must be >= 0")
+    return order
+
+
 def _sequence_for(args: argparse.Namespace) -> list[Fraction]:
-    order = args.n if args.n is not None else _default_order()
-    _require(order >= 0, "--n must be >= 0")
+    order = _resolve_order(args.n, "--n")
     x = args.x if args.x is not None else Fraction(0)
     family = args.family
     if family == "bernoulli":
@@ -189,7 +194,7 @@ def _result_line(result: audit.CaseResult, order: int, seed: int) -> str:
 
 def cmd_verify(args: argparse.Namespace, out=None) -> int:
     out = out if out is not None else sys.stdout
-    order = args.order if args.order is not None else _default_order()
+    order = _resolve_order(args.order, "--order")
     cases = [c for c in audit.build_registry(args.seed, order) if c.id == args.identity]
     if not cases:
         known = ", ".join(audit.registered_ids())
@@ -217,7 +222,7 @@ def _audit_parser(prog: str = "polyaudit") -> argparse.ArgumentParser:
 def cmd_audit(args: argparse.Namespace, out=None, err=None) -> int:
     out = out if out is not None else sys.stdout
     err = err if err is not None else sys.stderr
-    order = args.order if args.order is not None else _default_order()
+    order = _resolve_order(args.order, "--order")
     sink = None
     if args.out is not None:
         try:

@@ -9,7 +9,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, factorial
+from functools import lru_cache
+from math import comb, factorial, lcm
 from typing import Iterable, Sequence, Union
 
 Rational = Fraction
@@ -108,13 +109,6 @@ class Egf:
             return self
         return Egf(self.coeffs[: order + 1])
 
-    def vanishing_order(self) -> int:
-        """Index of the first nonzero coefficient; order+1 for the zero series."""
-        for n, c in enumerate(self.coeffs):
-            if c != 0:
-                return n
-        return self.order + 1
-
     def __add__(self, other: "Egf") -> "Egf":
         return egf_add(self, other)
 
@@ -210,23 +204,57 @@ def _shift_down(f: Egf, s: int) -> Egf:
     )
 
 
+@lru_cache(maxsize=32)
+def _bell_table(u: tuple[Fraction, ...]) -> tuple[int, tuple[tuple[int, ...], ...]]:
+    """Partial Bell polynomials B_{j,m}(u_1, u_2, ...) for 0 <= m <= j <= len(u).
+
+    Fraction-free: with D the common denominator of u and v_i = D u_i, returns
+    (D, rows) where rows[j][m] = B_{j,m}(v) is an integer, so
+    B_{j,m}(u) = rows[j][m] / D^m.  Filled by the recurrence
+    B_{j,m} = sum_i C(j-1, i-1) v_i B_{j-i,m-1}.
+    """
+    den = lcm(*(x.denominator for x in u))
+    v = (0,) + tuple(x.numerator * (den // x.denominator) for x in u)
+    rows: list[tuple[int, ...]] = [(1,)]
+    for j in range(1, len(u) + 1):
+        row = [0]
+        for m in range(1, j + 1):
+            acc = 0
+            for i in range(1, j - m + 2):
+                if v[i]:
+                    acc += comb(j - 1, i - 1) * v[i] * rows[j - i][m - 1]
+            row.append(acc)
+        rows.append(tuple(row))
+    return den, tuple(rows)
+
+
 def egf_compose(f: Egf, g: Egf) -> Egf:
     """Composition f(g(t)), defined when g has zero constant term.
 
-    Evaluated by Horner's scheme over f's ordinary coefficients; only powers
-    g^m with m <= order contribute because g is nilpotent modulo t^{N+1}.
+    Faà di Bruno: h_n = sum_m f_m B_{n,m}(g_1, g_2, ...).  The inner series is
+    first normalised to g(t) = u(s t) with s = g_1 (or 1 when g_1 = 0), so
+    h_n = s^n sum_m f_m B_{n,m}(u).  Every 1 - e^{-ct} normalises to the same
+    u = 1 - e^{-t}, whose cached table serves all scales c; the sum runs over
+    integers with one common denominator.
     """
     if g.coeffs[0] != 0:
         raise NonNilpotentInner("inner series has nonzero constant term")
     n = min(f.order, g.order)
-    a = f.truncate(n).ordinary()
-    g = g.truncate(n)
-    acc = Egf.constant(a[n], n)
-    for m in range(n - 1, -1, -1):
-        acc = egf_mul(acc, g)
-        if a[m]:
-            acc = egf_add(acc, Egf.constant(a[m], n))
-    return acc
+    s = g.coeffs[1] if n and g.coeffs[1] else Fraction(1)
+    u = tuple(c / s**i for i, c in enumerate(g.coeffs[1 : n + 1], 1))
+    den, bell = _bell_table(u)
+    scaled = [f.coeffs[m] / den**m for m in range(n + 1)]
+    common = lcm(*(x.denominator for x in scaled))
+    a = [x.numerator * (common // x.denominator) for x in scaled]
+    return Egf(
+        tuple(
+            Fraction(
+                s.numerator**j * sum(am * b for am, b in zip(a, row)),
+                s.denominator**j * common,
+            )
+            for j, row in enumerate(bell)
+        )
+    )
 
 
 def egf_exp_linear(value: RationalLike, order: int) -> Egf:

@@ -2,8 +2,12 @@
 
 Li_k(z) = sum_{m>=1} z^m / m^k, and the nested generalization over index
 vectors (k_1, ..., k_r) summed over strictly increasing 1 <= m_1 < ... < m_r.
-Truncated at z^N both are finite sums, so negative and zero indices are
-handled by the very same summation; no closed forms are special-cased.
+Truncated at z^N both are finite sums.  The nested sum is built depth by
+depth with the running-sum recursion S_j(m) = (sum_{m' < m} S_{j-1}(m')) /
+m^{k_j}, which costs O(rN) rather than one term per index tuple.  Negative
+and zero indices go through the same recursion; no closed forms are
+special-cased.  Substitution of an inner series goes through
+``exact.egf_compose``.
 
 Series in z are returned in the shared ``Egf`` container with the
 coefficients read in the ordinary sense (coeffs[m] multiplies z^m).
@@ -13,7 +17,6 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations
 from typing import Sequence
 
 from .exact import Egf, NonNilpotentInner, egf_compose
@@ -43,16 +46,19 @@ def li_series(k: int, order: int) -> Egf:
     return multi_li_series((k,), order)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=256)
 def _multi_li_coeffs(ks: KVector, order: int) -> tuple[Fraction, ...]:
-    r = len(ks)
-    coeffs = [Fraction(0)] * (order + 1)
-    for ms in combinations(range(1, order + 1), r):
-        term = Fraction(1)
-        for m, k in zip(ms, ks):
-            term /= Fraction(m) ** k
-        coeffs[ms[-1]] += term
-    return tuple(coeffs)
+    # row[m] = S_j(m), the sum over tuples of depth j ending at m_j = m; the
+    # empty tuple (depth 0) ends at 0.
+    row = [Fraction(1)] + [Fraction(0)] * order
+    for k in ks:
+        below = Fraction(0)
+        nxt = [Fraction(0)] * (order + 1)
+        for m in range(1, order + 1):
+            below += row[m - 1]
+            nxt[m] = below / Fraction(m) ** k
+        row = nxt
+    return tuple(row)
 
 
 def multi_li_series(ks: Sequence[int], order: int) -> Egf:

@@ -135,6 +135,10 @@ class TestVerify:
         assert main_verify(["eq2-power-sum", "--variant", "minus"]) == 1
         assert "(whitelisted)" not in capsys.readouterr().out
 
+    def test_negative_order_exits_2(self, capsys):
+        assert main_verify(["thm1", "--order", "-1"]) == 2
+        assert "--order must be >= 0" in capsys.readouterr().err
+
     def test_runs_every_variant_without_flag(self, capsys):
         assert main_verify(["eq2-power-sum", "--order", "4"]) == 0
         out = capsys.readouterr().out.strip().splitlines()
@@ -164,6 +168,14 @@ class TestAuditCommand:
     def test_unexpected_fail_exit_one(self, monkeypatch, capsys):
         monkeypatch.setattr(audit, "EXPECTED_NON_PASS", frozenset())
         assert main_audit(["--order", "4"]) == 1
+
+    def test_negative_order_exits_2(self, tmp_path):
+        target = tmp_path / "report.json"
+        proc = run_cli("audit", "--order", "-1", "--out", str(target))
+        assert proc.returncode == 2
+        assert "--order must be >= 0" in proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert not target.exists()
 
 
 class TestRootCommand:
