@@ -33,7 +33,7 @@ def _exp_minus_one(order: int) -> Egf:
     return egf_add(egf_exp_linear(1, order), Egf.constant(-1, order))
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=256)
 def _bernoulli_tuple(order: int) -> tuple[Fraction, ...]:
     series = egf_div_shifted(Egf.t(order + 1), _exp_minus_one(order + 1), 1)
     return series.coeffs

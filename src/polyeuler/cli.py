@@ -87,6 +87,16 @@ def _resolve_order(value: int | None, flag: str) -> int:
     return order
 
 
+def _resolve_audit_order(value: int | None) -> int:
+    order = _resolve_order(value, "--order")
+    _require(
+        order >= audit.MIN_ORDER,
+        f"--order must be >= {audit.MIN_ORDER}: smaller grids cannot witness "
+        "every documented discrepancy",
+    )
+    return order
+
+
 def _sequence_for(args: argparse.Namespace) -> list[Fraction]:
     order = _resolve_order(args.n, "--n")
     x = args.x if args.x is not None else Fraction(0)
@@ -181,7 +191,9 @@ def _verify_parser(prog: str = "polyverify") -> argparse.ArgumentParser:
 
 def _result_line(result: audit.CaseResult, order: int, seed: int) -> str:
     line = f"{result.label}: {result.verdict} (grid={result.grid_size}) [order={order} seed={seed}]"
-    if result.verdict != audit.PASS and audit.is_expected(result):
+    if not audit.is_expected(result):
+        line += f" (expected {audit.expected_verdict(result)})"
+    elif result.verdict != audit.PASS:
         line += " (whitelisted)"
     if result.counterexample is not None:
         params = " ".join(f"{k}={v}" for k, v in result.counterexample["params"].items())
@@ -194,7 +206,7 @@ def _result_line(result: audit.CaseResult, order: int, seed: int) -> str:
 
 def cmd_verify(args: argparse.Namespace, out=None) -> int:
     out = out if out is not None else sys.stdout
-    order = _resolve_order(args.order, "--order")
+    order = _resolve_audit_order(args.order)
     cases = [c for c in audit.build_registry(args.seed, order) if c.id == args.identity]
     if not cases:
         known = ", ".join(audit.registered_ids())
@@ -222,7 +234,7 @@ def _audit_parser(prog: str = "polyaudit") -> argparse.ArgumentParser:
 def cmd_audit(args: argparse.Namespace, out=None, err=None) -> int:
     out = out if out is not None else sys.stdout
     err = err if err is not None else sys.stderr
-    order = _resolve_order(args.order, "--order")
+    order = _resolve_audit_order(args.order)
     sink = None
     if args.out is not None:
         try:

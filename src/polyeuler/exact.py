@@ -57,7 +57,25 @@ def format_rational(value: Fraction) -> str:
 
 
 def _as_fraction_tuple(values: Iterable[RationalLike]) -> tuple[Fraction, ...]:
-    return tuple(Fraction(v) for v in values)
+    return tuple(v if type(v) is Fraction else Fraction(v) for v in values)
+
+
+def integer_numerators(values: Sequence[Fraction]) -> tuple[list[int], int]:
+    """Put rationals over their least common denominator D.
+
+    Returns (nums, D) with values[i] == nums[i] / D, so a sum of products can
+    run over Python ints and become one ``Fraction`` at the end.
+    """
+    den = lcm(*(v.denominator for v in values))
+    return [v.numerator * (den // v.denominator) for v in values], den
+
+
+def integer_powers(base: int, top: int) -> list[int]:
+    """base^0, base^1, ..., base^top as Python ints."""
+    out = [1]
+    for _ in range(top):
+        out.append(out[-1] * base)
+    return out
 
 
 @dataclass(frozen=True)
@@ -134,38 +152,51 @@ def egf_scale(f: Egf, value: RationalLike) -> Egf:
 
 
 def egf_mul(f: Egf, g: Egf) -> Egf:
-    """Binomial-convolution product: c_n = sum_i C(n,i) f_i g_{n-i}."""
+    """Binomial-convolution product: c_n = sum_i C(n,i) f_i g_{n-i}.
+
+    With f = a/D_f and g = b/D_g over integer numerators, c_n is the integer
+    convolution of a and b over D_f D_g; one ``Fraction`` is built per
+    output coefficient.
+    """
     n = min(f.order, g.order)
-    fc, gc = f.coeffs, g.coeffs
+    a, df = integer_numerators(f.coeffs[: n + 1])
+    b, dg = integer_numerators(g.coeffs[: n + 1])
+    den = df * dg
     out = []
     for m in range(n + 1):
-        acc = Fraction(0)
+        acc = 0
         for i in range(m + 1):
-            a = fc[i]
-            if a:
-                acc += comb(m, i) * a * gc[m - i]
-        out.append(acc)
+            if a[i]:
+                acc += comb(m, i) * a[i] * b[m - i]
+        out.append(Fraction(acc, den))
     return Egf(tuple(out))
 
 
 def egf_div(f: Egf, g: Egf) -> Egf:
     """Quotient h with egf_mul(h, g) = f up to the common order.
 
-    Solves the triangular system coefficient by coefficient; the divisor must
-    have a nonzero constant term.
+    Solves the triangular system h_m g_0 = f_m - sum_{i<m} C(m,i) h_i g_{m-i}
+    fraction-free; the divisor must have a nonzero constant term.  With
+    f = a/D_f and g = b/D_g over integer numerators, the integers
+    Q_m = b_0^m a_m - sum_{i<m} C(m,i) b_0^{m-1-i} b_{m-i} Q_i
+    give h_m = D_g Q_m / (D_f b_0^{m+1}).
     """
     if g.coeffs[0] == 0:
         raise DivisionByNonUnit("divisor has zero constant term")
     n = min(f.order, g.order)
-    g0 = g.coeffs[0]
-    h: list[Fraction] = []
+    a, df = integer_numerators(f.coeffs[: n + 1])
+    b, dg = integer_numerators(g.coeffs[: n + 1])
+    b0_pow = integer_powers(b[0], n + 1)
+    q: list[int] = []
+    out = []
     for m in range(n + 1):
-        acc = f.coeffs[m]
+        acc = b0_pow[m] * a[m]
         for i in range(m):
-            if h[i]:
-                acc -= comb(m, i) * h[i] * g.coeffs[m - i]
-        h.append(acc / g0)
-    return Egf(tuple(h))
+            if q[i]:
+                acc -= comb(m, i) * b0_pow[m - 1 - i] * b[m - i] * q[i]
+        q.append(acc)
+        out.append(Fraction(dg * acc, df * b0_pow[m + 1]))
+    return Egf(tuple(out))
 
 
 def egf_div_shifted(f: Egf, g: Egf, shift: int) -> Egf:
@@ -213,8 +244,8 @@ def _bell_table(u: tuple[Fraction, ...]) -> tuple[int, tuple[tuple[int, ...], ..
     B_{j,m}(u) = rows[j][m] / D^m.  Filled by the recurrence
     B_{j,m} = sum_i C(j-1, i-1) v_i B_{j-i,m-1}.
     """
-    den = lcm(*(x.denominator for x in u))
-    v = (0,) + tuple(x.numerator * (den // x.denominator) for x in u)
+    nums, den = integer_numerators(u)
+    v = [0] + nums
     rows: list[tuple[int, ...]] = [(1,)]
     for j in range(1, len(u) + 1):
         row = [0]
@@ -243,9 +274,7 @@ def egf_compose(f: Egf, g: Egf) -> Egf:
     s = g.coeffs[1] if n and g.coeffs[1] else Fraction(1)
     u = tuple(c / s**i for i, c in enumerate(g.coeffs[1 : n + 1], 1))
     den, bell = _bell_table(u)
-    scaled = [f.coeffs[m] / den**m for m in range(n + 1)]
-    common = lcm(*(x.denominator for x in scaled))
-    a = [x.numerator * (common // x.denominator) for x in scaled]
+    a, common = integer_numerators([f.coeffs[m] / den**m for m in range(n + 1)])
     return Egf(
         tuple(
             Fraction(
@@ -267,8 +296,10 @@ def egf_pow(f: Egf, exponent: int) -> Egf:
     """Repeated product f^exponent with f^0 = 1."""
     if exponent < 0:
         raise ValueError("exponent must be a natural number")
-    acc = Egf.constant(1, f.order)
-    for _ in range(exponent):
+    if exponent == 0:
+        return Egf.constant(1, f.order)
+    acc = f
+    for _ in range(exponent - 1):
         acc = egf_mul(acc, f)
     return acc
 

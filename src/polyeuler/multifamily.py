@@ -7,8 +7,10 @@ polynomial identity in these rationals and can be certified point by point
 with zero tolerance.
 
 The right-hand-side evaluators (thm1_rhs .. addition_rhs) recompute the
-registered identities' claimed expansions from more primitive sequences;
-thm3_explicit and thm4_explicit are audit instruments that evaluate two
+registered identities' claimed expansions from more primitive sequences.
+They add up every printed term, over Python ints with one denominator per
+coefficient, and never call a series product or another right side, so the
+audit's two sides stay independent; thm3_explicit and thm4_explicit are audit instruments that evaluate two
 printed "explicit formulas" exactly as stated, caps and all, so the audit
 can report how far their partial sums are from the series values.
 """
@@ -31,7 +33,10 @@ from .exact import (
     egf_mul,
     egf_pow,
     egf_scale,
+    integer_numerators,
+    integer_powers,
 )
+from .polyfamily import _one_minus_exp
 from .polylog import KVector, li_of_inner, validate_kvector
 
 
@@ -58,11 +63,7 @@ class LogParams:
         return self.alpha + self.beta
 
 
-def _one_minus_exp(value, order: int) -> Egf:
-    return egf_add(Egf.constant(1, order), egf_scale(egf_exp_linear(value, order), -1))
-
-
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=4096)
 def _multi_poly_bernoulli_egf(ks: KVector, order: int) -> Egf:
     r = len(ks)
     work = order + r
@@ -80,7 +81,7 @@ def multi_poly_bernoulli(ks: Sequence[int], order: int) -> list[Fraction]:
     return list(_multi_poly_bernoulli_egf(validate_kvector(ks), order).coeffs)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=4096)
 def _multi_poly_euler_egf(ks: KVector, x: Fraction, order: int) -> Egf:
     r = len(ks)
     numerator = egf_scale(li_of_inner(ks, _one_minus_exp(-1, order), order), 2)
@@ -98,7 +99,7 @@ def multi_poly_euler(ks: Sequence[int], x: Fraction | int, order: int) -> list[F
     return list(_multi_poly_euler_egf(validate_kvector(ks), Fraction(x), order).coeffs)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=4096)
 def _multi_poly_euler_xab_egf(
     ks: KVector, x: Fraction, alpha: Fraction, beta: Fraction, order: int
 ) -> Egf:
@@ -132,7 +133,7 @@ def multi_poly_euler_xab(
     )
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=4096)
 def _poly_euler_abc_egf(
     k: int, x: Fraction, alpha: Fraction, beta: Fraction, gamma: Fraction, order: int
 ) -> Egf:
@@ -185,27 +186,40 @@ def thm1_rhs(ks: Sequence[int], params: LogParams, order: int) -> list[Fraction]
     return [plain[n] * params.log_ab**n for n in range(order + 1)]
 
 
+def _binomial_shift(
+    values: Sequence[Fraction], shift: Fraction, scale: Fraction, order: int
+) -> list[Fraction]:
+    """sum_i C(n,i) shift^{n-i} scale^i values_i for n = 0..order, term by term.
+
+    With shift = s/s', scale = c/c' and values = v/D over integers, term i
+    of row n is C(n,i) (s c')^{n-i} (c s')^i v_i over the row denominator
+    (s' c')^n D, so each row builds a single ``Fraction``.
+    """
+    v, den = integer_numerators(values[: order + 1])
+    s, sd = shift.numerator, shift.denominator
+    c, cd = scale.numerator, scale.denominator
+    shift_pow = integer_powers(s * cd, order)
+    scale_pow = integer_powers(c * sd, order)
+    row_den = integer_powers(sd * cd, order)
+    out = []
+    for n in range(order + 1):
+        total = 0
+        for i in range(n + 1):
+            if v[i]:
+                total += comb(n, i) * shift_pow[n - i] * scale_pow[i] * v[i]
+        out.append(Fraction(total, row_den[n] * den))
+    return out
+
+
 def thm2_rhs(ks: Sequence[int], params: LogParams, order: int) -> list[Fraction]:
     """Registered identity thm2, right side: a binomial mix of the plain numbers.
 
-    Term i carries r^{n-i} (ln a+ln b)^i (ln a)^{n-i} C(n,i) E_i.
+    Term i carries r^{n-i} (ln a+ln b)^i (ln a)^{n-i} C(n,i) E_i, summed over
+    integers with one denominator per n.
     """
     r = len(validate_kvector(ks))
     plain = multi_poly_euler(ks, Fraction(0), order)
-    out = []
-    for n in range(order + 1):
-        total = Fraction(0)
-        for i in range(n + 1):
-            if plain[i]:
-                total += (
-                    Fraction(r) ** (n - i)
-                    * params.log_ab**i
-                    * params.alpha ** (n - i)
-                    * comb(n, i)
-                    * plain[i]
-                )
-        out.append(total)
-    return out
+    return _binomial_shift(plain, r * params.alpha, params.log_ab, order)
 
 
 def cor1_rhs(
@@ -213,15 +227,48 @@ def cor1_rhs(
 ) -> list[Fraction]:
     """Registered identity cor1, right side: sum_i C(n,i) r^{n-i} E_i(a,b) x^{n-i}."""
     r = len(validate_kvector(ks))
-    x = Fraction(x)
     ab = multi_poly_euler_ab(ks, params, order)
-    return [
-        sum(
-            (comb(n, i) * Fraction(r) ** (n - i) * ab[i] * x ** (n - i) for i in range(n + 1)),
-            Fraction(0),
-        )
-        for n in range(order + 1)
-    ]
+    return _binomial_shift(ab, r * Fraction(x), Fraction(1), order)
+
+
+def _combined_sum(
+    ks: Sequence[int], x: Fraction | int, params: LogParams, order: int, printed: bool
+) -> list[Fraction]:
+    """sum_{k<=n} sum_{j<=k} r^e C(n,k) C(k,j) (ln a)^{k-j} (ln a+ln b)^j E_j x^{n-k}
+    with e = n-k when ``printed`` and e = n-j otherwise.
+
+    Every (n, k, j) term is summed over integers: with x = p/p', ln a = q/q'
+    and ln a+ln b = l/l', the powers are rescaled to the row denominator
+    (p' q' l')^n D, where D is the common denominator of the E_j.
+    """
+    r = len(validate_kvector(ks))
+    x = Fraction(x)
+    plain, den = integer_numerators(multi_poly_euler(ks, Fraction(0), order))
+    p, pd = x.numerator, x.denominator
+    q, qd = params.alpha.numerator, params.alpha.denominator
+    lab, ld = params.log_ab.numerator, params.log_ab.denominator
+    r_pow = integer_powers(r, order)
+    x_pow = integer_powers(p * qd * ld, order)
+    alpha_pow = integer_powers(q * pd * ld, order)
+    log_ab_pow = integer_powers(lab * pd * qd, order)
+    row_den = integer_powers(pd * qd * ld, order)
+    out = []
+    for n in range(order + 1):
+        total = 0
+        for k in range(n + 1):
+            for j in range(k + 1):
+                if plain[j]:
+                    total += (
+                        r_pow[n - k if printed else n - j]
+                        * comb(n, k)
+                        * comb(k, j)
+                        * alpha_pow[k - j]
+                        * log_ab_pow[j]
+                        * plain[j]
+                        * x_pow[n - k]
+                    )
+        out.append(Fraction(total, row_den[n] * den))
+    return out
 
 
 def combined_rhs(
@@ -234,52 +281,14 @@ def combined_rhs(
     factor that the substitution produces (see combined_rhs_printed, which
     the audit keeps around to document the discrepancy).
     """
-    r = len(validate_kvector(ks))
-    x = Fraction(x)
-    plain = multi_poly_euler(ks, Fraction(0), order)
-    out = []
-    for n in range(order + 1):
-        total = Fraction(0)
-        for k in range(n + 1):
-            for j in range(k + 1):
-                if plain[j]:
-                    total += (
-                        Fraction(r) ** (n - j)
-                        * comb(n, k)
-                        * comb(k, j)
-                        * params.alpha ** (k - j)
-                        * params.log_ab**j
-                        * plain[j]
-                        * x ** (n - k)
-                    )
-        out.append(total)
-    return out
+    return _combined_sum(ks, x, params, order, printed=False)
 
 
 def combined_rhs_printed(
     ks: Sequence[int], x: Fraction | int, params: LogParams, order: int
 ) -> list[Fraction]:
     """The same double sum with r^{n-k} exactly as printed (audit instrument)."""
-    r = len(validate_kvector(ks))
-    x = Fraction(x)
-    plain = multi_poly_euler(ks, Fraction(0), order)
-    out = []
-    for n in range(order + 1):
-        total = Fraction(0)
-        for k in range(n + 1):
-            for j in range(k + 1):
-                if plain[j]:
-                    total += (
-                        Fraction(r) ** (n - k)
-                        * comb(n, k)
-                        * comb(k, j)
-                        * params.alpha ** (k - j)
-                        * params.log_ab**j
-                        * plain[j]
-                        * x ** (n - k)
-                    )
-        out.append(total)
-    return out
+    return _combined_sum(ks, x, params, order, printed=True)
 
 
 def addition_rhs(
@@ -291,15 +300,8 @@ def addition_rhs(
 ) -> list[Fraction]:
     """Registered identity cor2, right side: sum_k C(n,k) r^{n-k} E_k(x;a,b) y^{n-k}."""
     r = len(validate_kvector(ks))
-    y = Fraction(y)
     base = multi_poly_euler_xab(ks, x, params, order)
-    return [
-        sum(
-            (comb(n, k) * Fraction(r) ** (n - k) * base[k] * y ** (n - k) for k in range(n + 1)),
-            Fraction(0),
-        )
-        for n in range(order + 1)
-    ]
+    return _binomial_shift(base, r * Fraction(y), Fraction(1), order)
 
 
 @dataclass(frozen=True)
@@ -311,7 +313,7 @@ class CappedSum:
     skipped_terms: int
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=256)
 def _compositions(total: int, positions: int) -> tuple[tuple[int, ...], ...]:
     """All tuples of ``positions`` nonnegative integers summing to ``total``."""
     if positions == 1:

@@ -27,7 +27,7 @@ def _one_minus_exp(value, order: int) -> Egf:
     return egf_add(Egf.constant(1, order), egf_scale(egf_exp_linear(value, order), -1))
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=4096)
 def _poly_bernoulli_egf(k: int, x: Fraction, order: int) -> Egf:
     work = order + 1
     inner = _one_minus_exp(-1, work)
@@ -45,7 +45,7 @@ def poly_bernoulli(k: int, x: Fraction | int, order: int) -> list[Fraction]:
     return list(_poly_bernoulli_egf(k, Fraction(x), order).coeffs)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=4096)
 def _poly_euler_egf(k: int, x: Fraction, order: int) -> Egf:
     numerator = egf_scale(li_of_inner((k,), _one_minus_exp(-1, order), order), 2)
     denominator = egf_add(Egf.constant(1, order), egf_exp_linear(1, order))
@@ -57,7 +57,7 @@ def poly_euler(k: int, x: Fraction | int, order: int) -> list[Fraction]:
     return list(_poly_euler_egf(k, Fraction(x), order).coeffs)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=4096)
 def _poly_euler_sasaki_egf(k: int, order: int) -> Egf:
     work = order + 1
     numerator = li_of_inner((k,), _one_minus_exp(-4, work), work)

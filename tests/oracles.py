@@ -119,6 +119,75 @@ def poly_euler_abc_egf(k, x, alpha, beta, gamma, order):
     return egf_from_ord(q)
 
 
+def thm2_sum(ks, alpha, beta, order):
+    """sum_i C(n,i) r^{n-i} (alpha+beta)^i alpha^{n-i} E_i over the plain numbers."""
+    r = len(ks)
+    alpha, lam = Fraction(alpha), Fraction(alpha) + Fraction(beta)
+    plain = multi_poly_euler_egf(ks, 0, order)
+    return [
+        sum(
+            (Fraction(r) ** (n - i) * lam**i * alpha ** (n - i) * comb(n, i) * plain[i]
+             for i in range(n + 1)),
+            Fraction(0),
+        )
+        for n in range(order + 1)
+    ]
+
+
+def cor1_sum(ks, x, alpha, beta, order):
+    """sum_i C(n,i) r^{n-i} E_i(a,b) x^{n-i}."""
+    r, x = len(ks), Fraction(x)
+    ab = multi_poly_euler_xab_egf(ks, 0, alpha, beta, order)
+    return [
+        sum((comb(n, i) * Fraction(r) ** (n - i) * ab[i] * x ** (n - i) for i in range(n + 1)),
+            Fraction(0))
+        for n in range(order + 1)
+    ]
+
+
+def addition_sum(ks, x, y, alpha, beta, order):
+    """sum_k C(n,k) r^{n-k} E_k(x;a,b) y^{n-k}."""
+    r, y = len(ks), Fraction(y)
+    base = multi_poly_euler_xab_egf(ks, x, alpha, beta, order)
+    return [
+        sum((comb(n, k) * Fraction(r) ** (n - k) * base[k] * y ** (n - k) for k in range(n + 1)),
+            Fraction(0))
+        for n in range(order + 1)
+    ]
+
+
+def _double_sum(ks, x, alpha, beta, order, r_exponent):
+    r, x = len(ks), Fraction(x)
+    alpha, lam = Fraction(alpha), Fraction(alpha) + Fraction(beta)
+    plain = multi_poly_euler_egf(ks, 0, order)
+    out = []
+    for n in range(order + 1):
+        total = Fraction(0)
+        for k in range(n + 1):
+            for j in range(k + 1):
+                total += (
+                    Fraction(r) ** r_exponent(n, k, j)
+                    * comb(n, k)
+                    * comb(k, j)
+                    * alpha ** (k - j)
+                    * lam**j
+                    * plain[j]
+                    * x ** (n - k)
+                )
+        out.append(total)
+    return out
+
+
+def combined_sum(ks, x, alpha, beta, order):
+    """The thm2-into-cor1 double sum with r^{n-j}."""
+    return _double_sum(ks, x, alpha, beta, order, lambda n, k, j: n - j)
+
+
+def combined_sum_printed(ks, x, alpha, beta, order):
+    """The same double sum with r^{n-k}, as printed."""
+    return _double_sum(ks, x, alpha, beta, order, lambda n, k, j: n - k)
+
+
 def multi_poly_bernoulli_egf(ks, order):
     """EGF coefficients of Li_{(ks)}(1-e^{-t})/(1-e^{-t})^r via t^r cancellation."""
     r = len(ks)

@@ -10,6 +10,7 @@ from polyeuler.audit import (
     FAIL,
     INCONCLUSIVE,
     PASS,
+    CaseResult,
     IdentityCase,
     UnknownIdentity,
     build_registry,
@@ -158,6 +159,31 @@ class TestRunAll:
     def test_is_expected_logic(self, report6):
         for result in report6.cases:
             assert is_expected(result)
+
+
+class TestDocumentedVerdicts:
+    def test_whitelisted_case_must_keep_its_verdict(self):
+        assert not is_expected(CaseResult("eq9-cosh", None, 1, PASS, None, ""))
+        assert not is_expected(CaseResult("thm3-explicit", None, 1, FAIL, None, ""))
+        assert is_expected(CaseResult("thm3-explicit", None, 1, INCONCLUSIVE, None, ""))
+        assert is_expected(CaseResult("thm4-explicit", "proof", 1, FAIL, None, ""))
+
+    @pytest.mark.parametrize(
+        "order, passing_discrepancies",
+        [
+            (0, {("combined", "as-printed"), ("eq9-cosh", None), ("def1-sasaki-bridge", None),
+                 ("thm4-explicit", "statement"), ("thm4-explicit", "proof")}),
+            (1, {("combined", "as-printed"), ("eq9-cosh", None)}),
+            (2, {("combined", "as-printed")}),
+        ],
+    )
+    def test_small_orders_are_not_reported_ok(self, order, passing_discrepancies):
+        """Below the minimum order the grids are too small to witness every
+        documented discrepancy; the report must say so rather than PASS."""
+        report = run_all(seed=0, order=order)
+        unexpected = {(r.id, r.variant) for r in report.cases if not is_expected(r)}
+        assert unexpected == passing_discrepancies
+        assert not report_ok(report)
 
 
 class TestReportBytes:

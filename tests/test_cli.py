@@ -5,8 +5,10 @@ import json
 import subprocess
 import sys
 
+import pytest
+
 from polyeuler import audit
-from polyeuler.cli import main_audit, main_seq, main_verify
+from polyeuler.cli import _result_line, main_audit, main_seq, main_verify
 from polyeuler.exact import parse_rational
 from polyeuler.polyfamily import poly_bernoulli
 
@@ -139,6 +141,15 @@ class TestVerify:
         assert main_verify(["thm1", "--order", "-1"]) == 2
         assert "--order must be >= 0" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("order", ["0", "1", "2"])
+    def test_order_below_minimum_exits_2(self, order, capsys):
+        assert main_verify(["combined", "--variant", "as-printed", "--order", order]) == 2
+        assert "--order must be >= 3" in capsys.readouterr().err
+
+    def test_documented_discrepancy_that_passes_is_flagged(self):
+        result = audit.CaseResult("eq9-cosh", None, 4, audit.PASS, None, "")
+        assert _result_line(result, 4, 0).endswith("(expected FAIL)")
+
     def test_runs_every_variant_without_flag(self, capsys):
         assert main_verify(["eq2-power-sum", "--order", "4"]) == 0
         out = capsys.readouterr().out.strip().splitlines()
@@ -176,6 +187,18 @@ class TestAuditCommand:
         assert "--order must be >= 0" in proc.stderr
         assert "Traceback" not in proc.stderr
         assert not target.exists()
+
+
+    @pytest.mark.parametrize("order", ["0", "1", "2"])
+    def test_order_below_minimum_exits_2(self, order, tmp_path, capsys):
+        target = tmp_path / "report.json"
+        assert main_audit(["--order", order, "--out", str(target)]) == 2
+        assert "--order must be >= 3" in capsys.readouterr().err
+        assert not target.exists()
+
+    def test_order_env_below_minimum_exits_2(self, monkeypatch):
+        monkeypatch.setenv("POLYEULER_ORDER", "2")
+        assert main_audit([]) == 2
 
 
 class TestRootCommand:

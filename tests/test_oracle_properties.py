@@ -1,18 +1,24 @@
-"""Composition and multi-Li kernels against the naive ordinary-series oracles.
+"""EGF kernels and the theorem right-hand sides against the naive oracles.
 
-The oracles compose term by term through explicit powers and enumerate every
-index tuple of the nested sum, so they share no code path with the cached
-Bell table or the running-sum recursion.
+The oracles multiply and divide ordinary series over ``Fraction`` term by
+term, compose through explicit powers, enumerate every index tuple of the
+nested sum and evaluate the printed right-hand sums literally, so they share
+no code path with the integer kernels, the cached Bell table or the
+running-sum recursion.
 """
 
 from fractions import Fraction
 
-from hypothesis import example, given, strategies as st
+import pytest
+from hypothesis import assume, example, given, settings, strategies as st
 
-from polyeuler.exact import Egf, egf_compose
+from polyeuler import multifamily
+from polyeuler.exact import Egf, egf_compose, egf_div, egf_mul
+from polyeuler.multifamily import LogParams
 from polyeuler.polylog import li_of_inner, multi_li_series
 
-from oracles import egf_from_ord, multi_li_ordinary, one_minus_exp, ord_compose
+import oracles
+from oracles import egf_from_ord, multi_li_ordinary, one_minus_exp, ord_compose, ord_div, ord_mul
 
 F = Fraction
 
@@ -20,6 +26,11 @@ rationals = st.fractions(min_value=-4, max_value=4, max_denominator=6)
 nonzero_rationals = rationals.filter(bool)
 orders = st.integers(min_value=0, max_value=20)
 kvectors = st.lists(st.integers(min_value=-3, max_value=3), min_size=1, max_size=4).map(tuple)
+
+
+wide_rationals = st.fractions(min_value=-50, max_value=50, max_denominator=30)
+# Divisor constants: units, powers of two as in (a^{-t} + b^t)^r, and others.
+divisor_constants = st.sampled_from([F(1), F(-1), F(2), F(4), F(8), F(-7, 3)]) | nonzero_rationals
 
 
 def padded(values, order):
@@ -59,6 +70,91 @@ def test_compose_with_zero_linear_term(order, outer, tail):
     """g_1 = 0: no rescaling, and powers of g vanish twice as fast."""
     inner = padded([F(0), F(0)] + tail, order)
     compose_matches_oracle(padded(outer, order), inner, order)
+
+
+@given(order=orders, f=st.lists(wide_rationals, max_size=21), g=st.lists(wide_rationals, max_size=21))
+@example(order=3, f=[F(1, 2), F(-3, 4), F(5, 6), F(-7, 9)], g=[F(-2, 3), F(1, 5), F(0), F(4, 7)])
+def test_mul_matches_oracle(order, f, g):
+    f, g = padded(f, order), padded(g, order)
+    got = egf_mul(Egf.from_ordinary(f), Egf.from_ordinary(g))
+    assert list(got.ordinary()) == ord_mul(f, g, order)
+
+
+@given(
+    order=orders,
+    f=st.lists(wide_rationals, max_size=21),
+    g0=divisor_constants,
+    g_tail=st.lists(wide_rationals, max_size=20),
+)
+@example(order=20, f=[F(1, 3), F(-2), F(5, 4)] * 7, g0=F(-7, 3), g_tail=[F(1, 2), F(-5, 6)] * 10)
+@example(order=10, f=[F(2)] * 11, g0=F(8), g_tail=[F(-1), F(3, 2)] * 5)
+def test_div_matches_oracle(order, f, g0, g_tail):
+    f, g = padded(f, order), padded([g0] + g_tail, order)
+    got = egf_div(Egf.from_ordinary(f), Egf.from_ordinary(g))
+    assert list(got.ordinary()) == ord_div(f, g, order)
+
+
+theorem_kvectors = st.lists(st.integers(min_value=-2, max_value=3), min_size=1, max_size=3).map(tuple)
+small_rationals = st.fractions(min_value=-5, max_value=5, max_denominator=7)
+
+
+# Each right side as (package, literal oracle), both called as f(ks, x, y, alpha, beta, order).
+RIGHT_SIDES = {
+    "thm2": (
+        lambda ks, x, y, a, b, n: multifamily.thm2_rhs(ks, LogParams(a, b), n),
+        lambda ks, x, y, a, b, n: oracles.thm2_sum(ks, a, b, n),
+    ),
+    "cor1": (
+        lambda ks, x, y, a, b, n: multifamily.cor1_rhs(ks, x, LogParams(a, b), n),
+        lambda ks, x, y, a, b, n: oracles.cor1_sum(ks, x, a, b, n),
+    ),
+    "cor2": (
+        lambda ks, x, y, a, b, n: multifamily.addition_rhs(ks, x, y, LogParams(a, b), n),
+        oracles.addition_sum,
+    ),
+    "combined": (
+        lambda ks, x, y, a, b, n: multifamily.combined_rhs(ks, x, LogParams(a, b), n),
+        lambda ks, x, y, a, b, n: oracles.combined_sum(ks, x, a, b, n),
+    ),
+    "combined-printed": (
+        lambda ks, x, y, a, b, n: multifamily.combined_rhs_printed(ks, x, LogParams(a, b), n),
+        lambda ks, x, y, a, b, n: oracles.combined_sum_printed(ks, x, a, b, n),
+    ),
+}
+
+
+@pytest.mark.parametrize("side", sorted(RIGHT_SIDES))
+@settings(max_examples=15)
+@given(
+    ks=theorem_kvectors,
+    x=small_rationals,
+    y=small_rationals,
+    alpha=small_rationals,
+    beta=small_rationals,
+    order=st.integers(min_value=0, max_value=10),
+)
+@example(ks=(2, -1), x=F(-2, 3), y=F(5, 7), alpha=F(3, 4), beta=F(-1, 6), order=10)
+def test_right_hand_sides_match_literal_sums(side, ks, x, y, alpha, beta, order):
+    package, oracle = RIGHT_SIDES[side]
+    assert package(ks, x, y, alpha, beta, order) == oracle(ks, x, y, alpha, beta, order)
+
+
+@settings(max_examples=20)
+@given(
+    ks=st.lists(st.integers(min_value=-2, max_value=3), min_size=2, max_size=3).map(tuple),
+    x=small_rationals,
+    alpha=small_rationals.filter(bool),
+    beta=small_rationals,
+    extra=st.integers(min_value=0, max_value=6),
+)
+def test_combined_variants_differ_for_r_at_least_two(ks, x, alpha, beta, extra):
+    """At n = r + 1 the two exponents differ by (r+1)(r-1) alpha (alpha+beta)^r E_r."""
+    assume(alpha + beta != 0)
+    order = len(ks) + 1 + extra
+    params = LogParams(alpha, beta)
+    assert multifamily.combined_rhs(ks, x, params, order) != multifamily.combined_rhs_printed(
+        ks, x, params, order
+    )
 
 
 @given(ks=kvectors, order=orders)
