@@ -20,7 +20,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
-from typing import Callable, Mapping
+from typing import Callable, Iterable, Mapping
 
 from . import classical, multifamily, polyfamily
 from .classical import EulerConvention
@@ -130,151 +130,46 @@ def _fmt_params(params: Mapping) -> dict:
     return out
 
 
-def _compare_grid(
-    case: IdentityCase,
-    points,
-    expected_fn: Callable,
-    actual_fn: Callable,
-    notes_pass: str,
-    notes_fail: str,
-) -> CaseResult:
-    """Walk the grid in order; report the first mismatch if any."""
-    grid_size = 0
-    first = None
-    for point in points:
-        grid_size += 1
-        expected = expected_fn(point)
-        actual = actual_fn(point)
-        if expected != actual and first is None:
-            first = {
-                "params": _fmt_params(point),
-                "expected": format_rational(expected),
-                "actual": format_rational(actual),
-            }
-    if first is None:
-        return CaseResult(case.id, case.variant, grid_size, PASS, None, notes_pass)
-    return CaseResult(case.id, case.variant, grid_size, FAIL, first, notes_fail)
+@dataclass(frozen=True)
+class _Check:
+    """One row of the comparison table: grid points, two sides and notes.
+
+    ``expected`` and ``actual`` map (case, point) to one value, or, when
+    ``sequence`` is set, to the values at n = 0, 1, ..., which are compared
+    index by index with ``n`` appended to the point.  ``notes_fail`` may name
+    the case's variant as ``%(variant)s``.
+    """
+
+    points: Callable[[IdentityCase], Iterable[dict]]
+    sequence: bool
+    expected: Callable[[IdentityCase, dict], object]
+    actual: Callable[[IdentityCase, dict], object]
+    notes_pass: str
+    notes_fail: str
 
 
-def _compare_sequence_grid(
-    case: IdentityCase,
-    points,
-    n_max: int,
-    expected_fn: Callable,
-    actual_fn: Callable,
-    notes_pass: str,
-    notes_fail: str,
-) -> CaseResult:
-    """Like _compare_grid, but both sides produce whole sequences per point,
-    so each sequence pair is computed once and compared index by index."""
+def _compare(case: IdentityCase, check: _Check) -> CaseResult:
+    """Walk the grid in order, computing both sides once per point; report
+    the first mismatch if any."""
     grid_size = 0
     first = None
-    for point in points:
-        expected = expected_fn(point)
-        actual = actual_fn(point)
-        for n in range(n_max + 1):
+    for point in check.points(case):
+        expected = check.expected(case, point)
+        actual = check.actual(case, point)
+        if not check.sequence:
+            expected, actual = [expected], [actual]
+        for n in range(len(expected)):
             grid_size += 1
             if expected[n] != actual[n] and first is None:
                 first = {
-                    "params": _fmt_params({**point, "n": n}),
+                    "params": _fmt_params({**point, "n": n} if check.sequence else point),
                     "expected": format_rational(expected[n]),
                     "actual": format_rational(actual[n]),
                 }
     if first is None:
-        return CaseResult(case.id, case.variant, grid_size, PASS, None, notes_pass)
-    return CaseResult(case.id, case.variant, grid_size, FAIL, first, notes_fail)
-
-
-# --- individual case runners -------------------------------------------------
-
-
-def _run_eq2(case: IdentityCase) -> CaseResult:
-    sign = case.variant
-    points = [{"m": m, "n": n} for m in range(case.grid["m_max"] + 1) for n in range(case.grid["n_max"] + 1)]
-    notes_pass = "closed form with B_1 = +1/2 reproduces every direct power sum"
-    notes_fail = (
-        "documented convention clash: with B_1 = -1/2 the closed form yields the "
-        "sum shifted by one (it equals S_m(n-1) for every m >= 1)"
-    )
-    return _compare_grid(
-        case,
-        points,
-        lambda p: Fraction(classical.power_sum(p["m"], p["n"])),
-        lambda p: classical.power_sum_closed(p["m"], p["n"], sign),
-        notes_pass,
-        notes_fail,
-    )
-
-
-def _run_eq3(case: IdentityCase) -> CaseResult:
-    series = classical.bernoulli_numbers(case.grid["n_max"])
-    points = [{"n": n} for n in range(1, case.grid["n_max"] + 1)]
-    return _compare_grid(
-        case,
-        points,
-        lambda p: series[p["n"]],
-        lambda p: classical.bernoulli_det(p["n"]),
-        "determinant form agrees with the t/(e^t-1) series",
-        "determinant form disagrees with the t/(e^t-1) series",
-    )
-
-
-def _run_eq6(case: IdentityCase) -> CaseResult:
-    series = classical.euler_numbers(2 * case.grid["n_max"], EulerConvention.SECANT_TYPE)
-    points = [{"n": n} for n in range(1, case.grid["n_max"] + 1)]
-    return _compare_grid(
-        case,
-        points,
-        lambda p: series[2 * p["n"]],
-        lambda p: classical.euler_det(p["n"]),
-        "determinant form agrees with the 1/cosh t series at even indices",
-        "determinant form disagrees with the 1/cosh t series",
-    )
-
-
-def _run_eq9(case: IdentityCase) -> CaseResult:
-    order = case.grid["n_max"]
-    cosh = egf_scale(egf_add(egf_exp_linear(1, order), egf_exp_linear(-1, order)), Fraction(1, 2))
-    secant = classical.euler_numbers(order, EulerConvention.SECANT_TYPE)
-    points = [{"n": n} for n in range(order + 1)]
-    return _compare_grid(
-        case,
-        points,
-        lambda p: secant[p["n"]],
-        lambda p: cosh.coeffs[p["n"]],
-        "cosh t expands to the secant numbers",
-        "documented misprint: the relation holds for 1/cosh t, not cosh t; "
-        "the secant convention follows the determinant values",
-    )
-
-
-def _run_bridge(case: IdentityCase) -> CaseResult:
-    n_max = case.grid["n_max"]
-    xs = case.grid["x_points"]
-    polys = [classical.bernoulli_polynomial(n, n_max) for n in range(n_max + 1)]
-    left = {x: polyfamily.poly_bernoulli(1, -x, n_max) for x in xs}
-    points = [{"n": n, "x": x} for n in range(n_max + 1) for x in xs]
-    return _compare_grid(
-        case,
-        points,
-        lambda p: classical.poly_eval(polys[p["n"]], p["x"]),
-        lambda p: (-1) ** p["n"] * left[p["x"]][p["n"]],
-        "(-1)^n B_n^{(1)}(-x) matches B_n(x) at more sample points than the degree",
-        "(-1)^n B_n^{(1)}(-x) differs from B_n(x)",
-    )
-
-
-def _run_brewbaker(case: IdentityCase) -> CaseResult:
-    points = [{"rows": n, "cols": k} for (n, k) in case.grid["shapes"]]
-    return _compare_grid(
-        case,
-        points,
-        lambda p: Fraction(polyfamily.lonesum_count(p["rows"], p["cols"])),
-        lambda p: polyfamily.poly_bernoulli(-p["cols"], 0, p["rows"])[p["rows"]],
-        "negative-index values equal the lonesum matrix counts "
-        "(enumeration is the ground truth)",
-        "negative-index values disagree with the lonesum matrix counts",
-    )
+        return CaseResult(case.id, case.variant, grid_size, PASS, None, check.notes_pass)
+    notes = check.notes_fail % {"variant": case.variant}
+    return CaseResult(case.id, case.variant, grid_size, FAIL, first, notes)
 
 
 def _theorem_points(case: IdentityCase) -> list[dict]:
@@ -285,88 +180,23 @@ def _theorem_points(case: IdentityCase) -> list[dict]:
     ]
 
 
-def _run_thm1(case: IdentityCase) -> CaseResult:
-    n_max = case.grid["n_max"]
-    return _compare_sequence_grid(
-        case,
-        _theorem_points(case),
-        n_max,
-        lambda p: multifamily.multi_poly_euler_ab(p["ks"], LogParams(p["alpha"], p["beta"]), n_max),
-        lambda p: multifamily.thm1_rhs(p["ks"], LogParams(p["alpha"], p["beta"]), n_max),
-        "two-parameter numbers equal the rescaled polynomial values",
-        "two-parameter numbers disagree with the rescaled polynomial values",
+def _log_params(point: dict) -> LogParams:
+    return LogParams(point["alpha"], point["beta"], point.get("gamma"))
+
+
+def _xab(case: IdentityCase, point: dict) -> list[Fraction]:
+    return multifamily.multi_poly_euler_xab(
+        point["ks"], point["x"], _log_params(point), case.grid["n_max"]
     )
 
 
-def _run_thm2(case: IdentityCase) -> CaseResult:
-    n_max = case.grid["n_max"]
-    return _compare_sequence_grid(
-        case,
-        _theorem_points(case),
-        n_max,
-        lambda p: multifamily.multi_poly_euler_ab(p["ks"], LogParams(p["alpha"], p["beta"]), n_max),
-        lambda p: multifamily.thm2_rhs(p["ks"], LogParams(p["alpha"], p["beta"]), n_max),
-        "two-parameter numbers equal the binomial mix of the plain numbers",
-        "two-parameter numbers disagree with the binomial mix of the plain numbers",
-    )
-
-
-def _run_cor1(case: IdentityCase) -> CaseResult:
-    n_max = case.grid["n_max"]
-    return _compare_sequence_grid(
-        case,
-        _theorem_points(case),
-        n_max,
-        lambda p: multifamily.multi_poly_euler_xab(
-            p["ks"], p["x"], LogParams(p["alpha"], p["beta"]), n_max
-        ),
-        lambda p: multifamily.cor1_rhs(p["ks"], p["x"], LogParams(p["alpha"], p["beta"]), n_max),
-        "polynomial values expand binomially over the two-parameter numbers",
-        "binomial expansion over the two-parameter numbers fails",
-    )
-
-
-def _run_combined(case: IdentityCase) -> CaseResult:
-    n_max = case.grid["n_max"]
+def _combined(case: IdentityCase, point: dict) -> list[Fraction]:
     rhs = (
         multifamily.combined_rhs_printed
         if case.variant == "as-printed"
         else multifamily.combined_rhs
     )
-    notes_pass = "double sum with the substituted exponent r^{n-j} matches the polynomial values"
-    notes_fail = (
-        "documented misprint: the printed double sum carries r^{n-k}, but "
-        "substituting the thm2 expansion into cor1 produces r^{n-j}; the "
-        "repaired variant passes"
-    )
-    return _compare_sequence_grid(
-        case,
-        _theorem_points(case),
-        n_max,
-        lambda p: multifamily.multi_poly_euler_xab(
-            p["ks"], p["x"], LogParams(p["alpha"], p["beta"]), n_max
-        ),
-        lambda p: rhs(p["ks"], p["x"], LogParams(p["alpha"], p["beta"]), n_max),
-        notes_pass,
-        notes_fail,
-    )
-
-
-def _run_cor2(case: IdentityCase) -> CaseResult:
-    n_max = case.grid["n_max"]
-    return _compare_sequence_grid(
-        case,
-        _theorem_points(case),
-        n_max,
-        lambda p: multifamily.multi_poly_euler_xab(
-            p["ks"], p["x"] + p["y"], LogParams(p["alpha"], p["beta"]), n_max
-        ),
-        lambda p: multifamily.addition_rhs(
-            p["ks"], p["x"], p["y"], LogParams(p["alpha"], p["beta"]), n_max
-        ),
-        "shifting the argument by y matches the binomial addition expansion",
-        "the binomial addition expansion fails",
-    )
+    return rhs(point["ks"], point["x"], _log_params(point), case.grid["n_max"])
 
 
 def _run_thm3(case: IdentityCase) -> CaseResult:
@@ -392,37 +222,6 @@ def _run_thm3(case: IdentityCase) -> CaseResult:
         "termwise, so no equality is asserted | " + " | ".join(lines)
     )
     return CaseResult(case.id, case.variant, grid_size, INCONCLUSIVE, None, notes)
-
-
-def _run_thm4(case: IdentityCase) -> CaseResult:
-    n_max = case.grid["n_max"]
-    points = [
-        {"k": k, "alpha": s[0], "beta": s[1], "gamma": s[2], "x": s[3]}
-        for k in case.grid["k_points"]
-        for s in case.grid["samples"]
-    ]
-    notes_pass = "triple-sum formula reproduces the three-parameter series values"
-    notes_fail = (
-        "triple-sum formula (variant "
-        f"{case.variant}) does not reproduce the three-parameter series; the "
-        "truncation of the divergent rearrangement to m <= n is not justified"
-    )
-    return _compare_sequence_grid(
-        case,
-        points,
-        n_max,
-        lambda p: multifamily.poly_euler_abc(
-            p["k"], p["x"], LogParams(p["alpha"], p["beta"], p["gamma"]), n_max
-        ),
-        lambda p: [
-            multifamily.thm4_explicit(
-                p["k"], p["x"], LogParams(p["alpha"], p["beta"], p["gamma"]), n, case.variant
-            ).value
-            for n in range(n_max + 1)
-        ],
-        notes_pass,
-        notes_fail,
-    )
 
 
 def _run_def1_sasaki(case: IdentityCase) -> CaseResult:
@@ -465,20 +264,138 @@ def _run_def1_sasaki(case: IdentityCase) -> CaseResult:
     return CaseResult(case.id, case.variant, grid_size, FAIL, first, notes)
 
 
-_RUNNERS: dict[str, Callable[[IdentityCase], CaseResult]] = {
-    "eq2-power-sum": _run_eq2,
-    "eq3-bernoulli-det": _run_eq3,
-    "eq6-euler-det": _run_eq6,
-    "eq9-cosh": _run_eq9,
-    "bridge-poly-bernoulli": _run_bridge,
-    "brewbaker-lonesum": _run_brewbaker,
-    "thm1": _run_thm1,
-    "thm2": _run_thm2,
-    "cor1": _run_cor1,
-    "cor2": _run_cor2,
-    "combined": _run_combined,
+# Every registered identity: a pointwise row of the comparison table, or
+# its own runner for the two cases that assert no plain equality.
+_TABLE: dict[str, _Check | Callable[[IdentityCase], CaseResult]] = {
+    "eq2-power-sum": _Check(
+        lambda c: [
+            {"m": m, "n": n}
+            for m in range(c.grid["m_max"] + 1)
+            for n in range(c.grid["n_max"] + 1)
+        ],
+        False,
+        lambda c, p: Fraction(classical.power_sum(p["m"], p["n"])),
+        lambda c, p: classical.power_sum_closed(p["m"], p["n"], c.variant),
+        "closed form with B_1 = +1/2 reproduces every direct power sum",
+        "documented convention clash: with B_1 = -1/2 the closed form yields the "
+        "sum shifted by one (it equals S_m(n-1) for every m >= 1)",
+    ),
+    "eq3-bernoulli-det": _Check(
+        lambda c: [{"n": n} for n in range(1, c.grid["n_max"] + 1)],
+        False,
+        lambda c, p: classical.bernoulli_numbers(c.grid["n_max"])[p["n"]],
+        lambda c, p: classical.bernoulli_det(p["n"]),
+        "determinant form agrees with the t/(e^t-1) series",
+        "determinant form disagrees with the t/(e^t-1) series",
+    ),
+    "eq6-euler-det": _Check(
+        lambda c: [{"n": n} for n in range(1, c.grid["n_max"] + 1)],
+        False,
+        lambda c, p: classical.euler_numbers(
+            2 * c.grid["n_max"], EulerConvention.SECANT_TYPE
+        )[2 * p["n"]],
+        lambda c, p: classical.euler_det(p["n"]),
+        "determinant form agrees with the 1/cosh t series at even indices",
+        "determinant form disagrees with the 1/cosh t series",
+    ),
+    "eq9-cosh": _Check(
+        lambda c: [{}],
+        True,
+        lambda c, p: classical.euler_numbers(c.grid["n_max"], EulerConvention.SECANT_TYPE),
+        lambda c, p: egf_scale(
+            egf_add(egf_exp_linear(1, c.grid["n_max"]), egf_exp_linear(-1, c.grid["n_max"])),
+            Fraction(1, 2),
+        ).coeffs,
+        "cosh t expands to the secant numbers",
+        "documented misprint: the relation holds for 1/cosh t, not cosh t; "
+        "the secant convention follows the determinant values",
+    ),
+    "bridge-poly-bernoulli": _Check(
+        lambda c: [
+            {"n": n, "x": x} for n in range(c.grid["n_max"] + 1) for x in c.grid["x_points"]
+        ],
+        False,
+        lambda c, p: classical.poly_eval(
+            classical.bernoulli_polynomial(p["n"], c.grid["n_max"]), p["x"]
+        ),
+        lambda c, p: (-1) ** p["n"]
+        * polyfamily.poly_bernoulli(1, -p["x"], c.grid["n_max"])[p["n"]],
+        "(-1)^n B_n^{(1)}(-x) matches B_n(x) at more sample points than the degree",
+        "(-1)^n B_n^{(1)}(-x) differs from B_n(x)",
+    ),
+    "brewbaker-lonesum": _Check(
+        lambda c: [{"rows": n, "cols": k} for (n, k) in c.grid["shapes"]],
+        False,
+        lambda c, p: Fraction(polyfamily.lonesum_count(p["rows"], p["cols"])),
+        lambda c, p: polyfamily.poly_bernoulli(-p["cols"], 0, p["rows"])[p["rows"]],
+        "negative-index values equal the lonesum matrix counts "
+        "(enumeration is the ground truth)",
+        "negative-index values disagree with the lonesum matrix counts",
+    ),
+    "thm1": _Check(
+        _theorem_points,
+        True,
+        lambda c, p: multifamily.multi_poly_euler_ab(p["ks"], _log_params(p), c.grid["n_max"]),
+        lambda c, p: multifamily.thm1_rhs(p["ks"], _log_params(p), c.grid["n_max"]),
+        "two-parameter numbers equal the rescaled polynomial values",
+        "two-parameter numbers disagree with the rescaled polynomial values",
+    ),
+    "thm2": _Check(
+        _theorem_points,
+        True,
+        lambda c, p: multifamily.multi_poly_euler_ab(p["ks"], _log_params(p), c.grid["n_max"]),
+        lambda c, p: multifamily.thm2_rhs(p["ks"], _log_params(p), c.grid["n_max"]),
+        "two-parameter numbers equal the binomial mix of the plain numbers",
+        "two-parameter numbers disagree with the binomial mix of the plain numbers",
+    ),
+    "cor1": _Check(
+        _theorem_points,
+        True,
+        _xab,
+        lambda c, p: multifamily.cor1_rhs(p["ks"], p["x"], _log_params(p), c.grid["n_max"]),
+        "polynomial values expand binomially over the two-parameter numbers",
+        "binomial expansion over the two-parameter numbers fails",
+    ),
+    "cor2": _Check(
+        _theorem_points,
+        True,
+        lambda c, p: multifamily.multi_poly_euler_xab(
+            p["ks"], p["x"] + p["y"], _log_params(p), c.grid["n_max"]
+        ),
+        lambda c, p: multifamily.addition_rhs(
+            p["ks"], p["x"], p["y"], _log_params(p), c.grid["n_max"]
+        ),
+        "shifting the argument by y matches the binomial addition expansion",
+        "the binomial addition expansion fails",
+    ),
+    "combined": _Check(
+        _theorem_points,
+        True,
+        _xab,
+        _combined,
+        "double sum with the substituted exponent r^{n-j} matches the polynomial values",
+        "documented misprint: the printed double sum carries r^{n-k}, but "
+        "substituting the thm2 expansion into cor1 produces r^{n-j}; the "
+        "repaired variant passes",
+    ),
     "thm3-explicit": _run_thm3,
-    "thm4-explicit": _run_thm4,
+    "thm4-explicit": _Check(
+        lambda c: [
+            {"k": k, "alpha": s[0], "beta": s[1], "gamma": s[2], "x": s[3]}
+            for k in c.grid["k_points"]
+            for s in c.grid["samples"]
+        ],
+        True,
+        lambda c, p: multifamily.poly_euler_abc(p["k"], p["x"], _log_params(p), c.grid["n_max"]),
+        lambda c, p: [
+            multifamily.thm4_explicit(p["k"], p["x"], _log_params(p), n, c.variant).value
+            for n in range(c.grid["n_max"] + 1)
+        ],
+        "triple-sum formula reproduces the three-parameter series values",
+        "triple-sum formula (variant %(variant)s) does not reproduce the "
+        "three-parameter series; the truncation of the divergent rearrangement "
+        "to m <= n is not justified",
+    ),
     "def1-sasaki-bridge": _run_def1_sasaki,
 }
 
@@ -569,15 +486,15 @@ def build_registry(seed: int = DEFAULT_SEED, order: int = DEFAULT_ORDER) -> list
 
 
 def registered_ids() -> tuple[str, ...]:
-    return tuple(sorted(_RUNNERS))
+    return tuple(sorted(_TABLE))
 
 
 def run_identity(case: IdentityCase) -> CaseResult:
     """Execute one case; deterministic given the case's grid."""
-    runner = _RUNNERS.get(case.id)
-    if runner is None:
+    entry = _TABLE.get(case.id)
+    if entry is None:
         raise UnknownIdentity(case.id)
-    return runner(case)
+    return _compare(case, entry) if isinstance(entry, _Check) else entry(case)
 
 
 def expected_verdict(result: CaseResult) -> str:

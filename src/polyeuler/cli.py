@@ -24,6 +24,12 @@ from .polylog import parse_kvector
 
 ORDER_ENV = "POLYEULER_ORDER"
 
+# Largest accepted --n (also the audit --order), |k| per index and --ks depth;
+# at the limits a value already runs to thousands of digits.
+MAX_N = 200
+MAX_K = 16
+MAX_DEPTH = 8
+
 FAMILIES = (
     "bernoulli",
     "euler",
@@ -49,8 +55,8 @@ def _default_order() -> int:
         value = int(raw)
     except ValueError:
         raise UsageError(f"{ORDER_ENV} must be an integer, got {raw!r}") from None
-    if value < 0:
-        raise UsageError(f"{ORDER_ENV} must be >= 0, got {value}")
+    if not 0 <= value <= MAX_N:
+        raise UsageError(f"{ORDER_ENV} must be in 0..{MAX_N}, got {value}")
     return value
 
 
@@ -84,6 +90,7 @@ def _require(condition: bool, message: str) -> None:
 def _resolve_order(value: int | None, flag: str) -> int:
     order = value if value is not None else _default_order()
     _require(order >= 0, f"{flag} must be >= 0")
+    _require(order <= MAX_N, f"{flag} must be <= {MAX_N}")
     return order
 
 
@@ -99,6 +106,10 @@ def _resolve_audit_order(value: int | None) -> int:
 
 def _sequence_for(args: argparse.Namespace) -> list[Fraction]:
     order = _resolve_order(args.n, "--n")
+    ks = args.ks if args.ks is not None else ()
+    _require(len(ks) <= MAX_DEPTH, f"--ks takes at most {MAX_DEPTH} indices")
+    indices = ks if args.k is None else ks + (args.k,)
+    _require(all(abs(k) <= MAX_K for k in indices), f"indices must lie in -{MAX_K}..{MAX_K}")
     x = args.x if args.x is not None else Fraction(0)
     family = args.family
     if family == "bernoulli":

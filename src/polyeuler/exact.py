@@ -175,27 +175,33 @@ def egf_mul(f: Egf, g: Egf) -> Egf:
 def egf_div(f: Egf, g: Egf) -> Egf:
     """Quotient h with egf_mul(h, g) = f up to the common order.
 
-    Solves the triangular system h_m g_0 = f_m - sum_{i<m} C(m,i) h_i g_{m-i}
-    fraction-free; the divisor must have a nonzero constant term.  With
-    f = a/D_f and g = b/D_g over integer numerators, the integers
-    Q_m = b_0^m a_m - sum_{i<m} C(m,i) b_0^{m-1-i} b_{m-i} Q_i
-    give h_m = D_g Q_m / (D_f b_0^{m+1}).
+    Solves the triangular system h_m g_0 = f_m - sum_{i<m} C(m,i) h_i g_{m-i};
+    the divisor must have a nonzero constant term.  With f = a/D_f and
+    g = b/D_g over integer numerators, and the quotients found so far carried
+    as h_i = H_i / L over the running lcm L of their denominators,
+    h_m = (D_g a_m L - D_f sum_{i<m} C(m,i) H_i b_{m-i}) / (D_f L b_0).
+    Carrying reduced quotients keeps the integers as small as the result.
     """
     if g.coeffs[0] == 0:
         raise DivisionByNonUnit("divisor has zero constant term")
     n = min(f.order, g.order)
     a, df = integer_numerators(f.coeffs[: n + 1])
     b, dg = integer_numerators(g.coeffs[: n + 1])
-    b0_pow = integer_powers(b[0], n + 1)
-    q: list[int] = []
-    out = []
+    out: list[Fraction] = []
+    nums: list[int] = []
+    den = 1
     for m in range(n + 1):
-        acc = b0_pow[m] * a[m]
+        acc = 0
         for i in range(m):
-            if q[i]:
-                acc -= comb(m, i) * b0_pow[m - 1 - i] * b[m - i] * q[i]
-        q.append(acc)
-        out.append(Fraction(dg * acc, df * b0_pow[m + 1]))
+            if nums[i]:
+                acc += comb(m, i) * nums[i] * b[m - i]
+        h = Fraction(dg * a[m] * den - df * acc, df * den * b[0])
+        out.append(h)
+        if den % h.denominator:
+            grown = lcm(den, h.denominator)
+            nums = [v * (grown // den) for v in nums]
+            den = grown
+        nums.append(h.numerator * (den // h.denominator))
     return Egf(tuple(out))
 
 

@@ -24,20 +24,9 @@ from itertools import combinations_with_replacement
 from math import comb, factorial
 from typing import Sequence
 
-from .exact import (
-    Egf,
-    egf_add,
-    egf_div,
-    egf_div_shifted,
-    egf_exp_linear,
-    egf_mul,
-    egf_pow,
-    egf_scale,
-    integer_numerators,
-    integer_powers,
-)
-from .polyfamily import _one_minus_exp
-from .polylog import KVector, li_of_inner, validate_kvector
+from .exact import integer_numerators, integer_powers
+from .polyfamily import _bernoulli_egf, _euler_egf
+from .polylog import KVector, validate_kvector
 
 
 class DegenerateParams(ValueError):
@@ -63,31 +52,9 @@ class LogParams:
         return self.alpha + self.beta
 
 
-@lru_cache(maxsize=4096)
-def _multi_poly_bernoulli_egf(ks: KVector, order: int) -> Egf:
-    r = len(ks)
-    work = order + r
-    inner = _one_minus_exp(-1, work)
-    numerator = li_of_inner(ks, inner, work)
-    return egf_div_shifted(numerator, egf_pow(inner, r), r)
-
-
 def multi_poly_bernoulli(ks: Sequence[int], order: int) -> list[Fraction]:
-    """B_n^{(k_1..k_r)} from Li_{(k)}(1-e^{-t})/(1-e^{-t})^r.
-
-    Both sides of the division vanish to order exactly r (the nested sum
-    starts at degree r), which the t^r-cancelling division checks.
-    """
-    return list(_multi_poly_bernoulli_egf(validate_kvector(ks), order).coeffs)
-
-
-@lru_cache(maxsize=4096)
-def _multi_poly_euler_egf(ks: KVector, x: Fraction, order: int) -> Egf:
-    r = len(ks)
-    numerator = egf_scale(li_of_inner(ks, _one_minus_exp(-1, order), order), 2)
-    denominator = egf_pow(egf_add(Egf.constant(1, order), egf_exp_linear(1, order)), r)
-    quotient = egf_div(numerator, denominator)
-    return egf_mul(quotient, egf_exp_linear(Fraction(r) * x, order))
+    """B_n^{(k_1..k_r)} from Li_{(k)}(1-e^{-t})/(1-e^{-t})^r."""
+    return list(_bernoulli_egf(validate_kvector(ks), Fraction(0), order).coeffs)
 
 
 def multi_poly_euler(ks: Sequence[int], x: Fraction | int, order: int) -> list[Fraction]:
@@ -96,20 +63,8 @@ def multi_poly_euler(ks: Sequence[int], x: Fraction | int, order: int) -> list[F
     x = 0 gives the plain multi poly-Euler numbers; the first r of them
     always vanish because the numerator starts at degree r.
     """
-    return list(_multi_poly_euler_egf(validate_kvector(ks), Fraction(x), order).coeffs)
-
-
-@lru_cache(maxsize=4096)
-def _multi_poly_euler_xab_egf(
-    ks: KVector, x: Fraction, alpha: Fraction, beta: Fraction, order: int
-) -> Egf:
-    r = len(ks)
-    numerator = egf_scale(li_of_inner(ks, _one_minus_exp(-(alpha + beta), order), order), 2)
-    denominator = egf_pow(
-        egf_add(egf_exp_linear(-alpha, order), egf_exp_linear(beta, order)), r
-    )
-    quotient = egf_div(numerator, denominator)
-    return egf_mul(quotient, egf_exp_linear(Fraction(r) * x, order))
+    ks = validate_kvector(ks)
+    return list(_euler_egf(ks, len(ks) * Fraction(x), Fraction(0), Fraction(1), order).coeffs)
 
 
 def multi_poly_euler_ab(ks: Sequence[int], params: LogParams, order: int) -> list[Fraction]:
@@ -126,21 +81,8 @@ def multi_poly_euler_xab(
     ks: Sequence[int], x: Fraction | int, params: LogParams, order: int
 ) -> list[Fraction]:
     """E_n^{(k)}(x; a, b): the two-parameter series times e^{rxt}."""
-    return list(
-        _multi_poly_euler_xab_egf(
-            validate_kvector(ks), Fraction(x), params.alpha, params.beta, order
-        ).coeffs
-    )
-
-
-@lru_cache(maxsize=4096)
-def _poly_euler_abc_egf(
-    k: int, x: Fraction, alpha: Fraction, beta: Fraction, gamma: Fraction, order: int
-) -> Egf:
-    numerator = egf_scale(li_of_inner((k,), _one_minus_exp(-(alpha + beta), order), order), 2)
-    denominator = egf_add(egf_exp_linear(-alpha, order), egf_exp_linear(beta, order))
-    quotient = egf_div(numerator, denominator)
-    return egf_mul(quotient, egf_exp_linear(gamma * x, order))
+    ks = validate_kvector(ks)
+    return list(_euler_egf(ks, len(ks) * Fraction(x), params.alpha, params.beta, order).coeffs)
 
 
 def poly_euler_abc(
@@ -148,9 +90,7 @@ def poly_euler_abc(
 ) -> list[Fraction]:
     """E_n^{(k)}(x; a, b, c) from 2 Li_k(1-(ab)^{-t})/(a^{-t}+b^t) c^{xt}."""
     gamma = params.gamma if params.gamma is not None else Fraction(0)
-    return list(
-        _poly_euler_abc_egf(k, Fraction(x), params.alpha, params.beta, gamma, order).coeffs
-    )
+    return list(_euler_egf((k,), gamma * Fraction(x), params.alpha, params.beta, order).coeffs)
 
 
 @dataclass(frozen=True)

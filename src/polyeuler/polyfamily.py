@@ -1,8 +1,10 @@
 """Poly-Bernoulli and poly-Euler sequences, plus the lonesum-matrix oracle.
 
-All sequences are exact EGF coefficient lists.  The lonesum count is the
-combinatorial side of the negative-index poly-Bernoulli identity and is
-computed by brute enumeration, which keeps it an independent ground truth.
+All sequences are exact EGF coefficient lists; every poly- and multi-family
+is read off one of two cached shapes, ``_euler_egf`` or ``_bernoulli_egf``.
+The lonesum count is the combinatorial side of the negative-index
+poly-Bernoulli identity and is computed by brute enumeration, which keeps it
+an independent ground truth.
 """
 
 from __future__ import annotations
@@ -12,8 +14,17 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import product
 
-from .exact import Egf, egf_add, egf_div, egf_div_shifted, egf_exp_linear, egf_mul, egf_scale
-from .polylog import li_of_inner
+from .exact import (
+    Egf,
+    egf_add,
+    egf_div,
+    egf_div_shifted,
+    egf_exp_linear,
+    egf_mul,
+    egf_pow,
+    egf_scale,
+)
+from .polylog import KVector, li_of_inner
 
 ENUMERATION_CELL_LIMIT = 20
 
@@ -28,33 +39,42 @@ def _one_minus_exp(value, order: int) -> Egf:
 
 
 @lru_cache(maxsize=4096)
-def _poly_bernoulli_egf(k: int, x: Fraction, order: int) -> Egf:
-    work = order + 1
-    inner = _one_minus_exp(-1, work)
-    numerator = li_of_inner((k,), inner, work)
-    quotient = egf_div_shifted(numerator, inner, 1)
-    return egf_mul(quotient, egf_exp_linear(x, order))
+def _euler_egf(ks: KVector, w: Fraction, alpha: Fraction, beta: Fraction, order: int) -> Egf:
+    """2 Li_ks(1-e^{-(alpha+beta)t}) / (e^{-alpha t}+e^{beta t})^r e^{wt}, r = len(ks).
 
-
-def poly_bernoulli(k: int, x: Fraction | int, order: int) -> list[Fraction]:
-    """B_n^{(k)}(x) for n = 0..order, from Li_k(1-e^{-t})/(1-e^{-t}) e^{xt}.
-
-    Numerator and denominator both vanish to first order, so the division
-    goes through the explicit t-cancelling path.
+    Every poly- and multi-poly-Euler family is this series at some
+    (w, alpha, beta).  The exponential is the first factor of the product
+    because egf_mul skips its zero coefficients, so w = 0 costs O(N).
     """
-    return list(_poly_bernoulli_egf(k, Fraction(x), order).coeffs)
+    numerator = egf_scale(li_of_inner(ks, _one_minus_exp(-(alpha + beta), order), order), 2)
+    denominator = egf_pow(
+        egf_add(egf_exp_linear(-alpha, order), egf_exp_linear(beta, order)), len(ks)
+    )
+    return egf_mul(egf_exp_linear(w, order), egf_div(numerator, denominator))
 
 
 @lru_cache(maxsize=4096)
-def _poly_euler_egf(k: int, x: Fraction, order: int) -> Egf:
-    numerator = egf_scale(li_of_inner((k,), _one_minus_exp(-1, order), order), 2)
-    denominator = egf_add(Egf.constant(1, order), egf_exp_linear(1, order))
-    return egf_mul(egf_div(numerator, denominator), egf_exp_linear(x, order))
+def _bernoulli_egf(ks: KVector, x: Fraction, order: int) -> Egf:
+    """Li_ks(1-e^{-t}) / (1-e^{-t})^r e^{xt}, r = len(ks).
+
+    Numerator and denominator both vanish to order exactly r (the nested sum
+    starts at degree r), so the division goes through the t^r-cancelling path.
+    """
+    r = len(ks)
+    work = order + r
+    inner = _one_minus_exp(-1, work)
+    quotient = egf_div_shifted(li_of_inner(ks, inner, work), egf_pow(inner, r), r)
+    return egf_mul(egf_exp_linear(x, order), quotient)
+
+
+def poly_bernoulli(k: int, x: Fraction | int, order: int) -> list[Fraction]:
+    """B_n^{(k)}(x) for n = 0..order, from Li_k(1-e^{-t})/(1-e^{-t}) e^{xt}."""
+    return list(_bernoulli_egf((k,), Fraction(x), order).coeffs)
 
 
 def poly_euler(k: int, x: Fraction | int, order: int) -> list[Fraction]:
     """Poly-Euler polynomial values from 2 Li_k(1-e^{-t})/(1+e^t) e^{xt}."""
-    return list(_poly_euler_egf(k, Fraction(x), order).coeffs)
+    return list(_euler_egf((k,), Fraction(x), Fraction(0), Fraction(1), order).coeffs)
 
 
 @lru_cache(maxsize=4096)

@@ -199,6 +199,12 @@ def multi_poly_bernoulli_egf(ks, order):
     return egf_from_ord(q)
 
 
+def poly_bernoulli_egf(k, x, order):
+    """EGF coefficients of Li_k(1-e^{-t})/(1-e^{-t}) e^{xt}."""
+    plain = [c / factorial(n) for n, c in enumerate(multi_poly_bernoulli_egf((k,), order))]
+    return egf_from_ord(ord_mul(plain, ord_exp(x, order), order))
+
+
 def cofactor_det(rows):
     """Determinant by literal cofactor expansion along the first row."""
     n = len(rows)

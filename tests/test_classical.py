@@ -1,11 +1,14 @@
 """Bernoulli/Euler numbers, power sums, and the two determinant forms."""
 
+import time
 from fractions import Fraction
+from math import factorial
 
 import pytest
 
 from polyeuler.classical import (
     EulerConvention,
+    _bernoulli_tuple,
     alternating_sum,
     bernoulli_det,
     bernoulli_numbers,
@@ -18,7 +21,7 @@ from polyeuler.classical import (
 )
 from polyeuler.exact import Egf, egf_exp_linear, egf_mul
 
-from oracles import egf_from_ord, tanh_ordinary
+from oracles import egf_from_ord, ord_div, tanh_ordinary
 
 F = Fraction
 
@@ -37,6 +40,18 @@ class TestBernoulliNumbers:
     def test_odd_vanish(self):
         values = bernoulli_numbers(15)
         assert all(values[n] == 0 for n in range(3, 16, 2))
+
+    def test_order_300_matches_long_division(self):
+        """The divisor (e^t-1)/t has denominators up to 301!; the division must
+        keep its integers near the size of the result to finish quickly."""
+        order = 300
+        divisor = [F(1, factorial(m + 1)) for m in range(order + 1)]
+        expected = egf_from_ord(ord_div([F(1)] + [F(0)] * order, divisor, order))
+        _bernoulli_tuple.cache_clear()
+        start = time.perf_counter()
+        got = bernoulli_numbers(order)
+        assert time.perf_counter() - start < 5
+        assert got == expected
 
 
 class TestBernoulliPolynomial:

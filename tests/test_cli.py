@@ -8,7 +8,7 @@ import sys
 import pytest
 
 from polyeuler import audit
-from polyeuler.cli import _result_line, main_audit, main_seq, main_verify
+from polyeuler.cli import MAX_DEPTH, MAX_K, MAX_N, _result_line, main_audit, main_seq, main_verify
 from polyeuler.exact import parse_rational
 from polyeuler.polyfamily import poly_bernoulli
 
@@ -199,6 +199,47 @@ class TestAuditCommand:
     def test_order_env_below_minimum_exits_2(self, monkeypatch):
         monkeypatch.setenv("POLYEULER_ORDER", "2")
         assert main_audit([]) == 2
+
+
+class TestSizeBounds:
+    """Requests past MAX_N, MAX_K or MAX_DEPTH are usage errors (exit 2);
+    a request at all three limits still runs."""
+
+    def test_n_above_limit_exits_2(self, capsys):
+        assert main_seq(["bernoulli", "--n", str(MAX_N + 1)]) == 2
+        assert f"--n must be <= {MAX_N}" in capsys.readouterr().err
+
+    def test_order_env_above_limit_exits_2(self, monkeypatch, capsys):
+        monkeypatch.setenv("POLYEULER_ORDER", str(MAX_N + 1))
+        assert main_seq(["bernoulli"]) == 2
+        assert f"POLYEULER_ORDER must be in 0..{MAX_N}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("main, argv", [(main_audit, []), (main_verify, ["thm1"])])
+    def test_audit_order_above_limit_exits_2(self, main, argv, capsys):
+        assert main([*argv, "--order", str(MAX_N + 1)]) == 2
+        assert f"--order must be <= {MAX_N}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["poly-euler", "--k", "8000"],
+            ["poly-bernoulli", f"--k=-{MAX_K + 1}"],
+            ["multi-poly-euler", f"--ks=1,{MAX_K + 1}"],
+        ],
+    )
+    def test_index_above_limit_exits_2(self, argv, capsys):
+        assert main_seq([*argv, "--n", "4"]) == 2
+        assert f"indices must lie in -{MAX_K}..{MAX_K}" in capsys.readouterr().err
+
+    def test_depth_above_limit_exits_2(self, capsys):
+        ks = ",".join(["1"] * (MAX_DEPTH + 1))
+        assert main_seq(["multi-poly-bernoulli", "--ks", ks, "--n", "4"]) == 2
+        assert f"--ks takes at most {MAX_DEPTH} indices" in capsys.readouterr().err
+
+    def test_request_at_every_limit_runs(self, capsys):
+        ks = ",".join(str(MAX_K * (-1) ** i) for i in range(MAX_DEPTH))
+        assert main_seq(["multi-poly-bernoulli", f"--ks={ks}", f"--n={MAX_N}"]) == 0
+        assert len(capsys.readouterr().out.splitlines()) == MAX_N + 1
 
 
 class TestRootCommand:

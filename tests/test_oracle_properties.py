@@ -170,3 +170,18 @@ def test_numerator_matches_oracle(ks, order, scale):
     got = li_of_inner(ks, Egf.from_ordinary(inner), order)
     expected = ord_compose(multi_li_ordinary(ks, order), inner, order)
     assert list(got.coeffs) == egf_from_ord(expected)
+
+
+@settings(max_examples=30)
+@given(
+    ks=theorem_kvectors,
+    x=small_rationals,
+    alpha=small_rationals,
+    beta=small_rationals,
+    order=st.integers(min_value=0, max_value=8),
+)
+@example(ks=(1, -2, 3), x=F(2, 5), alpha=F(3, 2), beta=F(-3, 2), order=8)
+def test_multi_poly_euler_xab_matches_oracle(ks, x, alpha, beta, order):
+    """The Euler shape at (r x, alpha, beta), including alpha + beta = 0."""
+    got = multifamily.multi_poly_euler_xab(ks, x, LogParams(alpha, beta), order)
+    assert got == oracles.multi_poly_euler_xab_egf(ks, x, alpha, beta, order)

@@ -13,7 +13,11 @@ from polyeuler.polyfamily import (
     poly_euler_sasaki,
 )
 
+import oracles
+
 F = Fraction
+
+ORACLE_XS = [F(0), F(1, 2), F(-7, 3)]
 
 
 class TestPolyBernoulli:
@@ -40,6 +44,11 @@ class TestPolyBernoulli:
             left = (-1) ** n * poly_bernoulli(1, -x, n)[n]
             assert left == poly_eval(bernoulli_polynomial(n, n), x)
 
+    @pytest.mark.parametrize("x", ORACLE_XS)
+    @pytest.mark.parametrize("k", range(-2, 4))
+    def test_matches_oracle(self, k, x):
+        assert poly_bernoulli(k, x, 8) == oracles.poly_bernoulli_egf(k, x, 8)
+
 
 class TestPolyEuler:
     @pytest.mark.parametrize("k", range(-3, 4))
@@ -52,6 +61,11 @@ class TestPolyEuler:
 
     def test_k1_at_one(self):
         assert poly_euler(1, 1, 1)[1] == 1
+
+    @pytest.mark.parametrize("x", ORACLE_XS)
+    @pytest.mark.parametrize("k", range(-2, 4))
+    def test_matches_oracle(self, k, x):
+        assert poly_euler(k, x, 8) == oracles.multi_poly_euler_egf((k,), x, 8)
 
 
 class TestPolyEulerSasaki:
