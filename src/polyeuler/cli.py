@@ -24,11 +24,14 @@ from .polylog import parse_kvector
 
 ORDER_ENV = "POLYEULER_ORDER"
 
-# Largest accepted --n (also the audit --order), |k| per index and --ks depth;
-# at the limits a value already runs to thousands of digits.
+# Largest accepted --n (also the audit --order), |k| per index, --ks depth and
+# digits in the numerator and the denominator (in lowest terms) of --x,
+# --alpha, --beta and --gamma; at the limits a value already runs to
+# thousands of digits.
 MAX_N = 200
 MAX_K = 16
 MAX_DEPTH = 8
+MAX_DIGITS = 4
 
 FAMILIES = (
     "bernoulli",
@@ -110,6 +113,12 @@ def _sequence_for(args: argparse.Namespace) -> list[Fraction]:
     _require(len(ks) <= MAX_DEPTH, f"--ks takes at most {MAX_DEPTH} indices")
     indices = ks if args.k is None else ks + (args.k,)
     _require(all(abs(k) <= MAX_K for k in indices), f"indices must lie in -{MAX_K}..{MAX_K}")
+    for flag in ("x", "alpha", "beta", "gamma"):
+        value = getattr(args, flag)
+        _require(
+            value is None or max(abs(value.numerator), value.denominator) < 10**MAX_DIGITS,
+            f"--{flag} takes at most {MAX_DIGITS} digits in its numerator and denominator",
+        )
     x = args.x if args.x is not None else Fraction(0)
     family = args.family
     if family == "bernoulli":

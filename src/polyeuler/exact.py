@@ -51,9 +51,30 @@ def parse_rational(text: str) -> Fraction:
     return -value if s.startswith("-") else value
 
 
+# Integers of at most this many bits (603 digits) go through str(); the
+# interpreter's int-to-str digit limit cannot be set below 640.
+_STR_BITS = 2000
+
+
+def _decimal(value: int) -> str:
+    """Decimal text of an integer of any size, whatever the interpreter's
+    int-to-str digit limit: longer integers are split at a power of ten."""
+    if value < 0:
+        return "-" + _decimal(-value)
+    if value.bit_length() <= _STR_BITS:
+        return str(value)
+    half = value.bit_length() * 3 // 20  # about half the digits, as log10(2) > 0.3
+    high, low = divmod(value, 10**half)
+    return _decimal(high) + _decimal(low).zfill(half)
+
+
 def format_rational(value: Fraction) -> str:
     """Render a rational in the canonical text form used across CLI and JSON."""
-    return str(value)
+    if max(value.numerator.bit_length(), value.denominator.bit_length()) <= _STR_BITS:
+        return str(value)
+    if value.denominator == 1:
+        return _decimal(value.numerator)
+    return f"{_decimal(value.numerator)}/{_decimal(value.denominator)}"
 
 
 def _as_fraction_tuple(values: Iterable[RationalLike]) -> tuple[Fraction, ...]:
@@ -293,21 +314,28 @@ def egf_compose(f: Egf, g: Egf) -> Egf:
 
 
 def egf_exp_linear(value: RationalLike, order: int) -> Egf:
-    """The exponential e^{value * t}: c_n = value^n."""
+    """The exponential e^{value * t}: c_n = value^n, as running products of
+    the numerator and the denominator."""
     v = Fraction(value)
-    return Egf(tuple(v**n for n in range(order + 1)))
+    tops = integer_powers(v.numerator, order)
+    bottoms = integer_powers(v.denominator, order)
+    return Egf(tuple(Fraction(t, b) for t, b in zip(tops, bottoms)))
 
 
 def egf_pow(f: Egf, exponent: int) -> Egf:
-    """Repeated product f^exponent with f^0 = 1."""
+    """f^exponent with f^0 = 1, by repeated squaring."""
     if exponent < 0:
         raise ValueError("exponent must be a natural number")
     if exponent == 0:
         return Egf.constant(1, f.order)
-    acc = f
-    for _ in range(exponent - 1):
-        acc = egf_mul(acc, f)
-    return acc
+    result = None
+    while True:
+        if exponent & 1:
+            result = f if result is None else egf_mul(result, f)
+        exponent >>= 1
+        if not exponent:
+            return result
+        f = egf_mul(f, f)
 
 
 @dataclass(frozen=True)

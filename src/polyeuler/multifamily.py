@@ -314,21 +314,27 @@ def thm3_explicit(
         for i in range(n + 1):
             comp_sums[i] += Fraction(sign * w**i, denom)
 
-    power_sums = [Fraction(0)] * (n + 1)
+    # The (m, j) term depends on the index tuple only through its weight and
+    # m_r, so the weights are summed per m_r and the coefficient of each
+    # power (r x - j)^e is formed once per j.
+    last_sums = [Fraction(0)] * (m_cap + 1)
     skipped = 0
     for ms in combinations_with_replacement(range(m_cap + 1), r):
         weight = _index_tuple_weight(ms, ks)
         if weight is None:
             skipped += (ms[-1] + 1) * len(comps) * (n + 1)
             continue
-        if weight == 0:
+        last_sums[ms[-1]] += weight
+    power_sums = [Fraction(0)] * (n + 1)
+    for j in range(m_cap + 1):
+        factor = sum(comb(m, j) * last_sums[m] for m in range(j, m_cap + 1))
+        if not factor:
             continue
-        m_r = ms[-1]
-        for j in range(m_r + 1):
-            factor = weight * comb(m_r, j) * (-1 if j % 2 else 1)
-            base = Fraction(r) * x - j
-            for e in range(n + 1):
-                power_sums[e] += factor * base**e
+        term = factor if j % 2 == 0 else -factor
+        base = r * x - j
+        for e in range(n + 1):
+            power_sums[e] += term
+            term *= base
     total = Fraction(0)
     for i in range(n + 1):
         total += 2 * factorial(r) * comb(n, i) * power_sums[n - i] * comp_sums[i]

@@ -2,6 +2,8 @@
 
 All sequences are exact EGF coefficient lists; every poly- and multi-family
 is read off one of two cached shapes, ``_euler_egf`` or ``_bernoulli_egf``.
+The Euler shape is e^{wt} times a quotient cached per (ks, alpha, beta),
+whose numerator and denominator are cached in turn.
 The lonesum count is the combinatorial side of the negative-index
 poly-Bernoulli identity and is computed by brute enumeration, which keeps it
 an independent ground truth.
@@ -23,6 +25,7 @@ from .exact import (
     egf_mul,
     egf_pow,
     egf_scale,
+    integer_powers,
 )
 from .polylog import KVector, li_of_inner
 
@@ -38,19 +41,48 @@ def _one_minus_exp(value, order: int) -> Egf:
     return egf_add(Egf.constant(1, order), egf_scale(egf_exp_linear(value, order), -1))
 
 
+@lru_cache(maxsize=256)
+def _euler_numerator(ks: KVector, order: int) -> Egf:
+    """Li_ks(1-e^{-t}), the part of every Euler-shape numerator free of alpha, beta."""
+    return li_of_inner(ks, _one_minus_exp(-1, order), order)
+
+
+@lru_cache(maxsize=256)
+def _euler_denominator(alpha: Fraction, beta: Fraction, r: int, order: int) -> Egf:
+    """(e^{-alpha t} + e^{beta t})^r, multiplied out as a series."""
+    return egf_pow(egf_add(egf_exp_linear(-alpha, order), egf_exp_linear(beta, order)), r)
+
+
+@lru_cache(maxsize=4096)
+def _euler_quotient(ks: KVector, alpha: Fraction, beta: Fraction, order: int) -> Egf:
+    """2 Li_ks(1-e^{-(alpha+beta)t}) / (e^{-alpha t}+e^{beta t})^r, r = len(ks).
+
+    Coefficient n of the numerator is 2 (alpha+beta)^n times that of the
+    cached Li_ks(1-e^{-t}); the denominator is never rescaled from another
+    (alpha, beta), so thm1's t -> (alpha+beta)t law is still checked.
+    """
+    lam = alpha + beta
+    tops = integer_powers(lam.numerator, order)
+    bottoms = integer_powers(lam.denominator, order)
+    numerator = Egf(
+        tuple(
+            Fraction(2 * t * c.numerator, b * c.denominator)
+            for t, b, c in zip(tops, bottoms, _euler_numerator(ks, order).coeffs)
+        )
+    )
+    return egf_div(numerator, _euler_denominator(alpha, beta, len(ks), order))
+
+
 @lru_cache(maxsize=4096)
 def _euler_egf(ks: KVector, w: Fraction, alpha: Fraction, beta: Fraction, order: int) -> Egf:
     """2 Li_ks(1-e^{-(alpha+beta)t}) / (e^{-alpha t}+e^{beta t})^r e^{wt}, r = len(ks).
 
     Every poly- and multi-poly-Euler family is this series at some
-    (w, alpha, beta).  The exponential is the first factor of the product
-    because egf_mul skips its zero coefficients, so w = 0 costs O(N).
+    (w, alpha, beta).  At w = 0 it is the cached quotient object itself, so
+    the two caches share it.
     """
-    numerator = egf_scale(li_of_inner(ks, _one_minus_exp(-(alpha + beta), order), order), 2)
-    denominator = egf_pow(
-        egf_add(egf_exp_linear(-alpha, order), egf_exp_linear(beta, order)), len(ks)
-    )
-    return egf_mul(egf_exp_linear(w, order), egf_div(numerator, denominator))
+    quotient = _euler_quotient(ks, alpha, beta, order)
+    return quotient if w == 0 else egf_mul(egf_exp_linear(w, order), quotient)
 
 
 @lru_cache(maxsize=4096)

@@ -279,3 +279,56 @@ def thm3_quadruple_sum(ks, x, n, m_cap, part_cap):
                         * weight
                     )
     return total, skipped
+
+
+def thm3_explicit_sum(ks, x, n, m_cap, part_cap):
+    """The factored thm3 evaluation with one power term per (ms, j, e).
+
+    A copy of the package loop before it grouped the index tuples by j: the
+    composition part and the (m, j) part are summed separately, and every
+    index tuple adds C(m_r, j) (-1)^j weight (r x - j)^e on its own.
+    Returns (value, skipped).
+    """
+    from itertools import combinations_with_replacement
+
+    def compositions(total, positions):
+        if positions == 1:
+            return [(total,)]
+        return [
+            (first,) + rest
+            for first in range(total + 1)
+            for rest in compositions(total - first, positions - 1)
+        ]
+
+    r = len(ks)
+    x = Fraction(x)
+    comps = compositions(r, part_cap)
+    comp_sums = [Fraction(0)] * (n + 1)
+    for comp in comps:
+        w = sum((idx + 1) * c for idx, c in enumerate(comp))
+        denom = 1
+        for c in comp:
+            denom *= factorial(c)
+        for i in range(n + 1):
+            comp_sums[i] += Fraction((-1) ** w * w**i, denom)
+
+    power_sums = [Fraction(0)] * (n + 1)
+    skipped = 0
+    for ms in combinations_with_replacement(range(m_cap + 1), r):
+        if any(m == 0 and k > 0 for m, k in zip(ms, ks)):
+            skipped += (ms[-1] + 1) * len(comps) * (n + 1)
+            continue
+        weight = Fraction(1)
+        for m, k in zip(ms, ks):
+            if m == 0:
+                weight *= Fraction(1) if k == 0 else Fraction(0)
+            else:
+                weight /= Fraction(m) ** k
+        for j in range(ms[-1] + 1):
+            factor = weight * comb(ms[-1], j) * (-1) ** j
+            for e in range(n + 1):
+                power_sums[e] += factor * (r * x - j) ** e
+    total = Fraction(0)
+    for i in range(n + 1):
+        total += 2 * factorial(r) * comb(n, i) * power_sums[n - i] * comp_sums[i]
+    return total, skipped

@@ -8,7 +8,16 @@ import sys
 import pytest
 
 from polyeuler import audit
-from polyeuler.cli import MAX_DEPTH, MAX_K, MAX_N, _result_line, main_audit, main_seq, main_verify
+from polyeuler.cli import (
+    MAX_DEPTH,
+    MAX_DIGITS,
+    MAX_K,
+    MAX_N,
+    _result_line,
+    main_audit,
+    main_seq,
+    main_verify,
+)
 from polyeuler.exact import parse_rational
 from polyeuler.polyfamily import poly_bernoulli
 
@@ -201,9 +210,15 @@ class TestAuditCommand:
         assert main_audit([]) == 2
 
 
+_KS_AT_LIMIT = ",".join(str(MAX_K * (-1) ** i) for i in range(MAX_DEPTH))
+# Rationals with MAX_DIGITS digits in numerator and denominator, all distinct.
+_TOP = 10**MAX_DIGITS - 1
+_AT_DIGIT_LIMIT = [f"{-_TOP}/{_TOP - 1}", f"{_TOP - 1}/{_TOP}", f"{_TOP}/{_TOP - 2}", f"{-_TOP + 2}/{_TOP}"]
+
+
 class TestSizeBounds:
-    """Requests past MAX_N, MAX_K or MAX_DEPTH are usage errors (exit 2);
-    a request at all three limits still runs."""
+    """Requests past MAX_N, MAX_K, MAX_DEPTH or MAX_DIGITS are usage errors
+    (exit 2); a request at all the limits still runs."""
 
     def test_n_above_limit_exits_2(self, capsys):
         assert main_seq(["bernoulli", "--n", str(MAX_N + 1)]) == 2
@@ -236,9 +251,39 @@ class TestSizeBounds:
         assert main_seq(["multi-poly-bernoulli", "--ks", ks, "--n", "4"]) == 2
         assert f"--ks takes at most {MAX_DEPTH} indices" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flag", ["x", "alpha", "beta", "gamma"])
+    @pytest.mark.parametrize("value", [f"{10**MAX_DIGITS}", f"-1/{10**MAX_DIGITS}"])
+    def test_rational_above_digit_limit_exits_2(self, flag, value, capsys):
+        argv = ["poly-euler-abc", "--k=1", "--n=4", "--x=1", "--alpha=1", "--beta=1", "--gamma=1"]
+        assert main_seq([*argv, f"--{flag}={value}"]) == 2
+        assert f"--{flag} takes at most {MAX_DIGITS} digits" in capsys.readouterr().err
+
+    def test_long_rational_is_a_usage_error_not_a_traceback(self):
+        """x^200 of this argument once overflowed the interpreter's
+        int-to-str limit while the table was printed (exit 1, traceback)."""
+        proc = run_cli(
+            "seq", "poly-euler", "--k", "1", "--n", "200", "--x", "123456789012345678901234567/2"
+        )
+        assert proc.returncode == 2
+        assert "Traceback" not in proc.stderr
+        assert f"--x takes at most {MAX_DIGITS} digits" in proc.stderr
+
     def test_request_at_every_limit_runs(self, capsys):
-        ks = ",".join(str(MAX_K * (-1) ** i) for i in range(MAX_DEPTH))
-        assert main_seq(["multi-poly-bernoulli", f"--ks={ks}", f"--n={MAX_N}"]) == 0
+        assert main_seq(["multi-poly-bernoulli", f"--ks={_KS_AT_LIMIT}", f"--n={MAX_N}"]) == 0
+        assert len(capsys.readouterr().out.splitlines()) == MAX_N + 1
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["multi-poly-euler", f"--ks={_KS_AT_LIMIT}"]
+            + [f"--{flag}={value}" for flag, value in zip(("x", "alpha", "beta"), _AT_DIGIT_LIMIT)],
+            ["poly-euler-abc", f"--k={MAX_K}"]
+            + [f"--{flag}={v}" for flag, v in zip(("x", "alpha", "beta", "gamma"), _AT_DIGIT_LIMIT)],
+        ],
+        ids=["multi-poly-euler", "poly-euler-abc"],
+    )
+    def test_request_at_every_limit_with_rationals_runs(self, argv, capsys):
+        assert main_seq([*argv, f"--n={MAX_N}"]) == 0
         assert len(capsys.readouterr().out.splitlines()) == MAX_N + 1
 
 

@@ -1,5 +1,6 @@
 """Substrate tests: rationals, truncated EGF algebra, exact determinants."""
 
+import sys
 from fractions import Fraction
 from math import gcd
 
@@ -56,6 +57,22 @@ class TestRationalText:
     def test_roundtrip(self):
         for v in (F(5), F(-3, 4), F(0), F(123456789, 7)):
             assert parse_rational(format_rational(v)) == v
+
+    @pytest.mark.parametrize("limit", [0, 640, 4300])
+    @pytest.mark.parametrize(
+        "value", [F(-(3**20000), 7**9000), F(10**5000), F(-(10**5000) + 1, 2**2000)]
+    )
+    def test_format_ignores_the_str_digit_limit(self, value, limit):
+        """Integers past the interpreter's int-to-str digit limit still print
+        in full, digit for digit as str() prints them without a limit."""
+        saved = sys.get_int_max_str_digits()
+        try:
+            sys.set_int_max_str_digits(0)
+            expected = str(value)
+            sys.set_int_max_str_digits(limit)
+            assert format_rational(value) == expected
+        finally:
+            sys.set_int_max_str_digits(saved)
 
 
 class TestEgfBasics:
@@ -205,6 +222,9 @@ class TestExpLinearAndPow:
 
     def test_exp_minus_half(self):
         assert egf_exp_linear(F(-1, 2), 2).coeffs == (1, F(-1, 2), F(1, 4))
+
+    def test_exp_powers(self):
+        assert egf_exp_linear(F(-7, 3), 12).coeffs == tuple(F(-7, 3) ** n for n in range(13))
 
     def test_pow_zero(self):
         f = Egf((F(9), F(2), F(-5)))

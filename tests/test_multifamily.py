@@ -1,10 +1,14 @@
 """Multi-family sequences, the (a,b,c) deformations, and the identity RHS
 evaluators, cross-checked against the independent ordinary-series oracles."""
 
+import importlib
+import pkgutil
 from fractions import Fraction
 
 import pytest
 
+import polyeuler
+from polyeuler import audit, polyfamily
 from polyeuler.multifamily import (
     CappedSum,
     DegenerateParams,
@@ -263,6 +267,19 @@ class TestThm3Instrument:
     def test_deterministic(self):
         assert thm3_explicit((1, 1), F(1, 2), 2, 8, 8) == thm3_explicit((1, 1), F(1, 2), 2, 8, 8)
 
+    def test_matches_per_term_loop_on_audit_grid(self):
+        """Grouping the index tuples by j changes no partial sum or tally."""
+        (case,) = [c for c in audit.build_registry(0, audit.DEFAULT_ORDER) if c.id == "thm3-explicit"]
+        grid = case.grid
+        for ks in grid["kvectors"]:
+            for x in grid["x_points"]:
+                for n in grid["n_points"]:
+                    for m_cap in grid["caps"]:
+                        for part_cap in grid["caps"]:
+                            got = thm3_explicit(ks, x, n, m_cap, part_cap)
+                            value, skipped = oracles.thm3_explicit_sum(ks, x, n, m_cap, part_cap)
+                            assert got == CappedSum(value, skipped)
+
     def test_skip_tally_counts_zero_index_terms(self):
         # ks=(1): only the tuple (0,) is skipped; it would contribute
         # 1 * len(compositions) * (n+1) terms
@@ -304,3 +321,63 @@ class TestThm4Instrument:
     def test_rejects_unknown_variant(self):
         with pytest.raises(ValueError):
             thm4_explicit(1, F(0), self.P, 1, "fixed")
+
+
+def _package_caches():
+    """Every functools cache defined at module level in the package."""
+    found = {}
+    for info in pkgutil.iter_modules(polyeuler.__path__):
+        module = importlib.import_module(f"polyeuler.{info.name}")
+        for value in vars(module).values():
+            if callable(getattr(value, "cache_info", None)):
+                found[id(value)] = value
+    return list(found.values())
+
+
+class TestEulerShapeCaches:
+    """The Euler shape is cached in layers: the quotient per (ks, alpha,
+    beta, order), its numerator per (ks, order), its denominator per
+    (alpha, beta, r, order), and the full series per argument w.  Every key
+    must tell apart the requests it serves, in any order of arrival."""
+
+    # (ks, x, alpha, beta, order), in an order that mixes cold and warm keys.
+    REQUESTS = [
+        ((1, 2), F(1, 3), F(1, 2), F(2, 3), 6),
+        ((1, 2), F(-2, 5), F(1, 2), F(2, 3), 6),  # another x, same quotient
+        ((1, 2), F(0), F(1, 2), F(2, 3), 6),  # w = 0: the quotient itself
+        ((1, 2), F(1, 3), F(2, 3), F(1, 2), 6),  # alpha and beta swapped
+        ((-1,), F(1, 3), F(1, 2), F(2, 3), 6),  # depth 1, same alpha, beta
+        ((1, 2, -1), F(1, 3), F(1, 2), F(2, 3), 6),  # depth 3
+        ((2, 1), F(1, 3), F(1, 2), F(2, 3), 6),  # same depth, indices swapped
+        ((1, 2), F(1, 3), F(1, 2), F(2, 3), 10),  # order 6, then 10
+        ((-1,), F(1, 3), F(1, 2), F(2, 3), 10),
+        ((-1,), F(1, 3), F(1, 2), F(2, 3), 6),  # order 10, then 6
+        ((1, 2), F(1, 3), F(3, 2), F(-3, 2), 6),  # alpha + beta = 0
+        ((1, 2), F(1, 3), F(-3, 2), F(3, 2), 6),
+    ]
+
+    @pytest.mark.parametrize("requests", [REQUESTS, REQUESTS[::-1]], ids=["forward", "reversed"])
+    def test_cold_then_warm_match_oracle(self, requests):
+        for cache in _package_caches():
+            cache.cache_clear()
+        expected = [oracles.multi_poly_euler_xab_egf(*request) for request in requests]
+        for _ in ("cold", "warm"):
+            for (ks, x, alpha, beta, order), want in zip(requests, expected):
+                assert multi_poly_euler_xab(ks, x, LogParams(alpha, beta), order) == want
+
+    def test_argument_zero_shares_the_quotient(self):
+        args = ((1, -1), F(2, 3), F(-1, 4), 5)
+        quotient = polyfamily._euler_quotient(*args)
+        assert polyfamily._euler_egf(args[0], F(0), *args[1:]) is quotient
+
+    def test_every_cache_is_bounded(self):
+        caches = _package_caches()
+        assert {c.__name__ for c in caches} >= {
+            "_euler_egf",
+            "_euler_quotient",
+            "_euler_numerator",
+            "_euler_denominator",
+            "_bernoulli_egf",
+        }
+        for cache in caches:
+            assert cache.cache_info().maxsize is not None, cache.__qualname__

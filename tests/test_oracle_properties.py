@@ -13,12 +13,20 @@ import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
 from polyeuler import multifamily
-from polyeuler.exact import Egf, egf_compose, egf_div, egf_mul
+from polyeuler.exact import Egf, egf_compose, egf_div, egf_mul, egf_pow
 from polyeuler.multifamily import LogParams
 from polyeuler.polylog import li_of_inner, multi_li_series
 
 import oracles
-from oracles import egf_from_ord, multi_li_ordinary, one_minus_exp, ord_compose, ord_div, ord_mul
+from oracles import (
+    egf_from_ord,
+    multi_li_ordinary,
+    one_minus_exp,
+    ord_compose,
+    ord_div,
+    ord_mul,
+    ord_pow,
+)
 
 F = Fraction
 
@@ -78,6 +86,19 @@ def test_mul_matches_oracle(order, f, g):
     f, g = padded(f, order), padded(g, order)
     got = egf_mul(Egf.from_ordinary(f), Egf.from_ordinary(g))
     assert list(got.ordinary()) == ord_mul(f, g, order)
+
+
+@settings(max_examples=30)
+@given(
+    order=st.integers(min_value=0, max_value=12),
+    f=st.lists(rationals, max_size=13),
+    exponent=st.integers(min_value=0, max_value=9),
+)
+def test_pow_matches_oracle(order, f, exponent):
+    """Repeated squaring against one product per factor."""
+    f = padded(f, order)
+    got = egf_pow(Egf.from_ordinary(f), exponent)
+    assert list(got.ordinary()) == ord_pow(f, exponent, order)
 
 
 @given(
@@ -185,3 +206,17 @@ def test_multi_poly_euler_xab_matches_oracle(ks, x, alpha, beta, order):
     """The Euler shape at (r x, alpha, beta), including alpha + beta = 0."""
     got = multifamily.multi_poly_euler_xab(ks, x, LogParams(alpha, beta), order)
     assert got == oracles.multi_poly_euler_xab_egf(ks, x, alpha, beta, order)
+
+
+@settings(max_examples=40)
+@given(
+    ks=st.lists(st.integers(min_value=-3, max_value=3), min_size=1, max_size=3).map(tuple),
+    x=small_rationals,
+    n=st.integers(min_value=0, max_value=4),
+    m_cap=st.integers(min_value=0, max_value=6),
+    part_cap=st.integers(min_value=1, max_value=6),
+)
+def test_thm3_explicit_matches_per_term_loop(ks, x, n, m_cap, part_cap):
+    """thm3's grouping by j against one power term per (ms, j, e)."""
+    got = multifamily.thm3_explicit(ks, x, n, m_cap, part_cap)
+    assert (got.value, got.skipped_terms) == oracles.thm3_explicit_sum(ks, x, n, m_cap, part_cap)
