@@ -268,12 +268,20 @@ def _bell_table(u: tuple[Fraction, ...]) -> tuple[int, tuple[tuple[int, ...], ..
 
     Fraction-free: with D the common denominator of u and v_i = D u_i, returns
     (D, rows) where rows[j][m] = B_{j,m}(v) is an integer, so
-    B_{j,m}(u) = rows[j][m] / D^m.  Filled by the recurrence
-    B_{j,m} = sum_i C(j-1, i-1) v_i B_{j-i,m-1}.
+    B_{j,m}(u) = rows[j][m] / D^m.  For u = 1 - e^{-t}, i.e. u_i = (-1)^{i-1},
+    the entries are signed Stirling numbers of the second kind,
+    B_{j,m} = (-1)^{j-m} S(j, m), filled in O(N^2) by the two-term recurrence
+    B_{j+1,m} = -m B_{j,m} + B_{j,m-1} with D = 1.  Any other u takes the
+    generic O(N^3) recurrence B_{j,m} = sum_i C(j-1, i-1) v_i B_{j-i,m-1}.
     """
     nums, den = integer_numerators(u)
-    v = [0] + nums
     rows: list[tuple[int, ...]] = [(1,)]
+    if den == 1 and nums == ([1, -1] * len(u))[: len(u)]:
+        for j in range(len(u)):
+            prev = rows[j] + (0,)
+            rows.append((0,) + tuple(prev[m - 1] - m * prev[m] for m in range(1, j + 2)))
+        return 1, tuple(rows)
+    v = [0] + nums
     for j in range(1, len(u) + 1):
         row = [0]
         for m in range(1, j + 1):
@@ -292,8 +300,8 @@ def egf_compose(f: Egf, g: Egf) -> Egf:
     Faà di Bruno: h_n = sum_m f_m B_{n,m}(g_1, g_2, ...).  The inner series is
     first normalised to g(t) = u(s t) with s = g_1 (or 1 when g_1 = 0), so
     h_n = s^n sum_m f_m B_{n,m}(u).  Every 1 - e^{-ct} normalises to the same
-    u = 1 - e^{-t}, whose cached table serves all scales c; the sum runs over
-    integers with one common denominator.
+    u = 1 - e^{-t}, whose cached Stirling table serves all scales c; the sum
+    runs over integers with one common denominator.
     """
     if g.coeffs[0] != 0:
         raise NonNilpotentInner("inner series has nonzero constant term")

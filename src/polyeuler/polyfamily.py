@@ -3,7 +3,8 @@
 All sequences are exact EGF coefficient lists; every poly- and multi-family
 is read off one of two cached shapes, ``_euler_egf`` or ``_bernoulli_egf``.
 The Euler shape is e^{wt} times a quotient cached per (ks, alpha, beta),
-whose numerator and denominator are cached in turn.
+whose denominator is cached in turn; both shapes read one cached numerator,
+Li_ks(1-e^{-t}).
 The lonesum count is the combinatorial side of the negative-index
 poly-Bernoulli identity and is computed by brute enumeration, which keeps it
 an independent ground truth.
@@ -42,8 +43,8 @@ def _one_minus_exp(value, order: int) -> Egf:
 
 
 @lru_cache(maxsize=256)
-def _euler_numerator(ks: KVector, order: int) -> Egf:
-    """Li_ks(1-e^{-t}), the part of every Euler-shape numerator free of alpha, beta."""
+def _li_numerator(ks: KVector, order: int) -> Egf:
+    """Li_ks(1-e^{-t}); Li_ks(1-e^{-ct}) is it with coefficient n scaled by c^n."""
     return li_of_inner(ks, _one_minus_exp(-1, order), order)
 
 
@@ -67,7 +68,7 @@ def _euler_quotient(ks: KVector, alpha: Fraction, beta: Fraction, order: int) ->
     numerator = Egf(
         tuple(
             Fraction(2 * t * c.numerator, b * c.denominator)
-            for t, b, c in zip(tops, bottoms, _euler_numerator(ks, order).coeffs)
+            for t, b, c in zip(tops, bottoms, _li_numerator(ks, order).coeffs)
         )
     )
     return egf_div(numerator, _euler_denominator(alpha, beta, len(ks), order))
@@ -95,7 +96,7 @@ def _bernoulli_egf(ks: KVector, x: Fraction, order: int) -> Egf:
     r = len(ks)
     work = order + r
     inner = _one_minus_exp(-1, work)
-    quotient = egf_div_shifted(li_of_inner(ks, inner, work), egf_pow(inner, r), r)
+    quotient = egf_div_shifted(_li_numerator(ks, work), egf_pow(inner, r), r)
     return egf_mul(egf_exp_linear(x, order), quotient)
 
 
@@ -126,19 +127,19 @@ def poly_euler_sasaki(k: int, order: int) -> list[Fraction]:
 def lonesum_count(n: int, k: int) -> int:
     """Count n x k (0,1)-matrices uniquely determined by row and column sums.
 
-    Enumerates all 2^(nk) matrices, buckets them by the pair
-    (row-sum vector, column-sum vector), and counts the singleton buckets.
-    Guarded: refuses more than ENUMERATION_CELL_LIMIT cells.
+    Enumerates all 2^(nk) matrices and keys each by one integer in base
+    max(n, k) + 1: digit j holds the sum of column j and digit k + i the sum
+    of row i, so the key of a matrix is the sum of one key per row.  Counts
+    the keys met exactly once.  Guarded: refuses more than
+    ENUMERATION_CELL_LIMIT cells.
     """
     if n < 1 or k < 1:
         raise ValueError("matrix dimensions must be >= 1")
     if n * k > ENUMERATION_CELL_LIMIT:
         raise TooLarge(f"{n}x{k} exceeds the {ENUMERATION_CELL_LIMIT}-cell enumeration guard")
-    row_bits = [tuple((v >> j) & 1 for j in range(k)) for v in range(1 << k)]
-    row_pop = [sum(bits) for bits in row_bits]
-    buckets: Counter = Counter()
-    for rows in product(range(1 << k), repeat=n):
-        rowsums = tuple(row_pop[v] for v in rows)
-        colsums = tuple(sum(row_bits[v][j] for v in rows) for j in range(k))
-        buckets[(rowsums, colsums)] += 1
-    return sum(1 for size in buckets.values() if size == 1)
+    base = max(n, k) + 1
+    rows = range(1 << k)
+    columns = [sum(base**j for j in range(k) if v >> j & 1) for v in rows]
+    keys = [[bin(v).count("1") * base ** (k + i) + columns[v] for v in rows] for i in range(n)]
+    counts = Counter(map(sum, product(*keys)))
+    return sum(1 for size in counts.values() if size == 1)

@@ -9,8 +9,9 @@ with the package, so agreement between the two is evidence, not tautology.
 
 from __future__ import annotations
 
+from collections import Counter
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, product
 from math import comb, factorial
 
 
@@ -203,6 +204,31 @@ def poly_bernoulli_egf(k, x, order):
     """EGF coefficients of Li_k(1-e^{-t})/(1-e^{-t}) e^{xt}."""
     plain = [c / factorial(n) for n, c in enumerate(multi_poly_bernoulli_egf((k,), order))]
     return egf_from_ord(ord_mul(plain, ord_exp(x, order), order))
+
+
+def poly_euler_sasaki_egf(k, order):
+    """EGF coefficients of Li_k(1-e^{-4t})/(4t cosh t) via t cancellation."""
+    work = order + 1
+    num = ord_compose(multi_li_ordinary((k,), work), one_minus_exp(-4, work), work)
+    cosh = [Fraction(1, factorial(n)) if n % 2 == 0 else Fraction(0) for n in range(work)]
+    return egf_from_ord(ord_div(num[1:], ord_scale(cosh, 4, order), order))
+
+
+def stirling2(n, m):
+    """S(n, m) by the explicit formula (1/m!) sum_i (-1)^{m-i} C(m, i) i^n."""
+    return sum((-1) ** (m - i) * comb(m, i) * i**n for i in range(m + 1)) // factorial(m)
+
+
+def lonesum_count(n, k):
+    """Lonesum n x k matrices: bucket all 2^(nk) of them by the pair
+    (row-sum vector, column-sum vector) and count the singleton buckets."""
+    row_bits = [tuple((v >> j) & 1 for j in range(k)) for v in range(1 << k)]
+    buckets = Counter()
+    for rows in product(range(1 << k), repeat=n):
+        rowsums = tuple(sum(row_bits[v]) for v in rows)
+        colsums = tuple(sum(row_bits[v][j] for v in rows) for j in range(k))
+        buckets[(rowsums, colsums)] += 1
+    return sum(1 for size in buckets.values() if size == 1)
 
 
 def cofactor_det(rows):

@@ -375,7 +375,7 @@ class TestEulerShapeCaches:
         assert {c.__name__ for c in caches} >= {
             "_euler_egf",
             "_euler_quotient",
-            "_euler_numerator",
+            "_li_numerator",
             "_euler_denominator",
             "_bernoulli_egf",
         }

@@ -8,12 +8,13 @@ running-sum recursion.
 """
 
 from fractions import Fraction
+from math import factorial
 
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
 from polyeuler import multifamily
-from polyeuler.exact import Egf, egf_compose, egf_div, egf_mul, egf_pow
+from polyeuler.exact import Egf, _bell_table, egf_compose, egf_div, egf_mul, egf_pow
 from polyeuler.multifamily import LogParams
 from polyeuler.polylog import li_of_inner, multi_li_series
 
@@ -26,6 +27,7 @@ from oracles import (
     ord_div,
     ord_mul,
     ord_pow,
+    stirling2,
 )
 
 F = Fraction
@@ -78,6 +80,51 @@ def test_compose_with_zero_linear_term(order, outer, tail):
     """g_1 = 0: no rescaling, and powers of g vanish twice as fast."""
     inner = padded([F(0), F(0)] + tail, order)
     compose_matches_oracle(padded(outer, order), inner, order)
+
+
+def alternating(order):
+    """u_i = (-1)^{i-1} for i = 1..order: the EGF coefficients of 1 - e^{-t}."""
+    return [F((-1) ** i) for i in range(order)]
+
+
+@pytest.mark.parametrize("order", [0, 1, 2, 7, 30, 60])
+def test_bell_table_of_one_minus_exp_is_signed_stirling(order):
+    """B_{n,m}(1 - e^{-t}) = (-1)^{n-m} S(n, m), with S from its explicit sum."""
+    den, rows = _bell_table(tuple(alternating(order)))
+    assert den == 1
+    assert [list(row) for row in rows] == [
+        [(-1) ** (n - m) * stirling2(n, m) for m in range(n + 1)] for n in range(order + 1)
+    ]
+
+
+def bell_values_by_oracle(u):
+    """B_{n,m}(u) = n! [t^n] of t^m/m! composed with sum u_i t^i / i!."""
+    order = len(u)
+    inner = [F(0)] + [c / factorial(i) for i, c in enumerate(u, 1)]
+    columns = [ord_compose([F(0)] * m + [F(1, factorial(m))], inner, order) for m in range(order + 1)]
+    return [[columns[m][n] * factorial(n) for m in range(n + 1)] for n in range(order + 1)]
+
+
+# Inner series near 1 - e^{-t} that must take the generic recurrence.
+NEAR_STIRLING = {
+    "last-sign-flipped": alternating(11) + [F(1)],
+    "last-coefficient-half": alternating(11) + [F(1, 2)],
+    "one-minus-exp-2t-unnormalised": [-F(-2) ** i for i in range(1, 13)],
+}
+
+
+@pytest.mark.parametrize("name", sorted(NEAR_STIRLING))
+def test_bell_table_near_one_minus_exp_is_generic(name):
+    u = NEAR_STIRLING[name]
+    den, rows = _bell_table(tuple(u))
+    got = [[F(b, den**m) for m, b in enumerate(row)] for row in rows]
+    assert got == bell_values_by_oracle(u)
+
+
+@pytest.mark.parametrize("scale", [F(1), F(4), F(-7, 3)])
+def test_compose_with_one_minus_exp_at_order_40(scale):
+    outer = [F(0)] + [F((-1) ** m * (m + 2), m * m + 1) for m in range(1, 41)]
+    compose_matches_oracle(outer, one_minus_exp(-scale, 40), 40)
 
 
 @given(order=orders, f=st.lists(wide_rationals, max_size=21), g=st.lists(wide_rationals, max_size=21))

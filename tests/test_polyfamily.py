@@ -81,6 +81,11 @@ class TestPolyEulerSasaki:
         assert poly_euler_sasaki(1, 5)[1] == 0
         assert poly_euler_sasaki(1, 5)[3] == 0
 
+    @pytest.mark.parametrize("k", range(-2, 4))
+    def test_matches_oracle(self, k):
+        """Against ord_compose with 1-e^{-4t}, outside the Bell table."""
+        assert poly_euler_sasaki(k, 12) == oracles.poly_euler_sasaki_egf(k, 12)
+
 
 class TestLonesum:
     @pytest.mark.parametrize("n,k,count", [(1, 1, 2), (2, 2, 14), (1, 3, 8), (3, 1, 8)])
@@ -96,6 +101,15 @@ class TestLonesum:
     @pytest.mark.parametrize("k", range(1, 4))
     def test_matches_negative_index_poly_bernoulli(self, n, k):
         assert lonesum_count(n, k) == poly_bernoulli(-k, 0, n)[n]
+
+    @pytest.mark.parametrize(
+        "n,k", [(n, k) for n in range(1, 13) for k in range(1, 13) if n * k <= 12]
+    )
+    def test_matches_bucket_oracle(self, n, k):
+        assert lonesum_count(n, k) == oracles.lonesum_count(n, k)
+
+    def test_four_by_five(self):
+        assert lonesum_count(4, 5) == lonesum_count(5, 4) == 41506
 
     def test_guard(self):
         with pytest.raises(TooLarge):
