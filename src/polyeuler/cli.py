@@ -33,17 +33,20 @@ MAX_K = 16
 MAX_DEPTH = 8
 MAX_DIGITS = 4
 
-FAMILIES = (
-    "bernoulli",
-    "euler",
-    "poly-bernoulli",
-    "poly-euler",
-    "poly-euler-sasaki",
-    "multi-poly-bernoulli",
-    "multi-poly-euler",
-    "poly-euler-abc",
-    "lonesum",
-)
+# Each family and the flags of SELECTIVE_FLAGS that it reads; passing it any
+# other of them is a usage error, not a silently ignored value.
+FAMILIES = {
+    "bernoulli": (),
+    "euler": (),
+    "poly-bernoulli": ("k", "x"),
+    "poly-euler": ("k", "x"),
+    "poly-euler-sasaki": ("k",),
+    "multi-poly-bernoulli": ("ks",),
+    "multi-poly-euler": ("ks", "x", "alpha", "beta", "gamma"),
+    "poly-euler-abc": ("k", "x", "alpha", "beta", "gamma"),
+    "lonesum": ("rows", "cols"),
+}
+SELECTIVE_FLAGS = ("k", "ks", "x", "alpha", "beta", "gamma", "rows", "cols")
 
 
 class UsageError(Exception):
@@ -179,6 +182,12 @@ def _print_table(values: Sequence[Fraction], fmt: str, out) -> None:
 
 def cmd_seq(args: argparse.Namespace, out=None) -> int:
     out = out if out is not None else sys.stdout
+    unread = [
+        f"--{flag}"
+        for flag in SELECTIVE_FLAGS
+        if getattr(args, flag) is not None and flag not in FAMILIES[args.family]
+    ]
+    _require(not unread, f"{args.family} does not read {', '.join(unread)}")
     if args.family == "lonesum":
         _require(args.rows is not None and args.cols is not None, "lonesum needs --rows and --cols")
         try:

@@ -1,8 +1,10 @@
 """Exact-arithmetic substrate: rational scalars, truncated EGF algebra, determinants.
 
-A series is stored by its exponential-generating-function coefficients:
-``coeffs[n]`` holds c_n where the series is sum c_n t^n / n!.  Every value is
-a ``fractions.Fraction``; nothing here ever touches floating point.
+A series is stored by its exponential-generating-function coefficients c_n,
+where the series is sum c_n t^n / n!, as integer numerators over one positive
+denominator in lowest terms.  The kernels run over those integers; a series
+hands out its coefficients as ``fractions.Fraction`` values (``coeffs``) only
+when they are read.  Nothing here ever touches floating point.
 """
 
 from __future__ import annotations
@@ -10,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import comb, factorial, lcm
+from math import comb, factorial, gcd, lcm
 from typing import Iterable, Sequence, Union
 
 Rational = Fraction
@@ -99,54 +101,122 @@ def integer_powers(base: int, top: int) -> list[int]:
     return out
 
 
-@dataclass(frozen=True)
+def lowest_terms(nums: Iterable[int], den: int) -> tuple[tuple[int, ...], int]:
+    """The rationals nums[i] / den over one positive denominator D with
+    gcd(D, nums...) = 1, which is the least common denominator."""
+    if den == 0:
+        raise ZeroDivisionError("zero denominator")
+    nums = tuple(nums)
+    common = gcd(den, *nums)
+    if den < 0:
+        common = -common
+    if common == 1:
+        return nums, den
+    return tuple(v // common for v in nums), den // common
+
+
 class Egf:
-    """Truncated series sum_{n=0}^{N} coeffs[n] t^n/n!, N = truncation order.
+    """Truncated series sum_{n=0}^{N} c_n t^n/n!, N = truncation order.
+
+    The kernels read and write integer numerators over one positive
+    denominator in lowest terms (``Egf.of(nums, den)``, read back by
+    ``numerators()``).  ``coeffs``, the tuple of ``Fraction`` c_n, is built on
+    first read, after which the series keeps only the rationals; a series
+    built from rationals (``Egf(coeffs)``) holds only them, and the kernels
+    put them over their common denominator on each call.  Equality and hash
+    do not depend on the form.
 
     Immutable; all operations return new series.  Binary operations truncate
     to the smaller order of the two operands, so a result never claims more
     precision than was computed.
     """
 
-    coeffs: tuple[Fraction, ...]
+    __slots__ = ("_nums", "_den", "_coeffs")
 
-    def __post_init__(self) -> None:
-        if not self.coeffs:
+    def __init__(self, coeffs: Iterable[RationalLike]) -> None:
+        coeffs = _as_fraction_tuple(coeffs)
+        if not coeffs:
             raise ValueError("series needs at least the constant coefficient")
-        object.__setattr__(self, "coeffs", _as_fraction_tuple(self.coeffs))
+        self._nums: tuple[int, ...] | None = None
+        self._den = 1
+        self._coeffs: tuple[Fraction, ...] | None = coeffs
+
+    @classmethod
+    def of(cls, nums: Iterable[int], den: int = 1) -> "Egf":
+        """The series with c_n = nums[n] / den, reduced to lowest terms."""
+        nums, den = lowest_terms(nums, den)
+        if not nums:
+            raise ValueError("series needs at least the constant coefficient")
+        series = cls.__new__(cls)
+        series._nums, series._den, series._coeffs = nums, den, None
+        return series
+
+    @property
+    def coeffs(self) -> tuple[Fraction, ...]:
+        if self._coeffs is None:
+            den = self._den
+            self._coeffs = tuple(Fraction(v, den) for v in self._nums)
+            self._nums = None
+        return self._coeffs
+
+    def numerators(self) -> tuple[Sequence[int], int]:
+        """(nums, D) with coeffs[n] == nums[n] / D and D the least common
+        denominator."""
+        if self._nums is not None:
+            return self._nums, self._den
+        return integer_numerators(self._coeffs)
 
     @property
     def order(self) -> int:
-        return len(self.coeffs) - 1
+        return len(self._coeffs if self._nums is None else self._nums) - 1
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, Egf):
+            return NotImplemented
+        a, da = self.numerators()
+        b, db = other.numerators()
+        return da == db and tuple(a) == tuple(b)
+
+    def __hash__(self) -> int:
+        nums, den = self.numerators()
+        return hash((tuple(nums), den))
+
+    def __repr__(self) -> str:
+        nums, den = self.numerators()
+        return f"Egf.of({list(nums)}, {den})"
 
     @classmethod
     def zero(cls, order: int) -> "Egf":
-        return cls((Fraction(0),) * (order + 1))
+        return cls.of((0,) * (order + 1))
 
     @classmethod
     def constant(cls, value: RationalLike, order: int) -> "Egf":
-        return cls((Fraction(value),) + (Fraction(0),) * order)
+        v = Fraction(value)
+        return cls.of((v.numerator,) + (0,) * order, v.denominator)
 
     @classmethod
     def t(cls, order: int) -> "Egf":
         """The series t itself (requires order >= 1)."""
         if order < 1:
             raise ValueError("t needs order >= 1")
-        return cls((Fraction(0), Fraction(1)) + (Fraction(0),) * (order - 1))
+        return cls.of((0, 1) + (0,) * (order - 1))
 
     @classmethod
     def from_ordinary(cls, ordinary: Sequence[RationalLike]) -> "Egf":
         """Build from ordinary power-series coefficients a_n (c_n = n! a_n)."""
-        return cls(tuple(Fraction(a) * factorial(n) for n, a in enumerate(ordinary)))
+        nums, den = integer_numerators(_as_fraction_tuple(ordinary))
+        return cls.of((v * factorial(n) for n, v in enumerate(nums)), den)
 
     def ordinary(self) -> tuple[Fraction, ...]:
         """Ordinary power-series coefficients a_n = c_n / n!."""
-        return tuple(c / factorial(n) for n, c in enumerate(self.coeffs))
+        nums, den = self.numerators()
+        return tuple(Fraction(v, den * factorial(n)) for n, v in enumerate(nums))
 
     def truncate(self, order: int) -> "Egf":
         if order >= self.order:
             return self
-        return Egf(self.coeffs[: order + 1])
+        nums, den = self.numerators()
+        return Egf.of(nums[: order + 1], den)
 
     def __add__(self, other: "Egf") -> "Egf":
         return egf_add(self, other)
@@ -164,33 +234,36 @@ class Egf:
 def egf_add(f: Egf, g: Egf) -> Egf:
     """Coefficientwise sum, truncated to the smaller order."""
     n = min(f.order, g.order)
-    return Egf(tuple(f.coeffs[i] + g.coeffs[i] for i in range(n + 1)))
+    a, df = f.numerators()
+    b, dg = g.numerators()
+    den = lcm(df, dg)
+    sf, sg = den // df, den // dg
+    return Egf.of((a[i] * sf + b[i] * sg for i in range(n + 1)), den)
 
 
 def egf_scale(f: Egf, value: RationalLike) -> Egf:
     v = Fraction(value)
-    return Egf(tuple(v * c for c in f.coeffs))
+    a, den = f.numerators()
+    return Egf.of((v.numerator * c for c in a), den * v.denominator)
 
 
 def egf_mul(f: Egf, g: Egf) -> Egf:
     """Binomial-convolution product: c_n = sum_i C(n,i) f_i g_{n-i}.
 
-    With f = a/D_f and g = b/D_g over integer numerators, c_n is the integer
-    convolution of a and b over D_f D_g; one ``Fraction`` is built per
-    output coefficient.
+    With f = a/D_f and g = b/D_g, c_n is the integer convolution of a and b
+    over D_f D_g.
     """
     n = min(f.order, g.order)
-    a, df = integer_numerators(f.coeffs[: n + 1])
-    b, dg = integer_numerators(g.coeffs[: n + 1])
-    den = df * dg
+    a, df = f.numerators()
+    b, dg = g.numerators()
     out = []
     for m in range(n + 1):
         acc = 0
         for i in range(m + 1):
             if a[i]:
                 acc += comb(m, i) * a[i] * b[m - i]
-        out.append(Fraction(acc, den))
-    return Egf(tuple(out))
+        out.append(acc)
+    return Egf.of(out, df * dg)
 
 
 def egf_div(f: Egf, g: Egf) -> Egf:
@@ -198,17 +271,17 @@ def egf_div(f: Egf, g: Egf) -> Egf:
 
     Solves the triangular system h_m g_0 = f_m - sum_{i<m} C(m,i) h_i g_{m-i};
     the divisor must have a nonzero constant term.  With f = a/D_f and
-    g = b/D_g over integer numerators, and the quotients found so far carried
-    as h_i = H_i / L over the running lcm L of their denominators,
-    h_m = (D_g a_m L - D_f sum_{i<m} C(m,i) H_i b_{m-i}) / (D_f L b_0).
-    Carrying reduced quotients keeps the integers as small as the result.
+    g = b/D_g, and the quotients found so far carried as h_i = H_i / L over
+    the running lcm L of their reduced denominators,
+    h_m = (D_g a_m L - D_f sum_{i<m} C(m,i) H_i b_{m-i}) / (D_f L b_0),
+    reduced before it joins them.  Carrying reduced quotients keeps the
+    integers as small as the result.
     """
-    if g.coeffs[0] == 0:
+    b, dg = g.numerators()
+    if b[0] == 0:
         raise DivisionByNonUnit("divisor has zero constant term")
     n = min(f.order, g.order)
-    a, df = integer_numerators(f.coeffs[: n + 1])
-    b, dg = integer_numerators(g.coeffs[: n + 1])
-    out: list[Fraction] = []
+    a, df = f.numerators()
     nums: list[int] = []
     den = 1
     for m in range(n + 1):
@@ -216,14 +289,19 @@ def egf_div(f: Egf, g: Egf) -> Egf:
         for i in range(m):
             if nums[i]:
                 acc += comb(m, i) * nums[i] * b[m - i]
-        h = Fraction(dg * a[m] * den - df * acc, df * den * b[0])
-        out.append(h)
-        if den % h.denominator:
-            grown = lcm(den, h.denominator)
+        top = dg * a[m] * den - df * acc
+        bottom = df * den * b[0]
+        common = gcd(top, bottom)
+        if bottom < 0:
+            common = -common
+        top //= common
+        bottom //= common
+        if den % bottom:
+            grown = lcm(den, bottom)
             nums = [v * (grown // den) for v in nums]
             den = grown
-        nums.append(h.numerator * (den // h.denominator))
-    return Egf(tuple(out))
+        nums.append(top * (den // bottom))
+    return Egf.of(nums, den)
 
 
 def egf_div_shifted(f: Egf, g: Egf, shift: int) -> Egf:
@@ -240,12 +318,14 @@ def egf_div_shifted(f: Egf, g: Egf, shift: int) -> Egf:
         return egf_div(f, g)
     if f.order < shift or g.order < shift:
         raise InsufficientVanishing("series too short for the requested shift")
+    a, _ = f.numerators()
+    b, _ = g.numerators()
     for j in range(shift):
-        if f.coeffs[j] != 0 or g.coeffs[j] != 0:
+        if a[j] or b[j]:
             raise InsufficientVanishing(
                 f"coefficient of t^{j} is nonzero; cannot cancel t^{shift}"
             )
-    if g.coeffs[shift] == 0:
+    if not b[shift]:
         raise InsufficientVanishing(
             f"divisor vanishes beyond t^{shift}; quotient would not be a power series"
         )
@@ -253,35 +333,37 @@ def egf_div_shifted(f: Egf, g: Egf, shift: int) -> Egf:
 
 
 def _shift_down(f: Egf, s: int) -> Egf:
-    """Divide by t^s, assuming the first s coefficients vanish."""
-    return Egf(
-        tuple(
-            f.coeffs[m + s] * Fraction(factorial(m), factorial(m + s))
-            for m in range(f.order - s + 1)
-        )
+    """Divide by t^s, assuming the first s coefficients vanish: coefficient
+    m becomes c_{m+s} m!/(m+s)! = c_{m+s} / (s! C(m+s, s))."""
+    nums, den = f.numerators()
+    steps = [comb(m + s, s) for m in range(f.order - s + 1)]
+    scale = lcm(*steps)
+    return Egf.of(
+        (nums[m + s] * (scale // step) for m, step in enumerate(steps)),
+        den * factorial(s) * scale,
     )
 
 
 @lru_cache(maxsize=32)
-def _bell_table(u: tuple[Fraction, ...]) -> tuple[int, tuple[tuple[int, ...], ...]]:
+def _bell_table(u: tuple[int, ...], den: int) -> tuple[int, tuple[tuple[int, ...], ...]]:
     """Partial Bell polynomials B_{j,m}(u_1, u_2, ...) for 0 <= m <= j <= len(u).
 
-    Fraction-free: with D the common denominator of u and v_i = D u_i, returns
-    (D, rows) where rows[j][m] = B_{j,m}(v) is an integer, so
-    B_{j,m}(u) = rows[j][m] / D^m.  For u = 1 - e^{-t}, i.e. u_i = (-1)^{i-1},
-    the entries are signed Stirling numbers of the second kind,
-    B_{j,m} = (-1)^{j-m} S(j, m), filled in O(N^2) by the two-term recurrence
-    B_{j+1,m} = -m B_{j,m} + B_{j,m-1} with D = 1.  Any other u takes the
-    generic O(N^3) recurrence B_{j,m} = sum_i C(j-1, i-1) v_i B_{j-i,m-1}.
+    Fraction-free: u_i = u[i-1] / den in lowest terms, and the result is
+    (den, rows) where rows[j][m] = B_{j,m}(u[0], u[1], ...) is an integer,
+    so B_{j,m}(u_1, u_2, ...) = rows[j][m] / den^m.  For u = 1 - e^{-t},
+    i.e. u = (1, -1, 1, ...) over 1, the entries are signed Stirling numbers
+    of the second kind, B_{j,m} = (-1)^{j-m} S(j, m), filled in O(N^2) by
+    the two-term recurrence B_{j+1,m} = -m B_{j,m} + B_{j,m-1}.  Any other u
+    takes the generic O(N^3) recurrence
+    B_{j,m} = sum_i C(j-1, i-1) u_i B_{j-i,m-1}.
     """
-    nums, den = integer_numerators(u)
     rows: list[tuple[int, ...]] = [(1,)]
-    if den == 1 and nums == ([1, -1] * len(u))[: len(u)]:
+    if den == 1 and u == ((1, -1) * len(u))[: len(u)]:
         for j in range(len(u)):
             prev = rows[j] + (0,)
             rows.append((0,) + tuple(prev[m - 1] - m * prev[m] for m in range(1, j + 2)))
         return 1, tuple(rows)
-    v = [0] + nums
+    v = (0,) + u
     for j in range(1, len(u) + 1):
         row = [0]
         for m in range(1, j + 1):
@@ -300,34 +382,37 @@ def egf_compose(f: Egf, g: Egf) -> Egf:
     Faà di Bruno: h_n = sum_m f_m B_{n,m}(g_1, g_2, ...).  The inner series is
     first normalised to g(t) = u(s t) with s = g_1 (or 1 when g_1 = 0), so
     h_n = s^n sum_m f_m B_{n,m}(u).  Every 1 - e^{-ct} normalises to the same
-    u = 1 - e^{-t}, whose cached Stirling table serves all scales c; the sum
-    runs over integers with one common denominator.
+    u = 1 - e^{-t}, whose cached Stirling table serves all scales c.  With
+    f = a/D_f, s = p/q and B_{n,m}(u) = rows[n][m] / D^m, every h_n is an
+    integer over q^N D_f D^N.
     """
-    if g.coeffs[0] != 0:
+    c, dg = g.numerators()
+    if c[0] != 0:
         raise NonNilpotentInner("inner series has nonzero constant term")
     n = min(f.order, g.order)
-    s = g.coeffs[1] if n and g.coeffs[1] else Fraction(1)
-    u = tuple(c / s**i for i, c in enumerate(g.coeffs[1 : n + 1], 1))
-    den, bell = _bell_table(u)
-    a, common = integer_numerators([f.coeffs[m] / den**m for m in range(n + 1)])
-    return Egf(
-        tuple(
-            Fraction(
-                s.numerator**j * sum(am * b for am, b in zip(a, row)),
-                s.denominator**j * common,
-            )
+    s = Fraction(c[1], dg) if n and c[1] else Fraction(1)
+    p_pow = integer_powers(s.numerator, n)
+    q_pow = integer_powers(s.denominator, n)
+    u = lowest_terms((c[i] * q_pow[i] * p_pow[n - i] for i in range(1, n + 1)), dg * p_pow[n])
+    den, bell = _bell_table(*u)
+    d_pow = integer_powers(den, n)
+    a, df = f.numerators()
+    scaled = [a[m] * d_pow[n - m] for m in range(n + 1)]
+    return Egf.of(
+        (
+            p_pow[j] * q_pow[n - j] * sum(am * b for am, b in zip(scaled, row))
             for j, row in enumerate(bell)
-        )
+        ),
+        q_pow[n] * df * d_pow[n],
     )
 
 
 def egf_exp_linear(value: RationalLike, order: int) -> Egf:
-    """The exponential e^{value * t}: c_n = value^n, as running products of
-    the numerator and the denominator."""
+    """The exponential e^{value * t}: with value = p/q, c_n = p^n q^{N-n} / q^N."""
     v = Fraction(value)
     tops = integer_powers(v.numerator, order)
     bottoms = integer_powers(v.denominator, order)
-    return Egf(tuple(Fraction(t, b) for t, b in zip(tops, bottoms)))
+    return Egf.of((t * bottoms[order - n] for n, t in enumerate(tops)), bottoms[order])
 
 
 def egf_pow(f: Egf, exponent: int) -> Egf:

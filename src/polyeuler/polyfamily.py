@@ -26,7 +26,6 @@ from .exact import (
     egf_mul,
     egf_pow,
     egf_scale,
-    integer_powers,
 )
 from .polylog import KVector, li_of_inner
 
@@ -62,15 +61,9 @@ def _euler_quotient(ks: KVector, alpha: Fraction, beta: Fraction, order: int) ->
     cached Li_ks(1-e^{-t}); the denominator is never rescaled from another
     (alpha, beta), so thm1's t -> (alpha+beta)t law is still checked.
     """
-    lam = alpha + beta
-    tops = integer_powers(lam.numerator, order)
-    bottoms = integer_powers(lam.denominator, order)
-    numerator = Egf(
-        tuple(
-            Fraction(2 * t * c.numerator, b * c.denominator)
-            for t, b, c in zip(tops, bottoms, _li_numerator(ks, order).coeffs)
-        )
-    )
+    powers, scale = egf_exp_linear(alpha + beta, order).numerators()
+    nums, den = _li_numerator(ks, order).numerators()
+    numerator = Egf.of((2 * p * v for p, v in zip(powers, nums)), scale * den)
     return egf_div(numerator, _euler_denominator(alpha, beta, len(ks), order))
 
 

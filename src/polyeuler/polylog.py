@@ -15,11 +15,11 @@ coefficients read in the ordinary sense (coeffs[m] multiplies z^m).
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import lru_cache
+from math import factorial, lcm
 from typing import Sequence
 
-from .exact import Egf, NonNilpotentInner, egf_compose
+from .exact import Egf, NonNilpotentInner, egf_compose, lowest_terms
 
 KVector = tuple[int, ...]
 
@@ -47,18 +47,20 @@ def li_series(k: int, order: int) -> Egf:
 
 
 @lru_cache(maxsize=256)
-def _multi_li_coeffs(ks: KVector, order: int) -> tuple[Fraction, ...]:
-    # row[m] = S_j(m), the sum over tuples of depth j ending at m_j = m; the
-    # empty tuple (depth 0) ends at 0.
-    row = [Fraction(1)] + [Fraction(0)] * order
+def _multi_li_coeffs(ks: KVector, order: int) -> tuple[tuple[int, ...], int]:
+    # row[m] / den = S_j(m), the sum over tuples of depth j ending at m_j = m;
+    # the empty tuple (depth 0) ends at 0.  A positive index puts the row
+    # over lcm(1..order)^k, so each depth divides by m^k exactly.
+    row, den = (1,) + (0,) * order, 1
+    common = lcm(*range(1, order + 1))
     for k in ks:
-        below = Fraction(0)
-        nxt = [Fraction(0)] * (order + 1)
+        below = 0
+        nxt = [0] * (order + 1)
         for m in range(1, order + 1):
             below += row[m - 1]
-            nxt[m] = below / Fraction(m) ** k
-        row = nxt
-    return tuple(row)
+            nxt[m] = below * (m**-k if k <= 0 else (common // m) ** k)
+        row, den = lowest_terms(nxt, den if k <= 0 else den * common**k)
+    return row, den
 
 
 def multi_li_series(ks: Sequence[int], order: int) -> Egf:
@@ -67,7 +69,7 @@ def multi_li_series(ks: Sequence[int], order: int) -> Egf:
     coeffs[m] collects every admissible index tuple ending at m_r = m, so
     the lowest possible nonzero degree is r.
     """
-    return Egf(_multi_li_coeffs(validate_kvector(ks), order))
+    return Egf.of(*_multi_li_coeffs(validate_kvector(ks), order))
 
 
 def li_of_inner(ks: Sequence[int], inner: Egf, order: int) -> Egf:
@@ -77,8 +79,10 @@ def li_of_inner(ks: Sequence[int], inner: Egf, order: int) -> Egf:
     is exact: recomputing at a higher order never changes earlier
     coefficients.
     """
-    if inner.coeffs[0] != 0:
+    constant = inner.numerators()[0][0]
+    if constant != 0:
         raise NonNilpotentInner("inner series has nonzero constant term")
     n = min(order, inner.order)
-    outer = Egf.from_ordinary(multi_li_series(ks, n).coeffs)
+    nums, den = multi_li_series(ks, n).numerators()
+    outer = Egf.of((v * factorial(m) for m, v in enumerate(nums)), den)
     return egf_compose(outer, inner.truncate(n))

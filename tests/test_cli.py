@@ -1,5 +1,6 @@
 """CLI golden tests: output formats, exit codes, env override, determinism."""
 
+import hashlib
 import io
 import json
 import subprocess
@@ -98,6 +99,33 @@ class TestSeqErrors:
 
     def test_lonesum_guard_exits_2(self):
         assert main_seq(["lonesum", "--rows", "5", "--cols", "5"]) == 2
+
+    # Per family: a valid request, then one flag that the family does not read.
+    UNREAD_FLAG = {
+        "bernoulli": (["--n=3"], "--k=1"),
+        "euler": (["--n=3"], "--x=1/2"),
+        "poly-bernoulli": (["--k=1", "--x=1/2", "--n=3"], "--ks=1,2"),
+        "poly-euler": (["--k=1", "--x=1/2", "--n=3"], "--alpha=1"),
+        "poly-euler-sasaki": (["--k=1", "--n=3"], "--x=1/2"),
+        "multi-poly-bernoulli": (["--ks=1", "--n=3"], "--k=2"),
+        "multi-poly-euler": (["--ks=1,2", "--x=1/2", "--alpha=1", "--beta=2", "--n=3"], "--k=2"),
+        "poly-euler-abc": (
+            ["--k=1", "--x=1", "--alpha=1", "--beta=1", "--gamma=1", "--n=3"],
+            "--cols=2",
+        ),
+        "lonesum": (["--rows=2", "--cols=2"], "--x=0"),
+    }
+
+    @pytest.mark.parametrize("family", sorted(UNREAD_FLAG))
+    def test_flag_the_family_does_not_read_exits_2(self, family, capsys):
+        argv, unread = self.UNREAD_FLAG[family]
+        assert main_seq([family, *argv]) == 0
+        capsys.readouterr()
+        assert main_seq([family, *argv, unread]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        flag = unread.partition("=")[0]
+        assert captured.err.splitlines() == [f"error: {family} does not read {flag}"]
 
     def test_gamma_with_depth_two_exits_2(self):
         code = main_seq(
@@ -216,6 +244,20 @@ _TOP = 10**MAX_DIGITS - 1
 _AT_DIGIT_LIMIT = [f"{-_TOP}/{_TOP - 1}", f"{_TOP - 1}/{_TOP}", f"{_TOP}/{_TOP - 2}", f"{-_TOP + 2}/{_TOP}"]
 
 
+# sha256 of the stdout of each at-limit request and of the sweep below,
+# recorded before the series kernels moved to integer numerators.
+_AT_LIMIT_SHA256 = {
+    "multi-poly-bernoulli": "02216c0508036abd95cf3e23fae0d33497a4c7e1f34f48208687b3b162610934",
+    "multi-poly-euler": "0030e2c0d458b213be05a9b84a4780559efc044737dcf42e050c19eaaf600c48",
+    "poly-euler-abc": "c1d7152c64a57ba691ecb5b3e5cc123d1cdfe6bf8364c1074d42660a164d9c84",
+}
+_SWEEP_SHA256 = "d671b4e7a72a054002050da0af899a970b42f18cbbec3adbcc1e47a056c011cf"
+
+
+def _sha256(text):
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
 class TestSizeBounds:
     """Requests past MAX_N, MAX_K, MAX_DEPTH or MAX_DIGITS are usage errors
     (exit 2); a request at all the limits still runs."""
@@ -270,7 +312,9 @@ class TestSizeBounds:
 
     def test_request_at_every_limit_runs(self, capsys):
         assert main_seq(["multi-poly-bernoulli", f"--ks={_KS_AT_LIMIT}", f"--n={MAX_N}"]) == 0
-        assert len(capsys.readouterr().out.splitlines()) == MAX_N + 1
+        out = capsys.readouterr().out
+        assert len(out.splitlines()) == MAX_N + 1
+        assert _sha256(out) == _AT_LIMIT_SHA256["multi-poly-bernoulli"]
 
     @pytest.mark.parametrize(
         "argv",
@@ -284,7 +328,48 @@ class TestSizeBounds:
     )
     def test_request_at_every_limit_with_rationals_runs(self, argv, capsys):
         assert main_seq([*argv, f"--n={MAX_N}"]) == 0
-        assert len(capsys.readouterr().out.splitlines()) == MAX_N + 1
+        out = capsys.readouterr().out
+        assert len(out.splitlines()) == MAX_N + 1
+        assert _sha256(out) == _AT_LIMIT_SHA256[argv[0]]
+
+
+def _sweep_requests():
+    """polyseq requests over every family: n <= 30, indices -2..3 and +-16,
+    depth up to 6, zero and non-integer x, alpha, beta and gamma."""
+    indices = (-16, -2, -1, 0, 1, 2, 3, 16)
+    reqs = [["bernoulli", "--n=30"], ["euler", "--n=30"], ["euler", "--n=30", "--convention=secant"]]
+    for k in indices:
+        for x in ("0", "-7/3"):
+            reqs.append(["poly-bernoulli", f"--k={k}", f"--x={x}", "--n=30"])
+            reqs.append(["poly-euler", f"--k={k}", f"--x={x}", "--n=30"])
+        reqs.append(["poly-euler-sasaki", f"--k={k}", "--n=30"])
+    for ks in ("3", "-2,1", "16,-16", "1,1,1", "2,-1,0,3", "-2,3,0,1,-1", "1,2,3,-2,-1,0"):
+        reqs.append(["multi-poly-bernoulli", f"--ks={ks}", "--n=24"])
+        reqs.append(["multi-poly-euler", f"--ks={ks}", "--n=30"])
+        reqs.append(["multi-poly-euler", f"--ks={ks}", "--x=5/4", "--n=30"])
+        reqs.append(
+            ["multi-poly-euler", f"--ks={ks}", "--x=-2/3", "--alpha=3/4", "--beta=-1/6", "--n=30"]
+        )
+        reqs.append(["multi-poly-euler", f"--ks={ks}", "--x=0", "--alpha=0", "--beta=0", "--n=30"])
+    for k in indices:
+        reqs.append(
+            ["poly-euler-abc", f"--k={k}", "--x=3/5", "--alpha=-1/2", "--beta=7/3", "--gamma=-5/4", "--n=30"]
+        )
+        reqs.append(["poly-euler-abc", f"--k={k}", "--x=0", "--alpha=0", "--beta=1", "--gamma=0", "--n=30"])
+    reqs.append(["multi-poly-euler", "--ks=2", "--x=1/3", "--alpha=2", "--beta=-1/2", "--gamma=3/7", "--n=30"])
+    reqs.append(["poly-bernoulli", "--k=2", "--x=1/2", "--n=30", "--format=csv"])
+    reqs.append(["multi-poly-euler", "--ks=1,-1", "--n=30", "--format=json"])
+    reqs.append(["lonesum", "--rows=3", "--cols=4"])
+    return reqs
+
+
+def test_sweep_of_every_family_is_pinned(capsys):
+    """The stdout bytes of 98 requests, one digest for all of them."""
+    digest = hashlib.sha256()
+    for argv in _sweep_requests():
+        assert main_seq(argv) == 0, argv
+        digest.update(capsys.readouterr().out.encode())
+    assert digest.hexdigest() == _SWEEP_SHA256
 
 
 class TestRootCommand:

@@ -24,6 +24,7 @@ from polyeuler.exact import (
     egf_pow,
     egf_scale,
     format_rational,
+    integer_numerators,
     parse_rational,
 )
 
@@ -89,6 +90,67 @@ class TestEgfBasics:
     def test_ordinary_roundtrip(self):
         f = Egf((F(1), F(3), F(5), F(-2)))
         assert Egf.from_ordinary(f.ordinary()) == f
+
+
+def holds_integers(f):
+    """Whether f still carries its integer numerators (no ``coeffs`` read)."""
+    return f._nums is not None
+
+
+integers = st.integers(min_value=-(10**30), max_value=10**30)
+nonzero_integers = integers.filter(bool)
+
+
+class TestIntegerForm:
+    @given(nums=st.lists(integers, min_size=1, max_size=12), den=nonzero_integers)
+    def test_of_is_in_lowest_terms(self, nums, den):
+        f = Egf.of(nums, den)
+        got, d = f.numerators()
+        assert d > 0
+        assert gcd(d, *got) == 1
+        assert [F(v, d) for v in got] == [F(v, den) for v in nums]
+
+    def test_of_rejects_empty_and_zero_denominator(self):
+        with pytest.raises(ValueError):
+            Egf.of([], 3)
+        with pytest.raises(ZeroDivisionError):
+            Egf.of([1, 2], 0)
+
+    @given(coeffs=st.lists(rationals, min_size=1, max_size=12), scale=nonzero_integers)
+    def test_equal_however_built(self, coeffs, scale):
+        """Egf(coeffs), Egf.of over any common denominator, and a series whose
+        coeffs were read are one series: equal, with equal hashes."""
+        nums, den = integer_numerators([F(c) for c in coeffs])
+        built = [
+            Egf(coeffs),
+            Egf.of(nums, den),
+            Egf.of([v * scale for v in nums], den * scale),
+            Egf.of(nums, den),
+        ]
+        assert built[3].coeffs == tuple(coeffs)
+        assert [holds_integers(f) for f in built] == [False, True, True, False]
+        for f in built:
+            assert f == built[0]
+            assert hash(f) == hash(built[0])
+        other = Egf.of([*nums[:-1], nums[-1] + 1], den)
+        assert other != built[0] and other != built[1]
+
+    @given(f=series, g=series)
+    def test_rebuilt_from_coeffs_is_equal(self, f, g):
+        inner = egf_add(g, Egf.constant(-g.coeffs[0], g.order))
+        for h in (egf_mul(f, g), egf_add(f, g), egf_compose(f, inner)):
+            assert holds_integers(h)
+            assert Egf(h.coeffs) == h
+            assert not holds_integers(h)
+
+    def test_coeffs_are_fractions_over_the_lowest_denominator(self):
+        f = Egf.of([2, -4, 6, 0], -8)
+        assert f.numerators() == ((-1, 2, -3, 0), 4)
+        assert f.coeffs == (F(-1, 4), F(1, 2), F(-3, 4), 0)
+        assert all(type(c) is F for c in f.coeffs)
+        nums, den = f.numerators()
+        assert (list(nums), den) == ([-1, 2, -3, 0], 4)
+        assert Egf.zero(3).numerators() == ((0, 0, 0, 0), 1)
 
 
 class TestAdd:

@@ -14,7 +14,18 @@ import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
 from polyeuler import multifamily
-from polyeuler.exact import Egf, _bell_table, egf_compose, egf_div, egf_mul, egf_pow
+from polyeuler.exact import (
+    Egf,
+    _bell_table,
+    egf_add,
+    egf_compose,
+    egf_div,
+    egf_div_shifted,
+    egf_mul,
+    egf_pow,
+    egf_scale,
+    integer_numerators,
+)
 from polyeuler.multifamily import LogParams
 from polyeuler.polylog import li_of_inner, multi_li_series
 
@@ -23,10 +34,12 @@ from oracles import (
     egf_from_ord,
     multi_li_ordinary,
     one_minus_exp,
+    ord_add,
     ord_compose,
     ord_div,
     ord_mul,
     ord_pow,
+    ord_scale,
     stirling2,
 )
 
@@ -82,15 +95,33 @@ def test_compose_with_zero_linear_term(order, outer, tail):
     compose_matches_oracle(padded(outer, order), inner, order)
 
 
+@given(
+    order=orders,
+    outer=st.lists(rationals, max_size=21),
+    lead=st.sampled_from([F(-2), F(-7, 3), F(-3, 5), F(0)]),
+    tail=st.lists(nonzero_rationals, min_size=1, max_size=5),
+)
+def test_compose_with_negative_or_zero_linear_term(order, outer, lead, tail):
+    """g_1 negative and not a unit, or zero, ahead of an inner series that is
+    not 1 - e^{-ct}."""
+    compose_matches_oracle(padded(outer, order), padded([F(0), lead] + tail, order), order)
+
+
 def alternating(order):
     """u_i = (-1)^{i-1} for i = 1..order: the EGF coefficients of 1 - e^{-t}."""
     return [F((-1) ** i) for i in range(order)]
 
 
+def bell_table(u):
+    """The cached table of the rationals u_1, u_2, ... over their common denominator."""
+    nums, den = integer_numerators(u)
+    return _bell_table(tuple(nums), den)
+
+
 @pytest.mark.parametrize("order", [0, 1, 2, 7, 30, 60])
 def test_bell_table_of_one_minus_exp_is_signed_stirling(order):
     """B_{n,m}(1 - e^{-t}) = (-1)^{n-m} S(n, m), with S from its explicit sum."""
-    den, rows = _bell_table(tuple(alternating(order)))
+    den, rows = bell_table(alternating(order))
     assert den == 1
     assert [list(row) for row in rows] == [
         [(-1) ** (n - m) * stirling2(n, m) for m in range(n + 1)] for n in range(order + 1)
@@ -116,7 +147,7 @@ NEAR_STIRLING = {
 @pytest.mark.parametrize("name", sorted(NEAR_STIRLING))
 def test_bell_table_near_one_minus_exp_is_generic(name):
     u = NEAR_STIRLING[name]
-    den, rows = _bell_table(tuple(u))
+    den, rows = bell_table(u)
     got = [[F(b, den**m) for m, b in enumerate(row)] for row in rows]
     assert got == bell_values_by_oracle(u)
 
@@ -228,6 +259,58 @@ def test_combined_variants_differ_for_r_at_least_two(ks, x, alpha, beta, extra):
 @given(ks=kvectors, order=orders)
 def test_multi_li_matches_enumeration(ks, order):
     assert list(multi_li_series(ks, order).coeffs) == multi_li_ordinary(ks, order)
+
+
+@settings(max_examples=60)
+@given(
+    ks=st.lists(st.integers(min_value=-16, max_value=16), min_size=1, max_size=8).map(tuple),
+    order=st.integers(min_value=0, max_value=12),
+)
+@example(ks=(16, -16, 0, 16, -16, 0, 16, -16), order=12)
+@example(ks=(0,) * 8, order=12)
+@example(ks=(16,), order=12)
+def test_multi_li_matches_enumeration_at_depth_eight(ks, order):
+    """Indices up to +-16 put the running sum over lcm(1..N)^k at each depth."""
+    assert list(multi_li_series(ks, order).coeffs) == multi_li_ordinary(ks, order)
+
+
+def both_forms(ordinary):
+    """One series twice: with its integer numerators, and as rationals only."""
+    ints = Egf.from_ordinary(ordinary)
+    rationals_only = Egf(Egf.from_ordinary(ordinary).coeffs)
+    assert ints._nums is not None and rationals_only._nums is None
+    return ints, rationals_only
+
+
+@pytest.mark.parametrize("forms", [(0, 0), (0, 1), (1, 0), (1, 1)], ids=["ii", "ir", "ri", "rr"])
+@settings(max_examples=15)
+@given(
+    order=st.integers(min_value=1, max_value=10),
+    f=st.lists(wide_rationals, max_size=11),
+    g0=divisor_constants,
+    g_tail=st.lists(wide_rationals, max_size=10),
+    ks=st.lists(st.integers(min_value=-3, max_value=3), min_size=1, max_size=3).map(tuple),
+)
+def test_every_kernel_reads_both_forms(forms, order, f, g0, g_tail, ks):
+    """Each kernel, fed an integer-form and a rationals-only operand in every
+    combination, against the oracles."""
+    f, unit = padded(f, order), padded([g0] + g_tail, order)
+    nil = [F(0)] + unit[1:]
+    a = both_forms(f)[forms[0]]
+    b, n = both_forms(unit)[forms[1]], both_forms(nil)[forms[1]]
+    assert list(egf_add(a, b).ordinary()) == ord_add(f, unit, order)
+    assert list(egf_scale(a, g0).ordinary()) == ord_scale(f, g0, order)
+    assert list(egf_mul(a, b).ordinary()) == ord_mul(f, unit, order)
+    assert list(egf_div(a, b).ordinary()) == ord_div(f, unit, order)
+    assert list(egf_pow(b, 3).ordinary()) == ord_pow(unit, 3, order)
+    assert list(egf_compose(a, n).ordinary()) == ord_compose(f, nil, order)
+    assert list(a.truncate(order - 1).ordinary()) == f[:order]
+    shifted = both_forms([F(0)] + f[:order])[forms[0]]
+    assert list(egf_div_shifted(shifted, both_forms([F(0)] + unit[:order])[forms[1]], 1).ordinary()) == (
+        ord_div(f, unit, order - 1)
+    )
+    expected = ord_compose(multi_li_ordinary(ks, order), nil, order)
+    assert list(li_of_inner(ks, n, order).ordinary()) == expected
 
 
 @given(ks=kvectors, order=orders, scale=nonzero_rationals)
