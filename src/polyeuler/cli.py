@@ -36,17 +36,17 @@ MAX_DIGITS = 4
 # Each family and the flags of SELECTIVE_FLAGS that it reads; passing it any
 # other of them is a usage error, not a silently ignored value.
 FAMILIES = {
-    "bernoulli": (),
-    "euler": (),
-    "poly-bernoulli": ("k", "x"),
-    "poly-euler": ("k", "x"),
-    "poly-euler-sasaki": ("k",),
-    "multi-poly-bernoulli": ("ks",),
-    "multi-poly-euler": ("ks", "x", "alpha", "beta", "gamma"),
-    "poly-euler-abc": ("k", "x", "alpha", "beta", "gamma"),
+    "bernoulli": ("n",),
+    "euler": ("n", "convention"),
+    "poly-bernoulli": ("n", "k", "x"),
+    "poly-euler": ("n", "k", "x"),
+    "poly-euler-sasaki": ("n", "k"),
+    "multi-poly-bernoulli": ("n", "ks"),
+    "multi-poly-euler": ("n", "ks", "x", "alpha", "beta", "gamma"),
+    "poly-euler-abc": ("n", "k", "x", "alpha", "beta", "gamma"),
     "lonesum": ("rows", "cols"),
 }
-SELECTIVE_FLAGS = ("k", "ks", "x", "alpha", "beta", "gamma", "rows", "cols")
+SELECTIVE_FLAGS = ("n", "k", "ks", "x", "alpha", "beta", "gamma", "convention", "rows", "cols")
 
 
 class UsageError(Exception):
@@ -79,7 +79,7 @@ def _seq_parser(prog: str = "polyseq") -> argparse.ArgumentParser:
     p.add_argument(
         "--convention",
         choices=[c.value for c in EulerConvention],
-        default=EulerConvention.GENOCCHI_TYPE.value,
+        default=None,
         help="Euler number convention (default genocchi)",
     )
     p.add_argument("--rows", type=int, default=None, help="lonesum row count")
@@ -127,7 +127,8 @@ def _sequence_for(args: argparse.Namespace) -> list[Fraction]:
     if family == "bernoulli":
         return classical.bernoulli_numbers(order)
     if family == "euler":
-        return classical.euler_numbers(order, EulerConvention(args.convention))
+        convention = args.convention or EulerConvention.GENOCCHI_TYPE.value
+        return classical.euler_numbers(order, EulerConvention(convention))
     if family == "poly-bernoulli":
         _require(args.k is not None, "poly-bernoulli needs --k")
         return polyfamily.poly_bernoulli(args.k, x, order)
@@ -282,8 +283,15 @@ def cmd_audit(args: argparse.Namespace, out=None, err=None) -> int:
     return 0 if audit.report_ok(report) else 1
 
 
+# Parsers built so far, one per factory: each is built on its first use in
+# the process, not at import.
+_PARSERS: dict[Callable, argparse.ArgumentParser] = {}
+
+
 def _dispatch(parser_factory: Callable, runner: Callable, argv: Sequence[str] | None) -> int:
-    parser = parser_factory()
+    parser = _PARSERS.get(parser_factory)
+    if parser is None:
+        parser = _PARSERS[parser_factory] = parser_factory()
     args = parser.parse_args(argv)
     try:
         return runner(args)

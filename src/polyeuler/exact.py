@@ -11,7 +11,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from math import comb, factorial, gcd, lcm
 from typing import Iterable, Sequence, Union
 
@@ -344,7 +343,6 @@ def _shift_down(f: Egf, s: int) -> Egf:
     )
 
 
-@lru_cache(maxsize=32)
 def _bell_table(u: tuple[int, ...], den: int) -> tuple[int, tuple[tuple[int, ...], ...]]:
     """Partial Bell polynomials B_{j,m}(u_1, u_2, ...) for 0 <= m <= j <= len(u).
 
@@ -355,7 +353,8 @@ def _bell_table(u: tuple[int, ...], den: int) -> tuple[int, tuple[tuple[int, ...
     of the second kind, B_{j,m} = (-1)^{j-m} S(j, m), filled in O(N^2) by
     the two-term recurrence B_{j+1,m} = -m B_{j,m} + B_{j,m-1}.  Any other u
     takes the generic O(N^3) recurrence
-    B_{j,m} = sum_i C(j-1, i-1) u_i B_{j-i,m-1}.
+    B_{j,m} = sum_i C(j-1, i-1) u_i B_{j-i,m-1}.  Not cached: the package
+    composes only with 1 - e^{-t}, whose table refills in O(N^2).
     """
     rows: list[tuple[int, ...]] = [(1,)]
     if den == 1 and u == ((1, -1) * len(u))[: len(u)]:
@@ -379,32 +378,19 @@ def _bell_table(u: tuple[int, ...], den: int) -> tuple[int, tuple[tuple[int, ...
 def egf_compose(f: Egf, g: Egf) -> Egf:
     """Composition f(g(t)), defined when g has zero constant term.
 
-    Faà di Bruno: h_n = sum_m f_m B_{n,m}(g_1, g_2, ...).  The inner series is
-    first normalised to g(t) = u(s t) with s = g_1 (or 1 when g_1 = 0), so
-    h_n = s^n sum_m f_m B_{n,m}(u).  Every 1 - e^{-ct} normalises to the same
-    u = 1 - e^{-t}, whose cached Stirling table serves all scales c.  With
-    f = a/D_f, s = p/q and B_{n,m}(u) = rows[n][m] / D^m, every h_n is an
-    integer over q^N D_f D^N.
+    Faà di Bruno: h_n = sum_m f_m B_{n,m}(g_1, g_2, ...), over the Bell
+    table of g itself.  With f = a/D_f and B_{n,m}(g) = rows[n][m] / D^m,
+    every h_n is an integer over D_f D^N.
     """
     c, dg = g.numerators()
     if c[0] != 0:
         raise NonNilpotentInner("inner series has nonzero constant term")
     n = min(f.order, g.order)
-    s = Fraction(c[1], dg) if n and c[1] else Fraction(1)
-    p_pow = integer_powers(s.numerator, n)
-    q_pow = integer_powers(s.denominator, n)
-    u = lowest_terms((c[i] * q_pow[i] * p_pow[n - i] for i in range(1, n + 1)), dg * p_pow[n])
-    den, bell = _bell_table(*u)
+    den, bell = _bell_table(*lowest_terms(c[1 : n + 1], dg))
     d_pow = integer_powers(den, n)
     a, df = f.numerators()
     scaled = [a[m] * d_pow[n - m] for m in range(n + 1)]
-    return Egf.of(
-        (
-            p_pow[j] * q_pow[n - j] * sum(am * b for am, b in zip(scaled, row))
-            for j, row in enumerate(bell)
-        ),
-        q_pow[n] * df * d_pow[n],
-    )
+    return Egf.of((sum(am * b for am, b in zip(scaled, row)) for row in bell), df * d_pow[n])
 
 
 def egf_exp_linear(value: RationalLike, order: int) -> Egf:

@@ -3,8 +3,10 @@
 All sequences are exact EGF coefficient lists; every poly- and multi-family
 is read off one of two cached shapes, ``_euler_egf`` or ``_bernoulli_egf``.
 The Euler shape is e^{wt} times a quotient cached per (ks, alpha, beta),
-whose denominator is cached in turn; both shapes read one cached numerator,
-Li_ks(1-e^{-t}).
+whose denominator is cached in turn.  Every numerator is read off one
+cached series, Li_ks(1-e^{-t}): the Bernoulli shape uses it as it is, and
+Li_ks(1-e^{-ct}) of the Euler shape (c = alpha + beta) and of the Sasaki
+variant (c = 4) is it with coefficient n scaled by c^n.
 The lonesum count is the combinatorial side of the negative-index
 poly-Bernoulli identity and is computed by brute enumeration, which keeps it
 an independent ground truth.
@@ -36,15 +38,26 @@ class TooLarge(ValueError):
     """Lonesum enumeration is capped at ENUMERATION_CELL_LIMIT cells."""
 
 
-def _one_minus_exp(value, order: int) -> Egf:
-    """1 - e^{value t}; vanishes to order 1 when value != 0."""
-    return egf_add(Egf.constant(1, order), egf_scale(egf_exp_linear(value, order), -1))
+def _one_minus_exp(order: int) -> Egf:
+    """1 - e^{-t}, which vanishes to order 1."""
+    return egf_add(Egf.constant(1, order), egf_scale(egf_exp_linear(-1, order), -1))
 
 
 @lru_cache(maxsize=256)
 def _li_numerator(ks: KVector, order: int) -> Egf:
-    """Li_ks(1-e^{-t}); Li_ks(1-e^{-ct}) is it with coefficient n scaled by c^n."""
-    return li_of_inner(ks, _one_minus_exp(-1, order), order)
+    """Li_ks(1-e^{-t}), the numerator every family shares."""
+    return li_of_inner(ks, _one_minus_exp(order), order)
+
+
+def _li_numerator_at(ks: KVector, c: Fraction | int, order: int) -> tuple[list[int], int]:
+    """Li_ks(1-e^{-ct}) as integer numerators over one denominator.
+
+    Kaneko's Stirling form makes coefficient n of Li_ks(1-e^{-ct}) that of
+    the cached Li_ks(1-e^{-t}) times c^n, so no other numerator is composed.
+    """
+    powers, scale = egf_exp_linear(c, order).numerators()
+    nums, den = _li_numerator(ks, order).numerators()
+    return [p * v for p, v in zip(powers, nums)], scale * den
 
 
 @lru_cache(maxsize=256)
@@ -57,13 +70,12 @@ def _euler_denominator(alpha: Fraction, beta: Fraction, r: int, order: int) -> E
 def _euler_quotient(ks: KVector, alpha: Fraction, beta: Fraction, order: int) -> Egf:
     """2 Li_ks(1-e^{-(alpha+beta)t}) / (e^{-alpha t}+e^{beta t})^r, r = len(ks).
 
-    Coefficient n of the numerator is 2 (alpha+beta)^n times that of the
-    cached Li_ks(1-e^{-t}); the denominator is never rescaled from another
-    (alpha, beta), so thm1's t -> (alpha+beta)t law is still checked.
+    The numerator is read off the cached Li_ks(1-e^{-t}); the denominator
+    is never rescaled from another (alpha, beta), so thm1's
+    t -> (alpha+beta)t law is still checked.
     """
-    powers, scale = egf_exp_linear(alpha + beta, order).numerators()
-    nums, den = _li_numerator(ks, order).numerators()
-    numerator = Egf.of((2 * p * v for p, v in zip(powers, nums)), scale * den)
+    nums, den = _li_numerator_at(ks, alpha + beta, order)
+    numerator = Egf.of((2 * v for v in nums), den)
     return egf_div(numerator, _euler_denominator(alpha, beta, len(ks), order))
 
 
@@ -88,7 +100,7 @@ def _bernoulli_egf(ks: KVector, x: Fraction, order: int) -> Egf:
     """
     r = len(ks)
     work = order + r
-    inner = _one_minus_exp(-1, work)
+    inner = _one_minus_exp(work)
     quotient = egf_div_shifted(_li_numerator(ks, work), egf_pow(inner, r), r)
     return egf_mul(egf_exp_linear(x, order), quotient)
 
@@ -103,18 +115,13 @@ def poly_euler(k: int, x: Fraction | int, order: int) -> list[Fraction]:
     return list(_euler_egf((k,), Fraction(x), Fraction(0), Fraction(1), order).coeffs)
 
 
-@lru_cache(maxsize=4096)
-def _poly_euler_sasaki_egf(k: int, order: int) -> Egf:
-    work = order + 1
-    numerator = li_of_inner((k,), _one_minus_exp(-4, work), work)
-    cosh = egf_scale(egf_add(egf_exp_linear(1, work), egf_exp_linear(-1, work)), Fraction(1, 2))
-    denominator = egf_mul(egf_scale(Egf.t(work), 4), cosh)
-    return egf_div_shifted(numerator, denominator, 1)
-
-
 def poly_euler_sasaki(k: int, order: int) -> list[Fraction]:
     """Sasaki-style poly-Euler numbers from Li_k(1-e^{-4t})/(4t cosh t)."""
-    return list(_poly_euler_sasaki_egf(k, order).coeffs)
+    work = order + 1
+    numerator = Egf.of(*_li_numerator_at((k,), 4, work))
+    cosh = egf_scale(egf_add(egf_exp_linear(1, work), egf_exp_linear(-1, work)), Fraction(1, 2))
+    denominator = egf_mul(egf_scale(Egf.t(work), 4), cosh)
+    return list(egf_div_shifted(numerator, denominator, 1).coeffs)
 
 
 def lonesum_count(n: int, k: int) -> int:

@@ -15,7 +15,6 @@ coefficients read in the ordinary sense (coeffs[m] multiplies z^m).
 
 from __future__ import annotations
 
-from functools import lru_cache
 from math import factorial, lcm
 from typing import Sequence
 
@@ -46,30 +45,25 @@ def li_series(k: int, order: int) -> Egf:
     return multi_li_series((k,), order)
 
 
-@lru_cache(maxsize=256)
-def _multi_li_coeffs(ks: KVector, order: int) -> tuple[tuple[int, ...], int]:
-    # row[m] / den = S_j(m), the sum over tuples of depth j ending at m_j = m;
-    # the empty tuple (depth 0) ends at 0.  A positive index puts the row
-    # over lcm(1..order)^k, so each depth divides by m^k exactly.
-    row, den = (1,) + (0,) * order, 1
-    common = lcm(*range(1, order + 1))
-    for k in ks:
-        below = 0
-        nxt = [0] * (order + 1)
-        for m in range(1, order + 1):
-            below += row[m - 1]
-            nxt[m] = below * (m**-k if k <= 0 else (common // m) ** k)
-        row, den = lowest_terms(nxt, den if k <= 0 else den * common**k)
-    return row, den
-
-
 def multi_li_series(ks: Sequence[int], order: int) -> Egf:
     """Truncated nested sum over 1 <= m_1 < ... < m_r <= order.
 
     coeffs[m] collects every admissible index tuple ending at m_r = m, so
     the lowest possible nonzero degree is r.
     """
-    return Egf.of(*_multi_li_coeffs(validate_kvector(ks), order))
+    # row[m] / den = S_j(m), the sum over tuples of depth j ending at m_j = m;
+    # the empty tuple (depth 0) ends at 0.  A positive index puts the row
+    # over lcm(1..order)^k, so each depth divides by m^k exactly.
+    row, den = (1,) + (0,) * order, 1
+    common = lcm(*range(1, order + 1))
+    for k in validate_kvector(ks):
+        below = 0
+        nxt = [0] * (order + 1)
+        for m in range(1, order + 1):
+            below += row[m - 1]
+            nxt[m] = below * (m**-k if k <= 0 else (common // m) ** k)
+        row, den = lowest_terms(nxt, den if k <= 0 else den * common**k)
+    return Egf.of(row, den)
 
 
 def li_of_inner(ks: Sequence[int], inner: Egf, order: int) -> Egf:

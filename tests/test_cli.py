@@ -100,9 +100,9 @@ class TestSeqErrors:
     def test_lonesum_guard_exits_2(self):
         assert main_seq(["lonesum", "--rows", "5", "--cols", "5"]) == 2
 
-    # Per family: a valid request, then one flag that the family does not read.
+    # Per family: a valid request, then each flag that the family does not read.
     UNREAD_FLAG = {
-        "bernoulli": (["--n=3"], "--k=1"),
+        "bernoulli": (["--n=3"], "--k=1", "--convention=secant"),
         "euler": (["--n=3"], "--x=1/2"),
         "poly-bernoulli": (["--k=1", "--x=1/2", "--n=3"], "--ks=1,2"),
         "poly-euler": (["--k=1", "--x=1/2", "--n=3"], "--alpha=1"),
@@ -113,19 +113,20 @@ class TestSeqErrors:
             ["--k=1", "--x=1", "--alpha=1", "--beta=1", "--gamma=1", "--n=3"],
             "--cols=2",
         ),
-        "lonesum": (["--rows=2", "--cols=2"], "--x=0"),
+        "lonesum": (["--rows=2", "--cols=2"], "--x=0", "--n=99999"),
     }
 
     @pytest.mark.parametrize("family", sorted(UNREAD_FLAG))
     def test_flag_the_family_does_not_read_exits_2(self, family, capsys):
-        argv, unread = self.UNREAD_FLAG[family]
+        argv, *unread_flags = self.UNREAD_FLAG[family]
         assert main_seq([family, *argv]) == 0
         capsys.readouterr()
-        assert main_seq([family, *argv, unread]) == 2
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        flag = unread.partition("=")[0]
-        assert captured.err.splitlines() == [f"error: {family} does not read {flag}"]
+        for unread in unread_flags:
+            assert main_seq([family, *argv, unread]) == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            flag = unread.partition("=")[0]
+            assert captured.err.splitlines() == [f"error: {family} does not read {flag}"]
 
     def test_gamma_with_depth_two_exits_2(self):
         code = main_seq(

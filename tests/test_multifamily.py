@@ -381,3 +381,12 @@ class TestEulerShapeCaches:
         }
         for cache in caches:
             assert cache.cache_info().maxsize is not None, cache.__qualname__
+
+    def test_every_cache_is_reused(self):
+        """A cache that the audit never hits again only holds memory."""
+        caches = _package_caches()
+        for cache in caches:
+            cache.cache_clear()
+        audit.run_all(0, 3)
+        for cache in caches:
+            assert cache.cache_info().hits, cache.__qualname__

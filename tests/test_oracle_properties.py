@@ -27,6 +27,7 @@ from polyeuler.exact import (
     integer_numerators,
 )
 from polyeuler.multifamily import LogParams
+from polyeuler.polyfamily import _li_numerator_at
 from polyeuler.polylog import li_of_inner, multi_li_series
 
 import oracles
@@ -156,6 +157,24 @@ def test_bell_table_near_one_minus_exp_is_generic(name):
 def test_compose_with_one_minus_exp_at_order_40(scale):
     outer = [F(0)] + [F((-1) ** m * (m + 2), m * m + 1) for m in range(1, 41)]
     compose_matches_oracle(outer, one_minus_exp(-scale, 40), 40)
+
+
+@settings(max_examples=30)
+@given(
+    ks=st.lists(st.integers(min_value=-3, max_value=3), min_size=1, max_size=3).map(tuple),
+    scale=rationals,
+    order=st.integers(min_value=0, max_value=12),
+)
+@example(ks=(2,), scale=F(1), order=12)
+@example(ks=(1, -2), scale=F(4), order=12)
+@example(ks=(3, 1, -1), scale=F(-7, 3), order=12)
+@example(ks=(-3, 2), scale=F(0), order=12)
+def test_li_numerator_at_matches_composition(ks, scale, order):
+    """Li_ks(1 - e^{-ct}) by the c^n rule against composing the enumerated
+    nested sum with 1 - e^{-ct}."""
+    nums, den = _li_numerator_at(ks, scale, order)
+    want = ord_compose(multi_li_ordinary(ks, order), one_minus_exp(-scale, order), order)
+    assert [F(v, den) for v in nums] == egf_from_ord(want)
 
 
 @given(order=orders, f=st.lists(wide_rationals, max_size=21), g=st.lists(wide_rationals, max_size=21))
