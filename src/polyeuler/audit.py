@@ -20,11 +20,11 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
-from typing import Callable, Iterable, Mapping
+from typing import Callable, Iterable, Mapping, Sequence
 
 from . import classical, multifamily, polyfamily
 from .classical import EulerConvention
-from .exact import egf_add, egf_exp_linear, egf_scale, format_rational
+from .exact import Egf, egf_add, egf_exp_linear, egf_scale, format_rational
 from .multifamily import LogParams
 
 PASS = "PASS"
@@ -148,9 +148,23 @@ class _Check:
     notes_fail: str
 
 
+def _ratios(values) -> tuple[Sequence[int], Sequence[int]]:
+    """Numerators and denominators of one side: an ``Egf`` gives its integer
+    numerators over its one denominator, a list its rationals' own."""
+    if isinstance(values, Egf):
+        nums, den = values.numerators()
+        return nums, [den] * len(nums)
+    return [v.numerator for v in values], [v.denominator for v in values]
+
+
 def _compare(case: IdentityCase, check: _Check) -> CaseResult:
     """Walk the grid in order, computing both sides once per point; report
-    the first mismatch if any."""
+    the first mismatch if any.
+
+    Values are compared by cross-multiplication, so a side given as an
+    ``Egf`` is never turned into rationals; a ``Fraction`` is built only to
+    format the first counterexample.
+    """
     grid_size = 0
     first = None
     for point in check.points(case):
@@ -158,13 +172,14 @@ def _compare(case: IdentityCase, check: _Check) -> CaseResult:
         actual = check.actual(case, point)
         if not check.sequence:
             expected, actual = [expected], [actual]
-        for n in range(len(expected)):
+        (e_num, e_den), (a_num, a_den) = _ratios(expected), _ratios(actual)
+        for n in range(len(e_num)):
             grid_size += 1
-            if expected[n] != actual[n] and first is None:
+            if first is None and e_num[n] * a_den[n] != a_num[n] * e_den[n]:
                 first = {
                     "params": _fmt_params({**point, "n": n} if check.sequence else point),
-                    "expected": format_rational(expected[n]),
-                    "actual": format_rational(actual[n]),
+                    "expected": format_rational(Fraction(e_num[n], e_den[n])),
+                    "actual": format_rational(Fraction(a_num[n], a_den[n])),
                 }
     if first is None:
         return CaseResult(case.id, case.variant, grid_size, PASS, None, check.notes_pass)
@@ -305,7 +320,7 @@ _TABLE: dict[str, _Check | Callable[[IdentityCase], CaseResult]] = {
         lambda c, p: egf_scale(
             egf_add(egf_exp_linear(1, c.grid["n_max"]), egf_exp_linear(-1, c.grid["n_max"])),
             Fraction(1, 2),
-        ).coeffs,
+        ),
         "cosh t expands to the secant numbers",
         "documented misprint: the relation holds for 1/cosh t, not cosh t; "
         "the secant convention follows the determinant values",

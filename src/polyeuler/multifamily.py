@@ -7,12 +7,17 @@ polynomial identity in these rationals and can be certified point by point
 with zero tolerance.
 
 The right-hand-side evaluators (thm1_rhs .. addition_rhs) recompute the
-registered identities' claimed expansions from more primitive sequences.
-They add up every printed term, over Python ints with one denominator per
-coefficient, and never call a series product or another right side, so the
-audit's two sides stay independent; thm3_explicit and thm4_explicit are audit instruments that evaluate two
+registered identities' claimed expansions from more primitive sequences,
+read as integer numerators off the cached Euler shape.  They add up every
+printed term over Python ints and return an integer-numerator ``Egf`` over
+one denominator, which the audit compares with the list-returning family on
+the other side by cross-multiplication.  They never call a series product
+or another right side, so the audit's two sides stay independent.
+
+thm3_explicit and thm4_explicit are audit instruments that evaluate two
 printed "explicit formulas" exactly as stated, caps and all, so the audit
-can report how far their partial sums are from the series values.
+can report how far their partial sums are from the series values.  Each
+sums Python ints over one denominator and builds one ``Fraction``.
 """
 
 from __future__ import annotations
@@ -21,10 +26,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations_with_replacement
-from math import comb, factorial
+from math import comb, factorial, lcm
 from typing import Sequence
 
-from .exact import integer_numerators, integer_powers
+from .exact import Egf, integer_powers
 from .polyfamily import _bernoulli_egf, _euler_egf
 from .polylog import KVector, validate_kvector
 
@@ -118,24 +123,35 @@ class MultiPolyEulerSpec:
         return poly_euler_abc(self.ks[0], self.x, self.params, self.order)
 
 
-def thm1_rhs(ks: Sequence[int], params: LogParams, order: int) -> list[Fraction]:
-    """Registered identity thm1, right side: E_n(ln a/(ln a+ln b)) (ln a+ln b)^n."""
-    if params.log_ab == 0:
+def thm1_rhs(ks: Sequence[int], params: LogParams, order: int) -> Egf:
+    """Registered identity thm1, right side: E_n(ln a/(ln a+ln b)) (ln a+ln b)^n.
+
+    With E_n = v_n / D and ln a+ln b = l/l', term n is v_n l^n l'^{N-n}
+    over D l'^N.
+    """
+    lab = params.log_ab
+    if lab == 0:
         raise DegenerateParams("thm1 requires ln a + ln b != 0")
-    plain = multi_poly_euler(ks, params.alpha / params.log_ab, order)
-    return [plain[n] * params.log_ab**n for n in range(order + 1)]
+    ks = validate_kvector(ks)
+    w = len(ks) * (params.alpha / lab)
+    v, den = _euler_egf(ks, w, Fraction(0), Fraction(1), order).numerators()
+    top = integer_powers(lab.numerator, order)
+    bottom = integer_powers(lab.denominator, order)
+    nums = (v[n] * top[n] * bottom[order - n] for n in range(order + 1))
+    return Egf.of(nums, den * bottom[order])
 
 
 def _binomial_shift(
-    values: Sequence[Fraction], shift: Fraction, scale: Fraction, order: int
-) -> list[Fraction]:
+    values: tuple[Sequence[int], int], shift: Fraction, scale: Fraction, order: int
+) -> Egf:
     """sum_i C(n,i) shift^{n-i} scale^i values_i for n = 0..order, term by term.
 
     With shift = s/s', scale = c/c' and values = v/D over integers, term i
     of row n is C(n,i) (s c')^{n-i} (c s')^i v_i over the row denominator
-    (s' c')^n D, so each row builds a single ``Fraction``.
+    (s' c')^n D; every row is lifted to (s' c')^N D, the one denominator of
+    the result.
     """
-    v, den = integer_numerators(values[: order + 1])
+    v, den = values
     s, sd = shift.numerator, shift.denominator
     c, cd = scale.numerator, scale.denominator
     shift_pow = integer_powers(s * cd, order)
@@ -147,43 +163,43 @@ def _binomial_shift(
         for i in range(n + 1):
             if v[i]:
                 total += comb(n, i) * shift_pow[n - i] * scale_pow[i] * v[i]
-        out.append(Fraction(total, row_den[n] * den))
-    return out
+        out.append(total * row_den[order - n])
+    return Egf.of(out, row_den[order] * den)
 
 
-def thm2_rhs(ks: Sequence[int], params: LogParams, order: int) -> list[Fraction]:
+def thm2_rhs(ks: Sequence[int], params: LogParams, order: int) -> Egf:
     """Registered identity thm2, right side: a binomial mix of the plain numbers.
 
     Term i carries r^{n-i} (ln a+ln b)^i (ln a)^{n-i} C(n,i) E_i, summed over
-    integers with one denominator per n.
+    integers with one denominator.
     """
-    r = len(validate_kvector(ks))
-    plain = multi_poly_euler(ks, Fraction(0), order)
-    return _binomial_shift(plain, r * params.alpha, params.log_ab, order)
+    ks = validate_kvector(ks)
+    plain = _euler_egf(ks, Fraction(0), Fraction(0), Fraction(1), order).numerators()
+    return _binomial_shift(plain, len(ks) * params.alpha, params.log_ab, order)
 
 
-def cor1_rhs(
-    ks: Sequence[int], x: Fraction | int, params: LogParams, order: int
-) -> list[Fraction]:
+def cor1_rhs(ks: Sequence[int], x: Fraction | int, params: LogParams, order: int) -> Egf:
     """Registered identity cor1, right side: sum_i C(n,i) r^{n-i} E_i(a,b) x^{n-i}."""
-    r = len(validate_kvector(ks))
-    ab = multi_poly_euler_ab(ks, params, order)
-    return _binomial_shift(ab, r * Fraction(x), Fraction(1), order)
+    ks = validate_kvector(ks)
+    ab = _euler_egf(ks, Fraction(0), params.alpha, params.beta, order).numerators()
+    return _binomial_shift(ab, len(ks) * Fraction(x), Fraction(1), order)
 
 
 def _combined_sum(
     ks: Sequence[int], x: Fraction | int, params: LogParams, order: int, printed: bool
-) -> list[Fraction]:
+) -> Egf:
     """sum_{k<=n} sum_{j<=k} r^e C(n,k) C(k,j) (ln a)^{k-j} (ln a+ln b)^j E_j x^{n-k}
     with e = n-k when ``printed`` and e = n-j otherwise.
 
     Every (n, k, j) term is summed over integers: with x = p/p', ln a = q/q'
     and ln a+ln b = l/l', the powers are rescaled to the row denominator
-    (p' q' l')^n D, where D is the common denominator of the E_j.
+    (p' q' l')^n D, where D is the common denominator of the E_j, and every
+    row is lifted to (p' q' l')^N D.
     """
-    r = len(validate_kvector(ks))
+    ks = validate_kvector(ks)
+    r = len(ks)
     x = Fraction(x)
-    plain, den = integer_numerators(multi_poly_euler(ks, Fraction(0), order))
+    plain, den = _euler_egf(ks, Fraction(0), Fraction(0), Fraction(1), order).numerators()
     p, pd = x.numerator, x.denominator
     q, qd = params.alpha.numerator, params.alpha.denominator
     lab, ld = params.log_ab.numerator, params.log_ab.denominator
@@ -207,13 +223,11 @@ def _combined_sum(
                         * plain[j]
                         * x_pow[n - k]
                     )
-        out.append(Fraction(total, row_den[n] * den))
-    return out
+        out.append(total * row_den[order - n])
+    return Egf.of(out, row_den[order] * den)
 
 
-def combined_rhs(
-    ks: Sequence[int], x: Fraction | int, params: LogParams, order: int
-) -> list[Fraction]:
+def combined_rhs(ks: Sequence[int], x: Fraction | int, params: LogParams, order: int) -> Egf:
     """Registered identity "combined": the double sum obtained by feeding the
     thm2 expansion into cor1.
 
@@ -226,7 +240,7 @@ def combined_rhs(
 
 def combined_rhs_printed(
     ks: Sequence[int], x: Fraction | int, params: LogParams, order: int
-) -> list[Fraction]:
+) -> Egf:
     """The same double sum with r^{n-k} exactly as printed (audit instrument)."""
     return _combined_sum(ks, x, params, order, printed=True)
 
@@ -237,10 +251,11 @@ def addition_rhs(
     y: Fraction | int,
     params: LogParams,
     order: int,
-) -> list[Fraction]:
+) -> Egf:
     """Registered identity cor2, right side: sum_k C(n,k) r^{n-k} E_k(x;a,b) y^{n-k}."""
-    r = len(validate_kvector(ks))
-    base = multi_poly_euler_xab(ks, x, params, order)
+    ks = validate_kvector(ks)
+    r = len(ks)
+    base = _euler_egf(ks, r * Fraction(x), params.alpha, params.beta, order).numerators()
     return _binomial_shift(base, r * Fraction(y), Fraction(1), order)
 
 
@@ -265,18 +280,22 @@ def _compositions(total: int, positions: int) -> tuple[tuple[int, ...], ...]:
     return tuple(out)
 
 
-def _index_tuple_weight(ms: tuple[int, ...], ks: KVector) -> Fraction | None:
-    """1 / (m_1^{k_1} ... m_r^{k_r}) with 0^0 = 1; None when a zero index
-    meets a positive exponent (the genuinely undefined case)."""
-    weight = Fraction(1)
+def _index_tuple_weight(ms: tuple[int, ...], ks: KVector, big: int) -> int | None:
+    """big^K / (m_1^{k_1} ... m_r^{k_r}) with 0^0 = 1 and K the sum of the
+    positive k_i, an integer when big is a multiple of every nonzero m_i;
+    None when a zero index meets a positive exponent (the genuinely
+    undefined case)."""
+    weight = 1
     for m, k in zip(ms, ks):
         if m == 0:
             if k > 0:
                 return None
             if k < 0:
-                weight *= 0
+                weight = 0
+        elif k > 0:
+            weight *= (big // m) ** k
         else:
-            weight /= Fraction(m) ** k
+            weight *= m**-k
     return weight
 
 
@@ -293,6 +312,9 @@ def thm3_explicit(
     zero, exactly as stated) and compositions c_1 + c_2 + ... = r over part
     positions 1..part_cap.  The summand factors into an (m, j)-part and a
     composition part, which are summed separately; the grouping is exact.
+    Both parts run over integers: the weights over L^K with L = lcm(1..m_cap)
+    and K the sum of the positive indices, the compositions over r!, and
+    (r x - j)^e over q^e for x = p/q, so the value is one ``Fraction``.
 
     This is an audit instrument: the registry records how the value moves as
     the caps grow instead of asserting an equality.
@@ -304,41 +326,44 @@ def thm3_explicit(
         raise ValueError("caps must be positive and n nonnegative")
 
     comps = _compositions(r, part_cap)
-    comp_sums = [Fraction(0)] * (n + 1)
+    r_factorial = factorial(r)
+    comp_sums = [0] * (n + 1)
     for comp in comps:
         w = sum((idx + 1) * c for idx, c in enumerate(comp))
         denom = 1
         for c in comp:
             denom *= factorial(c)
-        sign = -1 if w % 2 else 1
+        multinomial = (-1 if w % 2 else 1) * (r_factorial // denom)
         for i in range(n + 1):
-            comp_sums[i] += Fraction(sign * w**i, denom)
+            comp_sums[i] += multinomial * w**i
 
     # The (m, j) term depends on the index tuple only through its weight and
     # m_r, so the weights are summed per m_r and the coefficient of each
-    # power (r x - j)^e is formed once per j.
-    last_sums = [Fraction(0)] * (m_cap + 1)
+    # power (r p - j q)^e is formed once per j.
+    big = lcm(*range(1, m_cap + 1))
+    last_sums = [0] * (m_cap + 1)
     skipped = 0
     for ms in combinations_with_replacement(range(m_cap + 1), r):
-        weight = _index_tuple_weight(ms, ks)
+        weight = _index_tuple_weight(ms, ks, big)
         if weight is None:
             skipped += (ms[-1] + 1) * len(comps) * (n + 1)
             continue
         last_sums[ms[-1]] += weight
-    power_sums = [Fraction(0)] * (n + 1)
+    p, q = x.numerator, x.denominator
+    power_sums = [0] * (n + 1)
     for j in range(m_cap + 1):
         factor = sum(comb(m, j) * last_sums[m] for m in range(j, m_cap + 1))
         if not factor:
             continue
         term = factor if j % 2 == 0 else -factor
-        base = r * x - j
+        base = r * p - j * q
         for e in range(n + 1):
             power_sums[e] += term
             term *= base
-    total = Fraction(0)
-    for i in range(n + 1):
-        total += 2 * factorial(r) * comb(n, i) * power_sums[n - i] * comp_sums[i]
-    return CappedSum(total, skipped)
+    q_pow = integer_powers(q, n)
+    total = sum(comb(n, i) * power_sums[n - i] * comp_sums[i] * q_pow[i] for i in range(n + 1))
+    k_plus = sum(k for k in ks if k > 0)
+    return CappedSum(Fraction(2 * total, big**k_plus * q_pow[n]), skipped)
 
 
 THM4_VARIANTS = ("statement", "proof")
@@ -356,32 +381,35 @@ def thm4_explicit(
     The variants differ in the multiplier of ln b inside the n-th power:
     (m-j+i+1) for "statement", (m-j+i) for "proof".  Terms with j = 0 and
     k > 0 are skipped and tallied; for k <= 0 the j = 0 term is defined
-    (0^0 = 1, and 1/0^k vanishes for negative k).
+    (0^0 = 1, and 1/0^k vanishes for negative k).  The sum runs over
+    integers over L^{max(k,0)} D^n, with L = lcm(1..n) and D the common
+    denominator of x ln c, ln a and ln b; the n-th power depends on (m, j, i)
+    only through s = m-j+i and is taken once per s.
     """
     if variant not in THM4_VARIANTS:
         raise ValueError(f"variant must be one of {THM4_VARIANTS}, got {variant!r}")
     delta = 1 if variant == "statement" else 0
-    x = Fraction(x)
     gamma = params.gamma if params.gamma is not None else Fraction(0)
-    total = Fraction(0)
+    shift = Fraction(x) * gamma
+    den = lcm(shift.denominator, params.alpha.denominator, params.beta.denominator)
+    g, a, b = (v.numerator * (den // v.denominator) for v in (shift, params.alpha, params.beta))
+    powers = [(g - (s + 1) * a - (s + delta) * b) ** n for s in range(n + 1)]
+    big = lcm(*range(1, n + 1))
+    total = 0
     skipped = 0
     for m in range(n + 1):
         for j in range(m + 1):
-            for i in range(j + 1):
-                if j == 0:
-                    if k > 0:
-                        skipped += 1
-                        continue
-                    inv_jk = Fraction(1) if k == 0 else Fraction(0)
-                else:
-                    inv_jk = 1 / Fraction(j) ** k
-                if inv_jk == 0:
+            if j == 0:
+                if k > 0:
+                    skipped += 1
                     continue
-                sign = -1 if (m - j + i) % 2 else 1
-                base = (
-                    x * gamma
-                    - (m - j + i + 1) * params.alpha
-                    - (m - j + i + delta) * params.beta
-                )
-                total += 2 * sign * inv_jk * comb(j, i) * base**n
-    return CappedSum(total, skipped)
+                weight = 1 if k == 0 else 0
+            else:
+                weight = (big // j) ** k if k > 0 else j**-k
+            if not weight:
+                continue
+            for i in range(j + 1):
+                s = m - j + i
+                term = weight * comb(j, i) * powers[s]
+                total += -term if s % 2 else term
+    return CappedSum(Fraction(2 * total, big ** max(k, 0) * den**n), skipped)

@@ -358,3 +358,32 @@ def thm3_explicit_sum(ks, x, n, m_cap, part_cap):
     for i in range(n + 1):
         total += 2 * factorial(r) * comb(n, i) * power_sums[n - i] * comp_sums[i]
     return total, skipped
+
+
+def thm4_sum(k, x, alpha, beta, gamma, n, variant):
+    """Literal triple sum of thm4: sum over 0 <= i <= j <= m <= n of
+    2 (-1)^{m-j+i} C(j, i) j^{-k} (x gamma - (m-j+i+1) alpha - (m-j+i+d) beta)^n,
+    with d = 1 for the "statement" variant and d = 0 for the "proof" one.
+
+    Terms with j = 0 and k > 0 are undefined; they are skipped and counted.
+    0^0 = 1.  Returns (value, skipped).
+    """
+    x, alpha, beta, gamma = (Fraction(v) for v in (x, alpha, beta, gamma))
+    d = 1 if variant == "statement" else 0
+    total = Fraction(0)
+    skipped = 0
+    for m in range(n + 1):
+        for j in range(m + 1):
+            for i in range(j + 1):
+                if j == 0 and k > 0:
+                    skipped += 1
+                    continue
+                s = m - j + i
+                total += (
+                    2
+                    * Fraction(-1) ** s
+                    * comb(j, i)
+                    * Fraction(j) ** -k
+                    * (x * gamma - (s + 1) * alpha - (s + d) * beta) ** n
+                )
+    return total, skipped

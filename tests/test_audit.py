@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+from fractions import Fraction
 
 import pytest
 
@@ -13,6 +14,8 @@ from polyeuler.audit import (
     CaseResult,
     IdentityCase,
     UnknownIdentity,
+    _Check,
+    _compare,
     build_registry,
     is_expected,
     registered_ids,
@@ -21,7 +24,7 @@ from polyeuler.audit import (
     run_all,
     run_identity,
 )
-from polyeuler.exact import parse_rational
+from polyeuler.exact import Egf, parse_rational
 
 EXPECTED_IDS = {
     "eq2-power-sum",
@@ -42,12 +45,14 @@ EXPECTED_IDS = {
 
 
 # sha256 of report_to_json(run_all(seed, order)).  Any moved number, verdict
-# or note changes the hash; perfbench/goldens.json pins order 10.
+# or note changes the hash; order 10 is the default `polyaudit` report.
 REPORT_SHA256 = {
     (4, 0): "5d5ebb2c917c87a08d534d67fc0d7846f178e41cf0acc12bc4dbd507e99f3b1c",
     (4, 1): "68701876ee2d0cef6c9627116fffb61017e5c20e3521fd1f0a8e5a940390f38f",
     (6, 0): "47e71eca71abf73ce82a4601ea44e3efbce4f09731cb8e21a0570bfa16d2c572",
     (6, 1): "667538ddb6e773141fec48aa8dc14d044c630994bb91007abf1644296a04633a",
+    (10, 0): "b649fe23a979c8d5c7f0a3d99910178308eed56f37c9041c47f7d532abe5892e",
+    (10, 1): "b89d0a3dc9d95e9b7be0421a574aeba798061a5f1cdada234fd464f45867b04c",
 }
 
 
@@ -184,6 +189,49 @@ class TestDocumentedVerdicts:
         unexpected = {(r.id, r.variant) for r in report.cases if not is_expected(r)}
         assert unexpected == passing_discrepancies
         assert not report_ok(report)
+
+
+class TestCompareControls:
+    """The comparison loop reads a side given as an ``Egf`` by
+    cross-multiplication; these controls pin what it reports."""
+
+    CASE = IdentityCase("control", None, {}, 0, 4)
+    # Each value keeps its own denominator; over 12 they are 4, -10, 0, 42, 11.
+    VALUES = [Fraction(1, 3), Fraction(-5, 6), Fraction(0), Fraction(7, 2), Fraction(11, 12)]
+    NUMS = [4, -10, 0, 42, 11]
+
+    def run(self, points, actual):
+        check = _Check(lambda c: points, True, lambda c, p: self.VALUES, actual, "ok", "bad")
+        return _compare(self.CASE, check)
+
+    def test_equal_values_pass(self):
+        result = self.run([{}], lambda c, p: Egf.of(self.NUMS, 12))
+        assert (result.verdict, result.grid_size, result.counterexample) == (PASS, 5, None)
+
+    @pytest.mark.parametrize("n", range(5))
+    def test_one_numerator_off_by_one_fails_there(self, n):
+        nums = list(self.NUMS)
+        nums[n] += 1
+        off = Egf.of(nums, 12)
+        result = self.run([{}], lambda c, p: off)
+        as_fractions = self.run([{}], lambda c, p: list(off.coeffs))
+        assert result.verdict == FAIL
+        assert result.counterexample["params"] == {"n": n}
+        assert result.counterexample == as_fractions.counterexample
+        assert result.counterexample["expected"] == str(self.VALUES[n])
+        assert result.counterexample["actual"] == str(Fraction(nums[n], 12))
+
+    def test_only_the_first_mismatch_is_reported(self):
+        """Point 0 is off at n = 1 and n = 3, point 1 at n = 0."""
+        off = {0: Egf.of([4, -9, 0, 43, 11], 12), 1: Egf.of([5, -10, 0, 42, 11], 12)}
+        result = self.run([{"p": 0}, {"p": 1}], lambda c, p: off[p["p"]])
+        assert result.verdict == FAIL
+        assert result.grid_size == 10
+        assert result.counterexample == {
+            "params": {"p": 0, "n": 1},
+            "expected": "-5/6",
+            "actual": "-3/4",
+        }
 
 
 class TestReportBytes:

@@ -73,7 +73,7 @@ def compose_matches_oracle(outer, inner, order):
     tail=st.lists(rationals, max_size=3),
 )
 def test_compose_with_nonzero_linear_term(order, outer, lead, tail):
-    """g_1 != 0: the inner series is rescaled by s = g_1 before the table."""
+    """g_1 != 0: the Bell table is filled from the inner series as it is."""
     inner = padded([F(0), lead] + tail, order)
     compose_matches_oracle(padded(outer, order), inner, order)
 
@@ -254,7 +254,8 @@ RIGHT_SIDES = {
 @example(ks=(2, -1), x=F(-2, 3), y=F(5, 7), alpha=F(3, 4), beta=F(-1, 6), order=10)
 def test_right_hand_sides_match_literal_sums(side, ks, x, y, alpha, beta, order):
     package, oracle = RIGHT_SIDES[side]
-    assert package(ks, x, y, alpha, beta, order) == oracle(ks, x, y, alpha, beta, order)
+    got = package(ks, x, y, alpha, beta, order)
+    assert list(got.coeffs) == oracle(ks, x, y, alpha, beta, order)
 
 
 @settings(max_examples=20)
@@ -369,3 +370,43 @@ def test_thm3_explicit_matches_per_term_loop(ks, x, n, m_cap, part_cap):
     """thm3's grouping by j against one power term per (ms, j, e)."""
     got = multifamily.thm3_explicit(ks, x, n, m_cap, part_cap)
     assert (got.value, got.skipped_terms) == oracles.thm3_explicit_sum(ks, x, n, m_cap, part_cap)
+
+
+@settings(max_examples=25)
+@given(
+    ks=st.lists(st.integers(min_value=-3, max_value=3), min_size=1, max_size=3).map(tuple),
+    x=st.fractions(min_value=-5, max_value=5, max_denominator=9),
+    n=st.integers(min_value=0, max_value=4),
+    m_cap=st.integers(min_value=0, max_value=8),
+    part_cap=st.integers(min_value=1, max_value=4),
+)
+@example(ks=(2, 0, -1), x=F(-7, 9), n=4, m_cap=6, part_cap=4)
+@example(ks=(0, -3), x=F(5, 8), n=3, m_cap=0, part_cap=1)
+@example(ks=(3,), x=F(2, 5), n=4, m_cap=7, part_cap=4)
+@example(ks=(2, -1), x=F(-4, 9), n=4, m_cap=7, part_cap=4)
+def test_thm3_explicit_matches_literal_quadruple_sum(ks, x, n, m_cap, part_cap):
+    """Off the audit grid: the weights over lcm(1..m_cap)^K, the compositions
+    over r! and (r x - j)^e over q^e against the unfactored Fraction sum.
+    The last two examples reach weights 1/m^k with m not dividing m_cap."""
+    got = multifamily.thm3_explicit(ks, x, n, m_cap, part_cap)
+    assert (got.value, got.skipped_terms) == oracles.thm3_quadruple_sum(ks, x, n, m_cap, part_cap)
+
+
+@settings(max_examples=60)
+@given(
+    k=st.integers(min_value=-3, max_value=3),
+    x=small_rationals,
+    alpha=small_rationals,
+    beta=small_rationals,
+    gamma=st.none() | st.just(F(0)) | small_rationals,
+    n=st.integers(min_value=0, max_value=7),
+    variant=st.sampled_from(multifamily.THM4_VARIANTS),
+)
+@example(k=3, x=F(-4, 7), alpha=F(5, 6), beta=F(-2, 3), gamma=F(3, 5), n=7, variant="statement")
+@example(k=0, x=F(1, 2), alpha=F(0), beta=F(0), gamma=None, n=0, variant="proof")
+def test_thm4_explicit_matches_literal_triple_sum(k, x, alpha, beta, gamma, n, variant):
+    """Value and skipped tally of thm4 against the Fraction triple sum, for
+    every sign of k, with and without ln c."""
+    got = multifamily.thm4_explicit(k, x, LogParams(alpha, beta, gamma), n, variant)
+    expected = oracles.thm4_sum(k, x, alpha, beta, F(0) if gamma is None else gamma, n, variant)
+    assert (got.value, got.skipped_terms) == expected
