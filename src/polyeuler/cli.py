@@ -19,7 +19,7 @@ from . import audit, classical, multifamily, polyfamily
 from .audit import DEFAULT_ORDER, DEFAULT_SEED
 from .classical import EulerConvention
 from .exact import format_rational, parse_rational
-from .multifamily import LogParams, MultiPolyEulerSpec
+from .multifamily import LogParams
 from .polylog import parse_kvector
 
 ORDER_ENV = "POLYEULER_ORDER"
@@ -147,15 +147,14 @@ def _sequence_for(args: argparse.Namespace) -> list[Fraction]:
             (args.alpha is None) == (args.beta is None),
             "--alpha and --beta must be given together",
         )
-        params = None
-        if args.alpha is not None:
-            params = LogParams(args.alpha, args.beta, args.gamma)
-        elif args.gamma is not None:
-            raise UsageError("--gamma needs --alpha and --beta")
-        try:
-            return MultiPolyEulerSpec(args.ks, x, params, order).evaluate()
-        except ValueError as exc:
-            raise UsageError(str(exc)) from None
+        if args.alpha is None:
+            _require(args.gamma is None, "--gamma needs --alpha and --beta")
+            return multifamily.multi_poly_euler(args.ks, x, order)
+        params = LogParams(args.alpha, args.beta, args.gamma)
+        if args.gamma is None:
+            return multifamily.multi_poly_euler_xab(args.ks, x, params, order)
+        _require(len(args.ks) == 1, "the three-parameter family is defined for a single index")
+        return multifamily.poly_euler_abc(args.ks[0], x, params, order)
     if family == "poly-euler-abc":
         _require(args.k is not None, "poly-euler-abc needs --k")
         _require(

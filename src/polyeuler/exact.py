@@ -2,9 +2,9 @@
 
 A series is stored by its exponential-generating-function coefficients c_n,
 where the series is sum c_n t^n / n!, as integer numerators over one positive
-denominator in lowest terms.  The kernels run over those integers; a series
-hands out its coefficients as ``fractions.Fraction`` values (``coeffs``) only
-when they are read.  Nothing here ever touches floating point.
+denominator in lowest terms, and only in that form.  The kernels run over
+those integers; ``coeffs`` builds the ``fractions.Fraction`` values on each
+read.  Nothing here ever touches floating point.
 """
 
 from __future__ import annotations
@@ -86,7 +86,8 @@ def integer_numerators(values: Sequence[Fraction]) -> tuple[list[int], int]:
     """Put rationals over their least common denominator D.
 
     Returns (nums, D) with values[i] == nums[i] / D, so a sum of products can
-    run over Python ints and become one ``Fraction`` at the end.
+    run over Python ints and become one ``Fraction`` at the end.  As every
+    value is in lowest terms, D and the nums share no factor.
     """
     den = lcm(*(v.denominator for v in values))
     return [v.numerator * (den // v.denominator) for v in values], den
@@ -117,28 +118,24 @@ def lowest_terms(nums: Iterable[int], den: int) -> tuple[tuple[int, ...], int]:
 class Egf:
     """Truncated series sum_{n=0}^{N} c_n t^n/n!, N = truncation order.
 
-    The kernels read and write integer numerators over one positive
-    denominator in lowest terms (``Egf.of(nums, den)``, read back by
-    ``numerators()``).  ``coeffs``, the tuple of ``Fraction`` c_n, is built on
-    first read, after which the series keeps only the rationals; a series
-    built from rationals (``Egf(coeffs)``) holds only them, and the kernels
-    put them over their common denominator on each call.  Equality and hash
-    do not depend on the form.
+    Held only as integer numerators over one positive denominator in lowest
+    terms: ``Egf.of(nums, den)`` and ``Egf(coeffs)`` both reduce to it, and
+    ``numerators()`` reads it back.  ``coeffs``, the tuple of ``Fraction``
+    c_n, is built on each read and not kept.
 
     Immutable; all operations return new series.  Binary operations truncate
     to the smaller order of the two operands, so a result never claims more
     precision than was computed.
     """
 
-    __slots__ = ("_nums", "_den", "_coeffs")
+    __slots__ = ("_nums", "_den")
 
     def __init__(self, coeffs: Iterable[RationalLike]) -> None:
-        coeffs = _as_fraction_tuple(coeffs)
-        if not coeffs:
+        nums, den = integer_numerators(_as_fraction_tuple(coeffs))
+        if not nums:
             raise ValueError("series needs at least the constant coefficient")
-        self._nums: tuple[int, ...] | None = None
-        self._den = 1
-        self._coeffs: tuple[Fraction, ...] | None = coeffs
+        self._nums: tuple[int, ...] = tuple(nums)
+        self._den = den
 
     @classmethod
     def of(cls, nums: Iterable[int], den: int = 1) -> "Egf":
@@ -147,42 +144,33 @@ class Egf:
         if not nums:
             raise ValueError("series needs at least the constant coefficient")
         series = cls.__new__(cls)
-        series._nums, series._den, series._coeffs = nums, den, None
+        series._nums, series._den = nums, den
         return series
 
     @property
     def coeffs(self) -> tuple[Fraction, ...]:
-        if self._coeffs is None:
-            den = self._den
-            self._coeffs = tuple(Fraction(v, den) for v in self._nums)
-            self._nums = None
-        return self._coeffs
+        den = self._den
+        return tuple(Fraction(v, den) for v in self._nums)
 
     def numerators(self) -> tuple[Sequence[int], int]:
         """(nums, D) with coeffs[n] == nums[n] / D and D the least common
         denominator."""
-        if self._nums is not None:
-            return self._nums, self._den
-        return integer_numerators(self._coeffs)
+        return self._nums, self._den
 
     @property
     def order(self) -> int:
-        return len(self._coeffs if self._nums is None else self._nums) - 1
+        return len(self._nums) - 1
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Egf):
             return NotImplemented
-        a, da = self.numerators()
-        b, db = other.numerators()
-        return da == db and tuple(a) == tuple(b)
+        return self._den == other._den and self._nums == other._nums
 
     def __hash__(self) -> int:
-        nums, den = self.numerators()
-        return hash((tuple(nums), den))
+        return hash((self._nums, self._den))
 
     def __repr__(self) -> str:
-        nums, den = self.numerators()
-        return f"Egf.of({list(nums)}, {den})"
+        return f"Egf.of({list(self._nums)}, {self._den})"
 
     @classmethod
     def zero(cls, order: int) -> "Egf":

@@ -8,11 +8,15 @@ with zero tolerance.
 
 The right-hand-side evaluators (thm1_rhs .. addition_rhs) recompute the
 registered identities' claimed expansions from more primitive sequences,
-read as integer numerators off the cached Euler shape.  They add up every
-printed term over Python ints and return an integer-numerator ``Egf`` over
+read as integer numerators off the cached Euler shape.  They add up the
+printed terms over Python ints and return an integer-numerator ``Egf`` over
 one denominator, which the audit compares with the list-returning family on
 the other side by cross-multiplication.  They never call a series product
-or another right side, so the audit's two sides stay independent.
+or another right side, so the audit's two sides stay independent.  thm2,
+cor1 and cor2 are one binomial shift each; the two "combined" sides are two
+nested shifts of the plain numbers, the printed double sum regrouped by
+distributivity only, while ``tests/oracles._double_sum`` stays the literal
+triple-loop reference they are tested against.
 
 thm3_explicit and thm4_explicit are audit instruments that evaluate two
 printed "explicit formulas" exactly as stated, caps and all, so the audit
@@ -98,31 +102,6 @@ def poly_euler_abc(
     return list(_euler_egf((k,), gamma * Fraction(x), params.alpha, params.beta, order).coeffs)
 
 
-@dataclass(frozen=True)
-class MultiPolyEulerSpec:
-    """One fully-specified sequence request (used by the CLI front end)."""
-
-    ks: KVector
-    x: Fraction
-    params: LogParams | None
-    order: int
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "ks", validate_kvector(self.ks))
-        object.__setattr__(self, "x", Fraction(self.x))
-        if self.order < 0:
-            raise ValueError("order must be >= 0")
-
-    def evaluate(self) -> list[Fraction]:
-        if self.params is None:
-            return multi_poly_euler(self.ks, self.x, self.order)
-        if self.params.gamma is None:
-            return multi_poly_euler_xab(self.ks, self.x, self.params, self.order)
-        if len(self.ks) != 1:
-            raise ValueError("the three-parameter family is defined for a single index")
-        return poly_euler_abc(self.ks[0], self.x, self.params, self.order)
-
-
 def thm1_rhs(ks: Sequence[int], params: LogParams, order: int) -> Egf:
     """Registered identity thm1, right side: E_n(ln a/(ln a+ln b)) (ln a+ln b)^n.
 
@@ -191,40 +170,17 @@ def _combined_sum(
     """sum_{k<=n} sum_{j<=k} r^e C(n,k) C(k,j) (ln a)^{k-j} (ln a+ln b)^j E_j x^{n-k}
     with e = n-k when ``printed`` and e = n-j otherwise.
 
-    Every (n, k, j) term is summed over integers: with x = p/p', ln a = q/q'
-    and ln a+ln b = l/l', the powers are rescaled to the row denominator
-    (p' q' l')^n D, where D is the common denominator of the E_j, and every
-    row is lifted to (p' q' l')^N D.
+    Grouped as sum_k C(n,k) (r x)^{n-k} F_k with
+    F_k = sum_j C(k,j) (s ln a)^{k-j} (ln a+ln b)^j E_j, where s = 1 when
+    ``printed`` and s = r otherwise (r^{n-j} = r^{n-k} r^{k-j}): two
+    binomial shifts, the same terms regrouped.
     """
     ks = validate_kvector(ks)
     r = len(ks)
-    x = Fraction(x)
-    plain, den = _euler_egf(ks, Fraction(0), Fraction(0), Fraction(1), order).numerators()
-    p, pd = x.numerator, x.denominator
-    q, qd = params.alpha.numerator, params.alpha.denominator
-    lab, ld = params.log_ab.numerator, params.log_ab.denominator
-    r_pow = integer_powers(r, order)
-    x_pow = integer_powers(p * qd * ld, order)
-    alpha_pow = integer_powers(q * pd * ld, order)
-    log_ab_pow = integer_powers(lab * pd * qd, order)
-    row_den = integer_powers(pd * qd * ld, order)
-    out = []
-    for n in range(order + 1):
-        total = 0
-        for k in range(n + 1):
-            for j in range(k + 1):
-                if plain[j]:
-                    total += (
-                        r_pow[n - k if printed else n - j]
-                        * comb(n, k)
-                        * comb(k, j)
-                        * alpha_pow[k - j]
-                        * log_ab_pow[j]
-                        * plain[j]
-                        * x_pow[n - k]
-                    )
-        out.append(total * row_den[order - n])
-    return Egf.of(out, row_den[order] * den)
+    plain = _euler_egf(ks, Fraction(0), Fraction(0), Fraction(1), order).numerators()
+    alpha = params.alpha if printed else r * params.alpha
+    inner = _binomial_shift(plain, alpha, params.log_ab, order)
+    return _binomial_shift(inner.numerators(), r * Fraction(x), Fraction(1), order)
 
 
 def combined_rhs(ks: Sequence[int], x: Fraction | int, params: LogParams, order: int) -> Egf:

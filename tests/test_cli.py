@@ -128,11 +128,16 @@ class TestSeqErrors:
             flag = unread.partition("=")[0]
             assert captured.err.splitlines() == [f"error: {family} does not read {flag}"]
 
-    def test_gamma_with_depth_two_exits_2(self):
+    def test_gamma_with_depth_two_exits_2(self, capsys):
         code = main_seq(
             ["multi-poly-euler", "--ks", "1,2", "--n", "3", "--alpha", "1", "--beta", "1", "--gamma", "1"]
         )
         assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == [
+            "error: the three-parameter family is defined for a single index"
+        ]
 
 
 class TestEnvOverride:

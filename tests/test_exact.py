@@ -92,11 +92,6 @@ class TestEgfBasics:
         assert Egf.from_ordinary(f.ordinary()) == f
 
 
-def holds_integers(f):
-    """Whether f still carries its integer numerators (no ``coeffs`` read)."""
-    return f._nums is not None
-
-
 integers = st.integers(min_value=-(10**30), max_value=10**30)
 nonzero_integers = integers.filter(bool)
 
@@ -127,8 +122,10 @@ class TestIntegerForm:
             Egf.of([v * scale for v in nums], den * scale),
             Egf.of(nums, den),
         ]
+        held = built[3].numerators()
         assert built[3].coeffs == tuple(coeffs)
-        assert [holds_integers(f) for f in built] == [False, True, True, False]
+        assert built[3].numerators() == held
+        assert built[0].numerators() == Egf.of(nums, den).numerators()
         for f in built:
             assert f == built[0]
             assert hash(f) == hash(built[0])
@@ -139,9 +136,11 @@ class TestIntegerForm:
     def test_rebuilt_from_coeffs_is_equal(self, f, g):
         inner = egf_add(g, Egf.constant(-g.coeffs[0], g.order))
         for h in (egf_mul(f, g), egf_add(f, g), egf_compose(f, inner)):
-            assert holds_integers(h)
-            assert Egf(h.coeffs) == h
-            assert not holds_integers(h)
+            held = h.numerators()
+            rebuilt = Egf(h.coeffs)
+            assert rebuilt == h
+            assert h.numerators() == held
+            assert rebuilt.numerators() == Egf.of(*integer_numerators(h.coeffs)).numerators()
 
     def test_coeffs_are_fractions_over_the_lowest_denominator(self):
         f = Egf.of([2, -4, 6, 0], -8)

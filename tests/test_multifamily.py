@@ -13,7 +13,6 @@ from polyeuler.multifamily import (
     CappedSum,
     DegenerateParams,
     LogParams,
-    MultiPolyEulerSpec,
     _compositions,
     addition_rhs,
     combined_rhs,
@@ -135,22 +134,6 @@ class TestThreeParameterFamily:
         p = LogParams(F(3, 10), F(7, 10), F(-2, 5))
         got = poly_euler_abc(-1, F(1, 2), p, 6)
         assert got == oracles.poly_euler_abc_egf(-1, F(1, 2), F(3, 10), F(7, 10), F(-2, 5), 6)
-
-
-class TestSpecDispatch:
-    def test_plain(self):
-        spec = MultiPolyEulerSpec((1, 1), F(0), None, 5)
-        assert spec.evaluate() == multi_poly_euler((1, 1), 0, 5)
-
-    def test_two_parameter(self):
-        p = LogParams(F(1), F(2))
-        spec = MultiPolyEulerSpec((1,), F(1, 2), p, 5)
-        assert spec.evaluate() == multi_poly_euler_xab((1,), F(1, 2), p, 5)
-
-    def test_three_parameter_needs_single_index(self):
-        spec = MultiPolyEulerSpec((1, 2), F(0), LogParams(F(1), F(1), F(1)), 5)
-        with pytest.raises(ValueError):
-            spec.evaluate()
 
 
 class TestIdentityRightSides:

@@ -295,11 +295,15 @@ def test_multi_li_matches_enumeration_at_depth_eight(ks, order):
 
 
 def both_forms(ordinary):
-    """One series twice: with its integer numerators, and as rationals only."""
-    ints = Egf.from_ordinary(ordinary)
-    rationals_only = Egf(Egf.from_ordinary(ordinary).coeffs)
-    assert ints._nums is not None and rationals_only._nums is None
-    return ints, rationals_only
+    """One series built twice: by ``Egf.from_ordinary``, and by ``Egf(coeffs)``
+    from the rationals that the first one hands out."""
+    direct = Egf.from_ordinary(ordinary)
+    held = direct.numerators()
+    coeffs = direct.coeffs
+    assert direct.numerators() == held
+    from_coeffs = Egf(coeffs)
+    assert from_coeffs.numerators() == Egf.of(*integer_numerators(coeffs)).numerators()
+    return direct, from_coeffs
 
 
 @pytest.mark.parametrize("forms", [(0, 0), (0, 1), (1, 0), (1, 1)], ids=["ii", "ir", "ri", "rr"])
@@ -312,8 +316,8 @@ def both_forms(ordinary):
     ks=st.lists(st.integers(min_value=-3, max_value=3), min_size=1, max_size=3).map(tuple),
 )
 def test_every_kernel_reads_both_forms(forms, order, f, g0, g_tail, ks):
-    """Each kernel, fed an integer-form and a rationals-only operand in every
-    combination, against the oracles."""
+    """Each kernel, fed operands from both constructors in every combination,
+    against the oracles."""
     f, unit = padded(f, order), padded([g0] + g_tail, order)
     nil = [F(0)] + unit[1:]
     a = both_forms(f)[forms[0]]
