@@ -13,14 +13,18 @@ import json
 import os
 import sys
 from fractions import Fraction
-from typing import Callable, Sequence
+from typing import TYPE_CHECKING, Callable, Sequence
 
-from . import audit, classical, multifamily, polyfamily
-from .audit import DEFAULT_ORDER, DEFAULT_SEED
+from . import DEFAULT_ORDER, DEFAULT_SEED, classical, multifamily, polyfamily
 from .classical import EulerConvention
 from .exact import format_rational, parse_rational
 from .multifamily import LogParams
 from .polylog import parse_kvector
+
+# The audit is imported only by the functions of polyverify and polyaudit, so
+# a polyseq process never loads it.
+if TYPE_CHECKING:
+    from . import audit
 
 ORDER_ENV = "POLYEULER_ORDER"
 
@@ -101,6 +105,8 @@ def _resolve_order(value: int | None, flag: str) -> int:
 
 
 def _resolve_audit_order(value: int | None) -> int:
+    from . import audit
+
     order = _resolve_order(value, "--order")
     _require(
         order >= audit.MIN_ORDER,
@@ -219,6 +225,8 @@ def _verify_parser(prog: str = "polyverify") -> argparse.ArgumentParser:
 
 
 def _result_line(result: audit.CaseResult, order: int, seed: int) -> str:
+    from . import audit
+
     line = f"{result.label}: {result.verdict} (grid={result.grid_size}) [order={order} seed={seed}]"
     if not audit.is_expected(result):
         line += f" (expected {audit.expected_verdict(result)})"
@@ -234,6 +242,8 @@ def _result_line(result: audit.CaseResult, order: int, seed: int) -> str:
 
 
 def cmd_verify(args: argparse.Namespace, out=None) -> int:
+    from . import audit
+
     out = out if out is not None else sys.stdout
     order = _resolve_audit_order(args.order)
     cases = [c for c in audit.build_registry(args.seed, order) if c.id == args.identity]
@@ -261,6 +271,8 @@ def _audit_parser(prog: str = "polyaudit") -> argparse.ArgumentParser:
 
 
 def cmd_audit(args: argparse.Namespace, out=None, err=None) -> int:
+    from . import audit
+
     out = out if out is not None else sys.stdout
     err = err if err is not None else sys.stderr
     order = _resolve_audit_order(args.order)

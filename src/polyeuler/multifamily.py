@@ -10,13 +10,15 @@ The right-hand-side evaluators (thm1_rhs .. addition_rhs) recompute the
 registered identities' claimed expansions from more primitive sequences,
 read as integer numerators off the cached Euler shape.  They add up the
 printed terms over Python ints and return an integer-numerator ``Egf`` over
-one denominator, which the audit compares with the list-returning family on
-the other side by cross-multiplication.  They never call a series product
-or another right side, so the audit's two sides stay independent.  thm2,
-cor1 and cor2 are one binomial shift each; the two "combined" sides are two
-nested shifts of the plain numbers, the printed double sum regrouped by
-distributivity only, while ``tests/oracles._double_sum`` stays the literal
-triple-loop reference they are tested against.
+one denominator, which the audit compares by cross-multiplication with the
+family on the other side.  That side is the series ``_xab_egf`` returns,
+which the list families (``multi_poly_euler*``) only turn into rationals;
+thm1 alone keeps the list wrapper.  The right sides never call a series
+product or another right side, so the audit's two sides stay independent.
+thm2, cor1 and cor2 are one binomial shift each; the two "combined" sides
+are two nested shifts of the plain numbers, the printed double sum
+regrouped by distributivity only, while ``tests/oracles._double_sum`` stays
+the literal triple-loop reference they are tested against.
 
 thm3_explicit and thm4_explicit are audit instruments that evaluate two
 printed "explicit formulas" exactly as stated, caps and all, so the audit
@@ -72,8 +74,7 @@ def multi_poly_euler(ks: Sequence[int], x: Fraction | int, order: int) -> list[F
     x = 0 gives the plain multi poly-Euler numbers; the first r of them
     always vanish because the numerator starts at degree r.
     """
-    ks = validate_kvector(ks)
-    return list(_euler_egf(ks, len(ks) * Fraction(x), Fraction(0), Fraction(1), order).coeffs)
+    return list(_xab_egf(ks, x, Fraction(0), Fraction(1), order).coeffs)
 
 
 def multi_poly_euler_ab(ks: Sequence[int], params: LogParams, order: int) -> list[Fraction]:
@@ -90,8 +91,16 @@ def multi_poly_euler_xab(
     ks: Sequence[int], x: Fraction | int, params: LogParams, order: int
 ) -> list[Fraction]:
     """E_n^{(k)}(x; a, b): the two-parameter series times e^{rxt}."""
+    return list(_xab_egf(ks, x, params.alpha, params.beta, order).coeffs)
+
+
+def _xab_egf(
+    ks: Sequence[int], x: Fraction | int, alpha: Fraction, beta: Fraction, order: int
+) -> Egf:
+    """E_n^{(k)}(x; a, b) as the cached series itself, the Euler shape at
+    w = r x: the list families read it, and the audit compares it as it is."""
     ks = validate_kvector(ks)
-    return list(_euler_egf(ks, len(ks) * Fraction(x), params.alpha, params.beta, order).coeffs)
+    return _euler_egf(ks, len(ks) * Fraction(x), alpha, beta, order)
 
 
 def poly_euler_abc(

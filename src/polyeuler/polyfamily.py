@@ -3,7 +3,9 @@
 All sequences are exact EGF coefficient lists; every poly- and multi-family
 is read off one of two cached shapes, ``_euler_egf`` or ``_bernoulli_egf``.
 The Euler shape is e^{wt} times a quotient cached per (ks, alpha, beta),
-whose denominator is cached in turn.  Every numerator is read off one
+whose denominator is cached in turn.  Both shapes' denominators,
+(e^{-alpha t} + e^{beta t})^r and (1-e^{-t})^r, are expanded by the binomial
+theorem as sums of r + 1 exponentials, over integers.  Every numerator is read off one
 cached series, Li_ks(1-e^{-t}): the Bernoulli shape uses it as it is, and
 Li_ks(1-e^{-ct}) of the Euler shape (c = alpha + beta) and of the Sasaki
 variant (c = 4) is it with coefficient n scaled by c^n.
@@ -18,6 +20,7 @@ from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
 from itertools import product
+from math import comb, lcm
 
 from .exact import (
     Egf,
@@ -26,8 +29,8 @@ from .exact import (
     egf_div_shifted,
     egf_exp_linear,
     egf_mul,
-    egf_pow,
     egf_scale,
+    integer_powers,
 )
 from .polylog import KVector, li_of_inner
 
@@ -38,9 +41,27 @@ class TooLarge(ValueError):
     """Lonesum enumeration is capped at ENUMERATION_CELL_LIMIT cells."""
 
 
-def _one_minus_exp(order: int) -> Egf:
-    """1 - e^{-t}, which vanishes to order 1."""
-    return egf_add(Egf.constant(1, order), egf_scale(egf_exp_linear(-1, order), -1))
+def _binomial_power(u: Fraction, v: Fraction, s: int, r: int, order: int) -> Egf:
+    """(e^{ut} + s e^{vt})^r = sum_i C(r,i) s^i e^{((r-i)u + iv)t}.
+
+    With u = U/D and v = V/D over one denominator, coefficient n is
+    sum_i C(r,i) s^i ((r-i)U + iV)^n / D^n, summed over integers and lifted
+    to D^N: no series product is formed.
+    """
+    den = lcm(u.denominator, v.denominator)
+    top_u, top_v = u.numerator * (den // u.denominator), v.numerator * (den // v.denominator)
+    nums = [0] * (order + 1)
+    for i in range(r + 1):
+        weight = comb(r, i) * s**i
+        for n, p in enumerate(integer_powers((r - i) * top_u + i * top_v, order)):
+            nums[n] += weight * p
+    den_pow = integer_powers(den, order)
+    return Egf.of((c * den_pow[order - n] for n, c in enumerate(nums)), den_pow[order])
+
+
+def _one_minus_exp(order: int, r: int = 1) -> Egf:
+    """(1 - e^{-t})^r, which vanishes to order r."""
+    return _binomial_power(Fraction(0), Fraction(-1), -1, r, order)
 
 
 @lru_cache(maxsize=256)
@@ -62,8 +83,8 @@ def _li_numerator_at(ks: KVector, c: Fraction | int, order: int) -> tuple[list[i
 
 @lru_cache(maxsize=256)
 def _euler_denominator(alpha: Fraction, beta: Fraction, r: int, order: int) -> Egf:
-    """(e^{-alpha t} + e^{beta t})^r, multiplied out as a series."""
-    return egf_pow(egf_add(egf_exp_linear(-alpha, order), egf_exp_linear(beta, order)), r)
+    """(e^{-alpha t} + e^{beta t})^r, by the binomial theorem."""
+    return _binomial_power(-alpha, beta, 1, r, order)
 
 
 @lru_cache(maxsize=4096)
@@ -100,8 +121,7 @@ def _bernoulli_egf(ks: KVector, x: Fraction, order: int) -> Egf:
     """
     r = len(ks)
     work = order + r
-    inner = _one_minus_exp(work)
-    quotient = egf_div_shifted(_li_numerator(ks, work), egf_pow(inner, r), r)
+    quotient = egf_div_shifted(_li_numerator(ks, work), _one_minus_exp(work, r), r)
     return egf_mul(egf_exp_linear(x, order), quotient)
 
 

@@ -200,8 +200,9 @@ class TestCompareControls:
     VALUES = [Fraction(1, 3), Fraction(-5, 6), Fraction(0), Fraction(7, 2), Fraction(11, 12)]
     NUMS = [4, -10, 0, 42, 11]
 
-    def run(self, points, actual):
-        check = _Check(lambda c: points, True, lambda c, p: self.VALUES, actual, "ok", "bad")
+    def run(self, points, actual, expected=None):
+        expected = expected or (lambda c, p: self.VALUES)
+        check = _Check(lambda c: points, True, expected, actual, "ok", "bad")
         return _compare(self.CASE, check)
 
     def test_equal_values_pass(self):
@@ -220,6 +221,31 @@ class TestCompareControls:
         assert result.counterexample == as_fractions.counterexample
         assert result.counterexample["expected"] == str(self.VALUES[n])
         assert result.counterexample["actual"] == str(Fraction(nums[n], 12))
+
+    def test_two_equal_series_over_different_denominators_pass(self):
+        """Equal series in lowest terms share their denominator, so the
+        actual side carries one more coefficient, 1/5, past the compared
+        prefix: it is over 60, the expected side over 12."""
+        actual = Egf.of([5 * v for v in self.NUMS] + [12], 60)
+        assert actual.numerators()[1] == 60
+        result = self.run([{}], lambda c, p: actual, lambda c, p: Egf.of(self.NUMS, 12))
+        assert (result.verdict, result.grid_size, result.counterexample) == (PASS, 5, None)
+
+    @pytest.mark.parametrize("n", range(5))
+    def test_two_series_one_numerator_off_by_one(self, n):
+        """The expected side over 12, the actual side with numerator n over
+        60 off by one, so over 60 or 30: the first counterexample is the
+        list path's."""
+        nums = [5 * v for v in self.NUMS]
+        nums[n] += 1
+        off = Egf.of(nums, 60)
+        assert off.numerators()[1] in (30, 60)
+        result = self.run([{}], lambda c, p: off, lambda c, p: Egf.of(self.NUMS, 12))
+        as_lists = self.run([{}], lambda c, p: list(off.coeffs))
+        assert result.verdict == FAIL
+        assert result.counterexample["params"] == {"n": n}
+        assert result.counterexample == as_lists.counterexample
+        assert result.counterexample["actual"] == str(Fraction(nums[n], 60))
 
     def test_only_the_first_mismatch_is_reported(self):
         """Point 0 is off at n = 1 and n = 3, point 1 at n = 0."""

@@ -383,6 +383,19 @@ class TestRootCommand:
         proc = run_cli("fly")
         assert proc.returncode == 2
 
+    def test_seq_does_not_load_the_audit(self):
+        code = (
+            "import sys\n"
+            "from polyeuler.cli import main_seq\n"
+            "assert main_seq(['bernoulli', '--n=1']) == 0\n"
+            "print('polyeuler.audit' in sys.modules)\n"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, timeout=60
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines() == ["0\t1", "1\t-1/2", "False"]
+
     def test_seq_via_subprocess(self):
         proc = run_cli("seq", "bernoulli", "--n", "2")
         assert proc.returncode == 0

@@ -6,6 +6,7 @@ import pkgutil
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, strategies as st
 
 import polyeuler
 from polyeuler import audit, polyfamily
@@ -14,6 +15,7 @@ from polyeuler.multifamily import (
     DegenerateParams,
     LogParams,
     _compositions,
+    _xab_egf,
     addition_rhs,
     combined_rhs,
     combined_rhs_printed,
@@ -110,6 +112,28 @@ class TestTwoParameterFamily:
         p = LogParams(alpha, beta)
         got = multi_poly_euler_xab((1, 1), F(2, 3), p, 6)
         assert got == oracles.multi_poly_euler_xab_egf((1, 1), F(2, 3), alpha, beta, 6)
+
+
+class TestListAndSeriesPaths:
+    """The list families are the audit's series ``_xab_egf`` turned into
+    rationals, whichever of the two paths a caller takes."""
+
+    rationals = st.fractions(min_value=-4, max_value=4, max_denominator=7)
+    kvectors = st.lists(st.integers(min_value=-2, max_value=3), min_size=1, max_size=3)
+    orders = st.integers(min_value=0, max_value=8)
+
+    @given(ks=kvectors, x=rationals, alpha=rationals, beta=rationals, order=orders)
+    def test_list_families_read_the_series(self, ks, x, alpha, beta, order):
+        p = LogParams(alpha, beta)
+        assert multi_poly_euler_xab(ks, x, p, order) == list(
+            _xab_egf(ks, x, alpha, beta, order).coeffs
+        )
+        assert multi_poly_euler_ab(ks, p, order) == list(_xab_egf(ks, 0, alpha, beta, order).coeffs)
+        assert multi_poly_euler(ks, x, order) == list(_xab_egf(ks, x, F(0), F(1), order).coeffs)
+
+    def test_series_path_validates_the_indices(self):
+        with pytest.raises(ValueError):
+            _xab_egf((), F(0), F(0), F(1), 4)
 
 
 class TestThreeParameterFamily:

@@ -3,10 +3,13 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, strategies as st
 
 from polyeuler.classical import bernoulli_numbers, bernoulli_polynomial, poly_eval
+from polyeuler.exact import Egf, egf_add, egf_exp_linear, egf_pow, egf_scale
 from polyeuler.polyfamily import (
     TooLarge,
+    _binomial_power,
     lonesum_count,
     poly_bernoulli,
     poly_euler,
@@ -118,3 +121,22 @@ class TestLonesum:
     def test_rejects_empty_shape(self):
         with pytest.raises(ValueError):
             lonesum_count(0, 3)
+
+
+class TestBinomialDenominators:
+    """Both family denominators come from the binomial theorem over
+    integers; each must equal the repeated-squaring power of its base."""
+
+    rationals = st.fractions(min_value=-5, max_value=5, max_denominator=9)
+    depths = st.integers(min_value=0, max_value=8)
+    orders = st.integers(min_value=0, max_value=12)
+
+    @given(alpha=rationals, beta=rationals, r=depths, order=orders)
+    def test_euler_shape_equals_egf_pow(self, alpha, beta, r, order):
+        base = egf_add(egf_exp_linear(-alpha, order), egf_exp_linear(beta, order))
+        assert _binomial_power(-alpha, beta, 1, r, order) == egf_pow(base, r)
+
+    @given(r=depths, order=orders)
+    def test_bernoulli_shape_equals_egf_pow(self, r, order):
+        base = egf_add(Egf.constant(1, order), egf_scale(egf_exp_linear(-1, order), -1))
+        assert _binomial_power(F(0), F(-1), -1, r, order) == egf_pow(base, r)
