@@ -44,8 +44,6 @@ class IdentityCase:
     id: str
     variant: str | None
     grid: Mapping
-    seed: int
-    order: int
 
 
 @dataclass(frozen=True)
@@ -437,31 +435,27 @@ def build_registry(seed: int = DEFAULT_SEED, order: int = DEFAULT_ORDER) -> list
         for alpha, beta, _, _ in _shared_samples(seed, 5)
     )
     cases = [
-        IdentityCase("eq2-power-sum", "plus", {"m_max": 8, "n_max": 20}, seed, order),
-        IdentityCase("eq2-power-sum", "minus", {"m_max": 8, "n_max": 20}, seed, order),
-        IdentityCase("eq3-bernoulli-det", None, {"n_max": min(10, order)}, seed, order),
-        IdentityCase("eq6-euler-det", None, {"n_max": min(6, order // 2)}, seed, order),
-        IdentityCase("eq9-cosh", None, {"n_max": order}, seed, order),
+        IdentityCase("eq2-power-sum", "plus", {"m_max": 8, "n_max": 20}),
+        IdentityCase("eq2-power-sum", "minus", {"m_max": 8, "n_max": 20}),
+        IdentityCase("eq3-bernoulli-det", None, {"n_max": min(10, order)}),
+        IdentityCase("eq6-euler-det", None, {"n_max": min(6, order // 2)}),
+        IdentityCase("eq9-cosh", None, {"n_max": order}),
         IdentityCase(
             "bridge-poly-bernoulli",
             None,
             {"n_max": min(12, order), "x_points": _BRIDGE_X_POINTS},
-            seed,
-            order,
         ),
         IdentityCase(
             "brewbaker-lonesum",
             None,
             {"shapes": tuple((n, k) for n in (1, 2, 3) for k in (1, 2, 3)) + ((4, 4),)},
-            seed,
-            order,
         ),
-        IdentityCase("thm1", None, theorem_grid, seed, order),
-        IdentityCase("thm2", None, theorem_grid, seed, order),
-        IdentityCase("cor1", None, theorem_grid, seed, order),
-        IdentityCase("cor2", None, theorem_grid, seed, order),
-        IdentityCase("combined", None, theorem_grid, seed, order),
-        IdentityCase("combined", "as-printed", theorem_grid, seed, order),
+        IdentityCase("thm1", None, theorem_grid),
+        IdentityCase("thm2", None, theorem_grid),
+        IdentityCase("cor1", None, theorem_grid),
+        IdentityCase("cor2", None, theorem_grid),
+        IdentityCase("combined", None, theorem_grid),
+        IdentityCase("combined", "as-printed", theorem_grid),
         IdentityCase(
             "thm3-explicit",
             None,
@@ -471,30 +465,18 @@ def build_registry(seed: int = DEFAULT_SEED, order: int = DEFAULT_ORDER) -> list
                 "n_points": (0, 1, 2),
                 "caps": (4, 8, 12),
             },
-            seed,
-            order,
         ),
         IdentityCase(
             "thm4-explicit",
             "statement",
             {"k_points": (-1, 1, 2), "samples": thm4_samples, "n_max": min(6, order)},
-            seed,
-            order,
         ),
         IdentityCase(
             "thm4-explicit",
             "proof",
             {"k_points": (-1, 1, 2), "samples": thm4_samples, "n_max": min(6, order)},
-            seed,
-            order,
         ),
-        IdentityCase(
-            "def1-sasaki-bridge",
-            None,
-            {"k_points": (1, 2, 3), "n_max": min(8, order)},
-            seed,
-            order,
-        ),
+        IdentityCase("def1-sasaki-bridge", None, {"k_points": (1, 2, 3), "n_max": min(8, order)}),
     ]
     return cases
 

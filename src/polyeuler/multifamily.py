@@ -30,9 +30,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from itertools import combinations_with_replacement
-from math import comb, factorial, lcm
+from math import comb, factorial, lcm, prod
 from typing import Sequence
 
 from .exact import Egf, integer_powers
@@ -233,18 +232,6 @@ class CappedSum:
     skipped_terms: int
 
 
-@lru_cache(maxsize=256)
-def _compositions(total: int, positions: int) -> tuple[tuple[int, ...], ...]:
-    """All tuples of ``positions`` nonnegative integers summing to ``total``."""
-    if positions == 1:
-        return ((total,),)
-    out = []
-    for first in range(total + 1):
-        for rest in _compositions(total - first, positions - 1):
-            out.append((first,) + rest)
-    return tuple(out)
-
-
 def _index_tuple_weight(ms: tuple[int, ...], ks: KVector, big: int) -> int | None:
     """big^K / (m_1^{k_1} ... m_r^{k_r}) with 0^0 = 1 and K the sum of the
     positive k_i, an integer when big is a multiple of every nonzero m_i;
@@ -290,14 +277,15 @@ def thm3_explicit(
     if part_cap < 1 or m_cap < 0 or n < 0:
         raise ValueError("caps must be positive and n nonnegative")
 
-    comps = _compositions(r, part_cap)
+    # A composition c_1 + ... + c_{part_cap} = r is the multiset of the r part
+    # positions it fills, c_i being the multiplicity of position i, so its
+    # weight sum_i i c_i is the sum of the multiset.
+    comps = list(combinations_with_replacement(range(1, part_cap + 1), r))
     r_factorial = factorial(r)
     comp_sums = [0] * (n + 1)
     for comp in comps:
-        w = sum((idx + 1) * c for idx, c in enumerate(comp))
-        denom = 1
-        for c in comp:
-            denom *= factorial(c)
+        w = sum(comp)
+        denom = prod(factorial(comp.count(pos)) for pos in set(comp))
         multinomial = (-1 if w % 2 else 1) * (r_factorial // denom)
         for i in range(n + 1):
             comp_sums[i] += multinomial * w**i
@@ -364,13 +352,10 @@ def thm4_explicit(
     skipped = 0
     for m in range(n + 1):
         for j in range(m + 1):
-            if j == 0:
-                if k > 0:
-                    skipped += 1
-                    continue
-                weight = 1 if k == 0 else 0
-            else:
-                weight = (big // j) ** k if k > 0 else j**-k
+            weight = _index_tuple_weight((j,), (k,), big)
+            if weight is None:
+                skipped += 1
+                continue
             if not weight:
                 continue
             for i in range(j + 1):

@@ -2,13 +2,14 @@
 
 All sequences are exact EGF coefficient lists; every poly- and multi-family
 is read off one of two cached shapes, ``_euler_egf`` or ``_bernoulli_egf``.
-The Euler shape is e^{wt} times a quotient cached per (ks, alpha, beta),
-whose denominator is cached in turn.  Both shapes' denominators,
-(e^{-alpha t} + e^{beta t})^r and (1-e^{-t})^r, are expanded by the binomial
-theorem as sums of r + 1 exponentials, over integers.  Every numerator is read off one
-cached series, Li_ks(1-e^{-t}): the Bernoulli shape uses it as it is, and
-Li_ks(1-e^{-ct}) of the Euler shape (c = alpha + beta) and of the Sasaki
-variant (c = 4) is it with coefficient n scaled by c^n.
+Each Euler series is cached once: at w = 0 it is the quotient itself, and at
+any other w it is e^{wt} times that cached w = 0 entry.  Both shapes'
+denominators, (e^{-alpha t} + e^{beta t})^r and (1-e^{-t})^r, are expanded
+by the binomial theorem as sums of r + 1 exponentials, over integers.  Every
+numerator is read off one cached series, Li_ks(1-e^{-t}): the Bernoulli
+shape uses it as it is, and Li_ks(1-e^{-ct}) of the Euler shape
+(c = alpha + beta) and of the Sasaki variant (c = 4) is it with coefficient
+n scaled by c^n.
 The lonesum count is the combinatorial side of the negative-index
 poly-Bernoulli identity and is computed by brute enumeration, which keeps it
 an independent ground truth.
@@ -88,28 +89,21 @@ def _euler_denominator(alpha: Fraction, beta: Fraction, r: int, order: int) -> E
 
 
 @lru_cache(maxsize=4096)
-def _euler_quotient(ks: KVector, alpha: Fraction, beta: Fraction, order: int) -> Egf:
-    """2 Li_ks(1-e^{-(alpha+beta)t}) / (e^{-alpha t}+e^{beta t})^r, r = len(ks).
-
-    The numerator is read off the cached Li_ks(1-e^{-t}); the denominator
-    is never rescaled from another (alpha, beta), so thm1's
-    t -> (alpha+beta)t law is still checked.
-    """
-    nums, den = _li_numerator_at(ks, alpha + beta, order)
-    numerator = Egf.of((2 * v for v in nums), den)
-    return egf_div(numerator, _euler_denominator(alpha, beta, len(ks), order))
-
-
-@lru_cache(maxsize=4096)
 def _euler_egf(ks: KVector, w: Fraction, alpha: Fraction, beta: Fraction, order: int) -> Egf:
     """2 Li_ks(1-e^{-(alpha+beta)t}) / (e^{-alpha t}+e^{beta t})^r e^{wt}, r = len(ks).
 
     Every poly- and multi-poly-Euler family is this series at some
-    (w, alpha, beta).  At w = 0 it is the cached quotient object itself, so
-    the two caches share it.
+    (w, alpha, beta).  At w = 0 it is the quotient itself: the numerator is
+    read off the cached Li_ks(1-e^{-t}), and the denominator is never
+    rescaled from another (alpha, beta), so thm1's t -> (alpha+beta)t law
+    is still checked.  Any other w multiplies the cached w = 0 series by
+    e^{wt}.
     """
-    quotient = _euler_quotient(ks, alpha, beta, order)
-    return quotient if w == 0 else egf_mul(egf_exp_linear(w, order), quotient)
+    if w:
+        return egf_mul(egf_exp_linear(w, order), _euler_egf(ks, Fraction(0), alpha, beta, order))
+    nums, den = _li_numerator_at(ks, alpha + beta, order)
+    numerator = Egf.of((2 * v for v in nums), den)
+    return egf_div(numerator, _euler_denominator(alpha, beta, len(ks), order))
 
 
 @lru_cache(maxsize=4096)

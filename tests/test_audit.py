@@ -77,7 +77,7 @@ class TestRegistry:
 
     def test_unknown_identity_raises(self):
         with pytest.raises(UnknownIdentity):
-            run_identity(IdentityCase("nosuch", None, {}, 0, 6))
+            run_identity(IdentityCase("nosuch", None, {}))
 
 
 class TestSingleVerdicts:
@@ -195,7 +195,7 @@ class TestCompareControls:
     """The comparison loop reads a side given as an ``Egf`` by
     cross-multiplication; these controls pin what it reports."""
 
-    CASE = IdentityCase("control", None, {}, 0, 4)
+    CASE = IdentityCase("control", None, {})
     # Each value keeps its own denominator; over 12 they are 4, -10, 0, 42, 11.
     VALUES = [Fraction(1, 3), Fraction(-5, 6), Fraction(0), Fraction(7, 2), Fraction(11, 12)]
     NUMS = [4, -10, 0, 42, 11]

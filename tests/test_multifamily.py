@@ -14,7 +14,6 @@ from polyeuler.multifamily import (
     CappedSum,
     DegenerateParams,
     LogParams,
-    _compositions,
     _xab_egf,
     addition_rhs,
     combined_rhs,
@@ -244,13 +243,6 @@ class TestIdentityRightSides:
 
 
 class TestThm3Instrument:
-    def test_compositions_single_position(self):
-        assert _compositions(3, 1) == ((3,),)
-
-    def test_compositions_count(self):
-        # stars and bars: C(r + positions - 1, positions - 1)
-        assert len(_compositions(2, 4)) == 10
-
     @pytest.mark.parametrize(
         "ks,x,n,m_cap,part_cap",
         [
@@ -290,10 +282,10 @@ class TestThm3Instrument:
                             assert got == CappedSum(value, skipped)
 
     def test_skip_tally_counts_zero_index_terms(self):
-        # ks=(1): only the tuple (0,) is skipped; it would contribute
-        # 1 * len(compositions) * (n+1) terms
+        # ks=(1): only the tuple (0,) is skipped.  It stands for one j (j <= m_r
+        # = 0), 2 compositions of 1 over 2 part positions and n + 1 = 2 powers.
         res = thm3_explicit((1,), 0, 1, 3, 2)
-        assert res.skipped_terms == 1 * len(_compositions(1, 2)) * 2
+        assert res.skipped_terms == 1 * 2 * 2
 
 
 class TestThm4Instrument:
@@ -344,10 +336,11 @@ def _package_caches():
 
 
 class TestEulerShapeCaches:
-    """The Euler shape is cached in layers: the quotient per (ks, alpha,
-    beta, order), its numerator per (ks, order), its denominator per
-    (alpha, beta, r, order), and the full series per argument w.  Every key
-    must tell apart the requests it serves, in any order of arrival."""
+    """The Euler shape is cached once per (ks, w, alpha, beta, order); the
+    w = 0 entry is the quotient that every other w multiplies by e^{wt}.
+    Below it sit the numerator per (ks, order) and the denominator per
+    (alpha, beta, r, order).  Every key must tell apart the requests it
+    serves, in any order of arrival."""
 
     # (ks, x, alpha, beta, order), in an order that mixes cold and warm keys.
     REQUESTS = [
@@ -375,18 +368,24 @@ class TestEulerShapeCaches:
                 assert multi_poly_euler_xab(ks, x, LogParams(alpha, beta), order) == want
 
     def test_argument_zero_shares_the_quotient(self):
-        args = ((1, -1), F(2, 3), F(-1, 4), 5)
-        quotient = polyfamily._euler_quotient(*args)
-        assert polyfamily._euler_egf(args[0], F(0), *args[1:]) is quotient
+        """Every w reads the one w = 0 entry: two cold requests at w != 0 miss
+        three times, and the w = 0 request after them misses no more."""
+        ks, alpha, beta, order = (1, -1), F(2, 3), F(-1, 4), 5
+        polyfamily._euler_egf.cache_clear()
+        polyfamily._euler_egf(ks, F(1, 3), alpha, beta, order)
+        polyfamily._euler_egf(ks, F(-2, 5), alpha, beta, order)
+        assert polyfamily._euler_egf.cache_info().misses == 3
+        polyfamily._euler_egf(ks, F(0), alpha, beta, order)
+        assert polyfamily._euler_egf.cache_info().misses == 3
 
     def test_every_cache_is_bounded(self):
         caches = _package_caches()
-        assert {c.__name__ for c in caches} >= {
+        assert {c.__name__ for c in caches} == {
             "_euler_egf",
-            "_euler_quotient",
             "_li_numerator",
             "_euler_denominator",
             "_bernoulli_egf",
+            "_bernoulli_tuple",
         }
         for cache in caches:
             assert cache.cache_info().maxsize is not None, cache.__qualname__
