@@ -24,7 +24,7 @@ from typing import Callable, Iterable, Mapping, Sequence
 
 from . import DEFAULT_ORDER, DEFAULT_SEED, classical, multifamily, polyfamily
 from .classical import EulerConvention
-from .exact import Egf, egf_add, egf_exp_linear, egf_scale, format_rational
+from .exact import Egf, egf_exp_sum, egf_scale, format_rational
 from .multifamily import LogParams
 
 PASS = "PASS"
@@ -312,24 +312,22 @@ _TABLE: dict[str, _Check | Callable[[IdentityCase], CaseResult]] = {
         lambda c: [{}],
         True,
         lambda c, p: classical.euler_numbers(c.grid["n_max"], EulerConvention.SECANT_TYPE),
-        lambda c, p: egf_scale(
-            egf_add(egf_exp_linear(1, c.grid["n_max"]), egf_exp_linear(-1, c.grid["n_max"])),
-            Fraction(1, 2),
-        ),
+        lambda c, p: egf_scale(egf_exp_sum(((1, 1), (1, -1)), c.grid["n_max"]), Fraction(1, 2)),
         "cosh t expands to the secant numbers",
         "documented misprint: the relation holds for 1/cosh t, not cosh t; "
         "the secant convention follows the determinant values",
     ),
     "bridge-poly-bernoulli": _Check(
-        lambda c: [
-            {"n": n, "x": x} for n in range(c.grid["n_max"] + 1) for x in c.grid["x_points"]
+        lambda c: [{"x": x} for x in c.grid["x_points"]],
+        True,
+        lambda c, p: [
+            classical.poly_eval(classical.bernoulli_polynomial(n, c.grid["n_max"]), p["x"])
+            for n in range(c.grid["n_max"] + 1)
         ],
-        False,
-        lambda c, p: classical.poly_eval(
-            classical.bernoulli_polynomial(p["n"], c.grid["n_max"]), p["x"]
-        ),
-        lambda c, p: (-1) ** p["n"]
-        * polyfamily.poly_bernoulli(1, -p["x"], c.grid["n_max"])[p["n"]],
+        lambda c, p: [
+            (-1) ** n * v
+            for n, v in enumerate(polyfamily.poly_bernoulli(1, -p["x"], c.grid["n_max"]))
+        ],
         "(-1)^n B_n^{(1)}(-x) matches B_n(x) at more sample points than the degree",
         "(-1)^n B_n^{(1)}(-x) differs from B_n(x)",
     ),

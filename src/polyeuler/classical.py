@@ -13,15 +13,7 @@ from functools import lru_cache
 from math import comb, factorial
 from typing import Sequence
 
-from .exact import (
-    Egf,
-    RationalMatrix,
-    det,
-    egf_add,
-    egf_div,
-    egf_div_shifted,
-    egf_exp_linear,
-)
+from .exact import Egf, det, egf_div, egf_div_shifted, egf_exp_sum
 
 
 class EulerConvention(enum.Enum):
@@ -29,13 +21,10 @@ class EulerConvention(enum.Enum):
     SECANT_TYPE = "secant"
 
 
-def _exp_minus_one(order: int) -> Egf:
-    return egf_add(egf_exp_linear(1, order), Egf.constant(-1, order))
-
-
 @lru_cache(maxsize=256)
 def _bernoulli_tuple(order: int) -> tuple[Fraction, ...]:
-    series = egf_div_shifted(Egf.t(order + 1), _exp_minus_one(order + 1), 1)
+    exp_minus_one = egf_exp_sum(((1, 1), (-1, 0)), order + 1)
+    series = egf_div_shifted(Egf.t(order + 1), exp_minus_one, 1)
     return series.coeffs
 
 
@@ -97,9 +86,9 @@ def euler_numbers(order: int, convention: EulerConvention) -> list[Fraction]:
     1/cosh t = 2/(e^t + e^{-t}), whose odd coefficients vanish.
     """
     if convention is EulerConvention.GENOCCHI_TYPE:
-        denom = egf_add(Egf.constant(1, order), egf_exp_linear(1, order))
+        denom = egf_exp_sum(((1, 0), (1, 1)), order)
     else:
-        denom = egf_add(egf_exp_linear(1, order), egf_exp_linear(-1, order))
+        denom = egf_exp_sum(((1, 1), (1, -1)), order)
     return list(egf_div(Egf.constant(2, order), denom).coeffs)
 
 
@@ -115,7 +104,7 @@ def bernoulli_det(n: int) -> Fraction:
     rows = [[Fraction(1, j + 1) for j in range(1, n + 1)]]
     for r in range(2, n + 1):
         rows.append([Fraction(comb(j, r - 2)) if j >= r - 1 else Fraction(0) for j in range(1, n + 1)])
-    d = det(RationalMatrix.from_rows(rows))
+    d = det(rows)
     return Fraction((-1) ** n, factorial(n - 1)) * d
 
 
@@ -138,5 +127,5 @@ def euler_det(n: int) -> Fraction:
             else:
                 row.append(Fraction(0))
         rows.append(row)
-    d = det(RationalMatrix.from_rows(rows))
+    d = det(rows)
     return Fraction((-1) ** n) * factorial(2 * n) * d

@@ -9,7 +9,6 @@ read.  Nothing here ever touches floating point.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, factorial, gcd, lcm
 from typing import Iterable, Sequence, Union
@@ -389,6 +388,25 @@ def egf_exp_linear(value: RationalLike, order: int) -> Egf:
     return Egf.of((t * bottoms[order - n] for n, t in enumerate(tops)), bottoms[order])
 
 
+def egf_exp_sum(terms: Iterable[tuple[int, RationalLike]], order: int) -> Egf:
+    """The finite sum of exponentials sum_j w_j e^{mu_j t} for (w_j, mu_j) in
+    ``terms``, integer weights w_j and rational rates mu_j.
+
+    With the rates over one denominator D (mu_j = M_j / D), coefficient n is
+    sum_j w_j M_j^n / D^n, summed over integers and lifted to D^N: no series
+    product is formed.  No terms give the zero series.
+    """
+    terms = tuple(terms)
+    den = lcm(*(rate.denominator for _, rate in terms))
+    nums = [0] * (order + 1)
+    for weight, rate in terms:
+        top = rate.numerator * (den // rate.denominator)
+        for n, p in enumerate(integer_powers(top, order)):
+            nums[n] += weight * p
+    den_pow = integer_powers(den, order)
+    return Egf.of((c * den_pow[order - n] for n, c in enumerate(nums)), den_pow[order])
+
+
 def egf_pow(f: Egf, exponent: int) -> Egf:
     """f^exponent with f^0 = 1, by repeated squaring."""
     if exponent < 0:
@@ -405,45 +423,19 @@ def egf_pow(f: Egf, exponent: int) -> Egf:
         f = egf_mul(f, f)
 
 
-@dataclass(frozen=True)
-class RationalMatrix:
-    """Dense rational matrix, row-major entries."""
-
-    rows: int
-    cols: int
-    entries: tuple[Fraction, ...]
-
-    def __post_init__(self) -> None:
-        if self.rows < 0 or self.cols < 0:
-            raise ValueError("negative dimensions")
-        if len(self.entries) != self.rows * self.cols:
-            raise ValueError("entry count does not match dimensions")
-        object.__setattr__(self, "entries", _as_fraction_tuple(self.entries))
-
-    @classmethod
-    def from_rows(cls, rows: Sequence[Sequence[RationalLike]]) -> "RationalMatrix":
-        nrows = len(rows)
-        ncols = len(rows[0]) if nrows else 0
-        if any(len(r) != ncols for r in rows):
-            raise ValueError("ragged rows")
-        return cls(nrows, ncols, tuple(Fraction(v) for r in rows for v in r))
-
-    def at(self, i: int, j: int) -> Fraction:
-        return self.entries[i * self.cols + j]
-
-
-def det(matrix: RationalMatrix) -> Fraction:
-    """Exact determinant by Gaussian elimination with column pivoting.
+def det(rows: Sequence[Sequence[RationalLike]]) -> Fraction:
+    """Exact determinant of a square matrix given as rows, by Gaussian
+    elimination with column pivoting.
 
     Runs entirely over rationals; row swaps only flip the sign, so the result
-    is exact for any square input.
+    is exact for any square input.  The empty matrix has determinant 1.
     """
-    if matrix.rows != matrix.cols:
-        raise NotSquare(f"{matrix.rows}x{matrix.cols} matrix has no determinant")
-    n = matrix.rows
+    n = len(rows)
+    if any(len(row) != n for row in rows):
+        raise NotSquare(f"rows of lengths {[len(row) for row in rows]} have no determinant")
     if n == 0:
         return Fraction(1)
-    rows = [[matrix.at(i, j) for j in range(n)] for i in range(n)]
+    rows = [list(_as_fraction_tuple(row)) for row in rows]
     sign = 1
     for col in range(n):
         pivot_row = next((r for r in range(col, n) if rows[r][col] != 0), None)

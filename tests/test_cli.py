@@ -3,8 +3,11 @@
 import hashlib
 import io
 import json
+import re
+import shlex
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -376,6 +379,35 @@ def test_sweep_of_every_family_is_pinned(capsys):
         assert main_seq(argv) == 0, argv
         digest.update(capsys.readouterr().out.encode())
     assert digest.hexdigest() == _SWEEP_SHA256
+
+
+README = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+
+# polyaudit is left out: one of its README lines writes report.json.
+_README_RUNNERS = {"polyseq": main_seq, "polyverify": main_verify}
+
+
+def _readme_commands():
+    """The polyseq and polyverify lines of README's sh blocks, split as a shell would."""
+    commands = []
+    for block in re.findall(r"```sh\n(.*?)```", README, re.DOTALL):
+        for line in block.splitlines():
+            argv = shlex.split(line, comments=True)
+            if argv and argv[0] in _README_RUNNERS:
+                commands.append(argv)
+    return commands
+
+
+class TestReadmeExamples:
+    @pytest.mark.parametrize("argv", _readme_commands(), ids=shlex.join)
+    def test_example_exits_zero(self, argv, capsys):
+        assert _README_RUNNERS[argv[0]](argv[1:]) == 0, capsys.readouterr().err
+
+    def test_quoted_verdict_line_is_printed(self, capsys):
+        assert ["polyverify", "thm2", "--order", "8", "--seed", "7"] in _readme_commands()
+        quoted = re.search(r"Prints one verdict line per case, e\.g\. `([^`]*)`", README)
+        assert main_verify(["thm2", "--order", "8", "--seed", "7"]) == 0
+        assert capsys.readouterr().out.strip() == " ".join(quoted.group(1).split())
 
 
 class TestRootCommand:

@@ -13,13 +13,13 @@ from polyeuler.exact import (
     InsufficientVanishing,
     NonNilpotentInner,
     NotSquare,
-    RationalMatrix,
     det,
     egf_add,
     egf_compose,
     egf_div,
     egf_div_shifted,
     egf_exp_linear,
+    egf_exp_sum,
     egf_mul,
     egf_pow,
     egf_scale,
@@ -299,6 +299,43 @@ class TestExpLinearAndPow:
         assert sq.coeffs == (4, 4, 6)
 
 
+def _sum_of_exponentials(terms, order):
+    """Reference sum w_j e^{mu_j t}, one exponential and one add per term."""
+    total = Egf.zero(order)
+    for weight, rate in terms:
+        total = egf_add(total, egf_scale(egf_exp_linear(rate, order), weight))
+    return total
+
+
+class TestExpSum:
+    rates = st.fractions(min_value=-3, max_value=3, max_denominator=4)
+    terms = st.lists(st.tuples(st.integers(min_value=-4, max_value=4), rates), max_size=6)
+
+    @given(terms=terms, order=st.integers(min_value=0, max_value=10))
+    def test_matches_sum_of_exponentials(self, terms, order):
+        assert egf_exp_sum(terms, order) == _sum_of_exponentials(terms, order)
+
+    def test_repeated_rates_add_their_weights(self):
+        terms = [(2, F(1, 3)), (-1, F(1, 3)), (3, F(-1, 2)), (-3, F(-1, 2))]
+        assert egf_exp_sum(terms, 7) == egf_exp_linear(F(1, 3), 7)
+        assert egf_exp_sum(terms, 7) == _sum_of_exponentials(terms, 7)
+
+    def test_zero_weights_vanish(self):
+        assert egf_exp_sum([(0, F(5, 7)), (0, -2)], 6) == Egf.zero(6)
+        assert egf_exp_sum([(0, F(5, 7)), (1, 2)], 6) == egf_exp_linear(2, 6)
+
+    def test_no_terms_is_zero(self):
+        assert egf_exp_sum([], 5) == Egf.zero(5)
+        assert egf_exp_sum([], 0) == Egf.zero(0)
+
+    def test_order_zero_is_the_weight_sum(self):
+        assert egf_exp_sum([(3, F(1, 2)), (-5, F(-7, 3)), (4, 0)], 0) == Egf.constant(2, 0)
+
+    def test_exp_minus_one_and_cosh(self):
+        assert egf_exp_sum([(1, 1), (-1, 0)], 4).coeffs == (0, 1, 1, 1, 1)
+        assert egf_exp_sum([(1, 1), (1, -1)], 4).coeffs == (2, 0, 2, 0, 2)
+
+
 class TestRingAxioms:
     """Ring structure of the truncated series algebra, checked exactly."""
 
@@ -335,32 +372,33 @@ class TestRingAxioms:
 
 class TestDeterminant:
     def test_one_by_one(self):
-        assert det(RationalMatrix.from_rows([[F(1, 2)]])) == F(1, 2)
+        assert det([[F(1, 2)]]) == F(1, 2)
 
     def test_two_by_two(self):
-        m = RationalMatrix.from_rows([[F(1, 2), F(1, 3)], [1, 1]])
-        assert det(m) == F(1, 6)
+        assert det([[F(1, 2), F(1, 3)], [1, 1]]) == F(1, 6)
 
     def test_identity(self):
-        m = RationalMatrix.from_rows([[1, 0, 0], [0, 1, 0], [0, 0, 1]])
-        assert det(m) == 1
+        assert det([[1, 0, 0], [0, 1, 0], [0, 0, 1]]) == 1
 
     def test_rejects_non_square(self):
         with pytest.raises(NotSquare):
-            det(RationalMatrix.from_rows([[1, 2, 3], [4, 5, 6]]))
+            det([[1, 2, 3], [4, 5, 6]])
+
+    def test_empty_is_one(self):
+        assert det([]) == 1
 
     def test_singular(self):
-        m = RationalMatrix.from_rows([[1, 2], [2, 4]])
-        assert det(m) == 0
+        assert det([[1, 2], [2, 4]]) == 0
 
     def test_entry_count_validated(self):
-        with pytest.raises(ValueError):
-            RationalMatrix(2, 2, (F(1), F(2), F(3)))
+        """Ragged rows are not square, even when the row count matches."""
+        with pytest.raises(NotSquare):
+            det([[F(1), F(2)], [F(3)]])
 
     @given(rows=matrices_3x3)
     def test_matches_cofactor_3x3(self, rows):
-        assert det(RationalMatrix.from_rows(rows)) == cofactor_det(rows)
+        assert det(rows) == cofactor_det(rows)
 
     @given(rows=matrices_4x4)
     def test_matches_cofactor_4x4(self, rows):
-        assert det(RationalMatrix.from_rows(rows)) == cofactor_det(rows)
+        assert det(rows) == cofactor_det(rows)

@@ -384,7 +384,6 @@ class TestEulerShapeCaches:
             "_euler_egf",
             "_li_numerator",
             "_euler_denominator",
-            "_bernoulli_egf",
             "_bernoulli_tuple",
         }
         for cache in caches:

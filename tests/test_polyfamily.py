@@ -9,7 +9,8 @@ from polyeuler.classical import bernoulli_numbers, bernoulli_polynomial, poly_ev
 from polyeuler.exact import Egf, egf_add, egf_exp_linear, egf_pow, egf_scale
 from polyeuler.polyfamily import (
     TooLarge,
-    _binomial_power,
+    _euler_denominator,
+    _one_minus_exp,
     lonesum_count,
     poly_bernoulli,
     poly_euler,
@@ -124,8 +125,8 @@ class TestLonesum:
 
 
 class TestBinomialDenominators:
-    """Both family denominators come from the binomial theorem over
-    integers; each must equal the repeated-squaring power of its base."""
+    """Both family denominators are binomial sums of exponentials built by
+    egf_exp_sum; each must equal the repeated-squaring power of its base."""
 
     rationals = st.fractions(min_value=-5, max_value=5, max_denominator=9)
     depths = st.integers(min_value=0, max_value=8)
@@ -134,9 +135,9 @@ class TestBinomialDenominators:
     @given(alpha=rationals, beta=rationals, r=depths, order=orders)
     def test_euler_shape_equals_egf_pow(self, alpha, beta, r, order):
         base = egf_add(egf_exp_linear(-alpha, order), egf_exp_linear(beta, order))
-        assert _binomial_power(-alpha, beta, 1, r, order) == egf_pow(base, r)
+        assert _euler_denominator.__wrapped__(alpha, beta, r, order) == egf_pow(base, r)
 
     @given(r=depths, order=orders)
     def test_bernoulli_shape_equals_egf_pow(self, r, order):
         base = egf_add(Egf.constant(1, order), egf_scale(egf_exp_linear(-1, order), -1))
-        assert _binomial_power(F(0), F(-1), -1, r, order) == egf_pow(base, r)
+        assert _one_minus_exp(order, r) == egf_pow(base, r)
