@@ -1,115 +1,86 @@
-"""Exact-rational generating-function toolkit for Bernoulli/Euler-type families."""
+"""Exact-rational generating-function toolkit for Bernoulli/Euler-type families.
+
+The public names below are re-exported from their layers on first access
+(PEP 562), so ``import polyeuler`` loads no layer and a command loads only
+the layers it runs.
+"""
 
 # The default series order (polyseq --n, the audit's --order) and audit seed.
-# They live here, above the imports, so that the CLI reads them without
+# They live here, in the package itself, so that the CLI reads them without
 # loading the audit.
 DEFAULT_ORDER = 10
 DEFAULT_SEED = 0
 
-from .exact import (
-    DivisionByNonUnit,
-    Egf,
-    InsufficientVanishing,
-    NonNilpotentInner,
-    NotSquare,
-    Rational,
-    det,
-    egf_add,
-    egf_compose,
-    egf_div,
-    egf_div_shifted,
-    egf_exp_linear,
-    egf_exp_sum,
-    egf_mul,
-    egf_pow,
-    format_rational,
-    parse_rational,
-)
-from .classical import (
-    EulerConvention,
-    alternating_sum,
-    bernoulli_det,
-    bernoulli_numbers,
-    bernoulli_polynomial,
-    euler_det,
-    euler_numbers,
-    power_sum,
-    power_sum_closed,
-)
-from .multifamily import (
-    CappedSum,
-    DegenerateParams,
-    LogParams,
-    addition_rhs,
-    combined_rhs,
-    combined_rhs_printed,
-    cor1_rhs,
-    multi_poly_bernoulli,
-    multi_poly_euler,
-    multi_poly_euler_ab,
-    multi_poly_euler_xab,
-    poly_euler_abc,
-    thm1_rhs,
-    thm2_rhs,
-    thm3_explicit,
-    thm4_explicit,
-)
-from .polyfamily import TooLarge, lonesum_count, poly_bernoulli, poly_euler, poly_euler_sasaki
-from .polylog import KVector, li_of_inner, li_series, multi_li_series, parse_kvector
-
 __version__ = "0.1.0"
 
-__all__ = [
-    "CappedSum",
-    "DegenerateParams",
-    "DivisionByNonUnit",
-    "Egf",
-    "EulerConvention",
-    "InsufficientVanishing",
-    "KVector",
-    "LogParams",
-    "NonNilpotentInner",
-    "NotSquare",
-    "Rational",
-    "TooLarge",
-    "addition_rhs",
-    "alternating_sum",
-    "bernoulli_det",
-    "bernoulli_numbers",
-    "bernoulli_polynomial",
-    "combined_rhs",
-    "combined_rhs_printed",
-    "cor1_rhs",
-    "det",
-    "egf_add",
-    "egf_compose",
-    "egf_div",
-    "egf_div_shifted",
-    "egf_exp_linear",
-    "egf_exp_sum",
-    "egf_mul",
-    "egf_pow",
-    "euler_det",
-    "euler_numbers",
-    "format_rational",
-    "li_of_inner",
-    "li_series",
-    "lonesum_count",
-    "multi_li_series",
-    "multi_poly_bernoulli",
-    "multi_poly_euler",
-    "multi_poly_euler_ab",
-    "multi_poly_euler_xab",
-    "parse_kvector",
-    "parse_rational",
-    "poly_bernoulli",
-    "poly_euler",
-    "poly_euler_abc",
-    "poly_euler_sasaki",
-    "power_sum",
-    "power_sum_closed",
-    "thm1_rhs",
-    "thm2_rhs",
-    "thm3_explicit",
-    "thm4_explicit",
-]
+# Each layer and the public names it defines.
+_EXPORTS = {
+    "exact": (
+        "DivisionByNonUnit",
+        "Egf",
+        "InsufficientVanishing",
+        "NonNilpotentInner",
+        "NotSquare",
+        "Rational",
+        "det",
+        "egf_add",
+        "egf_compose",
+        "egf_div",
+        "egf_div_shifted",
+        "egf_exp_linear",
+        "egf_exp_sum",
+        "egf_mul",
+        "egf_pow",
+        "format_rational",
+        "parse_rational",
+    ),
+    "classical": (
+        "EulerConvention",
+        "alternating_sum",
+        "bernoulli_det",
+        "bernoulli_numbers",
+        "bernoulli_polynomial",
+        "euler_det",
+        "euler_numbers",
+        "power_sum",
+        "power_sum_closed",
+    ),
+    "multifamily": (
+        "CappedSum",
+        "DegenerateParams",
+        "LogParams",
+        "addition_rhs",
+        "combined_rhs",
+        "combined_rhs_printed",
+        "cor1_rhs",
+        "multi_poly_bernoulli",
+        "multi_poly_euler",
+        "multi_poly_euler_ab",
+        "multi_poly_euler_xab",
+        "poly_euler_abc",
+        "thm1_rhs",
+        "thm2_rhs",
+        "thm3_explicit",
+        "thm4_explicit",
+    ),
+    "polyfamily": ("TooLarge", "lonesum_count", "poly_bernoulli", "poly_euler", "poly_euler_sasaki"),
+    "polylog": ("KVector", "li_of_inner", "li_series", "multi_li_series", "parse_kvector"),
+}
+_HOME = {name: layer for layer, names in _EXPORTS.items() for name in names}
+
+__all__ = sorted(_HOME)
+
+
+def __getattr__(name: str):
+    layer = _HOME.get(name)
+    if layer is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from importlib import import_module
+
+    value = getattr(import_module(f"{__name__}.{layer}"), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted(set(globals()) | set(__all__))

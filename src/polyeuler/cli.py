@@ -9,20 +9,19 @@ cross the boundary in the canonical text form ("-3/4", "5").
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 from fractions import Fraction
 from typing import TYPE_CHECKING, Callable, Sequence
 
-from . import DEFAULT_ORDER, DEFAULT_SEED, classical, multifamily, polyfamily
+from . import DEFAULT_ORDER, DEFAULT_SEED, classical
 from .classical import EulerConvention
 from .exact import format_rational, parse_rational
-from .multifamily import LogParams
 from .polylog import parse_kvector
 
-# The audit is imported only by the functions of polyverify and polyaudit, so
-# a polyseq process never loads it.
+# The audit is imported only by the functions of polyverify and polyaudit,
+# the family layers only by the branches that call them, and json only where
+# --format json prints: a polyseq process loads only the layers it runs.
 if TYPE_CHECKING:
     from . import audit
 
@@ -135,6 +134,8 @@ def _sequence_for(args: argparse.Namespace) -> list[Fraction]:
     if family == "euler":
         convention = args.convention or EulerConvention.GENOCCHI_TYPE.value
         return classical.euler_numbers(order, EulerConvention(convention))
+    from . import polyfamily
+
     if family == "poly-bernoulli":
         _require(args.k is not None, "poly-bernoulli needs --k")
         return polyfamily.poly_bernoulli(args.k, x, order)
@@ -144,6 +145,8 @@ def _sequence_for(args: argparse.Namespace) -> list[Fraction]:
     if family == "poly-euler-sasaki":
         _require(args.k is not None, "poly-euler-sasaki needs --k")
         return polyfamily.poly_euler_sasaki(args.k, order)
+    from . import multifamily
+
     if family == "multi-poly-bernoulli":
         _require(args.ks is not None, "multi-poly-bernoulli needs --ks")
         return multifamily.multi_poly_bernoulli(args.ks, order)
@@ -156,7 +159,7 @@ def _sequence_for(args: argparse.Namespace) -> list[Fraction]:
         if args.alpha is None:
             _require(args.gamma is None, "--gamma needs --alpha and --beta")
             return multifamily.multi_poly_euler(args.ks, x, order)
-        params = LogParams(args.alpha, args.beta, args.gamma)
+        params = multifamily.LogParams(args.alpha, args.beta, args.gamma)
         if args.gamma is None:
             return multifamily.multi_poly_euler_xab(args.ks, x, params, order)
         _require(len(args.ks) == 1, "the three-parameter family is defined for a single index")
@@ -168,7 +171,7 @@ def _sequence_for(args: argparse.Namespace) -> list[Fraction]:
             "poly-euler-abc needs --alpha, --beta and --gamma",
         )
         return multifamily.poly_euler_abc(
-            args.k, x, LogParams(args.alpha, args.beta, args.gamma), order
+            args.k, x, multifamily.LogParams(args.alpha, args.beta, args.gamma), order
         )
     raise UsageError(f"unknown family {family!r}")
 
@@ -182,6 +185,8 @@ def _print_table(values: Sequence[Fraction], fmt: str, out) -> None:
         for n, v in enumerate(values):
             print(f"{n},{format_rational(v)}", file=out)
     else:
+        import json
+
         rows = [{"n": n, "value": format_rational(v)} for n, v in enumerate(values)]
         print(json.dumps(rows, indent=2), file=out)
 
@@ -195,6 +200,8 @@ def cmd_seq(args: argparse.Namespace, out=None) -> int:
     ]
     _require(not unread, f"{args.family} does not read {', '.join(unread)}")
     if args.family == "lonesum":
+        from . import polyfamily
+
         _require(args.rows is not None and args.cols is not None, "lonesum needs --rows and --cols")
         try:
             count = polyfamily.lonesum_count(args.rows, args.cols)
@@ -206,6 +213,8 @@ def cmd_seq(args: argparse.Namespace, out=None) -> int:
             print("rows,cols,value", file=out)
             print(f"{args.rows},{args.cols},{count}", file=out)
         else:
+            import json
+
             print(
                 json.dumps({"rows": args.rows, "cols": args.cols, "value": str(count)}, indent=2),
                 file=out,
@@ -217,7 +226,7 @@ def cmd_seq(args: argparse.Namespace, out=None) -> int:
 
 def _verify_parser(prog: str = "polyverify") -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(prog=prog, description="Check one registered identity.")
-    p.add_argument("identity", help="identity id, e.g. thm2 (see polyverify --list)")
+    p.add_argument("identity", help="identity id, e.g. thm2; an unknown id prints the registered ones")
     p.add_argument("--order", type=int, default=None)
     p.add_argument("--seed", type=int, default=DEFAULT_SEED)
     p.add_argument("--variant", default=None)

@@ -1,5 +1,6 @@
 """CLI golden tests: output formats, exit codes, env override, determinism."""
 
+import ast
 import hashlib
 import io
 import json
@@ -17,7 +18,11 @@ from polyeuler.cli import (
     MAX_DIGITS,
     MAX_K,
     MAX_N,
+    _audit_parser,
     _result_line,
+    _seq_parser,
+    _verify_parser,
+    cmd_seq,
     main_audit,
     main_seq,
     main_verify,
@@ -33,8 +38,6 @@ def run_cli(*args, env=None):
 
 def seq_output(argv):
     out = io.StringIO()
-    from polyeuler.cli import _seq_parser, cmd_seq
-
     code = cmd_seq(_seq_parser().parse_args(argv), out=out)
     return code, out.getvalue()
 
@@ -174,6 +177,17 @@ class TestVerify:
 
     def test_unknown_identity_exit_two(self):
         assert main_verify(["nosuch"]) == 2
+
+    def test_unknown_identity_prints_the_registered_ones(self, capsys):
+        assert main_verify(["nosuch"]) == 2
+        assert ", ".join(audit.registered_ids()) in capsys.readouterr().err
+
+    @pytest.mark.parametrize("factory", [_seq_parser, _verify_parser, _audit_parser])
+    def test_help_names_only_accepted_flags(self, factory):
+        parser = factory()
+        named = set(re.findall(r"(?<![\w-])--[a-z][\w-]*", parser.format_help()))
+        accepted = {flag for action in parser._actions for flag in action.option_strings}
+        assert named and named <= accepted
 
     def test_unknown_variant_exit_two(self):
         assert main_verify(["thm4-explicit", "--variant", "corrected"]) == 2
@@ -416,17 +430,38 @@ class TestRootCommand:
         assert proc.returncode == 2
 
     def test_seq_does_not_load_the_audit(self):
+        """Each family group loads only the layers it runs, counted against
+        the modules the bare interpreter had already loaded."""
         code = (
-            "import sys\n"
+            "import contextlib, io, sys\n"
+            "before = set(sys.modules)\n"
             "from polyeuler.cli import main_seq\n"
-            "assert main_seq(['bernoulli', '--n=1']) == 0\n"
-            "print('polyeuler.audit' in sys.modules)\n"
+            "out = io.StringIO()\n"
+            "with contextlib.redirect_stdout(out):\n"
+            "    code = main_seq(sys.argv[1:])\n"
+            "print(repr((code, out.getvalue(), sorted(set(sys.modules) - before))))\n"
         )
-        proc = subprocess.run(
-            [sys.executable, "-c", code], capture_output=True, text=True, timeout=60
-        )
-        assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.splitlines() == ["0\t1", "1\t-1/2", "False"]
+        base = {"polyeuler", "polyeuler.cli", "polyeuler.classical", "polyeuler.exact", "polyeuler.polylog"}
+        poly = base | {"polyeuler.polyfamily"}
+        multi = poly | {"polyeuler.multifamily"}
+        unused = {"dataclasses", "hashlib", "json"}
+        for argv, layers, absent in [
+            (["bernoulli", "--n=1"], base, unused),
+            (["bernoulli", "--n=1", "--format=json"], base, unused - {"json"}),
+            (["poly-euler", "--k=2", "--n=3"], poly, unused),
+            (["lonesum", "--rows=2", "--cols=2"], poly, unused),
+            (["multi-poly-euler", "--ks=1,2", "--alpha=1", "--beta=2", "--n=3"], multi, unused),
+            (["poly-euler-abc", "--k=1", "--alpha=1", "--beta=2", "--gamma=1", "--n=2"], multi, unused),
+        ]:
+            proc = subprocess.run(
+                [sys.executable, "-c", code, *argv], capture_output=True, text=True, timeout=60
+            )
+            assert proc.returncode == 0, proc.stderr
+            exit_code, printed, loaded = ast.literal_eval(proc.stdout)
+            assert exit_code == 0, argv
+            assert printed == seq_output(argv)[1], argv
+            assert {m for m in loaded if m.startswith("polyeuler")} == layers, argv
+            assert not absent & set(loaded), argv
 
     def test_seq_via_subprocess(self):
         proc = run_cli("seq", "bernoulli", "--n", "2")

@@ -1,7 +1,9 @@
 """Multi-family sequences, the (a,b,c) deformations, and the identity RHS
 evaluators, cross-checked against the independent ordinary-series oracles."""
 
+import copy
 import importlib
+import pickle
 import pkgutil
 from fractions import Fraction
 
@@ -81,6 +83,59 @@ class TestMultiPolyEuler:
     def test_matches_oracle(self, ks):
         x = F(1, 3)
         assert multi_poly_euler(ks, x, 7) == oracles.multi_poly_euler_egf(ks, x, 7)
+
+
+class TestValueTypes:
+    """The public behaviour of LogParams and CappedSum: immutable values
+    with field equality, hashing and a keyword repr."""
+
+    def test_equal_fields_are_equal_and_hash_alike(self):
+        assert LogParams(F(1), F(2, 3)) == LogParams(F(1), F(2, 3), None)
+        assert hash(LogParams(F(1), F(2, 3))) == hash(LogParams(F(1), F(2, 3)))
+        assert LogParams(F(1), F(2), F(3)) != LogParams(F(1), F(2))
+        assert CappedSum(F(1, 2), 3) == CappedSum(F(1, 2), 3)
+        assert hash(CappedSum(F(1, 2), 3)) == hash(CappedSum(F(1, 2), 3))
+        assert CappedSum(F(1, 2), 3) != CappedSum(F(1, 2), 4)
+        assert len({LogParams(1, 2), LogParams(F(1), F(2)), LogParams(2, 1)}) == 2
+
+    def test_not_equal_to_a_plain_tuple(self):
+        assert LogParams(F(1), F(2)) != (F(1), F(2), None)
+        assert CappedSum(F(1), 0) != (F(1), 0)
+
+    @pytest.mark.parametrize(
+        "value, field",
+        [
+            (LogParams(F(1), F(2)), "alpha"),
+            (LogParams(F(1), F(2)), "gamma"),
+            (LogParams(F(1), F(2)), "log_ab"),
+            (CappedSum(F(1), 0), "skipped_terms"),
+        ],
+    )
+    def test_fields_cannot_be_assigned(self, value, field):
+        with pytest.raises(AttributeError):
+            setattr(value, field, F(5))
+
+    @pytest.mark.parametrize("value", [LogParams(F(1), F(2, 3), F(-1)), CappedSum(F(1, 2), 3)])
+    def test_copies_and_pickles_are_equal(self, value):
+        for twin in (copy.copy(value), copy.deepcopy(value), pickle.loads(pickle.dumps(value))):
+            assert twin == value and hash(twin) == hash(value)
+
+    def test_repr(self):
+        assert repr(LogParams(1, F(2, 3))) == (
+            "LogParams(alpha=Fraction(1, 1), beta=Fraction(2, 3), gamma=None)"
+        )
+        assert repr(LogParams(1, 2, -3)) == (
+            "LogParams(alpha=Fraction(1, 1), beta=Fraction(2, 1), gamma=Fraction(-3, 1))"
+        )
+        assert repr(CappedSum(F(1, 2), 3)) == "CappedSum(value=Fraction(1, 2), skipped_terms=3)"
+
+    def test_ints_become_fractions(self):
+        p = LogParams(1, 2, 3)
+        assert [type(v) for v in (p.alpha, p.beta, p.gamma)] == [Fraction] * 3
+        assert (p.alpha, p.beta, p.gamma, p.log_ab) == (1, 2, 3, 3)
+
+    def test_gamma_defaults_to_none(self):
+        assert LogParams(F(1), F(2)).gamma is None
 
 
 class TestTwoParameterFamily:
