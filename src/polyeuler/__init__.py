@@ -1,8 +1,8 @@
 """Exact-rational generating-function toolkit for Bernoulli/Euler-type families.
 
-The public names below are re-exported from their layers on first access
-(PEP 562), so ``import polyeuler`` loads no layer and a command loads only
-the layers it runs.
+The public names below, and the layers themselves (``polyeuler.exact`` and
+so on), are imported on first access (PEP 562), so ``import polyeuler``
+loads no layer and a command loads only the layers it runs.
 """
 
 # The default series order (polyseq --n, the audit's --order) and audit seed.
@@ -72,15 +72,17 @@ __all__ = sorted(_HOME)
 
 
 def __getattr__(name: str):
+    from importlib import import_module
+
+    if name in _EXPORTS:  # a layer itself, e.g. polyeuler.exact
+        return import_module(f"{__name__}.{name}")
     layer = _HOME.get(name)
     if layer is None:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    from importlib import import_module
-
     value = getattr(import_module(f"{__name__}.{layer}"), name)
     globals()[name] = value
     return value
 
 
 def __dir__() -> list[str]:
-    return sorted(set(globals()) | set(__all__))
+    return sorted(set(globals()) | set(_EXPORTS) | set(__all__))

@@ -28,6 +28,7 @@ sums Python ints over one denominator and builds one ``Fraction``.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations_with_replacement
 from math import comb, factorial, lcm, prod
@@ -42,59 +43,23 @@ class DegenerateParams(ValueError):
     """Raised when an identity requires ln a + ln b != 0."""
 
 
-# Sets a field of a _Value, whose own __setattr__ refuses every assignment.
-_set = object.__setattr__
+@dataclass(frozen=True)
+class LogParams:
+    """Exact logarithms of the deformation parameters: alpha = ln a, etc."""
 
+    alpha: Fraction
+    beta: Fraction
+    gamma: Fraction | None = None
 
-class _Value:
-    """An immutable record of the fields named in ``_fields``, with the
-    equality, hash and repr of a frozen dataclass: instances of one class
-    compare and hash by their field values, and assignment raises."""
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "alpha", Fraction(self.alpha))
+        object.__setattr__(self, "beta", Fraction(self.beta))
+        if self.gamma is not None:
+            object.__setattr__(self, "gamma", Fraction(self.gamma))
 
-    __slots__ = ()
-    _fields: tuple[str, ...] = ()
-
-    def _values(self) -> tuple:
-        return tuple(getattr(self, name) for name in self._fields)
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"cannot delete field {name!r}")
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self._values() == other._values()
-
-    def __hash__(self) -> int:
-        return hash(self._values())
-
-    def __repr__(self) -> str:
-        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
-        return f"{type(self).__qualname__}({fields})"
-
-    def __reduce__(self):
-        return type(self), self._values()
-
-
-class LogParams(_Value):
-    """Exact logarithms of the deformation parameters: alpha = ln a, etc.
-
-    ``log_ab`` = alpha + beta is computed once, here."""
-
-    __slots__ = ("alpha", "beta", "gamma", "log_ab")
-    _fields = ("alpha", "beta", "gamma")
-
-    def __init__(
-        self, alpha: Fraction | int, beta: Fraction | int, gamma: Fraction | int | None = None
-    ) -> None:
-        alpha, beta = Fraction(alpha), Fraction(beta)
-        _set(self, "alpha", alpha)
-        _set(self, "beta", beta)
-        _set(self, "gamma", None if gamma is None else Fraction(gamma))
-        _set(self, "log_ab", alpha + beta)
+    @property
+    def log_ab(self) -> Fraction:
+        return self.alpha + self.beta
 
 
 def multi_poly_bernoulli(ks: Sequence[int], order: int) -> list[Fraction]:
@@ -258,15 +223,13 @@ def addition_rhs(
     return _binomial_shift(base, r * Fraction(y), Fraction(1), order)
 
 
-class CappedSum(_Value):
+@dataclass(frozen=True)
+class CappedSum:
     """Value of a capped formula evaluation plus the count of skipped terms
     (terms whose denominator would need division by zero)."""
 
-    __slots__ = _fields = ("value", "skipped_terms")
-
-    def __init__(self, value: Fraction, skipped_terms: int) -> None:
-        _set(self, "value", value)
-        _set(self, "skipped_terms", skipped_terms)
+    value: Fraction
+    skipped_terms: int
 
 
 def _index_tuple_weight(ms: tuple[int, ...], ks: KVector, big: int) -> int | None:

@@ -54,3 +54,21 @@ def test_bare_import_loads_no_layer():
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines() == ["10 0 0.1.0", "[]"]
+
+
+def test_layers_resolve_as_attributes():
+    """``polyeuler.exact`` and the other layers resolve after a bare import,
+    as they did when the package imported every layer eagerly."""
+    code = (
+        "import polyeuler\n"
+        "print(polyeuler.exact.Egf.__name__, polyeuler.classical.__name__)\n"
+        "print([getattr(polyeuler, m).__name__ for m in "
+        "('multifamily', 'polyfamily', 'polylog')])\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == [
+        "Egf polyeuler.classical",
+        "['polyeuler.multifamily', 'polyeuler.polyfamily', 'polyeuler.polylog']",
+    ]
+    assert {"exact", "classical", "multifamily", "polyfamily", "polylog"} <= set(dir(polyeuler))
