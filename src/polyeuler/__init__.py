@@ -26,11 +26,13 @@ _EXPORTS = {
         "egf_add",
         "egf_compose",
         "egf_div",
+        "egf_div_exp_sum",
         "egf_div_shifted",
         "egf_exp_linear",
         "egf_exp_sum",
         "egf_mul",
         "egf_pow",
+        "egf_times_exp",
         "format_rational",
         "parse_rational",
     ),

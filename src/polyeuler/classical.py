@@ -13,7 +13,7 @@ from functools import lru_cache
 from math import comb, factorial
 from typing import Sequence
 
-from .exact import Egf, det, egf_div, egf_div_shifted, egf_exp_sum
+from .exact import Egf, det, egf_div_exp_sum, egf_div_shifted, egf_exp_sum
 
 
 class EulerConvention(enum.Enum):
@@ -86,10 +86,10 @@ def euler_numbers(order: int, convention: EulerConvention) -> list[Fraction]:
     1/cosh t = 2/(e^t + e^{-t}), whose odd coefficients vanish.
     """
     if convention is EulerConvention.GENOCCHI_TYPE:
-        denom = egf_exp_sum(((1, 0), (1, 1)), order)
+        terms = ((1, 0), (1, 1))
     else:
-        denom = egf_exp_sum(((1, 1), (1, -1)), order)
-    return list(egf_div(Egf.constant(2, order), denom).coeffs)
+        terms = ((1, 1), (1, -1))
+    return list(egf_div_exp_sum(Egf.constant(2, order), terms).coeffs)
 
 
 def bernoulli_det(n: int) -> Fraction:

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import comb, factorial, gcd, lcm
+from operator import mul
 from typing import Iterable, Sequence, Union
 
 Rational = Fraction
@@ -347,7 +348,7 @@ def _bell_table(u: tuple[int, ...], den: int) -> tuple[int, tuple[tuple[int, ...
     if den == 1 and u == ((1, -1) * len(u))[: len(u)]:
         for j in range(len(u)):
             prev = rows[j] + (0,)
-            rows.append((0,) + tuple(prev[m - 1] - m * prev[m] for m in range(1, j + 2)))
+            rows.append((0, *[prev[m - 1] - m * prev[m] for m in range(1, j + 2)]))
         return 1, tuple(rows)
     v = (0,) + u
     for j in range(1, len(u) + 1):
@@ -377,7 +378,7 @@ def egf_compose(f: Egf, g: Egf) -> Egf:
     d_pow = integer_powers(den, n)
     a, df = f.numerators()
     scaled = [a[m] * d_pow[n - m] for m in range(n + 1)]
-    return Egf.of((sum(am * b for am, b in zip(scaled, row)) for row in bell), df * d_pow[n])
+    return Egf.of((sum(map(mul, scaled, row)) for row in bell), df * d_pow[n])
 
 
 def egf_exp_linear(value: RationalLike, order: int) -> Egf:
@@ -388,6 +389,19 @@ def egf_exp_linear(value: RationalLike, order: int) -> Egf:
     return Egf.of((t * bottoms[order - n] for n, t in enumerate(tops)), bottoms[order])
 
 
+def _power_sums(terms: Iterable[tuple[int, RationalLike]], order: int) -> tuple[list[int], int]:
+    """(G, D) with G[n] = sum_j w_j M_j^n for n = 0..order, where the rates
+    are put over one denominator D as mu_j = M_j / D."""
+    terms = tuple(terms)
+    den = lcm(*(rate.denominator for _, rate in terms))
+    sums = [0] * (order + 1)
+    for weight, rate in terms:
+        top = rate.numerator * (den // rate.denominator)
+        for n, p in enumerate(integer_powers(top, order)):
+            sums[n] += weight * p
+    return sums, den
+
+
 def egf_exp_sum(terms: Iterable[tuple[int, RationalLike]], order: int) -> Egf:
     """The finite sum of exponentials sum_j w_j e^{mu_j t} for (w_j, mu_j) in
     ``terms``, integer weights w_j and rational rates mu_j.
@@ -396,15 +410,57 @@ def egf_exp_sum(terms: Iterable[tuple[int, RationalLike]], order: int) -> Egf:
     sum_j w_j M_j^n / D^n, summed over integers and lifted to D^N: no series
     product is formed.  No terms give the zero series.
     """
-    terms = tuple(terms)
-    den = lcm(*(rate.denominator for _, rate in terms))
-    nums = [0] * (order + 1)
-    for weight, rate in terms:
-        top = rate.numerator * (den // rate.denominator)
-        for n, p in enumerate(integer_powers(top, order)):
-            nums[n] += weight * p
+    sums, den = _power_sums(terms, order)
     den_pow = integer_powers(den, order)
-    return Egf.of((c * den_pow[order - n] for n, c in enumerate(nums)), den_pow[order])
+    return Egf.of((c * den_pow[order - n] for n, c in enumerate(sums)), den_pow[order])
+
+
+def egf_div_exp_sum(f: Egf, terms: Iterable[tuple[int, RationalLike]]) -> Egf:
+    """f divided by the sum of exponentials sum_j w_j e^{mu_j t}, the series
+    ``egf_exp_sum(terms, f.order)``, fraction-free in the manner of Bareiss.
+
+    With f = a/d, the rates over one denominator K, G_n = sum_j w_j M_j^n
+    and s = G_0 the weight sum, the quotient is h_n = H_n / (d s^{n+1} K^n)
+    for the integers H_n = (s K)^n a_n - sum_{i<n} C(n,i) s^{n-i-1} G_{n-i} H_i,
+    so no step takes a gcd or rescales an earlier quotient; the result is
+    reduced once, at the end.  A zero weight sum raises DivisionByNonUnit.
+    """
+    n = f.order
+    sums, den = _power_sums(terms, n)
+    s = sums[0]
+    if s == 0:
+        raise DivisionByNonUnit("divisor has zero constant term")
+    a, df = f.numerators()
+    # G_m s^{m-1} for m >= 1: the weight of H_{n-m} in H_n, up to C(n, n-m).
+    weights = [0] + [g * p for g, p in zip(sums[1:], integer_powers(s, n))]
+    lift = integer_powers(s * den, n)
+    nums: list[int] = []
+    for m in range(n + 1):
+        acc = 0
+        for i in range(m):
+            if nums[i]:
+                acc += comb(m, i) * nums[i] * weights[m - i]
+        nums.append(lift[m] * a[m] - acc)
+    return Egf.of((v * lift[n - m] for m, v in enumerate(nums)), df * s * lift[n])
+
+
+def egf_times_exp(f: Egf, value: RationalLike) -> Egf:
+    """The product e^{value * t} f, by a Taylor shift.
+
+    With value = p/q and f = a/d, the rows R_0 = a and
+    R_{j+1}[i] = q R_j[i+1] + p R_j[i] give coefficient n as R_n[0] / (d q^n),
+    so the growing integers are only ever multiplied by p and q.
+    """
+    v = Fraction(value)
+    p, q = v.numerator, v.denominator
+    a, df = f.numerators()
+    row = list(a)
+    tops = [row[0]]
+    for _ in range(f.order):
+        row = [p * x + q * y for x, y in zip(row, row[1:])]
+        tops.append(row[0])
+    q_pow = integer_powers(q, f.order)
+    return Egf.of((t * q_pow[f.order - n] for n, t in enumerate(tops)), df * q_pow[f.order])
 
 
 def egf_pow(f: Egf, exponent: int) -> Egf:

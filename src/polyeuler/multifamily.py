@@ -52,9 +52,13 @@ class LogParams:
     gamma: Fraction | None = None
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "alpha", Fraction(self.alpha))
-        object.__setattr__(self, "beta", Fraction(self.beta))
-        if self.gamma is not None:
+        # Only values that are not a Fraction yet are converted: the audit
+        # builds thousands of these from Fraction points.
+        if type(self.alpha) is not Fraction:
+            object.__setattr__(self, "alpha", Fraction(self.alpha))
+        if type(self.beta) is not Fraction:
+            object.__setattr__(self, "beta", Fraction(self.beta))
+        if self.gamma is not None and type(self.gamma) is not Fraction:
             object.__setattr__(self, "gamma", Fraction(self.gamma))
 
     @property

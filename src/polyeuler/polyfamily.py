@@ -3,11 +3,13 @@
 All sequences are exact EGF coefficient lists; every poly- and multi-family
 is read off one of two shapes, the cached ``_euler_egf`` or
 ``_bernoulli_egf``.  Each Euler series is cached once: at w = 0 it is the
-quotient itself, and at any other w it is e^{wt} times that cached w = 0
-entry.  Both shapes' denominators, (e^{-alpha t} + e^{beta t})^r and
-(1-e^{-t})^r, are sums of r + 1 exponentials by the binomial theorem, built
-by ``exact.egf_exp_sum`` like every other sum of exponentials in the
-package.  Every numerator is read off one cached series, Li_ks(1-e^{-t}):
+quotient itself, and at any other w it is the Taylor shift
+(``exact.egf_times_exp``) of that cached w = 0 entry by e^{wt}.  Both
+shapes' denominators, (e^{-alpha t} + e^{beta t})^r and (1-e^{-t})^r, are
+sums of r + 1 exponentials by the binomial theorem: the Euler shape divides
+by its terms fraction-free (``exact.egf_div_exp_sum``), and the Bernoulli
+shape builds its series with ``exact.egf_exp_sum`` to cancel t^r first.
+Every numerator is read off one cached series, Li_ks(1-e^{-t}):
 the Bernoulli shape uses it as it is, and Li_ks(1-e^{-ct}) of the Euler
 shape (c = alpha + beta) and of the Sasaki variant (c = 4) is it with
 coefficient n scaled by c^n.
@@ -24,7 +26,16 @@ from functools import lru_cache
 from itertools import product
 from math import comb
 
-from .exact import Egf, egf_div, egf_div_shifted, egf_exp_linear, egf_exp_sum, egf_mul, egf_scale
+from .exact import (
+    Egf,
+    egf_div_exp_sum,
+    egf_div_shifted,
+    egf_exp_linear,
+    egf_exp_sum,
+    egf_mul,
+    egf_scale,
+    egf_times_exp,
+)
 from .polylog import KVector, li_of_inner
 
 ENUMERATION_CELL_LIMIT = 20
@@ -56,10 +67,10 @@ def _li_numerator_at(ks: KVector, c: Fraction | int, order: int) -> tuple[list[i
     return [p * v for p, v in zip(powers, nums)], scale * den
 
 
-@lru_cache(maxsize=256)
-def _euler_denominator(alpha: Fraction, beta: Fraction, r: int, order: int) -> Egf:
-    """(e^{-alpha t} + e^{beta t})^r = sum_i C(r,i) e^{(i beta - (r-i) alpha)t}."""
-    return egf_exp_sum(((comb(r, i), i * beta - (r - i) * alpha) for i in range(r + 1)), order)
+def _euler_terms(alpha: Fraction, beta: Fraction, r: int) -> tuple[tuple[int, Fraction], ...]:
+    """(e^{-alpha t} + e^{beta t})^r = sum_i C(r,i) e^{(i beta - (r-i) alpha)t},
+    as the (weight, rate) terms that ``exact`` takes for a sum of exponentials."""
+    return tuple((comb(r, i), i * beta - (r - i) * alpha) for i in range(r + 1))
 
 
 @lru_cache(maxsize=4096)
@@ -68,16 +79,17 @@ def _euler_egf(ks: KVector, w: Fraction, alpha: Fraction, beta: Fraction, order:
 
     Every poly- and multi-poly-Euler family is this series at some
     (w, alpha, beta).  At w = 0 it is the quotient itself: the numerator is
-    read off the cached Li_ks(1-e^{-t}), and the denominator is never
-    rescaled from another (alpha, beta), so thm1's t -> (alpha+beta)t law
-    is still checked.  Any other w multiplies the cached w = 0 series by
-    e^{wt}.
+    read off the cached Li_ks(1-e^{-t}) and divided fraction-free by the
+    r + 1 exponentials of the denominator, which is never rescaled from
+    another (alpha, beta), so thm1's t -> (alpha+beta)t law is still
+    checked.  Any other w is the Taylor shift e^{wt} times the cached w = 0
+    series.
     """
     if w:
-        return egf_mul(egf_exp_linear(w, order), _euler_egf(ks, Fraction(0), alpha, beta, order))
+        return egf_times_exp(_euler_egf(ks, Fraction(0), alpha, beta, order), w)
     nums, den = _li_numerator_at(ks, alpha + beta, order)
     numerator = Egf.of((2 * v for v in nums), den)
-    return egf_div(numerator, _euler_denominator(alpha, beta, len(ks), order))
+    return egf_div_exp_sum(numerator, _euler_terms(alpha, beta, len(ks)))
 
 
 def _bernoulli_egf(ks: KVector, x: Fraction, order: int) -> Egf:

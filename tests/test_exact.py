@@ -5,7 +5,7 @@ from fractions import Fraction
 from math import gcd
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from polyeuler.exact import (
     DivisionByNonUnit,
@@ -13,16 +13,19 @@ from polyeuler.exact import (
     InsufficientVanishing,
     NonNilpotentInner,
     NotSquare,
+    _bell_table,
     det,
     egf_add,
     egf_compose,
     egf_div,
+    egf_div_exp_sum,
     egf_div_shifted,
     egf_exp_linear,
     egf_exp_sum,
     egf_mul,
     egf_pow,
     egf_scale,
+    egf_times_exp,
     format_rational,
     integer_numerators,
     parse_rational,
@@ -334,6 +337,67 @@ class TestExpSum:
     def test_exp_minus_one_and_cosh(self):
         assert egf_exp_sum([(1, 1), (-1, 0)], 4).coeffs == (0, 1, 1, 1, 1)
         assert egf_exp_sum([(1, 1), (1, -1)], 4).coeffs == (2, 0, 2, 0, 2)
+
+
+class TestDivExpSum:
+    """Fraction-free division by a sum of exponentials, against the generic
+    division by that sum built as a series."""
+
+    rates = st.fractions(min_value=-3, max_value=3, max_denominator=5)
+    terms = st.lists(
+        st.tuples(st.integers(min_value=-4, max_value=4), rates), min_size=1, max_size=9
+    ).filter(lambda ts: sum(w for w, _ in ts) != 0)
+
+    @given(f=series, terms=terms)
+    @example(f=Egf.constant(F(3, 4), 0), terms=[(2, F(1, 3)), (-1, F(-2, 5))])
+    @example(f=exp_t(6), terms=[(1, 0), (1, 1)])
+    @example(f=Egf.t(8), terms=[(-1, F(-1, 2)), (3, 0), (1, F(2, 3)), (-5, F(-7, 4))])
+    def test_matches_division_by_the_series(self, f, terms):
+        assert egf_div_exp_sum(f, terms) == egf_div(f, egf_exp_sum(terms, f.order))
+
+    def test_two_over_one_plus_exp(self):
+        assert egf_div_exp_sum(Egf.constant(2, 3), [(1, 0), (1, 1)]).coeffs == (
+            1,
+            F(-1, 2),
+            0,
+            F(1, 4),
+        )
+
+    @pytest.mark.parametrize(
+        "terms", [[], [(1, 1), (-1, 0)], [(2, F(1, 3)), (-2, F(-1, 2))], [(0, 5)]]
+    )
+    def test_zero_weight_sum_raises(self, terms):
+        with pytest.raises(DivisionByNonUnit):
+            egf_div_exp_sum(exp_t(5), terms)
+
+
+class TestTimesExp:
+    """The Taylor-shift product e^{wt} f, against the binomial convolution."""
+
+    @given(f=series, w=st.fractions(min_value=-5, max_value=5, max_denominator=7))
+    @example(f=Egf.constant(F(5, 3), 0), w=F(7, 2))
+    @example(f=exp_t(6), w=F(0))
+    @example(f=exp_t(6), w=F(-3))
+    @example(f=Egf((F(1, 2), F(-2, 3), F(0), F(4))), w=F(2))
+    def test_matches_product_with_exponential(self, f, w):
+        assert egf_times_exp(f, w) == egf_mul(egf_exp_linear(w, f.order), f)
+
+    def test_integer_argument(self):
+        assert egf_times_exp(exp_t(5), 2) == egf_exp_linear(3, 5)
+
+
+class TestBellTable:
+    def test_stirling_branch_matches_generic_recurrence(self):
+        """1 - e^{-t} fills signed Stirling rows by the two-term recurrence;
+        the same series over the denominator 2 takes the generic O(N^3)
+        recurrence, whose entries are 2^m times those rows."""
+        n = 30
+        den, rows = _bell_table(((1, -1) * n)[:n], 1)
+        generic_den, generic = _bell_table(((2, -2) * n)[:n], 2)
+        assert (den, generic_den) == (1, 2)
+        assert len(rows) == len(generic) == n + 1
+        for row, generic_row in zip(rows, generic):
+            assert generic_row == tuple(2**m * b for m, b in enumerate(row))
 
 
 class TestRingAxioms:

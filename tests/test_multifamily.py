@@ -393,9 +393,9 @@ def _package_caches():
 class TestEulerShapeCaches:
     """The Euler shape is cached once per (ks, w, alpha, beta, order); the
     w = 0 entry is the quotient that every other w multiplies by e^{wt}.
-    Below it sit the numerator per (ks, order) and the denominator per
-    (alpha, beta, r, order).  Every key must tell apart the requests it
-    serves, in any order of arrival."""
+    Below it sits the numerator per (ks, order); the denominator, r + 1
+    exponentials, is divided by directly and not cached.  Every key must
+    tell apart the requests it serves, in any order of arrival."""
 
     # (ks, x, alpha, beta, order), in an order that mixes cold and warm keys.
     REQUESTS = [
@@ -438,7 +438,6 @@ class TestEulerShapeCaches:
         assert {c.__name__ for c in caches} == {
             "_euler_egf",
             "_li_numerator",
-            "_euler_denominator",
             "_bernoulli_tuple",
         }
         for cache in caches:

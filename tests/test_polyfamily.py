@@ -6,10 +6,10 @@ import pytest
 from hypothesis import given, strategies as st
 
 from polyeuler.classical import bernoulli_numbers, bernoulli_polynomial, poly_eval
-from polyeuler.exact import Egf, egf_add, egf_exp_linear, egf_pow, egf_scale
+from polyeuler.exact import Egf, egf_add, egf_exp_linear, egf_exp_sum, egf_pow, egf_scale
 from polyeuler.polyfamily import (
     TooLarge,
-    _euler_denominator,
+    _euler_terms,
     _one_minus_exp,
     lonesum_count,
     poly_bernoulli,
@@ -135,7 +135,7 @@ class TestBinomialDenominators:
     @given(alpha=rationals, beta=rationals, r=depths, order=orders)
     def test_euler_shape_equals_egf_pow(self, alpha, beta, r, order):
         base = egf_add(egf_exp_linear(-alpha, order), egf_exp_linear(beta, order))
-        assert _euler_denominator.__wrapped__(alpha, beta, r, order) == egf_pow(base, r)
+        assert egf_exp_sum(_euler_terms(alpha, beta, r), order) == egf_pow(base, r)
 
     @given(r=depths, order=orders)
     def test_bernoulli_shape_equals_egf_pow(self, r, order):
