@@ -69,16 +69,32 @@ def _default_order() -> int:
     return value
 
 
+def _argument_type(parse: Callable[[str], object], name: str) -> Callable[[str], object]:
+    """``parse`` under ``name``: argparse names the expected form by the
+    converter's ``__name__`` when a value is malformed
+    ("invalid rational value: 'abc'")."""
+
+    def convert(text: str) -> object:
+        return parse(text)
+
+    convert.__name__ = name
+    return convert
+
+
+_RATIONAL = _argument_type(parse_rational, "rational")
+_KVECTOR = _argument_type(parse_kvector, "index vector")
+
+
 def _seq_parser(prog: str = "polyseq") -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(prog=prog, description="Print one sequence family as a table.")
     p.add_argument("family", choices=FAMILIES)
     p.add_argument("--n", type=int, default=None, help="highest index (default: POLYEULER_ORDER or 10)")
     p.add_argument("--k", type=int, default=None, help="single polylogarithm index")
-    p.add_argument("--ks", type=parse_kvector, default=None, help="comma-separated index vector, e.g. 2,1,-1")
-    p.add_argument("--x", type=parse_rational, default=None, help="polynomial argument (rational)")
-    p.add_argument("--alpha", type=parse_rational, default=None, help="ln a (rational)")
-    p.add_argument("--beta", type=parse_rational, default=None, help="ln b (rational)")
-    p.add_argument("--gamma", type=parse_rational, default=None, help="ln c (rational)")
+    p.add_argument("--ks", type=_KVECTOR, default=None, help="comma-separated index vector, e.g. 2,1,-1")
+    p.add_argument("--x", type=_RATIONAL, default=None, help="polynomial argument (rational)")
+    p.add_argument("--alpha", type=_RATIONAL, default=None, help="ln a (rational)")
+    p.add_argument("--beta", type=_RATIONAL, default=None, help="ln b (rational)")
+    p.add_argument("--gamma", type=_RATIONAL, default=None, help="ln c (rational)")
     p.add_argument(
         "--convention",
         choices=[c.value for c in EulerConvention],

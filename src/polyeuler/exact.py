@@ -112,7 +112,7 @@ def lowest_terms(nums: Iterable[int], den: int) -> tuple[tuple[int, ...], int]:
         common = -common
     if common == 1:
         return nums, den
-    return tuple(v // common for v in nums), den // common
+    return tuple([v // common for v in nums]), den // common
 
 
 class Egf:

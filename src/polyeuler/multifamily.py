@@ -8,14 +8,19 @@ with zero tolerance.
 
 The right-hand-side evaluators (thm1_rhs .. addition_rhs) recompute the
 registered identities' claimed expansions from more primitive sequences,
-read as integer numerators off the cached Euler shape.  They add up the
-printed terms over Python ints and return an integer-numerator ``Egf`` over
+read as integer numerators off the cached Euler shape, whose keys they
+form as integer (numerator, denominator) pairs in lowest terms with one
+gcd each (r x, r alpha, alpha + beta, r alpha/(alpha + beta)).  They add up
+the printed terms over Python ints and return an integer-numerator ``Egf`` over
 one denominator, which the audit compares by cross-multiplication with the
 family on the other side.  That side is the series ``_xab_egf`` returns,
 which the list families (``multi_poly_euler*``) only turn into rationals;
 thm1 alone keeps the list wrapper.  The right sides never call a series
 product or another right side, so the audit's two sides stay independent.
-thm2, cor1 and cor2 are one binomial shift each; the two "combined" sides
+thm2, cor1 and cor2 are one binomial shift each, summed term by term; the
+factors of a shift that hold no series value, the binomial coefficients
+times powers of the shift and of the denominators, come from one cached row
+table per (shift, scale, order), ``_shift_table``.  The two "combined" sides
 are two nested shifts of the plain numbers, the printed double sum
 regrouped by distributivity only, while ``tests/oracles._double_sum`` stays
 the literal triple-loop reference they are tested against.
@@ -30,12 +35,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from itertools import combinations_with_replacement
 from math import comb, factorial, lcm, prod
+from operator import mul
 from typing import Sequence
 
 from .exact import Egf, integer_powers
-from .polyfamily import _bernoulli_egf, _euler_egf
+from .polyfamily import Ratio, _bernoulli_egf, _euler_egf, _ratio, _reduced
 from .polylog import KVector, validate_kvector
 
 
@@ -103,15 +110,29 @@ def _xab_egf(
     """E_n^{(k)}(x; a, b) as the cached series itself, the Euler shape at
     w = r x: the list families read it, and the audit compares it as it is."""
     ks = validate_kvector(ks)
-    return _euler_egf(ks, len(ks) * Fraction(x), alpha, beta, order)
+    return _euler_egf(ks, _times(len(ks), x), _ratio(alpha), _ratio(beta), order)
 
 
 def poly_euler_abc(
     k: int, x: Fraction | int, params: LogParams, order: int
 ) -> list[Fraction]:
     """E_n^{(k)}(x; a, b, c) from 2 Li_k(1-(ab)^{-t})/(a^{-t}+b^t) c^{xt}."""
-    gamma = params.gamma if params.gamma is not None else Fraction(0)
-    return list(_euler_egf((k,), gamma * Fraction(x), params.alpha, params.beta, order).coeffs)
+    (g, gd), (p, q) = _ratio(params.gamma or 0), _ratio(x)
+    w = _reduced(g * p, gd * q)
+    return list(_euler_egf((k,), w, _ratio(params.alpha), _ratio(params.beta), order).coeffs)
+
+
+def _times(k: int, value: Fraction | int) -> Ratio:
+    """k * value as a pair in lowest terms."""
+    p, q = _ratio(value)
+    return _reduced(k * p, q)
+
+
+def _log_ratios(params: LogParams) -> tuple[Ratio, Ratio]:
+    """ln a and ln a + ln b as pairs in lowest terms."""
+    a, ad = _ratio(params.alpha)
+    b, bd = _ratio(params.beta)
+    return (a, ad), _reduced(a * bd + b * ad, ad * bd)
 
 
 def thm1_rhs(ks: Sequence[int], params: LogParams, order: int) -> Egf:
@@ -120,42 +141,55 @@ def thm1_rhs(ks: Sequence[int], params: LogParams, order: int) -> Egf:
     With E_n = v_n / D and ln a+ln b = l/l', term n is v_n l^n l'^{N-n}
     over D l'^N.
     """
-    lab = params.log_ab
+    (a, ad), (lab, lab_den) = _log_ratios(params)
     if lab == 0:
         raise DegenerateParams("thm1 requires ln a + ln b != 0")
     ks = validate_kvector(ks)
-    w = len(ks) * (params.alpha / lab)
-    v, den = _euler_egf(ks, w, Fraction(0), Fraction(1), order).numerators()
-    top = integer_powers(lab.numerator, order)
-    bottom = integer_powers(lab.denominator, order)
+    w = _reduced(len(ks) * a * lab_den, ad * lab)
+    v, den = _euler_egf(ks, w, (0, 1), (1, 1), order).numerators()
+    top = integer_powers(lab, order)
+    bottom = integer_powers(lab_den, order)
     nums = (v[n] * top[n] * bottom[order - n] for n in range(order + 1))
     return Egf.of(nums, den * bottom[order])
 
 
+@lru_cache(maxsize=64)
+def _shift_table(
+    shift: Ratio, scale: Ratio, order: int
+) -> tuple[tuple[tuple[int, ...], ...], tuple[int, ...], int]:
+    """The parameter powers of ``_binomial_shift``, which hold no series value.
+
+    With shift = s/s' and scale = c/c': the rows
+    C(n,i) (s c')^{n-i} (s' c')^{N-n} for i <= n, the powers (c s')^i and
+    the denominator (s' c')^N, for n = 0..N, N = order.
+    """
+    (s, sd), (c, cd) = shift, scale
+    shift_pow = integer_powers(s * cd, order)
+    row_den = integer_powers(sd * cd, order)
+    rows = tuple(
+        tuple([comb(n, i) * shift_pow[n - i] * row_den[order - n] for i in range(n + 1)])
+        for n in range(order + 1)
+    )
+    return rows, tuple(integer_powers(c * sd, order)), row_den[order]
+
+
 def _binomial_shift(
-    values: tuple[Sequence[int], int], shift: Fraction, scale: Fraction, order: int
+    values: tuple[Sequence[int], int], shift: Ratio, scale: Ratio, order: int
 ) -> Egf:
     """sum_i C(n,i) shift^{n-i} scale^i values_i for n = 0..order, term by term.
 
-    With shift = s/s', scale = c/c' and values = v/D over integers, term i
-    of row n is C(n,i) (s c')^{n-i} (c s')^i v_i over the row denominator
-    (s' c')^n D; every row is lifted to (s' c')^N D, the one denominator of
-    the result.
+    With shift = s/s', scale = c/c' (pairs in lowest terms) and
+    values = v/D over integers, term i of row n is
+    C(n,i) (s c')^{n-i} (c s')^i v_i over the row denominator (s' c')^n D;
+    every row is lifted to (s' c')^N D, the one denominator of the result.
+    The factors that do not depend on v come from the cached
+    ``_shift_table``, so row n is the inner product of its table row with
+    u_i = (c s')^i v_i.
     """
     v, den = values
-    s, sd = shift.numerator, shift.denominator
-    c, cd = scale.numerator, scale.denominator
-    shift_pow = integer_powers(s * cd, order)
-    scale_pow = integer_powers(c * sd, order)
-    row_den = integer_powers(sd * cd, order)
-    out = []
-    for n in range(order + 1):
-        total = 0
-        for i in range(n + 1):
-            if v[i]:
-                total += comb(n, i) * shift_pow[n - i] * scale_pow[i] * v[i]
-        out.append(total * row_den[order - n])
-    return Egf.of(out, row_den[order] * den)
+    rows, scale_pow, top_den = _shift_table(shift, scale, order)
+    u = list(map(mul, scale_pow, v))
+    return Egf.of([sum(map(mul, row, u)) for row in rows], top_den * den)
 
 
 def thm2_rhs(ks: Sequence[int], params: LogParams, order: int) -> Egf:
@@ -165,15 +199,16 @@ def thm2_rhs(ks: Sequence[int], params: LogParams, order: int) -> Egf:
     integers with one denominator.
     """
     ks = validate_kvector(ks)
-    plain = _euler_egf(ks, Fraction(0), Fraction(0), Fraction(1), order).numerators()
-    return _binomial_shift(plain, len(ks) * params.alpha, params.log_ab, order)
+    (a, ad), lab = _log_ratios(params)
+    plain = _euler_egf(ks, (0, 1), (0, 1), (1, 1), order).numerators()
+    return _binomial_shift(plain, _reduced(len(ks) * a, ad), lab, order)
 
 
 def cor1_rhs(ks: Sequence[int], x: Fraction | int, params: LogParams, order: int) -> Egf:
     """Registered identity cor1, right side: sum_i C(n,i) r^{n-i} E_i(a,b) x^{n-i}."""
     ks = validate_kvector(ks)
-    ab = _euler_egf(ks, Fraction(0), params.alpha, params.beta, order).numerators()
-    return _binomial_shift(ab, len(ks) * Fraction(x), Fraction(1), order)
+    ab = _euler_egf(ks, (0, 1), _ratio(params.alpha), _ratio(params.beta), order).numerators()
+    return _binomial_shift(ab, _times(len(ks), x), (1, 1), order)
 
 
 def _combined_sum(
@@ -189,10 +224,11 @@ def _combined_sum(
     """
     ks = validate_kvector(ks)
     r = len(ks)
-    plain = _euler_egf(ks, Fraction(0), Fraction(0), Fraction(1), order).numerators()
-    alpha = params.alpha if printed else r * params.alpha
-    inner = _binomial_shift(plain, alpha, params.log_ab, order)
-    return _binomial_shift(inner.numerators(), r * Fraction(x), Fraction(1), order)
+    (a, ad), lab = _log_ratios(params)
+    plain = _euler_egf(ks, (0, 1), (0, 1), (1, 1), order).numerators()
+    alpha = (a, ad) if printed else _reduced(r * a, ad)
+    inner = _binomial_shift(plain, alpha, lab, order)
+    return _binomial_shift(inner.numerators(), _times(r, x), (1, 1), order)
 
 
 def combined_rhs(ks: Sequence[int], x: Fraction | int, params: LogParams, order: int) -> Egf:
@@ -223,8 +259,9 @@ def addition_rhs(
     """Registered identity cor2, right side: sum_k C(n,k) r^{n-k} E_k(x;a,b) y^{n-k}."""
     ks = validate_kvector(ks)
     r = len(ks)
-    base = _euler_egf(ks, r * Fraction(x), params.alpha, params.beta, order).numerators()
-    return _binomial_shift(base, r * Fraction(y), Fraction(1), order)
+    alpha, beta = _ratio(params.alpha), _ratio(params.beta)
+    base = _euler_egf(ks, _times(r, x), alpha, beta, order).numerators()
+    return _binomial_shift(base, _times(r, y), (1, 1), order)
 
 
 @dataclass(frozen=True)

@@ -2,8 +2,11 @@
 
 All sequences are exact EGF coefficient lists; every poly- and multi-family
 is read off one of two shapes, the cached ``_euler_egf`` or
-``_bernoulli_egf``.  Each Euler series is cached once: at w = 0 it is the
-quotient itself, and at any other w it is the Taylor shift
+``_bernoulli_egf``.  The Euler cache is keyed by (ks, w, alpha, beta, order)
+with the three rationals as integer (numerator, denominator) pairs in lowest
+terms, so a lookup hashes only ints and equal rationals meet in one entry,
+whichever caller formed them.  Each Euler series is cached once: at w = 0
+it is the quotient itself, and at any other w it is the Taylor shift
 (``exact.egf_times_exp``) of that cached w = 0 entry by e^{wt}.  Both
 shapes' denominators, (e^{-alpha t} + e^{beta t})^r and (1-e^{-t})^r, are
 sums of r + 1 exponentials by the binomial theorem: the Euler shape divides
@@ -24,7 +27,7 @@ from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
 from itertools import product
-from math import comb
+from math import comb, gcd
 
 from .exact import (
     Egf,
@@ -39,6 +42,10 @@ from .exact import (
 from .polylog import KVector, li_of_inner
 
 ENUMERATION_CELL_LIMIT = 20
+
+# A rational as (numerator, denominator) in lowest terms, denominator > 0:
+# the form in which the Euler cache takes w, alpha and beta.
+Ratio = tuple[int, int]
 
 
 class TooLarge(ValueError):
@@ -73,20 +80,39 @@ def _euler_terms(alpha: Fraction, beta: Fraction, r: int) -> tuple[tuple[int, Fr
     return tuple((comb(r, i), i * beta - (r - i) * alpha) for i in range(r + 1))
 
 
+def _ratio(value: Fraction | int) -> Ratio:
+    """``value`` as the pair that keys the Euler cache; an int or a Fraction
+    is in lowest terms already."""
+    if not isinstance(value, (int, Fraction)):
+        value = Fraction(value)
+    return value.numerator, value.denominator
+
+
+def _reduced(num: int, den: int) -> Ratio:
+    """num/den (den != 0) as a pair in lowest terms, by one gcd."""
+    common = gcd(num, den)
+    if den < 0:
+        common = -common
+    return num // common, den // common
+
+
 @lru_cache(maxsize=4096)
-def _euler_egf(ks: KVector, w: Fraction, alpha: Fraction, beta: Fraction, order: int) -> Egf:
+def _euler_egf(ks: KVector, w: Ratio, alpha: Ratio, beta: Ratio, order: int) -> Egf:
     """2 Li_ks(1-e^{-(alpha+beta)t}) / (e^{-alpha t}+e^{beta t})^r e^{wt}, r = len(ks).
 
     Every poly- and multi-poly-Euler family is this series at some
-    (w, alpha, beta).  At w = 0 it is the quotient itself: the numerator is
-    read off the cached Li_ks(1-e^{-t}) and divided fraction-free by the
-    r + 1 exponentials of the denominator, which is never rescaled from
-    another (alpha, beta), so thm1's t -> (alpha+beta)t law is still
-    checked.  Any other w is the Taylor shift e^{wt} times the cached w = 0
-    series.
+    (w, alpha, beta), each given as an integer pair in lowest terms
+    (``_ratio``, ``_reduced``), so that a lookup hashes only ints and equal
+    rationals share one entry.  At w = 0 it is the quotient itself: the
+    numerator is read off the cached Li_ks(1-e^{-t}) and divided
+    fraction-free by the r + 1 exponentials of the denominator, which is
+    never rescaled from another (alpha, beta), so thm1's
+    t -> (alpha+beta)t law is still checked.  Any other w is the Taylor
+    shift e^{wt} times the cached w = 0 series.
     """
-    if w:
-        return egf_times_exp(_euler_egf(ks, Fraction(0), alpha, beta, order), w)
+    if w[0]:
+        return egf_times_exp(_euler_egf(ks, (0, 1), alpha, beta, order), Fraction(*w))
+    alpha, beta = Fraction(*alpha), Fraction(*beta)
     nums, den = _li_numerator_at(ks, alpha + beta, order)
     numerator = Egf.of((2 * v for v in nums), den)
     return egf_div_exp_sum(numerator, _euler_terms(alpha, beta, len(ks)))
@@ -114,7 +140,7 @@ def poly_bernoulli(k: int, x: Fraction | int, order: int) -> list[Fraction]:
 
 def poly_euler(k: int, x: Fraction | int, order: int) -> list[Fraction]:
     """Poly-Euler polynomial values from 2 Li_k(1-e^{-t})/(1+e^t) e^{xt}."""
-    return list(_euler_egf((k,), Fraction(x), Fraction(0), Fraction(1), order).coeffs)
+    return list(_euler_egf((k,), _ratio(x), (0, 1), (1, 1), order).coeffs)
 
 
 def poly_euler_sasaki(k: int, order: int) -> list[Fraction]:

@@ -98,6 +98,23 @@ class TestSeqErrors:
         proc = run_cli("seq", "poly-euler", "--k", "1", "--x", "0.5", "--n", "3")
         assert proc.returncode == 2
 
+    @pytest.mark.parametrize(
+        "arg, expected",
+        [
+            ("--x=abc", "argument --x: invalid rational value: 'abc'"),
+            ("--alpha=1/0", "argument --alpha: invalid rational value: '1/0'"),
+            ("--ks=1,,2", "argument --ks: invalid index vector value: '1,,2'"),
+            ("--ks=", "argument --ks: invalid index vector value: ''"),
+        ],
+    )
+    def test_malformed_value_names_the_expected_form(self, arg, expected, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main_seq(["multi-poly-euler", "--n=3", arg])
+        assert exit_info.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage: polyseq ")
+        assert err.splitlines()[-1] == f"polyseq: error: {expected}"
+
     def test_missing_required_flag_exits_2(self):
         assert main_seq(["poly-bernoulli", "--n", "4"]) == 2
         assert main_seq(["lonesum", "--rows", "2"]) == 2

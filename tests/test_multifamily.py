@@ -6,16 +6,19 @@ import importlib
 import pickle
 import pkgutil
 from fractions import Fraction
+from math import comb
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 import polyeuler
-from polyeuler import audit, polyfamily
+from polyeuler import audit, exact, multifamily, polyfamily
 from polyeuler.multifamily import (
     CappedSum,
     DegenerateParams,
     LogParams,
+    _binomial_shift,
+    _shift_table,
     _xab_egf,
     addition_rhs,
     combined_rhs,
@@ -391,8 +394,8 @@ def _package_caches():
 
 
 class TestEulerShapeCaches:
-    """The Euler shape is cached once per (ks, w, alpha, beta, order); the
-    w = 0 entry is the quotient that every other w multiplies by e^{wt}.
+    """The Euler shape is cached once per (ks, w, alpha, beta, order), the
+    three rationals as integer pairs in lowest terms; the w = 0 entry is the quotient that every other w multiplies by e^{wt}.
     Below it sits the numerator per (ks, order); the denominator, r + 1
     exponentials, is divided by directly and not cached.  Every key must
     tell apart the requests it serves, in any order of arrival."""
@@ -425,29 +428,200 @@ class TestEulerShapeCaches:
     def test_argument_zero_shares_the_quotient(self):
         """Every w reads the one w = 0 entry: two cold requests at w != 0 miss
         three times, and the w = 0 request after them misses no more."""
-        ks, alpha, beta, order = (1, -1), F(2, 3), F(-1, 4), 5
+        ks, alpha, beta, order = (1, -1), (2, 3), (-1, 4), 5
         polyfamily._euler_egf.cache_clear()
-        polyfamily._euler_egf(ks, F(1, 3), alpha, beta, order)
-        polyfamily._euler_egf(ks, F(-2, 5), alpha, beta, order)
+        polyfamily._euler_egf(ks, (1, 3), alpha, beta, order)
+        polyfamily._euler_egf(ks, (-2, 5), alpha, beta, order)
         assert polyfamily._euler_egf.cache_info().misses == 3
-        polyfamily._euler_egf(ks, F(0), alpha, beta, order)
+        polyfamily._euler_egf(ks, (0, 1), alpha, beta, order)
         assert polyfamily._euler_egf.cache_info().misses == 3
+
+    @pytest.mark.parametrize(
+        "first, second",
+        [
+            (lambda: _xab_egf((1, 2), 0, F(1), F(2), 4), lambda: _xab_egf((1, 2), F(0), 1, 2, 4)),
+            (lambda: poly_euler(1, F(2, 4), 4), lambda: poly_euler(1, F(1, 2), 4)),
+            (
+                lambda: _xab_egf((1,), 0, F(2, 4), F(-3, 6), 4),
+                lambda: _xab_egf((1,), 0, F(1, 2), F(-1, 2), 4),
+            ),
+            # r x with r = 2 and x = 3/2: the pair 6/2 is reduced to 3/1.
+            (
+                lambda: _xab_egf((1, 2), F(3, 2), F(1, 3), F(2, 3), 4),
+                lambda: addition_rhs((1, 2), F(3, 2), F(-1, 4), LogParams(F(1, 3), F(2, 3)), 4),
+            ),
+            # thm1 reads w = r alpha / (alpha + beta) = 2 (2/3) / (4/3) = 1.
+            (
+                lambda: _xab_egf((1, -1), F(1, 2), F(0), F(1), 4),
+                lambda: thm1_rhs((1, -1), LogParams(F(2, 3), F(2, 3)), 4),
+            ),
+        ],
+        ids=["zero", "x-unreduced", "alpha-beta-unreduced", "r-x-addition", "r-x-thm1"],
+    )
+    def test_equal_rationals_share_one_entry(self, first, second):
+        """The cache keys are integer pairs in lowest terms, so the second
+        request, the same rationals in another form or formed by another
+        caller, misses no more."""
+        polyfamily._euler_egf.cache_clear()
+        first()
+        misses = polyfamily._euler_egf.cache_info().misses
+        assert misses
+        second()
+        assert polyfamily._euler_egf.cache_info().misses == misses
+
+    CACHES = {"_euler_egf", "_li_numerator", "_shift_table", "_bernoulli_tuple"}
 
     def test_every_cache_is_bounded(self):
         caches = _package_caches()
-        assert {c.__name__ for c in caches} == {
-            "_euler_egf",
-            "_li_numerator",
-            "_bernoulli_tuple",
-        }
+        assert {c.__name__ for c in caches} == self.CACHES
         for cache in caches:
             assert cache.cache_info().maxsize is not None, cache.__qualname__
 
     def test_every_cache_is_reused(self):
         """A cache that the audit never hits again only holds memory."""
         caches = _package_caches()
+        assert {c.__name__ for c in caches} == self.CACHES
         for cache in caches:
             cache.cache_clear()
         audit.run_all(0, 3)
         for cache in caches:
             assert cache.cache_info().hits, cache.__qualname__
+
+
+def _literal_shift(values, den, shift, scale, order):
+    """sum_i C(n,i) shift^{n-i} scale^i values_i / den, one Fraction per term."""
+    return [
+        sum(
+            (comb(n, i) * shift ** (n - i) * scale**i * F(values[i], den) for i in range(n + 1)),
+            F(0),
+        )
+        for n in range(order + 1)
+    ]
+
+
+class TestBinomialShift:
+    """``_binomial_shift`` is the printed sum, whatever rows its cached
+    table holds."""
+
+    rationals = st.fractions(min_value=-5, max_value=5, max_denominator=9)
+
+    @given(
+        order=st.integers(min_value=0, max_value=12),
+        shift=rationals,
+        scale=rationals,
+        nums=st.lists(st.integers(min_value=-10**6, max_value=10**6), min_size=13, max_size=13),
+        den=st.integers(min_value=1, max_value=10**4),
+    )
+    @example(order=12, shift=F(0), scale=F(1), nums=[1] * 13, den=1)
+    @example(order=7, shift=F(-3, 4), scale=F(1), nums=list(range(-6, 7)), den=5)
+    @example(order=0, shift=F(-2), scale=F(5, 3), nums=[7] * 13, den=3)
+    def test_matches_the_literal_double_loop(self, order, shift, scale, nums, den):
+        values = nums[: order + 1]
+        got = _binomial_shift(
+            (values, den),
+            (shift.numerator, shift.denominator),
+            (scale.numerator, scale.denominator),
+            order,
+        )
+        assert list(got.coeffs) == _literal_shift(values, den, shift, scale, order)
+
+    def test_matches_after_the_table_cache_evicts(self):
+        """More (shift, scale) pairs than the 64 tables the cache keeps, read
+        twice in the same order, so every second read rebuilds its table."""
+        pairs = [(F(s, 7), scale) for s in range(-20, 21) for scale in (F(1), F(-2, 3))]
+        assert len(pairs) > _shift_table.cache_info().maxsize
+        values, order = [3, -1, 4, 1, -5, 9, 2, -6, 5], 8
+        _shift_table.cache_clear()
+        for _ in ("cold", "evicted"):
+            for shift, scale in pairs:
+                got = _binomial_shift(
+                    (values, 2),
+                    (shift.numerator, shift.denominator),
+                    (scale.numerator, scale.denominator),
+                    order,
+                )
+                assert list(got.coeffs) == _literal_shift(values, 2, shift, scale, order)
+        info = _shift_table.cache_info()
+        assert info.currsize == info.maxsize
+        assert info.misses == 2 * len(pairs)
+
+
+SERIES_KERNELS = (
+    "egf_mul",
+    "egf_div",
+    "egf_div_shifted",
+    "egf_div_exp_sum",
+    "egf_times_exp",
+    "egf_compose",
+)
+
+
+class TestRightSidesCallNoSeriesKernel:
+    """A right side adds up the printed terms over the numbers it reads from
+    the Euler cache; it never forms a series product, quotient, shift or
+    composition itself, which could carry the very law its identity
+    asserts.  Kernel calls inside its ``_euler_egf`` reads build the numbers
+    it reads and do not count."""
+
+    CALLS = {
+        "_binomial_shift": lambda p: _binomial_shift(([0, 1, -2, 3], 5), (2, 3), (5, 7), 3),
+        "thm1_rhs": lambda p: thm1_rhs((1, 2), p, 6),
+        "thm2_rhs": lambda p: thm2_rhs((1, 2), p, 6),
+        "cor1_rhs": lambda p: cor1_rhs((1, 2), F(1, 3), p, 6),
+        "addition_rhs": lambda p: addition_rhs((1, 2), F(1, 3), F(-2, 5), p, 6),
+        "combined_rhs": lambda p: combined_rhs((1, 2), F(1, 3), p, 6),
+        "combined_rhs_printed": lambda p: combined_rhs_printed((1, 2), F(1, 3), p, 6),
+    }
+
+    @pytest.fixture
+    def recorded(self, monkeypatch):
+        """Wrap every module binding of the series kernels and of
+        ``_euler_egf``, and clear the caches; yields the kernel calls made
+        outside and inside ``_euler_egf`` reads."""
+        calls = {"outside": [], "inside": []}
+        depth = [0]
+        caches = _package_caches()
+        for cache in caches:
+            cache.cache_clear()
+        modules = [
+            importlib.import_module(f"polyeuler.{info.name}")
+            for info in pkgutil.iter_modules(polyeuler.__path__)
+        ]
+
+        def kernel_wrapper(name, original):
+            def wrapper(*args, **kwargs):
+                calls["inside" if depth[0] else "outside"].append(name)
+                return original(*args, **kwargs)
+
+            return wrapper
+
+        def euler_wrapper(original):
+            def wrapper(*args, **kwargs):
+                depth[0] += 1
+                try:
+                    return original(*args, **kwargs)
+                finally:
+                    depth[0] -= 1
+
+            return wrapper
+
+        wrappers = {
+            getattr(exact, name): kernel_wrapper(name, getattr(exact, name))
+            for name in SERIES_KERNELS
+        }
+        wrappers[polyfamily._euler_egf] = euler_wrapper(polyfamily._euler_egf)
+        for module in modules:
+            for attr, value in list(vars(module).items()):
+                if callable(value) and value in wrappers:
+                    monkeypatch.setattr(module, attr, wrappers[value])
+        yield calls
+        for cache in caches:
+            cache.cache_clear()
+
+    @pytest.mark.parametrize("name", sorted(CALLS))
+    def test_makes_no_series_kernel_call(self, name, recorded):
+        self.CALLS[name](LogParams(F(2, 3), F(-1, 4)))
+        assert recorded["outside"] == []
+        if name != "_binomial_shift":
+            # The wrappers are live: the cold Euler reads divided.
+            assert "egf_div_exp_sum" in recorded["inside"]
