@@ -85,8 +85,8 @@ _RATIONAL = _argument_type(parse_rational, "rational")
 _KVECTOR = _argument_type(parse_kvector, "index vector")
 
 
-def _seq_parser(prog: str = "polyseq") -> argparse.ArgumentParser:
-    p = argparse.ArgumentParser(prog=prog, description="Print one sequence family as a table.")
+def _seq_parser() -> argparse.ArgumentParser:
+    p = argparse.ArgumentParser(prog="polyseq", description="Print one sequence family as a table.")
     p.add_argument("family", choices=FAMILIES)
     p.add_argument("--n", type=int, default=None, help="highest index (default: POLYEULER_ORDER or 10)")
     p.add_argument("--k", type=int, default=None, help="single polylogarithm index")
@@ -240,8 +240,8 @@ def cmd_seq(args: argparse.Namespace, out=None) -> int:
     return 0
 
 
-def _verify_parser(prog: str = "polyverify") -> argparse.ArgumentParser:
-    p = argparse.ArgumentParser(prog=prog, description="Check one registered identity.")
+def _verify_parser() -> argparse.ArgumentParser:
+    p = argparse.ArgumentParser(prog="polyverify", description="Check one registered identity.")
     p.add_argument("identity", help="identity id, e.g. thm2; an unknown id prints the registered ones")
     p.add_argument("--order", type=int, default=None)
     p.add_argument("--seed", type=int, default=DEFAULT_SEED)
@@ -287,8 +287,8 @@ def cmd_verify(args: argparse.Namespace, out=None) -> int:
     return 0 if ok else 1
 
 
-def _audit_parser(prog: str = "polyaudit") -> argparse.ArgumentParser:
-    p = argparse.ArgumentParser(prog=prog, description="Run the full identity audit.")
+def _audit_parser() -> argparse.ArgumentParser:
+    p = argparse.ArgumentParser(prog="polyaudit", description="Run the full identity audit.")
     p.add_argument("--order", type=int, default=None)
     p.add_argument("--seed", type=int, default=DEFAULT_SEED)
     p.add_argument("--out", default=None, help="write the JSON report here (default: stdout)")

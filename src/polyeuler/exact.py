@@ -9,6 +9,7 @@ read.  Nothing here ever touches floating point.
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 from math import comb, factorial, gcd, lcm
 from operator import mul
@@ -36,20 +37,19 @@ class NotSquare(ValueError):
 
 
 def parse_rational(text: str) -> Fraction:
-    """Parse the canonical rational text form: digits with optional sign and '/den'.
+    """Parse the canonical rational text form: ASCII digits 0-9 with an
+    optional '-' and '/den', e.g. ``"5"``, ``"-3/4"``.
 
-    Accepts e.g. ``"5"``, ``"-3/4"``.  The Unicode minus sign is tolerated on
-    input.  Raises ValueError on anything else (whitespace-trimmed first).
+    The Unicode minus sign is tolerated on input.  Raises ValueError on
+    anything else (whitespace-trimmed first).
     """
-    s = text.strip().replace("−", "-")
-    body = s[1:] if s.startswith("-") else s
-    num, sep, den = body.partition("/")
-    if not num.isdigit() or (sep and not den.isdigit()):
+    match = re.fullmatch(r"(-?[0-9]+)(?:/([0-9]+))?", text.strip().replace("−", "-"))
+    if match is None:
         raise ValueError(f"not a rational: {text!r}")
-    if sep and int(den) == 0:
+    num, den = match.groups()
+    if den is not None and int(den) == 0:
         raise ValueError(f"zero denominator: {text!r}")
-    value = Fraction(int(num), int(den)) if sep else Fraction(int(num))
-    return -value if s.startswith("-") else value
+    return Fraction(int(num), int(den or 1))
 
 
 # Integers of at most this many bits (603 digits) go through str(); the
@@ -71,8 +71,6 @@ def _decimal(value: int) -> str:
 
 def format_rational(value: Fraction) -> str:
     """Render a rational in the canonical text form used across CLI and JSON."""
-    if max(value.numerator.bit_length(), value.denominator.bit_length()) <= _STR_BITS:
-        return str(value)
     if value.denominator == 1:
         return _decimal(value.numerator)
     return f"{_decimal(value.numerator)}/{_decimal(value.denominator)}"
@@ -99,6 +97,26 @@ def integer_powers(base: int, top: int) -> list[int]:
     for _ in range(top):
         out.append(out[-1] * base)
     return out
+
+
+# A rational as (numerator, denominator) in lowest terms, denominator > 0:
+# the form in which the Euler cache takes w, alpha and beta.
+Ratio = tuple[int, int]
+
+
+def _ratio(value: RationalLike) -> Ratio:
+    """``value`` as a pair in lowest terms, as an int or a Fraction is already."""
+    if not isinstance(value, (int, Fraction)):
+        value = Fraction(value)
+    return value.numerator, value.denominator
+
+
+def _reduced(num: int, den: int) -> Ratio:
+    """num/den (den != 0) as a pair in lowest terms, by one gcd."""
+    common = gcd(num, den)
+    if den < 0:
+        common = -common
+    return num // common, den // common
 
 
 def lowest_terms(nums: Iterable[int], den: int) -> tuple[tuple[int, ...], int]:
@@ -276,13 +294,7 @@ def egf_div(f: Egf, g: Egf) -> Egf:
         for i in range(m):
             if nums[i]:
                 acc += comb(m, i) * nums[i] * b[m - i]
-        top = dg * a[m] * den - df * acc
-        bottom = df * den * b[0]
-        common = gcd(top, bottom)
-        if bottom < 0:
-            common = -common
-        top //= common
-        bottom //= common
+        top, bottom = _reduced(dg * a[m] * den - df * acc, df * den * b[0])
         if den % bottom:
             grown = lcm(den, bottom)
             nums = [v * (grown // den) for v in nums]

@@ -41,8 +41,8 @@ from math import comb, factorial, lcm, prod
 from operator import mul
 from typing import Sequence
 
-from .exact import Egf, integer_powers
-from .polyfamily import Ratio, _bernoulli_egf, _euler_egf, _ratio, _reduced
+from .exact import Egf, Ratio, _ratio, _reduced, integer_numerators, integer_powers
+from .polyfamily import _bernoulli_egf, _euler_egf
 from .polylog import KVector, validate_kvector
 
 
@@ -116,10 +116,10 @@ def _xab_egf(
 def poly_euler_abc(
     k: int, x: Fraction | int, params: LogParams, order: int
 ) -> list[Fraction]:
-    """E_n^{(k)}(x; a, b, c) from 2 Li_k(1-(ab)^{-t})/(a^{-t}+b^t) c^{xt}."""
-    (g, gd), (p, q) = _ratio(params.gamma or 0), _ratio(x)
-    w = _reduced(g * p, gd * q)
-    return list(_euler_egf((k,), w, _ratio(params.alpha), _ratio(params.beta), order).coeffs)
+    """E_n^{(k)}(x; a, b, c) from 2 Li_k(1-(ab)^{-t})/(a^{-t}+b^t) c^{xt}:
+    the r = 1 series at argument gamma x."""
+    gamma_x = (params.gamma or 0) * Fraction(x)
+    return list(_xab_egf((k,), gamma_x, params.alpha, params.beta, order).coeffs)
 
 
 def _times(k: int, value: Fraction | int) -> Ratio:
@@ -383,10 +383,8 @@ def thm4_explicit(
     if variant not in THM4_VARIANTS:
         raise ValueError(f"variant must be one of {THM4_VARIANTS}, got {variant!r}")
     delta = 1 if variant == "statement" else 0
-    gamma = params.gamma if params.gamma is not None else Fraction(0)
-    shift = Fraction(x) * gamma
-    den = lcm(shift.denominator, params.alpha.denominator, params.beta.denominator)
-    g, a, b = (v.numerator * (den // v.denominator) for v in (shift, params.alpha, params.beta))
+    shift = Fraction(x) * (params.gamma or 0)
+    (g, a, b), den = integer_numerators((shift, params.alpha, params.beta))
     powers = [(g - (s + 1) * a - (s + delta) * b) ** n for s in range(n + 1)]
     big = lcm(*range(1, n + 1))
     total = 0

@@ -27,10 +27,12 @@ from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
 from itertools import product
-from math import comb, gcd
+from math import comb
 
 from .exact import (
     Egf,
+    Ratio,
+    _ratio,
     egf_div_exp_sum,
     egf_div_shifted,
     egf_exp_linear,
@@ -42,10 +44,6 @@ from .exact import (
 from .polylog import KVector, li_of_inner
 
 ENUMERATION_CELL_LIMIT = 20
-
-# A rational as (numerator, denominator) in lowest terms, denominator > 0:
-# the form in which the Euler cache takes w, alpha and beta.
-Ratio = tuple[int, int]
 
 
 class TooLarge(ValueError):
@@ -80,29 +78,13 @@ def _euler_terms(alpha: Fraction, beta: Fraction, r: int) -> tuple[tuple[int, Fr
     return tuple((comb(r, i), i * beta - (r - i) * alpha) for i in range(r + 1))
 
 
-def _ratio(value: Fraction | int) -> Ratio:
-    """``value`` as the pair that keys the Euler cache; an int or a Fraction
-    is in lowest terms already."""
-    if not isinstance(value, (int, Fraction)):
-        value = Fraction(value)
-    return value.numerator, value.denominator
-
-
-def _reduced(num: int, den: int) -> Ratio:
-    """num/den (den != 0) as a pair in lowest terms, by one gcd."""
-    common = gcd(num, den)
-    if den < 0:
-        common = -common
-    return num // common, den // common
-
-
 @lru_cache(maxsize=4096)
 def _euler_egf(ks: KVector, w: Ratio, alpha: Ratio, beta: Ratio, order: int) -> Egf:
     """2 Li_ks(1-e^{-(alpha+beta)t}) / (e^{-alpha t}+e^{beta t})^r e^{wt}, r = len(ks).
 
     Every poly- and multi-poly-Euler family is this series at some
-    (w, alpha, beta), each given as an integer pair in lowest terms
-    (``_ratio``, ``_reduced``), so that a lookup hashes only ints and equal
+    (w, alpha, beta), each an integer pair in lowest terms (``exact._ratio``,
+    ``exact._reduced``), so that a lookup hashes only ints and equal
     rationals share one entry.  At w = 0 it is the quotient itself: the
     numerator is read off the cached Li_ks(1-e^{-t}) and divided
     fraction-free by the r + 1 exponentials of the denominator, which is

@@ -15,6 +15,7 @@ coefficients read in the ordinary sense (coeffs[m] multiplies z^m).
 
 from __future__ import annotations
 
+import re
 from math import factorial, lcm
 from typing import Sequence
 
@@ -24,13 +25,12 @@ KVector = tuple[int, ...]
 
 
 def parse_kvector(text: str) -> KVector:
-    """Parse comma-separated integer indices, e.g. ``"2,1,-1"``."""
+    """Parse comma-separated integer indices, e.g. ``"2,1,-1"``: each an
+    optional '-' and ASCII digits 0-9, whitespace-trimmed first."""
     parts = [p.strip() for p in text.split(",")]
-    try:
-        ks = tuple(int(p) for p in parts)
-    except ValueError:
-        raise ValueError(f"not an index vector: {text!r}") from None
-    return validate_kvector(ks)
+    if not all(re.fullmatch("-?[0-9]+", p) for p in parts):
+        raise ValueError(f"not an index vector: {text!r}")
+    return validate_kvector([int(p) for p in parts])
 
 
 def validate_kvector(ks: Sequence[int]) -> KVector:

@@ -105,6 +105,14 @@ class TestSeqErrors:
             ("--alpha=1/0", "argument --alpha: invalid rational value: '1/0'"),
             ("--ks=1,,2", "argument --ks: invalid index vector value: '1,,2'"),
             ("--ks=", "argument --ks: invalid index vector value: ''"),
+            # Only an optional '-' and ASCII digits 0-9 are read: no other
+            # Unicode digit, no '_' separator and no '+'.
+            ("--x=١/٢", "argument --x: invalid rational value: '١/٢'"),
+            ("--x=𝟓", "argument --x: invalid rational value: '𝟓'"),
+            ("--alpha=1/٢", "argument --alpha: invalid rational value: '1/٢'"),
+            ("--ks=1_0", "argument --ks: invalid index vector value: '1_0'"),
+            ("--ks=١,2", "argument --ks: invalid index vector value: '١,2'"),
+            ("--ks=+1", "argument --ks: invalid index vector value: '+1'"),
         ],
     )
     def test_malformed_value_names_the_expected_form(self, arg, expected, capsys):
@@ -114,6 +122,12 @@ class TestSeqErrors:
         err = capsys.readouterr().err
         assert err.startswith("usage: polyseq ")
         assert err.splitlines()[-1] == f"polyseq: error: {expected}"
+
+    def test_unicode_digits_exit_2(self):
+        proc = run_cli("seq", "poly-euler", "--k=1", "--x=١/٢", "--n=2")
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert "invalid rational value" in proc.stderr
 
     def test_missing_required_flag_exits_2(self):
         assert main_seq(["poly-bernoulli", "--n", "4"]) == 2

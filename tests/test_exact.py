@@ -48,12 +48,23 @@ def exp_t(order):
 class TestRationalText:
     @pytest.mark.parametrize(
         "text,value",
-        [("5", F(5)), ("-3/4", F(-3, 4)), ("0", F(0)), ("10/4", F(5, 2)), (" 7/9 ", F(7, 9))],
+        [
+            ("5", F(5)),
+            ("-3/4", F(-3, 4)),
+            ("0", F(0)),
+            ("10/4", F(5, 2)),
+            (" 7/9 ", F(7, 9)),
+            ("−3/4", F(-3, 4)),
+            ("-0", F(0)),
+        ],
     )
     def test_parse(self, text, value):
         assert parse_rational(text) == value
 
-    @pytest.mark.parametrize("bad", ["", "3/", "/4", "1.5", "a", "3/-4", "--3", "1/0x", "1/0"])
+    @pytest.mark.parametrize(
+        "bad",
+        ["", "3/", "/4", "1.5", "a", "3/-4", "--3", "1/0x", "1/0", "-", "+1", "1_0", "١/٢", "𝟓", "1/٢"],
+    )
     def test_parse_rejects(self, bad):
         with pytest.raises(ValueError):
             parse_rational(bad)

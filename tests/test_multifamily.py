@@ -1,12 +1,15 @@
 """Multi-family sequences, the (a,b,c) deformations, and the identity RHS
 evaluators, cross-checked against the independent ordinary-series oracles."""
 
+import ast
 import copy
 import importlib
 import pickle
 import pkgutil
+import sys
 from fractions import Fraction
 from math import comb
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, strategies as st
@@ -546,6 +549,16 @@ class TestBinomialShift:
         assert info.misses == 2 * len(pairs)
 
 
+def _wrap_bindings(monkeypatch, wrappers):
+    """Put ``wrappers[f]`` in place of every binding of f in every package
+    module, so the package's own calls of f go through the wrapper."""
+    for info in pkgutil.iter_modules(polyeuler.__path__):
+        module = importlib.import_module(f"polyeuler.{info.name}")
+        for attr, value in list(vars(module).items()):
+            if callable(value) and value in wrappers:
+                monkeypatch.setattr(module, attr, wrappers[value])
+
+
 SERIES_KERNELS = (
     "egf_mul",
     "egf_div",
@@ -583,10 +596,6 @@ class TestRightSidesCallNoSeriesKernel:
         caches = _package_caches()
         for cache in caches:
             cache.cache_clear()
-        modules = [
-            importlib.import_module(f"polyeuler.{info.name}")
-            for info in pkgutil.iter_modules(polyeuler.__path__)
-        ]
 
         def kernel_wrapper(name, original):
             def wrapper(*args, **kwargs):
@@ -610,10 +619,7 @@ class TestRightSidesCallNoSeriesKernel:
             for name in SERIES_KERNELS
         }
         wrappers[polyfamily._euler_egf] = euler_wrapper(polyfamily._euler_egf)
-        for module in modules:
-            for attr, value in list(vars(module).items()):
-                if callable(value) and value in wrappers:
-                    monkeypatch.setattr(module, attr, wrappers[value])
+        _wrap_bindings(monkeypatch, wrappers)
         yield calls
         for cache in caches:
             cache.cache_clear()
@@ -625,3 +631,165 @@ class TestRightSidesCallNoSeriesKernel:
         if name != "_binomial_shift":
             # The wrappers are live: the cold Euler reads divided.
             assert "egf_div_exp_sum" in recorded["inside"]
+
+
+def _pair(value):
+    return value.numerator, value.denominator
+
+
+class TestRightSidesReadOnlyTheirPrintedTerms:
+    """Each right side reads the Euler shape only at the (w, alpha, beta) its
+    printed formula names, and calls no list family and no other right side:
+    its numbers then cannot come from the left side's series or from the law
+    its identity asserts.  Reads made inside an ``_euler_egf`` read (the
+    w = 0 entry behind a w != 0 one) do not count."""
+
+    # Each call reads ks = (1, 2) at order 6, x = 1/3 and y = -2/5.
+    KS, ORDER = (1, 2), 6
+    ALPHA, BETA, X = F(2, 3), F(-1, 4), F(1, 3)
+    CALLS = {
+        name: call
+        for name, call in TestRightSidesCallNoSeriesKernel.CALLS.items()
+        if name != "_binomial_shift"
+    }
+    # (w, alpha, beta) of each right side's reads, r = 2: thm1 at
+    # w = r alpha/(alpha + beta) on the plain numbers, thm2 and both
+    # "combined" sides on the plain numbers at w = 0, cor1 on the point's
+    # own (alpha, beta) at w = 0, and cor2 there at w = r x.
+    PLAIN = (F(0), F(0), F(1))
+    READS = {
+        "thm1_rhs": (2 * ALPHA / (ALPHA + BETA), F(0), F(1)),
+        "thm2_rhs": PLAIN,
+        "cor1_rhs": (F(0), ALPHA, BETA),
+        "addition_rhs": (2 * X, ALPHA, BETA),
+        "combined_rhs": PLAIN,
+        "combined_rhs_printed": PLAIN,
+    }
+    FORBIDDEN = (
+        polyfamily.poly_bernoulli,
+        polyfamily.poly_euler,
+        polyfamily.poly_euler_sasaki,
+        multi_poly_bernoulli,
+        multi_poly_euler,
+        multi_poly_euler_ab,
+        multi_poly_euler_xab,
+        poly_euler_abc,
+        _xab_egf,
+        *(getattr(multifamily, name) for name in CALLS),
+    )
+
+    @pytest.fixture
+    def recorded(self, monkeypatch):
+        """Wrap every module binding of the list families, the left side's
+        ``_xab_egf``, the right sides and ``_euler_egf``, and clear the
+        caches; yields the forbidden calls and the outermost Euler reads."""
+        calls = {"forbidden": [], "reads": []}
+        depth = [0]
+        for cache in _package_caches():
+            cache.cache_clear()
+
+        def forbidden(original):
+            def wrapper(*args, **kwargs):
+                calls["forbidden"].append(original.__name__)
+                return original(*args, **kwargs)
+
+            return wrapper
+
+        def euler_read(original):
+            def wrapper(*args):
+                if not depth[0]:
+                    calls["reads"].append(args)
+                depth[0] += 1
+                try:
+                    return original(*args)
+                finally:
+                    depth[0] -= 1
+
+            return wrapper
+
+        wrappers = {f: forbidden(f) for f in self.FORBIDDEN}
+        wrappers[polyfamily._euler_egf] = euler_read(polyfamily._euler_egf)
+        _wrap_bindings(monkeypatch, wrappers)
+        yield calls
+        for cache in _package_caches():
+            cache.cache_clear()
+
+    @pytest.mark.parametrize("name", sorted(CALLS))
+    def test_calls_no_list_family_or_other_right_side(self, name, recorded):
+        self.CALLS[name](LogParams(self.ALPHA, self.BETA))
+        assert recorded["forbidden"] == []
+
+    @pytest.mark.parametrize("name", sorted(CALLS))
+    def test_reads_the_euler_shape_only_where_printed(self, name, recorded):
+        self.CALLS[name](LogParams(self.ALPHA, self.BETA))
+        w, alpha, beta = self.READS[name]
+        expected = (self.KS, _pair(w), _pair(alpha), _pair(beta), self.ORDER)
+        assert recorded["reads"]
+        assert set(recorded["reads"]) == {expected}
+
+
+class TestLeftSidesDivideByTheirOwnTerms:
+    """A theorem row's left side at (alpha, beta) is the quotient by that
+    point's own (e^{-alpha t} + e^{beta t})^r, never a (0, 1) series
+    rescaled: that rescaling is the law thm1 asserts."""
+
+    CASES = [
+        ("thm1", None),
+        ("thm2", None),
+        ("cor1", None),
+        ("cor2", None),
+        ("combined", None),
+        ("combined", "as-printed"),
+        ("thm4-explicit", "statement"),
+        ("thm4-explicit", "proof"),
+    ]
+
+    @pytest.fixture
+    def divisions(self, monkeypatch):
+        """Wrap every module binding of ``egf_div_exp_sum`` and clear the
+        caches; yields the terms of each division."""
+        terms = []
+        original = exact.egf_div_exp_sum
+
+        def wrapper(f, divisor):
+            divisor = tuple(divisor)
+            terms.append(divisor)
+            return original(f, divisor)
+
+        for cache in _package_caches():
+            cache.cache_clear()
+        _wrap_bindings(monkeypatch, {original: wrapper})
+        yield terms
+        for cache in _package_caches():
+            cache.cache_clear()
+
+    @pytest.mark.parametrize("case_id, variant", CASES)
+    @pytest.mark.parametrize("alpha, beta", [(F(2, 3), F(-1, 4)), (F(-5, 7), F(9, 4))])
+    def test_divides_by_the_points_own_terms(self, case_id, variant, alpha, beta, divisions):
+        (case,) = [
+            c for c in audit.build_registry(0, 6) if (c.id, c.variant) == (case_id, variant)
+        ]
+        if case_id == "thm4-explicit":
+            point, r = {"k": 2, "alpha": alpha, "beta": beta, "gamma": F(3, 7), "x": F(1, 3)}, 1
+        else:
+            point, r = {"ks": (1, 2), "alpha": alpha, "beta": beta, "x": F(1, 3), "y": F(-2, 5)}, 2
+        audit._TABLE[case_id].expected(case, point)
+        assert divisions == [polyfamily._euler_terms(alpha, beta, r)]
+
+
+def test_oracles_import_only_the_standard_library():
+    """The oracles share no code with the package: every import names a
+    standard-library module, and nothing is imported by name at run time."""
+    tree = ast.parse(Path(oracles.__file__).read_text(encoding="utf-8"))
+    modules = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            modules += [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            assert node.level == 0, "relative import"
+            modules.append(node.module)
+        elif isinstance(node, ast.Name):
+            assert node.id != "__import__"
+    assert modules
+    assert {name.partition(".")[0] for name in modules} <= sys.stdlib_module_names
+    assert "importlib" not in modules

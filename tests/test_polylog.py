@@ -67,7 +67,10 @@ class TestParseKVector:
     def test_single(self):
         assert parse_kvector("-3") == (-3,)
 
-    @pytest.mark.parametrize("bad", ["", "1,,2", "a", "1;2"])
+    def test_trims_whitespace(self):
+        assert parse_kvector(" 2, -1 ") == (2, -1)
+
+    @pytest.mark.parametrize("bad", ["", "1,,2", "a", "1;2", "+1", "1_0", "١,2", "𝟏", "- 1", "1-"])
     def test_rejects(self, bad):
         with pytest.raises(ValueError):
             parse_kvector(bad)
