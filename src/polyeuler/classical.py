@@ -13,7 +13,7 @@ from functools import lru_cache
 from math import comb, factorial
 from typing import Sequence
 
-from .exact import Egf, det, egf_div_exp_sum, egf_div_shifted, egf_exp_sum
+from .exact import Egf, det, egf_div_exp_sum, egf_div_shifted, egf_exp_sum, integer_numerators
 
 
 class EulerConvention(enum.Enum):
@@ -68,10 +68,9 @@ def power_sum_closed(m: int, n: int, b1_sign: str) -> Fraction:
     bern = list(_bernoulli_tuple(max(m, 1)))
     if b1_sign == "plus":
         bern[1] = Fraction(1, 2)
-    total = Fraction(0)
-    for k in range(m + 1):
-        total += comb(m + 1, k) * bern[k] * Fraction(n) ** (m + 1 - k)
-    return total / (m + 1)
+    nums, den = integer_numerators(bern[: m + 1])
+    total = sum(comb(m + 1, k) * nums[k] * n ** (m + 1 - k) for k in range(m + 1))
+    return Fraction(total, den * (m + 1))
 
 
 def alternating_sum(n: int, m: int) -> int:

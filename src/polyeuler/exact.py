@@ -36,14 +36,19 @@ class NotSquare(ValueError):
     """Determinants are only defined for square matrices."""
 
 
+# The whitespace that text input may carry around a value: str.strip()
+# without arguments would also remove Unicode spaces such as U+2003.
+_ASCII_SPACE = " \t\n\r\f\v"
+
+
 def parse_rational(text: str) -> Fraction:
     """Parse the canonical rational text form: ASCII digits 0-9 with an
     optional '-' and '/den', e.g. ``"5"``, ``"-3/4"``.
 
     The Unicode minus sign is tolerated on input.  Raises ValueError on
-    anything else (whitespace-trimmed first).
+    anything else (ASCII whitespace is trimmed first, and no other space).
     """
-    match = re.fullmatch(r"(-?[0-9]+)(?:/([0-9]+))?", text.strip().replace("−", "-"))
+    match = re.fullmatch(r"(-?[0-9]+)(?:/([0-9]+))?", text.strip(_ASCII_SPACE).replace("−", "-"))
     if match is None:
         raise ValueError(f"not a rational: {text!r}")
     num, den = match.groups()
@@ -460,19 +465,22 @@ def egf_times_exp(f: Egf, value: RationalLike) -> Egf:
     """The product e^{value * t} f, by a Taylor shift.
 
     With value = p/q and f = a/d, the rows R_0 = a and
-    R_{j+1}[i] = q R_j[i+1] + p R_j[i] give coefficient n as R_n[0] / (d q^n),
-    so the growing integers are only ever multiplied by p and q.
+    R_{j+1}[i] = p R_j[i] + q R_j[i+1] give coefficient n as R_n[0] / (d q^n),
+    so the growing integers are only ever multiplied by p and q.  Each row
+    overwrites the one before it in place, one entry shorter.
     """
-    v = Fraction(value)
+    v = value if type(value) is Fraction else Fraction(value)
     p, q = v.numerator, v.denominator
     a, df = f.numerators()
+    n = f.order
     row = list(a)
     tops = [row[0]]
-    for _ in range(f.order):
-        row = [p * x + q * y for x, y in zip(row, row[1:])]
+    for width in range(n, 0, -1):
+        for i in range(width):
+            row[i] = p * row[i] + q * row[i + 1]
         tops.append(row[0])
-    q_pow = integer_powers(q, f.order)
-    return Egf.of((t * q_pow[f.order - n] for n, t in enumerate(tops)), df * q_pow[f.order])
+    q_pow = integer_powers(q, n)
+    return Egf.of([t * q_pow[n - m] for m, t in enumerate(tops)], df * q_pow[n])
 
 
 def egf_pow(f: Egf, exponent: int) -> Egf:

@@ -40,6 +40,7 @@ from .exact import (
     egf_mul,
     egf_scale,
     egf_times_exp,
+    integer_powers,
 )
 from .polylog import KVector, li_of_inner
 
@@ -65,17 +66,26 @@ def _li_numerator_at(ks: KVector, c: Fraction | int, order: int) -> tuple[list[i
     """Li_ks(1-e^{-ct}) as integer numerators over one denominator.
 
     Kaneko's Stirling form makes coefficient n of Li_ks(1-e^{-ct}) that of
-    the cached Li_ks(1-e^{-t}) times c^n, so no other numerator is composed.
+    the cached Li_ks(1-e^{-t}) times c^n, so no other numerator is composed:
+    with c = p/q, coefficient n is scaled by p^n q^{N-n} over q^N.
     """
-    powers, scale = egf_exp_linear(c, order).numerators()
+    tops, bottoms = integer_powers(c.numerator, order), integer_powers(c.denominator, order)
     nums, den = _li_numerator(ks, order).numerators()
-    return [p * v for p, v in zip(powers, nums)], scale * den
+    scaled = [t * bottoms[order - n] * v for n, (t, v) in enumerate(zip(tops, nums))]
+    return scaled, bottoms[order] * den
 
 
 def _euler_terms(alpha: Fraction, beta: Fraction, r: int) -> tuple[tuple[int, Fraction], ...]:
     """(e^{-alpha t} + e^{beta t})^r = sum_i C(r,i) e^{(i beta - (r-i) alpha)t},
-    as the (weight, rate) terms that ``exact`` takes for a sum of exponentials."""
-    return tuple((comb(r, i), i * beta - (r - i) * alpha) for i in range(r + 1))
+    as the (weight, rate) terms that ``exact`` takes for a sum of exponentials.
+
+    With alpha = a/a' and beta = b/b', each rate is the one integer quotient
+    (i b a' - (r-i) a b') / (a' b')."""
+    (a, a_den), (b, b_den) = _ratio(alpha), _ratio(beta)
+    den = a_den * b_den
+    return tuple(
+        (comb(r, i), Fraction(i * b * a_den - (r - i) * a * b_den, den)) for i in range(r + 1)
+    )
 
 
 @lru_cache(maxsize=4096)
@@ -94,10 +104,10 @@ def _euler_egf(ks: KVector, w: Ratio, alpha: Ratio, beta: Ratio, order: int) -> 
     """
     if w[0]:
         return egf_times_exp(_euler_egf(ks, (0, 1), alpha, beta, order), Fraction(*w))
-    alpha, beta = Fraction(*alpha), Fraction(*beta)
-    nums, den = _li_numerator_at(ks, alpha + beta, order)
-    numerator = Egf.of((2 * v for v in nums), den)
-    return egf_div_exp_sum(numerator, _euler_terms(alpha, beta, len(ks)))
+    (a, a_den), (b, b_den) = alpha, beta
+    nums, den = _li_numerator_at(ks, Fraction(a * b_den + b * a_den, a_den * b_den), order)
+    numerator = Egf.of([2 * v for v in nums], den)
+    return egf_div_exp_sum(numerator, _euler_terms(Fraction(a, a_den), Fraction(b, b_den), len(ks)))
 
 
 def _bernoulli_egf(ks: KVector, x: Fraction, order: int) -> Egf:

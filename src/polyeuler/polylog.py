@@ -19,22 +19,22 @@ import re
 from math import factorial, lcm
 from typing import Sequence
 
-from .exact import Egf, NonNilpotentInner, egf_compose, lowest_terms
+from .exact import _ASCII_SPACE, Egf, NonNilpotentInner, egf_compose, lowest_terms
 
 KVector = tuple[int, ...]
 
 
 def parse_kvector(text: str) -> KVector:
     """Parse comma-separated integer indices, e.g. ``"2,1,-1"``: each an
-    optional '-' and ASCII digits 0-9, whitespace-trimmed first."""
-    parts = [p.strip() for p in text.split(",")]
+    optional '-' and ASCII digits 0-9, with ASCII whitespace trimmed first."""
+    parts = [p.strip(_ASCII_SPACE) for p in text.split(",")]
     if not all(re.fullmatch("-?[0-9]+", p) for p in parts):
         raise ValueError(f"not an index vector: {text!r}")
     return validate_kvector([int(p) for p in parts])
 
 
 def validate_kvector(ks: Sequence[int]) -> KVector:
-    ks = tuple(int(k) for k in ks)
+    ks = tuple(map(int, ks))
     if not ks:
         raise ValueError("index vector needs at least one entry")
     return ks

@@ -6,6 +6,7 @@ from fractions import Fraction
 
 import pytest
 
+from polyeuler import audit
 from polyeuler.audit import (
     EXPECTED_NON_PASS,
     FAIL,
@@ -246,6 +247,50 @@ class TestCompareControls:
         assert result.counterexample["params"] == {"n": n}
         assert result.counterexample == as_lists.counterexample
         assert result.counterexample["actual"] == str(Fraction(nums[n], 60))
+
+    @pytest.fixture
+    def walks(self, monkeypatch):
+        """Record each side read by the coefficient walk, two per walked point."""
+        calls = []
+        original = audit._ratios
+
+        def counting(values):
+            calls.append(values)
+            return original(values)
+
+        monkeypatch.setattr(audit, "_ratios", counting)
+        return calls
+
+    def test_equal_series_skip_the_walk_and_count_every_coefficient(self, walks):
+        def series(c, p):
+            return Egf.of(self.NUMS, 12)
+
+        result = self.run([{"p": p} for p in range(4)], series, series)
+        assert (result.verdict, result.grid_size, result.counterexample) == (PASS, 20, None)
+        assert walks == []
+
+    def test_equal_series_short_circuit_reports_what_the_walk_reports(self, walks):
+        """Points 0 and 1 agree; point 2 is off at n = 3 and point 3 at
+        n = 0.  Read as series, only the two unequal points are walked, and
+        grid size and first counterexample are those of the walk over
+        rational lists."""
+        off = {2: Egf.of([4, -10, 0, 43, 11], 12), 3: Egf.of([5, -10, 0, 42, 11], 12)}
+        points = [{"p": p} for p in range(4)]
+
+        def actual(c, p):
+            return off.get(p["p"], Egf.of(self.NUMS, 12))
+
+        result = self.run(points, actual, lambda c, p: Egf.of(self.NUMS, 12))
+        assert len(walks) == 2 * 2
+        as_lists = self.run(points, lambda c, p: list(actual(c, p).coeffs))
+        assert result == as_lists
+        assert result.verdict == FAIL
+        assert result.grid_size == 20
+        assert result.counterexample == {
+            "params": {"p": 2, "n": 3},
+            "expected": "7/2",
+            "actual": "43/12",
+        }
 
     def test_only_the_first_mismatch_is_reported(self):
         """Point 0 is off at n = 1 and n = 3, point 1 at n = 0."""

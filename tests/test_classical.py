@@ -5,6 +5,7 @@ from fractions import Fraction
 from math import factorial
 
 import pytest
+from hypothesis import given, strategies as st
 
 from polyeuler.classical import (
     EulerConvention,
@@ -103,6 +104,13 @@ class TestPowerSums:
             for n in range(1, 21):
                 assert power_sum_closed(m, n, "minus") == power_sum(m, n - 1)
         assert power_sum_closed(0, 7, "minus") == 7
+
+    @given(m=st.integers(min_value=0, max_value=12), n=st.integers(min_value=0, max_value=30))
+    def test_closed_form_matches_direct_sum(self, m, n):
+        """"plus" is S_m(n); "minus" is S_m(n - 1) for every m >= 1."""
+        assert power_sum_closed(m, n, "plus") == power_sum(m, n)
+        if m >= 1:
+            assert power_sum_closed(m, n, "minus") == power_sum(m, n - 1)
 
     def test_rejects_unknown_sign(self):
         with pytest.raises(ValueError):

@@ -129,6 +129,13 @@ class TestSeqErrors:
         assert proc.stdout == ""
         assert "invalid rational value" in proc.stderr
 
+    def test_unicode_space_exits_2(self):
+        """An em space (U+2003) before the value is not trimmed."""
+        proc = run_cli("seq", "poly-euler", "--k=1", "--x=\u20031/2", "--n=2")
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert "invalid rational value" in proc.stderr
+
     def test_missing_required_flag_exits_2(self):
         assert main_seq(["poly-bernoulli", "--n", "4"]) == 2
         assert main_seq(["lonesum", "--rows", "2"]) == 2

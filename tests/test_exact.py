@@ -69,6 +69,19 @@ class TestRationalText:
         with pytest.raises(ValueError):
             parse_rational(bad)
 
+    @pytest.mark.parametrize("text", ["\t-3/4", "-3/4 \t", " \r\n-3/4\n", "\f-3/4\v"])
+    def test_trims_ascii_whitespace(self, text):
+        assert parse_rational(text) == F(-3, 4)
+
+    @pytest.mark.parametrize(
+        "bad", ["\u20031/2", "1/2\u3000", "\u3000 1/2", " 1/2\u2003 ", "\xa01/2", "1/\u20032"]
+    )
+    def test_rejects_unicode_space(self, bad):
+        """Only ASCII whitespace is trimmed: an em space (U+2003), an
+        ideographic space (U+3000) or a no-break space is not."""
+        with pytest.raises(ValueError):
+            parse_rational(bad)
+
     def test_roundtrip(self):
         for v in (F(5), F(-3, 4), F(0), F(123456789, 7)):
             assert parse_rational(format_rational(v)) == v
@@ -382,10 +395,20 @@ class TestDivExpSum:
             egf_div_exp_sum(exp_t(5), terms)
 
 
+def wide_series(order):
+    """A series whose numerators run to several hundred bits, signs mixed."""
+    return Egf.of([(-1) ** n * (3 ** (n + 250) + 7**n) for n in range(order + 1)], 5**120)
+
+
 class TestTimesExp:
     """The Taylor-shift product e^{wt} f, against the binomial convolution."""
 
     @given(f=series, w=st.fractions(min_value=-5, max_value=5, max_denominator=7))
+    @example(f=wide_series(56), w=F(-13, 6))
+    @example(f=wide_series(56), w=F(0))
+    @example(f=wide_series(200), w=F(-7, 3))
+    @example(f=wide_series(200), w=F(0))
+    @example(f=wide_series(200), w=F(11, 4))
     @example(f=Egf.constant(F(5, 3), 0), w=F(7, 2))
     @example(f=exp_t(6), w=F(0))
     @example(f=exp_t(6), w=F(-3))

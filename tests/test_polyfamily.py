@@ -1,6 +1,7 @@
 """Poly-Bernoulli/Euler sequences and the lonesum enumeration oracle."""
 
 from fractions import Fraction
+from math import comb
 
 import pytest
 from hypothesis import given, strategies as st
@@ -136,6 +137,18 @@ class TestBinomialDenominators:
     def test_euler_shape_equals_egf_pow(self, alpha, beta, r, order):
         base = egf_add(egf_exp_linear(-alpha, order), egf_exp_linear(beta, order))
         assert egf_exp_sum(_euler_terms(alpha, beta, r), order) == egf_pow(base, r)
+
+    @given(
+        alpha=st.fractions(max_denominator=10**6),
+        beta=st.fractions(max_denominator=10**6),
+        r=depths,
+    )
+    def test_euler_terms_are_the_binomial_rates(self, alpha, beta, r):
+        """Each rate, made as one integer quotient, is i beta - (r-i) alpha
+        in Fraction arithmetic."""
+        terms = _euler_terms(alpha, beta, r)
+        assert terms == tuple((comb(r, i), i * beta - (r - i) * alpha) for i in range(r + 1))
+        assert all(type(rate) is Fraction for _, rate in terms)
 
     @given(r=depths, order=orders)
     def test_bernoulli_shape_equals_egf_pow(self, r, order):

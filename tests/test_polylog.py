@@ -70,6 +70,15 @@ class TestParseKVector:
     def test_trims_whitespace(self):
         assert parse_kvector(" 2, -1 ") == (2, -1)
 
+    def test_trims_ascii_whitespace_and_tabs(self):
+        assert parse_kvector("\t2,\t-1 \n") == (2, -1)
+
+    @pytest.mark.parametrize("bad", ["\u30001, 2", "1,\u20032", "2, -1\u3000", "\xa01"])
+    def test_rejects_unicode_space(self, bad):
+        """Only ASCII whitespace is trimmed around each index."""
+        with pytest.raises(ValueError):
+            parse_kvector(bad)
+
     @pytest.mark.parametrize("bad", ["", "1,,2", "a", "1;2", "+1", "1_0", "١,2", "𝟏", "- 1", "1-"])
     def test_rejects(self, bad):
         with pytest.raises(ValueError):
