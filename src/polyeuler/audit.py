@@ -17,7 +17,7 @@ from __future__ import annotations
 import hashlib
 import json
 import random
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from fractions import Fraction
 from itertools import product
 from typing import Callable, Iterable, Mapping, Sequence
@@ -521,19 +521,6 @@ def report_ok(report: AuditReport) -> bool:
 
 
 def report_to_json(report: AuditReport) -> str:
-    obj = {
-        "seed": report.seed,
-        "order": report.order,
-        "cases": [
-            {
-                "id": r.id,
-                "variant": r.variant,
-                "grid_size": r.grid_size,
-                "verdict": r.verdict,
-                "counterexample": r.counterexample,
-                "notes": r.notes,
-            }
-            for r in report.cases
-        ],
-    }
-    return json.dumps(obj, indent=2) + "\n"
+    """The report's keys are the fields of AuditReport and CaseResult, in
+    the order they are declared."""
+    return json.dumps(asdict(report), indent=2) + "\n"

@@ -16,7 +16,7 @@ from typing import TYPE_CHECKING, Callable, Sequence
 
 from . import DEFAULT_ORDER, DEFAULT_SEED, classical
 from .classical import EulerConvention
-from .exact import format_rational, parse_rational
+from .exact import format_rational, parse_integer, parse_rational
 from .polylog import parse_kvector
 
 # The audit is imported only by the functions of polyverify and polyaudit,
@@ -36,18 +36,19 @@ MAX_K = 16
 MAX_DEPTH = 8
 MAX_DIGITS = 4
 
-# Each family and the flags of SELECTIVE_FLAGS that it reads; passing it any
-# other of them is a usage error, not a silently ignored value.
+# Each family: the flags of SELECTIVE_FLAGS that it needs, then the others
+# that it reads. Leaving out a needed flag or passing any flag outside the two
+# is a usage error, not a silently ignored value.
 FAMILIES = {
-    "bernoulli": ("n",),
-    "euler": ("n", "convention"),
-    "poly-bernoulli": ("n", "k", "x"),
-    "poly-euler": ("n", "k", "x"),
-    "poly-euler-sasaki": ("n", "k"),
-    "multi-poly-bernoulli": ("n", "ks"),
-    "multi-poly-euler": ("n", "ks", "x", "alpha", "beta", "gamma"),
-    "poly-euler-abc": ("n", "k", "x", "alpha", "beta", "gamma"),
-    "lonesum": ("rows", "cols"),
+    "bernoulli": ((), ("n",)),
+    "euler": ((), ("n", "convention")),
+    "poly-bernoulli": (("k",), ("n", "x")),
+    "poly-euler": (("k",), ("n", "x")),
+    "poly-euler-sasaki": (("k",), ("n",)),
+    "multi-poly-bernoulli": (("ks",), ("n",)),
+    "multi-poly-euler": (("ks",), ("n", "x", "alpha", "beta", "gamma")),
+    "poly-euler-abc": (("k", "alpha", "beta", "gamma"), ("n", "x")),
+    "lonesum": (("rows", "cols"), ()),
 }
 SELECTIVE_FLAGS = ("n", "k", "ks", "x", "alpha", "beta", "gamma", "convention", "rows", "cols")
 
@@ -61,7 +62,7 @@ def _default_order() -> int:
     if raw is None:
         return DEFAULT_ORDER
     try:
-        value = int(raw)
+        value = parse_integer(raw)
     except ValueError:
         raise UsageError(f"{ORDER_ENV} must be an integer, got {raw!r}") from None
     if not 0 <= value <= MAX_N:
@@ -81,6 +82,7 @@ def _argument_type(parse: Callable[[str], object], name: str) -> Callable[[str],
     return convert
 
 
+_INTEGER = _argument_type(parse_integer, "int")
 _RATIONAL = _argument_type(parse_rational, "rational")
 _KVECTOR = _argument_type(parse_kvector, "index vector")
 
@@ -88,8 +90,8 @@ _KVECTOR = _argument_type(parse_kvector, "index vector")
 def _seq_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(prog="polyseq", description="Print one sequence family as a table.")
     p.add_argument("family", choices=FAMILIES)
-    p.add_argument("--n", type=int, default=None, help="highest index (default: POLYEULER_ORDER or 10)")
-    p.add_argument("--k", type=int, default=None, help="single polylogarithm index")
+    p.add_argument("--n", type=_INTEGER, default=None, help="highest index (default: POLYEULER_ORDER or 10)")
+    p.add_argument("--k", type=_INTEGER, default=None, help="single polylogarithm index")
     p.add_argument("--ks", type=_KVECTOR, default=None, help="comma-separated index vector, e.g. 2,1,-1")
     p.add_argument("--x", type=_RATIONAL, default=None, help="polynomial argument (rational)")
     p.add_argument("--alpha", type=_RATIONAL, default=None, help="ln a (rational)")
@@ -101,8 +103,8 @@ def _seq_parser() -> argparse.ArgumentParser:
         default=None,
         help="Euler number convention (default genocchi)",
     )
-    p.add_argument("--rows", type=int, default=None, help="lonesum row count")
-    p.add_argument("--cols", type=int, default=None, help="lonesum column count")
+    p.add_argument("--rows", type=_INTEGER, default=None, help="lonesum row count")
+    p.add_argument("--cols", type=_INTEGER, default=None, help="lonesum column count")
     p.add_argument("--format", choices=("plain", "csv", "json"), default="plain")
     return p
 
@@ -153,21 +155,16 @@ def _sequence_for(args: argparse.Namespace) -> list[Fraction]:
     from . import polyfamily
 
     if family == "poly-bernoulli":
-        _require(args.k is not None, "poly-bernoulli needs --k")
         return polyfamily.poly_bernoulli(args.k, x, order)
     if family == "poly-euler":
-        _require(args.k is not None, "poly-euler needs --k")
         return polyfamily.poly_euler(args.k, x, order)
     if family == "poly-euler-sasaki":
-        _require(args.k is not None, "poly-euler-sasaki needs --k")
         return polyfamily.poly_euler_sasaki(args.k, order)
     from . import multifamily
 
     if family == "multi-poly-bernoulli":
-        _require(args.ks is not None, "multi-poly-bernoulli needs --ks")
         return multifamily.multi_poly_bernoulli(args.ks, order)
     if family == "multi-poly-euler":
-        _require(args.ks is not None, "multi-poly-euler needs --ks")
         _require(
             (args.alpha is None) == (args.beta is None),
             "--alpha and --beta must be given together",
@@ -180,16 +177,10 @@ def _sequence_for(args: argparse.Namespace) -> list[Fraction]:
             return multifamily.multi_poly_euler_xab(args.ks, x, params, order)
         _require(len(args.ks) == 1, "the three-parameter family is defined for a single index")
         return multifamily.poly_euler_abc(args.ks[0], x, params, order)
-    if family == "poly-euler-abc":
-        _require(args.k is not None, "poly-euler-abc needs --k")
-        _require(
-            args.alpha is not None and args.beta is not None and args.gamma is not None,
-            "poly-euler-abc needs --alpha, --beta and --gamma",
-        )
-        return multifamily.poly_euler_abc(
-            args.k, x, multifamily.LogParams(args.alpha, args.beta, args.gamma), order
-        )
-    raise UsageError(f"unknown family {family!r}")
+    # poly-euler-abc, the one family left
+    return multifamily.poly_euler_abc(
+        args.k, x, multifamily.LogParams(args.alpha, args.beta, args.gamma), order
+    )
 
 
 def _print_table(values: Sequence[Fraction], fmt: str, out) -> None:
@@ -209,16 +200,21 @@ def _print_table(values: Sequence[Fraction], fmt: str, out) -> None:
 
 def cmd_seq(args: argparse.Namespace, out=None) -> int:
     out = out if out is not None else sys.stdout
+    needed, optional = FAMILIES[args.family]
     unread = [
         f"--{flag}"
         for flag in SELECTIVE_FLAGS
-        if getattr(args, flag) is not None and flag not in FAMILIES[args.family]
+        if getattr(args, flag) is not None and flag not in needed + optional
     ]
     _require(not unread, f"{args.family} does not read {', '.join(unread)}")
+    missing = [f"--{flag}" for flag in needed if getattr(args, flag) is None]
+    if missing:
+        *rest, last = missing
+        listed = f"{', '.join(rest)} and {last}" if rest else last
+        raise UsageError(f"{args.family} needs {listed}")
     if args.family == "lonesum":
         from . import polyfamily
 
-        _require(args.rows is not None and args.cols is not None, "lonesum needs --rows and --cols")
         try:
             count = polyfamily.lonesum_count(args.rows, args.cols)
         except (polyfamily.TooLarge, ValueError) as exc:
@@ -243,8 +239,8 @@ def cmd_seq(args: argparse.Namespace, out=None) -> int:
 def _verify_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(prog="polyverify", description="Check one registered identity.")
     p.add_argument("identity", help="identity id, e.g. thm2; an unknown id prints the registered ones")
-    p.add_argument("--order", type=int, default=None)
-    p.add_argument("--seed", type=int, default=DEFAULT_SEED)
+    p.add_argument("--order", type=_INTEGER, default=None)
+    p.add_argument("--seed", type=_INTEGER, default=DEFAULT_SEED)
     p.add_argument("--variant", default=None)
     return p
 
@@ -289,8 +285,8 @@ def cmd_verify(args: argparse.Namespace, out=None) -> int:
 
 def _audit_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(prog="polyaudit", description="Run the full identity audit.")
-    p.add_argument("--order", type=int, default=None)
-    p.add_argument("--seed", type=int, default=DEFAULT_SEED)
+    p.add_argument("--order", type=_INTEGER, default=None)
+    p.add_argument("--seed", type=_INTEGER, default=DEFAULT_SEED)
     p.add_argument("--out", default=None, help="write the JSON report here (default: stdout)")
     return p
 

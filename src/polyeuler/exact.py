@@ -41,6 +41,16 @@ class NotSquare(ValueError):
 _ASCII_SPACE = " \t\n\r\f\v"
 
 
+def parse_integer(text: str) -> int:
+    """Parse the canonical integer text form: ASCII digits 0-9 with an
+    optional '-', e.g. ``"-12"``.  Raises ValueError on anything else (ASCII
+    whitespace is trimmed first; no '+', '_' or other Unicode digit)."""
+    trimmed = text.strip(_ASCII_SPACE)
+    if re.fullmatch("-?[0-9]+", trimmed) is None:
+        raise ValueError(f"not an integer: {text!r}")
+    return int(trimmed)
+
+
 def parse_rational(text: str) -> Fraction:
     """Parse the canonical rational text form: ASCII digits 0-9 with an
     optional '-' and '/den', e.g. ``"5"``, ``"-3/4"``.

@@ -15,22 +15,18 @@ coefficients read in the ordinary sense (coeffs[m] multiplies z^m).
 
 from __future__ import annotations
 
-import re
 from math import factorial, lcm
 from typing import Sequence
 
-from .exact import _ASCII_SPACE, Egf, NonNilpotentInner, egf_compose, lowest_terms
+from .exact import Egf, NonNilpotentInner, egf_compose, lowest_terms, parse_integer
 
 KVector = tuple[int, ...]
 
 
 def parse_kvector(text: str) -> KVector:
-    """Parse comma-separated integer indices, e.g. ``"2,1,-1"``: each an
-    optional '-' and ASCII digits 0-9, with ASCII whitespace trimmed first."""
-    parts = [p.strip(_ASCII_SPACE) for p in text.split(",")]
-    if not all(re.fullmatch("-?[0-9]+", p) for p in parts):
-        raise ValueError(f"not an index vector: {text!r}")
-    return validate_kvector([int(p) for p in parts])
+    """Parse comma-separated integer indices, e.g. ``"2,1,-1"``, each in
+    ``exact.parse_integer``'s text form."""
+    return validate_kvector([parse_integer(p) for p in text.split(",")])
 
 
 def validate_kvector(ks: Sequence[int]) -> KVector:

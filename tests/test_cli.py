@@ -14,6 +14,7 @@ import pytest
 
 from polyeuler import audit
 from polyeuler.cli import (
+    FAMILIES,
     MAX_DEPTH,
     MAX_DIGITS,
     MAX_K,
@@ -113,6 +114,11 @@ class TestSeqErrors:
             ("--ks=1_0", "argument --ks: invalid index vector value: '1_0'"),
             ("--ks=١,2", "argument --ks: invalid index vector value: '١,2'"),
             ("--ks=+1", "argument --ks: invalid index vector value: '+1'"),
+            ("--n=١", "argument --n: invalid int value: '١'"),
+            ("--k=+1", "argument --k: invalid int value: '+1'"),
+            ("--rows=1_0", "argument --rows: invalid int value: '1_0'"),
+            # argparse prints the value's repr, which escapes the em space.
+            ("--n=\u20033", "argument --n: invalid int value: '\\u20033'"),
         ],
     )
     def test_malformed_value_names_the_expected_form(self, arg, expected, capsys):
@@ -140,6 +146,32 @@ class TestSeqErrors:
         assert main_seq(["poly-bernoulli", "--n", "4"]) == 2
         assert main_seq(["lonesum", "--rows", "2"]) == 2
         assert main_seq(["multi-poly-euler", "--n", "4"]) == 2
+
+    @pytest.mark.parametrize(
+        "argv, missing",
+        [
+            (["poly-bernoulli", "--x=1/2"], "--k"),
+            # The presence check runs before the size bounds.
+            (["poly-bernoulli", "--n=300"], "--k"),
+            (["poly-euler", "--n=3"], "--k"),
+            (["poly-euler-sasaki"], "--k"),
+            (["multi-poly-bernoulli", "--n=3"], "--ks"),
+            (["multi-poly-euler", "--alpha=1", "--beta=2"], "--ks"),
+            (["poly-euler-abc", "--k=1", "--alpha=1"], "--beta and --gamma"),
+            (["poly-euler-abc", "--k=1", "--alpha=1", "--n=3"], "--beta and --gamma"),
+            (["poly-euler-abc", "--alpha=1", "--beta=1", "--gamma=1"], "--k"),
+            (["poly-euler-abc", "--k=99", "--gamma=1"], "--alpha and --beta"),
+            (["poly-euler-abc"], "--k, --alpha, --beta and --gamma"),
+            (["lonesum", "--rows=2"], "--cols"),
+            (["lonesum", "--cols=9"], "--rows"),
+            (["lonesum"], "--rows and --cols"),
+        ],
+    )
+    def test_missing_flags_are_named(self, argv, missing, capsys):
+        assert main_seq(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == [f"error: {argv[0]} needs {missing}"]
 
     def test_lonesum_guard_exits_2(self):
         assert main_seq(["lonesum", "--rows", "5", "--cols", "5"]) == 2
@@ -200,6 +232,14 @@ class TestEnvOverride:
         monkeypatch.setenv("POLYEULER_ORDER", "ten")
         assert main_seq(["bernoulli"]) == 2
 
+    @pytest.mark.parametrize("value", ["٣", "+3", "1_0", "\u20033"])
+    def test_env_value_outside_the_integer_form_exits_2(self, value, monkeypatch, capsys):
+        monkeypatch.setenv("POLYEULER_ORDER", value)
+        assert main_seq(["bernoulli"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == [f"error: POLYEULER_ORDER must be an integer, got {value!r}"]
+
 
 class TestVerify:
     def test_pass_exit_zero(self, capsys):
@@ -226,6 +266,15 @@ class TestVerify:
         named = set(re.findall(r"(?<![\w-])--[a-z][\w-]*", parser.format_help()))
         accepted = {flag for action in parser._actions for flag in action.option_strings}
         assert named and named <= accepted
+
+    @pytest.mark.parametrize("arg", ["--order=٤", "--seed=1_0", "--seed=+1"])
+    def test_integer_outside_the_text_form_exits_2(self, arg, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main_verify(["thm2", "--order=4", arg])
+        assert exit_info.value.code == 2
+        flag, _, value = arg.partition("=")
+        err = capsys.readouterr().err
+        assert err.splitlines()[-1] == f"polyverify: error: argument {flag}: invalid int value: '{value}'"
 
     def test_unknown_variant_exit_two(self):
         assert main_verify(["thm4-explicit", "--variant", "corrected"]) == 2
@@ -269,6 +318,14 @@ class TestAuditCommand:
         captured = capsys.readouterr()
         payload = json.loads(captured.out)
         assert payload["order"] == 4
+
+    def test_order_outside_the_integer_form_exits_2(self, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main_audit(["--order=+4"])
+        assert exit_info.value.code == 2
+        assert capsys.readouterr().err.splitlines()[-1] == (
+            "polyaudit: error: argument --order: invalid int value: '+4'"
+        )
 
     def test_unwritable_out_exits_2(self, tmp_path):
         target = tmp_path / "missing-dir" / "report.json"
@@ -450,7 +507,21 @@ def _readme_commands():
     return commands
 
 
+def _readme_family_table():
+    """The family table under README's polyseq heading, as cli.FAMILIES
+    holds it: family -> (needed flags, other flags read)."""
+    section = README.partition("### polyseq")[2].partition("\n### ")[0]
+    rows = re.findall(r"^\| `([a-z-]+)` \|(.*)\|(.*)\|$", section, re.MULTILINE)
+    return {
+        family: tuple(tuple(re.findall(r"`--([a-z]+)`", cell)) for cell in cells)
+        for family, *cells in rows
+    }
+
+
 class TestReadmeExamples:
+    def test_family_table_is_cli_families(self):
+        assert _readme_family_table() == FAMILIES
+
     @pytest.mark.parametrize("argv", _readme_commands(), ids=shlex.join)
     def test_example_exits_zero(self, argv, capsys):
         assert _README_RUNNERS[argv[0]](argv[1:]) == 0, capsys.readouterr().err

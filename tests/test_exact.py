@@ -28,6 +28,7 @@ from polyeuler.exact import (
     egf_times_exp,
     format_rational,
     integer_numerators,
+    parse_integer,
     parse_rational,
 )
 
@@ -43,6 +44,21 @@ matrices_4x4 = st.lists(st.lists(rationals, min_size=4, max_size=4), min_size=4,
 
 def exp_t(order):
     return egf_exp_linear(1, order)
+
+
+class TestIntegerText:
+    @pytest.mark.parametrize("text,value", [("-0", 0), (" 7\t", 7), ("-12", -12), ("40", 40)])
+    def test_parse(self, text, value):
+        assert parse_integer(text) == value
+
+    @pytest.mark.parametrize(
+        "bad", ["+1", "1_0", "١", "𝟓", "\u30001", "1\u2003", "", "-", " ", "--1", "1.0", "1/1", "−1"]
+    )
+    def test_parse_rejects(self, bad):
+        """Only an optional '-' and ASCII digits 0-9, with ASCII whitespace
+        trimmed: no '+', '_', other Unicode digit or space, or Unicode minus."""
+        with pytest.raises(ValueError):
+            parse_integer(bad)
 
 
 class TestRationalText:
