@@ -31,14 +31,12 @@ _EXPORTS = {
         "egf_exp_linear",
         "egf_exp_sum",
         "egf_mul",
-        "egf_pow",
         "egf_times_exp",
         "format_rational",
         "parse_rational",
     ),
     "classical": (
         "EulerConvention",
-        "alternating_sum",
         "bernoulli_det",
         "bernoulli_numbers",
         "bernoulli_polynomial",
@@ -66,7 +64,7 @@ _EXPORTS = {
         "thm4_explicit",
     ),
     "polyfamily": ("TooLarge", "lonesum_count", "poly_bernoulli", "poly_euler", "poly_euler_sasaki"),
-    "polylog": ("KVector", "li_of_inner", "li_series", "multi_li_series", "parse_kvector"),
+    "polylog": ("KVector", "li_of_inner", "multi_li_series", "parse_kvector"),
 }
 _HOME = {name: layer for layer, names in _EXPORTS.items() for name in names}
 

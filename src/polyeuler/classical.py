@@ -73,11 +73,6 @@ def power_sum_closed(m: int, n: int, b1_sign: str) -> Fraction:
     return Fraction(total, den * (m + 1))
 
 
-def alternating_sum(n: int, m: int) -> int:
-    """m^n - (m-1)^n + ... +- 1^n by direct summation."""
-    return sum((-1) ** (m - k) * k**n for k in range(1, m + 1))
-
-
 def euler_numbers(order: int, convention: EulerConvention) -> list[Fraction]:
     """E_0..E_order under the chosen convention.
 

@@ -4,15 +4,19 @@ A series is stored by its exponential-generating-function coefficients c_n,
 where the series is sum c_n t^n / n!, as integer numerators over one positive
 denominator in lowest terms, and only in that form.  The kernels run over
 those integers; ``coeffs`` builds the ``fractions.Fraction`` values on each
-read.  Nothing here ever touches floating point.
+read.  Nothing here ever touches floating point.  The one cache here,
+``_division_table``, keeps what a division by a sum of exponentials needs
+of its divisor, so a repeated divisor is read instead of rebuilt.
 """
 
 from __future__ import annotations
 
 import re
 from fractions import Fraction
+from functools import lru_cache
+from itertools import accumulate, repeat
 from math import comb, factorial, gcd, lcm
-from operator import mul
+from operator import add, mul
 from typing import Iterable, Sequence, Union
 
 Rational = Fraction
@@ -121,9 +125,7 @@ Ratio = tuple[int, int]
 
 def _ratio(value: RationalLike) -> Ratio:
     """``value`` as a pair in lowest terms, as an int or a Fraction is already."""
-    if not isinstance(value, (int, Fraction)):
-        value = Fraction(value)
-    return value.numerator, value.denominator
+    return value.as_integer_ratio()
 
 
 def _reduced(num: int, den: int) -> Ratio:
@@ -416,17 +418,26 @@ def egf_exp_linear(value: RationalLike, order: int) -> Egf:
     return Egf.of((t * bottoms[order - n] for n, t in enumerate(tops)), bottoms[order])
 
 
-def _power_sums(terms: Iterable[tuple[int, RationalLike]], order: int) -> tuple[list[int], int]:
-    """(G, D) with G[n] = sum_j w_j M_j^n for n = 0..order, where the rates
-    are put over one denominator D as mu_j = M_j / D."""
-    terms = tuple(terms)
-    den = lcm(*(rate.denominator for _, rate in terms))
-    sums = [0] * (order + 1)
+def _integer_terms(
+    terms: Iterable[tuple[int, RationalLike]],
+) -> tuple[tuple[int, ...], tuple[int, ...], int]:
+    """(weights, tops, K) for the terms (w_j, mu_j): the rates over their
+    least common denominator K as mu_j = tops[j] / K.  An int rate and the
+    equal ``Fraction`` give the same integers."""
+    weights, ratios = [], []
     for weight, rate in terms:
-        top = rate.numerator * (den // rate.denominator)
-        for n, p in enumerate(integer_powers(top, order)):
-            sums[n] += weight * p
-    return sums, den
+        weights.append(weight)
+        ratios.append(_ratio(rate))
+    den = lcm(*(q for _, q in ratios))
+    return tuple(weights), tuple([p * (den // q) for p, q in ratios]), den
+
+
+def _power_sums(weights: Sequence[int], tops: Sequence[int], order: int) -> list[int]:
+    """G[n] = sum_j weights[j] tops[j]^n for n = 0..order."""
+    sums = [0] * (order + 1)
+    for weight, top in zip(weights, tops):
+        sums = list(map(add, sums, accumulate(repeat(top, order), mul, initial=weight)))
+    return sums
 
 
 def egf_exp_sum(terms: Iterable[tuple[int, RationalLike]], order: int) -> Egf:
@@ -437,76 +448,88 @@ def egf_exp_sum(terms: Iterable[tuple[int, RationalLike]], order: int) -> Egf:
     sum_j w_j M_j^n / D^n, summed over integers and lifted to D^N: no series
     product is formed.  No terms give the zero series.
     """
-    sums, den = _power_sums(terms, order)
+    weights, tops, den = _integer_terms(terms)
     den_pow = integer_powers(den, order)
+    sums = _power_sums(weights, tops, order)
     return Egf.of((c * den_pow[order - n] for n, c in enumerate(sums)), den_pow[order])
+
+
+# One table per divisor and order.  The audit's theorem grid cycles through
+# its 25 (alpha, beta) samples for each index vector, beside the (0, 1)
+# divisor that the right sides read: 26 live tables make every repeat of an
+# order-10 audit a hit (956 hits, 91 misses, one per distinct divisor), and
+# 32 leave room for a few more while bounding what order-200 tables hold.
+@lru_cache(maxsize=32)
+def _division_table(
+    weights: tuple[int, ...], tops: tuple[int, ...], den: int, order: int
+) -> tuple[tuple[tuple[int, ...], ...], tuple[int, ...], int, tuple[int, ...]]:
+    """(rows, lift, s, den_pow) for dividing by sum_j w_j e^{(tops[j]/K) t},
+    K = den, at the given order N: everything of ``egf_div_exp_sum`` that
+    does not depend on the numerator.
+
+    With G_m = sum_j w_j tops[j]^m and s = G_0: rows[m] holds
+    C(m,1) G_1, ..., C(m,m) G_m, built from one Pascal row at a time,
+    lift[m] = s^N K^m and den_pow[m] = K^m.
+    """
+    s, *sums = _power_sums(weights, tops, order)
+    rows = [()]
+    pascal: list[int] = []  # C(m, 1), ..., C(m, m)
+    for _ in range(order):
+        pascal = [*map(add, pascal, [1, *pascal]), 1]
+        rows.append(tuple(map(mul, pascal, sums)))
+    den_pow = tuple(integer_powers(den, order))
+    return tuple(rows), tuple(map((s**order).__mul__, den_pow)), s, den_pow
 
 
 def egf_div_exp_sum(f: Egf, terms: Iterable[tuple[int, RationalLike]]) -> Egf:
     """f divided by the sum of exponentials sum_j w_j e^{mu_j t}, the series
     ``egf_exp_sum(terms, f.order)``, fraction-free in the manner of Bareiss.
 
-    With f = a/d, the rates over one denominator K, G_n = sum_j w_j M_j^n
-    and s = G_0 the weight sum, the quotient is h_n = H_n / (d s^{n+1} K^n)
-    for the integers H_n = (s K)^n a_n - sum_{i<n} C(n,i) s^{n-i-1} G_{n-i} H_i,
-    so no step takes a gcd or rescales an earlier quotient; the result is
-    reduced once, at the end.  A zero weight sum raises DivisionByNonUnit.
+    With f = a/d at order N, the rates over one denominator K,
+    G_n = sum_j w_j M_j^n and s = G_0 the weight sum, the quotient is
+    h_n = Y_n / (d s^{N+1} K^n) for the integers
+    Y_n = s^N K^n a_n - (sum_{j=1..n} C(n,j) G_j Y_{n-j}) / s,
+    where the division by s is exact, so no step takes a gcd or rescales an
+    earlier quotient; the result is reduced once, at the end.  Everything
+    but a is one cached row table per divisor and order
+    (``_division_table``), so a repeated divisor costs one inner product
+    per coefficient.  A zero weight sum raises DivisionByNonUnit.
     """
-    n = f.order
-    sums, den = _power_sums(terms, n)
-    s = sums[0]
-    if s == 0:
+    weights, tops, den = _integer_terms(terms)
+    if sum(weights) == 0:
         raise DivisionByNonUnit("divisor has zero constant term")
+    rows, lift, s, den_pow = _division_table(weights, tops, den, f.order)
     a, df = f.numerators()
-    # G_m s^{m-1} for m >= 1: the weight of H_{n-m} in H_n, up to C(n, n-m).
-    weights = [0] + [g * p for g, p in zip(sums[1:], integer_powers(s, n))]
-    lift = integer_powers(s * den, n)
-    nums: list[int] = []
-    for m in range(n + 1):
-        acc = 0
-        for i in range(m):
-            if nums[i]:
-                acc += comb(m, i) * nums[i] * weights[m - i]
-        nums.append(lift[m] * a[m] - acc)
-    return Egf.of((v * lift[n - m] for m, v in enumerate(nums)), df * s * lift[n])
+    # Y_n = 0 below the first nonzero a_z, so row n meets only Y_z..Y_{n-1}.
+    z = 0
+    while z < len(a) and not a[z]:
+        z += 1
+    known: list[int] = []  # Y_z, Y_{z+1}, ...
+    for row, scale, coeff in zip(rows[z:], lift[z:], a[z:]):
+        known.append(scale * coeff - sum(map(mul, row, reversed(known))) // s)
+    return Egf.of(list(map(mul, [0] * z + known, reversed(den_pow))), df * s * lift[-1])
 
 
 def egf_times_exp(f: Egf, value: RationalLike) -> Egf:
     """The product e^{value * t} f, by a Taylor shift.
 
-    With value = p/q and f = a/d, the rows R_0 = a and
-    R_{j+1}[i] = p R_j[i] + q R_j[i+1] give coefficient n as R_n[0] / (d q^n),
-    so the growing integers are only ever multiplied by p and q.  Each row
-    overwrites the one before it in place, one entry shorter.
+    With value = p/q and f = a/d, coefficient n is
+    sum_i C(n,i) p^{n-i} q^i a_i / (d q^n).  So the rows start from
+    R_0[i] = q^i a_i, and R_{j+1}[i] = p R_j[i] + R_j[i+1] gives coefficient
+    n as R_n[0] / (d q^n): the growing integers are only ever multiplied by
+    p.  Each row overwrites the one before it in place, one entry shorter.
     """
-    v = value if type(value) is Fraction else Fraction(value)
-    p, q = v.numerator, v.denominator
+    p, q = _ratio(value)
     a, df = f.numerators()
     n = f.order
-    row = list(a)
+    q_pow = integer_powers(q, n)
+    row = list(map(mul, a, q_pow))
     tops = [row[0]]
     for width in range(n, 0, -1):
         for i in range(width):
-            row[i] = p * row[i] + q * row[i + 1]
+            row[i] = p * row[i] + row[i + 1]
         tops.append(row[0])
-    q_pow = integer_powers(q, n)
-    return Egf.of([t * q_pow[n - m] for m, t in enumerate(tops)], df * q_pow[n])
-
-
-def egf_pow(f: Egf, exponent: int) -> Egf:
-    """f^exponent with f^0 = 1, by repeated squaring."""
-    if exponent < 0:
-        raise ValueError("exponent must be a natural number")
-    if exponent == 0:
-        return Egf.constant(1, f.order)
-    result = None
-    while True:
-        if exponent & 1:
-            result = f if result is None else egf_mul(result, f)
-        exponent >>= 1
-        if not exponent:
-            return result
-        f = egf_mul(f, f)
+    return Egf.of(list(map(mul, tops, reversed(q_pow))), df * q_pow[n])
 
 
 def det(rows: Sequence[Sequence[RationalLike]]) -> Fraction:

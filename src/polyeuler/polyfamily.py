@@ -10,7 +10,9 @@ it is the quotient itself, and at any other w it is the Taylor shift
 (``exact.egf_times_exp``) of that cached w = 0 entry by e^{wt}.  Both
 shapes' denominators, (e^{-alpha t} + e^{beta t})^r and (1-e^{-t})^r, are
 sums of r + 1 exponentials by the binomial theorem: the Euler shape divides
-by its terms fraction-free (``exact.egf_div_exp_sum``), and the Bernoulli
+by its terms fraction-free (``exact.egf_div_exp_sum``, which reads one
+cached row table per denominator and order, so the audit's repeated
+(alpha, beta, r) denominators are built once each), and the Bernoulli
 shape builds its series with ``exact.egf_exp_sum`` to cancel t^r first.
 Every numerator is read off one cached series, Li_ks(1-e^{-t}):
 the Bernoulli shape uses it as it is, and Li_ks(1-e^{-ct}) of the Euler

@@ -36,11 +36,6 @@ def validate_kvector(ks: Sequence[int]) -> KVector:
     return ks
 
 
-def li_series(k: int, order: int) -> Egf:
-    """Truncation of Li_k(z) to z^order, ordinary coefficients 1/m^k."""
-    return multi_li_series((k,), order)
-
-
 def multi_li_series(ks: Sequence[int], order: int) -> Egf:
     """Truncated nested sum over 1 <= m_1 < ... < m_r <= order.
 

@@ -10,7 +10,6 @@ from hypothesis import given, strategies as st
 from polyeuler.classical import (
     EulerConvention,
     _bernoulli_tuple,
-    alternating_sum,
     bernoulli_det,
     bernoulli_numbers,
     bernoulli_polynomial,
@@ -115,12 +114,6 @@ class TestPowerSums:
     def test_rejects_unknown_sign(self):
         with pytest.raises(ValueError):
             power_sum_closed(1, 1, "both")
-
-
-class TestAlternatingSum:
-    @pytest.mark.parametrize("n,m,value", [(1, 3, 2), (2, 2, 3), (0, 4, 0)])
-    def test_examples(self, n, m, value):
-        assert alternating_sum(n, m) == value
 
 
 class TestEulerNumbers:

@@ -14,6 +14,7 @@ from polyeuler.exact import (
     NonNilpotentInner,
     NotSquare,
     _bell_table,
+    _division_table,
     det,
     egf_add,
     egf_compose,
@@ -23,7 +24,6 @@ from polyeuler.exact import (
     egf_exp_linear,
     egf_exp_sum,
     egf_mul,
-    egf_pow,
     egf_scale,
     egf_times_exp,
     format_rational,
@@ -311,9 +311,10 @@ class TestCompose:
         f = Egf.from_ordinary(outer)
         g = Egf(tuple([F(0)] + inner_tail))
         n = min(f.order, g.order)
-        expected = Egf.zero(n)
-        for m, am in enumerate(outer[: n + 1]):
-            expected = egf_add(expected, egf_scale(egf_pow(g.truncate(n), m), am))
+        expected, power = Egf.zero(n), Egf.constant(1, n)
+        for am in outer[: n + 1]:
+            expected = egf_add(expected, egf_scale(power, am))
+            power = egf_mul(power, g.truncate(n))
         assert egf_compose(f, g) == expected
 
 
@@ -329,17 +330,6 @@ class TestExpLinearAndPow:
 
     def test_exp_powers(self):
         assert egf_exp_linear(F(-7, 3), 12).coeffs == tuple(F(-7, 3) ** n for n in range(13))
-
-    def test_pow_zero(self):
-        f = Egf((F(9), F(2), F(-5)))
-        assert egf_pow(f, 0) == Egf.constant(1, 2)
-
-    def test_pow_of_exp(self):
-        assert egf_pow(exp_t(5), 3) == egf_exp_linear(3, 5)
-
-    def test_pow_one_plus_exp(self):
-        sq = egf_pow(egf_add(Egf.constant(1, 2), exp_t(2)), 2)
-        assert sq.coeffs == (4, 4, 6)
 
 
 def _sum_of_exponentials(terms, order):
@@ -409,6 +399,69 @@ class TestDivExpSum:
     def test_zero_weight_sum_raises(self, terms):
         with pytest.raises(DivisionByNonUnit):
             egf_div_exp_sum(exp_t(5), terms)
+
+
+class TestDivisionTable:
+    """``egf_div_exp_sum`` reads one cached row table per divisor and order.
+    A quotient must not depend on whether its table was just built, kept
+    from an earlier division, or evicted and built again."""
+
+    @staticmethod
+    def evict(order):
+        """Fill the table cache with other divisors at ``order``."""
+        for i in range(_division_table.cache_info().maxsize):
+            egf_div_exp_sum(Egf.zero(order), [(1, F(1000 + i, 7))])
+
+    @given(f=series, terms=TestDivExpSum.terms)
+    @example(f=Egf.t(8), terms=[(-1, F(-1, 2)), (3, 0), (1, F(2, 3)), (-5, F(-7, 4))])
+    def test_product_restores_the_numerator(self, f, terms):
+        """egf_mul(f / g, g) = f on a cold, a warm and an evicted table."""
+        divisor = egf_exp_sum(terms, f.order)
+        _division_table.cache_clear()
+        for state in ("cold", "warm", "evicted"):
+            if state == "evicted":
+                self.evict(f.order)
+            assert egf_mul(egf_div_exp_sum(f, terms), divisor) == f, state
+
+    def test_matches_after_the_table_cache_evicts(self):
+        """More divisors than the tables the cache keeps, read twice in the
+        same order, so every second read rebuilds its table."""
+        divisors = [[(1, F(s, 7)), (w, F(-1, 3))] for s in range(-20, 21) for w in (1, 2)]
+        assert len(divisors) > _division_table.cache_info().maxsize
+        f = Egf.of([3, -1, 4, 1, -5, 9, 2, -6, 5], 2)
+        _division_table.cache_clear()
+        for _ in ("cold", "evicted"):
+            for terms in divisors:
+                assert egf_div_exp_sum(f, terms) == egf_div(f, egf_exp_sum(terms, f.order))
+        info = _division_table.cache_info()
+        assert info.currsize == info.maxsize
+        assert info.misses == 2 * len(divisors)
+
+    def test_int_and_fraction_rates_share_one_table(self):
+        """The key holds the rates as integers over their least common
+        denominator, so equal rates meet in one table however they are
+        written."""
+        f = exp_t(7)
+        _division_table.cache_clear()
+        quotients = {
+            egf_div_exp_sum(f, terms)
+            for terms in (
+                [(1, 1), (1, -1)],
+                [(1, F(1)), (1, F(-1))],
+                ((1, F(3, 3)), (1, F(-2, 2))),
+            )
+        }
+        assert len(quotients) == 1
+        info = _division_table.cache_info()
+        assert (info.misses, info.hits) == (1, 2)
+
+    @pytest.mark.parametrize("terms", [[(1, 1), (-1, 0)], [(2, F(1, 3)), (-2, F(-1, 2))]])
+    def test_zero_weight_sum_raises_every_time(self, terms):
+        _division_table.cache_clear()
+        for _ in ("first", "repeated"):
+            with pytest.raises(DivisionByNonUnit):
+                egf_div_exp_sum(exp_t(5), terms)
+        assert _division_table.cache_info().currsize == 0
 
 
 def wide_series(order):

@@ -37,6 +37,7 @@ from polyeuler.multifamily import (
     thm3_explicit,
     thm4_explicit,
 )
+from polyeuler.classical import EulerConvention, euler_numbers
 from polyeuler.polyfamily import poly_bernoulli, poly_euler
 
 import oracles
@@ -399,9 +400,10 @@ def _package_caches():
 class TestEulerShapeCaches:
     """The Euler shape is cached once per (ks, w, alpha, beta, order), the
     three rationals as integer pairs in lowest terms; the w = 0 entry is the quotient that every other w multiplies by e^{wt}.
-    Below it sits the numerator per (ks, order); the denominator, r + 1
-    exponentials, is divided by directly and not cached.  Every key must
-    tell apart the requests it serves, in any order of arrival."""
+    Below it sit the numerator per (ks, order) and, in ``exact``, one
+    division row table per denominator, r + 1 exponentials, and order.
+    Every key must tell apart the requests it serves, in any order of
+    arrival."""
 
     # (ks, x, alpha, beta, order), in an order that mixes cold and warm keys.
     REQUESTS = [
@@ -472,7 +474,7 @@ class TestEulerShapeCaches:
         second()
         assert polyfamily._euler_egf.cache_info().misses == misses
 
-    CACHES = {"_euler_egf", "_li_numerator", "_shift_table", "_bernoulli_tuple"}
+    CACHES = {"_euler_egf", "_li_numerator", "_shift_table", "_bernoulli_tuple", "_division_table"}
 
     def test_every_cache_is_bounded(self):
         caches = _package_caches()
@@ -489,6 +491,37 @@ class TestEulerShapeCaches:
         audit.run_all(0, 3)
         for cache in caches:
             assert cache.cache_info().hits, cache.__qualname__
+
+    def test_integer_and_fraction_callers_share_a_division_table(self):
+        """``classical.euler_numbers`` divides by 1 + e^t with integer rates,
+        the Euler shape at alpha = 0, beta = 1, r = 1 with ``Fraction``
+        rates: one table serves both."""
+        exact._division_table.cache_clear()
+        polyfamily._euler_egf.cache_clear()
+        euler_numbers(8, EulerConvention.GENOCCHI_TYPE)
+        poly_euler(1, 0, 8)
+        info = exact._division_table.cache_info()
+        assert (info.misses, info.hits) == (1, 1)
+
+    def test_order_ten_audit_divides_once_per_divisor(self, monkeypatch):
+        """A count guard, not a timing: the seed-0 order-10 audit from cold
+        caches makes 1,047 Euler-shape divisions by 91 distinct divisors, so
+        the division table builds 91 times and is read 956 times more."""
+        calls = []
+        original = exact.egf_div_exp_sum
+
+        def counted(f, terms):
+            calls.append(f.order)
+            return original(f, terms)
+
+        for cache in _package_caches():
+            cache.cache_clear()
+        _wrap_bindings(monkeypatch, {original: counted})
+        audit.run_all(0, 10)
+        table, euler = exact._division_table.cache_info(), polyfamily._euler_egf.cache_info()
+        assert len(calls) == 1047
+        assert (table.hits, table.misses) == (956, 91)
+        assert (euler.hits, euler.misses) == (10710, 3759)
 
 
 def _literal_shift(values, den, shift, scale, order):

@@ -22,7 +22,6 @@ from polyeuler.exact import (
     egf_div,
     egf_div_shifted,
     egf_mul,
-    egf_pow,
     egf_scale,
     integer_numerators,
 )
@@ -185,19 +184,6 @@ def test_mul_matches_oracle(order, f, g):
     assert list(got.ordinary()) == ord_mul(f, g, order)
 
 
-@settings(max_examples=30)
-@given(
-    order=st.integers(min_value=0, max_value=12),
-    f=st.lists(rationals, max_size=13),
-    exponent=st.integers(min_value=0, max_value=9),
-)
-def test_pow_matches_oracle(order, f, exponent):
-    """Repeated squaring against one product per factor."""
-    f = padded(f, order)
-    got = egf_pow(Egf.from_ordinary(f), exponent)
-    assert list(got.ordinary()) == ord_pow(f, exponent, order)
-
-
 @given(
     order=orders,
     f=st.lists(wide_rationals, max_size=21),
@@ -326,7 +312,7 @@ def test_every_kernel_reads_both_forms(forms, order, f, g0, g_tail, ks):
     assert list(egf_scale(a, g0).ordinary()) == ord_scale(f, g0, order)
     assert list(egf_mul(a, b).ordinary()) == ord_mul(f, unit, order)
     assert list(egf_div(a, b).ordinary()) == ord_div(f, unit, order)
-    assert list(egf_pow(b, 3).ordinary()) == ord_pow(unit, 3, order)
+    assert list(egf_mul(egf_mul(b, b), b).ordinary()) == ord_pow(unit, 3, order)
     assert list(egf_compose(a, n).ordinary()) == ord_compose(f, nil, order)
     assert list(a.truncate(order - 1).ordinary()) == f[:order]
     shifted = both_forms([F(0)] + f[:order])[forms[0]]

@@ -6,7 +6,7 @@ from itertools import product
 import pytest
 
 from polyeuler.exact import Egf, NonNilpotentInner, egf_add, egf_exp_linear, egf_mul, egf_scale
-from polyeuler.polylog import li_of_inner, li_series, multi_li_series, parse_kvector
+from polyeuler.polylog import li_of_inner, multi_li_series, parse_kvector
 
 from oracles import ord_mul, ord_scale
 
@@ -18,18 +18,21 @@ def one_minus_exp(value, order):
 
 
 class TestLiSeries:
+    """Li_k(z) is the nested sum at the one-entry index vector (k,)."""
+
     def test_k1_is_minus_log(self):
-        assert li_series(1, 3).coeffs == (0, 1, F(1, 2), F(1, 3))
+        assert multi_li_series((1,), 3).coeffs == (0, 1, F(1, 2), F(1, 3))
 
     def test_k0_is_geometric(self):
-        assert li_series(0, 3).coeffs == (0, 1, 1, 1)
+        assert multi_li_series((0,), 3).coeffs == (0, 1, 1, 1)
 
     def test_k_minus_one(self):
-        assert li_series(-1, 3).coeffs == (0, 1, 2, 3)
+        assert multi_li_series((-1,), 3).coeffs == (0, 1, 2, 3)
 
     @pytest.mark.parametrize("k", range(-3, 4))
     def test_singleton_vector_matches(self, k):
-        assert multi_li_series((k,), 16) == li_series(k, 16)
+        """Coefficient m is 1/m^k."""
+        assert multi_li_series((k,), 16).coeffs == (0, *(F(1, m) ** k for m in range(1, 17)))
 
 
 class TestMultiLiSeries:
