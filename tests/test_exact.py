@@ -15,6 +15,8 @@ from polyeuler.exact import (
     NotSquare,
     _bell_table,
     _division_table,
+    _integer_terms,
+    _ratio,
     det,
     egf_add,
     egf_compose,
@@ -455,6 +457,30 @@ class TestDivisionTable:
         info = _division_table.cache_info()
         assert (info.misses, info.hits) == (1, 2)
 
+    def test_only_equal_divisors_share_a_table(self):
+        """1 + e^t, 1 + e^{t/2} and 2 + 2e^t differ by a rescaled rate or
+        weight: each builds its own table, and no quotient is read from
+        another divisor's."""
+        f = Egf.of([5, -2, 7, 0, 3, -1, 4], 3)
+        divisors = [[(1, 0), (1, 1)], [(1, 0), (1, F(1, 2))], [(2, 0), (2, 1)]]
+        _division_table.cache_clear()
+        for terms in divisors:
+            assert egf_div_exp_sum(f, terms) == egf_div(f, egf_exp_sum(terms, f.order))
+        info = _division_table.cache_info()
+        assert (info.misses, info.hits) == (3, 0)
+
+    def test_order_is_part_of_the_key(self):
+        """A table holds rows up to its own order; a lower order builds its
+        own, and its quotient is the truncation of the higher one."""
+        f = Egf.of([3, 1, -4, 1, 5, -9, 2, 6, -5, 3], 7)
+        terms = [(3, F(-1, 4)), (-1, F(2, 3))]
+        _division_table.cache_clear()
+        high = egf_div_exp_sum(f, terms)
+        low = egf_div_exp_sum(f.truncate(4), terms)
+        assert low == high.truncate(4)
+        info = _division_table.cache_info()
+        assert (info.misses, info.hits) == (2, 0)
+
     @pytest.mark.parametrize("terms", [[(1, 1), (-1, 0)], [(2, F(1, 3)), (-2, F(-1, 2))]])
     def test_zero_weight_sum_raises_every_time(self, terms):
         _division_table.cache_clear()
@@ -462,6 +488,27 @@ class TestDivisionTable:
             with pytest.raises(DivisionByNonUnit):
                 egf_div_exp_sum(exp_t(5), terms)
         assert _division_table.cache_info().currsize == 0
+
+
+class TestIntegerTerms:
+    """Rates as integer pairs, and a divisor's rates over one denominator."""
+
+    def test_ratio_reads_lowest_terms(self):
+        assert [_ratio(v) for v in (5, -7, 0, F(-6, 4), F(9, 3))] == [
+            (5, 1),
+            (-7, 1),
+            (0, 1),
+            (-3, 2),
+            (3, 1),
+        ]
+
+    def test_rates_over_their_least_common_denominator(self):
+        terms = [(2, F(1, 3)), (-1, F(-1, 2)), (4, 0)]
+        assert _integer_terms(terms) == ((2, -1, 4), (2, -3, 0), 6)
+
+    def test_int_and_fraction_rates_give_the_same_integers(self):
+        assert _integer_terms([(1, 2), (3, -1)]) == ((1, 3), (2, -1), 1)
+        assert _integer_terms([(1, F(2)), (3, F(-3, 3))]) == ((1, 3), (2, -1), 1)
 
 
 def wide_series(order):
@@ -487,6 +534,12 @@ class TestTimesExp:
 
     def test_integer_argument(self):
         assert egf_times_exp(exp_t(5), 2) == egf_exp_linear(3, 5)
+
+    def test_rate_and_series_with_denominators(self):
+        """e^{-2t/5} (1/3 + t/2 - t^2/2!), worked by hand as
+        sum_i C(n,i) (-2/5)^{n-i} a_i: the rows start from 5^i a_i."""
+        product = egf_times_exp(Egf((F(1, 3), F(1, 2), F(-1))), F(-2, 5))
+        assert product.coeffs == (F(1, 3), F(11, 30), F(-101, 75))
 
 
 class TestBellTable:
