@@ -21,7 +21,6 @@ _EXPORTS = {
         "InsufficientVanishing",
         "NonNilpotentInner",
         "NotSquare",
-        "Rational",
         "det",
         "egf_add",
         "egf_compose",

@@ -39,6 +39,8 @@ def bernoulli_polynomial(n: int, order: int) -> list[Fraction]:
     Expansion of the n-th coefficient of t e^{xt}/(e^t - 1), which is the
     binomial combination sum_j C(n,j) B_{n-j} x^j.
     """
+    if n < 0:
+        raise ValueError("polynomial degree must be >= 0")
     if n > order:
         raise ValueError("polynomial degree exceeds the series order")
     bern = _bernoulli_tuple(order)
@@ -54,6 +56,8 @@ def poly_eval(coeffs: Sequence[Fraction], x: Fraction) -> Fraction:
 
 def power_sum(m: int, n: int) -> int:
     """Direct summation 1^m + 2^m + ... + n^m."""
+    if m < 0:
+        raise ValueError("exponent m must be >= 0")
     return sum(k**m for k in range(1, n + 1))
 
 
@@ -63,6 +67,8 @@ def power_sum_closed(m: int, n: int, b1_sign: str) -> Fraction:
     ``b1_sign`` selects B_1 = +1/2 ("plus") or -1/2 ("minus"); the two
     conventions disagree about whether the sum counts k=n or k=0.
     """
+    if m < 0:
+        raise ValueError("exponent m must be >= 0")
     if b1_sign not in ("plus", "minus"):
         raise ValueError(f"b1_sign must be 'plus' or 'minus', got {b1_sign!r}")
     bern = list(_bernoulli_tuple(max(m, 1)))

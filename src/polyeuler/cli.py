@@ -183,23 +183,22 @@ def _sequence_for(args: argparse.Namespace) -> list[Fraction]:
     )
 
 
-def _print_table(values: Sequence[Fraction], fmt: str, out) -> None:
+def _print_table(values: Sequence[Fraction], fmt: str) -> None:
     if fmt == "plain":
         for n, v in enumerate(values):
-            print(f"{n}\t{format_rational(v)}", file=out)
+            print(f"{n}\t{format_rational(v)}")
     elif fmt == "csv":
-        print("n,value", file=out)
+        print("n,value")
         for n, v in enumerate(values):
-            print(f"{n},{format_rational(v)}", file=out)
+            print(f"{n},{format_rational(v)}")
     else:
         import json
 
         rows = [{"n": n, "value": format_rational(v)} for n, v in enumerate(values)]
-        print(json.dumps(rows, indent=2), file=out)
+        print(json.dumps(rows, indent=2))
 
 
-def cmd_seq(args: argparse.Namespace, out=None) -> int:
-    out = out if out is not None else sys.stdout
+def cmd_seq(args: argparse.Namespace) -> int:
     needed, optional = FAMILIES[args.family]
     unread = [
         f"--{flag}"
@@ -220,19 +219,16 @@ def cmd_seq(args: argparse.Namespace, out=None) -> int:
         except (polyfamily.TooLarge, ValueError) as exc:
             raise UsageError(str(exc)) from None
         if args.format == "plain":
-            print(count, file=out)
+            print(count)
         elif args.format == "csv":
-            print("rows,cols,value", file=out)
-            print(f"{args.rows},{args.cols},{count}", file=out)
+            print("rows,cols,value")
+            print(f"{args.rows},{args.cols},{count}")
         else:
             import json
 
-            print(
-                json.dumps({"rows": args.rows, "cols": args.cols, "value": str(count)}, indent=2),
-                file=out,
-            )
+            print(json.dumps({"rows": args.rows, "cols": args.cols, "value": str(count)}, indent=2))
         return 0
-    _print_table(_sequence_for(args), args.format, out)
+    _print_table(_sequence_for(args), args.format)
     return 0
 
 
@@ -262,10 +258,9 @@ def _result_line(result: audit.CaseResult, order: int, seed: int) -> str:
     return line
 
 
-def cmd_verify(args: argparse.Namespace, out=None) -> int:
+def cmd_verify(args: argparse.Namespace) -> int:
     from . import audit
 
-    out = out if out is not None else sys.stdout
     order = _resolve_audit_order(args.order)
     cases = [c for c in audit.build_registry(args.seed, order) if c.id == args.identity]
     if not cases:
@@ -278,7 +273,7 @@ def cmd_verify(args: argparse.Namespace, out=None) -> int:
     ok = True
     for case in cases:
         result = audit.run_identity(case)
-        print(_result_line(result, order, args.seed), file=out)
+        print(_result_line(result, order, args.seed))
         ok = ok and audit.is_expected(result)
     return 0 if ok else 1
 
@@ -291,11 +286,9 @@ def _audit_parser() -> argparse.ArgumentParser:
     return p
 
 
-def cmd_audit(args: argparse.Namespace, out=None, err=None) -> int:
+def cmd_audit(args: argparse.Namespace) -> int:
     from . import audit
 
-    out = out if out is not None else sys.stdout
-    err = err if err is not None else sys.stderr
     order = _resolve_audit_order(args.order)
     sink = None
     if args.out is not None:
@@ -305,10 +298,10 @@ def cmd_audit(args: argparse.Namespace, out=None, err=None) -> int:
             raise UsageError(f"cannot write {args.out!r}: {exc}") from None
     report = audit.run_all(args.seed, order)
     for result in report.cases:
-        print(_result_line(result, order, args.seed), file=err)
+        print(_result_line(result, order, args.seed), file=sys.stderr)
     payload = audit.report_to_json(report)
     if sink is None:
-        out.write(payload)
+        sys.stdout.write(payload)
     else:
         with sink:
             sink.write(payload)

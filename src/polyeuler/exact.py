@@ -19,8 +19,6 @@ from math import comb, factorial, gcd, lcm
 from operator import add, mul
 from typing import Iterable, Sequence, Union
 
-Rational = Fraction
-
 RationalLike = Union[Fraction, int]
 
 
@@ -213,6 +211,9 @@ class Egf:
 
     @classmethod
     def constant(cls, value: RationalLike, order: int) -> "Egf":
+        """The constant series ``value`` (requires order >= 0)."""
+        if order < 0:
+            raise ValueError("a series needs order >= 0")
         v = Fraction(value)
         return cls.of((v.numerator,) + (0,) * order, v.denominator)
 
@@ -239,18 +240,6 @@ class Egf:
             return self
         nums, den = self.numerators()
         return Egf.of(nums[: order + 1], den)
-
-    def __add__(self, other: "Egf") -> "Egf":
-        return egf_add(self, other)
-
-    def __sub__(self, other: "Egf") -> "Egf":
-        return egf_add(self, egf_scale(other, Fraction(-1)))
-
-    def __neg__(self) -> "Egf":
-        return egf_scale(self, Fraction(-1))
-
-    def __mul__(self, other: "Egf") -> "Egf":
-        return egf_mul(self, other)
 
 
 def egf_add(f: Egf, g: Egf) -> Egf:

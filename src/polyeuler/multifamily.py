@@ -68,10 +68,6 @@ class LogParams:
         if self.gamma is not None and type(self.gamma) is not Fraction:
             object.__setattr__(self, "gamma", Fraction(self.gamma))
 
-    @property
-    def log_ab(self) -> Fraction:
-        return self.alpha + self.beta
-
 
 def multi_poly_bernoulli(ks: Sequence[int], order: int) -> list[Fraction]:
     """B_n^{(k_1..k_r)} from Li_{(k)}(1-e^{-t})/(1-e^{-t})^r."""
@@ -382,6 +378,8 @@ def thm4_explicit(
     """
     if variant not in THM4_VARIANTS:
         raise ValueError(f"variant must be one of {THM4_VARIANTS}, got {variant!r}")
+    if n < 0:
+        raise ValueError("n must be nonnegative")
     delta = 1 if variant == "statement" else 0
     shift = Fraction(x) * (params.gamma or 0)
     (g, a, b), den = integer_numerators((shift, params.alpha, params.beta))

@@ -35,12 +35,13 @@ from .exact import (
     Egf,
     Ratio,
     _ratio,
+    _shift_down,
+    egf_div,
     egf_div_exp_sum,
     egf_div_shifted,
     egf_exp_linear,
     egf_exp_sum,
     egf_mul,
-    egf_scale,
     egf_times_exp,
     integer_powers,
 )
@@ -139,11 +140,11 @@ def poly_euler(k: int, x: Fraction | int, order: int) -> list[Fraction]:
 
 def poly_euler_sasaki(k: int, order: int) -> list[Fraction]:
     """Sasaki-style poly-Euler numbers from Li_k(1-e^{-4t})/(4t cosh t)."""
-    work = order + 1
-    numerator = Egf.of(*_li_numerator_at((k,), 4, work))
-    # 4t cosh t = 2t (e^t + e^{-t})
-    denominator = egf_mul(egf_scale(Egf.t(work), 2), egf_exp_sum(((1, 1), (1, -1)), work))
-    return list(egf_div_shifted(numerator, denominator, 1).coeffs)
+    # 4t cosh t = t (2e^t + 2e^{-t}), and Li_k(1-e^{-4t}) vanishes at t = 0,
+    # so the t cancels from the numerator alone: Li_k(1-e^{-4t})/t, taken
+    # one order deeper, over the two exponentials.
+    numerator = _shift_down(Egf.of(*_li_numerator_at((k,), 4, order + 1)), 1)
+    return list(egf_div(numerator, egf_exp_sum(((2, 1), (2, -1)), order)).coeffs)
 
 
 def lonesum_count(n: int, k: int) -> int:

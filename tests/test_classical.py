@@ -78,6 +78,10 @@ class TestBernoulliPolynomial:
         with pytest.raises(ValueError):
             bernoulli_polynomial(5, 4)
 
+    def test_negative_degree_rejected(self):
+        with pytest.raises(ValueError):
+            bernoulli_polynomial(-2, 3)
+
 
 class TestPowerSums:
     @pytest.mark.parametrize("m,n,value", [(1, 4, 10), (2, 3, 14), (0, 7, 7)])
@@ -115,8 +119,22 @@ class TestPowerSums:
         with pytest.raises(ValueError):
             power_sum_closed(1, 1, "both")
 
+    def test_direct_rejects_negative_exponent(self):
+        with pytest.raises(ValueError):
+            power_sum(-1, 3)
+
+    @pytest.mark.parametrize("m, sign", [(-1, "minus"), (-2, "plus")])
+    def test_closed_rejects_negative_exponent(self, m, sign):
+        with pytest.raises(ValueError):
+            power_sum_closed(m, 3, sign)
+
 
 class TestEulerNumbers:
+    @pytest.mark.parametrize("convention", list(EulerConvention))
+    def test_negative_order_rejected(self, convention):
+        with pytest.raises(ValueError):
+            euler_numbers(-1, convention)
+
     def test_genocchi_values(self):
         got = euler_numbers(5, EulerConvention.GENOCCHI_TYPE)
         assert got == [F(1), F(-1, 2), F(0), F(1, 4), F(0), F(-1, 2)]

@@ -1,6 +1,7 @@
 """CLI golden tests: output formats, exit codes, env override, determinism."""
 
 import ast
+import contextlib
 import hashlib
 import io
 import json
@@ -39,7 +40,8 @@ def run_cli(*args, env=None):
 
 def seq_output(argv):
     out = io.StringIO()
-    code = cmd_seq(_seq_parser().parse_args(argv), out=out)
+    with contextlib.redirect_stdout(out):
+        code = cmd_seq(_seq_parser().parse_args(argv))
     return code, out.getvalue()
 
 
@@ -55,6 +57,16 @@ class TestSeqFormats:
         code, text = seq_output(["lonesum", "--rows", "2", "--cols", "2"])
         assert code == 0
         assert text.strip() == "14"
+
+    @pytest.mark.parametrize(
+        "fmt, expected",
+        [
+            ("csv", "rows,cols,value\n2,3,46\n"),
+            ("json", '{\n  "rows": 2,\n  "cols": 3,\n  "value": "46"\n}\n'),
+        ],
+    )
+    def test_lonesum_text(self, fmt, expected):
+        assert seq_output(["lonesum", "--rows=2", "--cols=3", f"--format={fmt}"]) == (0, expected)
 
     def test_multi_poly_euler_plain(self):
         code, text = seq_output(["multi-poly-euler", "--ks", "1,1", "--n", "2"])
@@ -280,7 +292,7 @@ class TestVerify:
         assert main_verify(["thm4-explicit", "--variant", "corrected"]) == 2
 
     def test_unexpected_fail_exit_one(self, monkeypatch, capsys):
-        monkeypatch.setattr(audit, "EXPECTED_NON_PASS", frozenset())
+        monkeypatch.setattr(audit, "DOCUMENTED_VERDICTS", {})
         assert main_verify(["eq2-power-sum", "--variant", "minus"]) == 1
         assert "(whitelisted)" not in capsys.readouterr().out
 
@@ -332,7 +344,7 @@ class TestAuditCommand:
         assert main_audit(["--order", "4", "--out", str(target)]) == 2
 
     def test_unexpected_fail_exit_one(self, monkeypatch, capsys):
-        monkeypatch.setattr(audit, "EXPECTED_NON_PASS", frozenset())
+        monkeypatch.setattr(audit, "DOCUMENTED_VERDICTS", {})
         assert main_audit(["--order", "4"]) == 1
 
     def test_negative_order_exits_2(self, tmp_path):

@@ -126,6 +126,11 @@ class TestEgfBasics:
         with pytest.raises(ValueError):
             Egf(())
 
+    def test_constant_needs_nonnegative_order(self):
+        assert Egf.constant(2, 0).coeffs == (2,)
+        with pytest.raises(ValueError):
+            Egf.constant(2, -1)
+
     def test_order_and_truncate(self):
         f = exp_t(6)
         assert f.order == 6

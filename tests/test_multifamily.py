@@ -114,7 +114,6 @@ class TestValueTypes:
         [
             (LogParams(F(1), F(2)), "alpha"),
             (LogParams(F(1), F(2)), "gamma"),
-            (LogParams(F(1), F(2)), "log_ab"),
             (CappedSum(F(1), 0), "skipped_terms"),
         ],
     )
@@ -139,7 +138,7 @@ class TestValueTypes:
     def test_ints_become_fractions(self):
         p = LogParams(1, 2, 3)
         assert [type(v) for v in (p.alpha, p.beta, p.gamma)] == [Fraction] * 3
-        assert (p.alpha, p.beta, p.gamma, p.log_ab) == (1, 2, 3, 3)
+        assert (p.alpha, p.beta, p.gamma) == (1, 2, 3)
 
     def test_gamma_defaults_to_none(self):
         assert LogParams(F(1), F(2)).gamma is None
@@ -384,6 +383,11 @@ class TestThm4Instrument:
     def test_rejects_unknown_variant(self):
         with pytest.raises(ValueError):
             thm4_explicit(1, F(0), self.P, 1, "fixed")
+
+    @pytest.mark.parametrize("variant", ["statement", "proof"])
+    def test_rejects_negative_degree(self, variant):
+        with pytest.raises(ValueError):
+            thm4_explicit(1, F(1, 2), self.P, -1, variant)
 
 
 def _package_caches():

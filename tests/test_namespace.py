@@ -26,7 +26,7 @@ def test_public_name_is_its_home_object(name):
 
 
 def test_all_lists_every_layer_export_once():
-    assert len(set(polyeuler.__all__)) == len(polyeuler.__all__) == 51
+    assert len(set(polyeuler.__all__)) == len(polyeuler.__all__) == 50
     assert set(polyeuler.__all__) <= set(dir(polyeuler))
 
 

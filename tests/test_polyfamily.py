@@ -88,8 +88,10 @@ class TestPolyEulerSasaki:
 
     @pytest.mark.parametrize("k", range(-2, 4))
     def test_matches_oracle(self, k):
-        """Against ord_compose with 1-e^{-4t}, outside the Bell table."""
-        assert poly_euler_sasaki(k, 12) == oracles.poly_euler_sasaki_egf(k, 12)
+        """Against ord_compose with 1-e^{-4t}, outside the Bell table; orders 0
+        and 1 are the edge of the t-cancellation."""
+        for order in (0, 1, 12):
+            assert poly_euler_sasaki(k, order) == oracles.poly_euler_sasaki_egf(k, order)
 
 
 class TestLonesum:
