@@ -216,10 +216,12 @@ def _combined(case: IdentityCase, point: dict) -> Egf:
 def _run_thm3(case: IdentityCase) -> CaseResult:
     lines = []
     grid_size = 0
+    order = max(case.grid["n_points"])
     for ks in case.grid["kvectors"]:
         for x in case.grid["x_points"]:
+            series = multifamily.multi_poly_euler(ks, x, order)
             for n in case.grid["n_points"]:
-                reference = multifamily.multi_poly_euler(ks, x, n)[n]
+                reference = series[n]
                 for m_cap in case.grid["caps"]:
                     for part_cap in case.grid["caps"]:
                         grid_size += 1

@@ -58,6 +58,8 @@ def power_sum(m: int, n: int) -> int:
     """Direct summation 1^m + 2^m + ... + n^m."""
     if m < 0:
         raise ValueError("exponent m must be >= 0")
+    if n < 0:
+        raise ValueError("upper limit n must be >= 0")
     return sum(k**m for k in range(1, n + 1))
 
 
@@ -69,6 +71,8 @@ def power_sum_closed(m: int, n: int, b1_sign: str) -> Fraction:
     """
     if m < 0:
         raise ValueError("exponent m must be >= 0")
+    if n < 0:
+        raise ValueError("upper limit n must be >= 0")
     if b1_sign not in ("plus", "minus"):
         raise ValueError(f"b1_sign must be 'plus' or 'minus', got {b1_sign!r}")
     bern = list(_bernoulli_tuple(max(m, 1)))

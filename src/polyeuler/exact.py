@@ -354,20 +354,12 @@ def _bell_table(u: tuple[int, ...], den: int) -> tuple[int, tuple[tuple[int, ...
 
     Fraction-free: u_i = u[i-1] / den in lowest terms, and the result is
     (den, rows) where rows[j][m] = B_{j,m}(u[0], u[1], ...) is an integer,
-    so B_{j,m}(u_1, u_2, ...) = rows[j][m] / den^m.  For u = 1 - e^{-t},
-    i.e. u = (1, -1, 1, ...) over 1, the entries are signed Stirling numbers
-    of the second kind, B_{j,m} = (-1)^{j-m} S(j, m), filled in O(N^2) by
-    the two-term recurrence B_{j+1,m} = -m B_{j,m} + B_{j,m-1}.  Any other u
-    takes the generic O(N^3) recurrence
-    B_{j,m} = sum_i C(j-1, i-1) u_i B_{j-i,m-1}.  Not cached: the package
-    composes only with 1 - e^{-t}, whose table refills in O(N^2).
+    so B_{j,m}(u_1, u_2, ...) = rows[j][m] / den^m.  Filled by the O(N^3)
+    recurrence B_{j,m} = sum_i C(j-1, i-1) u_i B_{j-i,m-1}.  Not cached:
+    ``egf_compose`` composes with 1 - e^{-t}, the package's inner series,
+    without a table.
     """
     rows: list[tuple[int, ...]] = [(1,)]
-    if den == 1 and u == ((1, -1) * len(u))[: len(u)]:
-        for j in range(len(u)):
-            prev = rows[j] + (0,)
-            rows.append((0, *[prev[m - 1] - m * prev[m] for m in range(1, j + 2)]))
-        return 1, tuple(rows)
     v = (0,) + u
     for j in range(1, len(u) + 1):
         row = [0]
@@ -384,23 +376,40 @@ def _bell_table(u: tuple[int, ...], den: int) -> tuple[int, tuple[tuple[int, ...
 def egf_compose(f: Egf, g: Egf) -> Egf:
     """Composition f(g(t)), defined when g has zero constant term.
 
-    Faà di Bruno: h_n = sum_m f_m B_{n,m}(g_1, g_2, ...), over the Bell
-    table of g itself.  With f = a/D_f and B_{n,m}(g) = rows[n][m] / D^m,
-    every h_n is an integer over D_f D^N.
+    For g = 1 - e^{-t} up to the common order N, g' = 1 - g: with
+    f(u) = sum e_m u^m/m!, the t-derivative of f(g) is f'(g)(1 - g), the
+    series whose coefficients are e'_m = e_{m+1} - m e_m.  So coefficient n
+    of f(g) is e_0 after n such steps, each run in place over one entry
+    fewer, over f's own denominator.  Any other g takes Faà di Bruno:
+    h_n = sum_m f_m B_{n,m}(g_1, g_2, ...), over the Bell table of g.  With
+    f = a/D_f and B_{n,m}(g) = rows[n][m] / D^m, every h_n is an integer
+    over D_f D^N.
     """
     c, dg = g.numerators()
     if c[0] != 0:
         raise NonNilpotentInner("inner series has nonzero constant term")
     n = min(f.order, g.order)
-    den, bell = _bell_table(*lowest_terms(c[1 : n + 1], dg))
-    d_pow = integer_powers(den, n)
     a, df = f.numerators()
+    u, den = lowest_terms(c[1 : n + 1], dg)
+    if den == 1 and u == ((1, -1) * n)[:n]:
+        e = list(a[: n + 1])
+        out = [e[0]]
+        for width in range(n, 0, -1):
+            for m in range(width):
+                e[m] = e[m + 1] - m * e[m]
+            out.append(e[0])
+        return Egf.of(out, df)
+    den, bell = _bell_table(u, den)
+    d_pow = integer_powers(den, n)
     scaled = [a[m] * d_pow[n - m] for m in range(n + 1)]
     return Egf.of((sum(map(mul, scaled, row)) for row in bell), df * d_pow[n])
 
 
 def egf_exp_linear(value: RationalLike, order: int) -> Egf:
-    """The exponential e^{value * t}: with value = p/q, c_n = p^n q^{N-n} / q^N."""
+    """The exponential e^{value * t}: with value = p/q, c_n = p^n q^{N-n} / q^N
+    (requires order >= 0)."""
+    if order < 0:
+        raise ValueError("a series needs order >= 0")
     v = Fraction(value)
     tops = integer_powers(v.numerator, order)
     bottoms = integer_powers(v.denominator, order)
@@ -435,8 +444,10 @@ def egf_exp_sum(terms: Iterable[tuple[int, RationalLike]], order: int) -> Egf:
 
     With the rates over one denominator D (mu_j = M_j / D), coefficient n is
     sum_j w_j M_j^n / D^n, summed over integers and lifted to D^N: no series
-    product is formed.  No terms give the zero series.
+    product is formed.  No terms give the zero series.  Requires order >= 0.
     """
+    if order < 0:
+        raise ValueError("a series needs order >= 0")
     weights, tops, den = _integer_terms(terms)
     den_pow = integer_powers(den, order)
     sums = _power_sums(weights, tops, order)
@@ -446,7 +457,7 @@ def egf_exp_sum(terms: Iterable[tuple[int, RationalLike]], order: int) -> Egf:
 # One table per divisor and order.  The audit's theorem grid cycles through
 # its 25 (alpha, beta) samples for each index vector, beside the (0, 1)
 # divisor that the right sides read: 26 live tables make every repeat of an
-# order-10 audit a hit (956 hits, 91 misses, one per distinct divisor), and
+# order-10 audit a hit (954 hits, 87 misses, one per distinct divisor), and
 # 32 leave room for a few more while bounding what order-200 tables hold.
 @lru_cache(maxsize=32)
 def _division_table(

@@ -53,6 +53,13 @@ class TestBernoulliNumbers:
         assert time.perf_counter() - start < 5
         assert got == expected
 
+    @pytest.mark.parametrize("order", [-1, -3])
+    def test_negative_order_rejected(self, order):
+        """Order -1 asks for t at order 0 and -3 for e^t - 1 at order -2:
+        both are one ValueError."""
+        with pytest.raises(ValueError):
+            bernoulli_numbers(order)
+
 
 class TestBernoulliPolynomial:
     def test_degree_zero(self):
@@ -110,10 +117,11 @@ class TestPowerSums:
 
     @given(m=st.integers(min_value=0, max_value=12), n=st.integers(min_value=0, max_value=30))
     def test_closed_form_matches_direct_sum(self, m, n):
-        """"plus" is S_m(n); "minus" is S_m(n - 1) for every m >= 1."""
+        """"plus" is S_m(n); "minus" is S_m(n - 1) for every m >= 1, and the
+        empty sum 0 at n = 0."""
         assert power_sum_closed(m, n, "plus") == power_sum(m, n)
         if m >= 1:
-            assert power_sum_closed(m, n, "minus") == power_sum(m, n - 1)
+            assert power_sum_closed(m, n, "minus") == power_sum(m, max(n - 1, 0))
 
     def test_rejects_unknown_sign(self):
         with pytest.raises(ValueError):
@@ -127,6 +135,17 @@ class TestPowerSums:
     def test_closed_rejects_negative_exponent(self, m, sign):
         with pytest.raises(ValueError):
             power_sum_closed(m, 3, sign)
+
+    def test_direct_rejects_negative_upper_limit(self):
+        with pytest.raises(ValueError):
+            power_sum(2, -3)
+
+    @pytest.mark.parametrize("sign", ["plus", "minus"])
+    def test_closed_rejects_negative_upper_limit(self, sign):
+        """The closed form is a polynomial in n: at n = -3 it read -5, not a
+        sum."""
+        with pytest.raises(ValueError):
+            power_sum_closed(2, -3, sign)
 
 
 class TestEulerNumbers:

@@ -309,6 +309,18 @@ class TestCompose:
         with pytest.raises(NonNilpotentInner):
             egf_compose(Egf.t(3), exp_t(3))
 
+    def test_one_minus_exp_at_order_zero(self):
+        """No derivative step: only the constant of f survives."""
+        inner = Egf.of((0, 1, -1, 1))
+        assert egf_compose(Egf((F(5, 3),)), inner) == Egf.constant(F(5, 3), 0)
+        assert egf_compose(Egf((F(5, 3), F(7))), Egf.zero(0)) == Egf.constant(F(5, 3), 0)
+
+    def test_one_minus_exp_at_order_one(self):
+        """One step: h_1 = e_1 - 0 e_0, as u = t + O(t^2)."""
+        f = Egf((F(5, 3), F(-7, 2), F(11)))
+        assert egf_compose(f, Egf.of((0, 1))) == Egf((F(5, 3), F(-7, 2)))
+        assert egf_compose(f.truncate(1), Egf.of((0, 1, -1, 1))) == Egf((F(5, 3), F(-7, 2)))
+
     @given(
         outer=st.lists(rationals, min_size=1, max_size=9),
         inner_tail=st.lists(rationals, min_size=1, max_size=8),
@@ -337,6 +349,10 @@ class TestExpLinearAndPow:
 
     def test_exp_powers(self):
         assert egf_exp_linear(F(-7, 3), 12).coeffs == tuple(F(-7, 3) ** n for n in range(13))
+
+    def test_negative_order_rejected(self):
+        with pytest.raises(ValueError):
+            egf_exp_linear(1, -1)
 
 
 def _sum_of_exponentials(terms, order):
@@ -370,6 +386,10 @@ class TestExpSum:
 
     def test_order_zero_is_the_weight_sum(self):
         assert egf_exp_sum([(3, F(1, 2)), (-5, F(-7, 3)), (4, 0)], 0) == Egf.constant(2, 0)
+
+    def test_negative_order_rejected(self):
+        with pytest.raises(ValueError):
+            egf_exp_sum(((1, 1),), -2)
 
     def test_exp_minus_one_and_cosh(self):
         assert egf_exp_sum([(1, 1), (-1, 0)], 4).coeffs == (0, 1, 1, 1, 1)
@@ -549,16 +569,16 @@ class TestTimesExp:
 
 class TestBellTable:
     def test_stirling_branch_matches_generic_recurrence(self):
-        """1 - e^{-t} fills signed Stirling rows by the two-term recurrence;
-        the same series over the denominator 2 takes the generic O(N^3)
-        recurrence, whose entries are 2^m times those rows."""
+        """Composing with 1 - e^{-t} runs the recurrence e'_m = e_{m+1} - m e_m
+        and no table; it equals the Faà di Bruno sum sum_m f_m rows[n][m]
+        over the Bell table of 1 - e^{-t} at N = 30."""
         n = 30
         den, rows = _bell_table(((1, -1) * n)[:n], 1)
-        generic_den, generic = _bell_table(((2, -2) * n)[:n], 2)
-        assert (den, generic_den) == (1, 2)
-        assert len(rows) == len(generic) == n + 1
-        for row, generic_row in zip(rows, generic):
-            assert generic_row == tuple(2**m * b for m, b in enumerate(row))
+        assert den == 1 and len(rows) == n + 1
+        f = Egf([F((-1) ** m * (3 * m + 1), m * m + 2) for m in range(n + 1)])
+        a, df = f.numerators()
+        faa_di_bruno = Egf.of([sum(a[m] * b for m, b in enumerate(row)) for row in rows], df)
+        assert egf_compose(f, Egf.of((0,) + ((1, -1) * n)[:n])) == faa_di_bruno
 
 
 class TestRingAxioms:

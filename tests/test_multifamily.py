@@ -509,8 +509,8 @@ class TestEulerShapeCaches:
 
     def test_order_ten_audit_divides_once_per_divisor(self, monkeypatch):
         """A count guard, not a timing: the seed-0 order-10 audit from cold
-        caches makes 1,047 Euler-shape divisions by 91 distinct divisors, so
-        the division table builds 91 times and is read 956 times more."""
+        caches makes 1,041 Euler-shape divisions by 87 distinct divisors, so
+        the division table builds 87 times and is read 954 times more."""
         calls = []
         original = exact.egf_div_exp_sum
 
@@ -523,9 +523,9 @@ class TestEulerShapeCaches:
         _wrap_bindings(monkeypatch, {original: counted})
         audit.run_all(0, 10)
         table, euler = exact._division_table.cache_info(), polyfamily._euler_egf.cache_info()
-        assert len(calls) == 1047
-        assert (table.hits, table.misses) == (956, 91)
-        assert (euler.hits, euler.misses) == (10710, 3759)
+        assert len(calls) == 1041
+        assert (table.hits, table.misses) == (954, 87)
+        assert (euler.hits, euler.misses) == (10704, 3747)
 
 
 def _literal_shift(values, den, shift, scale, order):

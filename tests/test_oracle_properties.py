@@ -85,6 +85,25 @@ def test_compose_with_one_minus_exp(order, outer, scale):
 
 
 @given(
+    f_order=st.integers(min_value=0, max_value=30),
+    g_order=st.integers(min_value=0, max_value=30),
+    outer=st.lists(rationals, max_size=31),
+)
+@example(f_order=30, g_order=30, outer=[F(1, 3), F(-2), F(5, 4)] * 11)
+@example(f_order=12, g_order=30, outer=[F(-7, 6)] * 13)
+@example(f_order=30, g_order=5, outer=[F(3, 2), F(0), F(-1, 4)] * 11)
+def test_compose_with_one_minus_exp_by_its_recurrence(f_order, g_order, outer):
+    """1 - e^{-t} itself, over denominator 1, whether g is longer than f,
+    as long or shorter: the u' = 1 - u recurrence at the common order."""
+    order = min(f_order, g_order)
+    f = Egf.from_ordinary(padded(outer, f_order))
+    g = Egf.from_ordinary(one_minus_exp(-1, g_order))
+    assert g.numerators() == ((0,) + ((1, -1) * g_order)[:g_order], 1)
+    got = egf_compose(f, g)
+    assert list(got.ordinary()) == ord_compose(padded(outer, order), one_minus_exp(-1, order), order)
+
+
+@given(
     order=orders,
     outer=st.lists(rationals, max_size=21),
     tail=st.lists(rationals, max_size=4),
