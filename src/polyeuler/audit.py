@@ -20,7 +20,7 @@ import random
 from dataclasses import asdict, dataclass
 from fractions import Fraction
 from itertools import product
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
 
 from . import DEFAULT_ORDER, DEFAULT_SEED, classical, multifamily, polyfamily
 from .classical import EulerConvention
@@ -107,8 +107,12 @@ def _shared_samples(seed: int) -> tuple[tuple[Fraction, Fraction, Fraction, Frac
     return tuple(samples)
 
 
-def _theorem_kvectors() -> tuple[tuple[int, ...], ...]:
-    return tuple(ks for r in (1, 2, 3) for ks in product((-1, 1, 2), repeat=r))
+class _Draws(NamedTuple):
+    """What grids are built from: the order and the two draws cases share."""
+
+    order: int
+    theorem: Mapping
+    thm4: tuple[tuple[Fraction, Fraction, Fraction, Fraction], ...]
 
 
 def _fmt_params(params: Mapping) -> dict:
@@ -125,20 +129,31 @@ def _fmt_params(params: Mapping) -> dict:
 
 @dataclass(frozen=True)
 class _Check:
-    """One row of the comparison table: grid points, two sides and notes.
+    """One row of the comparison table: grid, points, two sides and notes.
 
+    ``grid`` builds the grid of each of the case's ``variants`` from ``_Draws``.
     ``expected`` and ``actual`` map (case, point) to one value, or, when
     ``sequence`` is set, to the values at n = 0, 1, ..., which are compared
     index by index with ``n`` appended to the point.  ``notes_fail`` may name
     the case's variant as ``%(variant)s``.
     """
 
+    grid: Callable[[_Draws], Mapping]
     points: Callable[[IdentityCase], Iterable[dict]]
     sequence: bool
     expected: Callable[[IdentityCase, dict], object]
     actual: Callable[[IdentityCase, dict], object]
     notes_pass: str
     notes_fail: str
+    variants: tuple[str | None, ...] = (None,)
+
+
+class _Runner(NamedTuple):
+    """A case that asserts no plain equality: its grid and its own runner."""
+
+    grid: Callable[[_Draws], Mapping]
+    run: Callable[[IdentityCase], CaseResult]
+    variants: tuple[str | None, ...] = (None,)
 
 
 def _ratios(values) -> tuple[Sequence[int], Sequence[int]]:
@@ -194,6 +209,13 @@ def _theorem_points(case: IdentityCase) -> list[dict]:
     ]
 
 
+def _theorem_row(expected, actual, notes_pass: str, notes_fail: str, variants=(None,)) -> _Check:
+    """A row over the shared theorem grid, both sides series at each point."""
+    return _Check(
+        lambda d: d.theorem, _theorem_points, True, expected, actual, notes_pass, notes_fail, variants
+    )
+
+
 def _log_params(point: dict) -> LogParams:
     return LogParams(point["alpha"], point["beta"], point.get("gamma"))
 
@@ -202,15 +224,6 @@ def _xab(case: IdentityCase, point: dict, x: Fraction | int) -> Egf:
     """The left side of thm2, cor1, cor2 and combined: E^{(ks)}(x; a, b) as
     the cached series, compared over its integer numerators."""
     return multifamily._xab_egf(point["ks"], x, point["alpha"], point["beta"], case.grid["n_max"])
-
-
-def _combined(case: IdentityCase, point: dict) -> Egf:
-    rhs = (
-        multifamily.combined_rhs_printed
-        if case.variant == "as-printed"
-        else multifamily.combined_rhs
-    )
-    return rhs(point["ks"], point["x"], _log_params(point), case.grid["n_max"])
 
 
 def _run_thm3(case: IdentityCase) -> CaseResult:
@@ -280,10 +293,17 @@ def _run_def1_sasaki(case: IdentityCase) -> CaseResult:
     return CaseResult(case.id, case.variant, grid_size, FAIL, first, notes)
 
 
-# Every registered identity: a pointwise row of the comparison table, or
-# its own runner for the two cases that assert no plain equality.
-_TABLE: dict[str, _Check | Callable[[IdentityCase], CaseResult]] = {
+_BRIDGE_X_POINTS = tuple(
+    Fraction(v) for v in (0, 1, -1, 2, -2, 3, -3, 4, -4, 5, -5, Fraction(1, 2), Fraction(-1, 2))
+)
+
+
+# The registry: every identity, its variants in run order, its grid, and a
+# pointwise row of the comparison table, or its own runner for the two cases
+# that assert no plain equality.  Cases run in table order.
+_TABLE: dict[str, _Check | _Runner] = {
     "eq2-power-sum": _Check(
+        lambda d: {"m_max": 8, "n_max": 20},
         lambda c: [
             {"m": m, "n": n}
             for m in range(c.grid["m_max"] + 1)
@@ -295,8 +315,10 @@ _TABLE: dict[str, _Check | Callable[[IdentityCase], CaseResult]] = {
         "closed form with B_1 = +1/2 reproduces every direct power sum",
         "documented convention clash: with B_1 = -1/2 the closed form yields the "
         "sum shifted by one (it equals S_m(n-1) for every m >= 1)",
+        variants=("plus", "minus"),
     ),
     "eq3-bernoulli-det": _Check(
+        lambda d: {"n_max": min(10, d.order)},
         lambda c: [{"n": n} for n in range(1, c.grid["n_max"] + 1)],
         False,
         lambda c, p: classical.bernoulli_numbers(c.grid["n_max"])[p["n"]],
@@ -305,6 +327,7 @@ _TABLE: dict[str, _Check | Callable[[IdentityCase], CaseResult]] = {
         "determinant form disagrees with the t/(e^t-1) series",
     ),
     "eq6-euler-det": _Check(
+        lambda d: {"n_max": min(6, d.order // 2)},
         lambda c: [{"n": n} for n in range(1, c.grid["n_max"] + 1)],
         False,
         lambda c, p: classical.euler_numbers(
@@ -315,6 +338,7 @@ _TABLE: dict[str, _Check | Callable[[IdentityCase], CaseResult]] = {
         "determinant form disagrees with the 1/cosh t series",
     ),
     "eq9-cosh": _Check(
+        lambda d: {"n_max": d.order},
         lambda c: [{}],
         True,
         lambda c, p: classical.euler_numbers(c.grid["n_max"], EulerConvention.SECANT_TYPE),
@@ -324,6 +348,7 @@ _TABLE: dict[str, _Check | Callable[[IdentityCase], CaseResult]] = {
         "the secant convention follows the determinant values",
     ),
     "bridge-poly-bernoulli": _Check(
+        lambda d: {"n_max": min(12, d.order), "x_points": _BRIDGE_X_POINTS},
         lambda c: [{"x": x} for x in c.grid["x_points"]],
         True,
         lambda c, p: [
@@ -338,6 +363,7 @@ _TABLE: dict[str, _Check | Callable[[IdentityCase], CaseResult]] = {
         "(-1)^n B_n^{(1)}(-x) differs from B_n(x)",
     ),
     "brewbaker-lonesum": _Check(
+        lambda d: {"shapes": tuple((n, k) for n in (1, 2, 3) for k in (1, 2, 3)) + ((4, 4),)},
         lambda c: [{"rows": n, "cols": k} for (n, k) in c.grid["shapes"]],
         False,
         lambda c, p: Fraction(polyfamily.lonesum_count(p["rows"], p["cols"])),
@@ -346,9 +372,7 @@ _TABLE: dict[str, _Check | Callable[[IdentityCase], CaseResult]] = {
         "(enumeration is the ground truth)",
         "negative-index values disagree with the lonesum matrix counts",
     ),
-    "thm1": _Check(
-        _theorem_points,
-        True,
+    "thm1": _theorem_row(
         # The list wrapper, not _xab: the traced benchmark pass needs a call
         # of multi_poly_euler_ab (and, through it, multi_poly_euler_xab).
         lambda c, p: multifamily.multi_poly_euler_ab(p["ks"], _log_params(p), c.grid["n_max"]),
@@ -356,25 +380,19 @@ _TABLE: dict[str, _Check | Callable[[IdentityCase], CaseResult]] = {
         "two-parameter numbers equal the rescaled polynomial values",
         "two-parameter numbers disagree with the rescaled polynomial values",
     ),
-    "thm2": _Check(
-        _theorem_points,
-        True,
+    "thm2": _theorem_row(
         lambda c, p: _xab(c, p, 0),
         lambda c, p: multifamily.thm2_rhs(p["ks"], _log_params(p), c.grid["n_max"]),
         "two-parameter numbers equal the binomial mix of the plain numbers",
         "two-parameter numbers disagree with the binomial mix of the plain numbers",
     ),
-    "cor1": _Check(
-        _theorem_points,
-        True,
+    "cor1": _theorem_row(
         lambda c, p: _xab(c, p, p["x"]),
         lambda c, p: multifamily.cor1_rhs(p["ks"], p["x"], _log_params(p), c.grid["n_max"]),
         "polynomial values expand binomially over the two-parameter numbers",
         "binomial expansion over the two-parameter numbers fails",
     ),
-    "cor2": _Check(
-        _theorem_points,
-        True,
+    "cor2": _theorem_row(
         lambda c, p: _xab(c, p, p["x"] + p["y"]),
         lambda c, p: multifamily.addition_rhs(
             p["ks"], p["x"], p["y"], _log_params(p), c.grid["n_max"]
@@ -382,18 +400,28 @@ _TABLE: dict[str, _Check | Callable[[IdentityCase], CaseResult]] = {
         "shifting the argument by y matches the binomial addition expansion",
         "the binomial addition expansion fails",
     ),
-    "combined": _Check(
-        _theorem_points,
-        True,
+    "combined": _theorem_row(
         lambda c, p: _xab(c, p, p["x"]),
-        _combined,
+        lambda c, p: (
+            multifamily.combined_rhs if c.variant is None else multifamily.combined_rhs_printed
+        )(p["ks"], p["x"], _log_params(p), c.grid["n_max"]),
         "double sum with the substituted exponent r^{n-j} matches the polynomial values",
         "documented misprint: the printed double sum carries r^{n-k}, but "
         "substituting the thm2 expansion into cor1 produces r^{n-j}; the "
         "repaired variant passes",
+        variants=(None, "as-printed"),
     ),
-    "thm3-explicit": _run_thm3,
+    "thm3-explicit": _Runner(
+        lambda d: {
+            "kvectors": ((1,), (2,), (1, 1)),
+            "x_points": (Fraction(0), Fraction(1, 2)),
+            "n_points": (0, 1, 2),
+            "caps": (4, 8, 12),
+        },
+        _run_thm3,
+    ),
     "thm4-explicit": _Check(
+        lambda d: {"k_points": (-1, 1, 2), "samples": d.thm4, "n_max": min(6, d.order)},
         lambda c: [
             {"k": k, "alpha": s[0], "beta": s[1], "gamma": s[2], "x": s[3]}
             for k in c.grid["k_points"]
@@ -411,13 +439,12 @@ _TABLE: dict[str, _Check | Callable[[IdentityCase], CaseResult]] = {
         "triple-sum formula (variant %(variant)s) does not reproduce the "
         "three-parameter series; the truncation of the divergent rearrangement "
         "to m <= n is not justified",
+        variants=("statement", "proof"),
     ),
-    "def1-sasaki-bridge": _run_def1_sasaki,
+    "def1-sasaki-bridge": _Runner(
+        lambda d: {"k_points": (1, 2, 3), "n_max": min(8, d.order)}, _run_def1_sasaki
+    ),
 }
-
-_BRIDGE_X_POINTS = tuple(
-    Fraction(v) for v in (0, 1, -1, 2, -2, 3, -3, 4, -4, 5, -5, Fraction(1, 2), Fraction(-1, 2))
-)
 
 
 def build_registry(seed: int = DEFAULT_SEED, order: int = DEFAULT_ORDER) -> list[IdentityCase]:
@@ -427,62 +454,19 @@ def build_registry(seed: int = DEFAULT_SEED, order: int = DEFAULT_ORDER) -> list
     order audits a prefix of the higher-order grid.
     """
     samples = _shared_samples(seed)
-    kvectors = _theorem_kvectors()
-    theorem_grid = {
-        "kvectors": kvectors,
-        "samples": samples,
-        "n_max": min(10, order),
-    }
+    kvectors = tuple(ks for r in (1, 2, 3) for ks in product((-1, 1, 2), repeat=r))
     rng4 = _derived_rng(seed, "thm4-grid")
     thm4_samples = tuple(
         (alpha, beta, _small_rational(rng4), _small_rational(rng4))
         for alpha, beta, _, _ in samples[:5]
     )
-    cases = [
-        IdentityCase("eq2-power-sum", "plus", {"m_max": 8, "n_max": 20}),
-        IdentityCase("eq2-power-sum", "minus", {"m_max": 8, "n_max": 20}),
-        IdentityCase("eq3-bernoulli-det", None, {"n_max": min(10, order)}),
-        IdentityCase("eq6-euler-det", None, {"n_max": min(6, order // 2)}),
-        IdentityCase("eq9-cosh", None, {"n_max": order}),
-        IdentityCase(
-            "bridge-poly-bernoulli",
-            None,
-            {"n_max": min(12, order), "x_points": _BRIDGE_X_POINTS},
-        ),
-        IdentityCase(
-            "brewbaker-lonesum",
-            None,
-            {"shapes": tuple((n, k) for n in (1, 2, 3) for k in (1, 2, 3)) + ((4, 4),)},
-        ),
-        IdentityCase("thm1", None, theorem_grid),
-        IdentityCase("thm2", None, theorem_grid),
-        IdentityCase("cor1", None, theorem_grid),
-        IdentityCase("cor2", None, theorem_grid),
-        IdentityCase("combined", None, theorem_grid),
-        IdentityCase("combined", "as-printed", theorem_grid),
-        IdentityCase(
-            "thm3-explicit",
-            None,
-            {
-                "kvectors": ((1,), (2,), (1, 1)),
-                "x_points": (Fraction(0), Fraction(1, 2)),
-                "n_points": (0, 1, 2),
-                "caps": (4, 8, 12),
-            },
-        ),
-        IdentityCase(
-            "thm4-explicit",
-            "statement",
-            {"k_points": (-1, 1, 2), "samples": thm4_samples, "n_max": min(6, order)},
-        ),
-        IdentityCase(
-            "thm4-explicit",
-            "proof",
-            {"k_points": (-1, 1, 2), "samples": thm4_samples, "n_max": min(6, order)},
-        ),
-        IdentityCase("def1-sasaki-bridge", None, {"k_points": (1, 2, 3), "n_max": min(8, order)}),
+    theorem = {"kvectors": kvectors, "samples": samples, "n_max": min(10, order)}
+    draws = _Draws(order, theorem, thm4_samples)
+    return [
+        IdentityCase(case_id, variant, entry.grid(draws))
+        for case_id, entry in _TABLE.items()
+        for variant in entry.variants
     ]
-    return cases
 
 
 def registered_ids() -> tuple[str, ...]:
@@ -494,7 +478,7 @@ def run_identity(case: IdentityCase) -> CaseResult:
     entry = _TABLE.get(case.id)
     if entry is None:
         raise UnknownIdentity(case.id)
-    return _compare(case, entry) if isinstance(entry, _Check) else entry(case)
+    return _compare(case, entry) if isinstance(entry, _Check) else entry.run(case)
 
 
 def expected_verdict(result: CaseResult) -> str:

@@ -91,8 +91,10 @@ def euler_numbers(order: int, convention: EulerConvention) -> list[Fraction]:
     """
     if convention is EulerConvention.GENOCCHI_TYPE:
         terms = ((1, 0), (1, 1))
-    else:
+    elif convention is EulerConvention.SECANT_TYPE:
         terms = ((1, 1), (1, -1))
+    else:
+        raise ValueError(f"convention must be an EulerConvention, got {convention!r}")
     return list(egf_div_exp_sum(Egf.constant(2, order), terms).coeffs)
 
 

@@ -35,6 +35,7 @@ from .exact import (
     Egf,
     Ratio,
     _ratio,
+    _reduced,
     _shift_down,
     egf_div,
     egf_div_exp_sum,
@@ -45,7 +46,7 @@ from .exact import (
     egf_times_exp,
     integer_powers,
 )
-from .polylog import KVector, li_of_inner
+from .polylog import KVector, li_of_inner, validate_kvector
 
 ENUMERATION_CELL_LIMIT = 20
 
@@ -65,26 +66,28 @@ def _li_numerator(ks: KVector, order: int) -> Egf:
     return li_of_inner(ks, _one_minus_exp(order), order)
 
 
-def _li_numerator_at(ks: KVector, c: Fraction | int, order: int) -> tuple[list[int], int]:
+def _li_numerator_at(ks: KVector, c: Ratio, order: int) -> tuple[list[int], int]:
     """Li_ks(1-e^{-ct}) as integer numerators over one denominator.
 
     Kaneko's Stirling form makes coefficient n of Li_ks(1-e^{-ct}) that of
     the cached Li_ks(1-e^{-t}) times c^n, so no other numerator is composed:
-    with c = p/q, coefficient n is scaled by p^n q^{N-n} over q^N.
+    with c = p/q, a pair in lowest terms, coefficient n is scaled by
+    p^n q^{N-n} over q^N.
     """
-    tops, bottoms = integer_powers(c.numerator, order), integer_powers(c.denominator, order)
+    p, q = c
+    tops, bottoms = integer_powers(p, order), integer_powers(q, order)
     nums, den = _li_numerator(ks, order).numerators()
     scaled = [t * bottoms[order - n] * v for n, (t, v) in enumerate(zip(tops, nums))]
     return scaled, bottoms[order] * den
 
 
-def _euler_terms(alpha: Fraction, beta: Fraction, r: int) -> tuple[tuple[int, Fraction], ...]:
+def _euler_terms(alpha: Ratio, beta: Ratio, r: int) -> tuple[tuple[int, Fraction], ...]:
     """(e^{-alpha t} + e^{beta t})^r = sum_i C(r,i) e^{(i beta - (r-i) alpha)t},
     as the (weight, rate) terms that ``exact`` takes for a sum of exponentials.
 
-    With alpha = a/a' and beta = b/b', each rate is the one integer quotient
-    (i b a' - (r-i) a b') / (a' b')."""
-    (a, a_den), (b, b_den) = _ratio(alpha), _ratio(beta)
+    With alpha = a/a' and beta = b/b' as integer pairs, each rate is the one
+    integer quotient (i b a' - (r-i) a b') / (a' b')."""
+    (a, a_den), (b, b_den) = alpha, beta
     den = a_den * b_den
     return tuple(
         (comb(r, i), Fraction(i * b * a_den - (r - i) * a * b_den, den)) for i in range(r + 1)
@@ -108,9 +111,10 @@ def _euler_egf(ks: KVector, w: Ratio, alpha: Ratio, beta: Ratio, order: int) -> 
     if w[0]:
         return egf_times_exp(_euler_egf(ks, (0, 1), alpha, beta, order), Fraction(*w))
     (a, a_den), (b, b_den) = alpha, beta
-    nums, den = _li_numerator_at(ks, Fraction(a * b_den + b * a_den, a_den * b_den), order)
+    # c = alpha + beta in lowest terms, or the division's integers grow.
+    nums, den = _li_numerator_at(ks, _reduced(a * b_den + b * a_den, a_den * b_den), order)
     numerator = Egf.of([2 * v for v in nums], den)
-    return egf_div_exp_sum(numerator, _euler_terms(Fraction(a, a_den), Fraction(b, b_den), len(ks)))
+    return egf_div_exp_sum(numerator, _euler_terms(alpha, beta, len(ks)))
 
 
 def _bernoulli_egf(ks: KVector, x: Fraction, order: int) -> Egf:
@@ -130,12 +134,12 @@ def _bernoulli_egf(ks: KVector, x: Fraction, order: int) -> Egf:
 
 def poly_bernoulli(k: int, x: Fraction | int, order: int) -> list[Fraction]:
     """B_n^{(k)}(x) for n = 0..order, from Li_k(1-e^{-t})/(1-e^{-t}) e^{xt}."""
-    return list(_bernoulli_egf((k,), Fraction(x), order).coeffs)
+    return list(_bernoulli_egf(validate_kvector((k,)), Fraction(x), order).coeffs)
 
 
 def poly_euler(k: int, x: Fraction | int, order: int) -> list[Fraction]:
     """Poly-Euler polynomial values from 2 Li_k(1-e^{-t})/(1+e^t) e^{xt}."""
-    return list(_euler_egf((k,), _ratio(x), (0, 1), (1, 1), order).coeffs)
+    return list(_euler_egf(validate_kvector((k,)), _ratio(x), (0, 1), (1, 1), order).coeffs)
 
 
 def poly_euler_sasaki(k: int, order: int) -> list[Fraction]:
@@ -143,7 +147,8 @@ def poly_euler_sasaki(k: int, order: int) -> list[Fraction]:
     # 4t cosh t = t (2e^t + 2e^{-t}), and Li_k(1-e^{-4t}) vanishes at t = 0,
     # so the t cancels from the numerator alone: Li_k(1-e^{-4t})/t, taken
     # one order deeper, over the two exponentials.
-    numerator = _shift_down(Egf.of(*_li_numerator_at((k,), 4, order + 1)), 1)
+    ks = validate_kvector((k,))
+    numerator = _shift_down(Egf.of(*_li_numerator_at(ks, (4, 1), order + 1)), 1)
     return list(egf_div(numerator, egf_exp_sum(((2, 1), (2, -1)), order)).coeffs)
 
 

@@ -16,6 +16,7 @@ coefficients read in the ordinary sense (coeffs[m] multiplies z^m).
 from __future__ import annotations
 
 from math import factorial, lcm
+from operator import index
 from typing import Sequence
 
 from .exact import Egf, NonNilpotentInner, egf_compose, lowest_terms, parse_integer
@@ -30,7 +31,9 @@ def parse_kvector(text: str) -> KVector:
 
 
 def validate_kvector(ks: Sequence[int]) -> KVector:
-    ks = tuple(map(int, ks))
+    """The indices as a tuple of ints; any other type raises TypeError
+    rather than being truncated or parsed."""
+    ks = tuple(map(index, ks))
     if not ks:
         raise ValueError("index vector needs at least one entry")
     return ks

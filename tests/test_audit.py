@@ -73,6 +73,11 @@ class TestRegistry:
         assert len(entries) == len(set(entries))
         assert {i for i, _ in entries} == EXPECTED_IDS == set(registered_ids())
 
+    def test_every_whitelisted_case_is_registered(self):
+        """A stale or misspelled whitelist key would never be checked."""
+        entries = {(c.id, c.variant) for c in build_registry(0, 6)}
+        assert set(DOCUMENTED_VERDICTS) <= entries
+
     def test_at_least_thirteen_cases(self):
         assert len(build_registry(0, 10)) >= 13
 
@@ -203,7 +208,7 @@ class TestCompareControls:
 
     def run(self, points, actual, expected=None):
         expected = expected or (lambda c, p: self.VALUES)
-        check = _Check(lambda c: points, True, expected, actual, "ok", "bad")
+        check = _Check(lambda d: {}, lambda c: points, True, expected, actual, "ok", "bad")
         return _compare(self.CASE, check)
 
     def test_equal_values_pass(self):

@@ -154,6 +154,13 @@ class TestEulerNumbers:
         with pytest.raises(ValueError):
             euler_numbers(-1, convention)
 
+    @pytest.mark.parametrize("convention", ["genocchi", "secant", None, 0])
+    def test_convention_must_be_a_member(self, convention):
+        """A value of a member, or any other object, is not the secant
+        convention by default."""
+        with pytest.raises(ValueError):
+            euler_numbers(4, convention)
+
     def test_genocchi_values(self):
         got = euler_numbers(5, EulerConvention.GENOCCHI_TYPE)
         assert got == [F(1), F(-1, 2), F(0), F(1, 4), F(0), F(-1, 2)]

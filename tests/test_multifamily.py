@@ -811,7 +811,8 @@ class TestLeftSidesDivideByTheirOwnTerms:
         else:
             point, r = {"ks": (1, 2), "alpha": alpha, "beta": beta, "x": F(1, 3), "y": F(-2, 5)}, 2
         audit._TABLE[case_id].expected(case, point)
-        assert divisions == [polyfamily._euler_terms(alpha, beta, r)]
+        pairs = alpha.as_integer_ratio(), beta.as_integer_ratio()
+        assert divisions == [polyfamily._euler_terms(*pairs, r)]
 
 
 def test_oracles_import_only_the_standard_library():

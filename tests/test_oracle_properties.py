@@ -190,7 +190,7 @@ def test_compose_with_one_minus_exp_at_order_40(scale):
 def test_li_numerator_at_matches_composition(ks, scale, order):
     """Li_ks(1 - e^{-ct}) by the c^n rule against composing the enumerated
     nested sum with 1 - e^{-ct}."""
-    nums, den = _li_numerator_at(ks, scale, order)
+    nums, den = _li_numerator_at(ks, scale.as_integer_ratio(), order)
     want = ord_compose(multi_li_ordinary(ks, order), one_minus_exp(-scale, order), order)
     assert [F(v, den) for v in nums] == egf_from_ord(want)
 

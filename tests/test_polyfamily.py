@@ -147,7 +147,8 @@ class TestBinomialDenominators:
     @given(alpha=rationals, beta=rationals, r=depths, order=orders)
     def test_euler_shape_equals_egf_pow(self, alpha, beta, r, order):
         base = egf_add(egf_exp_linear(-alpha, order), egf_exp_linear(beta, order))
-        assert egf_exp_sum(_euler_terms(alpha, beta, r), order) == _power(base, r)
+        terms = _euler_terms(alpha.as_integer_ratio(), beta.as_integer_ratio(), r)
+        assert egf_exp_sum(terms, order) == _power(base, r)
 
     @given(
         alpha=st.fractions(max_denominator=10**6),
@@ -157,7 +158,7 @@ class TestBinomialDenominators:
     def test_euler_terms_are_the_binomial_rates(self, alpha, beta, r):
         """Each rate, made as one integer quotient, is i beta - (r-i) alpha
         in Fraction arithmetic."""
-        terms = _euler_terms(alpha, beta, r)
+        terms = _euler_terms(alpha.as_integer_ratio(), beta.as_integer_ratio(), r)
         assert terms == tuple((comb(r, i), i * beta - (r - i) * alpha) for i in range(r + 1))
         assert all(type(rate) is Fraction for _, rate in terms)
 

@@ -5,7 +5,10 @@ from itertools import product
 
 import pytest
 
+from polyeuler import polyfamily
 from polyeuler.exact import Egf, NonNilpotentInner, egf_add, egf_exp_linear, egf_mul, egf_scale
+from polyeuler.multifamily import multi_poly_bernoulli, multi_poly_euler
+from polyeuler.polyfamily import poly_bernoulli, poly_euler, poly_euler_sasaki
 from polyeuler.polylog import li_of_inner, multi_li_series, parse_kvector
 
 from oracles import ord_mul, ord_scale
@@ -61,6 +64,33 @@ class TestMultiLiSeries:
     def test_rejects_empty_vector(self):
         with pytest.raises(ValueError):
             multi_li_series((), 4)
+
+
+class TestIndicesAreInts:
+    """An index that is not an int raises TypeError: it is neither truncated
+    (1.9 to 1, 5/2 to 2) nor parsed ("3"), even where a cache already holds
+    the equal int index, and the failed call caches nothing."""
+
+    FAMILIES = {
+        "multi-li": lambda k: multi_li_series([k], 3),
+        "multi-poly-bernoulli": lambda k: multi_poly_bernoulli([k], 4),
+        "multi-poly-euler": lambda k: multi_poly_euler([1, k], F(1, 3), 4),
+        "poly-bernoulli": lambda k: poly_bernoulli(k, 0, 4),
+        "poly-euler": lambda k: poly_euler(k, F(1, 3), 4),
+        "poly-euler-sasaki": lambda k: poly_euler_sasaki(k, 4),
+    }
+
+    @pytest.mark.parametrize("k", [1.9, 2.0, F(5, 2), F(2), "3"], ids=repr)
+    @pytest.mark.parametrize("family", sorted(FAMILIES))
+    def test_non_int_index_raises_type_error(self, family, k):
+        caches = (polyfamily._li_numerator, polyfamily._euler_egf)
+        for cache in caches:
+            cache.cache_clear()
+        self.FAMILIES[family](2)
+        sizes = [cache.cache_info().currsize for cache in caches]
+        with pytest.raises(TypeError):
+            self.FAMILIES[family](k)
+        assert [cache.cache_info().currsize for cache in caches] == sizes
 
 
 class TestParseKVector:
