@@ -184,18 +184,14 @@ def _sequence_for(args: argparse.Namespace) -> list[Fraction]:
 
 
 def _print_table(values: Sequence[Fraction], fmt: str) -> None:
-    if fmt == "plain":
-        for n, v in enumerate(values):
-            print(f"{n}\t{format_rational(v)}")
-    elif fmt == "csv":
-        print("n,value")
-        for n, v in enumerate(values):
-            print(f"{n},{format_rational(v)}")
-    else:
+    if fmt == "json":
         import json
 
         rows = [{"n": n, "value": format_rational(v)} for n, v in enumerate(values)]
         print(json.dumps(rows, indent=2))
+        return
+    sep, head = ("\t", "") if fmt == "plain" else (",", "n,value\n")
+    sys.stdout.write(head + "".join(f"{n}{sep}{format_rational(v)}\n" for n, v in enumerate(values)))
 
 
 def cmd_seq(args: argparse.Namespace) -> int:
@@ -221,8 +217,7 @@ def cmd_seq(args: argparse.Namespace) -> int:
         if args.format == "plain":
             print(count)
         elif args.format == "csv":
-            print("rows,cols,value")
-            print(f"{args.rows},{args.cols},{count}")
+            print(f"rows,cols,value\n{args.rows},{args.cols},{count}")
         else:
             import json
 

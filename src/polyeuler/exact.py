@@ -122,7 +122,11 @@ Ratio = tuple[int, int]
 
 
 def _ratio(value: RationalLike) -> Ratio:
-    """``value`` as a pair in lowest terms, as an int or a Fraction is already."""
+    """``value`` as a pair in lowest terms, as an int or a Fraction is already.
+    Every caller's rational comes through here, so anything else raises
+    TypeError: a float is not read as its binary expansion."""
+    if type(value) not in (int, Fraction):
+        raise TypeError(f"a rational must be an int or a Fraction, not {type(value).__name__}")
     return value.as_integer_ratio()
 
 
@@ -410,9 +414,9 @@ def egf_exp_linear(value: RationalLike, order: int) -> Egf:
     (requires order >= 0)."""
     if order < 0:
         raise ValueError("a series needs order >= 0")
-    v = Fraction(value)
-    tops = integer_powers(v.numerator, order)
-    bottoms = integer_powers(v.denominator, order)
+    p, q = _ratio(value)
+    tops = integer_powers(p, order)
+    bottoms = integer_powers(q, order)
     return Egf.of((t * bottoms[order - n] for n, t in enumerate(tops)), bottoms[order])
 
 
@@ -456,20 +460,20 @@ def egf_exp_sum(terms: Iterable[tuple[int, RationalLike]], order: int) -> Egf:
 
 # One table per divisor and order.  The audit's theorem grid cycles through
 # its 25 (alpha, beta) samples for each index vector, beside the (0, 1)
-# divisor that the right sides read: 26 live tables make every repeat of an
-# order-10 audit a hit (954 hits, 87 misses, one per distinct divisor), and
-# 32 leave room for a few more while bounding what order-200 tables hold.
+# divisor of the right sides and Sasaki's 2e^t + 2e^{-t}: 27 live tables make
+# every repeat of an order-10 audit a hit (956 hits, 88 misses, one per
+# distinct divisor), and 32 bound what order-200 tables hold.
 @lru_cache(maxsize=32)
 def _division_table(
     weights: tuple[int, ...], tops: tuple[int, ...], den: int, order: int
-) -> tuple[tuple[tuple[int, ...], ...], tuple[int, ...], int, tuple[int, ...]]:
+) -> tuple[tuple[tuple[int, ...], ...], int, int, tuple[int, ...]]:
     """(rows, lift, s, den_pow) for dividing by sum_j w_j e^{(tops[j]/K) t},
     K = den, at the given order N: everything of ``egf_div_exp_sum`` that
     does not depend on the numerator.
 
     With G_m = sum_j w_j tops[j]^m and s = G_0: rows[m] holds
     C(m,1) G_1, ..., C(m,m) G_m, built from one Pascal row at a time,
-    lift[m] = s^N K^m and den_pow[m] = K^m.
+    lift = s^N and den_pow[m] = K^m.
     """
     s, *sums = _power_sums(weights, tops, order)
     rows = [()]
@@ -477,21 +481,22 @@ def _division_table(
     for _ in range(order):
         pascal = [*map(add, pascal, [1, *pascal]), 1]
         rows.append(tuple(map(mul, pascal, sums)))
-    den_pow = tuple(integer_powers(den, order))
-    return tuple(rows), tuple(map((s**order).__mul__, den_pow)), s, den_pow
+    return tuple(rows), s**order, s, tuple(integer_powers(den, order))
 
 
 def egf_div_exp_sum(f: Egf, terms: Iterable[tuple[int, RationalLike]]) -> Egf:
     """f divided by the sum of exponentials sum_j w_j e^{mu_j t}, the series
     ``egf_exp_sum(terms, f.order)``, fraction-free in the manner of Bareiss.
 
-    With f = a/d at order N, the rates over one denominator K,
-    G_n = sum_j w_j M_j^n and s = G_0 the weight sum, the quotient is
-    h_n = Y_n / (d s^{N+1} K^n) for the integers
-    Y_n = s^N K^n a_n - (sum_{j=1..n} C(n,j) G_j Y_{n-j}) / s,
+    With the rates over one denominator K (mu_j = M_j / K), the quotient at
+    Kt is f(Kt) over the integer series G_n = sum_j w_j M_j^n.  So f(Kt),
+    coefficient n times K^n, is put in lowest terms once as a'/d', and with
+    s = G_0 the weight sum the quotient at order N is
+    h_n = Y_n / (d' s^{N+1} K^n) for the integers
+    Y_n = s^N a'_n - (sum_{j=1..n} C(n,j) G_j Y_{n-j}) / s,
     where the division by s is exact, so no step takes a gcd or rescales an
     earlier quotient; the result is reduced once, at the end.  Everything
-    but a is one cached row table per divisor and order
+    but a' is one cached row table per divisor and order
     (``_division_table``), so a repeated divisor costs one inner product
     per coefficient.  A zero weight sum raises DivisionByNonUnit.
     """
@@ -499,15 +504,14 @@ def egf_div_exp_sum(f: Egf, terms: Iterable[tuple[int, RationalLike]]) -> Egf:
     if sum(weights) == 0:
         raise DivisionByNonUnit("divisor has zero constant term")
     rows, lift, s, den_pow = _division_table(weights, tops, den, f.order)
-    a, df = f.numerators()
-    # Y_n = 0 below the first nonzero a_z, so row n meets only Y_z..Y_{n-1}.
-    z = 0
-    while z < len(a) and not a[z]:
-        z += 1
+    nums, df = f.numerators()
+    a, df = lowest_terms(map(mul, nums, den_pow), df)
+    # Y_n = 0 below the first nonzero a'_z, so row n meets only Y_z..Y_{n-1}.
+    z = next((n for n, v in enumerate(a) if v), len(a))
     known: list[int] = []  # Y_z, Y_{z+1}, ...
-    for row, scale, coeff in zip(rows[z:], lift[z:], a[z:]):
-        known.append(scale * coeff - sum(map(mul, row, reversed(known))) // s)
-    return Egf.of(list(map(mul, [0] * z + known, reversed(den_pow))), df * s * lift[-1])
+    for row, coeff in zip(rows[z:], a[z:]):
+        known.append(lift * coeff - sum(map(mul, row, reversed(known))) // s)
+    return Egf.of(list(map(mul, [0] * z + known, reversed(den_pow))), df * s * lift * den_pow[-1])
 
 
 def egf_times_exp(f: Egf, value: RationalLike) -> Egf:

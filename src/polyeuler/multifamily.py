@@ -59,14 +59,14 @@ class LogParams:
     gamma: Fraction | None = None
 
     def __post_init__(self) -> None:
-        # Only values that are not a Fraction yet are converted: the audit
-        # builds thousands of these from Fraction points.
+        # Only values that are not a Fraction yet go through the checked
+        # ``exact._ratio``: the audit builds thousands from Fraction points.
         if type(self.alpha) is not Fraction:
-            object.__setattr__(self, "alpha", Fraction(self.alpha))
+            object.__setattr__(self, "alpha", Fraction(*_ratio(self.alpha)))
         if type(self.beta) is not Fraction:
-            object.__setattr__(self, "beta", Fraction(self.beta))
+            object.__setattr__(self, "beta", Fraction(*_ratio(self.beta)))
         if self.gamma is not None and type(self.gamma) is not Fraction:
-            object.__setattr__(self, "gamma", Fraction(self.gamma))
+            object.__setattr__(self, "gamma", Fraction(*_ratio(self.gamma)))
 
 
 def multi_poly_bernoulli(ks: Sequence[int], order: int) -> list[Fraction]:
@@ -114,7 +114,7 @@ def poly_euler_abc(
 ) -> list[Fraction]:
     """E_n^{(k)}(x; a, b, c) from 2 Li_k(1-(ab)^{-t})/(a^{-t}+b^t) c^{xt}:
     the r = 1 series at argument gamma x."""
-    gamma_x = (params.gamma or 0) * Fraction(x)
+    gamma_x = (params.gamma or 0) * Fraction(*_ratio(x))
     return list(_xab_egf((k,), gamma_x, params.alpha, params.beta, order).coeffs)
 
 
@@ -310,7 +310,7 @@ def thm3_explicit(
     """
     ks = validate_kvector(ks)
     r = len(ks)
-    x = Fraction(x)
+    p, q = _ratio(x)
     if part_cap < 1 or m_cap < 0 or n < 0:
         raise ValueError("caps must be positive and n nonnegative")
 
@@ -339,7 +339,6 @@ def thm3_explicit(
             skipped += (ms[-1] + 1) * len(comps) * (n + 1)
             continue
         last_sums[ms[-1]] += weight
-    p, q = x.numerator, x.denominator
     power_sums = [0] * (n + 1)
     for j in range(m_cap + 1):
         factor = sum(comb(m, j) * last_sums[m] for m in range(j, m_cap + 1))
@@ -376,12 +375,13 @@ def thm4_explicit(
     denominator of x ln c, ln a and ln b; the n-th power depends on (m, j, i)
     only through s = m-j+i and is taken once per s.
     """
+    (k,) = validate_kvector((k,))
     if variant not in THM4_VARIANTS:
         raise ValueError(f"variant must be one of {THM4_VARIANTS}, got {variant!r}")
     if n < 0:
         raise ValueError("n must be nonnegative")
     delta = 1 if variant == "statement" else 0
-    shift = Fraction(x) * (params.gamma or 0)
+    shift = Fraction(*_ratio(x)) * (params.gamma or 0)
     (g, a, b), den = integer_numerators((shift, params.alpha, params.beta))
     powers = [(g - (s + 1) * a - (s + delta) * b) ** n for s in range(n + 1)]
     big = lcm(*range(1, n + 1))

@@ -9,11 +9,11 @@ whichever caller formed them.  Each Euler series is cached once: at w = 0
 it is the quotient itself, and at any other w it is the Taylor shift
 (``exact.egf_times_exp``) of that cached w = 0 entry by e^{wt}.  Both
 shapes' denominators, (e^{-alpha t} + e^{beta t})^r and (1-e^{-t})^r, are
-sums of r + 1 exponentials by the binomial theorem: the Euler shape divides
-by its terms fraction-free (``exact.egf_div_exp_sum``, which reads one
-cached row table per denominator and order, so the audit's repeated
-(alpha, beta, r) denominators are built once each), and the Bernoulli
-shape builds its series with ``exact.egf_exp_sum`` to cancel t^r first.
+sums of r + 1 exponentials by the binomial theorem.  The Euler shape and
+the Sasaki variant's 2e^t + 2e^{-t} divide by their terms fraction-free
+through one cached row table per denominator and order
+(``exact.egf_div_exp_sum``); the Bernoulli shape builds its series with
+``exact.egf_exp_sum`` to cancel t^r first.
 Every numerator is read off one cached series, Li_ks(1-e^{-t}):
 the Bernoulli shape uses it as it is, and Li_ks(1-e^{-ct}) of the Euler
 shape (c = alpha + beta) and of the Sasaki variant (c = 4) is it with
@@ -37,7 +37,6 @@ from .exact import (
     _ratio,
     _reduced,
     _shift_down,
-    egf_div,
     egf_div_exp_sum,
     egf_div_shifted,
     egf_exp_linear,
@@ -134,7 +133,7 @@ def _bernoulli_egf(ks: KVector, x: Fraction, order: int) -> Egf:
 
 def poly_bernoulli(k: int, x: Fraction | int, order: int) -> list[Fraction]:
     """B_n^{(k)}(x) for n = 0..order, from Li_k(1-e^{-t})/(1-e^{-t}) e^{xt}."""
-    return list(_bernoulli_egf(validate_kvector((k,)), Fraction(x), order).coeffs)
+    return list(_bernoulli_egf(validate_kvector((k,)), Fraction(*_ratio(x)), order).coeffs)
 
 
 def poly_euler(k: int, x: Fraction | int, order: int) -> list[Fraction]:
@@ -149,7 +148,7 @@ def poly_euler_sasaki(k: int, order: int) -> list[Fraction]:
     # one order deeper, over the two exponentials.
     ks = validate_kvector((k,))
     numerator = _shift_down(Egf.of(*_li_numerator_at(ks, (4, 1), order + 1)), 1)
-    return list(egf_div(numerator, egf_exp_sum(((2, 1), (2, -1)), order)).coeffs)
+    return list(egf_div_exp_sum(numerator, ((2, 1), (2, -1))).coeffs)
 
 
 def lonesum_count(n: int, k: int) -> int:

@@ -19,7 +19,7 @@ from math import factorial, lcm
 from operator import index
 from typing import Sequence
 
-from .exact import Egf, NonNilpotentInner, egf_compose, lowest_terms, parse_integer
+from .exact import Egf, NonNilpotentInner, egf_compose, parse_integer
 
 KVector = tuple[int, ...]
 
@@ -47,7 +47,8 @@ def multi_li_series(ks: Sequence[int], order: int) -> Egf:
     """
     # row[m] / den = S_j(m), the sum over tuples of depth j ending at m_j = m;
     # the empty tuple (depth 0) ends at 0.  A positive index puts the row
-    # over lcm(1..order)^k, so each depth divides by m^k exactly.
+    # over lcm(1..order)^k, so each depth divides by m^k exactly.  The rows
+    # share that growing denominator and are reduced once, at the end.
     row, den = (1,) + (0,) * order, 1
     common = lcm(*range(1, order + 1))
     for k in validate_kvector(ks):
@@ -56,7 +57,7 @@ def multi_li_series(ks: Sequence[int], order: int) -> Egf:
         for m in range(1, order + 1):
             below += row[m - 1]
             nxt[m] = below * (m**-k if k <= 0 else (common // m) ** k)
-        row, den = lowest_terms(nxt, den if k <= 0 else den * common**k)
+        row, den = nxt, den if k <= 0 else den * common**k
     return Egf.of(row, den)
 
 

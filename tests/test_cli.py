@@ -382,6 +382,12 @@ _AT_LIMIT_SHA256 = {
     "poly-euler-abc": "c1d7152c64a57ba691ecb5b3e5cc123d1cdfe6bf8364c1074d42660a164d9c84",
 }
 _SWEEP_SHA256 = "d671b4e7a72a054002050da0af899a970b42f18cbbec3adbcc1e47a056c011cf"
+# The same for poly-euler-sasaki --k=K --n=MAX_N, recorded while the
+# quotient still went through the general egf_div.
+_SASAKI_AT_LIMIT_SHA256 = {
+    MAX_K: "a454b52753fb6742b07d44008023b8decba1f21335b5e550ba9f4d9258655637",
+    -MAX_K: "e111524b00b6ed01665830c53d733922a8169eb0eaed16169095d5a4191e81c3",
+}
 
 
 def _sha256(text):
@@ -461,6 +467,13 @@ class TestSizeBounds:
         out = capsys.readouterr().out
         assert len(out.splitlines()) == MAX_N + 1
         assert _sha256(out) == _AT_LIMIT_SHA256[argv[0]]
+
+    @pytest.mark.parametrize("k", sorted(_SASAKI_AT_LIMIT_SHA256))
+    def test_sasaki_at_the_index_and_order_limits(self, k, capsys):
+        assert main_seq(["poly-euler-sasaki", f"--k={k}", f"--n={MAX_N}"]) == 0
+        out = capsys.readouterr().out
+        assert len(out.splitlines()) == MAX_N + 1
+        assert _sha256(out) == _SASAKI_AT_LIMIT_SHA256[k]
 
 
 def _sweep_requests():

@@ -144,6 +144,39 @@ class TestValueTypes:
         assert LogParams(F(1), F(2)).gamma is None
 
 
+_P = LogParams(F(1, 2), F(1, 3), F(2))
+
+
+class TestRationalsAreIntOrFraction:
+    """Every entry that takes a rational reads it through ``exact._ratio``:
+    a float is refused, not read as its binary expansion (0.1 would be
+    3602879701896397/36028797018963968), and so is text."""
+
+    CALLS = {
+        "poly_bernoulli": lambda: poly_bernoulli(1, 0.1, 2),
+        "poly_euler": lambda: poly_euler(1, 0.1, 2),
+        "multi_poly_euler": lambda: multi_poly_euler((1, 2), 0.5, 2),
+        "multi_poly_euler_xab": lambda: multi_poly_euler_xab((1,), 0.5, _P, 2),
+        "poly_euler_abc": lambda: poly_euler_abc(1, 0.5, _P, 2),
+        "LogParams.alpha": lambda: LogParams(0.5, 1),
+        "LogParams.beta": lambda: LogParams(1, 0.5),
+        "LogParams.gamma": lambda: LogParams(1, 1, 0.5),
+        "LogParams.text": lambda: LogParams("1/2", 1),
+        "cor1_rhs": lambda: cor1_rhs((1,), 0.5, _P, 2),
+        "combined_rhs": lambda: combined_rhs((1,), 0.5, _P, 2),
+        "combined_rhs_printed": lambda: combined_rhs_printed((1,), 0.5, _P, 2),
+        "addition_rhs.x": lambda: addition_rhs((1,), 0.5, F(1), _P, 2),
+        "addition_rhs.y": lambda: addition_rhs((1,), F(1), 0.5, _P, 2),
+        "thm3_explicit": lambda: thm3_explicit((1,), 0.5, 2, 2, 2),
+        "thm4_explicit": lambda: thm4_explicit(1, 0.5, _P, 2, "statement"),
+    }
+
+    @pytest.mark.parametrize("entry", sorted(CALLS))
+    def test_anything_else_raises_type_error(self, entry):
+        with pytest.raises(TypeError, match="must be an int or a Fraction"):
+            self.CALLS[entry]()
+
+
 class TestTwoParameterFamily:
     def test_alpha_zero_gives_plain_numbers(self):
         p = LogParams(F(0), F(1))
@@ -509,8 +542,9 @@ class TestEulerShapeCaches:
 
     def test_order_ten_audit_divides_once_per_divisor(self, monkeypatch):
         """A count guard, not a timing: the seed-0 order-10 audit from cold
-        caches makes 1,041 Euler-shape divisions by 87 distinct divisors, so
-        the division table builds 87 times and is read 954 times more."""
+        caches makes 1,041 Euler-shape divisions by 87 distinct divisors and
+        3 Sasaki divisions by 2e^t + 2e^{-t}, so the division table builds
+        88 times and is read 956 times more."""
         calls = []
         original = exact.egf_div_exp_sum
 
@@ -523,8 +557,8 @@ class TestEulerShapeCaches:
         _wrap_bindings(monkeypatch, {original: counted})
         audit.run_all(0, 10)
         table, euler = exact._division_table.cache_info(), polyfamily._euler_egf.cache_info()
-        assert len(calls) == 1041
-        assert (table.hits, table.misses) == (954, 87)
+        assert len(calls) == 1044
+        assert (table.hits, table.misses) == (956, 88)
         assert (euler.hits, euler.misses) == (10704, 3747)
 
 

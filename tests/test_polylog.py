@@ -7,7 +7,13 @@ import pytest
 
 from polyeuler import polyfamily
 from polyeuler.exact import Egf, NonNilpotentInner, egf_add, egf_exp_linear, egf_mul, egf_scale
-from polyeuler.multifamily import multi_poly_bernoulli, multi_poly_euler
+from polyeuler.multifamily import (
+    LogParams,
+    multi_poly_bernoulli,
+    multi_poly_euler,
+    thm3_explicit,
+    thm4_explicit,
+)
 from polyeuler.polyfamily import poly_bernoulli, poly_euler, poly_euler_sasaki
 from polyeuler.polylog import li_of_inner, multi_li_series, parse_kvector
 
@@ -67,9 +73,10 @@ class TestMultiLiSeries:
 
 
 class TestIndicesAreInts:
-    """An index that is not an int raises TypeError: it is neither truncated
-    (1.9 to 1, 5/2 to 2) nor parsed ("3"), even where a cache already holds
-    the equal int index, and the failed call caches nothing."""
+    """An index that is not an int raises TypeError from ``validate_kvector``
+    before any arithmetic: it is neither truncated (1.9 to 1, 5/2 to 2) nor
+    parsed ("3"), even where a cache already holds the equal int index, and
+    the failed call caches nothing."""
 
     FAMILIES = {
         "multi-li": lambda k: multi_li_series([k], 3),
@@ -78,6 +85,8 @@ class TestIndicesAreInts:
         "poly-bernoulli": lambda k: poly_bernoulli(k, 0, 4),
         "poly-euler": lambda k: poly_euler(k, F(1, 3), 4),
         "poly-euler-sasaki": lambda k: poly_euler_sasaki(k, 4),
+        "thm3-explicit": lambda k: thm3_explicit([k], F(1, 3), 3, 2, 2),
+        "thm4-explicit": lambda k: thm4_explicit(k, F(1, 3), LogParams(1, 2, 1), 3, "proof"),
     }
 
     @pytest.mark.parametrize("k", [1.9, 2.0, F(5, 2), F(2), "3"], ids=repr)
@@ -88,7 +97,7 @@ class TestIndicesAreInts:
             cache.cache_clear()
         self.FAMILIES[family](2)
         sizes = [cache.cache_info().currsize for cache in caches]
-        with pytest.raises(TypeError):
+        with pytest.raises(TypeError, match="cannot be interpreted as an integer"):
             self.FAMILIES[family](k)
         assert [cache.cache_info().currsize for cache in caches] == sizes
 
