@@ -11,9 +11,10 @@ import enum
 from fractions import Fraction
 from functools import lru_cache
 from math import comb, factorial
+from operator import index
 from typing import Sequence
 
-from .exact import Egf, det, egf_div_exp_sum, egf_div_shifted, egf_exp_sum, integer_numerators
+from .exact import Egf, det, egf_div_exp_sum, egf_div_shifted, egf_exp_sum
 
 
 class EulerConvention(enum.Enum):
@@ -22,15 +23,15 @@ class EulerConvention(enum.Enum):
 
 
 @lru_cache(maxsize=256)
-def _bernoulli_tuple(order: int) -> tuple[Fraction, ...]:
+def _bernoulli_series(order: int) -> Egf:
+    """t/(e^t - 1) to the given order."""
     exp_minus_one = egf_exp_sum(((1, 1), (-1, 0)), order + 1)
-    series = egf_div_shifted(Egf.t(order + 1), exp_minus_one, 1)
-    return series.coeffs
+    return egf_div_shifted(Egf.t(order + 1), exp_minus_one, 1)
 
 
 def bernoulli_numbers(order: int) -> list[Fraction]:
     """B_0..B_order from t/(e^t - 1); the B_1 = -1/2 convention."""
-    return list(_bernoulli_tuple(order))
+    return list(_bernoulli_series(order).coeffs)
 
 
 def bernoulli_polynomial(n: int, order: int) -> list[Fraction]:
@@ -43,8 +44,8 @@ def bernoulli_polynomial(n: int, order: int) -> list[Fraction]:
         raise ValueError("polynomial degree must be >= 0")
     if n > order:
         raise ValueError("polynomial degree exceeds the series order")
-    bern = _bernoulli_tuple(order)
-    return [comb(n, j) * bern[n - j] for j in range(n + 1)]
+    nums, den = _bernoulli_series(order).numerators()
+    return [Fraction(comb(n, j) * nums[n - j], den) for j in range(n + 1)]
 
 
 def poly_eval(coeffs: Sequence[Fraction], x: Fraction) -> Fraction:
@@ -56,6 +57,7 @@ def poly_eval(coeffs: Sequence[Fraction], x: Fraction) -> Fraction:
 
 def power_sum(m: int, n: int) -> int:
     """Direct summation 1^m + 2^m + ... + n^m."""
+    m, n = index(m), index(n)
     if m < 0:
         raise ValueError("exponent m must be >= 0")
     if n < 0:
@@ -67,18 +69,19 @@ def power_sum_closed(m: int, n: int, b1_sign: str) -> Fraction:
     """Bernoulli closed form (1/(m+1)) sum_k C(m+1,k) B_k n^{m+1-k}.
 
     ``b1_sign`` selects B_1 = +1/2 ("plus") or -1/2 ("minus"); the two
-    conventions disagree about whether the sum counts k=n or k=0.
+    conventions disagree about whether the sum counts k=n or k=0.  Both read
+    the cached t/(e^t - 1) over its common denominator D, where B_1 = -D/2.
     """
+    m, n = index(m), index(n)
     if m < 0:
         raise ValueError("exponent m must be >= 0")
     if n < 0:
         raise ValueError("upper limit n must be >= 0")
     if b1_sign not in ("plus", "minus"):
         raise ValueError(f"b1_sign must be 'plus' or 'minus', got {b1_sign!r}")
-    bern = list(_bernoulli_tuple(max(m, 1)))
+    nums, den = _bernoulli_series(max(m, 1)).numerators()
     if b1_sign == "plus":
-        bern[1] = Fraction(1, 2)
-    nums, den = integer_numerators(bern[: m + 1])
+        nums = (nums[0], -nums[1], *nums[2:])
     total = sum(comb(m + 1, k) * nums[k] * n ** (m + 1 - k) for k in range(m + 1))
     return Fraction(total, den * (m + 1))
 
@@ -109,9 +112,8 @@ def bernoulli_det(n: int) -> Fraction:
         raise ValueError("n must be >= 1")
     rows = [[Fraction(1, j + 1) for j in range(1, n + 1)]]
     for r in range(2, n + 1):
-        rows.append([Fraction(comb(j, r - 2)) if j >= r - 1 else Fraction(0) for j in range(1, n + 1)])
-    d = det(rows)
-    return Fraction((-1) ** n, factorial(n - 1)) * d
+        rows.append([comb(j, r - 2) if j >= r - 1 else 0 for j in range(1, n + 1)])
+    return Fraction((-1) ** n, factorial(n - 1)) * det(rows)
 
 
 def euler_det(n: int) -> Fraction:
@@ -122,16 +124,8 @@ def euler_det(n: int) -> Fraction:
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    rows = []
-    for i in range(1, n + 1):
-        row = []
-        for j in range(1, n + 1):
-            if j == i + 1:
-                row.append(Fraction(1))
-            elif j <= i:
-                row.append(Fraction(1, factorial(2 * (i - j) + 2)))
-            else:
-                row.append(Fraction(0))
-        rows.append(row)
-    d = det(rows)
-    return Fraction((-1) ** n) * factorial(2 * n) * d
+    rows = [
+        ([Fraction(1, factorial(2 * (i - j) + 2)) for j in range(1, i + 1)] + [1] + [0] * n)[:n]
+        for i in range(1, n + 1)
+    ]
+    return (-1) ** n * factorial(2 * n) * det(rows)

@@ -4,7 +4,10 @@ A series is stored by its exponential-generating-function coefficients c_n,
 where the series is sum c_n t^n / n!, as integer numerators over one positive
 denominator in lowest terms, and only in that form.  The kernels run over
 those integers; ``coeffs`` builds the ``fractions.Fraction`` values on each
-read.  Nothing here ever touches floating point.  The one cache here,
+read.  Nothing here ever touches floating point: every rational a caller
+passes is read by ``_ratio``, which refuses a float or text, and is an
+integer pair below it; the Taylor shift ``_times_exp`` takes its rate as
+that pair.  The one cache here,
 ``_division_table``, keeps what a division by a sum of exponentials needs
 of its divisor, so a repeated divisor is read instead of rebuilt.
 """
@@ -15,7 +18,7 @@ import re
 from fractions import Fraction
 from functools import lru_cache
 from itertools import accumulate, repeat
-from math import comb, factorial, gcd, lcm
+from math import comb, factorial, gcd, lcm, prod
 from operator import add, mul
 from typing import Iterable, Sequence, Union
 
@@ -93,29 +96,6 @@ def format_rational(value: Fraction) -> str:
     return f"{_decimal(value.numerator)}/{_decimal(value.denominator)}"
 
 
-def _as_fraction_tuple(values: Iterable[RationalLike]) -> tuple[Fraction, ...]:
-    return tuple(v if type(v) is Fraction else Fraction(v) for v in values)
-
-
-def integer_numerators(values: Sequence[Fraction]) -> tuple[list[int], int]:
-    """Put rationals over their least common denominator D.
-
-    Returns (nums, D) with values[i] == nums[i] / D, so a sum of products can
-    run over Python ints and become one ``Fraction`` at the end.  As every
-    value is in lowest terms, D and the nums share no factor.
-    """
-    den = lcm(*(v.denominator for v in values))
-    return [v.numerator * (den // v.denominator) for v in values], den
-
-
-def integer_powers(base: int, top: int) -> list[int]:
-    """base^0, base^1, ..., base^top as Python ints."""
-    out = [1]
-    for _ in range(top):
-        out.append(out[-1] * base)
-    return out
-
-
 # A rational as (numerator, denominator) in lowest terms, denominator > 0:
 # the form in which the Euler cache takes w, alpha and beta.
 Ratio = tuple[int, int]
@@ -128,6 +108,27 @@ def _ratio(value: RationalLike) -> Ratio:
     if type(value) not in (int, Fraction):
         raise TypeError(f"a rational must be an int or a Fraction, not {type(value).__name__}")
     return value.as_integer_ratio()
+
+
+def integer_numerators(values: Iterable[RationalLike]) -> tuple[list[int], int]:
+    """Put rationals over their least common denominator D.
+
+    Returns (nums, D) with values[i] == nums[i] / D, so a sum of products can
+    run over Python ints and become one ``Fraction`` at the end.  Each value
+    is read by ``_ratio``, so it must be an int or a Fraction, and as every
+    pair is in lowest terms, D and the nums share no factor.
+    """
+    ratios = [_ratio(v) for v in values]
+    den = lcm(*(q for _, q in ratios))
+    return [p * (den // q) for p, q in ratios], den
+
+
+def integer_powers(base: int, top: int) -> list[int]:
+    """base^0, base^1, ..., base^top as Python ints."""
+    out = [1]
+    for _ in range(top):
+        out.append(out[-1] * base)
+    return out
 
 
 def _reduced(num: int, den: int) -> Ratio:
@@ -168,7 +169,7 @@ class Egf:
     __slots__ = ("_nums", "_den")
 
     def __init__(self, coeffs: Iterable[RationalLike]) -> None:
-        nums, den = integer_numerators(_as_fraction_tuple(coeffs))
+        nums, den = integer_numerators(coeffs)
         if not nums:
             raise ValueError("series needs at least the constant coefficient")
         self._nums: tuple[int, ...] = tuple(nums)
@@ -218,8 +219,8 @@ class Egf:
         """The constant series ``value`` (requires order >= 0)."""
         if order < 0:
             raise ValueError("a series needs order >= 0")
-        v = Fraction(value)
-        return cls.of((v.numerator,) + (0,) * order, v.denominator)
+        p, q = _ratio(value)
+        return cls.of((p,) + (0,) * order, q)
 
     @classmethod
     def t(cls, order: int) -> "Egf":
@@ -231,7 +232,7 @@ class Egf:
     @classmethod
     def from_ordinary(cls, ordinary: Sequence[RationalLike]) -> "Egf":
         """Build from ordinary power-series coefficients a_n (c_n = n! a_n)."""
-        nums, den = integer_numerators(_as_fraction_tuple(ordinary))
+        nums, den = integer_numerators(ordinary)
         return cls.of((v * factorial(n) for n, v in enumerate(nums)), den)
 
     def ordinary(self) -> tuple[Fraction, ...]:
@@ -257,9 +258,9 @@ def egf_add(f: Egf, g: Egf) -> Egf:
 
 
 def egf_scale(f: Egf, value: RationalLike) -> Egf:
-    v = Fraction(value)
+    p, q = _ratio(value)
     a, den = f.numerators()
-    return Egf.of((v.numerator * c for c in a), den * v.denominator)
+    return Egf.of((p * c for c in a), den * q)
 
 
 def egf_mul(f: Egf, g: Egf) -> Egf:
@@ -426,12 +427,9 @@ def _integer_terms(
     """(weights, tops, K) for the terms (w_j, mu_j): the rates over their
     least common denominator K as mu_j = tops[j] / K.  An int rate and the
     equal ``Fraction`` give the same integers."""
-    weights, ratios = [], []
-    for weight, rate in terms:
-        weights.append(weight)
-        ratios.append(_ratio(rate))
-    den = lcm(*(q for _, q in ratios))
-    return tuple(weights), tuple([p * (den // q) for p, q in ratios]), den
+    terms = tuple(terms)
+    tops, den = integer_numerators([rate for _, rate in terms])
+    return tuple([weight for weight, _ in terms]), tuple(tops), den
 
 
 def _power_sums(weights: Sequence[int], tops: Sequence[int], order: int) -> list[int]:
@@ -515,15 +513,20 @@ def egf_div_exp_sum(f: Egf, terms: Iterable[tuple[int, RationalLike]]) -> Egf:
 
 
 def egf_times_exp(f: Egf, value: RationalLike) -> Egf:
-    """The product e^{value * t} f, by a Taylor shift.
+    """The product e^{value * t} f, by the Taylor shift ``_times_exp``."""
+    return _times_exp(f, _ratio(value))
 
-    With value = p/q and f = a/d, coefficient n is
-    sum_i C(n,i) p^{n-i} q^i a_i / (d q^n).  So the rows start from
-    R_0[i] = q^i a_i, and R_{j+1}[i] = p R_j[i] + R_j[i+1] gives coefficient
-    n as R_n[0] / (d q^n): the growing integers are only ever multiplied by
-    p.  Each row overwrites the one before it in place, one entry shorter.
+
+def _times_exp(f: Egf, value: Ratio) -> Egf:
+    """The product e^{(p/q) t} f for value = (p, q), by a Taylor shift.
+
+    With f = a/d, coefficient n is sum_i C(n,i) p^{n-i} q^i a_i / (d q^n).
+    So the rows start from R_0[i] = q^i a_i, and
+    R_{j+1}[i] = p R_j[i] + R_j[i+1] gives coefficient n as R_n[0] / (d q^n):
+    the growing integers are only ever multiplied by p.  Each row overwrites
+    the one before it in place, one entry shorter.
     """
-    p, q = _ratio(value)
+    p, q = value
     a, df = f.numerators()
     n = f.order
     q_pow = integer_powers(q, n)
@@ -548,7 +551,7 @@ def det(rows: Sequence[Sequence[RationalLike]]) -> Fraction:
         raise NotSquare(f"rows of lengths {[len(row) for row in rows]} have no determinant")
     if n == 0:
         return Fraction(1)
-    rows = [list(_as_fraction_tuple(row)) for row in rows]
+    rows = [[Fraction(*_ratio(v)) for v in row] for row in rows]
     sign = 1
     for col in range(n):
         pivot_row = next((r for r in range(col, n) if rows[r][col] != 0), None)
@@ -562,7 +565,4 @@ def det(rows: Sequence[Sequence[RationalLike]]) -> Fraction:
             factor = rows[r][col] / pivot
             if factor:
                 rows[r] = [rv - factor * cv for rv, cv in zip(rows[r], rows[col])]
-    result = Fraction(sign)
-    for i in range(n):
-        result *= rows[i][i]
-    return result
+    return sign * prod(rows[i][i] for i in range(n))

@@ -71,7 +71,7 @@ class LogParams:
 
 def multi_poly_bernoulli(ks: Sequence[int], order: int) -> list[Fraction]:
     """B_n^{(k_1..k_r)} from Li_{(k)}(1-e^{-t})/(1-e^{-t})^r."""
-    return list(_bernoulli_egf(validate_kvector(ks), Fraction(0), order).coeffs)
+    return list(_bernoulli_egf(validate_kvector(ks), 0, order).coeffs)
 
 
 def multi_poly_euler(ks: Sequence[int], x: Fraction | int, order: int) -> list[Fraction]:
@@ -80,7 +80,7 @@ def multi_poly_euler(ks: Sequence[int], x: Fraction | int, order: int) -> list[F
     x = 0 gives the plain multi poly-Euler numbers; the first r of them
     always vanish because the numerator starts at degree r.
     """
-    return list(_xab_egf(ks, x, Fraction(0), Fraction(1), order).coeffs)
+    return list(_xab_egf(ks, x, 0, 1, order).coeffs)
 
 
 def multi_poly_euler_ab(ks: Sequence[int], params: LogParams, order: int) -> list[Fraction]:
@@ -90,7 +90,7 @@ def multi_poly_euler_ab(ks: Sequence[int], params: LogParams, order: int) -> lis
     so the whole sequence is zero; no special-casing is needed because the
     denominator keeps its nonzero constant term 2^r.
     """
-    return multi_poly_euler_xab(ks, Fraction(0), params, order)
+    return multi_poly_euler_xab(ks, 0, params, order)
 
 
 def multi_poly_euler_xab(
@@ -101,7 +101,7 @@ def multi_poly_euler_xab(
 
 
 def _xab_egf(
-    ks: Sequence[int], x: Fraction | int, alpha: Fraction, beta: Fraction, order: int
+    ks: Sequence[int], x: Fraction | int, alpha: Fraction | int, beta: Fraction | int, order: int
 ) -> Egf:
     """E_n^{(k)}(x; a, b) as the cached series itself, the Euler shape at
     w = r x: the list families read it, and the audit compares it as it is."""

@@ -6,10 +6,11 @@ is read off one of two shapes, the cached ``_euler_egf`` or
 with the three rationals as integer (numerator, denominator) pairs in lowest
 terms, so a lookup hashes only ints and equal rationals meet in one entry,
 whichever caller formed them.  Each Euler series is cached once: at w = 0
-it is the quotient itself, and at any other w it is the Taylor shift
-(``exact.egf_times_exp``) of that cached w = 0 entry by e^{wt}.  Both
-shapes' denominators, (e^{-alpha t} + e^{beta t})^r and (1-e^{-t})^r, are
-sums of r + 1 exponentials by the binomial theorem.  The Euler shape and
+it is the quotient itself, and at any other w it is the Taylor shift of
+that cached w = 0 entry by e^{wt} (``exact._times_exp``, which takes the
+key's w pair as it is).  Both shapes' denominators,
+(e^{-alpha t} + e^{beta t})^r and (1-e^{-t})^r, are sums of r + 1
+exponentials by the binomial theorem.  The Euler shape and
 the Sasaki variant's 2e^t + 2e^{-t} divide by their terms fraction-free
 through one cached row table per denominator and order
 (``exact.egf_div_exp_sum``); the Bernoulli shape builds its series with
@@ -37,12 +38,12 @@ from .exact import (
     _ratio,
     _reduced,
     _shift_down,
+    _times_exp,
     egf_div_exp_sum,
     egf_div_shifted,
     egf_exp_linear,
     egf_exp_sum,
     egf_mul,
-    egf_times_exp,
     integer_powers,
 )
 from .polylog import KVector, li_of_inner, validate_kvector
@@ -108,7 +109,7 @@ def _euler_egf(ks: KVector, w: Ratio, alpha: Ratio, beta: Ratio, order: int) -> 
     shift e^{wt} times the cached w = 0 series.
     """
     if w[0]:
-        return egf_times_exp(_euler_egf(ks, (0, 1), alpha, beta, order), Fraction(*w))
+        return _times_exp(_euler_egf(ks, (0, 1), alpha, beta, order), w)
     (a, a_den), (b, b_den) = alpha, beta
     # c = alpha + beta in lowest terms, or the division's integers grow.
     nums, den = _li_numerator_at(ks, _reduced(a * b_den + b * a_den, a_den * b_den), order)
@@ -116,7 +117,7 @@ def _euler_egf(ks: KVector, w: Ratio, alpha: Ratio, beta: Ratio, order: int) -> 
     return egf_div_exp_sum(numerator, _euler_terms(alpha, beta, len(ks)))
 
 
-def _bernoulli_egf(ks: KVector, x: Fraction, order: int) -> Egf:
+def _bernoulli_egf(ks: KVector, x: Fraction | int, order: int) -> Egf:
     """Li_ks(1-e^{-t}) / (1-e^{-t})^r e^{xt}, r = len(ks).
 
     Numerator and denominator both vanish to order exactly r (the nested sum
@@ -124,16 +125,17 @@ def _bernoulli_egf(ks: KVector, x: Fraction, order: int) -> Egf:
     """
     r = len(ks)
     work = order + r
-    quotient = egf_div_shifted(_li_numerator(ks, work), _one_minus_exp(work, r), r)
-    # Formed at x = 0 too, where it changes nothing: it is then the only
-    # egf_mul call of perfbench's seq-deep workload, and
+    # e^{xt} is formed first, so that a negative order is refused before the
+    # division.  It is formed at x = 0 too, where it changes nothing: it is
+    # then the only egf_mul call of perfbench's seq-deep workload, and
     # perfbench/workloads.EXPECTED_CALLS requires one.
-    return egf_mul(egf_exp_linear(x, order), quotient)
+    exp_xt = egf_exp_linear(x, order)
+    return egf_mul(exp_xt, egf_div_shifted(_li_numerator(ks, work), _one_minus_exp(work, r), r))
 
 
 def poly_bernoulli(k: int, x: Fraction | int, order: int) -> list[Fraction]:
     """B_n^{(k)}(x) for n = 0..order, from Li_k(1-e^{-t})/(1-e^{-t}) e^{xt}."""
-    return list(_bernoulli_egf(validate_kvector((k,)), Fraction(*_ratio(x)), order).coeffs)
+    return list(_bernoulli_egf(validate_kvector((k,)), x, order).coeffs)
 
 
 def poly_euler(k: int, x: Fraction | int, order: int) -> list[Fraction]:
@@ -147,6 +149,8 @@ def poly_euler_sasaki(k: int, order: int) -> list[Fraction]:
     # so the t cancels from the numerator alone: Li_k(1-e^{-4t})/t, taken
     # one order deeper, over the two exponentials.
     ks = validate_kvector((k,))
+    if order < 0:
+        raise ValueError("a series needs order >= 0")
     numerator = _shift_down(Egf.of(*_li_numerator_at(ks, (4, 1), order + 1)), 1)
     return list(egf_div_exp_sum(numerator, ((2, 1), (2, -1))).coeffs)
 

@@ -45,6 +45,8 @@ def multi_li_series(ks: Sequence[int], order: int) -> Egf:
     coeffs[m] collects every admissible index tuple ending at m_r = m, so
     the lowest possible nonzero degree is r.
     """
+    if order < 0:
+        raise ValueError("a series needs order >= 0")
     # row[m] / den = S_j(m), the sum over tuples of depth j ending at m_j = m;
     # the empty tuple (depth 0) ends at 0.  A positive index puts the row
     # over lcm(1..order)^k, so each depth divides by m^k exactly.  The rows

@@ -9,7 +9,7 @@ from hypothesis import given, strategies as st
 
 from polyeuler.classical import (
     EulerConvention,
-    _bernoulli_tuple,
+    _bernoulli_series,
     bernoulli_det,
     bernoulli_numbers,
     bernoulli_polynomial,
@@ -47,7 +47,7 @@ class TestBernoulliNumbers:
         order = 300
         divisor = [F(1, factorial(m + 1)) for m in range(order + 1)]
         expected = egf_from_ord(ord_div([F(1)] + [F(0)] * order, divisor, order))
-        _bernoulli_tuple.cache_clear()
+        _bernoulli_series.cache_clear()
         start = time.perf_counter()
         got = bernoulli_numbers(order)
         assert time.perf_counter() - start < 5
@@ -147,6 +147,21 @@ class TestPowerSums:
         with pytest.raises(ValueError):
             power_sum_closed(2, -3, sign)
 
+    CALLS = {
+        "direct.m": lambda v: power_sum(v, 3),
+        "direct.n": lambda v: power_sum(2, v),
+        "closed.m": lambda v: power_sum_closed(v, 3, "plus"),
+        "closed.n": lambda v: power_sum_closed(2, v, "plus"),
+    }
+
+    @pytest.mark.parametrize("value", [2.0, F(2), "2"], ids=["float", "fraction", "str"])
+    @pytest.mark.parametrize("call", sorted(CALLS))
+    def test_exponent_and_limit_must_be_ints(self, call, value):
+        """m and n are read as indices: power_sum(2.0, 3) summed to the float
+        14.0, and a ``Fraction`` m or n gave a value too."""
+        with pytest.raises(TypeError):
+            self.CALLS[call](value)
+
 
 class TestEulerNumbers:
     @pytest.mark.parametrize("convention", list(EulerConvention))
@@ -202,6 +217,10 @@ class TestDeterminantForms:
     @pytest.mark.parametrize("n", range(1, 7))
     def test_euler_matches_series(self, n):
         assert euler_det(n) == SECANT[n]
+
+    @pytest.mark.parametrize("form", [bernoulli_det, euler_det])
+    def test_values_are_fractions(self, form):
+        assert all(type(form(n)) is Fraction for n in range(1, 5))
 
     def test_rejects_nonpositive(self):
         with pytest.raises(ValueError):

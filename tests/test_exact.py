@@ -536,6 +536,31 @@ class TestIntegerTerms:
         assert _integer_terms([(1, F(2)), (3, F(-3, 3))]) == ((1, 3), (2, -1), 1)
 
 
+class TestEntriesReadIntOrFraction:
+    """Every entry of ``exact`` reads a caller's rational through ``_ratio``:
+    a float is refused, not read as its binary expansion (0.1 would be
+    3602879701896397/36028797018963968), and so is text."""
+
+    CALLS = {
+        "Egf": lambda v: Egf((1, v)),
+        "Egf.from_ordinary": lambda v: Egf.from_ordinary((v, 1)),
+        "Egf.constant": lambda v: Egf.constant(v, 2),
+        "egf_scale": lambda v: egf_scale(exp_t(2), v),
+        "det": lambda v: det([[1, v], [v, 1]]),
+        "integer_numerators": lambda v: integer_numerators([1, v]),
+        "egf_exp_linear": lambda v: egf_exp_linear(v, 2),
+        "egf_times_exp": lambda v: egf_times_exp(exp_t(2), v),
+        "egf_exp_sum": lambda v: egf_exp_sum(((1, v),), 2),
+        "egf_div_exp_sum": lambda v: egf_div_exp_sum(exp_t(2), ((1, v),)),
+    }
+
+    @pytest.mark.parametrize("value", [0.1, "1/2"], ids=["float", "str"])
+    @pytest.mark.parametrize("entry", sorted(CALLS))
+    def test_anything_else_raises_type_error(self, entry, value):
+        with pytest.raises(TypeError, match="must be an int or a Fraction"):
+            self.CALLS[entry](value)
+
+
 def wide_series(order):
     """A series whose numerators run to several hundred bits, signs mixed."""
     return Egf.of([(-1) ** n * (3 ** (n + 250) + 7**n) for n in range(order + 1)], 5**120)

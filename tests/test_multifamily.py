@@ -38,7 +38,8 @@ from polyeuler.multifamily import (
     thm4_explicit,
 )
 from polyeuler.classical import EulerConvention, euler_numbers
-from polyeuler.polyfamily import poly_bernoulli, poly_euler
+from polyeuler.polyfamily import poly_bernoulli, poly_euler, poly_euler_sasaki
+from polyeuler.polylog import li_of_inner, multi_li_series
 
 import oracles
 
@@ -174,6 +175,35 @@ class TestRationalsAreIntOrFraction:
     @pytest.mark.parametrize("entry", sorted(CALLS))
     def test_anything_else_raises_type_error(self, entry):
         with pytest.raises(TypeError, match="must be an int or a Fraction"):
+            self.CALLS[entry]()
+
+
+class TestNegativeOrderIsRefused:
+    """Every entry that takes an order refuses a negative one with the one
+    message, not with the error of a shift or a series it then cannot form."""
+
+    CALLS = {
+        "poly_bernoulli": lambda: poly_bernoulli(1, 0, -1),
+        "poly_euler": lambda: poly_euler(1, 0, -1),
+        "poly_euler_sasaki": lambda: poly_euler_sasaki(1, -1),
+        "multi_poly_bernoulli": lambda: multi_poly_bernoulli((1,), -1),
+        "multi_poly_euler": lambda: multi_poly_euler((1, 2), 0, -1),
+        "multi_poly_euler_ab": lambda: multi_poly_euler_ab((1,), _P, -1),
+        "multi_poly_euler_xab": lambda: multi_poly_euler_xab((1,), 1, _P, -1),
+        "poly_euler_abc": lambda: poly_euler_abc(1, 1, _P, -1),
+        "thm1_rhs": lambda: thm1_rhs((1,), _P, -1),
+        "thm2_rhs": lambda: thm2_rhs((1,), _P, -1),
+        "cor1_rhs": lambda: cor1_rhs((1,), 1, _P, -1),
+        "combined_rhs": lambda: combined_rhs((1,), 1, _P, -1),
+        "combined_rhs_printed": lambda: combined_rhs_printed((1,), 1, _P, -1),
+        "addition_rhs": lambda: addition_rhs((1,), 1, 1, _P, -1),
+        "multi_li_series": lambda: multi_li_series((1,), -1),
+        "li_of_inner": lambda: li_of_inner((1,), exact.Egf.of([0, 1]), -1),
+    }
+
+    @pytest.mark.parametrize("entry", sorted(CALLS))
+    def test_raises_the_order_error(self, entry):
+        with pytest.raises(ValueError, match="a series needs order >= 0"):
             self.CALLS[entry]()
 
 
@@ -511,7 +541,7 @@ class TestEulerShapeCaches:
         second()
         assert polyfamily._euler_egf.cache_info().misses == misses
 
-    CACHES = {"_euler_egf", "_li_numerator", "_shift_table", "_bernoulli_tuple", "_division_table"}
+    CACHES = {"_euler_egf", "_li_numerator", "_shift_table", "_bernoulli_series", "_division_table"}
 
     def test_every_cache_is_bounded(self):
         caches = _package_caches()
@@ -560,6 +590,24 @@ class TestEulerShapeCaches:
         assert len(calls) == 1044
         assert (table.hits, table.misses) == (956, 88)
         assert (euler.hits, euler.misses) == (10704, 3747)
+
+    def test_order_ten_audit_reads_rationals_once(self, monkeypatch):
+        """A count guard, not a timing: the seed-0 order-10 audit from cold
+        caches reads 39,655 rationals through the checked ``exact._ratio``.
+        Below it every rational is an integer pair, so a value turned back
+        into a ``Fraction`` and read again shows here as a higher count."""
+        calls = []
+        original = exact._ratio
+
+        def counted(value):
+            calls.append(None)
+            return original(value)
+
+        for cache in _package_caches():
+            cache.cache_clear()
+        _wrap_bindings(monkeypatch, {original: counted})
+        audit.run_all(0, 10)
+        assert len(calls) == 39655
 
 
 def _literal_shift(values, den, shift, scale, order):
@@ -636,6 +684,7 @@ SERIES_KERNELS = (
     "egf_div_shifted",
     "egf_div_exp_sum",
     "egf_times_exp",
+    "_times_exp",
     "egf_compose",
 )
 
