@@ -14,7 +14,17 @@ from math import comb, factorial
 from operator import index
 from typing import Sequence
 
-from .exact import Egf, det, egf_div_exp_sum, egf_div_shifted, egf_exp_sum
+from .exact import (
+    Egf,
+    RationalLike,
+    _dilate,
+    _ratio,
+    det,
+    egf_div_exp_sum,
+    egf_div_shifted,
+    egf_exp_sum,
+    integer_numerators,
+)
 
 
 class EulerConvention(enum.Enum):
@@ -48,11 +58,11 @@ def bernoulli_polynomial(n: int, order: int) -> list[Fraction]:
     return [Fraction(comb(n, j) * nums[n - j], den) for j in range(n + 1)]
 
 
-def poly_eval(coeffs: Sequence[Fraction], x: Fraction) -> Fraction:
-    result = Fraction(0)
-    for c in reversed(list(coeffs)):
-        result = result * x + c
-    return result
+def poly_eval(coeffs: Sequence[RationalLike], x: RationalLike) -> Fraction:
+    """sum_j coeffs[j] x^j, each value read by ``exact._ratio``: the
+    coefficients over one denominator dilated by x, summed over integers."""
+    nums, den = _dilate(*integer_numerators(coeffs), _ratio(x))
+    return Fraction(sum(nums), den)
 
 
 def power_sum(m: int, n: int) -> int:

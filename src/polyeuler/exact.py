@@ -6,8 +6,9 @@ denominator in lowest terms, and only in that form.  The kernels run over
 those integers; ``coeffs`` builds the ``fractions.Fraction`` values on each
 read.  Nothing here ever touches floating point: every rational a caller
 passes is read by ``_ratio``, which refuses a float or text, and is an
-integer pair below it; the Taylor shift ``_times_exp`` takes its rate as
-that pair.  The one cache here,
+integer pair below it: the kernels ``_times_exp`` (the Taylor shift),
+``_dilate`` (the one dilation t -> ct) and ``_div_exp_sum`` take integers.
+The one cache here,
 ``_division_table``, keeps what a division by a sum of exponentials needs
 of its divisor, so a repeated divisor is read instead of rebuilt.
 """
@@ -241,6 +242,8 @@ class Egf:
         return tuple(Fraction(v, den * factorial(n)) for n, v in enumerate(nums))
 
     def truncate(self, order: int) -> "Egf":
+        if order < 0:
+            raise ValueError("a series needs order >= 0")
         if order >= self.order:
             return self
         nums, den = self.numerators()
@@ -405,20 +408,23 @@ def egf_compose(f: Egf, g: Egf) -> Egf:
             out.append(e[0])
         return Egf.of(out, df)
     den, bell = _bell_table(u, den)
-    d_pow = integer_powers(den, n)
-    scaled = [a[m] * d_pow[n - m] for m in range(n + 1)]
-    return Egf.of((sum(map(mul, scaled, row)) for row in bell), df * d_pow[n])
+    scaled, den = _dilate(a[: n + 1], df, (1, den))
+    return Egf.of((sum(map(mul, scaled, row)) for row in bell), den)
+
+
+def _dilate(nums: Sequence[int], den: int, c: Ratio) -> tuple[list[int], int]:
+    """The series nums/den at c t for c = (p, q), not reduced: coefficient n
+    times p^n q^{N-n}, over den q^N, N = len(nums) - 1."""
+    p, q = c
+    tops, bottoms = integer_powers(p, len(nums) - 1), integer_powers(q, len(nums) - 1)
+    return list(map(mul, map(mul, nums, tops), reversed(bottoms))), den * bottoms[-1]
 
 
 def egf_exp_linear(value: RationalLike, order: int) -> Egf:
-    """The exponential e^{value * t}: with value = p/q, c_n = p^n q^{N-n} / q^N
-    (requires order >= 0)."""
+    """The exponential e^{value * t}, e^t dilated by value (requires order >= 0)."""
     if order < 0:
         raise ValueError("a series needs order >= 0")
-    p, q = _ratio(value)
-    tops = integer_powers(p, order)
-    bottoms = integer_powers(q, order)
-    return Egf.of((t * bottoms[order - n] for n, t in enumerate(tops)), bottoms[order])
+    return Egf.of(*_dilate([1] * (order + 1), 1, _ratio(value)))
 
 
 def _integer_terms(
@@ -445,15 +451,14 @@ def egf_exp_sum(terms: Iterable[tuple[int, RationalLike]], order: int) -> Egf:
     ``terms``, integer weights w_j and rational rates mu_j.
 
     With the rates over one denominator D (mu_j = M_j / D), coefficient n is
-    sum_j w_j M_j^n / D^n, summed over integers and lifted to D^N: no series
-    product is formed.  No terms give the zero series.  Requires order >= 0.
+    sum_j w_j M_j^n / D^n: the integer power sums dilated by 1/D, so no
+    series product is formed.  No terms give the zero series.  Requires
+    order >= 0.
     """
     if order < 0:
         raise ValueError("a series needs order >= 0")
     weights, tops, den = _integer_terms(terms)
-    den_pow = integer_powers(den, order)
-    sums = _power_sums(weights, tops, order)
-    return Egf.of((c * den_pow[order - n] for n, c in enumerate(sums)), den_pow[order])
+    return Egf.of(*_dilate(_power_sums(weights, tops, order), 1, (1, den)))
 
 
 # One table per divisor and order.  The audit's theorem grid cycles through
@@ -466,7 +471,7 @@ def _division_table(
     weights: tuple[int, ...], tops: tuple[int, ...], den: int, order: int
 ) -> tuple[tuple[tuple[int, ...], ...], int, int, tuple[int, ...]]:
     """(rows, lift, s, den_pow) for dividing by sum_j w_j e^{(tops[j]/K) t},
-    K = den, at the given order N: everything of ``egf_div_exp_sum`` that
+    K = den, at the given order N: everything of ``_div_exp_sum`` that
     does not depend on the numerator.
 
     With G_m = sum_j w_j tops[j]^m and s = G_0: rows[m] holds
@@ -484,10 +489,16 @@ def _division_table(
 
 def egf_div_exp_sum(f: Egf, terms: Iterable[tuple[int, RationalLike]]) -> Egf:
     """f divided by the sum of exponentials sum_j w_j e^{mu_j t}, the series
-    ``egf_exp_sum(terms, f.order)``, fraction-free in the manner of Bareiss.
+    ``egf_exp_sum(terms, f.order)``, by the kernel ``_div_exp_sum``."""
+    return _div_exp_sum(f, *_integer_terms(terms))
 
-    With the rates over one denominator K (mu_j = M_j / K), the quotient at
-    Kt is f(Kt) over the integer series G_n = sum_j w_j M_j^n.  So f(Kt),
+
+def _div_exp_sum(f: Egf, weights: tuple[int, ...], tops: tuple[int, ...], den: int) -> Egf:
+    """f divided by sum_j w_j e^{mu_j t}, given as integers: the weights w_j
+    and the rates over one denominator K = den, mu_j = tops[j] / K.
+
+    Fraction-free in the manner of Bareiss: the quotient at Kt is f(Kt) over
+    the integer series G_n = sum_j w_j tops[j]^n.  So f(Kt),
     coefficient n times K^n, is put in lowest terms once as a'/d', and with
     s = G_0 the weight sum the quotient at order N is
     h_n = Y_n / (d' s^{N+1} K^n) for the integers
@@ -498,7 +509,6 @@ def egf_div_exp_sum(f: Egf, terms: Iterable[tuple[int, RationalLike]]) -> Egf:
     (``_division_table``), so a repeated divisor costs one inner product
     per coefficient.  A zero weight sum raises DivisionByNonUnit.
     """
-    weights, tops, den = _integer_terms(terms)
     if sum(weights) == 0:
         raise DivisionByNonUnit("divisor has zero constant term")
     rows, lift, s, den_pow = _division_table(weights, tops, den, f.order)

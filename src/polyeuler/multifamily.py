@@ -41,7 +41,7 @@ from math import comb, factorial, lcm, prod
 from operator import mul
 from typing import Sequence
 
-from .exact import Egf, Ratio, _ratio, _reduced, integer_numerators, integer_powers
+from .exact import Egf, Ratio, _ratio, _reduced, integer_powers, lowest_terms
 from .polyfamily import _bernoulli_egf, _euler_egf
 from .polylog import KVector, validate_kvector
 
@@ -113,9 +113,11 @@ def poly_euler_abc(
     k: int, x: Fraction | int, params: LogParams, order: int
 ) -> list[Fraction]:
     """E_n^{(k)}(x; a, b, c) from 2 Li_k(1-(ab)^{-t})/(a^{-t}+b^t) c^{xt}:
-    the r = 1 series at argument gamma x."""
-    gamma_x = (params.gamma or 0) * Fraction(*_ratio(x))
-    return list(_xab_egf((k,), gamma_x, params.alpha, params.beta, order).coeffs)
+    the r = 1 Euler shape at w = gamma x, formed from the two pairs."""
+    (p, q), (g, g_den) = _ratio(x), _ratio(params.gamma or 0)
+    alpha, beta = _ratio(params.alpha), _ratio(params.beta)
+    w = _reduced(g * p, g_den * q)
+    return list(_euler_egf(validate_kvector((k,)), w, alpha, beta, order).coeffs)
 
 
 def _times(k: int, value: Fraction | int) -> Ratio:
@@ -135,7 +137,7 @@ def thm1_rhs(ks: Sequence[int], params: LogParams, order: int) -> Egf:
     """Registered identity thm1, right side: E_n(ln a/(ln a+ln b)) (ln a+ln b)^n.
 
     With E_n = v_n / D and ln a+ln b = l/l', term n is v_n l^n l'^{N-n}
-    over D l'^N.
+    over D l'^N, summed here and not by the series kernel ``exact._dilate``.
     """
     (a, ad), (lab, lab_den) = _log_ratios(params)
     if lab == 0:
@@ -381,8 +383,10 @@ def thm4_explicit(
     if n < 0:
         raise ValueError("n must be nonnegative")
     delta = 1 if variant == "statement" else 0
-    shift = Fraction(*_ratio(x)) * (params.gamma or 0)
-    (g, a, b), den = integer_numerators((shift, params.alpha, params.beta))
+    (p, q), (g, g_den) = _ratio(x), _ratio(params.gamma or 0)
+    (a, a_den), (b, b_den) = _ratio(params.alpha), _ratio(params.beta)
+    nums = (g * p * a_den * b_den, a * g_den * q * b_den, b * g_den * q * a_den)
+    (g, a, b), den = lowest_terms(nums, g_den * q * a_den * b_den)
     powers = [(g - (s + 1) * a - (s + delta) * b) ** n for s in range(n + 1)]
     big = lcm(*range(1, n + 1))
     total = 0

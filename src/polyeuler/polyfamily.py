@@ -10,15 +10,14 @@ it is the quotient itself, and at any other w it is the Taylor shift of
 that cached w = 0 entry by e^{wt} (``exact._times_exp``, which takes the
 key's w pair as it is).  Both shapes' denominators,
 (e^{-alpha t} + e^{beta t})^r and (1-e^{-t})^r, are sums of r + 1
-exponentials by the binomial theorem.  The Euler shape and
-the Sasaki variant's 2e^t + 2e^{-t} divide by their terms fraction-free
-through one cached row table per denominator and order
-(``exact.egf_div_exp_sum``); the Bernoulli shape builds its series with
-``exact.egf_exp_sum`` to cancel t^r first.
-Every numerator is read off one cached series, Li_ks(1-e^{-t}):
+exponentials by the binomial theorem.  The Euler shape and the Sasaki
+variant's 2e^t + 2e^{-t} hand their terms as integers to the fraction-free
+``exact._div_exp_sum``, one cached row table per denominator and order;
+the Bernoulli shape builds its series with ``exact.egf_exp_sum`` to cancel
+t^r first.  Every numerator is read off one cached series, Li_ks(1-e^{-t}):
 the Bernoulli shape uses it as it is, and Li_ks(1-e^{-ct}) of the Euler
-shape (c = alpha + beta) and of the Sasaki variant (c = 4) is it with
-coefficient n scaled by c^n.
+shape (c = alpha + beta) and of the Sasaki variant (c = 4) is it dilated
+by c, coefficient n times c^n (``exact._dilate``).
 The lonesum count is the combinatorial side of the negative-index
 poly-Bernoulli identity and is computed by brute enumeration, which keeps it
 an independent ground truth.
@@ -35,16 +34,17 @@ from math import comb
 from .exact import (
     Egf,
     Ratio,
+    _dilate,
+    _div_exp_sum,
     _ratio,
     _reduced,
     _shift_down,
     _times_exp,
-    egf_div_exp_sum,
     egf_div_shifted,
     egf_exp_linear,
     egf_exp_sum,
     egf_mul,
-    integer_powers,
+    lowest_terms,
 )
 from .polylog import KVector, li_of_inner, validate_kvector
 
@@ -66,32 +66,15 @@ def _li_numerator(ks: KVector, order: int) -> Egf:
     return li_of_inner(ks, _one_minus_exp(order), order)
 
 
-def _li_numerator_at(ks: KVector, c: Ratio, order: int) -> tuple[list[int], int]:
-    """Li_ks(1-e^{-ct}) as integer numerators over one denominator.
-
-    Kaneko's Stirling form makes coefficient n of Li_ks(1-e^{-ct}) that of
-    the cached Li_ks(1-e^{-t}) times c^n, so no other numerator is composed:
-    with c = p/q, a pair in lowest terms, coefficient n is scaled by
-    p^n q^{N-n} over q^N.
-    """
-    p, q = c
-    tops, bottoms = integer_powers(p, order), integer_powers(q, order)
-    nums, den = _li_numerator(ks, order).numerators()
-    scaled = [t * bottoms[order - n] * v for n, (t, v) in enumerate(zip(tops, nums))]
-    return scaled, bottoms[order] * den
-
-
-def _euler_terms(alpha: Ratio, beta: Ratio, r: int) -> tuple[tuple[int, Fraction], ...]:
-    """(e^{-alpha t} + e^{beta t})^r = sum_i C(r,i) e^{(i beta - (r-i) alpha)t},
-    as the (weight, rate) terms that ``exact`` takes for a sum of exponentials.
-
-    With alpha = a/a' and beta = b/b' as integer pairs, each rate is the one
-    integer quotient (i b a' - (r-i) a b') / (a' b')."""
+def _euler_terms(alpha: Ratio, beta: Ratio, r: int) -> tuple[tuple[int, ...], tuple[int, ...], int]:
+    """(e^{-alpha t} + e^{beta t})^r = sum_i C(r,i) e^{(i beta - (r-i) alpha)t}
+    as the (weights, tops, K) of ``exact._integer_terms``, so that int and
+    ``Fraction`` rates meet in one division table.  With alpha = a/a' and
+    beta = b/b', rate i is (i b a' - (r-i) a b') / (a' b'), and
+    ``lowest_terms`` puts the rates over their least common denominator K."""
     (a, a_den), (b, b_den) = alpha, beta
-    den = a_den * b_den
-    return tuple(
-        (comb(r, i), Fraction(i * b * a_den - (r - i) * a * b_den, den)) for i in range(r + 1)
-    )
+    rates = (i * b * a_den - (r - i) * a * b_den for i in range(r + 1))
+    return tuple(comb(r, i) for i in range(r + 1)), *lowest_terms(rates, a_den * b_den)
 
 
 @lru_cache(maxsize=4096)
@@ -102,7 +85,7 @@ def _euler_egf(ks: KVector, w: Ratio, alpha: Ratio, beta: Ratio, order: int) -> 
     (w, alpha, beta), each an integer pair in lowest terms (``exact._ratio``,
     ``exact._reduced``), so that a lookup hashes only ints and equal
     rationals share one entry.  At w = 0 it is the quotient itself: the
-    numerator is read off the cached Li_ks(1-e^{-t}) and divided
+    numerator is the cached Li_ks(1-e^{-t}) dilated by alpha + beta, divided
     fraction-free by the r + 1 exponentials of the denominator, which is
     never rescaled from another (alpha, beta), so thm1's
     t -> (alpha+beta)t law is still checked.  Any other w is the Taylor
@@ -112,9 +95,10 @@ def _euler_egf(ks: KVector, w: Ratio, alpha: Ratio, beta: Ratio, order: int) -> 
         return _times_exp(_euler_egf(ks, (0, 1), alpha, beta, order), w)
     (a, a_den), (b, b_den) = alpha, beta
     # c = alpha + beta in lowest terms, or the division's integers grow.
-    nums, den = _li_numerator_at(ks, _reduced(a * b_den + b * a_den, a_den * b_den), order)
+    c = _reduced(a * b_den + b * a_den, a_den * b_den)
+    nums, den = _dilate(*_li_numerator(ks, order).numerators(), c)
     numerator = Egf.of([2 * v for v in nums], den)
-    return egf_div_exp_sum(numerator, _euler_terms(alpha, beta, len(ks)))
+    return _div_exp_sum(numerator, *_euler_terms(alpha, beta, len(ks)))
 
 
 def _bernoulli_egf(ks: KVector, x: Fraction | int, order: int) -> Egf:
@@ -147,12 +131,13 @@ def poly_euler_sasaki(k: int, order: int) -> list[Fraction]:
     """Sasaki-style poly-Euler numbers from Li_k(1-e^{-4t})/(4t cosh t)."""
     # 4t cosh t = t (2e^t + 2e^{-t}), and Li_k(1-e^{-4t}) vanishes at t = 0,
     # so the t cancels from the numerator alone: Li_k(1-e^{-4t})/t, taken
-    # one order deeper, over the two exponentials.
+    # one order deeper, over the two exponentials, weights 2 and rates +-1.
     ks = validate_kvector((k,))
     if order < 0:
         raise ValueError("a series needs order >= 0")
-    numerator = _shift_down(Egf.of(*_li_numerator_at(ks, (4, 1), order + 1)), 1)
-    return list(egf_div_exp_sum(numerator, ((2, 1), (2, -1))).coeffs)
+    nums, den = _dilate(*_li_numerator(ks, order + 1).numerators(), (4, 1))
+    numerator = _shift_down(Egf.of(nums, den), 1)
+    return list(_div_exp_sum(numerator, (2, 2), (1, -1), 1).coeffs)
 
 
 def lonesum_count(n: int, k: int) -> int:

@@ -85,6 +85,23 @@ class TestBernoulliPolynomial:
         with pytest.raises(ValueError):
             bernoulli_polynomial(5, 4)
 
+
+class TestPolyEval:
+    def test_value_is_a_fraction(self):
+        assert poly_eval([F(1, 3), F(-2, 5), 7], F(-3, 4)) == F(1097, 240)
+        assert type(poly_eval([1, 2], 3)) is Fraction
+        assert poly_eval([], F(2, 3)) == 0
+
+    def test_float_x_is_refused(self):
+        """A float is not read as its binary expansion; at 0.5 the sum would
+        be the float 2.0."""
+        with pytest.raises(TypeError, match="must be an int or a Fraction"):
+            poly_eval([1, 2], 0.5)
+
+    def test_float_coefficient_is_refused(self):
+        with pytest.raises(TypeError, match="must be an int or a Fraction"):
+            poly_eval([1, 0.5], F(1, 3))
+
     def test_negative_degree_rejected(self):
         with pytest.raises(ValueError):
             bernoulli_polynomial(-2, 3)

@@ -14,6 +14,7 @@ from polyeuler.exact import (
     NonNilpotentInner,
     NotSquare,
     _bell_table,
+    _dilate,
     _division_table,
     _integer_terms,
     _ratio,
@@ -353,6 +354,28 @@ class TestExpLinearAndPow:
     def test_negative_order_rejected(self):
         with pytest.raises(ValueError):
             egf_exp_linear(1, -1)
+
+
+class TestDilate:
+    """``_dilate`` is the series at c t, coefficient n times c^n."""
+
+    @given(
+        nums=st.lists(st.integers(min_value=-10**6, max_value=10**6), min_size=1, max_size=13),
+        den=st.integers(min_value=1, max_value=10**4),
+        c=st.fractions(min_value=-9, max_value=9, max_denominator=9),
+    )
+    @example(nums=[3, -1, 4, 1, -5], den=7, c=F(-7, 3))
+    @example(nums=[3, -1, 4, 1, -5], den=7, c=F(0))
+    @example(nums=[-2], den=9, c=F(5, 4))
+    def test_matches_fraction_arithmetic(self, nums, den, c):
+        scaled, scaled_den = _dilate(nums, den, c.as_integer_ratio())
+        assert [F(v, scaled_den) for v in scaled] == [F(v, den) * c**n for n, v in enumerate(nums)]
+
+    def test_is_not_reduced(self):
+        """Coefficient n times p^n q^{N-n}, over den q^N."""
+        assert _dilate([2, 4, 6], 3, (1, 2)) == ([8, 8, 6], 12)
+        assert _dilate([2, 4, 6], 3, (-3, 2)) == ([8, -24, 54], 12)
+        assert _dilate([2, 4, 6], 3, (0, 1)) == ([2, 0, 0], 3)
 
 
 def _sum_of_exponentials(terms, order):

@@ -199,6 +199,7 @@ class TestNegativeOrderIsRefused:
         "addition_rhs": lambda: addition_rhs((1,), 1, 1, _P, -1),
         "multi_li_series": lambda: multi_li_series((1,), -1),
         "li_of_inner": lambda: li_of_inner((1,), exact.Egf.of([0, 1]), -1),
+        "Egf.truncate": lambda: exact.Egf.of((1, 2, 3, 4, 5, 6)).truncate(-3),
     }
 
     @pytest.mark.parametrize("entry", sorted(CALLS))
@@ -561,8 +562,8 @@ class TestEulerShapeCaches:
 
     def test_integer_and_fraction_callers_share_a_division_table(self):
         """``classical.euler_numbers`` divides by 1 + e^t with integer rates,
-        the Euler shape at alpha = 0, beta = 1, r = 1 with ``Fraction``
-        rates: one table serves both."""
+        the Euler shape at alpha = 0, beta = 1, r = 1 with the integers of
+        its key's pairs: one table serves both."""
         exact._division_table.cache_clear()
         polyfamily._euler_egf.cache_clear()
         euler_numbers(8, EulerConvention.GENOCCHI_TYPE)
@@ -576,11 +577,11 @@ class TestEulerShapeCaches:
         3 Sasaki divisions by 2e^t + 2e^{-t}, so the division table builds
         88 times and is read 956 times more."""
         calls = []
-        original = exact.egf_div_exp_sum
+        original = exact._div_exp_sum
 
-        def counted(f, terms):
+        def counted(f, *divisor):
             calls.append(f.order)
-            return original(f, terms)
+            return original(f, *divisor)
 
         for cache in _package_caches():
             cache.cache_clear()
@@ -593,7 +594,7 @@ class TestEulerShapeCaches:
 
     def test_order_ten_audit_reads_rationals_once(self, monkeypatch):
         """A count guard, not a timing: the seed-0 order-10 audit from cold
-        caches reads 39,655 rationals through the checked ``exact._ratio``.
+        caches reads 36,941 rationals through the checked ``exact._ratio``.
         Below it every rational is an integer pair, so a value turned back
         into a ``Fraction`` and read again shows here as a higher count."""
         calls = []
@@ -607,7 +608,7 @@ class TestEulerShapeCaches:
             cache.cache_clear()
         _wrap_bindings(monkeypatch, {original: counted})
         audit.run_all(0, 10)
-        assert len(calls) == 39655
+        assert len(calls) == 36941
 
 
 def _literal_shift(values, den, shift, scale, order):
@@ -683,6 +684,8 @@ SERIES_KERNELS = (
     "egf_div",
     "egf_div_shifted",
     "egf_div_exp_sum",
+    "_div_exp_sum",
+    "_dilate",
     "egf_times_exp",
     "_times_exp",
     "egf_compose",
@@ -750,7 +753,7 @@ class TestRightSidesCallNoSeriesKernel:
         assert recorded["outside"] == []
         if name != "_binomial_shift":
             # The wrappers are live: the cold Euler reads divided.
-            assert "egf_div_exp_sum" in recorded["inside"]
+            assert "_div_exp_sum" in recorded["inside"]
 
 
 def _pair(value):
@@ -866,15 +869,14 @@ class TestLeftSidesDivideByTheirOwnTerms:
 
     @pytest.fixture
     def divisions(self, monkeypatch):
-        """Wrap every module binding of ``egf_div_exp_sum`` and clear the
-        caches; yields the terms of each division."""
+        """Wrap every module binding of ``exact._div_exp_sum`` and clear the
+        caches; yields the integers of each divisor."""
         terms = []
-        original = exact.egf_div_exp_sum
+        original = exact._div_exp_sum
 
-        def wrapper(f, divisor):
-            divisor = tuple(divisor)
+        def wrapper(f, *divisor):
             terms.append(divisor)
-            return original(f, divisor)
+            return original(f, *divisor)
 
         for cache in _package_caches():
             cache.cache_clear()

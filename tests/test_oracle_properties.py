@@ -17,6 +17,7 @@ from polyeuler import multifamily
 from polyeuler.exact import (
     Egf,
     _bell_table,
+    _dilate,
     egf_add,
     egf_compose,
     egf_div,
@@ -26,7 +27,7 @@ from polyeuler.exact import (
     integer_numerators,
 )
 from polyeuler.multifamily import LogParams
-from polyeuler.polyfamily import _li_numerator_at
+from polyeuler.polyfamily import _li_numerator
 from polyeuler.polylog import li_of_inner, multi_li_series
 
 import oracles
@@ -188,9 +189,10 @@ def test_compose_with_one_minus_exp_at_order_40(scale):
 @example(ks=(3, 1, -1), scale=F(-7, 3), order=12)
 @example(ks=(-3, 2), scale=F(0), order=12)
 def test_li_numerator_at_matches_composition(ks, scale, order):
-    """Li_ks(1 - e^{-ct}) by the c^n rule against composing the enumerated
-    nested sum with 1 - e^{-ct}."""
-    nums, den = _li_numerator_at(ks, scale.as_integer_ratio(), order)
+    """Li_ks(1 - e^{-ct}) as the Euler shape forms it, the cached
+    Li_ks(1 - e^{-t}) dilated by c, against composing the enumerated nested
+    sum with 1 - e^{-ct}."""
+    nums, den = _dilate(*_li_numerator(ks, order).numerators(), scale.as_integer_ratio())
     want = ord_compose(multi_li_ordinary(ks, order), one_minus_exp(-scale, order), order)
     assert [F(v, den) for v in nums] == egf_from_ord(want)
 

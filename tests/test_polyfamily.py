@@ -1,13 +1,21 @@
 """Poly-Bernoulli/Euler sequences and the lonesum enumeration oracle."""
 
 from fractions import Fraction
-from math import comb
+from math import comb, gcd
 
 import pytest
 from hypothesis import given, strategies as st
 
 from polyeuler.classical import bernoulli_numbers, bernoulli_polynomial, poly_eval
-from polyeuler.exact import Egf, egf_add, egf_exp_linear, egf_exp_sum, egf_mul, egf_scale
+from polyeuler.exact import (
+    Egf,
+    _integer_terms,
+    egf_add,
+    egf_exp_linear,
+    egf_exp_sum,
+    egf_mul,
+    egf_scale,
+)
 from polyeuler.polyfamily import (
     TooLarge,
     _euler_terms,
@@ -147,20 +155,31 @@ class TestBinomialDenominators:
     @given(alpha=rationals, beta=rationals, r=depths, order=orders)
     def test_euler_shape_equals_egf_pow(self, alpha, beta, r, order):
         base = egf_add(egf_exp_linear(-alpha, order), egf_exp_linear(beta, order))
-        terms = _euler_terms(alpha.as_integer_ratio(), beta.as_integer_ratio(), r)
+        weights, tops, den = _euler_terms(alpha.as_integer_ratio(), beta.as_integer_ratio(), r)
+        terms = [(weight, F(top, den)) for weight, top in zip(weights, tops)]
         assert egf_exp_sum(terms, order) == _power(base, r)
 
-    @given(
-        alpha=st.fractions(max_denominator=10**6),
-        beta=st.fractions(max_denominator=10**6),
-        r=depths,
-    )
+    pairs = st.fractions(max_denominator=10**6).map(Fraction.as_integer_ratio)
+
+    @given(alpha=pairs, beta=pairs, r=depths)
     def test_euler_terms_are_the_binomial_rates(self, alpha, beta, r):
-        """Each rate, made as one integer quotient, is i beta - (r-i) alpha
-        in Fraction arithmetic."""
-        terms = _euler_terms(alpha.as_integer_ratio(), beta.as_integer_ratio(), r)
-        assert terms == tuple((comb(r, i), i * beta - (r - i) * alpha) for i in range(r + 1))
-        assert all(type(rate) is Fraction for _, rate in terms)
+        """Weight i is C(r, i) and rate i, formed over integers, is
+        i beta - (r-i) alpha in Fraction arithmetic; the rates share one
+        positive denominator that no factor of all the tops divides."""
+        weights, tops, den = _euler_terms(alpha, beta, r)
+        assert weights == tuple(comb(r, i) for i in range(r + 1))
+        assert [F(top, den) for top in tops] == [
+            i * F(*beta) - (r - i) * F(*alpha) for i in range(r + 1)
+        ]
+        assert den > 0 and gcd(den, *tops) == 1
+
+    @given(alpha=pairs, beta=pairs, r=st.integers(min_value=1, max_value=8))
+    def test_euler_terms_are_the_integer_terms_of_the_rates(self, alpha, beta, r):
+        """The integers equal what ``exact._integer_terms`` makes of the
+        Fraction rates, so ``classical.euler_numbers``, which passes its
+        rates as ints, and the Euler shape key one division table alike."""
+        rates = [(comb(r, i), i * F(*beta) - (r - i) * F(*alpha)) for i in range(r + 1)]
+        assert _euler_terms(alpha, beta, r) == _integer_terms(rates)
 
     @given(r=depths, order=orders)
     def test_bernoulli_shape_equals_egf_pow(self, r, order):
