@@ -11,13 +11,13 @@ import enum
 from fractions import Fraction
 from functools import lru_cache
 from math import comb, factorial
-from operator import index
 from typing import Sequence
 
 from .exact import (
     Egf,
     RationalLike,
     _dilate,
+    _order,
     _ratio,
     det,
     egf_div_exp_sum,
@@ -41,7 +41,7 @@ def _bernoulli_series(order: int) -> Egf:
 
 def bernoulli_numbers(order: int) -> list[Fraction]:
     """B_0..B_order from t/(e^t - 1); the B_1 = -1/2 convention."""
-    return list(_bernoulli_series(order).coeffs)
+    return list(_bernoulli_series(_order(order)).coeffs)
 
 
 def bernoulli_polynomial(n: int, order: int) -> list[Fraction]:
@@ -50,8 +50,7 @@ def bernoulli_polynomial(n: int, order: int) -> list[Fraction]:
     Expansion of the n-th coefficient of t e^{xt}/(e^t - 1), which is the
     binomial combination sum_j C(n,j) B_{n-j} x^j.
     """
-    if n < 0:
-        raise ValueError("polynomial degree must be >= 0")
+    n, order = _order(n, "polynomial degree must be >= 0"), _order(order)
     if n > order:
         raise ValueError("polynomial degree exceeds the series order")
     nums, den = _bernoulli_series(order).numerators()
@@ -67,11 +66,7 @@ def poly_eval(coeffs: Sequence[RationalLike], x: RationalLike) -> Fraction:
 
 def power_sum(m: int, n: int) -> int:
     """Direct summation 1^m + 2^m + ... + n^m."""
-    m, n = index(m), index(n)
-    if m < 0:
-        raise ValueError("exponent m must be >= 0")
-    if n < 0:
-        raise ValueError("upper limit n must be >= 0")
+    m, n = _order(m, "exponent m must be >= 0"), _order(n, "upper limit n must be >= 0")
     return sum(k**m for k in range(1, n + 1))
 
 
@@ -82,11 +77,7 @@ def power_sum_closed(m: int, n: int, b1_sign: str) -> Fraction:
     conventions disagree about whether the sum counts k=n or k=0.  Both read
     the cached t/(e^t - 1) over its common denominator D, where B_1 = -D/2.
     """
-    m, n = index(m), index(n)
-    if m < 0:
-        raise ValueError("exponent m must be >= 0")
-    if n < 0:
-        raise ValueError("upper limit n must be >= 0")
+    m, n = _order(m, "exponent m must be >= 0"), _order(n, "upper limit n must be >= 0")
     if b1_sign not in ("plus", "minus"):
         raise ValueError(f"b1_sign must be 'plus' or 'minus', got {b1_sign!r}")
     nums, den = _bernoulli_series(max(m, 1)).numerators()

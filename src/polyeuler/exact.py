@@ -5,10 +5,11 @@ where the series is sum c_n t^n / n!, as integer numerators over one positive
 denominator in lowest terms, and only in that form.  The kernels run over
 those integers; ``coeffs`` builds the ``fractions.Fraction`` values on each
 read.  Nothing here ever touches floating point: every rational a caller
-passes is read by ``_ratio``, which refuses a float or text, and is an
-integer pair below it: the kernels ``_times_exp`` (the Taylor shift),
-``_dilate`` (the one dilation t -> ct) and ``_div_exp_sum`` take integers.
-The one cache here,
+passes is read by ``_ratio``, which refuses a float or text, and every
+order by ``_order``, which refuses a float order before a cache could
+answer it.  Below them a rational is an integer pair: the kernels
+``_times_exp`` (the Taylor shift), ``_dilate`` (the one dilation t -> ct)
+and ``_div_exp_sum`` take integers.  The one cache here,
 ``_division_table``, keeps what a division by a sum of exponentials needs
 of its divisor, so a repeated divisor is read instead of rebuilt.
 """
@@ -20,7 +21,7 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import accumulate, repeat
 from math import comb, factorial, gcd, lcm, prod
-from operator import add, mul
+from operator import add, index, mul
 from typing import Iterable, Sequence, Union
 
 RationalLike = Union[Fraction, int]
@@ -109,6 +110,17 @@ def _ratio(value: RationalLike) -> Ratio:
     if type(value) not in (int, Fraction):
         raise TypeError(f"a rational must be an int or a Fraction, not {type(value).__name__}")
     return value.as_integer_ratio()
+
+
+def _order(value: int, message: str = "a series needs order >= 0") -> int:
+    """A series order, or another count that must not be negative, read by
+    ``operator.index`` before any cache is: a float, a ``Fraction`` or text
+    raises TypeError (4.0 would hash like a cached 4), a negative value
+    ValueError(message)."""
+    value = index(value)
+    if value < 0:
+        raise ValueError(message)
+    return value
 
 
 def integer_numerators(values: Iterable[RationalLike]) -> tuple[list[int], int]:
@@ -213,22 +225,18 @@ class Egf:
 
     @classmethod
     def zero(cls, order: int) -> "Egf":
-        return cls.of((0,) * (order + 1))
+        return cls.of((0,) * (_order(order) + 1))
 
     @classmethod
     def constant(cls, value: RationalLike, order: int) -> "Egf":
         """The constant series ``value`` (requires order >= 0)."""
-        if order < 0:
-            raise ValueError("a series needs order >= 0")
         p, q = _ratio(value)
-        return cls.of((p,) + (0,) * order, q)
+        return cls.of((p,) + (0,) * _order(order), q)
 
     @classmethod
     def t(cls, order: int) -> "Egf":
         """The series t itself (requires order >= 1)."""
-        if order < 1:
-            raise ValueError("t needs order >= 1")
-        return cls.of((0, 1) + (0,) * (order - 1))
+        return cls.of((0, 1) + (0,) * _order(order - 1, "t needs order >= 1"))
 
     @classmethod
     def from_ordinary(cls, ordinary: Sequence[RationalLike]) -> "Egf":
@@ -242,8 +250,7 @@ class Egf:
         return tuple(Fraction(v, den * factorial(n)) for n, v in enumerate(nums))
 
     def truncate(self, order: int) -> "Egf":
-        if order < 0:
-            raise ValueError("a series needs order >= 0")
+        order = _order(order)
         if order >= self.order:
             return self
         nums, den = self.numerators()
@@ -325,8 +332,7 @@ def egf_div_shifted(f: Egf, g: Egf, shift: int) -> Egf:
     ``shift``.  This keeps divisions like t/(e^t - 1) well defined without
     silently guessing a cancellation.
     """
-    if shift < 0:
-        raise ValueError("shift must be >= 0")
+    shift = _order(shift, "shift must be >= 0")
     if shift == 0:
         return egf_div(f, g)
     if f.order < shift or g.order < shift:
@@ -422,9 +428,7 @@ def _dilate(nums: Sequence[int], den: int, c: Ratio) -> tuple[list[int], int]:
 
 def egf_exp_linear(value: RationalLike, order: int) -> Egf:
     """The exponential e^{value * t}, e^t dilated by value (requires order >= 0)."""
-    if order < 0:
-        raise ValueError("a series needs order >= 0")
-    return Egf.of(*_dilate([1] * (order + 1), 1, _ratio(value)))
+    return Egf.of(*_dilate([1] * (_order(order) + 1), 1, _ratio(value)))
 
 
 def _integer_terms(
@@ -432,10 +436,11 @@ def _integer_terms(
 ) -> tuple[tuple[int, ...], tuple[int, ...], int]:
     """(weights, tops, K) for the terms (w_j, mu_j): the rates over their
     least common denominator K as mu_j = tops[j] / K.  An int rate and the
-    equal ``Fraction`` give the same integers."""
+    equal ``Fraction`` give the same integers; each weight is read with
+    ``operator.index``, so a float weight never keys a division table."""
     terms = tuple(terms)
     tops, den = integer_numerators([rate for _, rate in terms])
-    return tuple([weight for weight, _ in terms]), tuple(tops), den
+    return tuple([index(weight) for weight, _ in terms]), tuple(tops), den
 
 
 def _power_sums(weights: Sequence[int], tops: Sequence[int], order: int) -> list[int]:
@@ -455,10 +460,8 @@ def egf_exp_sum(terms: Iterable[tuple[int, RationalLike]], order: int) -> Egf:
     series product is formed.  No terms give the zero series.  Requires
     order >= 0.
     """
-    if order < 0:
-        raise ValueError("a series needs order >= 0")
     weights, tops, den = _integer_terms(terms)
-    return Egf.of(*_dilate(_power_sums(weights, tops, order), 1, (1, den)))
+    return Egf.of(*_dilate(_power_sums(weights, tops, _order(order)), 1, (1, den)))
 
 
 # One table per divisor and order.  The audit's theorem grid cycles through

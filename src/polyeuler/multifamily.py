@@ -41,7 +41,7 @@ from math import comb, factorial, lcm, prod
 from operator import mul
 from typing import Sequence
 
-from .exact import Egf, Ratio, _ratio, _reduced, integer_powers, lowest_terms
+from .exact import Egf, Ratio, _order, _ratio, _reduced, integer_powers, lowest_terms
 from .polyfamily import _bernoulli_egf, _euler_egf
 from .polylog import KVector, validate_kvector
 
@@ -106,7 +106,7 @@ def _xab_egf(
     """E_n^{(k)}(x; a, b) as the cached series itself, the Euler shape at
     w = r x: the list families read it, and the audit compares it as it is."""
     ks = validate_kvector(ks)
-    return _euler_egf(ks, _times(len(ks), x), _ratio(alpha), _ratio(beta), order)
+    return _euler_egf(ks, _times(len(ks), x), _ratio(alpha), _ratio(beta), _order(order))
 
 
 def poly_euler_abc(
@@ -117,7 +117,7 @@ def poly_euler_abc(
     (p, q), (g, g_den) = _ratio(x), _ratio(params.gamma or 0)
     alpha, beta = _ratio(params.alpha), _ratio(params.beta)
     w = _reduced(g * p, g_den * q)
-    return list(_euler_egf(validate_kvector((k,)), w, alpha, beta, order).coeffs)
+    return list(_euler_egf(validate_kvector((k,)), w, alpha, beta, _order(order)).coeffs)
 
 
 def _times(k: int, value: Fraction | int) -> Ratio:
@@ -144,7 +144,7 @@ def thm1_rhs(ks: Sequence[int], params: LogParams, order: int) -> Egf:
         raise DegenerateParams("thm1 requires ln a + ln b != 0")
     ks = validate_kvector(ks)
     w = _reduced(len(ks) * a * lab_den, ad * lab)
-    v, den = _euler_egf(ks, w, (0, 1), (1, 1), order).numerators()
+    v, den = _euler_egf(ks, w, (0, 1), (1, 1), _order(order)).numerators()
     top = integer_powers(lab, order)
     bottom = integer_powers(lab_den, order)
     nums = (v[n] * top[n] * bottom[order - n] for n in range(order + 1))
@@ -198,14 +198,14 @@ def thm2_rhs(ks: Sequence[int], params: LogParams, order: int) -> Egf:
     """
     ks = validate_kvector(ks)
     (a, ad), lab = _log_ratios(params)
-    plain = _euler_egf(ks, (0, 1), (0, 1), (1, 1), order).numerators()
+    plain = _euler_egf(ks, (0, 1), (0, 1), (1, 1), _order(order)).numerators()
     return _binomial_shift(plain, _reduced(len(ks) * a, ad), lab, order)
 
 
 def cor1_rhs(ks: Sequence[int], x: Fraction | int, params: LogParams, order: int) -> Egf:
     """Registered identity cor1, right side: sum_i C(n,i) r^{n-i} E_i(a,b) x^{n-i}."""
     ks = validate_kvector(ks)
-    ab = _euler_egf(ks, (0, 1), _ratio(params.alpha), _ratio(params.beta), order).numerators()
+    ab = _euler_egf(ks, (0, 1), _ratio(params.alpha), _ratio(params.beta), _order(order)).numerators()
     return _binomial_shift(ab, _times(len(ks), x), (1, 1), order)
 
 
@@ -223,7 +223,7 @@ def _combined_sum(
     ks = validate_kvector(ks)
     r = len(ks)
     (a, ad), lab = _log_ratios(params)
-    plain = _euler_egf(ks, (0, 1), (0, 1), (1, 1), order).numerators()
+    plain = _euler_egf(ks, (0, 1), (0, 1), (1, 1), _order(order)).numerators()
     alpha = (a, ad) if printed else _reduced(r * a, ad)
     inner = _binomial_shift(plain, alpha, lab, order)
     return _binomial_shift(inner.numerators(), _times(r, x), (1, 1), order)
@@ -258,7 +258,7 @@ def addition_rhs(
     ks = validate_kvector(ks)
     r = len(ks)
     alpha, beta = _ratio(params.alpha), _ratio(params.beta)
-    base = _euler_egf(ks, _times(r, x), alpha, beta, order).numerators()
+    base = _euler_egf(ks, _times(r, x), alpha, beta, _order(order)).numerators()
     return _binomial_shift(base, _times(r, y), (1, 1), order)
 
 
@@ -380,8 +380,7 @@ def thm4_explicit(
     (k,) = validate_kvector((k,))
     if variant not in THM4_VARIANTS:
         raise ValueError(f"variant must be one of {THM4_VARIANTS}, got {variant!r}")
-    if n < 0:
-        raise ValueError("n must be nonnegative")
+    n = _order(n, "n must be nonnegative")
     delta = 1 if variant == "statement" else 0
     (p, q), (g, g_den) = _ratio(x), _ratio(params.gamma or 0)
     (a, a_den), (b, b_den) = _ratio(params.alpha), _ratio(params.beta)

@@ -36,6 +36,7 @@ from .exact import (
     Ratio,
     _dilate,
     _div_exp_sum,
+    _order,
     _ratio,
     _reduced,
     _shift_down,
@@ -108,12 +109,12 @@ def _bernoulli_egf(ks: KVector, x: Fraction | int, order: int) -> Egf:
     starts at degree r), so the division goes through the t^r-cancelling path.
     """
     r = len(ks)
-    work = order + r
-    # e^{xt} is formed first, so that a negative order is refused before the
-    # division.  It is formed at x = 0 too, where it changes nothing: it is
+    # e^{xt} is formed first, so that its ``exact._order`` refuses a negative
+    # or non-int order before the cached numerator is read.  It is formed at x = 0 too, where it changes nothing: it is
     # then the only egf_mul call of perfbench's seq-deep workload, and
     # perfbench/workloads.EXPECTED_CALLS requires one.
     exp_xt = egf_exp_linear(x, order)
+    work = order + r
     return egf_mul(exp_xt, egf_div_shifted(_li_numerator(ks, work), _one_minus_exp(work, r), r))
 
 
@@ -124,7 +125,7 @@ def poly_bernoulli(k: int, x: Fraction | int, order: int) -> list[Fraction]:
 
 def poly_euler(k: int, x: Fraction | int, order: int) -> list[Fraction]:
     """Poly-Euler polynomial values from 2 Li_k(1-e^{-t})/(1+e^t) e^{xt}."""
-    return list(_euler_egf(validate_kvector((k,)), _ratio(x), (0, 1), (1, 1), order).coeffs)
+    return list(_euler_egf(validate_kvector((k,)), _ratio(x), (0, 1), (1, 1), _order(order)).coeffs)
 
 
 def poly_euler_sasaki(k: int, order: int) -> list[Fraction]:
@@ -133,9 +134,7 @@ def poly_euler_sasaki(k: int, order: int) -> list[Fraction]:
     # so the t cancels from the numerator alone: Li_k(1-e^{-4t})/t, taken
     # one order deeper, over the two exponentials, weights 2 and rates +-1.
     ks = validate_kvector((k,))
-    if order < 0:
-        raise ValueError("a series needs order >= 0")
-    nums, den = _dilate(*_li_numerator(ks, order + 1).numerators(), (4, 1))
+    nums, den = _dilate(*_li_numerator(ks, _order(order) + 1).numerators(), (4, 1))
     numerator = _shift_down(Egf.of(nums, den), 1)
     return list(_div_exp_sum(numerator, (2, 2), (1, -1), 1).coeffs)
 

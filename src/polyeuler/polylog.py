@@ -19,7 +19,7 @@ from math import factorial, lcm
 from operator import index
 from typing import Sequence
 
-from .exact import Egf, NonNilpotentInner, egf_compose, parse_integer
+from .exact import Egf, NonNilpotentInner, _order, egf_compose, parse_integer
 
 KVector = tuple[int, ...]
 
@@ -45,8 +45,7 @@ def multi_li_series(ks: Sequence[int], order: int) -> Egf:
     coeffs[m] collects every admissible index tuple ending at m_r = m, so
     the lowest possible nonzero degree is r.
     """
-    if order < 0:
-        raise ValueError("a series needs order >= 0")
+    order = _order(order)
     # row[m] / den = S_j(m), the sum over tuples of depth j ending at m_j = m;
     # the empty tuple (depth 0) ends at 0.  A positive index puts the row
     # over lcm(1..order)^k, so each depth divides by m^k exactly.  The rows
@@ -73,7 +72,7 @@ def li_of_inner(ks: Sequence[int], inner: Egf, order: int) -> Egf:
     constant = inner.numerators()[0][0]
     if constant != 0:
         raise NonNilpotentInner("inner series has nonzero constant term")
-    n = min(order, inner.order)
+    n = min(_order(order), inner.order)
     nums, den = multi_li_series(ks, n).numerators()
     outer = Egf.of((v * factorial(m) for m, v in enumerate(nums)), den)
     return egf_compose(outer, inner.truncate(n))

@@ -529,6 +529,20 @@ class TestDivisionTable:
         info = _division_table.cache_info()
         assert (info.misses, info.hits) == (2, 0)
 
+    @pytest.mark.parametrize("weight", [2.0, F(2), "2"], ids=repr)
+    def test_weights_are_ints_whatever_the_tables_hold(self, weight):
+        """A weight is read with ``operator.index``: 2.0 would hash like the
+        weight 2, so a cold call would leave a table of floats for the int
+        divisor, and a warm one would be served the int divisor's quotient."""
+        f = Egf.constant(2, 4)
+        sech = Egf.of([1, 0, -1, 0, 5], 2)
+        _division_table.cache_clear()
+        for state in ("cold", "warm"):
+            with pytest.raises(TypeError, match="cannot be interpreted as an integer"):
+                egf_div_exp_sum(f, [(weight, 1), (weight, -1)])
+            assert egf_div_exp_sum(f, [(2, 1), (2, -1)]) == sech, state
+        assert _division_table.cache_info().currsize == 1
+
     @pytest.mark.parametrize("terms", [[(1, 1), (-1, 0)], [(2, F(1, 3)), (-2, F(-1, 2))]])
     def test_zero_weight_sum_raises_every_time(self, terms):
         _division_table.cache_clear()

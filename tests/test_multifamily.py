@@ -15,7 +15,7 @@ import pytest
 from hypothesis import example, given, strategies as st
 
 import polyeuler
-from polyeuler import audit, exact, multifamily, polyfamily
+from polyeuler import audit, classical, exact, multifamily, polyfamily
 from polyeuler.multifamily import (
     CappedSum,
     DegenerateParams,
@@ -37,7 +37,12 @@ from polyeuler.multifamily import (
     thm3_explicit,
     thm4_explicit,
 )
-from polyeuler.classical import EulerConvention, euler_numbers
+from polyeuler.classical import (
+    EulerConvention,
+    bernoulli_numbers,
+    bernoulli_polynomial,
+    euler_numbers,
+)
 from polyeuler.polyfamily import poly_bernoulli, poly_euler, poly_euler_sasaki
 from polyeuler.polylog import li_of_inner, multi_li_series
 
@@ -200,12 +205,73 @@ class TestNegativeOrderIsRefused:
         "multi_li_series": lambda: multi_li_series((1,), -1),
         "li_of_inner": lambda: li_of_inner((1,), exact.Egf.of([0, 1]), -1),
         "Egf.truncate": lambda: exact.Egf.of((1, 2, 3, 4, 5, 6)).truncate(-3),
+        "Egf.zero": lambda: exact.Egf.zero(-1),
+        "Egf.constant": lambda: exact.Egf.constant(1, -1),
+        "egf_exp_linear": lambda: exact.egf_exp_linear(1, -1),
+        "egf_exp_sum": lambda: exact.egf_exp_sum(((1, 1),), -1),
+        "bernoulli_numbers": lambda: bernoulli_numbers(-1),
+        "bernoulli_polynomial": lambda: bernoulli_polynomial(0, -1),
+        "euler_numbers": lambda: euler_numbers(-1, EulerConvention.GENOCCHI_TYPE),
     }
 
     @pytest.mark.parametrize("entry", sorted(CALLS))
     def test_raises_the_order_error(self, entry):
         with pytest.raises(ValueError, match="a series needs order >= 0"):
             self.CALLS[entry]()
+
+
+_LI, _EULER, _TABLE = polyfamily._li_numerator, polyfamily._euler_egf, exact._division_table
+_SHIFT, _BERNOULLI = multifamily._shift_table, classical._bernoulli_series
+
+
+class TestOrderIsAnInt:
+    """An order that is not an int raises TypeError from ``exact._order``
+    before any cache is read: 4.0 and ``Fraction(4)`` hash like 4, so they
+    must not be served the cached order-4 series, nor "4" be parsed, and the
+    failed call caches nothing.  Each entry maps to the caches it reaches."""
+
+    CALLS = {
+        "poly_bernoulli": (lambda n: poly_bernoulli(1, 0, n), (_LI,)),
+        "poly_euler": (lambda n: poly_euler(1, F(1, 2), n), (_LI, _EULER, _TABLE)),
+        "poly_euler_sasaki": (lambda n: poly_euler_sasaki(1, n), (_LI, _TABLE)),
+        "multi_poly_bernoulli": (lambda n: multi_poly_bernoulli((1, 2), n), (_LI,)),
+        "multi_poly_euler": (lambda n: multi_poly_euler((1, 2), F(1, 3), n), (_LI, _EULER, _TABLE)),
+        "multi_poly_euler_ab": (lambda n: multi_poly_euler_ab((1,), _P, n), (_LI, _EULER, _TABLE)),
+        "multi_poly_euler_xab": (
+            lambda n: multi_poly_euler_xab((1,), 1, _P, n),
+            (_LI, _EULER, _TABLE),
+        ),
+        "poly_euler_abc": (lambda n: poly_euler_abc(1, 1, _P, n), (_LI, _EULER, _TABLE)),
+        "thm1_rhs": (lambda n: thm1_rhs((1,), _P, n), (_LI, _EULER, _TABLE)),
+        "thm2_rhs": (lambda n: thm2_rhs((1,), _P, n), (_LI, _EULER, _TABLE, _SHIFT)),
+        "cor1_rhs": (lambda n: cor1_rhs((1,), 1, _P, n), (_LI, _EULER, _TABLE, _SHIFT)),
+        "combined_rhs": (lambda n: combined_rhs((1,), 1, _P, n), (_LI, _EULER, _TABLE, _SHIFT)),
+        "combined_rhs_printed": (
+            lambda n: combined_rhs_printed((1,), 1, _P, n),
+            (_LI, _EULER, _TABLE, _SHIFT),
+        ),
+        "addition_rhs": (
+            lambda n: addition_rhs((1,), 1, 1, _P, n),
+            (_LI, _EULER, _TABLE, _SHIFT),
+        ),
+        "bernoulli_numbers": (bernoulli_numbers, (_BERNOULLI,)),
+        "bernoulli_polynomial": (lambda n: bernoulli_polynomial(2, n), (_BERNOULLI,)),
+        "euler_numbers": (lambda n: euler_numbers(n, EulerConvention.SECANT_TYPE), (_TABLE,)),
+    }
+
+    @pytest.mark.parametrize("order", [4.0, F(4), "4"], ids=repr)
+    @pytest.mark.parametrize("entry", sorted(CALLS))
+    def test_non_int_order_raises_type_error(self, entry, order):
+        call, reached = self.CALLS[entry]
+        caches = (_LI, _EULER, _TABLE, _SHIFT, _BERNOULLI)
+        for cache in caches:
+            cache.cache_clear()
+        call(4)
+        assert all(cache.cache_info().currsize for cache in reached)
+        sizes = [cache.cache_info().currsize for cache in caches]
+        with pytest.raises(TypeError, match="cannot be interpreted as an integer"):
+            call(order)
+        assert [cache.cache_info().currsize for cache in caches] == sizes
 
 
 class TestTwoParameterFamily:
