@@ -109,8 +109,7 @@ def bernoulli_det(n: int) -> Fraction:
     left of column r-1 are zero.  The value is (-1)^n/(n-1)! times the
     determinant.
     """
-    if n < 1:
-        raise ValueError("n must be >= 1")
+    n = _order(n - 1, "n must be >= 1") + 1
     rows = [[Fraction(1, j + 1) for j in range(1, n + 1)]]
     for r in range(2, n + 1):
         rows.append([comb(j, r - 2) if j >= r - 1 else 0 for j in range(1, n + 1)])
@@ -123,8 +122,7 @@ def euler_det(n: int) -> Fraction:
     Entry (i, j) is 1 on the first superdiagonal and 1/(2(i-j)+2)! on and
     below the diagonal.
     """
-    if n < 1:
-        raise ValueError("n must be >= 1")
+    n = _order(n - 1, "n must be >= 1") + 1
     rows = [
         ([Fraction(1, factorial(2 * (i - j) + 2)) for j in range(1, i + 1)] + [1] + [0] * n)[:n]
         for i in range(1, n + 1)

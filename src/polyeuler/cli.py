@@ -127,8 +127,8 @@ def _resolve_audit_order(value: int | None) -> int:
     order = _resolve_order(value, "--order")
     _require(
         order >= audit.MIN_ORDER,
-        f"--order must be >= {audit.MIN_ORDER}: smaller grids cannot witness "
-        "every documented discrepancy",
+        f"{'--order' if value is not None else ORDER_ENV} must be >= {audit.MIN_ORDER}: "
+        "smaller grids cannot witness every documented discrepancy",
     )
     return order
 
@@ -212,7 +212,7 @@ def cmd_seq(args: argparse.Namespace) -> int:
 
         try:
             count = polyfamily.lonesum_count(args.rows, args.cols)
-        except (polyfamily.TooLarge, ValueError) as exc:
+        except ValueError as exc:
             raise UsageError(str(exc)) from None
         if args.format == "plain":
             print(count)

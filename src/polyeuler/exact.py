@@ -91,11 +91,13 @@ def _decimal(value: int) -> str:
     return _decimal(high) + _decimal(low).zfill(half)
 
 
-def format_rational(value: Fraction) -> str:
-    """Render a rational in the canonical text form used across CLI and JSON."""
-    if value.denominator == 1:
-        return _decimal(value.numerator)
-    return f"{_decimal(value.numerator)}/{_decimal(value.denominator)}"
+def format_rational(value: RationalLike) -> str:
+    """Render a rational, read by ``_ratio``, in the canonical text form used
+    across CLI and JSON."""
+    num, den = _ratio(value)
+    if den == 1:
+        return _decimal(num)
+    return f"{_decimal(num)}/{_decimal(den)}"
 
 
 # A rational as (numerator, denominator) in lowest terms, denominator > 0:
@@ -182,11 +184,7 @@ class Egf:
     __slots__ = ("_nums", "_den")
 
     def __init__(self, coeffs: Iterable[RationalLike]) -> None:
-        nums, den = integer_numerators(coeffs)
-        if not nums:
-            raise ValueError("series needs at least the constant coefficient")
-        self._nums: tuple[int, ...] = tuple(nums)
-        self._den = den
+        self._nums, self._den = Egf.of(*integer_numerators(coeffs)).numerators()
 
     @classmethod
     def of(cls, nums: Iterable[int], den: int = 1) -> "Egf":

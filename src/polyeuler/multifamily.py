@@ -21,7 +21,7 @@ thm2, cor1 and cor2 are one binomial shift each, summed term by term; the
 factors of a shift that hold no series value, the binomial coefficients
 times powers of the shift and of the denominators, come from one cached row
 table per (shift, scale, order), ``_shift_table``.  The two "combined" sides
-are two nested shifts of the plain numbers, the printed double sum
+shift thm2's sum (``_thm2_sum``) once more, the printed double sum
 regrouped by distributivity only, while ``tests/oracles._double_sum`` stays
 the literal triple-loop reference they are tested against.
 
@@ -190,16 +190,20 @@ def _binomial_shift(
     return Egf.of([sum(map(mul, row, u)) for row in rows], top_den * den)
 
 
-def thm2_rhs(ks: Sequence[int], params: LogParams, order: int) -> Egf:
-    """Registered identity thm2, right side: a binomial mix of the plain numbers.
-
-    Term i carries r^{n-i} (ln a+ln b)^i (ln a)^{n-i} C(n,i) E_i, summed over
-    integers with one denominator.
-    """
-    ks = validate_kvector(ks)
+def _thm2_sum(ks: KVector, s: int, params: LogParams, order: int) -> Egf:
+    """thm2's printed sum sum_i C(n,i) (s ln a)^{n-i} (ln a+ln b)^i E_i of the
+    plain numbers E_i, one binomial shift over integers with one denominator;
+    thm2 itself takes s = r."""
     (a, ad), lab = _log_ratios(params)
     plain = _euler_egf(ks, (0, 1), (0, 1), (1, 1), _order(order)).numerators()
-    return _binomial_shift(plain, _reduced(len(ks) * a, ad), lab, order)
+    return _binomial_shift(plain, _reduced(s * a, ad), lab, order)
+
+
+def thm2_rhs(ks: Sequence[int], params: LogParams, order: int) -> Egf:
+    """Registered identity thm2, right side: a binomial mix of the plain numbers,
+    term i carrying r^{n-i} (ln a+ln b)^i (ln a)^{n-i} C(n,i) E_i."""
+    ks = validate_kvector(ks)
+    return _thm2_sum(ks, len(ks), params, order)
 
 
 def cor1_rhs(ks: Sequence[int], x: Fraction | int, params: LogParams, order: int) -> Egf:
@@ -215,17 +219,13 @@ def _combined_sum(
     """sum_{k<=n} sum_{j<=k} r^e C(n,k) C(k,j) (ln a)^{k-j} (ln a+ln b)^j E_j x^{n-k}
     with e = n-k when ``printed`` and e = n-j otherwise.
 
-    Grouped as sum_k C(n,k) (r x)^{n-k} F_k with
-    F_k = sum_j C(k,j) (s ln a)^{k-j} (ln a+ln b)^j E_j, where s = 1 when
-    ``printed`` and s = r otherwise (r^{n-j} = r^{n-k} r^{k-j}): two
-    binomial shifts, the same terms regrouped.
+    Grouped as sum_k C(n,k) (r x)^{n-k} F_k with F_k thm2's sum
+    ``_thm2_sum`` at s = 1 when ``printed`` and s = r otherwise
+    (r^{n-j} = r^{n-k} r^{k-j}): two binomial shifts, the same terms regrouped.
     """
     ks = validate_kvector(ks)
     r = len(ks)
-    (a, ad), lab = _log_ratios(params)
-    plain = _euler_egf(ks, (0, 1), (0, 1), (1, 1), _order(order)).numerators()
-    alpha = (a, ad) if printed else _reduced(r * a, ad)
-    inner = _binomial_shift(plain, alpha, lab, order)
+    inner = _thm2_sum(ks, 1 if printed else r, params, order)
     return _binomial_shift(inner.numerators(), _times(r, x), (1, 1), order)
 
 
@@ -313,8 +313,9 @@ def thm3_explicit(
     ks = validate_kvector(ks)
     r = len(ks)
     p, q = _ratio(x)
-    if part_cap < 1 or m_cap < 0 or n < 0:
-        raise ValueError("caps must be positive and n nonnegative")
+    message = "caps must be positive and n nonnegative"
+    n, m_cap = _order(n, message), _order(m_cap, message)
+    part_cap = _order(part_cap - 1, message) + 1
 
     # A composition c_1 + ... + c_{part_cap} = r is the multiset of the r part
     # positions it fills, c_i being the multiplicity of position i, so its

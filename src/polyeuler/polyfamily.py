@@ -148,8 +148,7 @@ def lonesum_count(n: int, k: int) -> int:
     the keys met exactly once.  Guarded: refuses more than
     ENUMERATION_CELL_LIMIT cells.
     """
-    if n < 1 or k < 1:
-        raise ValueError("matrix dimensions must be >= 1")
+    n, k = (_order(d - 1, "matrix dimensions must be >= 1") + 1 for d in (n, k))
     if n * k > ENUMERATION_CELL_LIMIT:
         raise TooLarge(f"{n}x{k} exceeds the {ENUMERATION_CELL_LIMIT}-cell enumeration guard")
     base = max(n, k) + 1

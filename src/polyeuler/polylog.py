@@ -15,11 +15,12 @@ coefficients read in the ordinary sense (coeffs[m] multiplies z^m).
 
 from __future__ import annotations
 
+from collections.abc import Mapping, Set
 from math import factorial, lcm
 from operator import index
 from typing import Sequence
 
-from .exact import Egf, NonNilpotentInner, _order, egf_compose, parse_integer
+from .exact import Egf, _order, egf_compose, parse_integer
 
 KVector = tuple[int, ...]
 
@@ -32,7 +33,10 @@ def parse_kvector(text: str) -> KVector:
 
 def validate_kvector(ks: Sequence[int]) -> KVector:
     """The indices as a tuple of ints; any other type raises TypeError
-    rather than being truncated or parsed."""
+    rather than being truncated or parsed, and so does an unordered
+    collection (a set or a mapping), whose iteration order is no index order."""
+    if type(ks) is not tuple and isinstance(ks, (Set, Mapping)):
+        raise TypeError(f"an index vector must be ordered, not a {type(ks).__name__}")
     ks = tuple(map(index, ks))
     if not ks:
         raise ValueError("index vector needs at least one entry")
@@ -67,12 +71,10 @@ def li_of_inner(ks: Sequence[int], inner: Egf, order: int) -> Egf:
 
     Only powers inner^m with m <= order contribute, so the truncated result
     is exact: recomputing at a higher order never changes earlier
-    coefficients.
+    coefficients.  ``exact.egf_compose`` refuses an inner series with a
+    nonzero constant term (NonNilpotentInner) and truncates it to the order.
     """
-    constant = inner.numerators()[0][0]
-    if constant != 0:
-        raise NonNilpotentInner("inner series has nonzero constant term")
     n = min(_order(order), inner.order)
     nums, den = multi_li_series(ks, n).numerators()
     outer = Egf.of((v * factorial(m) for m, v in enumerate(nums)), den)
-    return egf_compose(outer, inner.truncate(n))
+    return egf_compose(outer, inner)

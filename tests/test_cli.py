@@ -305,6 +305,11 @@ class TestVerify:
         assert main_verify(["combined", "--variant", "as-printed", "--order", order]) == 2
         assert "--order must be >= 3" in capsys.readouterr().err
 
+    def test_order_env_below_minimum_exits_2(self, monkeypatch, capsys):
+        monkeypatch.setenv("POLYEULER_ORDER", "2")
+        assert main_verify(["thm2"]) == 2
+        assert "error: POLYEULER_ORDER must be >= 3" in capsys.readouterr().err
+
     def test_documented_discrepancy_that_passes_is_flagged(self):
         result = audit.CaseResult("eq9-cosh", None, 4, audit.PASS, None, "")
         assert _result_line(result, 4, 0).endswith("(expected FAIL)")
@@ -363,9 +368,11 @@ class TestAuditCommand:
         assert "--order must be >= 3" in capsys.readouterr().err
         assert not target.exists()
 
-    def test_order_env_below_minimum_exits_2(self, monkeypatch):
+    def test_order_env_below_minimum_exits_2(self, monkeypatch, capsys):
+        """The error names the variable the order came from, not --order."""
         monkeypatch.setenv("POLYEULER_ORDER", "2")
         assert main_audit([]) == 2
+        assert "error: POLYEULER_ORDER must be >= 3" in capsys.readouterr().err
 
 
 _KS_AT_LIMIT = ",".join(str(MAX_K * (-1) ** i) for i in range(MAX_DEPTH))

@@ -589,6 +589,7 @@ class TestEntriesReadIntOrFraction:
         "egf_times_exp": lambda v: egf_times_exp(exp_t(2), v),
         "egf_exp_sum": lambda v: egf_exp_sum(((1, v),), 2),
         "egf_div_exp_sum": lambda v: egf_div_exp_sum(exp_t(2), ((1, v),)),
+        "format_rational": format_rational,
     }
 
     @pytest.mark.parametrize("value", [0.1, "1/2"], ids=["float", "str"])

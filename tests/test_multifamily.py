@@ -274,6 +274,43 @@ class TestOrderIsAnInt:
         assert [cache.cache_info().currsize for cache in caches] == sizes
 
 
+_CAPS = "caps must be positive and n nonnegative"
+
+
+class TestCountsReadThroughOrder:
+    """The determinants' n, lonesum's dimensions and thm3's n and caps are
+    read by ``exact._order`` before any work: a float or ``Fraction`` count
+    raises the index TypeError (thm3 at n = 2.0 used to fail deep inside, on
+    a list repeated a float number of times), text raises TypeError, and a
+    count below its bound raises ValueError with the entry's message."""
+
+    CALLS = {
+        "bernoulli_det": (classical.bernoulli_det, 1, "n must be >= 1"),
+        "euler_det": (classical.euler_det, 1, "n must be >= 1"),
+        "lonesum_count rows": (lambda v: polyfamily.lonesum_count(v, 2), 1, "matrix dimensions"),
+        "lonesum_count cols": (lambda v: polyfamily.lonesum_count(2, v), 1, "matrix dimensions"),
+        "thm3_explicit n": (lambda v: thm3_explicit((1,), 0, v, 4, 4), 0, _CAPS),
+        "thm3_explicit m_cap": (lambda v: thm3_explicit((1,), 0, 2, v, 4), 0, _CAPS),
+        "thm3_explicit part_cap": (lambda v: thm3_explicit((1,), 0, 2, 4, v), 1, _CAPS),
+    }
+
+    NOT_INT = "cannot be interpreted as an integer"
+
+    @pytest.mark.parametrize(
+        "count, match", [(2.0, NOT_INT), (F(2), NOT_INT), ("2", None)], ids=["float", "Fraction", "str"]
+    )
+    @pytest.mark.parametrize("entry", sorted(CALLS))
+    def test_non_int_count_raises_type_error(self, entry, count, match):
+        with pytest.raises(TypeError, match=match):
+            self.CALLS[entry][0](count)
+
+    @pytest.mark.parametrize("entry", sorted(CALLS))
+    def test_count_below_its_bound_keeps_its_message(self, entry):
+        call, bound, message = self.CALLS[entry]
+        with pytest.raises(ValueError, match=message):
+            call(bound - 1)
+
+
 class TestTwoParameterFamily:
     def test_alpha_zero_gives_plain_numbers(self):
         p = LogParams(F(0), F(1))
@@ -660,9 +697,10 @@ class TestEulerShapeCaches:
 
     def test_order_ten_audit_reads_rationals_once(self, monkeypatch):
         """A count guard, not a timing: the seed-0 order-10 audit from cold
-        caches reads 36,941 rationals through the checked ``exact._ratio``.
-        Below it every rational is an integer pair, so a value turned back
-        into a ``Fraction`` and read again shows here as a higher count."""
+        caches reads 36,965 rationals through the checked ``exact._ratio``,
+        24 of them the report's values read by ``format_rational``.  Below
+        it every rational is an integer pair, so a value turned back into a
+        ``Fraction`` and read again shows here as a higher count."""
         calls = []
         original = exact._ratio
 
@@ -674,7 +712,7 @@ class TestEulerShapeCaches:
             cache.cache_clear()
         _wrap_bindings(monkeypatch, {original: counted})
         audit.run_all(0, 10)
-        assert len(calls) == 36941
+        assert len(calls) == 36965
 
 
 def _literal_shift(values, den, shift, scale, order):

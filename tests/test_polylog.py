@@ -101,6 +101,15 @@ class TestIndicesAreInts:
             self.FAMILIES[family](k)
         assert [cache.cache_info().currsize for cache in caches] == sizes
 
+    @pytest.mark.parametrize("ks", [{-1, 3, 2}, frozenset({2, 1}), {2: 0, 1: 0}, {2: 0, 1: 0}.keys()])
+    def test_unordered_indices_raise_type_error(self, ks):
+        """A set or a mapping has no index order: its iteration order would
+        silently pick one, as {-1, 3, 2} once gave the values for (2, 3, -1)."""
+        with pytest.raises(TypeError, match="an index vector must be ordered"):
+            multi_poly_euler(ks, 0, 5)
+        with pytest.raises(TypeError, match="an index vector must be ordered"):
+            multi_li_series(ks, 5)
+
 
 class TestParseKVector:
     def test_basic(self):
