@@ -132,15 +132,14 @@ class _Check:
     """One row of the comparison table: grid, points, two sides and notes.
 
     ``grid`` builds the grid of each of the case's ``variants`` from ``_Draws``.
-    ``expected`` and ``actual`` map (case, point) to one value, or, when
-    ``sequence`` is set, to the values at n = 0, 1, ..., which are compared
-    index by index with ``n`` appended to the point.  ``notes_fail`` may name
-    the case's variant as ``%(variant)s``.
+    ``expected`` and ``actual`` map (case, point) to one value, or to a list
+    or an ``Egf`` of the values at n = 0, 1, ..., which are compared index by
+    index with ``n`` appended to the point.  ``notes_fail`` may name the
+    case's variant as ``%(variant)s``.
     """
 
     grid: Callable[[_Draws], Mapping]
     points: Callable[[IdentityCase], Iterable[dict]]
-    sequence: bool
     expected: Callable[[IdentityCase, dict], object]
     actual: Callable[[IdentityCase, dict], object]
     notes_pass: str
@@ -184,14 +183,15 @@ def _compare(case: IdentityCase, check: _Check) -> CaseResult:
             # so equal series agree at every n: count them without the walk.
             grid_size += expected.order + 1
             continue
-        if not check.sequence:
+        sequence = isinstance(expected, (list, Egf))
+        if not sequence:
             expected, actual = [expected], [actual]
         (e_num, e_den), (a_num, a_den) = _ratios(expected), _ratios(actual)
         for n in range(len(e_num)):
             grid_size += 1
             if first is None and e_num[n] * a_den[n] != a_num[n] * e_den[n]:
                 first = {
-                    "params": _fmt_params({**point, "n": n} if check.sequence else point),
+                    "params": _fmt_params({**point, "n": n} if sequence else point),
                     "expected": format_rational(Fraction(e_num[n], e_den[n])),
                     "actual": format_rational(Fraction(a_num[n], a_den[n])),
                 }
@@ -212,7 +212,7 @@ def _theorem_points(case: IdentityCase) -> list[dict]:
 def _theorem_row(expected, actual, notes_pass: str, notes_fail: str, variants=(None,)) -> _Check:
     """A row over the shared theorem grid, both sides series at each point."""
     return _Check(
-        lambda d: d.theorem, _theorem_points, True, expected, actual, notes_pass, notes_fail, variants
+        lambda d: d.theorem, _theorem_points, expected, actual, notes_pass, notes_fail, variants
     )
 
 
@@ -309,7 +309,6 @@ _TABLE: dict[str, _Check | _Runner] = {
             for m in range(c.grid["m_max"] + 1)
             for n in range(c.grid["n_max"] + 1)
         ],
-        False,
         lambda c, p: Fraction(classical.power_sum(p["m"], p["n"])),
         lambda c, p: classical.power_sum_closed(p["m"], p["n"], c.variant),
         "closed form with B_1 = +1/2 reproduces every direct power sum",
@@ -320,7 +319,6 @@ _TABLE: dict[str, _Check | _Runner] = {
     "eq3-bernoulli-det": _Check(
         lambda d: {"n_max": min(10, d.order)},
         lambda c: [{"n": n} for n in range(1, c.grid["n_max"] + 1)],
-        False,
         lambda c, p: classical.bernoulli_numbers(c.grid["n_max"])[p["n"]],
         lambda c, p: classical.bernoulli_det(p["n"]),
         "determinant form agrees with the t/(e^t-1) series",
@@ -329,7 +327,6 @@ _TABLE: dict[str, _Check | _Runner] = {
     "eq6-euler-det": _Check(
         lambda d: {"n_max": min(6, d.order // 2)},
         lambda c: [{"n": n} for n in range(1, c.grid["n_max"] + 1)],
-        False,
         lambda c, p: classical.euler_numbers(
             2 * c.grid["n_max"], EulerConvention.SECANT_TYPE
         )[2 * p["n"]],
@@ -340,7 +337,6 @@ _TABLE: dict[str, _Check | _Runner] = {
     "eq9-cosh": _Check(
         lambda d: {"n_max": d.order},
         lambda c: [{}],
-        True,
         lambda c, p: classical.euler_numbers(c.grid["n_max"], EulerConvention.SECANT_TYPE),
         lambda c, p: egf_scale(egf_exp_sum(((1, 1), (1, -1)), c.grid["n_max"]), Fraction(1, 2)),
         "cosh t expands to the secant numbers",
@@ -350,7 +346,6 @@ _TABLE: dict[str, _Check | _Runner] = {
     "bridge-poly-bernoulli": _Check(
         lambda d: {"n_max": min(12, d.order), "x_points": _BRIDGE_X_POINTS},
         lambda c: [{"x": x} for x in c.grid["x_points"]],
-        True,
         lambda c, p: [
             classical.poly_eval(classical.bernoulli_polynomial(n, c.grid["n_max"]), p["x"])
             for n in range(c.grid["n_max"] + 1)
@@ -365,7 +360,6 @@ _TABLE: dict[str, _Check | _Runner] = {
     "brewbaker-lonesum": _Check(
         lambda d: {"shapes": tuple((n, k) for n in (1, 2, 3) for k in (1, 2, 3)) + ((4, 4),)},
         lambda c: [{"rows": n, "cols": k} for (n, k) in c.grid["shapes"]],
-        False,
         lambda c, p: Fraction(polyfamily.lonesum_count(p["rows"], p["cols"])),
         lambda c, p: polyfamily.poly_bernoulli(-p["cols"], 0, p["rows"])[p["rows"]],
         "negative-index values equal the lonesum matrix counts "
@@ -427,7 +421,6 @@ _TABLE: dict[str, _Check | _Runner] = {
             for k in c.grid["k_points"]
             for s in c.grid["samples"]
         ],
-        True,
         # The list wrapper: the traced benchmark pass needs a call of
         # poly_euler_abc, and thm4 is the audit's only reader of it.
         lambda c, p: multifamily.poly_euler_abc(p["k"], p["x"], _log_params(p), c.grid["n_max"]),

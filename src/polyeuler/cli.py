@@ -1,9 +1,11 @@
 """Command-line front ends: polyseq, polyverify, polyaudit.
 
-One argparse program with three subcommands, also installed as three
-dedicated console scripts.  Exit codes: 0 success (or whitelisted audit
-verdict), 1 unexpected identity failure, 2 usage error.  All rational values
-cross the boundary in the canonical text form ("-3/4", "5").
+Three argparse programs, installed as three console scripts, and a
+hand-written root dispatcher (``python -m polyeuler {seq|verify|audit}``)
+that hands the rest of the command line to one of them.  Exit codes: 0
+success (or whitelisted audit verdict), 1 unexpected identity failure, 2
+usage error.  All rational values cross the boundary in the canonical text
+form ("-3/4", "5").
 """
 
 from __future__ import annotations

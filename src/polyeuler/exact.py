@@ -361,12 +361,12 @@ def _shift_down(f: Egf, s: int) -> Egf:
     )
 
 
-def _bell_table(u: tuple[int, ...], den: int) -> tuple[int, tuple[tuple[int, ...], ...]]:
+def _bell_table(u: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
     """Partial Bell polynomials B_{j,m}(u_1, u_2, ...) for 0 <= m <= j <= len(u).
 
-    Fraction-free: u_i = u[i-1] / den in lowest terms, and the result is
-    (den, rows) where rows[j][m] = B_{j,m}(u[0], u[1], ...) is an integer,
-    so B_{j,m}(u_1, u_2, ...) = rows[j][m] / den^m.  Filled by the O(N^3)
+    Fraction-free: for u_i = u[i-1] / D over any denominator D, the rows
+    rows[j][m] = B_{j,m}(u[0], u[1], ...) are integers, so
+    B_{j,m}(u_1, u_2, ...) = rows[j][m] / D^m.  Filled by the O(N^3)
     recurrence B_{j,m} = sum_i C(j-1, i-1) u_i B_{j-i,m-1}.  Not cached:
     ``egf_compose`` composes with 1 - e^{-t}, the package's inner series,
     without a table.
@@ -382,7 +382,7 @@ def _bell_table(u: tuple[int, ...], den: int) -> tuple[int, tuple[tuple[int, ...
                     acc += comb(j - 1, i - 1) * v[i] * rows[j - i][m - 1]
             row.append(acc)
         rows.append(tuple(row))
-    return den, tuple(rows)
+    return tuple(rows)
 
 
 def egf_compose(f: Egf, g: Egf) -> Egf:
@@ -411,7 +411,7 @@ def egf_compose(f: Egf, g: Egf) -> Egf:
                 e[m] = e[m + 1] - m * e[m]
             out.append(e[0])
         return Egf.of(out, df)
-    den, bell = _bell_table(u, den)
+    bell = _bell_table(u)
     scaled, den = _dilate(a[: n + 1], df, (1, den))
     return Egf.of((sum(map(mul, scaled, row)) for row in bell), den)
 

@@ -17,13 +17,15 @@ family on the other side.  That side is the series ``_xab_egf`` returns,
 which the list families (``multi_poly_euler*``) only turn into rationals;
 thm1 alone keeps the list wrapper.  The right sides never call a series
 product or another right side, so the audit's two sides stay independent.
-thm2, cor1 and cor2 are one binomial shift each, summed term by term; the
-factors of a shift that hold no series value, the binomial coefficients
-times powers of the shift and of the denominators, come from one cached row
-table per (shift, scale, order), ``_shift_table``.  The two "combined" sides
-shift thm2's sum (``_thm2_sum``) once more, the printed double sum
-regrouped by distributivity only, while ``tests/oracles._double_sum`` stays
-the literal triple-loop reference they are tested against.
+thm1 and thm2 lift their numbers by (ln a + ln b)^n in one helper,
+``_lift``.  thm2, cor1 and cor2 are one binomial shift each, summed term by
+term; the factors of a shift that hold no series value, the binomial
+coefficients times powers of the shift and of its denominator, come from
+one cached row table per (shift, order), ``_shift_table``.  The two
+"combined" sides shift thm2's sum (``_thm2_sum``) once more, the printed
+double sum regrouped by distributivity only, while
+``tests/oracles._double_sum`` stays the literal triple-loop reference they
+are tested against.
 
 thm3_explicit and thm4_explicit are audit instruments that evaluate two
 printed "explicit formulas" exactly as stated, caps and all, so the audit
@@ -133,70 +135,70 @@ def _log_ratios(params: LogParams) -> tuple[Ratio, Ratio]:
     return (a, ad), _reduced(a * bd + b * ad, ad * bd)
 
 
-def thm1_rhs(ks: Sequence[int], params: LogParams, order: int) -> Egf:
-    """Registered identity thm1, right side: E_n(ln a/(ln a+ln b)) (ln a+ln b)^n.
+def _lift(values: tuple[Sequence[int], int], lam: Ratio, order: int) -> tuple[list[int], int]:
+    """lam^n values_n for n = 0..order, over integers and not reduced.
 
-    With E_n = v_n / D and ln a+ln b = l/l', term n is v_n l^n l'^{N-n}
-    over D l'^N, summed here and not by the series kernel ``exact._dilate``.
+    With values = v/D and lam = l/l' in lowest terms, term n is
+    v_n l^n l'^{N-n} over D l'^N, summed here and not by the series kernel
+    ``exact._dilate``.
     """
-    (a, ad), (lab, lab_den) = _log_ratios(params)
-    if lab == 0:
+    v, den = values
+    top, bottom = integer_powers(lam[0], order), integer_powers(lam[1], order)
+    return [v[n] * top[n] * bottom[order - n] for n in range(order + 1)], den * bottom[order]
+
+
+def thm1_rhs(ks: Sequence[int], params: LogParams, order: int) -> Egf:
+    """Registered identity thm1, right side: E_n(ln a/(ln a+ln b)) (ln a+ln b)^n,
+    the plain shape at w = r ln a/(ln a+ln b) lifted by ``_lift``."""
+    (a, ad), lab = _log_ratios(params)
+    if lab[0] == 0:
         raise DegenerateParams("thm1 requires ln a + ln b != 0")
     ks = validate_kvector(ks)
-    w = _reduced(len(ks) * a * lab_den, ad * lab)
-    v, den = _euler_egf(ks, w, (0, 1), (1, 1), _order(order)).numerators()
-    top = integer_powers(lab, order)
-    bottom = integer_powers(lab_den, order)
-    nums = (v[n] * top[n] * bottom[order - n] for n in range(order + 1))
-    return Egf.of(nums, den * bottom[order])
+    w = _reduced(len(ks) * a * lab[1], ad * lab[0])
+    plain = _euler_egf(ks, w, (0, 1), (1, 1), _order(order)).numerators()
+    return Egf.of(*_lift(plain, lab, order))
 
 
 @lru_cache(maxsize=64)
-def _shift_table(
-    shift: Ratio, scale: Ratio, order: int
-) -> tuple[tuple[tuple[int, ...], ...], tuple[int, ...], int]:
+def _shift_table(shift: Ratio, order: int) -> tuple[tuple[tuple[int, ...], ...], tuple[int, ...]]:
     """The parameter powers of ``_binomial_shift``, which hold no series value.
 
-    With shift = s/s' and scale = c/c': the rows
-    C(n,i) (s c')^{n-i} (s' c')^{N-n} for i <= n, the powers (c s')^i and
-    the denominator (s' c')^N, for n = 0..N, N = order.
+    With shift = s/s': the rows C(n,i) s^{n-i} s'^{N-n} for i <= n and the
+    powers s'^i, for n, i = 0..N, N = order.
     """
-    (s, sd), (c, cd) = shift, scale
-    shift_pow = integer_powers(s * cd, order)
-    row_den = integer_powers(sd * cd, order)
+    s, sd = shift
+    shift_pow = integer_powers(s, order)
+    den_pow = integer_powers(sd, order)
     rows = tuple(
-        tuple([comb(n, i) * shift_pow[n - i] * row_den[order - n] for i in range(n + 1)])
+        tuple([comb(n, i) * shift_pow[n - i] * den_pow[order - n] for i in range(n + 1)])
         for n in range(order + 1)
     )
-    return rows, tuple(integer_powers(c * sd, order)), row_den[order]
+    return rows, tuple(den_pow)
 
 
-def _binomial_shift(
-    values: tuple[Sequence[int], int], shift: Ratio, scale: Ratio, order: int
-) -> Egf:
-    """sum_i C(n,i) shift^{n-i} scale^i values_i for n = 0..order, term by term.
+def _binomial_shift(values: tuple[Sequence[int], int], shift: Ratio, order: int) -> Egf:
+    """sum_i C(n,i) shift^{n-i} values_i for n = 0..order, term by term.
 
-    With shift = s/s', scale = c/c' (pairs in lowest terms) and
-    values = v/D over integers, term i of row n is
-    C(n,i) (s c')^{n-i} (c s')^i v_i over the row denominator (s' c')^n D;
-    every row is lifted to (s' c')^N D, the one denominator of the result.
-    The factors that do not depend on v come from the cached
+    With shift = s/s' (a pair in lowest terms) and values = v/D over
+    integers, term i of row n is C(n,i) s^{n-i} s'^i v_i over the row
+    denominator s'^n D; every row is lifted to s'^N D, the one denominator
+    of the result.  The factors that do not depend on v come from the cached
     ``_shift_table``, so row n is the inner product of its table row with
-    u_i = (c s')^i v_i.
+    u_i = s'^i v_i.
     """
     v, den = values
-    rows, scale_pow, top_den = _shift_table(shift, scale, order)
-    u = list(map(mul, scale_pow, v))
-    return Egf.of([sum(map(mul, row, u)) for row in rows], top_den * den)
+    rows, den_pow = _shift_table(shift, order)
+    u = list(map(mul, den_pow, v))
+    return Egf.of([sum(map(mul, row, u)) for row in rows], den_pow[order] * den)
 
 
 def _thm2_sum(ks: KVector, s: int, params: LogParams, order: int) -> Egf:
     """thm2's printed sum sum_i C(n,i) (s ln a)^{n-i} (ln a+ln b)^i E_i of the
-    plain numbers E_i, one binomial shift over integers with one denominator;
-    thm2 itself takes s = r."""
+    plain numbers E_i: the numbers lifted by ``_lift``, then one binomial
+    shift by s ln a; thm2 itself takes s = r."""
     (a, ad), lab = _log_ratios(params)
     plain = _euler_egf(ks, (0, 1), (0, 1), (1, 1), _order(order)).numerators()
-    return _binomial_shift(plain, _reduced(s * a, ad), lab, order)
+    return _binomial_shift(_lift(plain, lab, order), _reduced(s * a, ad), order)
 
 
 def thm2_rhs(ks: Sequence[int], params: LogParams, order: int) -> Egf:
@@ -210,7 +212,7 @@ def cor1_rhs(ks: Sequence[int], x: Fraction | int, params: LogParams, order: int
     """Registered identity cor1, right side: sum_i C(n,i) r^{n-i} E_i(a,b) x^{n-i}."""
     ks = validate_kvector(ks)
     ab = _euler_egf(ks, (0, 1), _ratio(params.alpha), _ratio(params.beta), _order(order)).numerators()
-    return _binomial_shift(ab, _times(len(ks), x), (1, 1), order)
+    return _binomial_shift(ab, _times(len(ks), x), order)
 
 
 def _combined_sum(
@@ -226,7 +228,7 @@ def _combined_sum(
     ks = validate_kvector(ks)
     r = len(ks)
     inner = _thm2_sum(ks, 1 if printed else r, params, order)
-    return _binomial_shift(inner.numerators(), _times(r, x), (1, 1), order)
+    return _binomial_shift(inner.numerators(), _times(r, x), order)
 
 
 def combined_rhs(ks: Sequence[int], x: Fraction | int, params: LogParams, order: int) -> Egf:
@@ -259,7 +261,7 @@ def addition_rhs(
     r = len(ks)
     alpha, beta = _ratio(params.alpha), _ratio(params.beta)
     base = _euler_egf(ks, _times(r, x), alpha, beta, _order(order)).numerators()
-    return _binomial_shift(base, _times(r, y), (1, 1), order)
+    return _binomial_shift(base, _times(r, y), order)
 
 
 @dataclass(frozen=True)

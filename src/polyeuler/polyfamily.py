@@ -110,9 +110,10 @@ def _bernoulli_egf(ks: KVector, x: Fraction | int, order: int) -> Egf:
     """
     r = len(ks)
     # e^{xt} is formed first, so that its ``exact._order`` refuses a negative
-    # or non-int order before the cached numerator is read.  It is formed at x = 0 too, where it changes nothing: it is
-    # then the only egf_mul call of perfbench's seq-deep workload, and
-    # perfbench/workloads.EXPECTED_CALLS requires one.
+    # or non-int order before the cached numerator is read.  It is formed at
+    # x = 0 too, where it changes nothing: it is then the only egf_mul call
+    # of perfbench's seq-deep workload, and perfbench/workloads.EXPECTED_CALLS
+    # requires one.
     exp_xt = egf_exp_linear(x, order)
     work = order + r
     return egf_mul(exp_xt, egf_div_shifted(_li_numerator(ks, work), _one_minus_exp(work, r), r))

@@ -208,7 +208,7 @@ class TestCompareControls:
 
     def run(self, points, actual, expected=None):
         expected = expected or (lambda c, p: self.VALUES)
-        check = _Check(lambda d: {}, lambda c: points, True, expected, actual, "ok", "bad")
+        check = _Check(lambda d: {}, lambda c: points, expected, actual, "ok", "bad")
         return _compare(self.CASE, check)
 
     def test_equal_values_pass(self):

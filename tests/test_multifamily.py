@@ -21,7 +21,9 @@ from polyeuler.multifamily import (
     DegenerateParams,
     LogParams,
     _binomial_shift,
+    _lift,
     _shift_table,
+    _thm2_sum,
     _xab_egf,
     addition_rhs,
     combined_rhs,
@@ -715,13 +717,10 @@ class TestEulerShapeCaches:
         assert len(calls) == 36965
 
 
-def _literal_shift(values, den, shift, scale, order):
-    """sum_i C(n,i) shift^{n-i} scale^i values_i / den, one Fraction per term."""
+def _literal_shift(values, den, shift, order):
+    """sum_i C(n,i) shift^{n-i} values_i / den, one Fraction per term."""
     return [
-        sum(
-            (comb(n, i) * shift ** (n - i) * scale**i * F(values[i], den) for i in range(n + 1)),
-            F(0),
-        )
+        sum((comb(n, i) * shift ** (n - i) * F(values[i], den) for i in range(n + 1)), F(0))
         for n in range(order + 1)
     ]
 
@@ -735,42 +734,97 @@ class TestBinomialShift:
     @given(
         order=st.integers(min_value=0, max_value=12),
         shift=rationals,
-        scale=rationals,
         nums=st.lists(st.integers(min_value=-10**6, max_value=10**6), min_size=13, max_size=13),
         den=st.integers(min_value=1, max_value=10**4),
     )
-    @example(order=12, shift=F(0), scale=F(1), nums=[1] * 13, den=1)
-    @example(order=7, shift=F(-3, 4), scale=F(1), nums=list(range(-6, 7)), den=5)
-    @example(order=0, shift=F(-2), scale=F(5, 3), nums=[7] * 13, den=3)
-    def test_matches_the_literal_double_loop(self, order, shift, scale, nums, den):
+    @example(order=12, shift=F(0), nums=[1] * 13, den=1)
+    @example(order=7, shift=F(-3, 4), nums=list(range(-6, 7)), den=5)
+    @example(order=0, shift=F(-2), nums=[7] * 13, den=3)
+    def test_matches_the_literal_double_loop(self, order, shift, nums, den):
         values = nums[: order + 1]
-        got = _binomial_shift(
-            (values, den),
-            (shift.numerator, shift.denominator),
-            (scale.numerator, scale.denominator),
-            order,
-        )
-        assert list(got.coeffs) == _literal_shift(values, den, shift, scale, order)
+        got = _binomial_shift((values, den), _pair(shift), order)
+        assert list(got.coeffs) == _literal_shift(values, den, shift, order)
 
     def test_matches_after_the_table_cache_evicts(self):
-        """More (shift, scale) pairs than the 64 tables the cache keeps, read
-        twice in the same order, so every second read rebuilds its table."""
-        pairs = [(F(s, 7), scale) for s in range(-20, 21) for scale in (F(1), F(-2, 3))]
-        assert len(pairs) > _shift_table.cache_info().maxsize
+        """More shifts than the 64 tables the cache keeps, read twice in the
+        same order, so every second read rebuilds its table."""
+        shifts = [F(s, 7) for s in range(-40, 41)]
+        assert len(shifts) > _shift_table.cache_info().maxsize
         values, order = [3, -1, 4, 1, -5, 9, 2, -6, 5], 8
         _shift_table.cache_clear()
         for _ in ("cold", "evicted"):
-            for shift, scale in pairs:
-                got = _binomial_shift(
-                    (values, 2),
-                    (shift.numerator, shift.denominator),
-                    (scale.numerator, scale.denominator),
-                    order,
-                )
-                assert list(got.coeffs) == _literal_shift(values, 2, shift, scale, order)
+            for shift in shifts:
+                got = _binomial_shift((values, 2), _pair(shift), order)
+                assert list(got.coeffs) == _literal_shift(values, 2, shift, order)
         info = _shift_table.cache_info()
         assert info.currsize == info.maxsize
-        assert info.misses == 2 * len(pairs)
+        assert info.misses == 2 * len(shifts)
+
+    def test_thm2_and_cor1_share_a_table(self):
+        """At r = 1 and x = ln a, thm2 shifts its lifted numbers by ln a and
+        cor1 its two-parameter numbers by x: one table serves both."""
+        p = LogParams(F(2, 3), F(-1, 4))
+        _shift_table.cache_clear()
+        thm2_rhs((1,), p, 8)
+        cor1_rhs((1,), p.alpha, p, 8)
+        info = _shift_table.cache_info()
+        assert (info.misses, info.hits) == (1, 1)
+
+    def test_order_ten_audit_shift_table_traffic(self):
+        """A count guard, not a timing: the seed-0 order-10 audit from cold
+        caches builds 227 shift tables, over 107 distinct (shift, order)
+        keys that the 64-entry cache partly evicts, and reads them 6,598
+        times more.  A key that held a second rational shows here as more
+        misses."""
+        for cache in _package_caches():
+            cache.cache_clear()
+        audit.run_all(0, 10)
+        info = _shift_table.cache_info()
+        assert (info.hits, info.misses) == (6598, 227)
+
+
+class TestLift:
+    """``_lift`` is lam^n values_n, whatever denominator it leaves."""
+
+    rationals = st.fractions(min_value=-5, max_value=5, max_denominator=9)
+
+    @given(
+        order=st.integers(min_value=0, max_value=12),
+        lam=rationals,
+        nums=st.lists(st.integers(min_value=-10**6, max_value=10**6), min_size=13, max_size=13),
+        den=st.integers(min_value=1, max_value=10**4),
+    )
+    @example(order=6, lam=F(0), nums=list(range(1, 14)), den=7)
+    @example(order=9, lam=F(-5, 3), nums=list(range(-6, 7)), den=4)
+    def test_matches_fraction_powers(self, order, lam, nums, den):
+        values = nums[: order + 1]
+        lifted, lifted_den = _lift((values, den), _pair(lam), order)
+        assert [F(v, lifted_den) for v in lifted] == [
+            lam**n * F(v, den) for n, v in enumerate(values)
+        ]
+
+
+class TestThm2Sum:
+    """``_thm2_sum`` is the printed sum over ``Fraction``s, at the s = r of
+    thm2 and the s = 1 of the as-printed "combined" side."""
+
+    @pytest.mark.parametrize("ks", [(1,), (2, -1), (1, 1, 2)])
+    @pytest.mark.parametrize("alpha, beta", [(F(2, 3), F(-1, 4)), (F(-5, 7), F(9, 4)), (F(3), F(-3))])
+    @pytest.mark.parametrize("scale", ["one", "r"])
+    def test_matches_the_literal_sum(self, ks, alpha, beta, scale):
+        order = 7
+        s = 1 if scale == "one" else len(ks)
+        plain = oracles.multi_poly_euler_egf(ks, 0, order)
+        lam = alpha + beta
+        literal = [
+            sum(
+                (comb(n, i) * (s * alpha) ** (n - i) * lam**i * plain[i] for i in range(n + 1)),
+                F(0),
+            )
+            for n in range(order + 1)
+        ]
+        got = _thm2_sum(ks, s, LogParams(alpha, beta), order)
+        assert list(got.coeffs) == literal
 
 
 def _wrap_bindings(monkeypatch, wrappers):
@@ -796,6 +850,10 @@ SERIES_KERNELS = (
 )
 
 
+# The right sides' private helpers, which read no Euler numbers themselves.
+HELPERS = ("_binomial_shift", "_lift")
+
+
 class TestRightSidesCallNoSeriesKernel:
     """A right side adds up the printed terms over the numbers it reads from
     the Euler cache; it never forms a series product, quotient, shift or
@@ -804,7 +862,8 @@ class TestRightSidesCallNoSeriesKernel:
     it reads and do not count."""
 
     CALLS = {
-        "_binomial_shift": lambda p: _binomial_shift(([0, 1, -2, 3], 5), (2, 3), (5, 7), 3),
+        "_binomial_shift": lambda p: _binomial_shift(([0, 1, -2, 3], 5), (2, 3), 3),
+        "_lift": lambda p: _lift(([0, 1, -2, 3], 5), (-5, 7), 3),
         "thm1_rhs": lambda p: thm1_rhs((1, 2), p, 6),
         "thm2_rhs": lambda p: thm2_rhs((1, 2), p, 6),
         "cor1_rhs": lambda p: cor1_rhs((1, 2), F(1, 3), p, 6),
@@ -855,7 +914,7 @@ class TestRightSidesCallNoSeriesKernel:
     def test_makes_no_series_kernel_call(self, name, recorded):
         self.CALLS[name](LogParams(F(2, 3), F(-1, 4)))
         assert recorded["outside"] == []
-        if name != "_binomial_shift":
+        if name not in HELPERS:
             # The wrappers are live: the cold Euler reads divided.
             assert "_div_exp_sum" in recorded["inside"]
 
@@ -877,7 +936,7 @@ class TestRightSidesReadOnlyTheirPrintedTerms:
     CALLS = {
         name: call
         for name, call in TestRightSidesCallNoSeriesKernel.CALLS.items()
-        if name != "_binomial_shift"
+        if name not in HELPERS
     }
     # (w, alpha, beta) of each right side's reads, r = 2: thm1 at
     # w = r alpha/(alpha + beta) on the plain numbers, thm2 and both

@@ -135,7 +135,7 @@ def alternating(order):
 def bell_table(u):
     """The cached table of the rationals u_1, u_2, ... over their common denominator."""
     nums, den = integer_numerators(u)
-    return _bell_table(tuple(nums), den)
+    return den, _bell_table(tuple(nums))
 
 
 @pytest.mark.parametrize("order", [0, 1, 2, 7, 30, 60])
