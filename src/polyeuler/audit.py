@@ -24,7 +24,7 @@ from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
 
 from . import DEFAULT_ORDER, DEFAULT_SEED, classical, multifamily, polyfamily
 from .classical import EulerConvention
-from .exact import Egf, egf_exp_sum, egf_scale, format_rational
+from .exact import Egf, cache_scope, egf_exp_sum, egf_scale, format_rational
 from .multifamily import LogParams
 
 PASS = "PASS"
@@ -466,6 +466,7 @@ def registered_ids() -> tuple[str, ...]:
     return tuple(sorted(_TABLE))
 
 
+@cache_scope()
 def run_identity(case: IdentityCase) -> CaseResult:
     """Execute one case; deterministic given the case's grid."""
     entry = _TABLE.get(case.id)
@@ -485,8 +486,9 @@ def is_expected(result: CaseResult) -> bool:
     return result.verdict == expected_verdict(result)
 
 
+@cache_scope()
 def run_all(seed: int = DEFAULT_SEED, order: int = DEFAULT_ORDER) -> AuditReport:
-    """Run every registered case; results are sorted by (id, variant)."""
+    """Run every registered case in one cache scope; results are sorted by (id, variant)."""
     results = [run_identity(case) for case in build_registry(seed, order)]
     results.sort(key=lambda r: (r.id, r.variant or ""))
     return AuditReport(seed, order, tuple(results))

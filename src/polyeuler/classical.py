@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import enum
 from fractions import Fraction
-from functools import lru_cache
 from math import comb, factorial
 from typing import Sequence
 
@@ -17,6 +16,7 @@ from .exact import (
     Egf,
     RationalLike,
     _dilate,
+    _memo,
     _order,
     _ratio,
     det,
@@ -32,7 +32,7 @@ class EulerConvention(enum.Enum):
     SECANT_TYPE = "secant"
 
 
-@lru_cache(maxsize=256)
+@_memo
 def _bernoulli_series(order: int) -> Egf:
     """t/(e^t - 1) to the given order."""
     exp_minus_one = egf_exp_sum(((1, 1), (-1, 0)), order + 1)

@@ -18,7 +18,7 @@ from typing import TYPE_CHECKING, Callable, Sequence
 
 from . import DEFAULT_ORDER, DEFAULT_SEED, classical
 from .classical import EulerConvention
-from .exact import format_rational, parse_integer, parse_rational
+from .exact import cache_scope, format_rational, parse_integer, parse_rational
 from .polylog import parse_kvector
 
 # The audit is imported only by the functions of polyverify and polyaudit,
@@ -310,6 +310,7 @@ def cmd_audit(args: argparse.Namespace) -> int:
 _PARSERS: dict[Callable, argparse.ArgumentParser] = {}
 
 
+@cache_scope()
 def _dispatch(parser_factory: Callable, runner: Callable, argv: Sequence[str] | None) -> int:
     parser = _PARSERS.get(parser_factory)
     if parser is None:

@@ -9,20 +9,23 @@ passes is read by ``_ratio``, which refuses a float or text, and every
 order by ``_order``, which refuses a float order before a cache could
 answer it.  Below them a rational is an integer pair: the kernels
 ``_times_exp`` (the Taylor shift), ``_dilate`` (the one dilation t -> ct)
-and ``_div_exp_sum`` take integers.  The one cache here,
-``_division_table``, keeps what a division by a sum of exponentials needs
-of its divisor, so a repeated divisor is read instead of rebuilt.
+and ``_div_exp_sum`` take integers.  Every cache of the package, such as
+``_division_table`` of a division's divisor, is a ``_memo``: its values
+last one ``cache_scope``, a request of the audit or of a command.
 """
 
 from __future__ import annotations
 
 import re
+from collections import defaultdict, namedtuple
+from contextlib import contextmanager
+from contextvars import ContextVar
 from fractions import Fraction
-from functools import lru_cache
+from functools import wraps
 from itertools import accumulate, repeat
 from math import comb, factorial, gcd, lcm, prod
 from operator import add, index, mul
-from typing import Iterable, Sequence, Union
+from typing import Callable, Iterable, Iterator, Sequence, Union
 
 RationalLike = Union[Fraction, int]
 
@@ -123,6 +126,55 @@ def _order(value: int, message: str = "a series needs order >= 0") -> int:
     if value < 0:
         raise ValueError(message)
     return value
+
+
+# The open scope: one table per memo, keyed by the memo's arguments.
+_SCOPE: ContextVar[defaultdict | None] = ContextVar("cache_scope", default=None)
+_MISSING = object()
+CacheInfo = namedtuple("CacheInfo", "hits misses maxsize currsize")
+
+
+@contextmanager
+def cache_scope() -> Iterator[None]:
+    """Keep what every ``_memo`` computes until the block ends, with no size
+    bound; outside any scope nothing is kept.  A scope opened inside another
+    reuses the outer one.  ``@cache_scope()`` also works as a decorator."""
+    outer = _SCOPE.get()
+    token = _SCOPE.set(defaultdict(dict) if outer is None else outer)
+    try:
+        yield
+    finally:
+        _SCOPE.reset(token)
+
+
+def _memo(fn: Callable) -> Callable:
+    """``fn`` kept in the open ``cache_scope``; ``cache_info()`` counts hits and
+    misses across scopes until ``cache_clear()``, which drops the scope's table."""
+    hits = misses = 0
+
+    @wraps(fn)
+    def cached(*args):
+        nonlocal hits, misses
+        scope = _SCOPE.get()
+        table = {} if scope is None else scope[cached]  # {}: kept by no one
+        value = table.get(args, _MISSING)
+        if value is _MISSING:
+            misses += 1
+            value = table[args] = fn(*args)
+        else:
+            hits += 1
+        return value
+
+    def cache_info() -> CacheInfo:
+        return CacheInfo(hits, misses, None, len((_SCOPE.get() or {}).get(cached, ())))
+
+    def cache_clear() -> None:
+        nonlocal hits, misses
+        hits = misses = 0
+        (_SCOPE.get() or {}).pop(cached, None)
+
+    cached.cache_info, cached.cache_clear = cache_info, cache_clear
+    return cached
 
 
 def integer_numerators(values: Iterable[RationalLike]) -> tuple[list[int], int]:
@@ -462,12 +514,7 @@ def egf_exp_sum(terms: Iterable[tuple[int, RationalLike]], order: int) -> Egf:
     return Egf.of(*_dilate(_power_sums(weights, tops, _order(order)), 1, (1, den)))
 
 
-# One table per divisor and order.  The audit's theorem grid cycles through
-# its 25 (alpha, beta) samples for each index vector, beside the (0, 1)
-# divisor of the right sides and Sasaki's 2e^t + 2e^{-t}: 27 live tables make
-# every repeat of an order-10 audit a hit (956 hits, 88 misses, one per
-# distinct divisor), and 32 bound what order-200 tables hold.
-@lru_cache(maxsize=32)
+@_memo
 def _division_table(
     weights: tuple[int, ...], tops: tuple[int, ...], den: int, order: int
 ) -> tuple[tuple[tuple[int, ...], ...], int, int, tuple[int, ...]]:

@@ -21,11 +21,11 @@ thm1 and thm2 lift their numbers by (ln a + ln b)^n in one helper,
 ``_lift``.  thm2, cor1 and cor2 are one binomial shift each, summed term by
 term; the factors of a shift that hold no series value, the binomial
 coefficients times powers of the shift and of its denominator, come from
-one cached row table per (shift, order), ``_shift_table``.  The two
-"combined" sides shift thm2's sum (``_thm2_sum``) once more, the printed
-double sum regrouped by distributivity only, while
-``tests/oracles._double_sum`` stays the literal triple-loop reference they
-are tested against.
+one row table per (shift, order), ``_shift_table``, a memo kept for one
+``exact.cache_scope``.  The two "combined" sides shift thm2's sum
+(``_thm2_sum``) once more, the printed double sum regrouped by
+distributivity only, while ``tests/oracles._double_sum`` stays the literal
+triple-loop reference they are tested against.
 
 thm3_explicit and thm4_explicit are audit instruments that evaluate two
 printed "explicit formulas" exactly as stated, caps and all, so the audit
@@ -37,13 +37,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from itertools import combinations_with_replacement
 from math import comb, factorial, lcm, prod
 from operator import mul
 from typing import Sequence
 
-from .exact import Egf, Ratio, _order, _ratio, _reduced, integer_powers, lowest_terms
+from .exact import Egf, Ratio, _memo, _order, _ratio, _reduced, integer_powers, lowest_terms
 from .polyfamily import _bernoulli_egf, _euler_egf
 from .polylog import KVector, validate_kvector
 
@@ -159,7 +158,7 @@ def thm1_rhs(ks: Sequence[int], params: LogParams, order: int) -> Egf:
     return Egf.of(*_lift(plain, lab, order))
 
 
-@lru_cache(maxsize=64)
+@_memo
 def _shift_table(shift: Ratio, order: int) -> tuple[tuple[tuple[int, ...], ...], tuple[int, ...]]:
     """The parameter powers of ``_binomial_shift``, which hold no series value.
 

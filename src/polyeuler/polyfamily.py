@@ -2,7 +2,8 @@
 
 All sequences are exact EGF coefficient lists; every poly- and multi-family
 is read off one of two shapes, the cached ``_euler_egf`` or
-``_bernoulli_egf``.  The Euler cache is keyed by (ks, w, alpha, beta, order)
+``_bernoulli_egf``.  Each cache here is an ``exact._memo``, kept for one
+``exact.cache_scope``.  The Euler cache is keyed by (ks, w, alpha, beta, order)
 with the three rationals as integer (numerator, denominator) pairs in lowest
 terms, so a lookup hashes only ints and equal rationals meet in one entry,
 whichever caller formed them.  Each Euler series is cached once: at w = 0
@@ -27,7 +28,6 @@ from __future__ import annotations
 
 from collections import Counter
 from fractions import Fraction
-from functools import lru_cache
 from itertools import product
 from math import comb
 
@@ -36,6 +36,7 @@ from .exact import (
     Ratio,
     _dilate,
     _div_exp_sum,
+    _memo,
     _order,
     _ratio,
     _reduced,
@@ -61,7 +62,7 @@ def _one_minus_exp(order: int, r: int = 1) -> Egf:
     return egf_exp_sum(((comb(r, i) * (-1) ** i, -i) for i in range(r + 1)), order)
 
 
-@lru_cache(maxsize=256)
+@_memo
 def _li_numerator(ks: KVector, order: int) -> Egf:
     """Li_ks(1-e^{-t}), the numerator every family shares."""
     return li_of_inner(ks, _one_minus_exp(order), order)
@@ -78,7 +79,7 @@ def _euler_terms(alpha: Ratio, beta: Ratio, r: int) -> tuple[tuple[int, ...], tu
     return tuple(comb(r, i) for i in range(r + 1)), *lowest_terms(rates, a_den * b_den)
 
 
-@lru_cache(maxsize=4096)
+@_memo
 def _euler_egf(ks: KVector, w: Ratio, alpha: Ratio, beta: Ratio, order: int) -> Egf:
     """2 Li_ks(1-e^{-(alpha+beta)t}) / (e^{-alpha t}+e^{beta t})^r e^{wt}, r = len(ks).
 

@@ -14,7 +14,7 @@ from itertools import product
 
 import pytest
 
-from polyeuler import audit
+from polyeuler import audit, exact
 from polyeuler.classical import (
     EulerConvention,
     bernoulli_det,
@@ -155,9 +155,10 @@ def test_criterion_08_vanishing_law(registry10):
 def test_criterion_09_thm4_audit(registry10):
     start = time.perf_counter()
     for variant in ("statement", "proof"):
-        first = audit.run_identity(registry10[("thm4-explicit", variant)])
-        second = audit.run_identity(registry10[("thm4-explicit", variant)])
-        assert first == second  # deterministic
+        with exact.cache_scope():  # the second run reads the first one's caches
+            first = audit.run_identity(registry10[("thm4-explicit", variant)])
+            second = audit.run_identity(registry10[("thm4-explicit", variant)])
+        assert first == second  # deterministic, cold and warm
         assert first.verdict in (audit.PASS, audit.FAIL)
         if first.verdict == audit.FAIL:
             ce = first.counterexample
@@ -172,8 +173,9 @@ def test_criterion_09_thm4_audit(registry10):
 
 def test_criterion_10_thm3_partial_sums(registry10):
     start = time.perf_counter()
-    first = audit.run_identity(registry10[("thm3-explicit", None)])
-    second = audit.run_identity(registry10[("thm3-explicit", None)])
+    with exact.cache_scope():  # the second run reads the first one's caches
+        first = audit.run_identity(registry10[("thm3-explicit", None)])
+        second = audit.run_identity(registry10[("thm3-explicit", None)])
     assert first == second
     assert first.verdict == audit.INCONCLUSIVE
     assert first.counterexample is None

@@ -13,7 +13,7 @@ from pathlib import Path
 
 import pytest
 
-from polyeuler import audit
+from polyeuler import audit, classical, exact, multifamily, polyfamily
 from polyeuler.cli import (
     FAMILIES,
     MAX_DEPTH,
@@ -610,3 +610,24 @@ class TestRootCommand:
         proc = run_cli("seq", "bernoulli", "--n", "2")
         assert proc.returncode == 0
         assert proc.stdout.splitlines() == ["0\t1", "1\t-1/2", "2\t1/6"]
+
+
+def test_each_request_leaves_its_caches_empty(capsys):
+    """Each program runs its request in one ``exact.cache_scope``: the
+    requests below reach every cache, and once they return the caches hold
+    nothing while their miss counts remain to be read."""
+    caches = (
+        polyfamily._li_numerator,
+        polyfamily._euler_egf,
+        exact._division_table,
+        multifamily._shift_table,
+        classical._bernoulli_series,
+    )
+    for cache in caches:
+        cache.cache_clear()
+    assert main_seq(["multi-poly-euler", "--ks=1,2", "--x=1/3", "--alpha=2/3", "--beta=-1/4", "--n=12"]) == 0
+    assert main_seq(["bernoulli", "--n=5"]) == 0
+    assert main_verify(["thm2", "--order", "4"]) == 0
+    for cache in caches:
+        info = cache.cache_info()
+        assert info.currsize == 0 and info.misses, cache.__qualname__

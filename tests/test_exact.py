@@ -18,6 +18,7 @@ from polyeuler.exact import (
     _division_table,
     _integer_terms,
     _ratio,
+    cache_scope,
     det,
     egf_add,
     egf_compose,
@@ -452,40 +453,38 @@ class TestDivExpSum:
 
 
 class TestDivisionTable:
-    """``egf_div_exp_sum`` reads one cached row table per divisor and order.
-    A quotient must not depend on whether its table was just built, kept
-    from an earlier division, or evicted and built again."""
-
-    @staticmethod
-    def evict(order):
-        """Fill the table cache with other divisors at ``order``."""
-        for i in range(_division_table.cache_info().maxsize):
-            egf_div_exp_sum(Egf.zero(order), [(1, F(1000 + i, 7))])
+    """``egf_div_exp_sum`` reads one cached row table per divisor and order
+    in the open cache scope.  A quotient must not depend on whether its table
+    was just built, kept from an earlier division, or built again in a fresh
+    scope."""
 
     @given(f=series, terms=TestDivExpSum.terms)
     @example(f=Egf.t(8), terms=[(-1, F(-1, 2)), (3, 0), (1, F(2, 3)), (-5, F(-7, 4))])
     def test_product_restores_the_numerator(self, f, terms):
-        """egf_mul(f / g, g) = f on a cold, a warm and an evicted table."""
+        """egf_mul(f / g, g) = f on a cold and a warm table, and again on the
+        table a fresh scope rebuilds."""
         divisor = egf_exp_sum(terms, f.order)
         _division_table.cache_clear()
-        for state in ("cold", "warm", "evicted"):
-            if state == "evicted":
-                self.evict(f.order)
-            assert egf_mul(egf_div_exp_sum(f, terms), divisor) == f, state
+        for scope in ("first", "fresh"):
+            with cache_scope():
+                for state in ("cold", "warm"):
+                    assert egf_mul(egf_div_exp_sum(f, terms), divisor) == f, (scope, state)
+        info = _division_table.cache_info()
+        assert (info.hits, info.misses) == (2, 2)
 
-    def test_matches_after_the_table_cache_evicts(self):
-        """More divisors than the tables the cache keeps, read twice in the
-        same order, so every second read rebuilds its table."""
+    def test_matches_when_a_fresh_scope_rebuilds_the_tables(self):
+        """Many divisors, read once in each of two scopes, so every read in
+        the second scope rebuilds its table."""
         divisors = [[(1, F(s, 7)), (w, F(-1, 3))] for s in range(-20, 21) for w in (1, 2)]
-        assert len(divisors) > _division_table.cache_info().maxsize
         f = Egf.of([3, -1, 4, 1, -5, 9, 2, -6, 5], 2)
         _division_table.cache_clear()
-        for _ in ("cold", "evicted"):
-            for terms in divisors:
-                assert egf_div_exp_sum(f, terms) == egf_div(f, egf_exp_sum(terms, f.order))
+        for _ in ("cold", "rebuilt"):
+            with cache_scope():
+                for terms in divisors:
+                    assert egf_div_exp_sum(f, terms) == egf_div(f, egf_exp_sum(terms, f.order))
+                assert _division_table.cache_info().currsize == len(divisors)
         info = _division_table.cache_info()
-        assert info.currsize == info.maxsize
-        assert info.misses == 2 * len(divisors)
+        assert (info.currsize, info.misses) == (0, 2 * len(divisors))
 
     def test_int_and_fraction_rates_share_one_table(self):
         """The key holds the rates as integers over their least common
@@ -493,14 +492,15 @@ class TestDivisionTable:
         written."""
         f = exp_t(7)
         _division_table.cache_clear()
-        quotients = {
-            egf_div_exp_sum(f, terms)
-            for terms in (
-                [(1, 1), (1, -1)],
-                [(1, F(1)), (1, F(-1))],
-                ((1, F(3, 3)), (1, F(-2, 2))),
-            )
-        }
+        with cache_scope():
+            quotients = {
+                egf_div_exp_sum(f, terms)
+                for terms in (
+                    [(1, 1), (1, -1)],
+                    [(1, F(1)), (1, F(-1))],
+                    ((1, F(3, 3)), (1, F(-2, 2))),
+                )
+            }
         assert len(quotients) == 1
         info = _division_table.cache_info()
         assert (info.misses, info.hits) == (1, 2)
@@ -512,8 +512,9 @@ class TestDivisionTable:
         f = Egf.of([5, -2, 7, 0, 3, -1, 4], 3)
         divisors = [[(1, 0), (1, 1)], [(1, 0), (1, F(1, 2))], [(2, 0), (2, 1)]]
         _division_table.cache_clear()
-        for terms in divisors:
-            assert egf_div_exp_sum(f, terms) == egf_div(f, egf_exp_sum(terms, f.order))
+        with cache_scope():
+            for terms in divisors:
+                assert egf_div_exp_sum(f, terms) == egf_div(f, egf_exp_sum(terms, f.order))
         info = _division_table.cache_info()
         assert (info.misses, info.hits) == (3, 0)
 
@@ -523,8 +524,9 @@ class TestDivisionTable:
         f = Egf.of([3, 1, -4, 1, 5, -9, 2, 6, -5, 3], 7)
         terms = [(3, F(-1, 4)), (-1, F(2, 3))]
         _division_table.cache_clear()
-        high = egf_div_exp_sum(f, terms)
-        low = egf_div_exp_sum(f.truncate(4), terms)
+        with cache_scope():
+            high = egf_div_exp_sum(f, terms)
+            low = egf_div_exp_sum(f.truncate(4), terms)
         assert low == high.truncate(4)
         info = _division_table.cache_info()
         assert (info.misses, info.hits) == (2, 0)
@@ -537,19 +539,21 @@ class TestDivisionTable:
         f = Egf.constant(2, 4)
         sech = Egf.of([1, 0, -1, 0, 5], 2)
         _division_table.cache_clear()
-        for state in ("cold", "warm"):
-            with pytest.raises(TypeError, match="cannot be interpreted as an integer"):
-                egf_div_exp_sum(f, [(weight, 1), (weight, -1)])
-            assert egf_div_exp_sum(f, [(2, 1), (2, -1)]) == sech, state
-        assert _division_table.cache_info().currsize == 1
+        with cache_scope():
+            for state in ("cold", "warm"):
+                with pytest.raises(TypeError, match="cannot be interpreted as an integer"):
+                    egf_div_exp_sum(f, [(weight, 1), (weight, -1)])
+                assert egf_div_exp_sum(f, [(2, 1), (2, -1)]) == sech, state
+            assert _division_table.cache_info().currsize == 1
 
     @pytest.mark.parametrize("terms", [[(1, 1), (-1, 0)], [(2, F(1, 3)), (-2, F(-1, 2))]])
     def test_zero_weight_sum_raises_every_time(self, terms):
         _division_table.cache_clear()
-        for _ in ("first", "repeated"):
-            with pytest.raises(DivisionByNonUnit):
-                egf_div_exp_sum(exp_t(5), terms)
-        assert _division_table.cache_info().currsize == 0
+        with cache_scope():
+            for _ in ("first", "repeated"):
+                with pytest.raises(DivisionByNonUnit):
+                    egf_div_exp_sum(exp_t(5), terms)
+            assert _division_table.cache_info().currsize == 0
 
 
 class TestIntegerTerms:

@@ -7,6 +7,7 @@ import importlib
 import pickle
 import pkgutil
 import sys
+import tracemalloc
 from fractions import Fraction
 from math import comb
 from pathlib import Path
@@ -268,12 +269,13 @@ class TestOrderIsAnInt:
         caches = (_LI, _EULER, _TABLE, _SHIFT, _BERNOULLI)
         for cache in caches:
             cache.cache_clear()
-        call(4)
-        assert all(cache.cache_info().currsize for cache in reached)
-        sizes = [cache.cache_info().currsize for cache in caches]
-        with pytest.raises(TypeError, match="cannot be interpreted as an integer"):
-            call(order)
-        assert [cache.cache_info().currsize for cache in caches] == sizes
+        with exact.cache_scope():
+            call(4)
+            assert all(cache.cache_info().currsize for cache in reached)
+            sizes = [cache.cache_info().currsize for cache in caches]
+            with pytest.raises(TypeError, match="cannot be interpreted as an integer"):
+                call(order)
+            assert [cache.cache_info().currsize for cache in caches] == sizes
 
 
 _CAPS = "caps must be positive and n nonnegative"
@@ -560,7 +562,7 @@ class TestThm4Instrument:
 
 
 def _package_caches():
-    """Every functools cache defined at module level in the package."""
+    """Every cache (an ``exact._memo``) defined at module level in the package."""
     found = {}
     for info in pkgutil.iter_modules(polyeuler.__path__):
         module = importlib.import_module(f"polyeuler.{info.name}")
@@ -599,19 +601,27 @@ class TestEulerShapeCaches:
         for cache in _package_caches():
             cache.cache_clear()
         expected = [oracles.multi_poly_euler_xab_egf(*request) for request in requests]
-        for _ in ("cold", "warm"):
-            for (ks, x, alpha, beta, order), want in zip(requests, expected):
-                assert multi_poly_euler_xab(ks, x, LogParams(alpha, beta), order) == want
+        counts = []
+        with exact.cache_scope():
+            for _ in ("cold", "warm"):
+                for (ks, x, alpha, beta, order), want in zip(requests, expected):
+                    assert multi_poly_euler_xab(ks, x, LogParams(alpha, beta), order) == want
+                counts.append(polyfamily._euler_egf.cache_info())
+        # Every warm request is read from the scope: no new miss, one hit each.
+        cold, warm = counts
+        assert warm.misses == cold.misses
+        assert warm.hits - cold.hits == len(requests)
 
     def test_argument_zero_shares_the_quotient(self):
         """Every w reads the one w = 0 entry: two cold requests at w != 0 miss
         three times, and the w = 0 request after them misses no more."""
         ks, alpha, beta, order = (1, -1), (2, 3), (-1, 4), 5
         polyfamily._euler_egf.cache_clear()
-        polyfamily._euler_egf(ks, (1, 3), alpha, beta, order)
-        polyfamily._euler_egf(ks, (-2, 5), alpha, beta, order)
-        assert polyfamily._euler_egf.cache_info().misses == 3
-        polyfamily._euler_egf(ks, (0, 1), alpha, beta, order)
+        with exact.cache_scope():
+            polyfamily._euler_egf(ks, (1, 3), alpha, beta, order)
+            polyfamily._euler_egf(ks, (-2, 5), alpha, beta, order)
+            assert polyfamily._euler_egf.cache_info().misses == 3
+            polyfamily._euler_egf(ks, (0, 1), alpha, beta, order)
         assert polyfamily._euler_egf.cache_info().misses == 3
 
     @pytest.mark.parametrize(
@@ -641,19 +651,32 @@ class TestEulerShapeCaches:
         request, the same rationals in another form or formed by another
         caller, misses no more."""
         polyfamily._euler_egf.cache_clear()
-        first()
-        misses = polyfamily._euler_egf.cache_info().misses
-        assert misses
-        second()
+        with exact.cache_scope():
+            first()
+            misses = polyfamily._euler_egf.cache_info().misses
+            assert misses
+            second()
         assert polyfamily._euler_egf.cache_info().misses == misses
 
     CACHES = {"_euler_egf", "_li_numerator", "_shift_table", "_bernoulli_series", "_division_table"}
 
-    def test_every_cache_is_bounded(self):
+    def test_every_cache_is_scoped(self):
+        """A call made outside a cache scope reaches every cache and keeps
+        nothing: the same call made again misses every cache again."""
         caches = _package_caches()
         assert {c.__name__ for c in caches} == self.CACHES
         for cache in caches:
-            assert cache.cache_info().maxsize is not None, cache.__qualname__
+            cache.cache_clear()
+        thm2_rhs((1,), _P, 6)
+        bernoulli_numbers(6)
+        first = {cache: cache.cache_info() for cache in caches}
+        thm2_rhs((1,), _P, 6)
+        bernoulli_numbers(6)
+        for cache in caches:
+            info = cache.cache_info()
+            assert info.maxsize is None, cache.__qualname__
+            assert info.misses == 2 * first[cache].misses > 0, cache.__qualname__
+            assert info.hits == 2 * first[cache].hits, cache.__qualname__
 
     def test_every_cache_is_reused(self):
         """A cache that the audit never hits again only holds memory."""
@@ -671,8 +694,9 @@ class TestEulerShapeCaches:
         its key's pairs: one table serves both."""
         exact._division_table.cache_clear()
         polyfamily._euler_egf.cache_clear()
-        euler_numbers(8, EulerConvention.GENOCCHI_TYPE)
-        poly_euler(1, 0, 8)
+        with exact.cache_scope():
+            euler_numbers(8, EulerConvention.GENOCCHI_TYPE)
+            poly_euler(1, 0, 8)
         info = exact._division_table.cache_info()
         assert (info.misses, info.hits) == (1, 1)
 
@@ -717,6 +741,62 @@ class TestEulerShapeCaches:
         assert len(calls) == 36965
 
 
+class TestCacheScope:
+    """Every cache keeps its entries in the open ``exact.cache_scope`` and
+    for as long as it is open; outside any scope nothing is kept."""
+
+    @staticmethod
+    def requests(params):
+        thm2_rhs((1,), params, 64)
+        multi_poly_euler_xab((1,), F(1, 3), params, 64)
+
+    def test_a_loop_outside_a_scope_keeps_nothing(self):
+        """Eight distinct order-64 requests outside a scope leave under 0.2 MB
+        traced, where size-bounded global caches kept about 2 MB of them;
+        inside one scope a repeated request hits."""
+        self.requests(LogParams(F(9, 7), F(-1, 5)))
+        for cache in _package_caches():
+            cache.cache_clear()
+        tracemalloc.start()
+        try:
+            for i in range(8):
+                self.requests(LogParams(F(i + 1, 7), F(-2, 2 * i + 3)))
+            kept = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert kept < 0.2e6
+        with exact.cache_scope():
+            for _ in ("cold", "warm"):
+                self.requests(_P)
+        assert polyfamily._euler_egf.cache_info().hits
+        assert _shift_table.cache_info().hits
+
+    def test_an_inner_scope_reuses_the_outer_one(self):
+        _shift_table.cache_clear()
+        with exact.cache_scope():
+            thm2_rhs((1,), _P, 6)
+            with exact.cache_scope():
+                thm2_rhs((1,), _P, 6)
+                assert _shift_table.cache_info()[:2] == (1, 1)
+            assert _shift_table.cache_info().currsize == 1
+        assert _shift_table.cache_info().currsize == 0
+
+    def test_a_scope_that_raises_drops_its_tables(self):
+        class Stop(Exception):
+            pass
+
+        _shift_table.cache_clear()
+        with pytest.raises(Stop):
+            with exact.cache_scope():
+                thm2_rhs((1,), _P, 6)
+                assert _shift_table.cache_info().currsize == 1
+                raise Stop
+        assert _shift_table.cache_info().currsize == 0
+        with exact.cache_scope():
+            thm2_rhs((1,), _P, 6)
+        assert _shift_table.cache_info()[:2] == (0, 2)
+
+
 def _literal_shift(values, den, shift, order):
     """sum_i C(n,i) shift^{n-i} values_i / den, one Fraction per term."""
     return [
@@ -745,42 +825,42 @@ class TestBinomialShift:
         got = _binomial_shift((values, den), _pair(shift), order)
         assert list(got.coeffs) == _literal_shift(values, den, shift, order)
 
-    def test_matches_after_the_table_cache_evicts(self):
-        """More shifts than the 64 tables the cache keeps, read twice in the
-        same order, so every second read rebuilds its table."""
+    def test_matches_when_a_fresh_scope_rebuilds_the_tables(self):
+        """Many shifts, read once in each of two scopes, so every read in the
+        second scope rebuilds its table."""
         shifts = [F(s, 7) for s in range(-40, 41)]
-        assert len(shifts) > _shift_table.cache_info().maxsize
         values, order = [3, -1, 4, 1, -5, 9, 2, -6, 5], 8
         _shift_table.cache_clear()
-        for _ in ("cold", "evicted"):
-            for shift in shifts:
-                got = _binomial_shift((values, 2), _pair(shift), order)
-                assert list(got.coeffs) == _literal_shift(values, 2, shift, order)
+        for _ in ("cold", "rebuilt"):
+            with exact.cache_scope():
+                for shift in shifts:
+                    got = _binomial_shift((values, 2), _pair(shift), order)
+                    assert list(got.coeffs) == _literal_shift(values, 2, shift, order)
+                assert _shift_table.cache_info().currsize == len(shifts)
         info = _shift_table.cache_info()
-        assert info.currsize == info.maxsize
-        assert info.misses == 2 * len(shifts)
+        assert (info.currsize, info.misses) == (0, 2 * len(shifts))
 
     def test_thm2_and_cor1_share_a_table(self):
         """At r = 1 and x = ln a, thm2 shifts its lifted numbers by ln a and
         cor1 its two-parameter numbers by x: one table serves both."""
         p = LogParams(F(2, 3), F(-1, 4))
         _shift_table.cache_clear()
-        thm2_rhs((1,), p, 8)
-        cor1_rhs((1,), p.alpha, p, 8)
+        with exact.cache_scope():
+            thm2_rhs((1,), p, 8)
+            cor1_rhs((1,), p.alpha, p, 8)
         info = _shift_table.cache_info()
         assert (info.misses, info.hits) == (1, 1)
 
     def test_order_ten_audit_shift_table_traffic(self):
         """A count guard, not a timing: the seed-0 order-10 audit from cold
-        caches builds 227 shift tables, over 107 distinct (shift, order)
-        keys that the 64-entry cache partly evicts, and reads them 6,598
-        times more.  A key that held a second rational shows here as more
-        misses."""
+        caches builds one shift table per distinct (shift, order) key, 107,
+        and reads them 6,718 times more.  A key that held a second rational
+        shows here as more misses."""
         for cache in _package_caches():
             cache.cache_clear()
         audit.run_all(0, 10)
         info = _shift_table.cache_info()
-        assert (info.hits, info.misses) == (6598, 227)
+        assert (info.hits, info.misses) == (6718, 107)
 
 
 class TestLift:

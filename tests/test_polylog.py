@@ -5,7 +5,7 @@ from itertools import product
 
 import pytest
 
-from polyeuler import polyfamily
+from polyeuler import exact, polyfamily
 from polyeuler.exact import Egf, NonNilpotentInner, egf_add, egf_exp_linear, egf_mul, egf_scale
 from polyeuler.multifamily import (
     LogParams,
@@ -95,11 +95,12 @@ class TestIndicesAreInts:
         caches = (polyfamily._li_numerator, polyfamily._euler_egf)
         for cache in caches:
             cache.cache_clear()
-        self.FAMILIES[family](2)
-        sizes = [cache.cache_info().currsize for cache in caches]
-        with pytest.raises(TypeError, match="cannot be interpreted as an integer"):
-            self.FAMILIES[family](k)
-        assert [cache.cache_info().currsize for cache in caches] == sizes
+        with exact.cache_scope():
+            self.FAMILIES[family](2)
+            sizes = [cache.cache_info().currsize for cache in caches]
+            with pytest.raises(TypeError, match="cannot be interpreted as an integer"):
+                self.FAMILIES[family](k)
+            assert [cache.cache_info().currsize for cache in caches] == sizes
 
     @pytest.mark.parametrize("ks", [{-1, 3, 2}, frozenset({2, 1}), {2: 0, 1: 0}, {2: 0, 1: 0}.keys()])
     def test_unordered_indices_raise_type_error(self, ks):
