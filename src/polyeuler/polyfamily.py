@@ -9,16 +9,18 @@ terms, so a lookup hashes only ints and equal rationals meet in one entry,
 whichever caller formed them.  Each Euler series is cached once: at w = 0
 it is the quotient itself, and at any other w it is the Taylor shift of
 that cached w = 0 entry by e^{wt} (``exact._times_exp``, which takes the
-key's w pair as it is).  Both shapes' denominators,
+key's w pair as it is).  The plain Euler quotient, (alpha, beta) = (0, 1),
+is composed (``_plain_euler``).  Both shapes' other denominators,
 (e^{-alpha t} + e^{beta t})^r and (1-e^{-t})^r, are sums of r + 1
 exponentials by the binomial theorem.  The Euler shape and the Sasaki
 variant's 2e^t + 2e^{-t} hand their terms as integers to the fraction-free
 ``exact._div_exp_sum``, one cached row table per denominator and order;
 the Bernoulli shape builds its series with ``exact.egf_exp_sum`` to cancel
-t^r first.  Every numerator is read off one cached series, Li_ks(1-e^{-t}):
-the Bernoulli shape uses it as it is, and Li_ks(1-e^{-ct}) of the Euler
-shape (c = alpha + beta) and of the Sasaki variant (c = 4) is it dilated
-by c, coefficient n times c^n (``exact._dilate``).
+t^r first.  Every other numerator is read off one cached series,
+Li_ks(1-e^{-t}): the Bernoulli shape uses it as it is, and
+Li_ks(1-e^{-ct}) of the Euler shape (c = alpha + beta) and of the Sasaki
+variant (c = 4) is it dilated by c, coefficient n times c^n
+(``exact._dilate``).
 The lonesum count is the combinatorial side of the negative-index
 poly-Bernoulli identity and is computed by brute enumeration, which keeps it
 an independent ground truth.
@@ -28,8 +30,8 @@ from __future__ import annotations
 
 from collections import Counter
 from fractions import Fraction
-from itertools import product
-from math import comb
+from itertools import accumulate, product
+from math import comb, factorial
 
 from .exact import (
     Egf,
@@ -42,13 +44,14 @@ from .exact import (
     _reduced,
     _shift_down,
     _times_exp,
+    egf_compose,
     egf_div_shifted,
     egf_exp_linear,
     egf_exp_sum,
     egf_mul,
     lowest_terms,
 )
-from .polylog import KVector, li_of_inner, validate_kvector
+from .polylog import KVector, li_of_inner, multi_li_series, validate_kvector
 
 ENUMERATION_CELL_LIMIT = 20
 
@@ -64,7 +67,7 @@ def _one_minus_exp(order: int, r: int = 1) -> Egf:
 
 @_memo
 def _li_numerator(ks: KVector, order: int) -> Egf:
-    """Li_ks(1-e^{-t}), the numerator every family shares."""
+    """Li_ks(1-e^{-t}), the numerator every family but the plain Euler shape shares."""
     return li_of_inner(ks, _one_minus_exp(order), order)
 
 
@@ -79,6 +82,35 @@ def _euler_terms(alpha: Ratio, beta: Ratio, r: int) -> tuple[tuple[int, ...], tu
     return tuple(comb(r, i) for i in range(r + 1)), *lowest_terms(rates, a_den * b_den)
 
 
+def _plain_euler(ks: KVector, order: int) -> Egf:
+    """2 Li_ks(1-e^{-t}) / (1+e^t)^r, r = len(ks), composed and not divided.
+
+    With u = 1-e^{-t}, 1+e^t = (2-u)/(1-u), so the series is G(u) for the
+    ordinary series G(z) = 2 Li_ks(z) (1-z)^r / (2-z)^r.  Its coefficients
+    are integers over the multi-Li denominator D times a power of two:
+    g = Li_ks (1-z)^r is r first differences, and each of the r divisions
+    by 2-z, h_m = (g_m + h_{m-1})/2, is one prefix sum when h_m is held
+    over 2^{m+1}.  So with H the r-fold prefix sums of 2^m g_m,
+    G_m = 2 H_m / (D 2^{m+r}).  Scaled by m! it is composed once with
+    1-e^{-t} (``exact.egf_compose``), and ``Egf.of`` reduces it.
+
+    No other (alpha, beta) is composed: (e^{-alpha t}+e^{beta t})^r =
+    e^{r beta t} (2-u_c)^r, u_c = 1-e^{-(alpha+beta)t}, would read every
+    point off this c = 1 series, which is thm1's t -> (alpha+beta)t law.
+    """
+    r = len(ks)
+    g, den = multi_li_series(ks, order).numerators()
+    g = list(g)
+    for _ in range(r):
+        for m in range(order, 0, -1):
+            g[m] -= g[m - 1]
+    h = [v << m for m, v in enumerate(g)]
+    for _ in range(r):
+        h = list(accumulate(h))
+    scaled = [(v << (order - m)) * factorial(m) for m, v in enumerate(h)]
+    return egf_compose(Egf.of(scaled, den << (order + r - 1)), _one_minus_exp(order))
+
+
 @_memo
 def _euler_egf(ks: KVector, w: Ratio, alpha: Ratio, beta: Ratio, order: int) -> Egf:
     """2 Li_ks(1-e^{-(alpha+beta)t}) / (e^{-alpha t}+e^{beta t})^r e^{wt}, r = len(ks).
@@ -86,15 +118,18 @@ def _euler_egf(ks: KVector, w: Ratio, alpha: Ratio, beta: Ratio, order: int) -> 
     Every poly- and multi-poly-Euler family is this series at some
     (w, alpha, beta), each an integer pair in lowest terms (``exact._ratio``,
     ``exact._reduced``), so that a lookup hashes only ints and equal
-    rationals share one entry.  At w = 0 it is the quotient itself: the
-    numerator is the cached Li_ks(1-e^{-t}) dilated by alpha + beta, divided
-    fraction-free by the r + 1 exponentials of the denominator, which is
-    never rescaled from another (alpha, beta), so thm1's
-    t -> (alpha+beta)t law is still checked.  Any other w is the Taylor
-    shift e^{wt} times the cached w = 0 series.
+    rationals share one entry.  At w = 0 it is the quotient itself,
+    composed by ``_plain_euler`` at exactly (alpha, beta) = (0, 1).  At any
+    other (alpha, beta) the numerator is the cached Li_ks(1-e^{-t}) dilated
+    by alpha + beta, divided fraction-free by the r + 1 exponentials of the
+    denominator, which is never rescaled from another (alpha, beta), so
+    thm1's t -> (alpha+beta)t law is still checked.  Any other w is the
+    Taylor shift e^{wt} times the cached w = 0 series.
     """
     if w[0]:
         return _times_exp(_euler_egf(ks, (0, 1), alpha, beta, order), w)
+    if alpha == (0, 1) and beta == (1, 1):
+        return _plain_euler(ks, order)
     (a, a_den), (b, b_den) = alpha, beta
     # c = alpha + beta in lowest terms, or the division's integers grow.
     c = _reduced(a * b_den + b * a_den, a_den * b_den)

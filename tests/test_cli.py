@@ -396,6 +396,17 @@ _SASAKI_AT_LIMIT_SHA256 = {
     -MAX_K: "e111524b00b6ed01665830c53d733922a8169eb0eaed16169095d5a4191e81c3",
 }
 
+# The same for requests at the limits that read the plain shape, alpha = 0 and
+# beta = 1 with no x, recorded while its quotient was still divided by its
+# r + 1 exponentials rather than composed.
+_PLAIN_AT_LIMIT_SHA256 = {
+    ("multi-poly-euler", f"--ks={_KS_AT_LIMIT}"): (
+        "e65753b3a4af2ada31a89ab1fb02675c2444a0f05ce893a31157729b864b04fc"
+    ),
+    ("poly-euler", f"--k={MAX_K}"): "bd2a6db1ed3dbbc3eb16137dff011bdc718ffa2387f637f0cafb38f2f603f512",
+    ("poly-euler", f"--k={-MAX_K}"): "8357271f1275f1e9f15d83ff4264efc78d841766de438c29d3db124b5ee158b3",
+}
+
 
 def _sha256(text):
     return hashlib.sha256(text.encode()).hexdigest()
@@ -474,6 +485,13 @@ class TestSizeBounds:
         out = capsys.readouterr().out
         assert len(out.splitlines()) == MAX_N + 1
         assert _sha256(out) == _AT_LIMIT_SHA256[argv[0]]
+
+    @pytest.mark.parametrize("argv", sorted(_PLAIN_AT_LIMIT_SHA256), ids=" ".join)
+    def test_plain_request_at_the_limits(self, argv, capsys):
+        assert main_seq([*argv, f"--n={MAX_N}"]) == 0
+        out = capsys.readouterr().out
+        assert len(out.splitlines()) == MAX_N + 1
+        assert _sha256(out) == _PLAIN_AT_LIMIT_SHA256[argv]
 
     @pytest.mark.parametrize("k", sorted(_SASAKI_AT_LIMIT_SHA256))
     def test_sasaki_at_the_index_and_order_limits(self, k, capsys):

@@ -231,28 +231,27 @@ class TestOrderIsAnInt:
     """An order that is not an int raises TypeError from ``exact._order``
     before any cache is read: 4.0 and ``Fraction(4)`` hash like 4, so they
     must not be served the cached order-4 series, nor "4" be parsed, and the
-    failed call caches nothing.  Each entry maps to the caches it reaches."""
+    failed call caches nothing.  Each entry maps to the caches it reaches:
+    the plain shape (alpha, beta) = (0, 1) is composed, so its readers reach
+    neither the numerator cache nor a division table."""
 
     CALLS = {
         "poly_bernoulli": (lambda n: poly_bernoulli(1, 0, n), (_LI,)),
-        "poly_euler": (lambda n: poly_euler(1, F(1, 2), n), (_LI, _EULER, _TABLE)),
+        "poly_euler": (lambda n: poly_euler(1, F(1, 2), n), (_EULER,)),
         "poly_euler_sasaki": (lambda n: poly_euler_sasaki(1, n), (_LI, _TABLE)),
         "multi_poly_bernoulli": (lambda n: multi_poly_bernoulli((1, 2), n), (_LI,)),
-        "multi_poly_euler": (lambda n: multi_poly_euler((1, 2), F(1, 3), n), (_LI, _EULER, _TABLE)),
+        "multi_poly_euler": (lambda n: multi_poly_euler((1, 2), F(1, 3), n), (_EULER,)),
         "multi_poly_euler_ab": (lambda n: multi_poly_euler_ab((1,), _P, n), (_LI, _EULER, _TABLE)),
         "multi_poly_euler_xab": (
             lambda n: multi_poly_euler_xab((1,), 1, _P, n),
             (_LI, _EULER, _TABLE),
         ),
         "poly_euler_abc": (lambda n: poly_euler_abc(1, 1, _P, n), (_LI, _EULER, _TABLE)),
-        "thm1_rhs": (lambda n: thm1_rhs((1,), _P, n), (_LI, _EULER, _TABLE)),
-        "thm2_rhs": (lambda n: thm2_rhs((1,), _P, n), (_LI, _EULER, _TABLE, _SHIFT)),
+        "thm1_rhs": (lambda n: thm1_rhs((1,), _P, n), (_EULER,)),
+        "thm2_rhs": (lambda n: thm2_rhs((1,), _P, n), (_EULER, _SHIFT)),
         "cor1_rhs": (lambda n: cor1_rhs((1,), 1, _P, n), (_LI, _EULER, _TABLE, _SHIFT)),
-        "combined_rhs": (lambda n: combined_rhs((1,), 1, _P, n), (_LI, _EULER, _TABLE, _SHIFT)),
-        "combined_rhs_printed": (
-            lambda n: combined_rhs_printed((1,), 1, _P, n),
-            (_LI, _EULER, _TABLE, _SHIFT),
-        ),
+        "combined_rhs": (lambda n: combined_rhs((1,), 1, _P, n), (_EULER, _SHIFT)),
+        "combined_rhs_printed": (lambda n: combined_rhs_printed((1,), 1, _P, n), (_EULER, _SHIFT)),
         "addition_rhs": (
             lambda n: addition_rhs((1,), 1, 1, _P, n),
             (_LI, _EULER, _TABLE, _SHIFT),
@@ -271,7 +270,10 @@ class TestOrderIsAnInt:
             cache.cache_clear()
         with exact.cache_scope():
             call(4)
-            assert all(cache.cache_info().currsize for cache in reached)
+            # The caches it fills are exactly those it reaches.
+            assert [cache for cache in caches if cache.cache_info().currsize] == [
+                cache for cache in caches if cache in reached
+            ]
             sizes = [cache.cache_info().currsize for cache in caches]
             with pytest.raises(TypeError, match="cannot be interpreted as an integer"):
                 call(order)
@@ -575,8 +577,10 @@ def _package_caches():
 class TestEulerShapeCaches:
     """The Euler shape is cached once per (ks, w, alpha, beta, order), the
     three rationals as integer pairs in lowest terms; the w = 0 entry is the quotient that every other w multiplies by e^{wt}.
-    Below it sit the numerator per (ks, order) and, in ``exact``, one
-    division row table per denominator, r + 1 exponentials, and order.
+    Below the entries at (alpha, beta) != (0, 1) sit the numerator per
+    (ks, order) and, in ``exact``, one division row table per denominator,
+    r + 1 exponentials, and order; the plain shape is composed and reaches
+    neither.
     Every key must tell apart the requests it serves, in any order of
     arrival."""
 
@@ -667,11 +671,17 @@ class TestEulerShapeCaches:
         assert {c.__name__ for c in caches} == self.CACHES
         for cache in caches:
             cache.cache_clear()
-        thm2_rhs((1,), _P, 6)
-        bernoulli_numbers(6)
+
+        def calls():
+            # thm2 reads the composed plain shape; cor1 divides at _P's own
+            # (alpha, beta), through the numerator and a division table.
+            thm2_rhs((1,), _P, 6)
+            cor1_rhs((1,), 1, _P, 6)
+            bernoulli_numbers(6)
+
+        calls()
         first = {cache: cache.cache_info() for cache in caches}
-        thm2_rhs((1,), _P, 6)
-        bernoulli_numbers(6)
+        calls()
         for cache in caches:
             info = cache.cache_info()
             assert info.maxsize is None, cache.__qualname__
@@ -689,22 +699,25 @@ class TestEulerShapeCaches:
             assert cache.cache_info().hits, cache.__qualname__
 
     def test_integer_and_fraction_callers_share_a_division_table(self):
-        """``classical.euler_numbers`` divides by 1 + e^t with integer rates,
-        the Euler shape at alpha = 0, beta = 1, r = 1 with the integers of
-        its key's pairs: one table serves both."""
+        """``classical.euler_numbers`` divides by e^t + e^{-t} with integer
+        rates, the Euler shape at alpha = beta = -1, r = 1 with the integers
+        of its key's pairs, read from ``Fraction`` parameters: one table
+        serves both."""
         exact._division_table.cache_clear()
         polyfamily._euler_egf.cache_clear()
         with exact.cache_scope():
-            euler_numbers(8, EulerConvention.GENOCCHI_TYPE)
-            poly_euler(1, 0, 8)
+            euler_numbers(8, EulerConvention.SECANT_TYPE)
+            multi_poly_euler_ab((1,), LogParams(F(-2, 2), F(-1)), 8)
         info = exact._division_table.cache_info()
         assert (info.misses, info.hits) == (1, 1)
 
     def test_order_ten_audit_divides_once_per_divisor(self, monkeypatch):
         """A count guard, not a timing: the seed-0 order-10 audit from cold
-        caches makes 1,041 Euler-shape divisions by 87 distinct divisors and
-        3 Sasaki divisions by 2e^t + 2e^{-t}, so the division table builds
-        88 times and is read 956 times more."""
+        caches makes 990 Euler-shape divisions by 80 distinct divisors, all
+        at (alpha, beta) != (0, 1) since the plain shape is composed, 6
+        divisions by the secant ``classical.euler_numbers``'s e^t + e^{-t}
+        and 3 Sasaki divisions by 2e^t + 2e^{-t}, so the division table
+        builds 82 times and is read 917 times more."""
         calls = []
         original = exact._div_exp_sum
 
@@ -717,14 +730,15 @@ class TestEulerShapeCaches:
         _wrap_bindings(monkeypatch, {original: counted})
         audit.run_all(0, 10)
         table, euler = exact._division_table.cache_info(), polyfamily._euler_egf.cache_info()
-        assert len(calls) == 1044
-        assert (table.hits, table.misses) == (956, 88)
+        assert len(calls) == 999
+        assert (table.hits, table.misses) == (917, 82)
         assert (euler.hits, euler.misses) == (10704, 3747)
 
     def test_order_ten_audit_reads_rationals_once(self, monkeypatch):
         """A count guard, not a timing: the seed-0 order-10 audit from cold
-        caches reads 36,965 rationals through the checked ``exact._ratio``,
-        24 of them the report's values read by ``format_rational``.  Below
+        caches reads 37,043 rationals through the checked ``exact._ratio``,
+        24 of them the report's values read by ``format_rational`` and two
+        the rates of each composed plain quotient's 1 - e^{-t}.  Below
         it every rational is an integer pair, so a value turned back into a
         ``Fraction`` and read again shows here as a higher count."""
         calls = []
@@ -738,7 +752,7 @@ class TestEulerShapeCaches:
             cache.cache_clear()
         _wrap_bindings(monkeypatch, {original: counted})
         audit.run_all(0, 10)
-        assert len(calls) == 36965
+        assert len(calls) == 37043
 
 
 class TestCacheScope:
@@ -990,13 +1004,18 @@ class TestRightSidesCallNoSeriesKernel:
         for cache in caches:
             cache.cache_clear()
 
+    # The right sides that read only the plain shape, which is composed.
+    PLAIN_READERS = ("thm1_rhs", "thm2_rhs", "combined_rhs", "combined_rhs_printed")
+
     @pytest.mark.parametrize("name", sorted(CALLS))
     def test_makes_no_series_kernel_call(self, name, recorded):
         self.CALLS[name](LogParams(F(2, 3), F(-1, 4)))
         assert recorded["outside"] == []
         if name not in HELPERS:
-            # The wrappers are live: the cold Euler reads divided.
-            assert "_div_exp_sum" in recorded["inside"]
+            # The wrappers are live: the cold Euler reads composed the plain
+            # shape, or divided at the point's own (alpha, beta).
+            kernel = "egf_compose" if name in self.PLAIN_READERS else "_div_exp_sum"
+            assert kernel in recorded["inside"]
 
 
 def _pair(value):
@@ -1141,6 +1160,73 @@ class TestLeftSidesDivideByTheirOwnTerms:
         audit._TABLE[case_id].expected(case, point)
         pairs = alpha.as_integer_ratio(), beta.as_integer_ratio()
         assert divisions == [polyfamily._euler_terms(*pairs, r)]
+
+
+class TestPlainShapeIsComposed:
+    """The plain shape, exactly (alpha, beta) = (0, 1), is composed as
+    G(1 - e^{-t}) and divides nothing; every other (alpha, beta) divides its
+    own numerator by its own exponentials.  So thm1 and thm2 compare a
+    divided left side with a composed right side: the two sides share no
+    division kernel."""
+
+    @pytest.fixture
+    def reached(self, monkeypatch):
+        """Wrap every module binding of ``exact._div_exp_sum``; yields a
+        function that makes one cold call in a scope and returns the
+        division tables it built, the numerators it read and the divisions
+        it made."""
+        divisions = []
+        original = exact._div_exp_sum
+
+        def wrapper(f, *divisor):
+            divisions.append(divisor)
+            return original(f, *divisor)
+
+        _wrap_bindings(monkeypatch, {original: wrapper})
+
+        def run(call):
+            for cache in _package_caches():
+                cache.cache_clear()
+            divisions.clear()
+            with exact.cache_scope():
+                call()
+            return _TABLE.cache_info().misses, _LI.cache_info().misses, len(divisions)
+
+        yield run
+        for cache in _package_caches():
+            cache.cache_clear()
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda: multi_poly_euler((1, 2, -1), 0, 10),
+            lambda: thm1_rhs((1, 2, -1), LogParams(F(2, 3), F(-1, 4)), 10),
+        ],
+        ids=["multi_poly_euler", "thm1_rhs"],
+    )
+    def test_plain_reads_divide_nothing(self, call, reached):
+        assert reached(call) == (0, 0, 0)
+
+    def test_other_reads_divide_by_their_own_terms(self, reached):
+        call = lambda: _xab_egf((1, 2, -1), F(1, 3), F(2, 3), F(-1, 4), 10)
+        assert reached(call) == (1, 1, 1)
+
+    def test_a_faulty_division_fails_thm1_and_thm2(self, monkeypatch):
+        """Mutation control: with the last numerator of every division off by
+        one, the divided left sides no longer match the composed right
+        sides, so thm1 and thm2 both fail at order 4."""
+        original = exact._div_exp_sum
+
+        def faulty(f, *divisor):
+            nums, den = original(f, *divisor).numerators()
+            return exact.Egf.of([*nums[:-1], nums[-1] + 1], den)
+
+        for cache in _package_caches():
+            cache.cache_clear()
+        _wrap_bindings(monkeypatch, {original: faulty})
+        cases = {(c.id, c.variant): c for c in audit.build_registry(0, 4)}
+        for case_id in ("thm1", "thm2"):
+            assert audit.run_identity(cases[(case_id, None)]).verdict == audit.FAIL, case_id
 
 
 def test_oracles_import_only_the_standard_library():

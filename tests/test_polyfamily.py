@@ -7,8 +7,10 @@ import pytest
 from hypothesis import given, strategies as st
 
 from polyeuler.classical import bernoulli_numbers, bernoulli_polynomial, poly_eval
+from polyeuler.polylog import li_of_inner
 from polyeuler.exact import (
     Egf,
+    _div_exp_sum,
     _integer_terms,
     egf_add,
     egf_exp_linear,
@@ -20,6 +22,7 @@ from polyeuler.polyfamily import (
     TooLarge,
     _euler_terms,
     _one_minus_exp,
+    _plain_euler,
     lonesum_count,
     poly_bernoulli,
     poly_euler,
@@ -185,3 +188,17 @@ class TestBinomialDenominators:
     def test_bernoulli_shape_equals_egf_pow(self, r, order):
         base = egf_add(Egf.constant(1, order), egf_scale(egf_exp_linear(-1, order), -1))
         assert _one_minus_exp(order, r) == _power(base, r)
+
+
+@given(
+    ks=st.lists(st.integers(min_value=-3, max_value=4), min_size=1, max_size=5).map(tuple),
+    order=st.integers(min_value=0, max_value=24),
+)
+def test_plain_euler_composed_equals_the_division(ks, order):
+    """G(1 - e^{-t}) with G(z) = 2 Li_ks(z) (1-z)^r / (2-z)^r is the quotient
+    2 Li_ks(1 - e^{-t}) / (1 + e^t)^r that every other (alpha, beta) still
+    forms by division, as the same reduced series."""
+    nums, den = li_of_inner(ks, _one_minus_exp(order), order).numerators()
+    numerator = Egf.of([2 * v for v in nums], den)
+    divided = _div_exp_sum(numerator, *_euler_terms((0, 1), (1, 1), len(ks)))
+    assert _plain_euler(ks, order).numerators() == divided.numerators()
