@@ -7,11 +7,13 @@ those integers; ``coeffs`` builds the ``fractions.Fraction`` values on each
 read.  Nothing here ever touches floating point: every rational a caller
 passes is read by ``_ratio``, which refuses a float or text, and every
 order by ``_order``, which refuses a float order before a cache could
-answer it.  Below them a rational is an integer pair: the kernels
-``_times_exp`` (the Taylor shift), ``_dilate`` (the one dilation t -> ct)
-and ``_div_exp_sum`` take integers.  Every cache of the package, such as
-``_division_table`` of a division's divisor, is a ``_memo``: its values
-last one ``cache_scope``, a request of the audit or of a command.
+answer it.  Below them a rational is an integer pair, and a series passes
+between kernels as integer numerators over one denominator, not reduced:
+``_times_exp`` (the Taylor shift), ``_dilate`` (the one dilation t -> ct),
+``_shift_down`` (the division by t^s) and ``_div_exp_sum`` take it so.
+Every cache of the package, such as ``_division_table`` of a division's
+divisor, is a ``_memo``: its values last one ``cache_scope``, a request of
+the audit or of a command.
 """
 
 from __future__ import annotations
@@ -387,8 +389,8 @@ def egf_div_shifted(f: Egf, g: Egf, shift: int) -> Egf:
         return egf_div(f, g)
     if f.order < shift or g.order < shift:
         raise InsufficientVanishing("series too short for the requested shift")
-    a, _ = f.numerators()
-    b, _ = g.numerators()
+    a, df = f.numerators()
+    b, dg = g.numerators()
     for j in range(shift):
         if a[j] or b[j]:
             raise InsufficientVanishing(
@@ -398,19 +400,15 @@ def egf_div_shifted(f: Egf, g: Egf, shift: int) -> Egf:
         raise InsufficientVanishing(
             f"divisor vanishes beyond t^{shift}; quotient would not be a power series"
         )
-    return egf_div(_shift_down(f, shift), _shift_down(g, shift))
+    return egf_div(Egf.of(*_shift_down(a, df, shift)), Egf.of(*_shift_down(b, dg, shift)))
 
 
-def _shift_down(f: Egf, s: int) -> Egf:
-    """Divide by t^s, assuming the first s coefficients vanish: coefficient
-    m becomes c_{m+s} m!/(m+s)! = c_{m+s} / (s! C(m+s, s))."""
-    nums, den = f.numerators()
-    steps = [comb(m + s, s) for m in range(f.order - s + 1)]
+def _shift_down(nums: Sequence[int], den: int, s: int) -> tuple[list[int], int]:
+    """nums/den divided by t^s, assuming the first s coefficients vanish:
+    coefficient m becomes c_{m+s} m!/(m+s)! = c_{m+s} / (s! C(m+s, s))."""
+    steps = [comb(m + s, s) for m in range(len(nums) - s)]
     scale = lcm(*steps)
-    return Egf.of(
-        (nums[m + s] * (scale // step) for m, step in enumerate(steps)),
-        den * factorial(s) * scale,
-    )
+    return [nums[m + s] * (scale // c) for m, c in enumerate(steps)], den * factorial(s) * scale
 
 
 def _bell_table(u: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
@@ -538,12 +536,14 @@ def _division_table(
 def egf_div_exp_sum(f: Egf, terms: Iterable[tuple[int, RationalLike]]) -> Egf:
     """f divided by the sum of exponentials sum_j w_j e^{mu_j t}, the series
     ``egf_exp_sum(terms, f.order)``, by the kernel ``_div_exp_sum``."""
-    return _div_exp_sum(f, *_integer_terms(terms))
+    return _div_exp_sum(*f.numerators(), *_integer_terms(terms))
 
 
-def _div_exp_sum(f: Egf, weights: tuple[int, ...], tops: tuple[int, ...], den: int) -> Egf:
-    """f divided by sum_j w_j e^{mu_j t}, given as integers: the weights w_j
-    and the rates over one denominator K = den, mu_j = tops[j] / K.
+def _div_exp_sum(
+    nums: Sequence[int], den: int, weights: tuple[int, ...], tops: tuple[int, ...], rate_den: int
+) -> Egf:
+    """f = nums/den divided by sum_j w_j e^{mu_j t}, all integers: the
+    weights w_j and the rates mu_j = tops[j] / K over K = rate_den.
 
     Fraction-free in the manner of Bareiss: the quotient at Kt is f(Kt) over
     the integer series G_n = sum_j w_j tops[j]^n.  So f(Kt),
@@ -559,9 +559,8 @@ def _div_exp_sum(f: Egf, weights: tuple[int, ...], tops: tuple[int, ...], den: i
     """
     if sum(weights) == 0:
         raise DivisionByNonUnit("divisor has zero constant term")
-    rows, lift, s, den_pow = _division_table(weights, tops, den, f.order)
-    nums, df = f.numerators()
-    a, df = lowest_terms(map(mul, nums, den_pow), df)
+    rows, lift, s, den_pow = _division_table(weights, tops, rate_den, len(nums) - 1)
+    a, df = lowest_terms(map(mul, nums, den_pow), den)
     # Y_n = 0 below the first nonzero a'_z, so row n meets only Y_z..Y_{n-1}.
     z = next((n for n, v in enumerate(a) if v), len(a))
     known: list[int] = []  # Y_z, Y_{z+1}, ...
@@ -572,11 +571,11 @@ def _div_exp_sum(f: Egf, weights: tuple[int, ...], tops: tuple[int, ...], den: i
 
 def egf_times_exp(f: Egf, value: RationalLike) -> Egf:
     """The product e^{value * t} f, by the Taylor shift ``_times_exp``."""
-    return _times_exp(f, _ratio(value))
+    return _times_exp(*f.numerators(), _ratio(value))
 
 
-def _times_exp(f: Egf, value: Ratio) -> Egf:
-    """The product e^{(p/q) t} f for value = (p, q), by a Taylor shift.
+def _times_exp(a: Sequence[int], d: int, value: Ratio) -> Egf:
+    """The product e^{(p/q) t} f for f = a/d and value = (p, q), by a Taylor shift.
 
     With f = a/d, coefficient n is sum_i C(n,i) p^{n-i} q^i a_i / (d q^n).
     So the rows start from R_0[i] = q^i a_i, and
@@ -585,8 +584,7 @@ def _times_exp(f: Egf, value: Ratio) -> Egf:
     the one before it in place, one entry shorter.
     """
     p, q = value
-    a, df = f.numerators()
-    n = f.order
+    n = len(a) - 1
     q_pow = integer_powers(q, n)
     row = list(map(mul, a, q_pow))
     tops = [row[0]]
@@ -594,7 +592,7 @@ def _times_exp(f: Egf, value: Ratio) -> Egf:
         for i in range(width):
             row[i] = p * row[i] + row[i + 1]
         tops.append(row[0])
-    return Egf.of(list(map(mul, tops, reversed(q_pow))), df * q_pow[n])
+    return Egf.of(list(map(mul, tops, reversed(q_pow))), d * q_pow[n])
 
 
 def det(rows: Sequence[Sequence[RationalLike]]) -> Fraction:

@@ -7,16 +7,16 @@ polynomial identity in these rationals and can be certified point by point
 with zero tolerance.
 
 The right-hand-side evaluators (thm1_rhs .. addition_rhs) recompute the
-registered identities' claimed expansions from more primitive sequences,
-read as integer numerators off the cached Euler shape, whose keys they
-form as integer (numerator, denominator) pairs in lowest terms with one
-gcd each (r x, r alpha, alpha + beta, r alpha/(alpha + beta)).  They add up
-the printed terms over Python ints and return an integer-numerator ``Egf`` over
-one denominator, which the audit compares by cross-multiplication with the
-family on the other side.  That side is the series ``_xab_egf`` returns,
-which the list families (``multi_poly_euler*``) only turn into rationals;
-thm1 alone keeps the list wrapper.  The right sides never call a series
-product or another right side, so the audit's two sides stay independent.
+registered identities' claimed expansions from more primitive sequences, read
+as integer numerators off the cached Euler shape, whose keys they form as
+integer (numerator, denominator) pairs in lowest terms with one gcd each
+(r x, r alpha, alpha + beta, r alpha/(alpha + beta)).  They add up the printed
+terms over Python ints, handed between helpers as numerators over one
+denominator, into one ``Egf``, which the audit compares by cross-multiplication
+with the family on the other side.  That side is the series ``_xab_egf``
+returns, which the list families (``multi_poly_euler*``) only turn into
+rationals; thm1 alone keeps the list wrapper.  The right sides never call a
+series product or another right side, so the audit's two sides stay independent.
 thm1 and thm2 lift their numbers by (ln a + ln b)^n in one helper,
 ``_lift``.  thm2, cor1 and cor2 are one binomial shift each, summed term by
 term; the factors of a shift that hold no series value, the binomial
@@ -134,14 +134,13 @@ def _log_ratios(params: LogParams) -> tuple[Ratio, Ratio]:
     return (a, ad), _reduced(a * bd + b * ad, ad * bd)
 
 
-def _lift(values: tuple[Sequence[int], int], lam: Ratio, order: int) -> tuple[list[int], int]:
+def _lift(v: Sequence[int], den: int, lam: Ratio, order: int) -> tuple[list[int], int]:
     """lam^n values_n for n = 0..order, over integers and not reduced.
 
     With values = v/D and lam = l/l' in lowest terms, term n is
     v_n l^n l'^{N-n} over D l'^N, summed here and not by the series kernel
     ``exact._dilate``.
     """
-    v, den = values
     top, bottom = integer_powers(lam[0], order), integer_powers(lam[1], order)
     return [v[n] * top[n] * bottom[order - n] for n in range(order + 1)], den * bottom[order]
 
@@ -155,7 +154,7 @@ def thm1_rhs(ks: Sequence[int], params: LogParams, order: int) -> Egf:
     ks = validate_kvector(ks)
     w = _reduced(len(ks) * a * lab[1], ad * lab[0])
     plain = _euler_egf(ks, w, (0, 1), (1, 1), _order(order)).numerators()
-    return Egf.of(*_lift(plain, lab, order))
+    return Egf.of(*_lift(*plain, lab, order))
 
 
 @_memo
@@ -175,43 +174,42 @@ def _shift_table(shift: Ratio, order: int) -> tuple[tuple[tuple[int, ...], ...],
     return rows, tuple(den_pow)
 
 
-def _binomial_shift(values: tuple[Sequence[int], int], shift: Ratio, order: int) -> Egf:
+def _binomial_shift(v: Sequence[int], den: int, shift: Ratio, order: int) -> tuple[list[int], int]:
     """sum_i C(n,i) shift^{n-i} values_i for n = 0..order, term by term.
 
     With shift = s/s' (a pair in lowest terms) and values = v/D over
     integers, term i of row n is C(n,i) s^{n-i} s'^i v_i over the row
     denominator s'^n D; every row is lifted to s'^N D, the one denominator
-    of the result.  The factors that do not depend on v come from the cached
-    ``_shift_table``, so row n is the inner product of its table row with
-    u_i = s'^i v_i.
+    of the result, which is not reduced.  The factors that do not depend on
+    v come from the cached ``_shift_table``, so row n is the inner product
+    of its table row with u_i = s'^i v_i.
     """
-    v, den = values
     rows, den_pow = _shift_table(shift, order)
     u = list(map(mul, den_pow, v))
-    return Egf.of([sum(map(mul, row, u)) for row in rows], den_pow[order] * den)
+    return [sum(map(mul, row, u)) for row in rows], den_pow[order] * den
 
 
-def _thm2_sum(ks: KVector, s: int, params: LogParams, order: int) -> Egf:
+def _thm2_sum(ks: KVector, s: int, params: LogParams, order: int) -> tuple[list[int], int]:
     """thm2's printed sum sum_i C(n,i) (s ln a)^{n-i} (ln a+ln b)^i E_i of the
     plain numbers E_i: the numbers lifted by ``_lift``, then one binomial
     shift by s ln a; thm2 itself takes s = r."""
     (a, ad), lab = _log_ratios(params)
     plain = _euler_egf(ks, (0, 1), (0, 1), (1, 1), _order(order)).numerators()
-    return _binomial_shift(_lift(plain, lab, order), _reduced(s * a, ad), order)
+    return _binomial_shift(*_lift(*plain, lab, order), _reduced(s * a, ad), order)
 
 
 def thm2_rhs(ks: Sequence[int], params: LogParams, order: int) -> Egf:
     """Registered identity thm2, right side: a binomial mix of the plain numbers,
     term i carrying r^{n-i} (ln a+ln b)^i (ln a)^{n-i} C(n,i) E_i."""
     ks = validate_kvector(ks)
-    return _thm2_sum(ks, len(ks), params, order)
+    return Egf.of(*_thm2_sum(ks, len(ks), params, order))
 
 
 def cor1_rhs(ks: Sequence[int], x: Fraction | int, params: LogParams, order: int) -> Egf:
     """Registered identity cor1, right side: sum_i C(n,i) r^{n-i} E_i(a,b) x^{n-i}."""
     ks = validate_kvector(ks)
     ab = _euler_egf(ks, (0, 1), _ratio(params.alpha), _ratio(params.beta), _order(order)).numerators()
-    return _binomial_shift(ab, _times(len(ks), x), order)
+    return Egf.of(*_binomial_shift(*ab, _times(len(ks), x), order))
 
 
 def _combined_sum(
@@ -227,7 +225,7 @@ def _combined_sum(
     ks = validate_kvector(ks)
     r = len(ks)
     inner = _thm2_sum(ks, 1 if printed else r, params, order)
-    return _binomial_shift(inner.numerators(), _times(r, x), order)
+    return Egf.of(*_binomial_shift(*inner, _times(r, x), order))
 
 
 def combined_rhs(ks: Sequence[int], x: Fraction | int, params: LogParams, order: int) -> Egf:
@@ -260,7 +258,7 @@ def addition_rhs(
     r = len(ks)
     alpha, beta = _ratio(params.alpha), _ratio(params.beta)
     base = _euler_egf(ks, _times(r, x), alpha, beta, _order(order)).numerators()
-    return _binomial_shift(base, _times(r, y), order)
+    return Egf.of(*_binomial_shift(*base, _times(r, y), order))
 
 
 @dataclass(frozen=True)

@@ -15,12 +15,13 @@ is composed (``_plain_euler``).  Both shapes' other denominators,
 exponentials by the binomial theorem.  The Euler shape and the Sasaki
 variant's 2e^t + 2e^{-t} hand their terms as integers to the fraction-free
 ``exact._div_exp_sum``, one cached row table per denominator and order;
-the Bernoulli shape builds its series with ``exact.egf_exp_sum`` to cancel
-t^r first.  Every other numerator is read off one cached series,
-Li_ks(1-e^{-t}): the Bernoulli shape uses it as it is, and
-Li_ks(1-e^{-ct}) of the Euler shape (c = alpha + beta) and of the Sasaki
-variant (c = 4) is it dilated by c, coefficient n times c^n
-(``exact._dilate``).
+the Bernoulli shape forms its series from integer power sums
+(``_one_minus_exp``) to cancel t^r first.  Every other numerator is read
+off one cached series, Li_ks(1-e^{-t}): the Bernoulli shape uses it as it
+is, and Li_ks(1-e^{-ct}) of the Euler shape (c = alpha + beta) and of the
+Sasaki variant (c = 4) is it dilated by c, coefficient n times c^n
+(``exact._dilate``).  A series passes from one of these kernels to the
+next as integer numerators over one denominator, as ``exact`` states.
 The lonesum count is the combinatorial side of the negative-index
 poly-Bernoulli identity and is computed by brute enumeration, which keeps it
 an independent ground truth.
@@ -40,6 +41,7 @@ from .exact import (
     _div_exp_sum,
     _memo,
     _order,
+    _power_sums,
     _ratio,
     _reduced,
     _shift_down,
@@ -47,7 +49,6 @@ from .exact import (
     egf_compose,
     egf_div_shifted,
     egf_exp_linear,
-    egf_exp_sum,
     egf_mul,
     lowest_terms,
 )
@@ -61,8 +62,10 @@ class TooLarge(ValueError):
 
 
 def _one_minus_exp(order: int, r: int = 1) -> Egf:
-    """(1 - e^{-t})^r = sum_i C(r,i) (-1)^i e^{-it}, which vanishes to order r."""
-    return egf_exp_sum(((comb(r, i) * (-1) ** i, -i) for i in range(r + 1)), order)
+    """(1 - e^{-t})^r = sum_i C(r,i) (-1)^i e^{-it}, which vanishes to order r:
+    coefficient n is the integer power sum sum_i C(r,i) (-1)^i (-i)^n."""
+    weights = [comb(r, i) * (-1) ** i for i in range(r + 1)]
+    return Egf.of(_power_sums(weights, range(0, -r - 1, -1), order))
 
 
 @_memo
@@ -127,15 +130,14 @@ def _euler_egf(ks: KVector, w: Ratio, alpha: Ratio, beta: Ratio, order: int) -> 
     Taylor shift e^{wt} times the cached w = 0 series.
     """
     if w[0]:
-        return _times_exp(_euler_egf(ks, (0, 1), alpha, beta, order), w)
+        return _times_exp(*_euler_egf(ks, (0, 1), alpha, beta, order).numerators(), w)
     if alpha == (0, 1) and beta == (1, 1):
         return _plain_euler(ks, order)
     (a, a_den), (b, b_den) = alpha, beta
     # c = alpha + beta in lowest terms, or the division's integers grow.
     c = _reduced(a * b_den + b * a_den, a_den * b_den)
     nums, den = _dilate(*_li_numerator(ks, order).numerators(), c)
-    numerator = Egf.of([2 * v for v in nums], den)
-    return _div_exp_sum(numerator, *_euler_terms(alpha, beta, len(ks)))
+    return _div_exp_sum([2 * v for v in nums], den, *_euler_terms(alpha, beta, len(ks)))
 
 
 def _bernoulli_egf(ks: KVector, x: Fraction | int, order: int) -> Egf:
@@ -172,8 +174,7 @@ def poly_euler_sasaki(k: int, order: int) -> list[Fraction]:
     # one order deeper, over the two exponentials, weights 2 and rates +-1.
     ks = validate_kvector((k,))
     nums, den = _dilate(*_li_numerator(ks, _order(order) + 1).numerators(), (4, 1))
-    numerator = _shift_down(Egf.of(nums, den), 1)
-    return list(_div_exp_sum(numerator, (2, 2), (1, -1), 1).coeffs)
+    return list(_div_exp_sum(*_shift_down(nums, den, 1), (2, 2), (1, -1), 1).coeffs)
 
 
 def lonesum_count(n: int, k: int) -> int:

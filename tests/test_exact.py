@@ -143,6 +143,11 @@ class TestEgfBasics:
         f = Egf((F(1), F(3), F(5), F(-2)))
         assert Egf.from_ordinary(f.ordinary()) == f
 
+    def test_equals_only_a_series(self):
+        f = Egf.of((1, 2))
+        assert f != (1, 2)
+        assert f != f.numerators()
+
 
 integers = st.integers(min_value=-(10**30), max_value=10**30)
 nonzero_integers = integers.filter(bool)
@@ -281,6 +286,9 @@ class TestDivShifted:
             egf_div_shifted(exp_t(4), Egf.t(4), 1)
         with pytest.raises(InsufficientVanishing):
             egf_div_shifted(Egf.t(4), exp_t(4), 1)
+        # An operand shorter than the shift has fewer than shift coefficients.
+        with pytest.raises(InsufficientVanishing):
+            egf_div_shifted(Egf.t(1), Egf.of((0, 0, 0, 1)), 2)
 
     def test_rejects_overvanishing_divisor(self):
         t2 = Egf((F(0), F(0), F(2), F(0)))

@@ -721,9 +721,9 @@ class TestEulerShapeCaches:
         calls = []
         original = exact._div_exp_sum
 
-        def counted(f, *divisor):
-            calls.append(f.order)
-            return original(f, *divisor)
+        def counted(nums, den, *divisor):
+            calls.append(len(nums) - 1)
+            return original(nums, den, *divisor)
 
         for cache in _package_caches():
             cache.cache_clear()
@@ -736,10 +736,10 @@ class TestEulerShapeCaches:
 
     def test_order_ten_audit_reads_rationals_once(self, monkeypatch):
         """A count guard, not a timing: the seed-0 order-10 audit from cold
-        caches reads 37,043 rationals through the checked ``exact._ratio``,
-        24 of them the report's values read by ``format_rational`` and two
-        the rates of each composed plain quotient's 1 - e^{-t}.  Below
-        it every rational is an integer pair, so a value turned back into a
+        caches reads 36,795 rationals through the checked ``exact._ratio``,
+        24 of them the report's values read by ``format_rational``; the
+        integer rates of 1 - e^{-t} are read by none.  Below it every
+        rational is an integer pair, so a value turned back into a
         ``Fraction`` and read again shows here as a higher count."""
         calls = []
         original = exact._ratio
@@ -752,7 +752,7 @@ class TestEulerShapeCaches:
             cache.cache_clear()
         _wrap_bindings(monkeypatch, {original: counted})
         audit.run_all(0, 10)
-        assert len(calls) == 37043
+        assert len(calls) == 36795
 
 
 class TestCacheScope:
@@ -811,6 +811,42 @@ class TestCacheScope:
         assert _shift_table.cache_info()[:2] == (0, 2)
 
 
+class TestSeriesPassAsIntegers:
+    """Between the private helpers a series passes as integer numerators
+    over one denominator: with every cache it reads warm in an open scope, a
+    call builds one ``Egf``, its result, and none for the next step to take
+    apart."""
+
+    @pytest.mark.parametrize(
+        "call, forget",
+        [
+            # One miss at (alpha, beta) != (0, 1), numerator and table warm.
+            (lambda: polyfamily._euler_egf((1, 2), (0, 1), (2, 3), (-1, 4), 8), True),
+            (lambda: poly_euler_sasaki(2, 8), False),
+            (lambda: combined_rhs((1, 2), F(1, 3), _P, 8), False),
+            (lambda: thm2_rhs((1, 2), _P, 8), False),
+        ],
+        ids=["euler-miss", "sasaki", "combined", "thm2"],
+    )
+    def test_a_warm_call_builds_one_series(self, call, forget, monkeypatch):
+        built = []
+        original = exact.Egf.of.__func__
+
+        def counted(cls, *args):
+            built.append(args)
+            return original(cls, *args)
+
+        for cache in _package_caches():
+            cache.cache_clear()
+        with exact.cache_scope():
+            call()
+            if forget:
+                polyfamily._euler_egf.cache_clear()
+            monkeypatch.setattr(exact.Egf, "of", classmethod(counted))
+            call()
+        assert len(built) == 1
+
+
 def _literal_shift(values, den, shift, order):
     """sum_i C(n,i) shift^{n-i} values_i / den, one Fraction per term."""
     return [
@@ -836,8 +872,8 @@ class TestBinomialShift:
     @example(order=0, shift=F(-2), nums=[7] * 13, den=3)
     def test_matches_the_literal_double_loop(self, order, shift, nums, den):
         values = nums[: order + 1]
-        got = _binomial_shift((values, den), _pair(shift), order)
-        assert list(got.coeffs) == _literal_shift(values, den, shift, order)
+        got, got_den = _binomial_shift(values, den, _pair(shift), order)
+        assert [F(v, got_den) for v in got] == _literal_shift(values, den, shift, order)
 
     def test_matches_when_a_fresh_scope_rebuilds_the_tables(self):
         """Many shifts, read once in each of two scopes, so every read in the
@@ -848,8 +884,8 @@ class TestBinomialShift:
         for _ in ("cold", "rebuilt"):
             with exact.cache_scope():
                 for shift in shifts:
-                    got = _binomial_shift((values, 2), _pair(shift), order)
-                    assert list(got.coeffs) == _literal_shift(values, 2, shift, order)
+                    nums, den = _binomial_shift(values, 2, _pair(shift), order)
+                    assert [F(v, den) for v in nums] == _literal_shift(values, 2, shift, order)
                 assert _shift_table.cache_info().currsize == len(shifts)
         info = _shift_table.cache_info()
         assert (info.currsize, info.misses) == (0, 2 * len(shifts))
@@ -892,7 +928,7 @@ class TestLift:
     @example(order=9, lam=F(-5, 3), nums=list(range(-6, 7)), den=4)
     def test_matches_fraction_powers(self, order, lam, nums, den):
         values = nums[: order + 1]
-        lifted, lifted_den = _lift((values, den), _pair(lam), order)
+        lifted, lifted_den = _lift(values, den, _pair(lam), order)
         assert [F(v, lifted_den) for v in lifted] == [
             lam**n * F(v, den) for n, v in enumerate(values)
         ]
@@ -917,8 +953,8 @@ class TestThm2Sum:
             )
             for n in range(order + 1)
         ]
-        got = _thm2_sum(ks, s, LogParams(alpha, beta), order)
-        assert list(got.coeffs) == literal
+        nums, den = _thm2_sum(ks, s, LogParams(alpha, beta), order)
+        assert [F(v, den) for v in nums] == literal
 
 
 def _wrap_bindings(monkeypatch, wrappers):
@@ -956,8 +992,8 @@ class TestRightSidesCallNoSeriesKernel:
     it reads and do not count."""
 
     CALLS = {
-        "_binomial_shift": lambda p: _binomial_shift(([0, 1, -2, 3], 5), (2, 3), 3),
-        "_lift": lambda p: _lift(([0, 1, -2, 3], 5), (-5, 7), 3),
+        "_binomial_shift": lambda p: _binomial_shift([0, 1, -2, 3], 5, (2, 3), 3),
+        "_lift": lambda p: _lift([0, 1, -2, 3], 5, (-5, 7), 3),
         "thm1_rhs": lambda p: thm1_rhs((1, 2), p, 6),
         "thm2_rhs": lambda p: thm2_rhs((1, 2), p, 6),
         "cor1_rhs": lambda p: cor1_rhs((1, 2), F(1, 3), p, 6),
@@ -1136,9 +1172,9 @@ class TestLeftSidesDivideByTheirOwnTerms:
         terms = []
         original = exact._div_exp_sum
 
-        def wrapper(f, *divisor):
+        def wrapper(nums, den, *divisor):
             terms.append(divisor)
-            return original(f, *divisor)
+            return original(nums, den, *divisor)
 
         for cache in _package_caches():
             cache.cache_clear()
@@ -1178,9 +1214,9 @@ class TestPlainShapeIsComposed:
         divisions = []
         original = exact._div_exp_sum
 
-        def wrapper(f, *divisor):
+        def wrapper(nums, den, *divisor):
             divisions.append(divisor)
-            return original(f, *divisor)
+            return original(nums, den, *divisor)
 
         _wrap_bindings(monkeypatch, {original: wrapper})
 
@@ -1217,8 +1253,8 @@ class TestPlainShapeIsComposed:
         sides, so thm1 and thm2 both fail at order 4."""
         original = exact._div_exp_sum
 
-        def faulty(f, *divisor):
-            nums, den = original(f, *divisor).numerators()
+        def faulty(*args):
+            nums, den = original(*args).numerators()
             return exact.Egf.of([*nums[:-1], nums[-1] + 1], den)
 
         for cache in _package_caches():

@@ -199,6 +199,5 @@ def test_plain_euler_composed_equals_the_division(ks, order):
     2 Li_ks(1 - e^{-t}) / (1 + e^t)^r that every other (alpha, beta) still
     forms by division, as the same reduced series."""
     nums, den = li_of_inner(ks, _one_minus_exp(order), order).numerators()
-    numerator = Egf.of([2 * v for v in nums], den)
-    divided = _div_exp_sum(numerator, *_euler_terms((0, 1), (1, 1), len(ks)))
+    divided = _div_exp_sum([2 * v for v in nums], den, *_euler_terms((0, 1), (1, 1), len(ks)))
     assert _plain_euler(ks, order).numerators() == divided.numerators()
