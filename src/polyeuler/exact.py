@@ -10,7 +10,8 @@ order by ``_order``, which refuses a float order before a cache could
 answer it.  Below them a rational is an integer pair, and a series passes
 between kernels as integer numerators over one denominator, not reduced:
 ``_times_exp`` (the Taylor shift), ``_dilate`` (the one dilation t -> ct),
-``_shift_down`` (the division by t^s) and ``_div_exp_sum`` take it so.
+``_shift_down`` (the division by t^s), ``_div_exp_sum`` and
+``_compose_one_minus_exp`` (the composition with 1 - e^{-t}) take it so.
 Every cache of the package, such as ``_division_table`` of a division's
 divisor, is a ``_memo``: its values last one ``cache_scope``, a request of
 the audit or of a command.
@@ -418,8 +419,8 @@ def _bell_table(u: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
     rows[j][m] = B_{j,m}(u[0], u[1], ...) are integers, so
     B_{j,m}(u_1, u_2, ...) = rows[j][m] / D^m.  Filled by the O(N^3)
     recurrence B_{j,m} = sum_i C(j-1, i-1) u_i B_{j-i,m-1}.  Not cached:
-    ``egf_compose`` composes with 1 - e^{-t}, the package's inner series,
-    without a table.
+    1 - e^{-t}, the package's inner series, is composed without a table
+    (``_compose_one_minus_exp``).
     """
     rows: list[tuple[int, ...]] = [(1,)]
     v = (0,) + u
@@ -441,8 +442,9 @@ def egf_compose(f: Egf, g: Egf) -> Egf:
     For g = 1 - e^{-t} up to the common order N, g' = 1 - g: with
     f(u) = sum e_m u^m/m!, the t-derivative of f(g) is f'(g)(1 - g), the
     series whose coefficients are e'_m = e_{m+1} - m e_m.  So coefficient n
-    of f(g) is e_0 after n such steps, each run in place over one entry
-    fewer, over f's own denominator.  Any other g takes Faà di Bruno:
+    of f(g) is e_0 after n such steps, the kernel
+    ``_compose_one_minus_exp``, which takes f's integers as they are once
+    g has been checked.  Any other g takes Faà di Bruno:
     h_n = sum_m f_m B_{n,m}(g_1, g_2, ...), over the Bell table of g.  With
     f = a/D_f and B_{n,m}(g) = rows[n][m] / D^m, every h_n is an integer
     over D_f D^N.
@@ -454,16 +456,24 @@ def egf_compose(f: Egf, g: Egf) -> Egf:
     a, df = f.numerators()
     u, den = lowest_terms(c[1 : n + 1], dg)
     if den == 1 and u == ((1, -1) * n)[:n]:
-        e = list(a[: n + 1])
-        out = [e[0]]
-        for width in range(n, 0, -1):
-            for m in range(width):
-                e[m] = e[m + 1] - m * e[m]
-            out.append(e[0])
-        return Egf.of(out, df)
+        return _compose_one_minus_exp(a[: n + 1], df)
     bell = _bell_table(u)
     scaled, den = _dilate(a[: n + 1], df, (1, den))
     return Egf.of((sum(map(mul, scaled, row)) for row in bell), den)
+
+
+def _compose_one_minus_exp(nums: Sequence[int], den: int) -> Egf:
+    """f(1 - e^{-t}) for f = nums/den, f(u) = sum e_m u^m/m!, as
+    ``egf_compose`` derives it: coefficient n is e_0 after n steps
+    e_m <- e_{m+1} - m e_m, each run in place over one entry fewer, over
+    f's own denominator."""
+    e = list(nums)
+    out = [e[0]]
+    for width in range(len(e) - 1, 0, -1):
+        for m in range(width):
+            e[m] = e[m + 1] - m * e[m]
+        out.append(e[0])
+    return Egf.of(out, den)
 
 
 def _dilate(nums: Sequence[int], den: int, c: Ratio) -> tuple[list[int], int]:

@@ -10,7 +10,8 @@ whichever caller formed them.  Each Euler series is cached once: at w = 0
 it is the quotient itself, and at any other w it is the Taylor shift of
 that cached w = 0 entry by e^{wt} (``exact._times_exp``, which takes the
 key's w pair as it is).  The plain Euler quotient, (alpha, beta) = (0, 1),
-is composed (``_plain_euler``).  Both shapes' other denominators,
+is formed on the nested sum's integers and composed with 1-e^{-t}
+(``_plain_euler``).  Both shapes' other denominators,
 (e^{-alpha t} + e^{beta t})^r and (1-e^{-t})^r, are sums of r + 1
 exponentials by the binomial theorem.  The Euler shape and the Sasaki
 variant's 2e^t + 2e^{-t} hand their terms as integers to the fraction-free
@@ -32,11 +33,13 @@ from __future__ import annotations
 from collections import Counter
 from fractions import Fraction
 from itertools import accumulate, product
-from math import comb, factorial
+from math import comb
+from operator import mul
 
 from .exact import (
     Egf,
     Ratio,
+    _compose_one_minus_exp,
     _dilate,
     _div_exp_sum,
     _memo,
@@ -46,13 +49,12 @@ from .exact import (
     _reduced,
     _shift_down,
     _times_exp,
-    egf_compose,
     egf_div_shifted,
     egf_exp_linear,
     egf_mul,
     lowest_terms,
 )
-from .polylog import KVector, li_of_inner, multi_li_series, validate_kvector
+from .polylog import KVector, _multi_li, li_of_inner, validate_kvector
 
 ENUMERATION_CELL_LIMIT = 20
 
@@ -94,24 +96,26 @@ def _plain_euler(ks: KVector, order: int) -> Egf:
     g = Li_ks (1-z)^r is r first differences, and each of the r divisions
     by 2-z, h_m = (g_m + h_{m-1})/2, is one prefix sum when h_m is held
     over 2^{m+1}.  So with H the r-fold prefix sums of 2^m g_m,
-    G_m = 2 H_m / (D 2^{m+r}).  Scaled by m! it is composed once with
-    1-e^{-t} (``exact.egf_compose``), and ``Egf.of`` reduces it.
+    G_m = 2 H_m / (D 2^{m+r}).  All of it runs on the integers of
+    ``polylog._multi_li``; G scaled by m! is put in lowest terms once and
+    composed with 1-e^{-t} (``exact._compose_one_minus_exp``).
 
     No other (alpha, beta) is composed: (e^{-alpha t}+e^{beta t})^r =
     e^{r beta t} (2-u_c)^r, u_c = 1-e^{-(alpha+beta)t}, would read every
     point off this c = 1 series, which is thm1's t -> (alpha+beta)t law.
     """
     r = len(ks)
-    g, den = multi_li_series(ks, order).numerators()
-    g = list(g)
+    g, den = _multi_li(ks, order)
     for _ in range(r):
         for m in range(order, 0, -1):
             g[m] -= g[m - 1]
     h = [v << m for m, v in enumerate(g)]
     for _ in range(r):
         h = list(accumulate(h))
-    scaled = [(v << (order - m)) * factorial(m) for m, v in enumerate(h)]
-    return egf_compose(Egf.of(scaled, den << (order + r - 1)), _one_minus_exp(order))
+    # The reduction before the O(N^2) composition is the one that pays.
+    factorials = accumulate(range(1, order + 1), mul, initial=1)
+    scaled = map(mul, (v << (order - m) for m, v in enumerate(h)), factorials)
+    return _compose_one_minus_exp(*lowest_terms(scaled, den << (order + r - 1)))
 
 
 @_memo

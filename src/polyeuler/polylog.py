@@ -4,10 +4,10 @@ Li_k(z) = sum_{m>=1} z^m / m^k, and the nested generalization over index
 vectors (k_1, ..., k_r) summed over strictly increasing 1 <= m_1 < ... < m_r.
 Truncated at z^N both are finite sums.  The nested sum is built depth by
 depth with the running-sum recursion S_j(m) = (sum_{m' < m} S_{j-1}(m')) /
-m^{k_j}, which costs O(rN) rather than one term per index tuple.  Negative
-and zero indices go through the same recursion; no closed forms are
-special-cased.  Substitution of an inner series goes through
-``exact.egf_compose``.
+m^{k_j}, which costs O(rN) rather than one term per index tuple; it is
+``_multi_li``, which hands its integers on unreduced.  Negative and zero
+indices go through the same recursion; no closed forms are special-cased.
+Substitution of an inner series goes through ``exact.egf_compose``.
 
 Series in z are returned in the shared ``Egf`` container with the
 coefficients read in the ordinary sense (coeffs[m] multiplies z^m).
@@ -43,17 +43,14 @@ def validate_kvector(ks: Sequence[int]) -> KVector:
     return ks
 
 
-def multi_li_series(ks: Sequence[int], order: int) -> Egf:
-    """Truncated nested sum over 1 <= m_1 < ... < m_r <= order.
-
-    coeffs[m] collects every admissible index tuple ending at m_r = m, so
-    the lowest possible nonzero degree is r.
-    """
+def _multi_li(ks: Sequence[int], order: int) -> tuple[list[int], int]:
+    """The truncated nested sum as (row, den), coefficient m = row[m] / den,
+    not reduced."""
     order = _order(order)
     # row[m] / den = S_j(m), the sum over tuples of depth j ending at m_j = m;
     # the empty tuple (depth 0) ends at 0.  A positive index puts the row
     # over lcm(1..order)^k, so each depth divides by m^k exactly.  The rows
-    # share that growing denominator and are reduced once, at the end.
+    # share that growing denominator, which is left for the caller to reduce.
     row, den = (1,) + (0,) * order, 1
     common = lcm(*range(1, order + 1))
     for k in validate_kvector(ks):
@@ -63,7 +60,17 @@ def multi_li_series(ks: Sequence[int], order: int) -> Egf:
             below += row[m - 1]
             nxt[m] = below * (m**-k if k <= 0 else (common // m) ** k)
         row, den = nxt, den if k <= 0 else den * common**k
-    return Egf.of(row, den)
+    return row, den
+
+
+def multi_li_series(ks: Sequence[int], order: int) -> Egf:
+    """Truncated nested sum over 1 <= m_1 < ... < m_r <= order, the
+    recursion ``_multi_li`` reduced once.
+
+    coeffs[m] collects every admissible index tuple ending at m_r = m, so
+    the lowest possible nonzero degree is r.
+    """
+    return Egf.of(*_multi_li(ks, order))
 
 
 def li_of_inner(ks: Sequence[int], inner: Egf, order: int) -> Egf:

@@ -822,11 +822,15 @@ class TestSeriesPassAsIntegers:
         [
             # One miss at (alpha, beta) != (0, 1), numerator and table warm.
             (lambda: polyfamily._euler_egf((1, 2), (0, 1), (2, 3), (-1, 4), 8), True),
+            # One plain miss, which reads no other cache: the nested sum,
+            # its differences and prefix sums and the composition with
+            # 1 - e^{-t} build no series before the result.
+            (lambda: polyfamily._euler_egf((1, 2), (0, 1), (0, 1), (1, 1), 8), True),
             (lambda: poly_euler_sasaki(2, 8), False),
             (lambda: combined_rhs((1, 2), F(1, 3), _P, 8), False),
             (lambda: thm2_rhs((1, 2), _P, 8), False),
         ],
-        ids=["euler-miss", "sasaki", "combined", "thm2"],
+        ids=["euler-miss", "plain-miss", "sasaki", "combined", "thm2"],
     )
     def test_a_warm_call_builds_one_series(self, call, forget, monkeypatch):
         built = []
@@ -977,6 +981,7 @@ SERIES_KERNELS = (
     "egf_times_exp",
     "_times_exp",
     "egf_compose",
+    "_compose_one_minus_exp",
 )
 
 
@@ -1049,8 +1054,8 @@ class TestRightSidesCallNoSeriesKernel:
         assert recorded["outside"] == []
         if name not in HELPERS:
             # The wrappers are live: the cold Euler reads composed the plain
-            # shape, or divided at the point's own (alpha, beta).
-            kernel = "egf_compose" if name in self.PLAIN_READERS else "_div_exp_sum"
+            # shape with 1 - e^{-t}, or divided at the point's own (alpha, beta).
+            kernel = "_compose_one_minus_exp" if name in self.PLAIN_READERS else "_div_exp_sum"
             assert kernel in recorded["inside"]
 
 

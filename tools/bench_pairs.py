@@ -17,9 +17,11 @@ drift of the host's speed favours neither side.
 
 It writes ``BENCH_<NAME>.json`` at the repository root: both commits, every
 run's metrics and ``correct`` flag, and per end-to-end metric each side's
-median and quartiles and the number of pairs the tree won (ties count for
-neither side).  One run that is not correct, or that fails, marks the whole
-file ``"correct": false`` and the exit status 1.
+median and quartiles, the number of pairs the tree won (ties count for
+neither side), whether a gain may be claimed (``gain_rule_met``) and
+whether the tree stays inside the metric's bound (``within_bound``).  One
+run that is not correct, or that fails, marks the whole file
+``"correct": false`` and the exit status 1.
 """
 
 from __future__ import annotations
@@ -37,6 +39,9 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 SIDES = ("base", "tree")
 PAIRS = 10
+# A gain is claimed only if the tree wins at least this share of the pairs
+# (9 of 10) and its median gain exceeds the base's quartile spread.
+GAIN_SHARE = 0.9
 
 
 def pair_order(pair: int) -> tuple[str, str]:
@@ -72,33 +77,43 @@ def quartiles(values: list[float]) -> dict:
     return {"q1": q1, "median": median, "q3": q3}
 
 
-def summarize(runs: list[dict], better: dict[str, str]) -> dict:
-    """Per metric named in ``better`` ("lower" or "higher"): each side's
-    median and quartiles, and the pairs the tree won."""
+def summarize(runs: list[dict], declared: dict[str, dict]) -> dict:
+    """Per metric named in ``declared``, whose entry gives its ``better``
+    ("lower" or "higher") and its ``bound``: each side's median and
+    quartiles, the pairs the tree won and the two rules a change is judged
+    by.  ``gain_rule_met``: the tree won at least ``GAIN_SHARE`` of the
+    pairs and its median gain exceeds the base's quartile spread.
+    ``within_bound``: the tree's median is worse than the base's by no more
+    than ``bound`` times the base median."""
     sides = {(run["pair"], run["side"]): run["metrics"] for run in runs}
     pairs = sorted({run["pair"] for run in runs})
     out = {}
-    for name, direction in better.items():
+    for name, entry in declared.items():
         values = {side: [sides[p, side].get(name) for p in pairs] for side in SIDES}
         if None in values["base"] or None in values["tree"]:
             continue
+        direction = entry["better"]
         sign = 1 if direction == "higher" else -1
         won = sum(sign * (t - b) > 0 for b, t in zip(values["base"], values["tree"]))
         stats = {side: quartiles(values[side]) for side in SIDES}
+        base_median = stats["base"]["median"]
         spread = stats["base"]["q3"] - stats["base"]["q1"]
-        gain = sign * (stats["tree"]["median"] - stats["base"]["median"])
+        gain = sign * (stats["tree"]["median"] - base_median)
         out[name] = {
             "better": direction,
+            "bound": entry["bound"],
             **stats,
             "pairs": len(pairs),
             "pairs_won": won,
             "median_gain_beyond_base_spread": gain > spread,
+            "gain_rule_met": won >= GAIN_SHARE * len(pairs) and gain > spread,
+            "within_bound": -gain <= entry["bound"] * abs(base_median),
         }
     return out
 
 
 def run_pairs(runner, checkouts: dict, workloads: list[str], pairs: int, seed: int,
-              seconds: int, better: dict[str, str]) -> dict:
+              seconds: int, declared: dict[str, dict]) -> dict:
     """Every run in pairing order and the summary per workload, under one
     ``correct`` flag that a single run not correct makes false."""
     report = {}
@@ -109,7 +124,7 @@ def run_pairs(runner, checkouts: dict, workloads: list[str], pairs: int, seed: i
                 result = runner(checkouts[side], workload, seed, seconds)
                 runs.append({"pair": pair, "side": side, **result})
                 print(f"{workload} pair {pair} {side}: correct={result['correct']}", file=sys.stderr)
-        report[workload] = {"runs": runs, "metrics": summarize(runs, better)}
+        report[workload] = {"runs": runs, "metrics": summarize(runs, declared)}
     correct = all(run["correct"] for w in report.values() for run in w["runs"])
     return {"correct": correct, "workloads": report}
 
@@ -138,14 +153,14 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--seed", type=int, default=0)
     args = parser.parse_args(argv)
     declared = json.loads((ROOT / "BENCHMARK.json").read_text())
-    better = {metric["name"]: metric["better"] for metric in declared["end_to_end"]}
+    end_to_end = {metric["name"]: metric for metric in declared["end_to_end"]}
     workloads = args.workload or [w["name"] for w in declared["workloads"]]
     seconds = declared["run_seconds"]
     base = _git("rev-parse", args.base).strip()
     with tempfile.TemporaryDirectory() as tmp:
         _extract(base, Path(tmp))
         checkouts = {"base": Path(tmp) / "base", "tree": ROOT}
-        report = run_pairs(run_benchmark, checkouts, workloads, PAIRS, args.seed, seconds, better)
+        report = run_pairs(run_benchmark, checkouts, workloads, PAIRS, args.seed, seconds, end_to_end)
     tree = {"commit": _git("rev-parse", "HEAD").strip(), "dirty": bool(_git("status", "--porcelain"))}
     command = f"python3 perfbench/run.py --workload W --seed {args.seed} --seconds {seconds}"
     out = {

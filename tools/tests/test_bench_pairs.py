@@ -8,7 +8,11 @@ import pytest
 import bench_pairs
 from bench_pairs import pair_order, quartiles, run_pairs, summarize
 
-BETTER = {"wall_s": "lower", "coeffs_per_s": "higher"}
+DECLARED = {
+    "wall_s": {"better": "lower", "bound": 0.24},
+    "coeffs_per_s": {"better": "higher", "bound": 0.24},
+}
+WALL = {"wall_s": DECLARED["wall_s"]}
 CHECKOUTS = {"base": Path("base"), "tree": Path("tree")}
 
 
@@ -33,7 +37,7 @@ class FakeRunner:
 
 
 def _run(runner, workloads=("seq-deep",), pairs=4):
-    return run_pairs(runner, CHECKOUTS, list(workloads), pairs, 0, 25, BETTER)
+    return run_pairs(runner, CHECKOUTS, list(workloads), pairs, 0, 25, DECLARED)
 
 
 def test_pairs_alternate_which_side_runs_first():
@@ -81,16 +85,52 @@ def test_a_gain_must_exceed_the_base_spread():
     """Base 0.8-1.2 has quartiles 0.85 and 1.175, a spread of 0.325: a tree
     median 0.275 lower wins 3 of 4 pairs but not beyond the spread, and one
     0.4 lower does."""
-    narrow = summarize(_pairs([(1.0, 0.7), (1.2, 0.8), (0.8, 0.9), (1.1, 0.75)]), {"wall_s": "lower"})
+    narrow = summarize(_pairs([(1.0, 0.7), (1.2, 0.8), (0.8, 0.9), (1.1, 0.75)]), WALL)
     stats = narrow["wall_s"]
     assert stats["base"] == pytest.approx({"q1": 0.85, "median": 1.05, "q3": 1.175})
     assert stats["tree"]["median"] == pytest.approx(0.775)
     assert (stats["pairs_won"], stats["median_gain_beyond_base_spread"]) == (3, False)
-    wide = summarize(_pairs([(1.0, 0.6), (1.2, 0.7), (0.8, 0.65), (1.1, 0.6)]), {"wall_s": "lower"})
+    wide = summarize(_pairs([(1.0, 0.6), (1.2, 0.7), (0.8, 0.65), (1.1, 0.6)]), WALL)
     assert (wide["wall_s"]["pairs_won"], wide["wall_s"]["median_gain_beyond_base_spread"]) == (4, True)
     # The same runs read the other way round: no pair won and no gain.
-    higher = summarize(_pairs([(1.0, 0.6), (1.2, 0.7), (0.8, 0.65), (1.1, 0.6)]), {"wall_s": "higher"})
+    higher = summarize(
+        _pairs([(1.0, 0.6), (1.2, 0.7), (0.8, 0.65), (1.1, 0.6)]), {"wall_s": {"better": "higher", "bound": 0.24}}
+    )
     assert (higher["wall_s"]["pairs_won"], higher["wall_s"]["median_gain_beyond_base_spread"]) == (0, False)
+
+
+def _rules(values, better="lower", bound=0.24):
+    stats = summarize(_pairs(values), {"wall_s": {"better": better, "bound": bound}})["wall_s"]
+    return stats["pairs_won"], stats["gain_rule_met"], stats["within_bound"]
+
+
+# Ten base runs 0.95-1.05: quartiles 0.9675 and 1.0325, a spread of 0.065.
+BASE = [0.95, 0.96, 0.97, 0.98, 0.99, 1.01, 1.02, 1.03, 1.04, 1.05]
+
+
+def test_a_met_gain_wins_nine_of_ten_pairs_beyond_the_spread():
+    tree = [0.9] * 9 + [1.1]
+    assert _rules(list(zip(BASE, tree))) == (9, True, True)
+
+
+def test_a_gain_that_wins_eight_pairs_is_not_met():
+    """The median gain of 0.1 exceeds the spread, but only 8 of 10 pairs won."""
+    tree = [0.9] * 8 + [1.1] * 2
+    assert _rules(list(zip(BASE, tree))) == (8, False, True)
+
+
+def test_a_tie_meets_no_gain_and_stays_within_the_bound():
+    assert _rules([(v, v) for v in BASE]) == (0, False, True)
+
+
+def test_a_higher_is_better_metric_past_its_bound():
+    """A rate whose tree median is 30% below the base's is worse by more
+    than a bound of 24%, and 20% below is inside it."""
+    base = [100 * v for v in BASE]
+    assert _rules([(b, 0.7 * b) for b in base], better="higher") == (0, False, False)
+    assert _rules([(b, 0.8 * b) for b in base], better="higher") == (0, False, True)
+    # The same drop read as lower-is-better is a gain.
+    assert _rules([(b, 0.7 * b) for b in base], better="lower") == (10, True, True)
 
 
 def test_a_metric_missing_from_a_run_is_not_summarized():
@@ -101,7 +141,7 @@ def test_a_metric_missing_from_a_run_is_not_summarized():
 def _declare(tmp_path, workloads):
     (tmp_path / "BENCHMARK.json").write_text(
         json.dumps({"run_seconds": 7, "workloads": [{"name": w} for w in workloads],
-                    "end_to_end": [{"name": "wall_s", "better": "lower"}]})
+                    "end_to_end": [{"name": "wall_s", "better": "lower", "bound": 0.24}]})
     )
 
 
@@ -134,7 +174,8 @@ def test_main_runs_ten_pairs_of_the_declared_length(monkeypatch, tmp_path):
     assert written["tree"]["dirty"] is True
     assert (runner.seconds, written["pairs"]) == ({7}, 10)
     assert "--seconds 7 " in written["command"]
-    assert written["workloads"]["seq-deep"]["metrics"]["wall_s"]["pairs_won"] == 10
+    wall = written["workloads"]["seq-deep"]["metrics"]["wall_s"]
+    assert (wall["pairs_won"], wall["bound"], wall["gain_rule_met"], wall["within_bound"]) == (10, 0.24, True, True)
 
 
 def _fake_run_py(checkout, body):
