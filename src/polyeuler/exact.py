@@ -545,21 +545,21 @@ def _division_table(
 
 def egf_div_exp_sum(f: Egf, terms: Iterable[tuple[int, RationalLike]]) -> Egf:
     """f divided by the sum of exponentials sum_j w_j e^{mu_j t}, the series
-    ``egf_exp_sum(terms, f.order)``, by the kernel ``_div_exp_sum``."""
-    return _div_exp_sum(*f.numerators(), *_integer_terms(terms))
+    ``egf_exp_sum(terms, f.order)``, by the kernel ``_div_exp_sum`` at Kt."""
+    weights, tops, rate_den = _integer_terms(terms)
+    return _div_exp_sum(*_dilate(*f.numerators(), (rate_den, 1)), weights, tops, rate_den)
 
 
 def _div_exp_sum(
     nums: Sequence[int], den: int, weights: tuple[int, ...], tops: tuple[int, ...], rate_den: int
 ) -> Egf:
-    """f = nums/den divided by sum_j w_j e^{mu_j t}, all integers: the
-    weights w_j and the rates mu_j = tops[j] / K over K = rate_den.
+    """f divided by sum_j w_j e^{mu_j t}, all integers: f(Kt) = nums/den,
+    the weights w_j and the rates mu_j = tops[j] / K over K = rate_den.
 
     Fraction-free in the manner of Bareiss: the quotient at Kt is f(Kt) over
-    the integer series G_n = sum_j w_j tops[j]^n.  So f(Kt),
-    coefficient n times K^n, is put in lowest terms once as a'/d', and with
-    s = G_0 the weight sum the quotient at order N is
-    h_n = Y_n / (d' s^{N+1} K^n) for the integers
+    the integer series G_n = sum_j w_j tops[j]^n.  So f(Kt) is put in lowest
+    terms once as a'/d', and with s = G_0 the weight sum the quotient at
+    order N is h_n = Y_n / (d' s^{N+1} K^n) for the integers
     Y_n = s^N a'_n - (sum_{j=1..n} C(n,j) G_j Y_{n-j}) / s,
     where the division by s is exact, so no step takes a gcd or rescales an
     earlier quotient; the result is reduced once, at the end.  Everything
@@ -570,7 +570,7 @@ def _div_exp_sum(
     if sum(weights) == 0:
         raise DivisionByNonUnit("divisor has zero constant term")
     rows, lift, s, den_pow = _division_table(weights, tops, rate_den, len(nums) - 1)
-    a, df = lowest_terms(map(mul, nums, den_pow), den)
+    a, df = lowest_terms(nums, den)
     # Y_n = 0 below the first nonzero a'_z, so row n meets only Y_z..Y_{n-1}.
     z = next((n for n, v in enumerate(a) if v), len(a))
     known: list[int] = []  # Y_z, Y_{z+1}, ...

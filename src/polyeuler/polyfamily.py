@@ -19,9 +19,10 @@ variant's 2e^t + 2e^{-t} hand their terms as integers to the fraction-free
 the Bernoulli shape forms its series from integer power sums
 (``_one_minus_exp``) to cancel t^r first.  Every other numerator is read
 off one cached series, Li_ks(1-e^{-t}): the Bernoulli shape uses it as it
-is, and Li_ks(1-e^{-ct}) of the Euler shape (c = alpha + beta) and of the
-Sasaki variant (c = 4) is it dilated by c, coefficient n times c^n
-(``exact._dilate``).  A series passes from one of these kernels to the
+is, and the Sasaki variant and the Euler shape dilate it once by an
+integer c, coefficient n times c^n (``exact._dilate``): c = 4, and
+c = (alpha + beta)K for the Euler division at Kt, K its rates' common
+denominator.  A series passes from one of these kernels to the
 next as integer numerators over one denominator, as ``exact`` states.
 The lonesum count is the combinatorial side of the negative-index
 poly-Bernoulli identity and is computed by brute enumeration, which keeps it
@@ -46,7 +47,6 @@ from .exact import (
     _order,
     _power_sums,
     _ratio,
-    _reduced,
     _shift_down,
     _times_exp,
     egf_div_shifted,
@@ -81,7 +81,8 @@ def _euler_terms(alpha: Ratio, beta: Ratio, r: int) -> tuple[tuple[int, ...], tu
     as the (weights, tops, K) of ``exact._integer_terms``, so that int and
     ``Fraction`` rates meet in one division table.  With alpha = a/a' and
     beta = b/b', rate i is (i b a' - (r-i) a b') / (a' b'), and
-    ``lowest_terms`` puts the rates over their least common denominator K."""
+    ``lowest_terms`` puts the rates over their least common denominator K.
+    Rate i is i (alpha + beta) - r alpha: the tops step by (alpha + beta)K."""
     (a, a_den), (b, b_den) = alpha, beta
     rates = (i * b * a_den - (r - i) * a * b_den for i in range(r + 1))
     return tuple(comb(r, i) for i in range(r + 1)), *lowest_terms(rates, a_den * b_den)
@@ -127,9 +128,10 @@ def _euler_egf(ks: KVector, w: Ratio, alpha: Ratio, beta: Ratio, order: int) -> 
     ``exact._reduced``), so that a lookup hashes only ints and equal
     rationals share one entry.  At w = 0 it is the quotient itself,
     composed by ``_plain_euler`` at exactly (alpha, beta) = (0, 1).  At any
-    other (alpha, beta) the numerator is the cached Li_ks(1-e^{-t}) dilated
-    by alpha + beta, divided fraction-free by the r + 1 exponentials of the
-    denominator, which is never rescaled from another (alpha, beta), so
+    other (alpha, beta) the cached Li_ks(1-e^{-t}), dilated once by the
+    integer step (alpha + beta)K of the denominator's rates, is its
+    numerator at Kt (``_euler_terms``), divided fraction-free by the r + 1
+    exponentials, which are never rescaled from another (alpha, beta), so
     thm1's t -> (alpha+beta)t law is still checked.  Any other w is the
     Taylor shift e^{wt} times the cached w = 0 series.
     """
@@ -137,11 +139,9 @@ def _euler_egf(ks: KVector, w: Ratio, alpha: Ratio, beta: Ratio, order: int) -> 
         return _times_exp(*_euler_egf(ks, (0, 1), alpha, beta, order).numerators(), w)
     if alpha == (0, 1) and beta == (1, 1):
         return _plain_euler(ks, order)
-    (a, a_den), (b, b_den) = alpha, beta
-    # c = alpha + beta in lowest terms, or the division's integers grow.
-    c = _reduced(a * b_den + b * a_den, a_den * b_den)
-    nums, den = _dilate(*_li_numerator(ks, order).numerators(), c)
-    return _div_exp_sum([2 * v for v in nums], den, *_euler_terms(alpha, beta, len(ks)))
+    weights, tops, rate_den = _euler_terms(alpha, beta, len(ks))
+    nums, den = _dilate(*_li_numerator(ks, order).numerators(), (tops[1] - tops[0], 1))
+    return _div_exp_sum([2 * v for v in nums], den, weights, tops, rate_den)
 
 
 def _bernoulli_egf(ks: KVector, x: Fraction | int, order: int) -> Egf:

@@ -15,6 +15,7 @@ from polyeuler.exact import (
     NotSquare,
     _bell_table,
     _dilate,
+    _div_exp_sum,
     _division_table,
     _integer_terms,
     _ratio,
@@ -443,6 +444,17 @@ class TestDivExpSum:
     @example(f=Egf.t(8), terms=[(-1, F(-1, 2)), (3, 0), (1, F(2, 3)), (-5, F(-7, 4))])
     def test_matches_division_by_the_series(self, f, terms):
         assert egf_div_exp_sum(f, terms) == egf_div(f, egf_exp_sum(terms, f.order))
+
+    @given(f=series, terms=terms)
+    # The r = 2 Euler divisor (e^{-2t/3} + e^{-t/4})^2: rates -16, -11, -6 over K = 12.
+    @example(f=exp_t(8), terms=[(1, F(-4, 3)), (2, F(-11, 12)), (1, F(-1, 2))])
+    def test_kernel_takes_its_numerator_at_k_t(self, f, terms):
+        """``_div_exp_sum`` reads f at Kt, K the rates' least common
+        denominator, and lifts it no further."""
+        weights, tops, rate_den = _integer_terms(terms)
+        at_kt = Egf([c * rate_den**n for n, c in enumerate(f.coeffs)])
+        quotient = _div_exp_sum(*at_kt.numerators(), weights, tops, rate_den)
+        assert quotient == egf_div(f, egf_exp_sum(terms, f.order))
 
     def test_two_over_one_plus_exp(self):
         assert egf_div_exp_sum(Egf.constant(2, 3), [(1, 0), (1, 1)]).coeffs == (

@@ -133,6 +133,37 @@ def test_a_higher_is_better_metric_past_its_bound():
     assert _rules([(b, 0.7 * b) for b in base], better="lower") == (10, True, True)
 
 
+def _resolved(values, better="lower", bound=0.24):
+    return summarize(_pairs(values), {"wall_s": {"better": better, "bound": bound}})["wall_s"]["resolved"]
+
+
+def test_a_spread_inside_the_bound_is_resolved():
+    """BASE's spread, 0.065, is 6.5% of its median 1.0: inside a 24% bound,
+    whichever way the tree reads."""
+    assert _resolved([(v, v) for v in BASE]) is True
+    assert _resolved([(v, 1.5 * v) for v in BASE]) is True
+
+
+def test_a_spread_past_the_bound_is_not_resolved():
+    """The same runs under a 5% bound: the spread exceeds it, so a level
+    tree, or one whose runs mix with the base's, cannot be told apart."""
+    assert _resolved([(v, v) for v in BASE], bound=0.05) is False
+    assert _resolved(list(zip(BASE, [0.9] * 9 + [1.1])), bound=0.05) is False
+
+
+def test_a_noisy_metric_that_every_tree_run_beats_is_resolved():
+    """A base of 1-2 has a spread of 0.65 on a median of 1.5, past a 24%
+    bound; every tree run better than every base run resolves it, read
+    beside ``better``."""
+    base = [1.0, 1.1, 1.2, 1.3, 1.4, 1.6, 1.7, 1.8, 1.9, 2.0]
+    lower = [0.5 + 0.04 * i for i in range(10)]
+    assert _resolved(list(zip(base, lower))) is True
+    assert _resolved(list(zip(base, lower)), better="higher") is False
+    assert _resolved(list(zip(base, [2.1] * 10)), better="higher") is True
+    # One tree run that ties the best base run leaves it unresolved.
+    assert _resolved(list(zip(base, lower[:-1] + [1.0]))) is False
+
+
 def test_a_metric_missing_from_a_run_is_not_summarized():
     report = _run(FakeRunner({"wall_s": {"base": [1] * 4, "tree": [1] * 4}}))
     assert set(report["workloads"]["seq-deep"]["metrics"]) == {"wall_s"}
@@ -176,6 +207,7 @@ def test_main_runs_ten_pairs_of_the_declared_length(monkeypatch, tmp_path):
     assert "--seconds 7 " in written["command"]
     wall = written["workloads"]["seq-deep"]["metrics"]["wall_s"]
     assert (wall["pairs_won"], wall["bound"], wall["gain_rule_met"], wall["within_bound"]) == (10, 0.24, True, True)
+    assert wall["resolved"] is True
 
 
 def _fake_run_py(checkout, body):
