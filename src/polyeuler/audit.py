@@ -2,9 +2,10 @@
 
 Every case compares two independently computed exact values over a finite,
 fully enumerated grid and reports PASS, FAIL, or INCONCLUSIVE.  A handful of
-registered claims are wrong as printed; those are whitelisted with their
-documented verdict, so the audit distinguishes "documented discrepancy" from
-"regression" and also flags a documented discrepancy that stops showing.
+registered claims are wrong as printed; each registry entry documents the
+verdict of every variant it runs, so the audit distinguishes "documented
+discrepancy" from "regression" and also flags a documented discrepancy that
+stops showing.
 INCONCLUSIVE is reserved for the one capped, divergent formula
 (thm3-explicit) where no equality is asserted at all.
 
@@ -17,7 +18,7 @@ from __future__ import annotations
 import hashlib
 import json
 import random
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, field
 from fractions import Fraction
 from itertools import product
 from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
@@ -72,19 +73,6 @@ class AuditReport:
 # too few coefficients to fail.
 MIN_ORDER = 3
 
-# The whitelist: documented discrepancies and the verdict each of them must
-# keep.  Every other case must PASS.
-DOCUMENTED_VERDICTS: Mapping[tuple[str, str | None], str] = {
-    ("eq2-power-sum", "minus"): FAIL,
-    ("eq9-cosh", None): FAIL,
-    ("combined", "as-printed"): FAIL,
-    ("thm3-explicit", None): INCONCLUSIVE,
-    ("thm4-explicit", "statement"): FAIL,
-    ("thm4-explicit", "proof"): FAIL,
-    ("def1-sasaki-bridge", None): FAIL,
-}
-
-
 def _derived_rng(seed: int, label: str) -> random.Random:
     digest = hashlib.sha256(f"{seed}:{label}".encode()).digest()
     return random.Random(int.from_bytes(digest[:8], "big"))
@@ -131,7 +119,9 @@ def _fmt_params(params: Mapping) -> dict:
 class _Check:
     """One row of the comparison table: grid, points, two sides and notes.
 
-    ``grid`` builds the grid of each of the case's ``variants`` from ``_Draws``.
+    ``variants`` maps each variant the case runs, in run order, to its
+    documented verdict; the default is one unnamed variant that must PASS.
+    ``grid`` builds the grid of each variant from ``_Draws``.
     ``expected`` and ``actual`` map (case, point) to one value, or to a list
     or an ``Egf`` of the values at n = 0, 1, ..., which are compared index by
     index with ``n`` appended to the point.  ``notes_fail`` may name the
@@ -144,15 +134,16 @@ class _Check:
     actual: Callable[[IdentityCase, dict], object]
     notes_pass: str
     notes_fail: str
-    variants: tuple[str | None, ...] = (None,)
+    variants: Mapping[str | None, str] = field(default_factory=lambda: {None: PASS})
 
 
 class _Runner(NamedTuple):
-    """A case that asserts no plain equality: its grid and its own runner."""
+    """A case that asserts no plain equality: its grid, its own runner and,
+    as in ``_Check``, its variants' documented verdicts."""
 
     grid: Callable[[_Draws], Mapping]
     run: Callable[[IdentityCase], CaseResult]
-    variants: tuple[str | None, ...] = (None,)
+    variants: Mapping[str | None, str]
 
 
 def _ratios(values) -> tuple[Sequence[int], Sequence[int]]:
@@ -209,10 +200,10 @@ def _theorem_points(case: IdentityCase) -> list[dict]:
     ]
 
 
-def _theorem_row(expected, actual, notes_pass: str, notes_fail: str, variants=(None,)) -> _Check:
+def _theorem_row(expected, actual, notes_pass: str, notes_fail: str, **kwargs) -> _Check:
     """A row over the shared theorem grid, both sides series at each point."""
     return _Check(
-        lambda d: d.theorem, _theorem_points, expected, actual, notes_pass, notes_fail, variants
+        lambda d: d.theorem, _theorem_points, expected, actual, notes_pass, notes_fail, **kwargs
     )
 
 
@@ -298,9 +289,9 @@ _BRIDGE_X_POINTS = tuple(
 )
 
 
-# The registry: every identity, its variants in run order, its grid, and a
-# pointwise row of the comparison table, or its own runner for the two cases
-# that assert no plain equality.  Cases run in table order.
+# The registry: every identity, its variants in run order with their documented
+# verdicts, its grid, and a pointwise row of the comparison table, or its own
+# runner for the two cases that assert no plain equality.  Cases run in order.
 _TABLE: dict[str, _Check | _Runner] = {
     "eq2-power-sum": _Check(
         lambda d: {"m_max": 8, "n_max": 20},
@@ -314,7 +305,7 @@ _TABLE: dict[str, _Check | _Runner] = {
         "closed form with B_1 = +1/2 reproduces every direct power sum",
         "documented convention clash: with B_1 = -1/2 the closed form yields the "
         "sum shifted by one (it equals S_m(n-1) for every m >= 1)",
-        variants=("plus", "minus"),
+        variants={"plus": PASS, "minus": FAIL},
     ),
     "eq3-bernoulli-det": _Check(
         lambda d: {"n_max": min(10, d.order)},
@@ -342,6 +333,7 @@ _TABLE: dict[str, _Check | _Runner] = {
         "cosh t expands to the secant numbers",
         "documented misprint: the relation holds for 1/cosh t, not cosh t; "
         "the secant convention follows the determinant values",
+        variants={None: FAIL},
     ),
     "bridge-poly-bernoulli": _Check(
         lambda d: {"n_max": min(12, d.order), "x_points": _BRIDGE_X_POINTS},
@@ -403,7 +395,7 @@ _TABLE: dict[str, _Check | _Runner] = {
         "documented misprint: the printed double sum carries r^{n-k}, but "
         "substituting the thm2 expansion into cor1 produces r^{n-j}; the "
         "repaired variant passes",
-        variants=(None, "as-printed"),
+        variants={None: PASS, "as-printed": FAIL},
     ),
     "thm3-explicit": _Runner(
         lambda d: {
@@ -413,6 +405,7 @@ _TABLE: dict[str, _Check | _Runner] = {
             "caps": (4, 8, 12),
         },
         _run_thm3,
+        {None: INCONCLUSIVE},
     ),
     "thm4-explicit": _Check(
         lambda d: {"k_points": (-1, 1, 2), "samples": d.thm4, "n_max": min(6, d.order)},
@@ -432,10 +425,10 @@ _TABLE: dict[str, _Check | _Runner] = {
         "triple-sum formula (variant %(variant)s) does not reproduce the "
         "three-parameter series; the truncation of the divergent rearrangement "
         "to m <= n is not justified",
-        variants=("statement", "proof"),
+        variants=dict.fromkeys(multifamily.THM4_VARIANTS, FAIL),
     ),
     "def1-sasaki-bridge": _Runner(
-        lambda d: {"k_points": (1, 2, 3), "n_max": min(8, d.order)}, _run_def1_sasaki
+        lambda d: {"k_points": (1, 2, 3), "n_max": min(8, d.order)}, _run_def1_sasaki, {None: FAIL}
     ),
 }
 
@@ -476,12 +469,12 @@ def run_identity(case: IdentityCase) -> CaseResult:
 
 
 def expected_verdict(result: CaseResult) -> str:
-    """The documented verdict of a whitelisted case, PASS for every other case."""
-    return DOCUMENTED_VERDICTS.get((result.id, result.variant), PASS)
+    """The verdict the case's registry entry documents for its variant."""
+    return _TABLE[result.id].variants[result.variant]
 
 
 def is_expected(result: CaseResult) -> bool:
-    """The verdict is the documented one: PASS, or a whitelisted discrepancy's
+    """The verdict is the documented one: PASS, or a documented discrepancy's
     own FAIL or INCONCLUSIVE.  A documented discrepancy that passes is not."""
     return result.verdict == expected_verdict(result)
 

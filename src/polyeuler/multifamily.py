@@ -38,7 +38,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations_with_replacement
-from math import comb, factorial, lcm, prod
+from math import comb, lcm
 from operator import mul
 from typing import Sequence
 
@@ -303,7 +303,7 @@ def thm3_explicit(
     positions 1..part_cap.  The summand factors into an (m, j)-part and a
     composition part, which are summed separately; the grouping is exact.
     Both parts run over integers: the weights over L^K with L = lcm(1..m_cap)
-    and K the sum of the positive indices, the compositions over r!, and
+    and K the sum of the positive indices, the compositions as counts, and
     (r x - j)^e over q^e for x = p/q, so the value is one ``Fraction``.
 
     This is an audit instrument: the registry records how the value moves as
@@ -316,18 +316,14 @@ def thm3_explicit(
     n, m_cap = _order(n, message), _order(m_cap, message)
     part_cap = _order(part_cap - 1, message) + 1
 
-    # A composition c_1 + ... + c_{part_cap} = r is the multiset of the r part
-    # positions it fills, c_i being the multiplicity of position i, so its
-    # weight sum_i i c_i is the sum of the multiset.
-    comps = list(combinations_with_replacement(range(1, part_cap + 1), r))
-    r_factorial = factorial(r)
-    comp_sums = [0] * (n + 1)
-    for comp in comps:
-        w = sum(comp)
-        denom = prod(factorial(comp.count(pos)) for pos in set(comp))
-        multinomial = (-1 if w % 2 else 1) * (r_factorial // denom)
-        for i in range(n + 1):
-            comp_sums[i] += multinomial * w**i
+    # A composition c_1 + ... + c_{part_cap} = r, with its multinomial
+    # r!/prod c_i!, counts the ordered r-tuples of part positions 1..part_cap
+    # filling position i c_i times, and its weight sum_i i c_i is their sum: so
+    # the r-fold convolution counts[w] sums the multinomials of weight w.
+    counts = [1]
+    for _ in range(r):
+        counts = [sum(counts[max(w - part_cap, 0) : w]) for w in range(len(counts) + part_cap)]
+    comp_sums = [sum((-1) ** w * c * w**i for w, c in enumerate(counts)) for i in range(n + 1)]
 
     # The (m, j) term depends on the index tuple only through its weight and
     # m_r, so the weights are summed per m_r and the coefficient of each
@@ -338,7 +334,7 @@ def thm3_explicit(
     for ms in combinations_with_replacement(range(m_cap + 1), r):
         weight = _index_tuple_weight(ms, ks, big)
         if weight is None:
-            skipped += (ms[-1] + 1) * len(comps) * (n + 1)
+            skipped += (ms[-1] + 1) * comb(part_cap + r - 1, r) * (n + 1)
             continue
         last_sums[ms[-1]] += weight
     power_sums = [0] * (n + 1)

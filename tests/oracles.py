@@ -3,8 +3,10 @@
 Everything here works on ordinary power-series coefficients (plain a_n, not
 the n!-scaled values the package stores) and uses naive algorithms: direct
 convolution, long division, term-by-term composition, cofactor determinants,
-literal multiple sums.  The point is that none of this shares a code path
-with the package, so agreement between the two is evidence, not tautology.
+literal multiple sums.  The mod-p transcriptions at the end reach the CLI's
+largest order on residues instead.  The point is that none of this shares a
+code path with the package, so agreement between the two is evidence, not
+tautology.
 """
 
 from __future__ import annotations
@@ -387,3 +389,100 @@ def thm4_sum(k, x, alpha, beta, gamma, n, variant):
                     * (x * gamma - (s + 1) * alpha - (s + d) * beta) ** n
                 )
     return total, skipped
+
+
+# Mod-p transcriptions: each family at the CLI's largest order, evaluated
+# modulo a prime p larger than the order and than every denominator met.  The
+# route is unlike the package's: the nested sum as ordinary coefficients,
+# Li_ks(1 - e^{-t}) by Kaneko's Stirling-number formula, a plain O(N^2) EGF
+# division by the sum of exponentials, and the product with e^{wt}.  Every
+# value is a residue in 0..p-1.
+
+
+def residue(value, p):
+    """A rational mod p: its numerator times the inverse of its denominator."""
+    value = Fraction(value)
+    return value.numerator * pow(value.denominator, -1, p) % p
+
+
+def multi_li_mod(ks, order, p):
+    """Ordinary coefficients a_0..a_order of Li_ks(z) mod p: a_m sums
+    prod_i m_i^{-k_i} over 0 < m_1 < ... < m_r = m, one index at a time."""
+    ending = [1] + [0] * order  # the empty tuple, which ends at 0
+    for k in ks:
+        below, nxt = 0, [0] * (order + 1)
+        for m in range(1, order + 1):
+            below = (below + ending[m - 1]) % p
+            nxt[m] = below * pow(m, -k, p) % p
+        ending = nxt
+    return ending
+
+
+def _kaneko_mod(coeffs, order, p):
+    """EGF coefficients of sum_m c_m (1 - e^{-t})^m mod p, n = 0..order:
+    n! [t^n] (1 - e^{-t})^m = (-1)^{n-m} m! S(n, m) (Kaneko 1997)."""
+    stirling = [[1]]
+    for n in range(1, order + 1):
+        prev = stirling[-1] + [0]
+        stirling.append([0] + [(m * prev[m] + prev[m - 1]) % p for m in range(1, n + 1)])
+    weights = [1]
+    for m in range(1, order + 1):
+        weights.append(-weights[-1] * m % p)  # (-1)^m m!
+    return [
+        (-1) ** n * sum(weights[m] * coeffs[m] * row[m] for m in range(n + 1)) % p
+        for n, row in enumerate(stirling)
+    ]
+
+
+def _binomials_mod(order, p):
+    return [[comb(n, j) % p for j in range(n + 1)] for n in range(order + 1)]
+
+
+def div_exp_sum_mod(f, terms, p):
+    """EGF coefficients of f / sum_i c_i e^{mu_i t} mod p, ``terms`` holding
+    the (c_i, mu_i) residues: q_n d_0 = f_n - sum_{j<n} C(n, j) q_j d_{n-j}."""
+    order = len(f) - 1
+    d = [sum(c * pow(mu, n, p) for c, mu in terms) % p for n in range(order + 1)]
+    inv_d0 = pow(d[0], -1, p)
+    q = []
+    for n, row in enumerate(_binomials_mod(order, p)):
+        q.append((f[n] - sum(row[j] * q[j] * d[n - j] for j in range(n))) * inv_d0 % p)
+    return q
+
+
+def times_exp_mod(f, w, p):
+    """EGF coefficients of f e^{wt} mod p, w a residue."""
+    powers = [pow(w, e, p) for e in range(len(f))]
+    return [
+        sum(row[j] * f[j] * powers[n - j] for j in range(n + 1)) % p
+        for n, row in enumerate(_binomials_mod(len(f) - 1, p))
+    ]
+
+
+def multi_poly_bernoulli_mod(ks, order, p):
+    """B_n^{(ks)} mod p with no division: Li_ks(z)/z^r = sum_j a_{j+r} z^j,
+    as a_m = 0 below m = r, so B_n = sum_j (-1)^{n-j} j! S(n, j) a_{j+r}."""
+    r = len(ks)
+    return _kaneko_mod(multi_li_mod(ks, order + r, p)[r:], order, p)
+
+
+def euler_shape_mod(ks, alpha, beta, w, order, p):
+    """EGF coefficients mod p of 2 Li_ks(1 - e^{-lam t}) e^{wt} /
+    (e^{-alpha t} + e^{beta t})^r, lam = alpha + beta.  The multi-poly-Euler
+    polynomials take w = r x, the three-parameter family w = gamma x."""
+    r = len(ks)
+    alpha, beta, w = (residue(v, p) for v in (alpha, beta, w))
+    lam = (alpha + beta) % p
+    li = _kaneko_mod(multi_li_mod(ks, order, p), order, p)
+    num = [2 * c * pow(lam, n, p) % p for n, c in enumerate(li)]
+    # (e^{-alpha t} + e^{beta t})^r = sum_i C(r, i) e^{(i beta - (r - i) alpha) t}
+    terms = [(comb(r, i), (i * beta - (r - i) * alpha) % p) for i in range(r + 1)]
+    return times_exp_mod(div_exp_sum_mod(num, terms, p), w, p)
+
+
+def poly_euler_sasaki_mod(k, order, p):
+    """Li_k(1 - e^{-4t})/(4t cosh t) mod p: the numerator at 4t, over t
+    (n! [t^n] f/t = f_{n+1}/(n+1)), then over 2e^t + 2e^{-t}."""
+    li = _kaneko_mod(multi_li_mod((k,), order + 1, p), order + 1, p)
+    over_t = [li[n + 1] * pow(4, n + 1, p) * pow(n + 1, -1, p) % p for n in range(order + 1)]
+    return div_exp_sum_mod(over_t, [(2, 1), (2, p - 1)], p)

@@ -2,6 +2,7 @@
 
 import ast
 import contextlib
+import dataclasses
 import hashlib
 import io
 import json
@@ -9,8 +10,10 @@ import re
 import shlex
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
+import oracles
 import pytest
 
 from polyeuler import audit, classical, exact, multifamily, polyfamily
@@ -31,6 +34,13 @@ from polyeuler.cli import (
 )
 from polyeuler.exact import parse_rational
 from polyeuler.polyfamily import poly_bernoulli
+
+
+def _document_pass(monkeypatch, case_id):
+    """Let the registry entry of ``case_id`` document PASS for every variant."""
+    entry = audit._TABLE[case_id]
+    variants = dict.fromkeys(entry.variants, audit.PASS)
+    monkeypatch.setitem(audit._TABLE, case_id, dataclasses.replace(entry, variants=variants))
 
 
 def run_cli(*args, env=None):
@@ -292,7 +302,7 @@ class TestVerify:
         assert main_verify(["thm4-explicit", "--variant", "corrected"]) == 2
 
     def test_unexpected_fail_exit_one(self, monkeypatch, capsys):
-        monkeypatch.setattr(audit, "DOCUMENTED_VERDICTS", {})
+        _document_pass(monkeypatch, "eq2-power-sum")
         assert main_verify(["eq2-power-sum", "--variant", "minus"]) == 1
         assert "(whitelisted)" not in capsys.readouterr().out
 
@@ -349,7 +359,7 @@ class TestAuditCommand:
         assert main_audit(["--order", "4", "--out", str(target)]) == 2
 
     def test_unexpected_fail_exit_one(self, monkeypatch, capsys):
-        monkeypatch.setattr(audit, "DOCUMENTED_VERDICTS", {})
+        _document_pass(monkeypatch, "eq2-power-sum")
         assert main_audit(["--order", "4"]) == 1
 
     def test_negative_order_exits_2(self, tmp_path):
@@ -375,10 +385,12 @@ class TestAuditCommand:
         assert "error: POLYEULER_ORDER must be >= 3" in capsys.readouterr().err
 
 
-_KS_AT_LIMIT = ",".join(str(MAX_K * (-1) ** i) for i in range(MAX_DEPTH))
+_KS = tuple(MAX_K * (-1) ** i for i in range(MAX_DEPTH))
+_KS_AT_LIMIT = ",".join(map(str, _KS))
 # Rationals with MAX_DIGITS digits in numerator and denominator, all distinct.
 _TOP = 10**MAX_DIGITS - 1
 _AT_DIGIT_LIMIT = [f"{-_TOP}/{_TOP - 1}", f"{_TOP - 1}/{_TOP}", f"{_TOP}/{_TOP - 2}", f"{-_TOP + 2}/{_TOP}"]
+_X, _ALPHA, _BETA, _GAMMA = map(Fraction, _AT_DIGIT_LIMIT)
 
 
 # sha256 of the stdout of each at-limit request and of the sweep below,
@@ -410,6 +422,51 @@ _PLAIN_AT_LIMIT_SHA256 = {
 
 def _sha256(text):
     return hashlib.sha256(text.encode()).hexdigest()
+
+
+# Two primes fixed in advance, each above MAX_N and every printed denominator's
+# prime factors: a printed value a/b is compared with the oracles mod p.
+_PRIMES = (2**61 - 1, 2**31 - 1)
+
+
+def _decimal_mod(text, p):
+    """A printed decimal integer mod p, read 18 digits at a time: the values
+    at the limits run past the interpreter's int-from-str digit limit."""
+    digits = text.lstrip("-")
+    value = 0
+    for start in range(0, len(digits), 18):
+        chunk = digits[start : start + 18]
+        value = (value * 10 ** len(chunk) + int(chunk)) % p
+    return -value % p if text.startswith("-") else value
+
+
+def _printed_residues(out, p):
+    """The values of a plain polyseq table mod p.  A denominator that p
+    divides has no residue: it fails the check, it is never skipped."""
+    residues = []
+    for line in out.splitlines():
+        num, _, den = line.split("\t")[1].partition("/")
+        den = _decimal_mod(den or "1", p)
+        assert den, f"a printed denominator is divisible by {p}"
+        residues.append(_decimal_mod(num, p) * pow(den, -1, p) % p)
+    return residues
+
+
+# What each request of _AT_LIMIT_SHA256 prints, mod p, by the oracles' route.
+_AT_LIMIT_ORACLES = {
+    "multi-poly-bernoulli": lambda p: oracles.multi_poly_bernoulli_mod(_KS, MAX_N, p),
+    "multi-poly-euler": lambda p: oracles.euler_shape_mod(
+        _KS, _ALPHA, _BETA, len(_KS) * _X, MAX_N, p
+    ),
+    "poly-euler-abc": lambda p: oracles.euler_shape_mod(
+        (MAX_K,), _ALPHA, _BETA, _GAMMA * _X, MAX_N, p
+    ),
+}
+
+
+def _assert_oracle_agrees(out, oracle):
+    for p in _PRIMES:
+        assert _printed_residues(out, p) == oracle(p), p
 
 
 class TestSizeBounds:
@@ -469,6 +526,7 @@ class TestSizeBounds:
         out = capsys.readouterr().out
         assert len(out.splitlines()) == MAX_N + 1
         assert _sha256(out) == _AT_LIMIT_SHA256["multi-poly-bernoulli"]
+        _assert_oracle_agrees(out, _AT_LIMIT_ORACLES["multi-poly-bernoulli"])
 
     @pytest.mark.parametrize(
         "argv",
@@ -485,6 +543,7 @@ class TestSizeBounds:
         out = capsys.readouterr().out
         assert len(out.splitlines()) == MAX_N + 1
         assert _sha256(out) == _AT_LIMIT_SHA256[argv[0]]
+        _assert_oracle_agrees(out, _AT_LIMIT_ORACLES[argv[0]])
 
     @pytest.mark.parametrize("argv", sorted(_PLAIN_AT_LIMIT_SHA256), ids=" ".join)
     def test_plain_request_at_the_limits(self, argv, capsys):
@@ -492,6 +551,8 @@ class TestSizeBounds:
         out = capsys.readouterr().out
         assert len(out.splitlines()) == MAX_N + 1
         assert _sha256(out) == _PLAIN_AT_LIMIT_SHA256[argv]
+        ks = tuple(map(int, argv[1].partition("=")[2].split(",")))
+        _assert_oracle_agrees(out, lambda p: oracles.euler_shape_mod(ks, 0, 1, 0, MAX_N, p))
 
     @pytest.mark.parametrize("k", sorted(_SASAKI_AT_LIMIT_SHA256))
     def test_sasaki_at_the_index_and_order_limits(self, k, capsys):
@@ -499,6 +560,34 @@ class TestSizeBounds:
         out = capsys.readouterr().out
         assert len(out.splitlines()) == MAX_N + 1
         assert _sha256(out) == _SASAKI_AT_LIMIT_SHA256[k]
+        _assert_oracle_agrees(out, lambda p: oracles.poly_euler_sasaki_mod(k, MAX_N, p))
+
+
+class TestModPControls:
+    """The mod-p check tells a slip from the truth: on the rational
+    multi-poly-euler request at the limits, cut to n = 60, the oracle agrees
+    and the same oracle with the index vector reversed, or with w = x in
+    place of r x, disagrees."""
+
+    N = 60
+
+    @pytest.fixture(scope="class")
+    def printed(self):
+        argv = ["multi-poly-euler", f"--ks={_KS_AT_LIMIT}", f"--n={self.N}"]
+        argv += [f"--{flag}={v}" for flag, v in zip(("x", "alpha", "beta"), _AT_DIGIT_LIMIT)]
+        code, out = seq_output(argv)
+        assert code == 0
+        return {p: _printed_residues(out, p) for p in _PRIMES}
+
+    @pytest.mark.parametrize(
+        "ks, w", [(_KS[::-1], len(_KS) * _X), (_KS, _X)], ids=["reversed-ks", "w=x"]
+    )
+    def test_a_slipped_oracle_disagrees(self, printed, ks, w):
+        for p in _PRIMES:
+            truth = oracles.euler_shape_mod(_KS, _ALPHA, _BETA, len(_KS) * _X, self.N, p)
+            slipped = oracles.euler_shape_mod(ks, _ALPHA, _BETA, w, self.N, p)
+            assert printed[p] == truth
+            assert sum(a != b for a, b in zip(printed[p], slipped)) > self.N // 2
 
 
 def _sweep_requests():
