@@ -219,35 +219,28 @@ def _xab(case: IdentityCase, point: dict, x: Fraction | int) -> Egf:
 
 def _run_thm3(case: IdentityCase) -> CaseResult:
     lines = []
-    grid_size = 0
     order = max(case.grid["n_points"])
-    for ks in case.grid["kvectors"]:
-        for x in case.grid["x_points"]:
-            series = multifamily.multi_poly_euler(ks, x, order)
-            for n in case.grid["n_points"]:
-                reference = series[n]
-                for m_cap in case.grid["caps"]:
-                    for part_cap in case.grid["caps"]:
-                        grid_size += 1
-                        result = multifamily.thm3_explicit(ks, x, n, m_cap, part_cap)
-                        lines.append(
-                            f"ks={','.join(map(str, ks))} x={x} n={n} "
-                            f"m_cap={m_cap} part_cap={part_cap}: "
-                            f"partial={result.value} skipped={result.skipped_terms} "
-                            f"series={reference}"
-                        )
+    for ks, x in product(case.grid["kvectors"], case.grid["x_points"]):
+        series = multifamily.multi_poly_euler(ks, x, order)
+        for n, m_cap, part_cap in product(case.grid["n_points"], case.grid["caps"], case.grid["caps"]):
+            result = multifamily.thm3_explicit(ks, x, n, m_cap, part_cap)
+            lines.append(
+                f"ks={','.join(map(str, ks))} x={x} n={n} "
+                f"m_cap={m_cap} part_cap={part_cap}: "
+                f"partial={result.value} skipped={result.skipped_terms} "
+                f"series={series[n]}"
+            )
     notes = (
         "capped partial sums of the printed quadruple-sum formula; the "
         "rearranged geometric expansion it relies on does not converge "
         "termwise, so no equality is asserted | " + " | ".join(lines)
     )
-    return CaseResult(case.id, case.variant, grid_size, INCONCLUSIVE, None, notes)
+    return CaseResult(case.id, case.variant, len(lines), INCONCLUSIVE, None, notes)
 
 
 def _run_def1_sasaki(case: IdentityCase) -> CaseResult:
     n_max = case.grid["n_max"]
-    grid_size = 0
-    first = None
+    failing = []
     lines = []
     for k in case.grid["k_points"]:
         scaled = [
@@ -263,19 +256,18 @@ def _run_def1_sasaki(case: IdentityCase) -> CaseResult:
             scaled[n] / sasaki[n] for n in range(n_max + 1) if sasaki[n] != 0
         }
         constant = next(iter(candidates)) if len(candidates) == 1 else None
-        for n in range(n_max + 1):
-            grid_size += 1
-            ok = constant is not None and scaled[n] == constant * sasaki[n]
-            if not ok and first is None:
-                first = {
-                    "params": {"k": k, "n": n},
-                    "expected": format_rational(sasaki[n]),
-                    "actual": format_rational(scaled[n]),
-                }
-    if first is None:
+        failing += [
+            ({"k": k, "n": n}, sasaki[n], scaled[n])
+            for n in range(n_max + 1)
+            if constant is None or scaled[n] != constant * sasaki[n]
+        ]
+    grid_size = len(case.grid["k_points"]) * (n_max + 1)
+    if not failing:
         return CaseResult(
             case.id, case.variant, grid_size, PASS, None, "a single constant relates the sequences"
         )
+    params, expected, actual = failing[0]
+    first = {"params": params, "expected": format_rational(expected), "actual": format_rational(actual)}
     notes = (
         "no constant multiple relates the substituted values (t -> 4t, "
         "x = 1/2, scaled by 4^n) to the 4t-cosh-t numbers; side-by-side "

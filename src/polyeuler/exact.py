@@ -571,12 +571,10 @@ def _div_exp_sum(
         raise DivisionByNonUnit("divisor has zero constant term")
     rows, lift, s, den_pow = _division_table(weights, tops, rate_den, len(nums) - 1)
     a, df = lowest_terms(nums, den)
-    # Y_n = 0 below the first nonzero a'_z, so row n meets only Y_z..Y_{n-1}.
-    z = next((n for n, v in enumerate(a) if v), len(a))
-    known: list[int] = []  # Y_z, Y_{z+1}, ...
-    for row, coeff in zip(rows[z:], a[z:]):
+    known: list[int] = []  # Y_0, Y_1, ...
+    for row, coeff in zip(rows, a):
         known.append(lift * coeff - sum(map(mul, row, reversed(known))) // s)
-    return Egf.of(list(map(mul, [0] * z + known, reversed(den_pow))), df * s * lift * den_pow[-1])
+    return Egf.of(list(map(mul, known, reversed(den_pow))), df * s * lift * den_pow[-1])
 
 
 def egf_times_exp(f: Egf, value: RationalLike) -> Egf:

@@ -340,8 +340,6 @@ def thm3_explicit(
     power_sums = [0] * (n + 1)
     for j in range(m_cap + 1):
         factor = sum(comb(m, j) * last_sums[m] for m in range(j, m_cap + 1))
-        if not factor:
-            continue
         term = factor if j % 2 == 0 else -factor
         base = r * p - j * q
         for e in range(n + 1):
@@ -391,8 +389,6 @@ def thm4_explicit(
             weight = _index_tuple_weight((j,), (k,), big)
             if weight is None:
                 skipped += 1
-                continue
-            if not weight:
                 continue
             for i in range(j + 1):
                 s = m - j + i

@@ -1,8 +1,9 @@
 """Poly-Bernoulli and poly-Euler sequences, plus the lonesum-matrix oracle.
 
 All sequences are exact EGF coefficient lists; every poly- and multi-family
-is read off one of two shapes, the cached ``_euler_egf`` or
-``_bernoulli_egf``.  Each cache here is an ``exact._memo``, kept for one
+but one is read off one of two shapes, the cached ``_euler_egf`` or
+``_bernoulli_egf``; the 4t-cosh-t variant ``poly_euler_sasaki`` divides on
+its own.  Each cache here is an ``exact._memo``, kept for one
 ``exact.cache_scope``.  The Euler cache is keyed by (ks, w, alpha, beta, order)
 with the three rationals as integer (numerator, denominator) pairs in lowest
 terms, so a lookup hashes only ints and equal rationals meet in one entry,

@@ -3,10 +3,10 @@
 Everything here works on ordinary power-series coefficients (plain a_n, not
 the n!-scaled values the package stores) and uses naive algorithms: direct
 convolution, long division, term-by-term composition, cofactor determinants,
-literal multiple sums.  The mod-p transcriptions at the end reach the CLI's
-largest order on residues instead.  The point is that none of this shares a
-code path with the package, so agreement between the two is evidence, not
-tautology.
+literal multiple sums.  The finite closed forms and the mod-p transcriptions
+at the end reach the CLI's largest order, exactly and on residues.  The point
+is that none of this shares a code path with the package, so agreement
+between the two is evidence, not tautology.
 """
 
 from __future__ import annotations
@@ -14,7 +14,8 @@ from __future__ import annotations
 from collections import Counter
 from fractions import Fraction
 from itertools import combinations, product
-from math import comb, factorial
+from math import comb, factorial, lcm
+from operator import mul
 
 
 def ord_mul(a, b, order):
@@ -391,6 +392,68 @@ def thm4_sum(k, x, alpha, beta, gamma, n, variant):
     return total, skipped
 
 
+# Finite closed forms, exact: the Bernoulli shape and the plain Euler shape
+# (x = 0, alpha = 0, beta = 1) as finite sums over one table of Stirling
+# numbers of the second kind, with a_m the nested sum's ordinary coefficients
+# (Kaneko 1997, carried over to the nested sum):
+#   B_n = sum_j (-1)^{n-j} j! S(n, j) a_{j+r}
+#   E_n = 2^{1-r} sum_i C(n, i) Ê_i L_{n-i}, where
+#   Ê_i = sum_q (-1)^q C(r+q-1, q) q! S(i, q) / 2^q, the coefficients of
+#         (2/(1 + e^t))^r, and
+#   L_j = sum_m a_m m! (-1)^{j-m} S(j, m), those of Li_ks(1 - e^{-t}).
+# Nothing is divided or composed as a series, and every sum is finite.
+
+
+def multi_li_running(ks, order):
+    """Ordinary coefficients a_0..a_order of Li_ks(z) as exact rationals:
+    a_m sums prod_i m_i^{-k_i} over 0 < m_1 < ... < m_r = m, by a running
+    sum over one index at a time."""
+    ending = [Fraction(1)] + [Fraction(0)] * order  # the empty tuple, which ends at 0
+    for k in ks:
+        below, nxt = Fraction(0), [Fraction(0)] * (order + 1)
+        for m in range(1, order + 1):
+            below += ending[m - 1]
+            nxt[m] = below / Fraction(m) ** k
+        ending = nxt
+    return ending
+
+
+def stirling2_rows(order):
+    """S(n, m) for 0 <= m <= n <= order, by S(n, m) = m S(n-1, m) + S(n-1, m-1)."""
+    rows = [[1]]
+    for n in range(1, order + 1):
+        prev = rows[-1] + [0]
+        rows.append([0] + [m * prev[m] + prev[m - 1] for m in range(1, n + 1)])
+    return rows
+
+
+def _signed_factorial_terms(li):
+    """(-1)^m m! a_m over the common denominator of the a_m: (terms, den)."""
+    den = lcm(*(a.denominator for a in li))
+    terms = [(-1) ** m * factorial(m) * a.numerator * (den // a.denominator) for m, a in enumerate(li)]
+    return terms, den
+
+
+def multi_poly_bernoulli_finite(li, r, stirling):
+    """B_0..B_N of depth r from li = a_0..a_{N+r}, N = len(stirling) - 1."""
+    terms, den = _signed_factorial_terms(li[r:])
+    return [Fraction((-1) ** n * sum(map(mul, row, terms)), den) for n, row in enumerate(stirling)]
+
+
+def multi_poly_euler_finite(li, r, stirling):
+    """E_0..E_N of depth r at x = 0, alpha = 0, beta = 1 from li = a_0..a_N
+    or longer, N = len(stirling) - 1.  Ê_i is held as 2^i Ê_i and L_j as
+    2^j L_j, so the convolution runs over integers."""
+    terms, den = _signed_factorial_terms(li[: len(stirling)])
+    euler = [
+        sum((-1) ** q * comb(r + q - 1, q) * factorial(q) * s * 2 ** (i - q) for q, s in enumerate(row))
+        for i, row in enumerate(stirling)
+    ]
+    li_at = [(-2) ** j * sum(map(mul, row, terms)) for j, row in enumerate(stirling)]
+    sums = [sum(comb(n, i) * euler[i] * li_at[n - i] for i in range(n + 1)) for n in range(len(stirling))]
+    return [Fraction(total, 2 ** (n + r - 1) * den) for n, total in enumerate(sums)]
+
+
 # Mod-p transcriptions: each family at the CLI's largest order, evaluated
 # modulo a prime p larger than the order and than every denominator met.  The
 # route is unlike the package's: the nested sum as ordinary coefficients,
@@ -457,6 +520,15 @@ def times_exp_mod(f, w, p):
         sum(row[j] * f[j] * powers[n - j] for j in range(n + 1)) % p
         for n, row in enumerate(_binomials_mod(len(f) - 1, p))
     ]
+
+
+def bernoulli_mod(order, p):
+    """B_0..B_order mod p, B_1 = -1/2, by the recurrence
+    sum_{j<=n} C(n+1, j) B_j = 0 for n >= 1."""
+    b = [1]
+    for n in range(1, order + 1):
+        b.append(-sum(comb(n + 1, j) * b[j] for j in range(n)) * pow(n + 1, -1, p) % p)
+    return b
 
 
 def multi_poly_bernoulli_mod(ks, order, p):

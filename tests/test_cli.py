@@ -440,12 +440,21 @@ def _decimal_mod(text, p):
     return -value % p if text.startswith("-") else value
 
 
-def _printed_residues(out, p):
-    """The values of a plain polyseq table mod p.  A denominator that p
-    divides has no residue: it fails the check, it is never skipped."""
+def _printed_values(out, fmt="plain"):
+    """The value column of a polyseq table, read by its format."""
+    if fmt == "json":
+        return [row["value"] for row in json.loads(out)]
+    if fmt == "csv":
+        return [line.split(",")[1] for line in out.splitlines()[1:]]
+    return [line.split("\t")[1] for line in out.splitlines()]
+
+
+def _printed_residues(out, p, fmt="plain"):
+    """The values of a polyseq table mod p.  A denominator that p divides
+    has no residue: it fails the check, it is never skipped."""
     residues = []
-    for line in out.splitlines():
-        num, _, den = line.split("\t")[1].partition("/")
+    for value in _printed_values(out, fmt):
+        num, _, den = value.partition("/")
         den = _decimal_mod(den or "1", p)
         assert den, f"a printed denominator is divisible by {p}"
         residues.append(_decimal_mod(num, p) * pow(den, -1, p) % p)
@@ -563,6 +572,43 @@ class TestSizeBounds:
         _assert_oracle_agrees(out, lambda p: oracles.poly_euler_sasaki_mod(k, MAX_N, p))
 
 
+def _plain_table(values):
+    """Exact rationals as polyseq's plain table, formatted with no package code."""
+    return "".join(
+        f"{n}\t{v.numerator}{'' if v.denominator == 1 else f'/{v.denominator}'}\n"
+        for n, v in enumerate(values)
+    )
+
+
+class TestFiniteFormulas:
+    """Kaneko's finite Stirling-number formulas, exact and with no package
+    code, rebuild the multi-poly-bernoulli and the plain multi-poly-euler
+    tables at the limits byte for byte; with the index vector reversed,
+    neither digest comes out."""
+
+    PINNED = (
+        _AT_LIMIT_SHA256["multi-poly-bernoulli"],
+        _PLAIN_AT_LIMIT_SHA256[("multi-poly-euler", f"--ks={_KS_AT_LIMIT}")],
+    )
+
+    @staticmethod
+    def digests(ks):
+        li = oracles.multi_li_running(ks, MAX_N + len(ks))
+        stirling = oracles.stirling2_rows(MAX_N)
+        tables = (
+            oracles.multi_poly_bernoulli_finite(li, len(ks), stirling),
+            oracles.multi_poly_euler_finite(li, len(ks), stirling),
+        )
+        return tuple(_sha256(_plain_table(values)) for values in tables)
+
+    def test_finite_formulas_give_the_at_limit_digests(self):
+        assert self.digests(_KS) == self.PINNED
+
+    def test_reversed_index_vector_gives_neither_digest(self):
+        for got, pinned in zip(self.digests(_KS[::-1]), self.PINNED):
+            assert got != pinned
+
+
 class TestModPControls:
     """The mod-p check tells a slip from the truth: on the rational
     multi-poly-euler request at the limits, cut to n = 60, the oracle agrees
@@ -620,12 +666,49 @@ def _sweep_requests():
     return reqs
 
 
+def _sweep_oracle(family, flags, p):
+    """What a sweep request of a sequence family prints, mod p, by the
+    oracles' route."""
+    order = int(flags["n"])
+    x = Fraction(flags.get("x", 0))
+    if family == "bernoulli":
+        return oracles.bernoulli_mod(order, p)
+    if family == "euler":
+        # 2/(1 + e^t), or 2/(e^t + e^{-t}) under the secant convention
+        rates = (1, p - 1) if flags.get("convention") == "secant" else (0, 1)
+        return oracles.div_exp_sum_mod([2] + [0] * order, [(1, mu) for mu in rates], p)
+    if family == "poly-bernoulli":
+        plain = oracles.multi_poly_bernoulli_mod((int(flags["k"]),), order, p)
+        return oracles.times_exp_mod(plain, oracles.residue(x, p), p)
+    if family == "poly-euler":
+        return oracles.euler_shape_mod((int(flags["k"]),), 0, 1, x, order, p)
+    if family == "poly-euler-sasaki":
+        return oracles.poly_euler_sasaki_mod(int(flags["k"]), order, p)
+    ks = tuple(map(int, flags.get("ks", flags.get("k")).split(",")))
+    if family == "multi-poly-bernoulli":
+        return oracles.multi_poly_bernoulli_mod(ks, order, p)
+    # multi-poly-euler and poly-euler-abc: w = gamma x once gamma is given
+    alpha, beta = Fraction(flags.get("alpha", 0)), Fraction(flags.get("beta", 1))
+    w = Fraction(flags["gamma"]) * x if "gamma" in flags else len(ks) * x
+    return oracles.euler_shape_mod(ks, alpha, beta, w, order, p)
+
+
 def test_sweep_of_every_family_is_pinned(capsys):
-    """The stdout bytes of 98 requests, one digest for all of them."""
+    """The stdout bytes of 98 requests, one digest for all of them, and each
+    request's values against the oracles mod both primes."""
     digest = hashlib.sha256()
     for argv in _sweep_requests():
         assert main_seq(argv) == 0, argv
-        digest.update(capsys.readouterr().out.encode())
+        out = capsys.readouterr().out
+        digest.update(out.encode())
+        family, *rest = argv
+        flags = dict(flag[2:].split("=", 1) for flag in rest)
+        if family == "lonesum":
+            assert int(out) == oracles.lonesum_count(int(flags["rows"]), int(flags["cols"]))
+            continue
+        for p in _PRIMES:
+            printed = _printed_residues(out, p, flags.get("format", "plain"))
+            assert printed == _sweep_oracle(family, flags, p), (argv, p)
     assert digest.hexdigest() == _SWEEP_SHA256
 
 

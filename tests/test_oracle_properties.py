@@ -3,8 +3,8 @@
 The oracles multiply and divide ordinary series over ``Fraction`` term by
 term, compose through explicit powers, enumerate every index tuple of the
 nested sum and evaluate the printed right-hand sums literally, so they share
-no code path with the integer kernels, the cached Bell table or the
-running-sum recursion.
+no code path with the integer kernels, the Bell table or the running-sum
+recursion.
 """
 
 from fractions import Fraction
@@ -133,7 +133,7 @@ def alternating(order):
 
 
 def bell_table(u):
-    """The cached table of the rationals u_1, u_2, ... over their common denominator."""
+    """The Bell table of the rationals u_1, u_2, ... over their common denominator."""
     nums, den = integer_numerators(u)
     return den, _bell_table(tuple(nums))
 
