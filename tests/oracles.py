@@ -217,11 +217,6 @@ def poly_euler_sasaki_egf(k, order):
     return egf_from_ord(ord_div(num[1:], ord_scale(cosh, 4, order), order))
 
 
-def stirling2(n, m):
-    """S(n, m) by the explicit formula (1/m!) sum_i (-1)^{m-i} C(m, i) i^n."""
-    return sum((-1) ** (m - i) * comb(m, i) * i**n for i in range(m + 1)) // factorial(m)
-
-
 def lonesum_count(n, k):
     """Lonesum n x k matrices: bucket all 2^(nk) of them by the pair
     (row-sum vector, column-sum vector) and count the singleton buckets."""

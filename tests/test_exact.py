@@ -13,7 +13,6 @@ from polyeuler.exact import (
     InsufficientVanishing,
     NonNilpotentInner,
     NotSquare,
-    _bell_table,
     _dilate,
     _div_exp_sum,
     _division_table,
@@ -654,18 +653,16 @@ class TestTimesExp:
         assert product.coeffs == (F(1, 3), F(11, 30), F(-101, 75))
 
 
-class TestBellTable:
-    def test_stirling_branch_matches_generic_recurrence(self):
-        """Composing with 1 - e^{-t} runs the recurrence e'_m = e_{m+1} - m e_m
-        and no table; it equals the Faà di Bruno sum sum_m f_m rows[n][m]
-        over the Bell table of 1 - e^{-t} at N = 30."""
+class TestComposeBranches:
+    def test_general_branch_matches_dilated_recurrence(self):
+        """f(1 - e^{-2t}) takes Horner's scheme over the series product, and
+        f(1 - e^{-t}) the recurrence e'_m = e_{m+1} - m e_m; at N = 30 the
+        first is the second dilated by 2."""
         n = 30
-        rows = _bell_table(((1, -1) * n)[:n])
-        assert len(rows) == n + 1
         f = Egf([F((-1) ** m * (3 * m + 1), m * m + 2) for m in range(n + 1)])
-        a, df = f.numerators()
-        faa_di_bruno = Egf.of([sum(a[m] * b for m, b in enumerate(row)) for row in rows], df)
-        assert egf_compose(f, Egf.of((0,) + ((1, -1) * n)[:n])) == faa_di_bruno
+        recurrence = egf_compose(f, Egf.of((0,) + ((1, -1) * n)[:n]))
+        horner = egf_compose(f, Egf.of([0] + [-((-2) ** i) for i in range(1, n + 1)]))
+        assert horner == Egf.of(*_dilate(*recurrence.numerators(), (2, 1)))
 
 
 class TestRingAxioms:

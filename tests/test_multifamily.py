@@ -1059,6 +1059,52 @@ class TestRightSidesCallNoSeriesKernel:
             assert kernel in recorded["inside"]
 
 
+# One request of every polyseq family, each at a nonzero x where it reads one.
+EVERY_FAMILY = (
+    ["bernoulli", "--n=12"],
+    ["euler", "--n=12"],
+    ["poly-bernoulli", "--k=2", "--x=1/3", "--n=12"],
+    ["poly-euler", "--k=-2", "--x=1/2", "--n=12"],
+    ["poly-euler-sasaki", "--k=2", "--n=12"],
+    ["multi-poly-bernoulli", "--ks=2,1", "--n=12"],
+    ["multi-poly-euler", "--ks=1,2", "--x=1/3", "--alpha=2/3", "--beta=-1/4", "--n=12"],
+    ["poly-euler-abc", "--k=2", "--x=1/3", "--alpha=2/3", "--beta=-1/4", "--gamma=3/7", "--n=12"],
+    ["lonesum", "--rows=2", "--cols=3"],
+)
+
+
+def test_production_composes_only_with_one_minus_exp(monkeypatch, capsys):
+    """Every ``egf_compose`` call of the seed-0 order-4 audit and of one
+    request of every polyseq family takes the u' = 1 - u recurrence
+    (``exact._compose_one_minus_exp``), the only composition tuned for speed."""
+    from polyeuler.cli import main_audit, main_seq
+
+    compose, recurrence = exact.egf_compose, exact._compose_one_minus_exp
+    recurrences, composed = [], []
+
+    def recurrence_wrapper(*args):
+        recurrences.append(args)
+        return recurrence(*args)
+
+    def compose_wrapper(f, g):
+        before = len(recurrences)
+        result = compose(f, g)
+        composed.append((g.order, len(recurrences) > before))
+        return result
+
+    _wrap_bindings(monkeypatch, {compose: compose_wrapper, recurrence: recurrence_wrapper})
+    assert main_audit(["--order", "4", "--seed", "0"]) == 0
+    for argv in EVERY_FAMILY:
+        assert main_seq(argv) == 0
+    capsys.readouterr()
+    assert composed
+    horner = [order for order, took_recurrence in composed if not took_recurrence]
+    assert not horner, (
+        f"{len(horner)} of {len(composed)} egf_compose calls (inner orders {horner}) took "
+        "Horner's scheme over the series product, about 3x slower than the recurrence"
+    )
+
+
 def _pair(value):
     return value.numerator, value.denominator
 

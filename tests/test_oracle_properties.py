@@ -3,8 +3,8 @@
 The oracles multiply and divide ordinary series over ``Fraction`` term by
 term, compose through explicit powers, enumerate every index tuple of the
 nested sum and evaluate the printed right-hand sums literally, so they share
-no code path with the integer kernels, the Bell table or the running-sum
-recursion.
+no code path with the integer kernels, the u' = 1 - u recurrence or the
+running-sum recursion.
 """
 
 from fractions import Fraction
@@ -16,7 +16,6 @@ from hypothesis import assume, example, given, settings, strategies as st
 from polyeuler import multifamily
 from polyeuler.exact import (
     Egf,
-    _bell_table,
     _dilate,
     egf_add,
     egf_compose,
@@ -41,7 +40,6 @@ from oracles import (
     ord_mul,
     ord_pow,
     ord_scale,
-    stirling2,
 )
 
 F = Fraction
@@ -73,7 +71,7 @@ def compose_matches_oracle(outer, inner, order):
     tail=st.lists(rationals, max_size=3),
 )
 def test_compose_with_nonzero_linear_term(order, outer, lead, tail):
-    """g_1 != 0: the Bell table is filled from the inner series as it is."""
+    """g_1 != 0: Horner's scheme multiplies by the inner series as it is."""
     inner = padded([F(0), lead] + tail, order)
     compose_matches_oracle(padded(outer, order), inner, order)
 
@@ -132,31 +130,8 @@ def alternating(order):
     return [F((-1) ** i) for i in range(order)]
 
 
-def bell_table(u):
-    """The Bell table of the rationals u_1, u_2, ... over their common denominator."""
-    nums, den = integer_numerators(u)
-    return den, _bell_table(tuple(nums))
-
-
-@pytest.mark.parametrize("order", [0, 1, 2, 7, 30, 60])
-def test_bell_table_of_one_minus_exp_is_signed_stirling(order):
-    """B_{n,m}(1 - e^{-t}) = (-1)^{n-m} S(n, m), with S from its explicit sum."""
-    den, rows = bell_table(alternating(order))
-    assert den == 1
-    assert [list(row) for row in rows] == [
-        [(-1) ** (n - m) * stirling2(n, m) for m in range(n + 1)] for n in range(order + 1)
-    ]
-
-
-def bell_values_by_oracle(u):
-    """B_{n,m}(u) = n! [t^n] of t^m/m! composed with sum u_i t^i / i!."""
-    order = len(u)
-    inner = [F(0)] + [c / factorial(i) for i, c in enumerate(u, 1)]
-    columns = [ord_compose([F(0)] * m + [F(1, factorial(m))], inner, order) for m in range(order + 1)]
-    return [[columns[m][n] * factorial(n) for m in range(n + 1)] for n in range(order + 1)]
-
-
-# Inner series near 1 - e^{-t} that must take the generic recurrence.
+# Inner series near 1 - e^{-t} that must take Horner's scheme: the recurrence
+# would miss their last coefficient or their scale.
 NEAR_STIRLING = {
     "last-sign-flipped": alternating(11) + [F(1)],
     "last-coefficient-half": alternating(11) + [F(1, 2)],
@@ -165,11 +140,10 @@ NEAR_STIRLING = {
 
 
 @pytest.mark.parametrize("name", sorted(NEAR_STIRLING))
-def test_bell_table_near_one_minus_exp_is_generic(name):
-    u = NEAR_STIRLING[name]
-    den, rows = bell_table(u)
-    got = [[F(b, den**m) for m, b in enumerate(row)] for row in rows]
-    assert got == bell_values_by_oracle(u)
+def test_compose_near_one_minus_exp_is_generic(name):
+    inner = [F(0)] + [c / factorial(i) for i, c in enumerate(NEAR_STIRLING[name], 1)]
+    outer = [F(0)] + [F((-1) ** m * (m + 2), m * m + 1) for m in range(1, 13)]
+    compose_matches_oracle(outer, inner, 12)
 
 
 @pytest.mark.parametrize("scale", [F(1), F(4), F(-7, 3)])

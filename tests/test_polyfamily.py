@@ -99,8 +99,9 @@ class TestPolyEulerSasaki:
 
     @pytest.mark.parametrize("k", range(-2, 4))
     def test_matches_oracle(self, k):
-        """Against ord_compose with 1-e^{-4t}, outside the Bell table; orders 0
-        and 1 are the edge of the t-cancellation."""
+        """Against ord_compose with 1-e^{-4t}, which shares no code with the
+        package's composition; orders 0 and 1 are the edge of the
+        t-cancellation."""
         for order in (0, 1, 12):
             assert poly_euler_sasaki(k, order) == oracles.poly_euler_sasaki_egf(k, order)
 
