@@ -2,7 +2,7 @@
 
 Usage (from the repository root):
 
-    python3 mutants/runner.py [NAME ...]   # default: every entry of catalogue.py
+    python3 mutants/runner.py              # every entry of catalogue.py
     python3 -m pytest -q mutants/tests     # the runner's own tests, on a toy tree
 
 For each mutant it copies ``src/``, ``tests/`` and ``README.md`` (which
@@ -87,14 +87,9 @@ def problem(mutant: Mutant, seen: str) -> str | None:
     return None
 
 
-def main(argv: list[str], mutants=MUTANTS, root: Path = ROOT) -> int:
-    chosen = [m for m in mutants if not argv or m.name in argv]
-    unknown = set(argv) - {m.name for m in mutants}
-    if unknown:
-        print(f"error: no mutant named {', '.join(sorted(unknown))}", file=sys.stderr)
-        return 2
+def main(mutants=MUTANTS, root: Path = ROOT) -> int:
     failures = 0
-    for mutant in chosen:
+    for mutant in mutants:
         start = time.perf_counter()
         try:
             seen = outcome(mutant, root)
@@ -104,9 +99,9 @@ def main(argv: list[str], mutants=MUTANTS, root: Path = ROOT) -> int:
         failures += why is not None
         line = f"{mutant.name}: {seen} ({time.perf_counter() - start:.1f} s)"
         print(line if why is None else f"{line} FAIL: {why}", flush=True)
-    print(f"{len(chosen) - failures} of {len(chosen)} mutants meet their entries")
+    print(f"{len(mutants) - failures} of {len(mutants)} mutants meet their entries")
     return 1 if failures else 0
 
 
 if __name__ == "__main__":
-    sys.exit(main(sys.argv[1:]))
+    sys.exit(main())

@@ -26,20 +26,20 @@ def toy_mutant(new, expect, old="    return 2 * x\n"):
 def test_a_mutant_the_test_sees_must_be_killed(toy, capsys):
     killed = toy_mutant("    return 3 * x\n", "killed")
     assert runner.outcome(killed, toy) == "killed"
-    assert runner.main([], [killed], toy) == 0
+    assert runner.main([killed], toy) == 0
     marked_equivalent = killed._replace(expect="equivalent: it is not")
-    assert runner.main([], [marked_equivalent], toy) == 1
+    assert runner.main([marked_equivalent], toy) == 1
     assert "killed, so it is not equivalent" in capsys.readouterr().out
     # An old text that does not occur exactly once fails the entry.
-    assert runner.main([], [toy_mutant("x", "killed", old="x")], toy) == 1
+    assert runner.main([toy_mutant("x", "killed", old="x")], toy) == 1
     assert "old text occurs 2 times" in capsys.readouterr().out
 
 
 def test_an_equivalent_mutant_must_survive(toy, capsys):
     equivalent = toy_mutant("    return x + x\n", "equivalent: x + x is 2 * x")
     assert runner.outcome(equivalent, toy) == "survived"
-    assert runner.main([], [equivalent], toy) == 0
-    assert runner.main([], [equivalent._replace(expect="killed")], toy) == 1
+    assert runner.main([equivalent], toy) == 0
+    assert runner.main([equivalent._replace(expect="killed")], toy) == 1
     assert "survived, but no test should pass with it" in capsys.readouterr().out
     # The toy tree itself is left as it was.
     assert (toy / "src" / "toy.py").read_text() == "def double(x):\n    return 2 * x\n"
