@@ -33,11 +33,29 @@ MUTANTS = (
         "killed",
     ),
     Mutant(
-        "horner-runs-upward",
+        "power-sum-drops-the-constant-term",
         "src/polyeuler/exact.py",
-        "    for m in range(n, -1, -1):\n",
-        "    for m in range(n + 1):\n",
+        "    h, power = Egf.constant(a[0] * factorial(n), n), Egf.constant(1, n)\n",
+        "    h, power = Egf.zero(n), Egf.constant(1, n)\n",
         ("tests/test_exact.py::TestCompose", "tests/test_exact.py::TestComposeBranches"),
+        "killed",
+    ),
+    Mutant(
+        "det-swap-keeps-the-sign",
+        "src/polyeuler/exact.py",
+        "            rows[col], rows[pivot_row] = rows[pivot_row], rows[col]\n"
+        "            sign = -sign\n",
+        "            rows[col], rows[pivot_row] = rows[pivot_row], rows[col]\n",
+        ("tests/test_exact.py::TestDeterminant",),
+        "killed",
+    ),
+    Mutant(
+        # A pivot row that waited is still at the scale of its own last pivot.
+        "det-pivot-row-not-brought-up-to-date",
+        "src/polyeuler/exact.py",
+        "        top = [v * last // rows[col][2] for v in rows[col][0]]\n",
+        "        top = list(rows[col][0])\n",
+        ("tests/test_exact.py::TestDeterminant",),
         "killed",
     ),
     Mutant(
@@ -59,6 +77,83 @@ MUTANTS = (
         "    if type(value) not in (int, Fraction):\n",
         "    if type(value) not in (int, Fraction, float):\n",
         ("tests/test_exact.py::TestEntriesReadIntOrFraction",),
+        "killed",
+    ),
+    Mutant(
+        # The same numbers as the left side, read at its (w, alpha, beta).
+        "cor1-reads-the-left-side",
+        "src/polyeuler/multifamily.py",
+        "    ab = _euler_egf(ks, (0, 1), _ratio(params.alpha), _ratio(params.beta), _order(order))"
+        ".numerators()\n"
+        "    return Egf.of(*_binomial_shift(*ab, _times(len(ks), x), order))\n",
+        "    return _euler_egf(ks, _times(len(ks), x), _ratio(params.alpha), _ratio(params.beta),"
+        " _order(order))\n",
+        ("tests/test_multifamily.py::TestRightSidesReadOnlyTheirPrintedTerms",),
+        "killed",
+    ),
+    Mutant(
+        # thm1's law used to build the left side: the plain shape at
+        # w = r alpha/(alpha + beta), dilated by alpha + beta.
+        "left-side-rescales-the-plain-shape",
+        "src/polyeuler/polyfamily.py",
+        "    weights, tops, rate_den = _euler_terms(alpha, beta, len(ks))\n"
+        "    nums, den = _dilate(*_li_numerator(ks, order).numerators(), (tops[1] - tops[0], 1))\n"
+        "    return _div_exp_sum([2 * v for v in nums], den, weights, tops, rate_den)\n",
+        "    lam = (alpha[0] * beta[1] + beta[0] * alpha[1], alpha[1] * beta[1])\n"
+        "    w = (len(ks) * alpha[0] * lam[1], alpha[1] * lam[0])\n"
+        "    return Egf.of(*_dilate(*_euler_egf(ks, w, (0, 1), (1, 1), order).numerators(), lam))\n",
+        ("tests/test_multifamily.py::TestLeftSidesDivideByTheirOwnTerms",),
+        "killed",
+    ),
+    Mutant(
+        "plain-shape-divided",
+        "src/polyeuler/polyfamily.py",
+        "    if alpha == (0, 1) and beta == (1, 1):\n        return _plain_euler(ks, order)\n",
+        "",
+        ("tests/test_multifamily.py::TestPlainShapeIsComposed",),
+        "killed",
+    ),
+    Mutant(
+        "documented-discrepancy-may-pass",
+        "src/polyeuler/audit.py",
+        "    return result.verdict == expected_verdict(result)\n",
+        "    return result.verdict in (PASS, expected_verdict(result))\n",
+        ("tests/test_audit.py::TestDocumentedVerdicts",),
+        "killed",
+    ),
+    Mutant(
+        "compare-numerators-only",
+        "src/polyeuler/audit.py",
+        "            if first is None and e_num[n] * a_den[n] != a_num[n] * e_den[n]:\n",
+        "            if first is None and e_num[n] != a_num[n]:\n",
+        ("tests/test_audit.py::TestCompareControls",),
+        "killed",
+    ),
+    Mutant(
+        # Right quotients, but 1 + e^t and 1 + e^{t/2} share one table.
+        "division-table-keyed-without-k",
+        "src/polyeuler/exact.py",
+        "    rows, lift, s, den_pow = _division_table(weights, tops, rate_den, len(nums) - 1)\n",
+        "    rows, lift, s, _ = _division_table(weights, tops, 1, len(nums) - 1)\n"
+        "    den_pow = integer_powers(rate_den, len(nums) - 1)\n",
+        ("tests/test_exact.py::TestDivisionTable",),
+        "killed",
+    ),
+    Mutant(
+        # Right series, but r x = 2 (1/2) keys the Euler memo as 2/2, not 1/1.
+        "euler-key-not-in-lowest-terms",
+        "src/polyeuler/multifamily.py",
+        "    return _reduced(k * p, q)\n",
+        "    return k * p, q\n",
+        ("tests/test_multifamily.py::TestEulerShapeCaches",),
+        "killed",
+    ),
+    Mutant(
+        "order-reads-a-float",
+        "src/polyeuler/exact.py",
+        "    value = index(value)\n",
+        "    value = int(value)\n",
+        ("tests/test_multifamily.py::TestOrderIsAnInt",),
         "killed",
     ),
     Mutant(

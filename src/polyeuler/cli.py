@@ -287,20 +287,19 @@ def cmd_audit(args: argparse.Namespace) -> int:
     from . import audit
 
     order = _resolve_audit_order(args.order)
-    sink = None
     if args.out is not None:
-        try:
-            sink = open(args.out, "w", encoding="utf-8")
+        try:  # fail fast on a path that cannot be written, but keep its old bytes
+            open(args.out, "a", encoding="utf-8").close()
         except OSError as exc:
             raise UsageError(f"cannot write {args.out!r}: {exc}") from None
     report = audit.run_all(args.seed, order)
     for result in report.cases:
         print(_result_line(result, order, args.seed), file=sys.stderr)
     payload = audit.report_to_json(report)
-    if sink is None:
+    if args.out is None:
         sys.stdout.write(payload)
     else:
-        with sink:
+        with open(args.out, "w", encoding="utf-8") as sink:
             sink.write(payload)
     return 0 if audit.report_ok(report) else 1
 

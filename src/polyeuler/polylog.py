@@ -79,7 +79,7 @@ def li_of_inner(ks: Sequence[int], inner: Egf, order: int) -> Egf:
     Only powers inner^m with m <= order contribute, so each coefficient is
     exact and the same at every higher order.  ``exact.egf_compose`` refuses
     a nonzero constant term (NonNilpotentInner), truncates the inner series,
-    and for any but 1 - e^{-t} takes its slow O(N^3) path, ~100x at N = 40.
+    and for any but 1 - e^{-t} sums its powers: O(N^3), ~30x slower at N = 40.
     """
     n = min(_order(order), inner.order)
     nums, den = multi_li_series(ks, n).numerators()

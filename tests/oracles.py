@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from collections import Counter
 from fractions import Fraction
+from functools import cache
 from itertools import combinations, product
 from math import comb, factorial, lcm
 from operator import mul
@@ -476,24 +477,37 @@ def multi_li_mod(ks, order, p):
     return ending
 
 
+@cache
+def _stirling_mod(order, p):
+    """Rows S(n, 0..n) mod p for n = 0..order, one table per (order, p)."""
+    stirling = [(1,)]
+    for n in range(1, order + 1):
+        prev = stirling[-1] + (0,)
+        stirling.append((0, *[(m * prev[m] + prev[m - 1]) % p for m in range(1, n + 1)]))
+    return tuple(stirling)
+
+
 def _kaneko_mod(coeffs, order, p):
     """EGF coefficients of sum_m c_m (1 - e^{-t})^m mod p, n = 0..order:
     n! [t^n] (1 - e^{-t})^m = (-1)^{n-m} m! S(n, m) (Kaneko 1997)."""
-    stirling = [[1]]
-    for n in range(1, order + 1):
-        prev = stirling[-1] + [0]
-        stirling.append([0] + [(m * prev[m] + prev[m - 1]) % p for m in range(1, n + 1)])
     weights = [1]
     for m in range(1, order + 1):
         weights.append(-weights[-1] * m % p)  # (-1)^m m!
     return [
         (-1) ** n * sum(weights[m] * coeffs[m] * row[m] for m in range(n + 1)) % p
-        for n, row in enumerate(stirling)
+        for n, row in enumerate(_stirling_mod(order, p))
     ]
 
 
+@cache
 def _binomials_mod(order, p):
-    return [[comb(n, j) % p for j in range(n + 1)] for n in range(order + 1)]
+    """Rows C(n, 0..n) mod p for n = 0..order by Pascal's rule, one table
+    per (order, p)."""
+    rows = [(1,)]
+    for n in range(1, order + 1):
+        prev = rows[-1]
+        rows.append((1, *[(prev[j - 1] + prev[j]) % p for j in range(1, n)], 1))
+    return tuple(rows)
 
 
 def div_exp_sum_mod(f, terms, p):

@@ -333,6 +333,7 @@ class TestVerify:
 class TestAuditCommand:
     def test_report_written_and_ok(self, tmp_path, capsys):
         target = tmp_path / "report.json"
+        target.write_text("x" * 100_000)  # an older, longer file is replaced, not appended to
         assert main_audit(["--order", "4", "--seed", "1", "--out", str(target)]) == 0
         payload = json.loads(target.read_text())
         assert payload["order"] == 4 and payload["seed"] == 1
@@ -353,6 +354,19 @@ class TestAuditCommand:
         assert capsys.readouterr().err.splitlines()[-1] == (
             "polyaudit: error: argument --order: invalid int value: '+4'"
         )
+
+    def test_failed_audit_keeps_the_old_report(self, tmp_path, monkeypatch):
+        """--out replaces a file only once the new report is ready."""
+        target = tmp_path / "report.json"
+        target.write_bytes(b"old report\n")
+
+        def interrupted(seed, order):
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(audit, "run_all", interrupted)
+        with pytest.raises(KeyboardInterrupt):
+            main_audit(["--order", "4", "--out", str(target)])
+        assert target.read_bytes() == b"old report\n"
 
     def test_unwritable_out_exits_2(self, tmp_path):
         target = tmp_path / "missing-dir" / "report.json"

@@ -655,14 +655,14 @@ class TestTimesExp:
 
 class TestComposeBranches:
     def test_general_branch_matches_dilated_recurrence(self):
-        """f(1 - e^{-2t}) takes Horner's scheme over the series product, and
-        f(1 - e^{-t}) the recurrence e'_m = e_{m+1} - m e_m; at N = 30 the
-        first is the second dilated by 2."""
+        """f(1 - e^{-2t}) takes the general branch, the sum of the inner
+        series' powers, and f(1 - e^{-t}) the recurrence
+        e'_m = e_{m+1} - m e_m; at N = 30 the first is the second dilated by 2."""
         n = 30
         f = Egf([F((-1) ** m * (3 * m + 1), m * m + 2) for m in range(n + 1)])
         recurrence = egf_compose(f, Egf.of((0,) + ((1, -1) * n)[:n]))
-        horner = egf_compose(f, Egf.of([0] + [-((-2) ** i) for i in range(1, n + 1)]))
-        assert horner == Egf.of(*_dilate(*recurrence.numerators(), (2, 1)))
+        general = egf_compose(f, Egf.of([0] + [-((-2) ** i) for i in range(1, n + 1)]))
+        assert general == Egf.of(*_dilate(*recurrence.numerators(), (2, 1)))
 
 
 class TestRingAxioms:
@@ -723,6 +723,25 @@ class TestDeterminant:
         """Ragged rows are not square, even when the row count matches."""
         with pytest.raises(NotSquare):
             det([[F(1), F(2)], [F(3)]])
+
+    @pytest.mark.parametrize(
+        "rows",
+        [
+            [[F(1, 2), 3, F(-2, 3)], [0, F(5, 4), 1], [0, 0, F(7, 3)]],
+            [
+                [F(2, 3), 1, F(1, 5), 2],
+                [3, F(-1, 2), 4, 1],
+                [0, F(4, 3), 2, F(1, 7)],
+                [0, 0, F(-3, 2), 5],
+            ],
+            [[0, 0, 4], [0, F(1, 3), 2], [F(5, 2), 1, 0]],
+        ],
+        ids=["triangular", "hessenberg", "one-swap-then-waiting-pivots"],
+    )
+    def test_rows_with_no_entry_in_the_pivot_column_wait(self, rows):
+        """A row with 0 under the pivot is not rescaled at that step, so it
+        is brought up to date when it is next read."""
+        assert det(rows) == cofactor_det(rows)
 
     @given(rows=matrices_3x3)
     def test_matches_cofactor_3x3(self, rows):

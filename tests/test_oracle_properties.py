@@ -71,7 +71,7 @@ def compose_matches_oracle(outer, inner, order):
     tail=st.lists(rationals, max_size=3),
 )
 def test_compose_with_nonzero_linear_term(order, outer, lead, tail):
-    """g_1 != 0: Horner's scheme multiplies by the inner series as it is."""
+    """g_1 != 0: the general branch sums the powers of the inner series as it is."""
     inner = padded([F(0), lead] + tail, order)
     compose_matches_oracle(padded(outer, order), inner, order)
 
@@ -130,7 +130,7 @@ def alternating(order):
     return [F((-1) ** i) for i in range(order)]
 
 
-# Inner series near 1 - e^{-t} that must take Horner's scheme: the recurrence
+# Inner series near 1 - e^{-t} that must take the general branch: the recurrence
 # would miss their last coefficient or their scale.
 NEAR_STIRLING = {
     "last-sign-flipped": alternating(11) + [F(1)],
