@@ -174,6 +174,25 @@ MUTANTS = (
         "killed",
     ),
     Mutant(
+        # Every request built and read by argparse, with the same values.
+        "seq-parse-ignores-the-reader",
+        "src/polyeuler/cli.py",
+        "    return _seq_parser().parse_args(argv) if values is None else SimpleNamespace(**values)\n",
+        "    return _seq_parser().parse_args(argv)\n",
+        ("tests/test_cli.py::TestRootCommand::test_seq_does_not_load_the_audit",),
+        "killed",
+    ),
+    Mutant(
+        # Through a dangling link the check removes the link and leaves an
+        # empty file at its target.
+        "audit-out-check-removes-the-link",
+        "src/polyeuler/cli.py",
+        "                os.remove(os.path.realpath(args.out))\n",
+        "                os.remove(args.out)\n",
+        ("tests/test_cli.py::TestAuditCommand::test_failed_audit_keeps_the_old_report",),
+        "killed",
+    ),
+    Mutant(
         "def1-constant-by-min",
         "src/polyeuler/audit.py",
         "        constant = next(iter(candidates)) if len(candidates) == 1 else None\n",

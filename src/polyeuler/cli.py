@@ -2,7 +2,9 @@
 
 Three argparse programs, installed as three console scripts, and a
 hand-written root dispatcher (``python -m polyeuler {seq|verify|audit}``)
-that hands the rest of the command line to one of them.  Exit codes: 0
+that hands the rest of the command line to one of them.  Each program has
+one parse function, from its command line to its arguments; a parser is
+built for the one request that reads it, and none is kept.  Exit codes: 0
 success (or whitelisted audit verdict), 1 unexpected identity failure, 2
 usage error.  All rational values cross the boundary in the canonical text
 form ("-3/4", "5").
@@ -61,7 +63,6 @@ FAMILIES = {
     "poly-euler-abc": (("k", "alpha", "beta", "gamma"), ("n", "x")),
     "lonesum": (("rows", "cols"), ()),
 }
-SELECTIVE_FLAGS = ("n", "k", "ks", "x", "alpha", "beta", "gamma", "convention", "rows", "cols")
 
 
 class UsageError(Exception):
@@ -115,6 +116,7 @@ _SEQ_FLAGS = {
     "format": (("plain", "csv", "json"), None),
 }
 _SEQ_DEFAULTS = {**dict.fromkeys(_SEQ_FLAGS), "format": "plain"}
+SELECTIVE_FLAGS = tuple(flag for flag in _SEQ_FLAGS if flag != "format")
 
 
 def _seq_parser() -> argparse.ArgumentParser:
@@ -157,6 +159,11 @@ def _read_seq(argv: Sequence[str]) -> dict | None:
             except ValueError:
                 return None
     return values if values["family"] in FAMILIES else None
+
+
+def _parse_seq(argv: Sequence[str] | None) -> argparse.Namespace | SimpleNamespace:
+    values = _read_seq(sys.argv[1:] if argv is None else argv)
+    return _seq_parser().parse_args(argv) if values is None else SimpleNamespace(**values)
 
 
 def _require(condition: bool, message: str) -> None:
@@ -340,11 +347,11 @@ def cmd_audit(args: argparse.Namespace) -> int:
 
     order = _resolve_audit_order(args.order)
     if args.out is not None:
-        existed = os.path.lexists(args.out)
+        existed = os.path.exists(args.out)
         try:  # fail fast on a path that cannot be written, and leave it as it was
             open(args.out, "a", encoding="utf-8").close()
             if not existed:
-                os.remove(args.out)
+                os.remove(os.path.realpath(args.out))
         except OSError as exc:
             raise UsageError(f"cannot write {args.out!r}: {exc}") from None
     report = audit.run_all(args.seed, order)
@@ -359,26 +366,9 @@ def cmd_audit(args: argparse.Namespace) -> int:
     return 0 if audit.report_ok(report) else 1
 
 
-# Parsers built so far, one per factory: each is built on its first use in
-# the process, not at import.
-_PARSERS: dict[Callable, argparse.ArgumentParser] = {}
-
-
 @cache_scope()
-def _dispatch(
-    parser_factory: Callable,
-    runner: Callable,
-    argv: Sequence[str] | None,
-    read: Callable[[Sequence[str]], dict | None] = lambda argv: None,
-) -> int:
-    values = read(sys.argv[1:] if argv is None else argv)
-    if values is None:
-        parser = _PARSERS.get(parser_factory)
-        if parser is None:
-            parser = _PARSERS[parser_factory] = parser_factory()
-        args = parser.parse_args(argv)
-    else:
-        args = SimpleNamespace(**values)
+def _dispatch(parse: Callable, runner: Callable, argv: Sequence[str] | None) -> int:
+    args = parse(argv)
     try:
         return runner(args)
     except UsageError as exc:
@@ -387,15 +377,15 @@ def _dispatch(
 
 
 def main_seq(argv: Sequence[str] | None = None) -> int:
-    return _dispatch(_seq_parser, cmd_seq, argv, _read_seq)
+    return _dispatch(_parse_seq, cmd_seq, argv)
 
 
 def main_verify(argv: Sequence[str] | None = None) -> int:
-    return _dispatch(_verify_parser, cmd_verify, argv)
+    return _dispatch(_verify_parser().parse_args, cmd_verify, argv)
 
 
 def main_audit(argv: Sequence[str] | None = None) -> int:
-    return _dispatch(_audit_parser, cmd_audit, argv)
+    return _dispatch(_audit_parser().parse_args, cmd_audit, argv)
 
 
 def main(argv: Sequence[str] | None = None) -> int:

@@ -212,38 +212,29 @@ def cor1_rhs(ks: Sequence[int], x: Fraction | int, params: LogParams, order: int
     return Egf.of(*_binomial_shift(*ab, _times(len(ks), x), order))
 
 
-def _combined_sum(
-    ks: Sequence[int], x: Fraction | int, params: LogParams, order: int, printed: bool
-) -> Egf:
-    """sum_{k<=n} sum_{j<=k} r^e C(n,k) C(k,j) (ln a)^{k-j} (ln a+ln b)^j E_j x^{n-k}
-    with e = n-k when ``printed`` and e = n-j otherwise.
+def combined_rhs(ks: Sequence[int], x: Fraction | int, params: LogParams, order: int) -> Egf:
+    """Registered identity "combined": the double sum obtained by feeding the
+    thm2 expansion into cor1,
+    sum_{k<=n} sum_{j<=k} r^{n-j} C(n,k) C(k,j) (ln a)^{k-j} (ln a+ln b)^j E_j x^{n-k}.
 
     Grouped as sum_k C(n,k) (r x)^{n-k} F_k with F_k thm2's sum
-    ``_thm2_sum`` at s = 1 when ``printed`` and s = r otherwise
-    (r^{n-j} = r^{n-k} r^{k-j}): two binomial shifts, the same terms regrouped.
+    ``_thm2_sum`` at s = r (r^{n-j} = r^{n-k} r^{k-j}): two binomial shifts,
+    the same terms regrouped.  The printed source drops the r^{k-j} factor
+    that the substitution produces (see combined_rhs_printed, which the audit
+    keeps around to document the discrepancy).
     """
     ks = validate_kvector(ks)
     r = len(ks)
-    inner = _thm2_sum(ks, 1 if printed else r, params, order)
-    return Egf.of(*_binomial_shift(*inner, _times(r, x), order))
-
-
-def combined_rhs(ks: Sequence[int], x: Fraction | int, params: LogParams, order: int) -> Egf:
-    """Registered identity "combined": the double sum obtained by feeding the
-    thm2 expansion into cor1.
-
-    The inner term carries r^{n-j}; the printed source drops the r^{k-j}
-    factor that the substitution produces (see combined_rhs_printed, which
-    the audit keeps around to document the discrepancy).
-    """
-    return _combined_sum(ks, x, params, order, printed=False)
+    return Egf.of(*_binomial_shift(*_thm2_sum(ks, r, params, order), _times(r, x), order))
 
 
 def combined_rhs_printed(
     ks: Sequence[int], x: Fraction | int, params: LogParams, order: int
 ) -> Egf:
-    """The same double sum with r^{n-k} exactly as printed (audit instrument)."""
-    return _combined_sum(ks, x, params, order, printed=True)
+    """The same double sum with r^{n-k} exactly as printed (audit instrument):
+    F_k is thm2's sum at s = 1."""
+    ks = validate_kvector(ks)
+    return Egf.of(*_binomial_shift(*_thm2_sum(ks, 1, params, order), _times(len(ks), x), order))
 
 
 def addition_rhs(

@@ -360,19 +360,24 @@ class TestAuditCommand:
     def test_failed_audit_keeps_the_old_report(self, tmp_path, monkeypatch):
         """--out replaces a file only once the new report is ready, and its
         check creates none: an interrupted audit keeps an existing report's
-        bytes and leaves no file where there was none."""
+        bytes and leaves no file where there was none, nor at the target of
+        a dangling link."""
         target, new = tmp_path / "report.json", tmp_path / "new.json"
+        link, linked = tmp_path / "link.json", tmp_path / "linked.json"
         target.write_bytes(b"old report\n")
+        link.symlink_to(linked.name)
 
         def interrupted(seed, order):
             raise KeyboardInterrupt
 
         monkeypatch.setattr(audit, "run_all", interrupted)
-        for path in (target, new):
+        for path in (target, new, link):
             with pytest.raises(KeyboardInterrupt):
                 main_audit(["--order", "4", "--out", str(path)])
         assert target.read_bytes() == b"old report\n"
         assert not new.exists()
+        assert link.is_symlink() and os.readlink(link) == linked.name
+        assert not linked.exists()
 
     def test_unwritable_out_exits_2(self, tmp_path):
         target = tmp_path / "missing-dir" / "report.json"
@@ -905,10 +910,24 @@ class TestRootCommand:
         assert proc.stdout.splitlines() == ["0\t1", "1\t-1/2", "2\t1/6"]
 
 
+def _holds_a_parser(value) -> bool:
+    """Whether ``value`` is an argparse parser, or a container holding one."""
+    import argparse
+
+    if isinstance(value, dict):
+        items = [*value, *value.values()]
+    elif isinstance(value, (list, tuple, set, frozenset)):
+        items = list(value)
+    else:
+        items = []
+    return any(isinstance(item, argparse.ArgumentParser) for item in [value, *items])
+
+
 def test_each_request_leaves_its_caches_empty(capsys):
     """Each program runs its request in one ``exact.cache_scope``: the
     requests below reach every cache, and once they return the caches hold
-    nothing while their miss counts remain to be read."""
+    nothing while their miss counts remain to be read.  No parser is kept
+    either: no module-level value of the package is, or holds, one."""
     caches = (
         polyfamily._li_numerator,
         polyfamily._euler_egf,
@@ -920,7 +939,12 @@ def test_each_request_leaves_its_caches_empty(capsys):
         cache.cache_clear()
     assert main_seq(["multi-poly-euler", "--ks=1,2", "--x=1/3", "--alpha=2/3", "--beta=-1/4", "--n=12"]) == 0
     assert main_seq(["bernoulli", "--n=5"]) == 0
+    assert main_seq(["poly-bernoulli", "--k", "-2", "--n", "3"]) == 0  # read by argparse
     assert main_verify(["thm2", "--order", "4"]) == 0
     for cache in caches:
         info = cache.cache_info()
         assert info.currsize == 0 and info.misses, cache.__qualname__
+    for name, module in list(sys.modules.items()):
+        if name == "polyeuler" or name.startswith("polyeuler."):
+            for attr, value in vars(module).items():
+                assert not _holds_a_parser(value), f"{name}.{attr}"
