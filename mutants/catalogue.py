@@ -193,6 +193,21 @@ MUTANTS = (
         "killed",
     ),
     Mutant(
+        # The same digests, through hashlib and with it OpenSSL's libcrypto.
+        "audit-seeds-from-hashlib",
+        "src/polyeuler/audit.py",
+        "try:  # hashlib loads OpenSSL; random.py reads its SHA-512 from the built-in module the same way\n"
+        "    from _sha2 import sha256  # Python 3.12+\n"
+        "except ImportError:\n"
+        "    try:\n"
+        "        from _sha256 import sha256  # Python 3.10-3.11\n"
+        "    except ImportError:\n"
+        "        from hashlib import sha256\n",
+        "from hashlib import sha256\n",
+        ("tests/test_cli.py::TestRootCommand::test_audit_does_not_load_openssl",),
+        "killed",
+    ),
+    Mutant(
         "def1-constant-by-min",
         "src/polyeuler/audit.py",
         "        constant = next(iter(candidates)) if len(candidates) == 1 else None\n",

@@ -15,7 +15,6 @@ inputs always produce an identical report, byte for byte.
 
 from __future__ import annotations
 
-import hashlib
 import json
 import random
 from dataclasses import asdict, dataclass, field
@@ -27,6 +26,14 @@ from . import DEFAULT_ORDER, DEFAULT_SEED, classical, multifamily, polyfamily
 from .classical import EulerConvention
 from .exact import Egf, cache_scope, egf_exp_sum, egf_scale, format_rational
 from .multifamily import LogParams
+
+try:  # hashlib loads OpenSSL; random.py reads its SHA-512 from the built-in module the same way
+    from _sha2 import sha256  # Python 3.12+
+except ImportError:
+    try:
+        from _sha256 import sha256  # Python 3.10-3.11
+    except ImportError:
+        from hashlib import sha256
 
 PASS = "PASS"
 FAIL = "FAIL"
@@ -74,7 +81,7 @@ class AuditReport:
 MIN_ORDER = 3
 
 def _derived_rng(seed: int, label: str) -> random.Random:
-    digest = hashlib.sha256(f"{seed}:{label}".encode()).digest()
+    digest = sha256(f"{seed}:{label}".encode()).digest()
     return random.Random(int.from_bytes(digest[:8], "big"))
 
 

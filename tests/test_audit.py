@@ -3,6 +3,7 @@
 import dataclasses
 import hashlib
 import json
+import random
 from fractions import Fraction
 
 import pytest
@@ -326,6 +327,16 @@ class TestReportBytes:
         report = report6 if (order, seed) == (6, 0) else run_all(seed=seed, order=order)
         digest = hashlib.sha256(report_to_json(report).encode()).hexdigest()
         assert digest == REPORT_SHA256[(order, seed)]
+
+    @pytest.mark.parametrize("seed", [0, 1, -5, 10**30])
+    @pytest.mark.parametrize("label", ["theorem-grid", "thm4-grid"])
+    def test_derived_rng_is_seeded_by_sha256(self, seed, label):
+        """The grids' generators against hashlib's SHA-256, also at the
+        seeds -5 and 10**30, which no pinned report hash covers."""
+        digest = hashlib.sha256(f"{seed}:{label}".encode()).digest()
+        expected = random.Random(int.from_bytes(digest[:8], "big"))
+        got = audit._derived_rng(seed, label)
+        assert [got.getrandbits(64) for _ in range(8)] == [expected.getrandbits(64) for _ in range(8)]
 
 
 class TestReportSchema:

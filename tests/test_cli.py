@@ -898,6 +898,28 @@ class TestRootCommand:
             assert {m for m in loaded if m.startswith("polyeuler")} == layers, argv
             assert not absent & set(loaded), argv
 
+    def test_audit_does_not_load_openssl(self):
+        """The audit's seeds take SHA-256 from the interpreter's built-in
+        module, so hashlib and OpenSSL's _hashlib stay unloaded wherever
+        that module exists."""
+        code = (
+            "import contextlib, importlib.util, io, sys\n"
+            "import polyeuler.audit\n"
+            "from polyeuler.cli import main_audit, main_verify\n"
+            "with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):\n"
+            "    codes = main_verify(['eq9-cosh', '--order=3']), main_audit(['--order=3'])\n"
+            "lean = any(importlib.util.find_spec(m) for m in ('_sha2', '_sha256'))\n"
+            "print(repr((codes, lean, 'hashlib' in sys.modules, '_hashlib' in sys.modules)))\n"
+        )
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        codes, lean, hashlib_loaded, openssl_loaded = ast.literal_eval(proc.stdout)
+        assert codes == (0, 0)
+        if lean:
+            assert not hashlib_loaded and not openssl_loaded
+        else:  # a build with neither module falls back to hashlib
+            assert hashlib_loaded
+
     def test_seq_help_is_argparse_help(self, monkeypatch):
         monkeypatch.setenv("COLUMNS", "80")
         proc = run_cli("seq", "--help", env=dict(os.environ))
