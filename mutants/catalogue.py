@@ -208,6 +208,46 @@ MUTANTS = (
         "killed",
     ),
     Mutant(
+        # The tuples holding a zero index under a positive k weigh 0, but
+        # none is counted, so skipped_terms reads 0.
+        "thm3-undefined-tuples-not-counted",
+        "src/polyeuler/multifamily.py",
+        "        if k > 0:\n            undefined[0] = 1\n",
+        "",
+        (
+            "tests/test_oracle_properties.py::test_thm3_explicit_matches_literal_quadruple_sum",
+            "tests/test_multifamily.py::TestThm3Instrument",
+        ),
+        "killed",
+    ),
+    Mutant(
+        # The exclusive prefix: the index set 1 <= m_1 < ... < m_r, not the printed one.
+        "thm3-index-sum-made-strict",
+        "src/polyeuler/multifamily.py",
+        "            below += ending[m]\n"
+        "            undefined_below += undefined[m]\n"
+        "            ending[m] = below * (m**-k if k <= 0 else (big // m) ** k if m else 0)\n",
+        "            undefined_below += undefined[m]\n"
+        "            ending[m], below = below * (m**-k if k <= 0 else (big // m) ** k if m else 0), "
+        "below + ending[m]\n",
+        (
+            "tests/test_oracle_properties.py::test_thm3_explicit_matches_literal_quadruple_sum",
+            "tests/test_multifamily.py::TestThm3Instrument",
+        ),
+        "killed",
+    ),
+    Mutant(
+        "thm4-prefix-off-by-one",
+        "src/polyeuler/multifamily.py",
+        "(prefix[n - j + i + 1] - prefix[i])",
+        "(prefix[n - j + i + 1] - prefix[i + 1])",
+        (
+            "tests/test_oracle_properties.py::test_thm4_explicit_matches_literal_triple_sum",
+            "tests/test_multifamily.py::TestThm4Instrument",
+        ),
+        "killed",
+    ),
+    Mutant(
         "def1-constant-by-min",
         "src/polyeuler/audit.py",
         "        constant = next(iter(candidates)) if len(candidates) == 1 else None\n",

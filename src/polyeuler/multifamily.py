@@ -37,7 +37,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations_with_replacement
 from math import comb, lcm
 from operator import mul
 from typing import Sequence
@@ -261,25 +260,6 @@ class CappedSum:
     skipped_terms: int
 
 
-def _index_tuple_weight(ms: tuple[int, ...], ks: KVector, big: int) -> int | None:
-    """big^K / (m_1^{k_1} ... m_r^{k_r}) with 0^0 = 1 and K the sum of the
-    positive k_i, an integer when big is a multiple of every nonzero m_i;
-    None when a zero index meets a positive exponent (the genuinely
-    undefined case)."""
-    weight = 1
-    for m, k in zip(ms, ks):
-        if m == 0:
-            if k > 0:
-                return None
-            if k < 0:
-                weight = 0
-        elif k > 0:
-            weight *= (big // m) ** k
-        else:
-            weight *= m**-k
-    return weight
-
-
 def thm3_explicit(
     ks: Sequence[int],
     x: Fraction | int,
@@ -296,6 +276,12 @@ def thm3_explicit(
     Both parts run over integers: the weights over L^K with L = lcm(1..m_cap)
     and K the sum of the positive indices, the compositions as counts, and
     (r x - j)^e over q^e for x = p/q, so the value is one ``Fraction``.
+
+    The tuples are not enumerated: ending[m] sums the weights prod m_i^{-k_i}
+    of those with m_r = m, one index at a time, as a running sum over the
+    tuples one shorter ending at or below m.  A zero index weighs 0^{-k}: 1
+    at k = 0, 0 at k < 0, undefined at k > 0, where the same recursion counts
+    the tuples holding one; each skips m_r + 1 j-terms per composition and power.
 
     This is an audit instrument: the registry records how the value moves as
     the caps grow instead of asserting an equality.
@@ -316,21 +302,20 @@ def thm3_explicit(
         counts = [sum(counts[max(w - part_cap, 0) : w]) for w in range(len(counts) + part_cap)]
     comp_sums = [sum((-1) ** w * c * w**i for w, c in enumerate(counts)) for i in range(n + 1)]
 
-    # The (m, j) term depends on the index tuple only through its weight and
-    # m_r, so the weights are summed per m_r and the coefficient of each
-    # power (r p - j q)^e is formed once per j.
     big = lcm(*range(1, m_cap + 1))
-    last_sums = [0] * (m_cap + 1)
-    skipped = 0
-    for ms in combinations_with_replacement(range(m_cap + 1), r):
-        weight = _index_tuple_weight(ms, ks, big)
-        if weight is None:
-            skipped += (ms[-1] + 1) * comb(part_cap + r - 1, r) * (n + 1)
-            continue
-        last_sums[ms[-1]] += weight
+    ending, undefined = [1] + [0] * m_cap, [0] * (m_cap + 1)
+    for k in ks:
+        below = undefined_below = 0
+        for m in range(m_cap + 1):
+            below += ending[m]
+            undefined_below += undefined[m]
+            ending[m] = below * (m**-k if k <= 0 else (big // m) ** k if m else 0)
+            undefined[m] = undefined_below
+        if k > 0:
+            undefined[0] = 1
     power_sums = [0] * (n + 1)
     for j in range(m_cap + 1):
-        factor = sum(comb(m, j) * last_sums[m] for m in range(j, m_cap + 1))
+        factor = sum(comb(m, j) * ending[m] for m in range(j, m_cap + 1))
         term = factor if j % 2 == 0 else -factor
         base = r * p - j * q
         for e in range(n + 1):
@@ -339,6 +324,7 @@ def thm3_explicit(
     q_pow = integer_powers(q, n)
     total = sum(comb(n, i) * power_sums[n - i] * comp_sums[i] * q_pow[i] for i in range(n + 1))
     k_plus = sum(k for k in ks if k > 0)
+    skipped = sum((m + 1) * u for m, u in enumerate(undefined)) * comb(part_cap + r - 1, r) * (n + 1)
     return CappedSum(Fraction(2 * total, big**k_plus * q_pow[n]), skipped)
 
 
@@ -355,12 +341,14 @@ def thm4_explicit(
     """Finite triple-sum formula thm4, in both printed variants.
 
     The variants differ in the multiplier of ln b inside the n-th power:
-    (m-j+i+1) for "statement", (m-j+i) for "proof".  Terms with j = 0 and
-    k > 0 are skipped and tallied; for k <= 0 the j = 0 term is defined
-    (0^0 = 1, and 1/0^k vanishes for negative k).  The sum runs over
-    integers over L^{max(k,0)} D^n, with L = lcm(1..n) and D the common
-    denominator of x ln c, ln a and ln b; the n-th power depends on (m, j, i)
-    only through s = m-j+i and is taken once per s.
+    (m-j+i+1) for "statement", (m-j+i) for "proof".  For k > 0 the j = 0
+    terms, one per m, are skipped and their n + 1 reported; for k <= 0 the
+    j = 0 term is defined (0^0 = 1, and 1/0^k vanishes for negative k).  The
+    sum runs over integers over L^{max(k,0)} D^n, with L = lcm(1..n) and D
+    the common denominator of x ln c, ln a and ln b.  The term depends on m
+    only through s = m-j+i in (-1)^s P_s, P_s the n-th power, so the m-sum
+    telescopes: with prefix[t] = sum_{s<t} (-1)^s P_s, the terms of (j, i)
+    sum to prefix[n-j+i+1] - prefix[i].
     """
     (k,) = validate_kvector((k,))
     if variant not in THM4_VARIANTS:
@@ -371,18 +359,13 @@ def thm4_explicit(
     (a, a_den), (b, b_den) = _ratio(params.alpha), _ratio(params.beta)
     nums = (g * p * a_den * b_den, a * g_den * q * b_den, b * g_den * q * a_den)
     (g, a, b), den = lowest_terms(nums, g_den * q * a_den * b_den)
-    powers = [(g - (s + 1) * a - (s + delta) * b) ** n for s in range(n + 1)]
+    prefix = [0]
+    for s in range(n + 1):
+        prefix.append(prefix[-1] + (-1) ** s * (g - (s + 1) * a - (s + delta) * b) ** n)
     big = lcm(*range(1, n + 1))
     total = 0
-    skipped = 0
-    for m in range(n + 1):
-        for j in range(m + 1):
-            weight = _index_tuple_weight((j,), (k,), big)
-            if weight is None:
-                skipped += 1
-                continue
-            for i in range(j + 1):
-                s = m - j + i
-                term = weight * comb(j, i) * powers[s]
-                total += -term if s % 2 else term
+    for j in range(1 if k > 0 else 0, n + 1):
+        steps = sum(comb(j, i) * (prefix[n - j + i + 1] - prefix[i]) for i in range(j + 1))
+        total += ((big // j) ** k if k > 0 else j**-k) * steps
+    skipped = n + 1 if k > 0 else 0
     return CappedSum(Fraction(2 * total, big ** max(k, 0) * den**n), skipped)

@@ -397,7 +397,9 @@ def thm4_sum(k, x, alpha, beta, gamma, n, variant):
 #   Ê_i = sum_q (-1)^q C(r+q-1, q) q! S(i, q) / 2^q, the coefficients of
 #         (2/(1 + e^t))^r, and
 #   L_j = sum_m a_m m! (-1)^{j-m} S(j, m), those of Li_ks(1 - e^{-t}).
-# Nothing is divided or composed as a series, and every sum is finite.
+# Any (w, alpha, beta) is the plain shape at lam t times e^{ct}, one binomial
+# sum more, and B_n^{(-k)} has Kaneko's double Stirling sum.  Nothing is
+# divided or composed as a series, and every sum is finite.
 
 
 def multi_li_running(ks, order):
@@ -448,6 +450,34 @@ def multi_poly_euler_finite(li, r, stirling):
     li_at = [(-2) ** j * sum(map(mul, row, terms)) for j, row in enumerate(stirling)]
     sums = [sum(comb(n, i) * euler[i] * li_at[n - i] for i in range(n + 1)) for n in range(len(stirling))]
     return [Fraction(total, 2 ** (n + r - 1) * den) for n, total in enumerate(sums)]
+
+
+def euler_shape_finite(plain, lam, c):
+    """E_0..E_N of the Euler shape at any (w, alpha, beta) from the plain
+    numbers P_0..P_N of the same depth r: the shape's generating function
+    2 Li_ks(1 - e^{-lam t}) / (e^{-alpha t} + e^{beta t})^r e^{wt} is
+    P(lam t) e^{ct}, with lam = alpha + beta and c = w + r alpha, so
+    E_n = sum_l C(n, l) c^l lam^{n-l} P_{n-l}."""
+    lam, c = Fraction(lam), Fraction(c)
+    return [
+        sum(comb(n, l) * c**l * lam ** (n - l) * plain[n - l] for l in range(n + 1))
+        for n in range(len(plain))
+    ]
+
+
+def poly_bernoulli_negative(size, factorial_power=2):
+    """B_n^{(-k)} as rows [n][k] for n, k = 0..size, by Kaneko's closed
+    formula (1997), B_n^{(-k)} = sum_{j <= min(n, k)} (j!)^2 S(n+1, j+1)
+    S(k+1, j+1).  A ``factorial_power`` other than 2 is a slip, for the
+    negative control."""
+    s = stirling2_rows(size + 1)
+    return [
+        [
+            sum(factorial(j) ** factorial_power * s[n + 1][j + 1] * s[k + 1][j + 1] for j in range(min(n, k) + 1))
+            for k in range(size + 1)
+        ]
+        for n in range(size + 1)
+    ]
 
 
 # Mod-p transcriptions: each family at the CLI's largest order, evaluated

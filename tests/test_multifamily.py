@@ -393,6 +393,43 @@ class TestThreeParameterFamily:
         assert got == oracles.poly_euler_abc_egf(-1, F(1, 2), F(3, 10), F(7, 10), F(-2, 5), 6)
 
 
+class TestEulerShapeFiniteFormula:
+    """The Euler shape at any (w, alpha, beta) is the plain shape at lam t
+    times e^{ct}, lam = alpha + beta and c = w + r alpha: one binomial sum
+    over Kaneko's finite plain numbers, with no package code, gives the
+    rational families exactly at 4-digit parameters."""
+
+    N = 60
+    KS = (2, -1, 3)
+    X, ALPHA, BETA, GAMMA = F(-9997, 9991), F(1234, 9871), F(-5678, 4321), F(8765, 4321)
+
+    @staticmethod
+    def plain(ks, order):
+        li = oracles.multi_li_running(ks, order)
+        return oracles.multi_poly_euler_finite(li, len(ks), oracles.stirling2_rows(order))
+
+    def xab(self, w):
+        lam, r = self.ALPHA + self.BETA, len(self.KS)
+        return oracles.euler_shape_finite(self.plain(self.KS, self.N), lam, w + r * self.ALPHA)
+
+    def test_multi_poly_euler_xab(self):
+        got = multi_poly_euler_xab(self.KS, self.X, LogParams(self.ALPHA, self.BETA), self.N)
+        assert got == self.xab(len(self.KS) * self.X)
+
+    @pytest.mark.parametrize("k", [-16, -2, 0, 3, 16])
+    def test_poly_euler_abc(self, k):
+        """r = 1 and w = gamma x, so c = gamma x + alpha."""
+        got = poly_euler_abc(k, self.X, LogParams(self.ALPHA, self.BETA, self.GAMMA), 40)
+        c = self.GAMMA * self.X + self.ALPHA
+        assert got == oracles.euler_shape_finite(self.plain((k,), 40), self.ALPHA + self.BETA, c)
+
+    def test_w_equal_to_x_disagrees(self):
+        """Negative control: with w = x in place of r x, 57 of the 61 values
+        differ; the first three, which vanish, and one more agree."""
+        got = multi_poly_euler_xab(self.KS, self.X, LogParams(self.ALPHA, self.BETA), self.N)
+        assert sum(a != b for a, b in zip(got, self.xab(self.X))) == 57
+
+
 class TestIdentityRightSides:
     """The five registered equalities, on a small grid (the audit runs the
     full 25-sample grid; these keep the unit suite fast)."""

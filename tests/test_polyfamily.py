@@ -65,6 +65,26 @@ class TestPolyBernoulli:
     def test_matches_oracle(self, k, x):
         assert poly_bernoulli(k, x, 8) == oracles.poly_bernoulli_egf(k, x, 8)
 
+    def test_negative_indices_match_kaneko_closed_formula(self):
+        """All 289 cells n, k <= 16, the CLI's index limit, against Kaneko's
+        B_n^{(-k)} = sum_j (j!)^2 S(n+1, j+1) S(k+1, j+1)."""
+        table = oracles.poly_bernoulli_negative(16)
+        for k in range(17):
+            assert poly_bernoulli(-k, 0, 16) == [row[k] for row in table]
+
+    def test_negative_index_duality(self):
+        """B_n^{(-k)} = B_k^{(-n)} on the package's own values."""
+        rows = [poly_bernoulli(-k, 0, 16) for k in range(17)]
+        assert rows == [list(column) for column in zip(*rows)]
+
+    def test_kaneko_with_one_factorial_disagrees(self):
+        """Negative control: with j! in place of (j!)^2 the formula still
+        holds where min(n, k) <= 1, which leaves 81 of the 121 cells at
+        n, k <= 10 wrong."""
+        slip = oracles.poly_bernoulli_negative(10, factorial_power=1)
+        wrong = {(n, k) for k in range(11) for n, v in enumerate(poly_bernoulli(-k, 0, 10)) if v != slip[n][k]}
+        assert wrong == {(n, k) for n in range(2, 11) for k in range(2, 11)}
+
 
 class TestPolyEuler:
     @pytest.mark.parametrize("k", range(-3, 4))
