@@ -248,6 +248,57 @@ MUTANTS = (
         "killed",
     ),
     Mutant(
+        # The order from POLYEULER_ORDER is range-checked once, where it is read.
+        "env-order-left-unbounded",
+        "src/polyeuler/cli.py",
+        '        _require(0 <= value <= MAX_N, f"{ORDER_ENV} must be in 0..{MAX_N}, got {value}")\n',
+        "",
+        ("tests/test_cli.py::TestSizeBounds::test_order_env_above_limit_exits_2",),
+        "killed",
+    ),
+    Mutant(
+        "eq2-minus-reads-the-plus-convention",
+        "src/polyeuler/classical.py",
+        '    if b1_sign == "plus":\n',
+        '    if b1_sign == "minus":\n',
+        ("tests/test_classical.py::TestEq2MinusClosedForm",),
+        "killed",
+    ),
+    Mutant(
+        # 1/cosh 2t in place of 1/cosh t.
+        "secant-numbers-at-twice-the-rate",
+        "src/polyeuler/classical.py",
+        "        terms = ((1, 1), (1, -1))\n",
+        "        terms = ((1, 2), (1, -2))\n",
+        ("tests/test_classical.py::TestEq9SecantNumbers",),
+        "killed",
+    ),
+    Mutant(
+        "poly-euler-reads-minus-x",
+        "src/polyeuler/polyfamily.py",
+        "_ratio(x), (0, 1), (1, 1), _order(order)).coeffs)",
+        "_ratio(-x), (0, 1), (1, 1), _order(order)).coeffs)",
+        ("tests/test_polyfamily.py::TestDef1ScaledPolyEuler",),
+        "killed",
+    ),
+    Mutant(
+        # Li_ks (1-z)^r with one first difference too few.
+        "plain-euler-one-difference-short",
+        "src/polyeuler/polyfamily.py",
+        "    for _ in range(r):\n        for m in range(order, 0, -1):\n",
+        "    for _ in range(r - 1):\n        for m in range(order, 0, -1):\n",
+        ("tests/test_polyfamily.py::TestPolyEulerNegativeIndices",),
+        "killed",
+    ),
+    Mutant(
+        "readme-map-drops-a-module",
+        "README.md",
+        "- `polyeuler.polylog` — ",
+        "- the polylog layer — ",
+        ("tests/test_namespace.py::TestReadmeLayout",),
+        "killed",
+    ),
+    Mutant(
         "def1-constant-by-min",
         "src/polyeuler/audit.py",
         "        constant = next(iter(candidates)) if len(candidates) == 1 else None\n",

@@ -2,7 +2,11 @@
 
 The public names below, and the layers themselves (``polyeuler.exact`` and
 so on), are imported on first access (PEP 562), so ``import polyeuler``
-loads no layer and a command loads only the layers it runs.
+loads no layer and a command loads only the layers it runs: ``polyseq
+bernoulli`` and ``euler`` load ``classical``, ``exact`` and ``polylog``, the
+poly-* families and ``lonesum`` add ``polyfamily``, the multi-* families and
+``poly-euler-abc`` add ``multifamily``, and only ``polyverify`` and
+``polyaudit`` load ``audit``.
 """
 
 # The default series order (polyseq --n, the audit's --order) and audit seed.

@@ -145,7 +145,8 @@ class _Check:
 
 
 class _Runner(NamedTuple):
-    """A case that asserts no plain equality: its grid, its own runner and,
+    """A case that asserts no plain equality (thm3-explicit's partial-sum table,
+    def1-sasaki-bridge's constant-ratio probe): its grid, its own runner and,
     as in ``_Check``, its variants' documented verdicts."""
 
     grid: Callable[[_Draws], Mapping]
@@ -291,6 +292,8 @@ _BRIDGE_X_POINTS = tuple(
 # The registry: every identity, its variants in run order with their documented
 # verdicts, its grid, and a pointwise row of the comparison table, or its own
 # runner for the two cases that assert no plain equality.  Cases run in order.
+# build_registry, registered_ids, run_identity, expected_verdict and polyverify's
+# unknown-identity message all read it.
 _TABLE: dict[str, _Check | _Runner] = {
     "eq2-power-sum": _Check(
         lambda d: {"m_max": 8, "n_max": 20},

@@ -75,7 +75,8 @@ def power_sum_closed(m: int, n: int, b1_sign: str) -> Fraction:
 
     ``b1_sign`` selects B_1 = +1/2 ("plus") or -1/2 ("minus"); the two
     conventions disagree about whether the sum counts k=n or k=0.  Both read
-    the cached t/(e^t - 1) over its common denominator D, where B_1 = -D/2.
+    the cached t/(e^t - 1) over its common denominator D, where B_1 = -D/2,
+    negated for "plus", and sum over Python ints into one ``Fraction``.
     """
     m, n = _order(m, "exponent m must be >= 0"), _order(n, "upper limit n must be >= 0")
     if b1_sign not in ("plus", "minus"):
@@ -91,7 +92,9 @@ def euler_numbers(order: int, convention: EulerConvention) -> list[Fraction]:
     """E_0..E_order under the chosen convention.
 
     GENOCCHI_TYPE expands 2/(e^t + 1); SECANT_TYPE expands
-    1/cosh t = 2/(e^t + e^{-t}), whose odd coefficients vanish.
+    1/cosh t = 2/(e^t + e^{-t}), whose odd coefficients vanish.  The division
+    table of e^t + e^{-t} is the Euler shape's at alpha = beta = -1; that of
+    1 + e^t is not ``poly_euler``'s, whose plain shape is composed.
     """
     if convention is EulerConvention.GENOCCHI_TYPE:
         terms = ((1, 0), (1, 1))
@@ -106,8 +109,8 @@ def bernoulli_det(n: int) -> Fraction:
     """B_n as the scaled determinant of the Pascal-bordered Hilbert-like matrix.
 
     Row 1 holds 1/(j+1); row r >= 2 holds C(j, r-2) shifted so that entries
-    left of column r-1 are zero.  The value is (-1)^n/(n-1)! times the
-    determinant.
+    left of column r-1 are zero, a Hessenberg matrix, so ``exact.det`` takes
+    O(n^2) steps.  The value is (-1)^n/(n-1)! times the determinant.
     """
     n = _order(n - 1, "n must be >= 1") + 1
     rows = [[Fraction(1, j + 1) for j in range(1, n + 1)]]

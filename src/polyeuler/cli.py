@@ -69,19 +69,6 @@ class UsageError(Exception):
     pass
 
 
-def _default_order() -> int:
-    raw = os.environ.get(ORDER_ENV)
-    if raw is None:
-        return DEFAULT_ORDER
-    try:
-        value = parse_integer(raw)
-    except ValueError:
-        raise UsageError(f"{ORDER_ENV} must be an integer, got {raw!r}") from None
-    if not 0 <= value <= MAX_N:
-        raise UsageError(f"{ORDER_ENV} must be in 0..{MAX_N}, got {value}")
-    return value
-
-
 def _argument_type(parse: Callable[[str], object], name: str) -> Callable[[str], object]:
     """``parse`` under ``name``: argparse names the expected form by the
     converter's ``__name__`` when a value is malformed
@@ -172,10 +159,19 @@ def _require(condition: bool, message: str) -> None:
 
 
 def _resolve_order(value: int | None, flag: str) -> int:
-    order = value if value is not None else _default_order()
-    _require(order >= 0, f"{flag} must be >= 0")
-    _require(order <= MAX_N, f"{flag} must be <= {MAX_N}")
-    return order
+    if value is None:
+        raw = os.environ.get(ORDER_ENV)
+        if raw is None:
+            return DEFAULT_ORDER
+        try:
+            value = parse_integer(raw)
+        except ValueError:
+            raise UsageError(f"{ORDER_ENV} must be an integer, got {raw!r}") from None
+        _require(0 <= value <= MAX_N, f"{ORDER_ENV} must be in 0..{MAX_N}, got {value}")
+        return value
+    _require(value >= 0, f"{flag} must be >= 0")
+    _require(value <= MAX_N, f"{flag} must be <= {MAX_N}")
+    return value
 
 
 def _resolve_audit_order(value: int | None) -> int:

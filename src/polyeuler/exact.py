@@ -7,11 +7,16 @@ those integers; ``coeffs`` builds the ``fractions.Fraction`` values on each
 read.  Nothing here ever touches floating point: every rational a caller
 passes is read by ``_ratio``, which refuses a float or text, and every
 order by ``_order``, which refuses a float order before a cache could
-answer it.  Below them a rational is an integer pair, and a series passes
-between kernels as integer numerators over one denominator, not reduced:
+answer it.  Below them a rational is an integer pair, never turned back
+into a ``Fraction`` to be read again, and a series passes between kernels
+as integer numerators over one denominator, not reduced:
 ``_times_exp`` (the Taylor shift), ``_dilate`` (the one dilation t -> ct),
 ``_shift_down`` (the division by t^s), ``_div_exp_sum`` and
-``_compose_one_minus_exp`` (the composition with 1 - e^{-t}) take it so.
+``_compose_one_minus_exp`` (the composition with 1 - e^{-t}) take it so,
+and only the ``Egf`` a caller keeps is built.  This is the one home of that
+integer arithmetic: the other layers import ``_ratio``, ``_reduced``,
+``lowest_terms`` and ``integer_numerators`` rather than reducing a rational
+or putting rationals over one denominator themselves.
 Every cache of the package, such as ``_division_table`` of a division's
 divisor, is a ``_memo``: its values last one ``cache_scope``, a request of
 the audit or of a command.
@@ -54,7 +59,8 @@ _ASCII_SPACE = " \t\n\r\f\v"
 
 
 def _is_integer_text(text: str) -> bool:
-    """Whether ``text`` is an optional '-' and then ASCII digits 0-9 only."""
+    """Whether ``text`` is an optional '-' and then ASCII digits 0-9 only,
+    read without a regular expression."""
     digits = text[1:] if text.startswith("-") else text
     return digits.isascii() and digits.isdigit()
 
@@ -103,7 +109,7 @@ def _decimal(value: int) -> str:
 
 def format_rational(value: RationalLike) -> str:
     """Render a rational, read by ``_ratio``, in the canonical text form used
-    across CLI and JSON."""
+    across CLI and JSON; this is the one writer of that form."""
     num, den = _ratio(value)
     if den == 1:
         return _decimal(num)
@@ -118,7 +124,8 @@ Ratio = tuple[int, int]
 def _ratio(value: RationalLike) -> Ratio:
     """``value`` as a pair in lowest terms, as an int or a Fraction is already.
     Every caller's rational comes through here, so anything else raises
-    TypeError: a float is not read as its binary expansion."""
+    TypeError: a float is not read as its binary expansion, and text such as
+    "1/2" is not parsed, as ``parse_rational`` is the one reader of text."""
     if type(value) not in (int, Fraction):
         raise TypeError(f"a rational must be an int or a Fraction, not {type(value).__name__}")
     return value.as_integer_ratio()
@@ -128,7 +135,8 @@ def _order(value: int, message: str = "a series needs order >= 0") -> int:
     """A series order, or another count that must not be negative, read by
     ``operator.index`` before any cache is: a float, a ``Fraction`` or text
     raises TypeError (4.0 would hash like a cached 4), a negative value
-    ValueError(message)."""
+    ValueError(message).  A count that must be at least 1 is read as
+    ``_order(n - 1, message) + 1``, as ``Egf.t`` reads its order."""
     value = index(value)
     if value < 0:
         raise ValueError(message)
@@ -424,9 +432,11 @@ def egf_compose(f: Egf, g: Egf) -> Egf:
     series whose coefficients are e'_m = e_{m+1} - m e_m.  So coefficient n
     of f(g) is e_0 after n such steps, the kernel ``_compose_one_minus_exp``,
     which takes f's integers as they are once g has been checked.  Any other
-    g, which no CLI command passes, is summed as defined, with f = a/D_f: the
-    integers a_m N!/m! times g^m, over D_f N!, N products of O(N^2), ~30x the
-    recurrence at N = 40.
+    g, 1 - e^{-ct} with c != 1 included, is summed as defined, with
+    f = a/D_f: the integers a_m N!/m! times g^m, over D_f N!, so no
+    ``Fraction`` is built, N products of O(N^2), ~30x the recurrence at
+    N = 40.  No CLI command passes such a g, as
+    ``test_production_composes_only_with_one_minus_exp`` checks.
     """
     c, dg = g.numerators()
     if c[0] != 0:
@@ -448,7 +458,8 @@ def _compose_one_minus_exp(nums: Sequence[int], den: int) -> Egf:
     """f(1 - e^{-t}) for f = nums/den, f(u) = sum e_m u^m/m!, as
     ``egf_compose`` derives it: coefficient n is e_0 after n steps
     e_m <- e_{m+1} - m e_m, each run in place over one entry fewer, over
-    f's own denominator."""
+    f's own denominator, so the growing integers are only ever multiplied by
+    the small integer m."""
     e = list(nums)
     out = [e[0]]
     for width in range(len(e) - 1, 0, -1):
@@ -484,7 +495,8 @@ def _integer_terms(
 
 
 def _power_sums(weights: Sequence[int], tops: Sequence[int], order: int) -> list[int]:
-    """G[n] = sum_j weights[j] tops[j]^n for n = 0..order."""
+    """G[n] = sum_j weights[j] tops[j]^n for n = 0..order, the power sums that
+    ``egf_exp_sum``, ``_division_table`` and ``polyfamily._one_minus_exp`` share."""
     sums = [0] * (order + 1)
     for weight, top in zip(weights, tops):
         sums = list(map(add, sums, accumulate(repeat(top, order), mul, initial=weight)))
@@ -498,7 +510,8 @@ def egf_exp_sum(terms: Iterable[tuple[int, RationalLike]], order: int) -> Egf:
     With the rates over one denominator D (mu_j = M_j / D), coefficient n is
     sum_j w_j M_j^n / D^n: the integer power sums dilated by 1/D, so no
     series product is formed.  No terms give the zero series.  Requires
-    order >= 0.
+    order >= 0.  It builds each sum of exponentials that the package uses as
+    a series: e^t - 1 of the Bernoulli numbers and the eq9 audit row's cosh t.
     """
     weights, tops, den = _integer_terms(terms)
     return Egf.of(*_dilate(_power_sums(weights, tops, _order(order)), 1, (1, den)))
@@ -514,7 +527,8 @@ def _division_table(
 
     With G_m = sum_j w_j tops[j]^m and s = G_0: rows[m] holds
     C(m,1) G_1, ..., C(m,m) G_m, built from one Pascal row at a time,
-    lift = s^N and den_pow[m] = K^m.
+    lift = s^N and den_pow[m] = K^m.  How often the order-10 audit divides and
+    builds a table is pinned by ``test_order_ten_audit_divides_once_per_divisor``.
     """
     s, *sums = _power_sums(weights, tops, order)
     rows = [()]
@@ -527,7 +541,9 @@ def _division_table(
 
 def egf_div_exp_sum(f: Egf, terms: Iterable[tuple[int, RationalLike]]) -> Egf:
     """f divided by the sum of exponentials sum_j w_j e^{mu_j t}, the series
-    ``egf_exp_sum(terms, f.order)``, by the kernel ``_div_exp_sum`` at Kt."""
+    ``egf_exp_sum(terms, f.order)``, without building it: the weights, the
+    rates over one denominator K, and K go as integers to the kernel
+    ``_div_exp_sum``, with f dilated by K."""
     weights, tops, rate_den = _integer_terms(terms)
     return _div_exp_sum(*_dilate(*f.numerators(), (rate_den, 1)), weights, tops, rate_den)
 
@@ -565,7 +581,7 @@ def egf_times_exp(f: Egf, value: RationalLike) -> Egf:
 
 
 def _times_exp(a: Sequence[int], d: int, value: Ratio) -> Egf:
-    """The product e^{(p/q) t} f for f = a/d and value = (p, q), by a Taylor shift.
+    """e^{(p/q) t} f for f = a/d and value = (p, q), by a Taylor shift (Horner's scheme).
 
     With f = a/d, coefficient n is sum_i C(n,i) p^{n-i} q^i a_i / (d q^n).
     So the rows start from R_0[i] = q^i a_i, and

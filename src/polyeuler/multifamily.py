@@ -12,10 +12,11 @@ as integer numerators off the cached Euler shape, whose keys they form as
 integer (numerator, denominator) pairs in lowest terms with one gcd each
 (r x, r alpha, alpha + beta, r alpha/(alpha + beta)).  They add up the printed
 terms over Python ints, handed between helpers as numerators over one
-denominator, into one ``Egf``, which the audit compares by cross-multiplication
-with the family on the other side.  That side is the series ``_xab_egf``
-returns, which the list families (``multi_poly_euler*``) only turn into
-rationals; thm1 alone keeps the list wrapper.  The right sides never call a
+denominator, into one ``Egf`` (``.coeffs`` reads its values), which the
+audit compares by cross-multiplication with the family on the other side.
+That side is the series ``_xab_egf`` returns, which the list families
+(``multi_poly_euler*``) only turn into rationals; thm1 alone keeps the list
+wrapper.  The right sides never call a
 series product or another right side, so the audit's two sides stay independent.
 thm1 and thm2 lift their numbers by (ln a + ln b)^n in one helper,
 ``_lift``.  thm2, cor1 and cor2 are one binomial shift each, summed term by
@@ -113,7 +114,8 @@ def poly_euler_abc(
     k: int, x: Fraction | int, params: LogParams, order: int
 ) -> list[Fraction]:
     """E_n^{(k)}(x; a, b, c) from 2 Li_k(1-(ab)^{-t})/(a^{-t}+b^t) c^{xt}:
-    the r = 1 Euler shape at w = gamma x, formed from the two pairs."""
+    the r = 1 Euler shape at w = gamma x, formed from the two pairs, as
+    ``thm4_explicit`` forms it too."""
     (p, q), (g, g_den) = _ratio(x), _ratio(params.gamma or 0)
     alpha, beta = _ratio(params.alpha), _ratio(params.beta)
     w = _reduced(g * p, g_den * q)
@@ -161,7 +163,8 @@ def _shift_table(shift: Ratio, order: int) -> tuple[tuple[tuple[int, ...], ...],
     """The parameter powers of ``_binomial_shift``, which hold no series value.
 
     With shift = s/s': the rows C(n,i) s^{n-i} s'^{N-n} for i <= n and the
-    powers s'^i, for n, i = 0..N, N = order.
+    powers s'^i, for n, i = 0..N, N = order.  How many tables the order-10
+    audit builds and reads is pinned by ``test_order_ten_audit_shift_table_traffic``.
     """
     s, sd = shift
     shift_pow = integer_powers(s, order)

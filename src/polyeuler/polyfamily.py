@@ -21,10 +21,11 @@ the Bernoulli shape forms its series from integer power sums
 (``_one_minus_exp``) to cancel t^r first.  Every other numerator is read
 off one cached series, Li_ks(1-e^{-t}): the Bernoulli shape uses it as it
 is, and the Sasaki variant and the Euler shape dilate it once by an
-integer c, coefficient n times c^n (``exact._dilate``): c = 4, and
-c = (alpha + beta)K for the Euler division at Kt, K its rates' common
-denominator.  A series passes from one of these kernels to the
-next as integer numerators over one denominator, as ``exact`` states.
+integer c, coefficient n times c^n (``exact._dilate``; Kaneko's Stirling
+form at ct): c = 4, and c = (alpha + beta)K for the Euler division at Kt,
+K its rates' common denominator.  A series passes from one of these
+kernels to the next as integer numerators over one denominator, as
+``exact`` states.
 The lonesum count is the combinatorial side of the negative-index
 poly-Bernoulli identity and is computed by brute enumeration, which keeps it
 an independent ground truth.
@@ -82,7 +83,8 @@ def _euler_terms(alpha: Ratio, beta: Ratio, r: int) -> tuple[tuple[int, ...], tu
     as the (weights, tops, K) of ``exact._integer_terms``, so that int and
     ``Fraction`` rates meet in one division table.  With alpha = a/a' and
     beta = b/b', rate i is (i b a' - (r-i) a b') / (a' b'), and
-    ``lowest_terms`` puts the rates over their least common denominator K.
+    ``lowest_terms`` puts the rates over their least common denominator K,
+    with no ``Fraction`` arithmetic.
     Rate i is i (alpha + beta) - r alpha: the tops step by (alpha + beta)K."""
     (a, a_den), (b, b_den) = alpha, beta
     rates = (i * b * a_den - (r - i) * a * b_den for i in range(r + 1))
@@ -93,18 +95,21 @@ def _plain_euler(ks: KVector, order: int) -> Egf:
     """2 Li_ks(1-e^{-t}) / (1+e^t)^r, r = len(ks), composed and not divided.
 
     With u = 1-e^{-t}, 1+e^t = (2-u)/(1-u), so the series is G(u) for the
-    ordinary series G(z) = 2 Li_ks(z) (1-z)^r / (2-z)^r.  Its coefficients
-    are integers over the multi-Li denominator D times a power of two:
+    ordinary series G(z) = 2 Li_ks(z) (1-z)^r / (2-z)^r, which divides
+    nothing.  Its coefficients are integers over the multi-Li denominator D
+    times a power of two:
     g = Li_ks (1-z)^r is r first differences, and each of the r divisions
     by 2-z, h_m = (g_m + h_{m-1})/2, is one prefix sum when h_m is held
     over 2^{m+1}.  So with H the r-fold prefix sums of 2^m g_m,
     G_m = 2 H_m / (D 2^{m+r}).  All of it runs on the integers of
     ``polylog._multi_li``; G scaled by m! is put in lowest terms once and
-    composed with 1-e^{-t} (``exact._compose_one_minus_exp``).
+    composed with 1-e^{-t} (``exact._compose_one_minus_exp``), so a cold
+    plain quotient builds one ``Egf``, its result.
 
     No other (alpha, beta) is composed: (e^{-alpha t}+e^{beta t})^r =
     e^{r beta t} (2-u_c)^r, u_c = 1-e^{-(alpha+beta)t}, would read every
-    point off this c = 1 series, which is thm1's t -> (alpha+beta)t law.
+    point off this c = 1 series, which is thm1's t -> (alpha+beta)t law.  So
+    thm1, thm2 and both "combined" rows compare a divided side with this one.
     """
     r = len(ks)
     g, den = _multi_li(ks, order)
@@ -149,7 +154,9 @@ def _bernoulli_egf(ks: KVector, x: Fraction | int, order: int) -> Egf:
     """Li_ks(1-e^{-t}) / (1-e^{-t})^r e^{xt}, r = len(ks).
 
     Numerator and denominator both vanish to order exactly r (the nested sum
-    starts at degree r), so the division goes through the t^r-cancelling path.
+    starts at degree r), so the division goes through the t^r-cancelling path,
+    reading the shared numerator at order + r.  It is not cached: every audit
+    row reads each (ks, x, order) once, and polyseq serves one request per call.
     """
     r = len(ks)
     # e^{xt} is formed first, so that its ``exact._order`` refuses a negative
@@ -176,7 +183,8 @@ def poly_euler_sasaki(k: int, order: int) -> list[Fraction]:
     """Sasaki-style poly-Euler numbers from Li_k(1-e^{-4t})/(4t cosh t)."""
     # 4t cosh t = t (2e^t + 2e^{-t}), and Li_k(1-e^{-4t}) vanishes at t = 0,
     # so the t cancels from the numerator alone: Li_k(1-e^{-4t})/t, taken
-    # one order deeper, over the two exponentials, weights 2 and rates +-1.
+    # one order deeper, over the two exponentials, weights 2 and rates +-1,
+    # with no series built for the divisor and no series product.
     ks = validate_kvector((k,))
     nums, den = _dilate(*_li_numerator(ks, _order(order) + 1).numerators(), (4, 1))
     return list(_div_exp_sum(*_shift_down(nums, den, 1), (2, 2), (1, -1), 1).coeffs)

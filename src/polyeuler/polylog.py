@@ -34,7 +34,8 @@ def parse_kvector(text: str) -> KVector:
 def validate_kvector(ks: Sequence[int]) -> KVector:
     """The indices as a tuple of ints; any other type raises TypeError
     rather than being truncated or parsed, and so does an unordered
-    collection (a set or a mapping), whose iteration order is no index order."""
+    collection (a set or a mapping), whose iteration order is no index order;
+    a tuple, which every package caller passes, skips that check."""
     if type(ks) is not tuple and isinstance(ks, (Set, Mapping)):
         raise TypeError(f"an index vector must be ordered, not a {type(ks).__name__}")
     ks = tuple(map(index, ks))

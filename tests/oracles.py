@@ -480,6 +480,34 @@ def poly_bernoulli_negative(size, factorial_power=2):
     ]
 
 
+def poly_euler_negative(size, stirling_shift=1):
+    """E_n^{(-k)}, the poly-Euler numbers at x = 0, as rows [n][k] for
+    n, k = 0..size.  Li_{-k}(z) = sum_{j <= k} j! S(k+1, j+1) (z/(1-z))^{j+1},
+    and z/(1-z) = e^t - 1 at z = 1 - e^{-t}, so with eps_l the coefficients
+    of 2/(1 + e^t), E_n^{(-k)} = sum_j j! S(k+1, j+1) sum_i C(j+1, i)
+    (-1)^{j+1-i} sum_l C(n, l) i^{n-l} eps_l.  A ``stirling_shift`` other than
+    1, S(k, j) in place of S(k+1, j+1) at 0, is a slip, for the negative control."""
+    s = stirling2_rows(size + 1)
+    eps = egf_from_ord(ord_div([Fraction(2)], ord_add(one(size), ord_exp(1, size), size), size))
+    # Coefficient n of e^{it} 2/(1 + e^t), for i = 0..size + 1.
+    shifted = [
+        [sum(comb(n, l) * i ** (n - l) * eps[l] for l in range(n + 1)) for n in range(size + 1)]
+        for i in range(size + 2)
+    ]
+    return [
+        [
+            sum(
+                factorial(j)
+                * s[k + stirling_shift][j + stirling_shift]
+                * sum(comb(j + 1, i) * (-1) ** (j + 1 - i) * shifted[i][n] for i in range(j + 2))
+                for j in range(k + 1)
+            )
+            for k in range(size + 1)
+        ]
+        for n in range(size + 1)
+    ]
+
+
 # Mod-p transcriptions: each family at the CLI's largest order, evaluated
 # modulo a prime p larger than the order and than every denominator met.  The
 # route is unlike the package's: the nested sum as ordinary coefficients,

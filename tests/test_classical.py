@@ -216,6 +216,40 @@ class TestEulerNumbers:
         assert secant[2] == -1 != 1
 
 
+class TestEq2MinusClosedForm:
+    """What holds in place of the eq2-power-sum[minus] discrepancy: with
+    B_1 = -1/2 the closed form sums to n - 1."""
+
+    CELLS = [(m, n) for m in range(1, 9) for n in range(1, 21)]
+
+    def test_minus_closed_form_is_the_sum_to_n_minus_one(self):
+        """160 cells, m = 1..8 and n = 1..20."""
+        assert all(power_sum_closed(m, n, "minus") == power_sum(m, n - 1) for m, n in self.CELLS)
+
+    def test_minus_closed_form_is_not_the_sum_to_n(self):
+        """Negative control, the printed statement S_m(n): all 160 cells differ."""
+        assert all(power_sum_closed(m, n, "minus") != power_sum(m, n) for m, n in self.CELLS)
+
+
+class TestEq9SecantNumbers:
+    """What holds in place of the eq9-cosh discrepancy: 1/cosh t, not
+    cosh t, generates the secant numbers."""
+
+    COSH = [F(1, factorial(n)) if n % 2 == 0 else F(0) for n in range(21)]
+
+    def test_secant_numbers_are_one_over_cosh(self):
+        """E_0..E_20 against the oracles' ordinary division."""
+        sech = egf_from_ord(ord_div([F(1)], self.COSH, 20))
+        assert euler_numbers(20, EulerConvention.SECANT_TYPE) == sech
+
+    def test_cosh_itself_differs_at_every_even_n(self):
+        """Negative control, the printed cosh t: it differs at the 10 even
+        n >= 2 and nowhere else."""
+        secant = euler_numbers(20, EulerConvention.SECANT_TYPE)
+        cosh = egf_from_ord(self.COSH)
+        assert [n for n in range(21) if secant[n] != cosh[n]] == list(range(2, 21, 2))
+
+
 class TestDeterminantForms:
     def test_bernoulli_first_values(self):
         assert bernoulli_det(1) == F(-1, 2)

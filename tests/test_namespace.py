@@ -1,8 +1,11 @@
 """The package namespace: every public name resolves to its home module's
 object, and a bare ``import polyeuler`` loads no layer."""
 
+import pkgutil
+import re
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -72,3 +75,16 @@ def test_layers_resolve_as_attributes():
         "['polyeuler.multifamily', 'polyeuler.polyfamily', 'polyeuler.polylog']",
     ]
     assert {"exact", "classical", "multifamily", "polyfamily", "polylog"} <= set(dir(polyeuler))
+
+
+README = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+
+
+class TestReadmeLayout:
+    def test_layout_names_every_module(self):
+        """README's module map names each ``polyeuler`` module once, and no
+        other, as ``test_family_table_is_cli_families`` reads the family table."""
+        section = README.partition("## Library layout")[2].partition("\n### ")[0]
+        named = re.findall(r"^- `polyeuler\.(\w+)`", section, re.MULTILINE)
+        modules = {m.name for m in pkgutil.iter_modules(polyeuler.__path__) if not m.name.startswith("_")}
+        assert sorted(named) == sorted(modules)

@@ -1,7 +1,7 @@
 """Poly-Bernoulli/Euler sequences and the lonesum enumeration oracle."""
 
 from fractions import Fraction
-from math import comb, gcd
+from math import comb, factorial, gcd
 
 import pytest
 from hypothesis import given, strategies as st
@@ -102,6 +102,56 @@ class TestPolyEuler:
     @pytest.mark.parametrize("k", range(-2, 4))
     def test_matches_oracle(self, k, x):
         assert poly_euler(k, x, 8) == oracles.multi_poly_euler_egf((k,), x, 8)
+
+
+class TestPolyEulerNegativeIndices:
+    """E_n^{(-k)} by Li_{-k}'s Stirling form, a route that shares no code
+    with the package's nested sum and composition."""
+
+    def test_negative_indices_match_the_stirling_formula(self):
+        """All 289 cells n, k <= 16, the CLI's index limit."""
+        table = oracles.poly_euler_negative(16)
+        for k in range(17):
+            assert poly_euler(-k, 0, 16) == [row[k] for row in table]
+
+    def test_formula_with_unshifted_stirling_numbers_disagrees(self):
+        """Negative control: with S(k, j) in place of S(k+1, j+1), 248 of the
+        272 cells with 1 <= k <= 16 differ."""
+        slip = oracles.poly_euler_negative(16, stirling_shift=0)
+        rows = [poly_euler(-k, 0, 16) for k in range(17)]
+        assert sum(rows[k][n] != slip[n][k] for n in range(17) for k in range(1, 17)) == 248
+
+    def test_table_is_not_symmetric(self):
+        """The symmetry control: unlike B_n^{(-k)}, E_n^{(-k)} has no duality,
+        and 98 of the 121 cells at n, k <= 10 differ from the transpose."""
+        rows = [poly_euler(-k, 0, 10) for k in range(11)]
+        assert sum(rows[k][n] != rows[n][k] for n in range(11) for k in range(11)) == 98
+
+
+class TestDef1ScaledPolyEuler:
+    """What holds in place of the def1-sasaki-bridge discrepancy: 4^n
+    E_n^{(k)}(1/2) is coefficient n of Li_k(1-e^{-4t})/cosh 2t, which is not
+    the 4t-cosh-t series, so no constant relates the two."""
+
+    KS = (-3, -1, 1, 2, 3)
+
+    @staticmethod
+    def scaled(k):
+        return [4**n * v for n, v in enumerate(poly_euler(k, F(1, 2), 12))]
+
+    def test_scaled_values_are_over_cosh_2t(self):
+        """65 cells, against the oracles' ordinary series."""
+        cosh_2t = [F(2**n, factorial(n)) if n % 2 == 0 else F(0) for n in range(13)]
+        for k in self.KS:
+            li = oracles.ord_compose(oracles.multi_li_ordinary((k,), 12), oracles.one_minus_exp(-4, 12), 12)
+            assert self.scaled(k) == oracles.egf_from_ord(oracles.ord_div(li, cosh_2t, 12))
+
+    def test_sasaki_numbers_differ_everywhere(self):
+        """Negative control, the printed bridge: all 65 cells differ from the
+        4t-cosh-t numbers."""
+        pairs = [(v, s) for k in self.KS for v, s in zip(self.scaled(k), poly_euler_sasaki(k, 12))]
+        assert len(pairs) == 65
+        assert all(v != s for v, s in pairs)
 
 
 class TestPolyEulerSasaki:
