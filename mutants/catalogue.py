@@ -208,6 +208,24 @@ MUTANTS = (
         "killed",
     ),
     Mutant(
+        # The same report, at the cost of dataclasses, inspect, ast and dis.
+        "audit-loads-dataclasses",
+        "src/polyeuler/audit.py",
+        "import random\n",
+        "import dataclasses\nimport random\n",
+        ("tests/test_cli.py::TestRootCommand::test_audit_and_verify_load_no_dataclasses",),
+        "killed",
+    ),
+    Mutant(
+        # A NamedTuple record then equals the plain tuple of its fields.
+        "log-params-equal-a-tuple",
+        "src/polyeuler/multifamily.py",
+        "        return type(other) is type(self) and tuple.__eq__(self, other)\n",
+        "        return tuple.__eq__(self, other)\n",
+        ("tests/test_multifamily.py::TestValueTypes::test_not_equal_to_a_plain_tuple",),
+        "killed",
+    ),
+    Mutant(
         # The tuples holding a zero index under a positive k weigh 0, but
         # none is counted, so skipped_terms reads 0.
         "thm3-undefined-tuples-not-counted",

@@ -15,9 +15,7 @@ inputs always produce an identical report, byte for byte.
 
 from __future__ import annotations
 
-import json
 import random
-from dataclasses import asdict, dataclass, field
 from fractions import Fraction
 from itertools import product
 from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
@@ -44,8 +42,7 @@ class UnknownIdentity(KeyError):
     """Requested identity id (or variant) is not in the registry."""
 
 
-@dataclass(frozen=True)
-class IdentityCase:
+class IdentityCase(NamedTuple):
     """One executable audit case: an identity id, optional variant, and the
     fully materialized parameter grid it will be checked on."""
 
@@ -54,8 +51,7 @@ class IdentityCase:
     grid: Mapping
 
 
-@dataclass(frozen=True)
-class CaseResult:
+class CaseResult(NamedTuple):
     id: str
     variant: str | None
     grid_size: int
@@ -68,8 +64,7 @@ class CaseResult:
         return self.id if self.variant is None else f"{self.id}[{self.variant}]"
 
 
-@dataclass(frozen=True)
-class AuditReport:
+class AuditReport(NamedTuple):
     seed: int
     order: int
     cases: tuple[CaseResult, ...]
@@ -122,8 +117,7 @@ def _fmt_params(params: Mapping) -> dict:
     return out
 
 
-@dataclass(frozen=True)
-class _Check:
+class _Check(NamedTuple):
     """One row of the comparison table: grid, points, two sides and notes.
 
     ``variants`` maps each variant the case runs, in run order, to its
@@ -141,7 +135,7 @@ class _Check:
     actual: Callable[[IdentityCase, dict], object]
     notes_pass: str
     notes_fail: str
-    variants: Mapping[str | None, str] = field(default_factory=lambda: {None: PASS})
+    variants: Mapping[str | None, str] = {None: PASS}
 
 
 class _Runner(NamedTuple):
@@ -495,5 +489,9 @@ def report_ok(report: AuditReport) -> bool:
 
 def report_to_json(report: AuditReport) -> str:
     """The report's keys are the fields of AuditReport and CaseResult, in
-    the order they are declared."""
-    return json.dumps(asdict(report), indent=2) + "\n"
+    the order they are declared.  json is imported here, its only reader,
+    so that polyverify does not load it."""
+    import json
+
+    document = {**report._asdict(), "cases": [result._asdict() for result in report.cases]}
+    return json.dumps(document, indent=2) + "\n"

@@ -32,15 +32,17 @@ thm3_explicit and thm4_explicit are audit instruments that evaluate two
 printed "explicit formulas" exactly as stated, caps and all, so the audit
 can report how far their partial sums are from the series values.  Each
 sums Python ints over one denominator and builds one ``Fraction``.
+
+``LogParams`` and ``CappedSum`` are NamedTuples, not frozen dataclasses, so
+that no multi-* or audit process pays for importing ``dataclasses`` and ``inspect``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, lcm
 from operator import mul
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .exact import Egf, Ratio, _memo, _order, _ratio, _reduced, integer_powers, lowest_terms
 from .polyfamily import _bernoulli_egf, _euler_egf
@@ -51,23 +53,41 @@ class DegenerateParams(ValueError):
     """Raised when an identity requires ln a + ln b != 0."""
 
 
-@dataclass(frozen=True)
-class LogParams:
+class _Record:
+    """Mixin for a NamedTuple record: equal only to a record of its own
+    class, as a frozen dataclass is, never to a plain tuple; no instance dict."""
+
+    __slots__ = ()
+
+    def __eq__(self, other: object) -> bool:
+        return type(other) is type(self) and tuple.__eq__(self, other)
+
+    def __ne__(self, other: object) -> bool:
+        return not self == other
+
+    __hash__ = tuple.__hash__  # a class that defines __eq__ is otherwise unhashable
+
+
+class LogParams(
+    _Record,
+    NamedTuple("LogParams", [("alpha", Fraction), ("beta", Fraction), ("gamma", Fraction | None)]),
+):
     """Exact logarithms of the deformation parameters: alpha = ln a, etc."""
 
-    alpha: Fraction
-    beta: Fraction
-    gamma: Fraction | None = None
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
+    def __new__(
+        cls, alpha: Fraction | int, beta: Fraction | int, gamma: Fraction | int | None = None
+    ) -> LogParams:
         # Only values that are not a Fraction yet go through the checked
         # ``exact._ratio``: the audit builds thousands from Fraction points.
-        if type(self.alpha) is not Fraction:
-            object.__setattr__(self, "alpha", Fraction(*_ratio(self.alpha)))
-        if type(self.beta) is not Fraction:
-            object.__setattr__(self, "beta", Fraction(*_ratio(self.beta)))
-        if self.gamma is not None and type(self.gamma) is not Fraction:
-            object.__setattr__(self, "gamma", Fraction(*_ratio(self.gamma)))
+        if type(alpha) is not Fraction:
+            alpha = Fraction(*_ratio(alpha))
+        if type(beta) is not Fraction:
+            beta = Fraction(*_ratio(beta))
+        if gamma is not None and type(gamma) is not Fraction:
+            gamma = Fraction(*_ratio(gamma))
+        return super().__new__(cls, alpha, beta, gamma)
 
 
 def multi_poly_bernoulli(ks: Sequence[int], order: int) -> list[Fraction]:
@@ -254,13 +274,11 @@ def addition_rhs(
     return Egf.of(*_binomial_shift(*base, _times(r, y), order))
 
 
-@dataclass(frozen=True)
-class CappedSum:
+class CappedSum(_Record, NamedTuple("CappedSum", [("value", Fraction), ("skipped_terms", int)])):
     """Value of a capped formula evaluation plus the count of skipped terms
     (terms whose denominator would need division by zero)."""
 
-    value: Fraction
-    skipped_terms: int
+    __slots__ = ()
 
 
 def thm3_explicit(

@@ -1,6 +1,5 @@
 """Audit registry behavior: verdicts, whitelisting, determinism, schema."""
 
-import dataclasses
 import hashlib
 import json
 import random
@@ -180,7 +179,7 @@ class TestDocumentedVerdicts:
 
     def test_verdict_is_read_from_the_registry_entry(self, monkeypatch, capsys):
         """An entry that documents PASS makes its case's FAIL unexpected."""
-        entry = dataclasses.replace(audit._TABLE["eq9-cosh"], variants={None: PASS})
+        entry = audit._TABLE["eq9-cosh"]._replace(variants={None: PASS})
         monkeypatch.setitem(audit._TABLE, "eq9-cosh", entry)
         assert not is_expected(CaseResult("eq9-cosh", None, 1, FAIL, None, ""))
         assert main_verify(["eq9-cosh"]) == 1

@@ -2,7 +2,6 @@
 
 import ast
 import contextlib
-import dataclasses
 import hashlib
 import io
 import json
@@ -42,7 +41,7 @@ def _document_pass(monkeypatch, case_id):
     """Let the registry entry of ``case_id`` document PASS for every variant."""
     entry = audit._TABLE[case_id]
     variants = dict.fromkeys(entry.variants, audit.PASS)
-    monkeypatch.setitem(audit._TABLE, case_id, dataclasses.replace(entry, variants=variants))
+    monkeypatch.setitem(audit._TABLE, case_id, entry._replace(variants=variants))
 
 
 def run_cli(*args, env=None):
@@ -877,16 +876,14 @@ class TestRootCommand:
         poly = base | {"polyeuler.polyfamily"}
         multi = poly | {"polyeuler.multifamily"}
         # A fully spelled request skips argparse and gettext's locale lookup.
-        unused = {"dataclasses", "hashlib", "json", "argparse", "gettext", "locale"}
-        # multifamily's LogParams and CappedSum are frozen dataclasses.
-        multi_unused = unused - {"dataclasses"}
+        unused = {"dataclasses", "inspect", "hashlib", "json", "argparse", "gettext", "locale"}
         for argv, layers, absent in [
             (["bernoulli", "--n=1"], base, unused),
             (["bernoulli", "--n=1", "--format=json"], base, unused - {"json"}),
             (["poly-euler", "--k=2", "--n=3"], poly, unused),
             (["lonesum", "--rows=2", "--cols=2"], poly, unused),
-            (["multi-poly-euler", "--ks=1,2", "--alpha=1", "--beta=2", "--n=3"], multi, multi_unused),
-            (["poly-euler-abc", "--k=1", "--alpha=1", "--beta=2", "--gamma=1", "--n=2"], multi, multi_unused),
+            (["multi-poly-euler", "--ks=1,2", "--alpha=1", "--beta=2", "--n=3"], multi, unused),
+            (["poly-euler-abc", "--k=1", "--alpha=1", "--beta=2", "--gamma=1", "--n=2"], multi, unused),
         ]:
             proc = subprocess.run(
                 [sys.executable, "-c", code, *argv], capture_output=True, text=True, timeout=60
@@ -919,6 +916,23 @@ class TestRootCommand:
             assert not hashlib_loaded and not openssl_loaded
         else:  # a build with neither module falls back to hashlib
             assert hashlib_loaded
+
+    def test_audit_and_verify_load_no_dataclasses(self):
+        """The package's records are NamedTuples, so neither program loads
+        dataclasses or inspect, and polyverify, which writes no report,
+        leaves json unloaded too."""
+        code = (
+            "import contextlib, io, sys\n"
+            "from polyeuler.cli import main_audit, main_verify\n"
+            "heavy = ('dataclasses', 'inspect', 'json')\n"
+            "with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):\n"
+            "    verify = main_verify(['eq9-cosh', '--order=3']), [m for m in heavy if m in sys.modules]\n"
+            "    audit = main_audit(['--order=3']), [m for m in heavy if m in sys.modules]\n"
+            "print(repr((verify, audit)))\n"
+        )
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert ast.literal_eval(proc.stdout) == ((0, []), (0, ["json"]))
 
     def test_seq_help_is_argparse_help(self, monkeypatch):
         monkeypatch.setenv("COLUMNS", "80")
