@@ -226,6 +226,29 @@ MUTANTS = (
         "killed",
     ),
     Mutant(
+        # _make, and _replace through it, then build the tuple without
+        # __new__, so a float or an int is kept as it is.
+        "log-params-make-skips-new",
+        "src/polyeuler/multifamily.py",
+        "\n    @classmethod\n"
+        "    def _make(cls, iterable: Iterable) -> LogParams:  # _replace builds through it too\n"
+        "        return cls(*iterable)\n",
+        "",
+        ("tests/test_multifamily.py::TestValueTypes::test_replace_and_make_read_their_fields_as_new_does",),
+        "killed",
+    ),
+    Mutant(
+        # gamma = 0 read as absent, and so as 1: w = x in place of 0.
+        "abc-gamma-zero-read-as-one",
+        "src/polyeuler/multifamily.py",
+        "    (p, q), (g, g_den) = _ratio(x), _ratio(params.gamma or 0)\n"
+        "    alpha, beta = _ratio(params.alpha), _ratio(params.beta)\n",
+        "    (p, q), (g, g_den) = _ratio(x), _ratio(params.gamma or 1)\n"
+        "    alpha, beta = _ratio(params.alpha), _ratio(params.beta)\n",
+        ("tests/test_cli.py::TestDrawnRequests",),
+        "killed",
+    ),
+    Mutant(
         # The tuples holding a zero index under a positive k weigh 0, but
         # none is counted, so skipped_terms reads 0.
         "thm3-undefined-tuples-not-counted",
@@ -314,6 +337,14 @@ MUTANTS = (
         "- `polyeuler.polylog` — ",
         "- the polylog layer — ",
         ("tests/test_namespace.py::TestReadmeLayout",),
+        "killed",
+    ),
+    Mutant(
+        "measure-drops-a-figure",
+        "tools/measure.py",
+        "FIGURES = (source_size, constructions, shift_table_memory, kernel_timings, audit_max_rss, cold_start)\n",
+        "FIGURES = (source_size, constructions, shift_table_memory, kernel_timings, cold_start)\n",
+        ("tools/tests/test_measure.py",),
         "killed",
     ),
     Mutant(

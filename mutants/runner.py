@@ -5,14 +5,14 @@ Usage (from the repository root):
     python3 mutants/runner.py              # every entry of catalogue.py
     python3 -m pytest -q mutants/tests     # the runner's own tests, on a toy tree
 
-For each mutant it copies ``src/``, ``tests/`` and ``README.md`` (which
-``tests/test_cli.py`` reads at collection) into a temporary directory,
-replaces the entry's old text, which must occur exactly once, by its new
-text, and runs the entry's tests there with ``pytest -x``.  A failing test
-kills the mutant.  The exit status is 1 when an old text does not occur
-exactly once, when pytest ends in anything but a pass or a failed test,
-when a mutant not marked equivalent survives, or when one marked
-equivalent is killed.
+For each mutant it copies ``src/``, ``tests/``, ``tools/`` and
+``README.md`` (which ``tests/test_cli.py`` reads at collection) into a
+temporary directory, replaces the entry's old text, which must occur
+exactly once, by its new text, and runs the entry's tests there with
+``pytest -x``.  A failing test kills the mutant.  The exit status is 1
+when an old text does not occur exactly once, when pytest ends in
+anything but a pass or a failed test, when a mutant not marked
+equivalent survives, or when one marked equivalent is killed.
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ from pathlib import Path
 from catalogue import MUTANTS, Mutant
 
 ROOT = Path(__file__).resolve().parent.parent
-COPIED = ("src", "tests", "README.md")
+COPIED = ("src", "tests", "tools", "README.md")
 
 
 class CatalogueError(Exception):

@@ -15,6 +15,7 @@ def toy(tmp_path):
     (tmp_path / "tests" / "test_toy.py").write_text(
         "from toy import double\n\n\ndef test_double():\n    assert double(3) == 6\n"
     )
+    (tmp_path / "tools").mkdir()
     (tmp_path / "README.md").write_text("toy\n")
     return tmp_path
 

@@ -432,8 +432,12 @@ _TABLE: dict[str, _Check | _Runner] = {
 def build_registry(seed: int = DEFAULT_SEED, order: int = DEFAULT_ORDER) -> list[IdentityCase]:
     """Materialize every registered case with concrete, finite grids.
 
-    Grids that compare series prefixes scale with ``order`` so that a lower
-    order audits a prefix of the higher-order grid.
+    ``order`` bounds each series grid up to its row's cap, so that a lower
+    order audits a prefix of the higher-order grid: the theorem rows (thm1,
+    thm2, cor1, cor2, combined) take n <= 10, bridge-poly-bernoulli 12,
+    eq3 10, eq6 6 (n <= order // 2), def1 8 and thm4 6, while the thm3,
+    eq2 and lonesum grids are fixed.  So an order past 12 grows only
+    eq9-cosh, whose n runs to ``order``.
     """
     samples = _shared_samples(seed)
     kvectors = tuple(ks for r in (1, 2, 3) for ks in product((-1, 1, 2), repeat=r))

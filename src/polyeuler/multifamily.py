@@ -42,7 +42,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import comb, lcm
 from operator import mul
-from typing import NamedTuple, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .exact import Egf, Ratio, _memo, _order, _ratio, _reduced, integer_powers, lowest_terms
 from .polyfamily import _bernoulli_egf, _euler_egf
@@ -88,6 +88,10 @@ class LogParams(
         if gamma is not None and type(gamma) is not Fraction:
             gamma = Fraction(*_ratio(gamma))
         return super().__new__(cls, alpha, beta, gamma)
+
+    @classmethod
+    def _make(cls, iterable: Iterable) -> LogParams:  # _replace builds through it too
+        return cls(*iterable)
 
 
 def multi_poly_bernoulli(ks: Sequence[int], order: int) -> list[Fraction]:

@@ -78,6 +78,11 @@ class TestRegistry:
     def test_at_least_thirteen_cases(self):
         assert len(build_registry(0, 10)) >= 13
 
+    def test_orders_past_twelve_grow_only_eq9_cosh(self):
+        """Every other grid is capped by order 12 (build_registry's docstring)."""
+        grids = [{(c.id, c.variant): c.grid for c in build_registry(0, order)} for order in (12, 200)]
+        assert {key for key, grid in grids[0].items() if grid != grids[1][key]} == {("eq9-cosh", None)}
+
     def test_unknown_identity_raises(self):
         with pytest.raises(UnknownIdentity):
             run_identity(IdentityCase("nosuch", None, {}))

@@ -152,6 +152,11 @@ class TestValueTypes:
     def test_gamma_defaults_to_none(self):
         assert LogParams(F(1), F(2)).gamma is None
 
+    def test_replace_and_make_read_their_fields_as_new_does(self):
+        assert type(LogParams(1, 2)._replace(alpha=1).alpha) is Fraction
+        with pytest.raises(TypeError):
+            LogParams._make([0.5, 1, None])
+
 
 _P = LogParams(F(1, 2), F(1, 3), F(2))
 

@@ -141,6 +141,13 @@ def _git(*args: str) -> str:
     return subprocess.run(["git", *args], cwd=ROOT, capture_output=True, text=True, check=True).stdout
 
 
+def _dirty(status: str) -> bool:
+    """Whether ``git status --porcelain`` lists a changed tracked file or
+    an untracked file under ``src/``.  An untracked ``BENCH_*.json`` from
+    an earlier run does not count."""
+    return any(not line.startswith("?? ") or line[3:].startswith("src/") for line in status.splitlines())
+
+
 def _extract(commit: str, into: Path) -> None:
     """The files of ``commit`` in ``into``, by ``git archive``."""
     archive = into / "base.tar"
@@ -169,7 +176,7 @@ def main(argv: list[str] | None = None) -> int:
         _extract(base, Path(tmp))
         checkouts = {"base": Path(tmp) / "base", "tree": ROOT}
         report = run_pairs(run_benchmark, checkouts, workloads, PAIRS, args.seed, seconds, end_to_end)
-    tree = {"commit": _git("rev-parse", "HEAD").strip(), "dirty": bool(_git("status", "--porcelain"))}
+    tree = {"commit": _git("rev-parse", "HEAD").strip(), "dirty": _dirty(_git("status", "--porcelain"))}
     command = f"python3 perfbench/run.py --workload W --seed {args.seed} --seconds {seconds}"
     out = {
         "label": args.label,

@@ -210,6 +210,21 @@ def test_main_runs_ten_pairs_of_the_declared_length(monkeypatch, tmp_path):
     assert wall["resolved"] is True
 
 
+@pytest.mark.parametrize(
+    "status, dirty",
+    [("?? BENCH_earlier.json\n", False), ("?? BENCH_earlier.json\n?? src/polyeuler/new.py\n", True)],
+    ids=["untracked-bench-file", "untracked-source-file"],
+)
+def test_only_untracked_files_under_src_mark_the_tree_dirty(monkeypatch, tmp_path, status, dirty):
+    _declare(tmp_path, ("seq-deep",))
+    monkeypatch.setattr(bench_pairs, "ROOT", tmp_path)
+    monkeypatch.setattr(bench_pairs, "run_benchmark", FakeRunner({"wall_s": {"base": [1] * 10, "tree": [1] * 10}}))
+    monkeypatch.setattr(bench_pairs, "_extract", lambda commit, into: (into / "base").mkdir())
+    monkeypatch.setattr(bench_pairs, "_git", lambda *args: status if args[0] == "status" else "abc\n")
+    assert bench_pairs.main(["--label", "fake"]) == 0
+    assert json.loads((tmp_path / "BENCH_fake.json").read_text())["tree"]["dirty"] is dirty
+
+
 def _fake_run_py(checkout, body):
     script = checkout / "perfbench" / "run.py"
     script.parent.mkdir()
