@@ -348,6 +348,37 @@ MUTANTS = (
         "killed",
     ),
     Mutant(
+        # Only a child interpreter run with -W error turns the warning into a failure.
+        "audit-command-warns",
+        "src/polyeuler/cli.py",
+        "def cmd_audit(args: argparse.Namespace) -> int:\n    from . import audit\n",
+        "def cmd_audit(args: argparse.Namespace) -> int:\n"
+        "    import warnings\n"
+        "\n"
+        '    warnings.warn("the report format will change", DeprecationWarning)\n'
+        "    from . import audit\n",
+        ("tests/test_audit.py::TestReportBytes::test_cli_report_hash_pinned",),
+        "killed",
+    ),
+    Mutant(
+        # The --flag value spelling of a rational goes to argparse, which the
+        # reader must not leave it to.
+        "reader-leaves-a-spaced-rational-to-argparse",
+        "src/polyeuler/cli.py",
+        '            if text.startswith("-"):\n',
+        '            if text.startswith("-") or "/" in text:\n',
+        ("tests/test_cli.py::TestDrawnRequests::test_both_spellings_print_the_same_bytes",),
+        "killed",
+    ),
+    Mutant(
+        "digit-bound-reads-only-the-numerator",
+        "src/polyeuler/cli.py",
+        "            value is None or max(abs(value.numerator), value.denominator) < 10**MAX_DIGITS,\n",
+        "            value is None or abs(value.numerator) < 10**MAX_DIGITS,\n",
+        ("tests/test_cli.py::TestDrawnRequests::test_one_value_past_its_bound_is_a_usage_error",),
+        "killed",
+    ),
+    Mutant(
         "def1-constant-by-min",
         "src/polyeuler/audit.py",
         "        constant = next(iter(candidates)) if len(candidates) == 1 else None\n",

@@ -217,23 +217,16 @@ def _sequence_for(args: argparse.Namespace) -> list[Fraction]:
 
     if family == "multi-poly-bernoulli":
         return multifamily.multi_poly_bernoulli(args.ks, order)
-    if family == "multi-poly-euler":
-        _require(
-            (args.alpha is None) == (args.beta is None),
-            "--alpha and --beta must be given together",
-        )
-        if args.alpha is None:
-            _require(args.gamma is None, "--gamma needs --alpha and --beta")
-            return multifamily.multi_poly_euler(args.ks, x, order)
-        params = multifamily.LogParams(args.alpha, args.beta, args.gamma)
-        if args.gamma is None:
-            return multifamily.multi_poly_euler_xab(args.ks, x, params, order)
-        _require(len(args.ks) == 1, "the three-parameter family is defined for a single index")
-        return multifamily.poly_euler_abc(args.ks[0], x, params, order)
-    # poly-euler-abc, the one family left
-    return multifamily.poly_euler_abc(
-        args.k, x, multifamily.LogParams(args.alpha, args.beta, args.gamma), order
-    )
+    # multi-poly-euler, or poly-euler-abc, whose --alpha, --beta and --gamma cmd_seq requires
+    _require((args.alpha is None) == (args.beta is None), "--alpha and --beta must be given together")
+    _require(args.gamma is None or args.alpha is not None, "--gamma needs --alpha and --beta")
+    if args.alpha is None:
+        return multifamily.multi_poly_euler(args.ks, x, order)
+    params = multifamily.LogParams(args.alpha, args.beta, args.gamma)
+    if args.gamma is None:
+        return multifamily.multi_poly_euler_xab(args.ks, x, params, order)
+    _require(len(indices) == 1, "the three-parameter family is defined for a single index")
+    return multifamily.poly_euler_abc(indices[0], x, params, order)
 
 
 def _print_table(values: Sequence[Fraction], fmt: str) -> None:

@@ -191,7 +191,7 @@ def test_criterion_11_audit_byte_determinism(tmp_path):
     for name in ("a.json", "b.json"):
         target = tmp_path / name
         proc = subprocess.run(
-            [sys.executable, "-m", "polyeuler", "audit", "--order", "6", "--seed", "0",
+            [sys.executable, "-W", "error", "-m", "polyeuler", "audit", "--order", "6", "--seed", "0",
              "--out", str(target)],
             capture_output=True,
             timeout=600,

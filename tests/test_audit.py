@@ -3,6 +3,8 @@
 import hashlib
 import json
 import random
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
@@ -331,6 +333,22 @@ class TestReportBytes:
         report = report6 if (order, seed) == (6, 0) else run_all(seed=seed, order=order)
         digest = hashlib.sha256(report_to_json(report).encode()).hexdigest()
         assert digest == REPORT_SHA256[(order, seed)]
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_cli_report_hash_pinned(self, seed, tmp_path):
+        """The default order-10 report as ``python -m polyeuler audit``
+        writes it, in a child interpreter in which any warning is an error:
+        seed 0 to stdout, seed 1 through --out."""
+        target = tmp_path / "report.json"
+        argv = ["--seed", "1", "--out", str(target)] if seed else []
+        proc = subprocess.run(
+            [sys.executable, "-W", "error", "-m", "polyeuler", "audit", "--order", "10", *argv],
+            capture_output=True,
+            timeout=300,
+        )
+        assert proc.returncode == 0, proc.stderr.decode()
+        report = target.read_bytes() if seed else proc.stdout
+        assert hashlib.sha256(report).hexdigest() == REPORT_SHA256[(10, seed)]
 
     @pytest.mark.parametrize("seed", [0, 1, -5, 10**30])
     @pytest.mark.parametrize("label", ["theorem-grid", "thm4-grid"])

@@ -1,4 +1,7 @@
-"""CLI golden tests: output formats, exit codes, env override, determinism."""
+"""CLI golden tests: output formats, exit codes, env override, determinism.
+
+Every child interpreter these tests start runs with ``-W error``, so a
+warning that the package raises fails the test."""
 
 import ast
 import contextlib
@@ -47,7 +50,9 @@ def _document_pass(monkeypatch, case_id):
 
 
 def run_cli(*args, env=None):
-    cmd = [sys.executable, "-m", "polyeuler", *args]
+    """``python -m polyeuler`` in a child interpreter in which any warning
+    is an error."""
+    cmd = [sys.executable, "-W", "error", "-m", "polyeuler", *args]
     return subprocess.run(cmd, capture_output=True, text=True, env=env, timeout=300)
 
 
@@ -85,6 +90,10 @@ class TestSeqFormats:
         code, text = seq_output(["multi-poly-euler", "--ks", "1,1", "--n", "2"])
         assert code == 0
         assert text.splitlines() == ["0\t0", "1\t0", "2\t1/2"]
+        # At alpha + beta = 0 every value is 0.
+        code, text = seq_output(["multi-poly-euler", "--ks=1,2", "--alpha=1/2", "--beta=-1/2", "--n=6"])
+        assert code == 0
+        assert text.splitlines() == [f"{n}\t0" for n in range(7)]
 
     def test_json_round_trips(self):
         code, text = seq_output(["poly-bernoulli", "--k", "-2", "--n", "6", "--format", "json"])
@@ -140,6 +149,7 @@ class TestSeqErrors:
             ("--ks=١,2", "argument --ks: invalid index vector value: '١,2'"),
             ("--ks=+1", "argument --ks: invalid index vector value: '+1'"),
             ("--n=١", "argument --n: invalid int value: '١'"),
+            ("--n=3.0", "argument --n: invalid int value: '3.0'"),
             ("--k=+1", "argument --k: invalid int value: '+1'"),
             ("--rows=1_0", "argument --rows: invalid int value: '1_0'"),
             # argparse prints the value's repr, which escapes the em space.
@@ -240,6 +250,22 @@ class TestSeqErrors:
             "error: the three-parameter family is defined for a single index"
         ]
 
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            (["--alpha=1"], "--alpha and --beta must be given together"),
+            (["--beta=1", "--gamma=1"], "--alpha and --beta must be given together"),
+            (["--gamma=1"], "--gamma needs --alpha and --beta"),
+            (["--ks=1,2", "--gamma=1"], "--gamma needs --alpha and --beta"),
+        ],
+    )
+    def test_log_parameters_are_coupled(self, flags, message, capsys):
+        """Checked in this order, before the single index of --gamma."""
+        assert main_seq(["multi-poly-euler", "--ks=1", "--n=3", *flags]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == [f"error: {message}"]
+
 
 class TestEnvOverride:
     def test_order_env_sets_default(self, monkeypatch, capsys):
@@ -257,7 +283,7 @@ class TestEnvOverride:
         monkeypatch.setenv("POLYEULER_ORDER", "ten")
         assert main_seq(["bernoulli"]) == 2
 
-    @pytest.mark.parametrize("value", ["٣", "+3", "1_0", "\u20033"])
+    @pytest.mark.parametrize("value", ["٣", "+3", "1_0", "\u20033", "3.0"])
     def test_env_value_outside_the_integer_form_exits_2(self, value, monkeypatch, capsys):
         monkeypatch.setenv("POLYEULER_ORDER", value)
         assert main_seq(["bernoulli"]) == 2
@@ -274,16 +300,17 @@ class TestVerify:
         assert "[order=8 seed=7]" in out
 
     def test_whitelisted_fail_exit_zero(self, capsys):
-        assert main_verify(["eq2-power-sum", "--variant", "minus"]) == 0
-        out = capsys.readouterr().out
-        assert "FAIL" in out and "(whitelisted)" in out
+        for order in ([], ["--order", "4"]):
+            assert main_verify(["eq2-power-sum", "--variant", "minus", *order]) == 0
+            out = capsys.readouterr().out
+            assert "FAIL" in out and "(whitelisted)" in out
 
     def test_unknown_identity_exit_two(self):
         assert main_verify(["nosuch"]) == 2
 
     def test_unknown_identity_prints_the_registered_ones(self, capsys):
-        assert main_verify(["nosuch"]) == 2
-        assert ", ".join(audit.registered_ids()) in capsys.readouterr().err
+        assert main_verify(["nosuch", "--order", "4"]) == 2
+        assert f"registered: {', '.join(audit.registered_ids())}" in capsys.readouterr().err
 
     @pytest.mark.parametrize("factory", [_seq_parser, _verify_parser, _audit_parser])
     def test_help_names_only_accepted_flags(self, factory):
@@ -331,18 +358,28 @@ class TestVerify:
         assert main_verify(["eq2-power-sum", "--order", "4"]) == 0
         out = capsys.readouterr().out.strip().splitlines()
         assert len(out) == 2
+        assert main_verify(["combined", "--order", "4"]) == 0
+        combined, printed = capsys.readouterr().out.splitlines()
+        assert combined.startswith("combined: PASS ")
+        assert re.match(r"combined\[as-printed\]: FAIL .* \(whitelisted\) counterexample: ", printed)
 
 
 class TestAuditCommand:
     def test_report_written_and_ok(self, tmp_path, capsys):
+        """The summary marks the seven documented discrepancies, and only
+        them, as whitelisted, down to the smallest order that witnesses them."""
         target = tmp_path / "report.json"
-        target.write_text("x" * 100_000)  # an older, longer file is replaced, not appended to
-        assert main_audit(["--order", "4", "--seed", "1", "--out", str(target)]) == 0
-        payload = json.loads(target.read_text())
-        assert payload["order"] == 4 and payload["seed"] == 1
-        assert len(payload["cases"]) >= 13
-        summary = capsys.readouterr().err.strip().splitlines()
-        assert len(summary) == len(payload["cases"])
+        for order, seed in ((4, 1), (3, 0)):
+            target.write_text("x" * 100_000)  # an older, longer file is replaced, not appended to
+            assert main_audit(["--order", str(order), "--seed", str(seed), "--out", str(target)]) == 0
+            payload = json.loads(target.read_text())
+            assert payload["order"] == order and payload["seed"] == seed
+            assert len(payload["cases"]) >= 13
+            summary = capsys.readouterr().err.strip().splitlines()
+            assert len(summary) == len(payload["cases"])
+            whitelisted = r" \(whitelisted\)( counterexample: .*)?$"
+            assert sum(bool(re.search(whitelisted, line)) for line in summary) == 7
+            assert not any("(expected " in line for line in summary)
 
     def test_stdout_when_no_out_flag(self, capsys):
         assert main_audit(["--order", "4"]) == 0
@@ -797,14 +834,51 @@ def _slipped(flags):
     return slipped
 
 
+def _spellings(family, flags):
+    """The request with every value after '=', and with each value that does
+    not start with '-' as the next argument."""
+    joined = [family, *(f"--{flag}={value}" for flag, value in flags.items())]
+    spaced = [family]
+    for flag, value in flags.items():
+        spaced += [f"--{flag}={value}"] if value.startswith("-") else [f"--{flag}", value]
+    return joined, spaced
+
+
+@st.composite
+def _requests_one_bound_past(draw):
+    """A drawn legal request with exactly one value past its bound: --n at
+    MAX_N + 1, one index at +-(MAX_K + 1), MAX_DEPTH + 1 indices, or a
+    rational with MAX_DIGITS + 1 digits in its numerator or denominator;
+    and the error polyseq names it by."""
+    family, flags = draw(_legal_requests())
+    bounds = [flag for flag in ("x", "alpha", "beta", "gamma", "k", "ks") if flag in flags]
+    past = draw(st.sampled_from(bounds + ["depth"] * ("ks" in flags) + ["n"]))
+    if past == "n":
+        flags["n"], message = str(MAX_N + 1), f"--n must be <= {MAX_N}"
+    elif past == "depth":
+        ks = flags["ks"].split(",")
+        ks += (draw(st.integers(-MAX_K, MAX_K).map(str)) for _ in range(MAX_DEPTH + 1 - len(ks)))
+        flags["ks"], message = ",".join(ks), f"--ks takes at most {MAX_DEPTH} indices"
+    elif past in ("k", "ks"):
+        ks = flags[past].split(",")
+        ks[draw(st.integers(0, len(ks) - 1))] = draw(st.sampled_from((str(MAX_K + 1), str(-MAX_K - 1))))
+        flags[past], message = ",".join(ks), f"indices must lie in -{MAX_K}..{MAX_K}"
+    else:
+        digits = draw(st.integers(10**MAX_DIGITS, 10 ** (MAX_DIGITS + 1) - 1))
+        flags[past] = draw(st.sampled_from((f"{digits}", f"-{digits}", f"1/{digits}", f"-1/{digits}")))
+        message = f"--{past} takes at most {MAX_DIGITS} digits in its numerator and denominator"
+    return family, flags, message
+
+
 class TestDrawnRequests:
     """Legal polyseq requests drawn by hypothesis (derandomized), each
-    checked against _sweep_oracle mod both primes, as the sweep is."""
+    checked against _sweep_oracle mod both primes, as the sweep is; the same
+    draws spelled both ways, and with one value past its bound."""
 
     @staticmethod
     def _check(family, flags):
         """Run the request; whether the slipped oracle disagrees with it."""
-        argv = [family, *(f"--{flag}={value}" for flag, value in flags.items())]
+        argv = _spellings(family, flags)[0]
         out = io.StringIO()
         with contextlib.redirect_stdout(out):
             assert main_seq(argv) == 0, argv
@@ -834,6 +908,34 @@ class TestDrawnRequests:
     @given(_legal_requests(("multi-poly-bernoulli", "multi-poly-euler"), 60, (MAX_DEPTH, MAX_DEPTH)))
     def test_deep_drawn_requests_match_the_oracles(self, request):
         self._check(*request)
+
+    @settings(max_examples=100)
+    @given(_legal_requests())
+    def test_both_spellings_print_the_same_bytes(self, request):
+        """--flag=value and --flag value read to the same values, and print
+        the same bytes through argparse and through main_seq."""
+        spellings = _spellings(*request)
+        read = [_typed(_read_seq(argv)) for argv in spellings]
+        assert read[0] is not None and read[0] == read[1], spellings
+        printed = set()
+        for argv in spellings:
+            printed.add(seq_output(argv))
+            out = io.StringIO()
+            with contextlib.redirect_stdout(out):
+                printed.add((main_seq(argv), out.getvalue()))
+        assert len(printed) == 1 and printed.pop()[0] == 0, spellings
+
+    @settings(max_examples=100)
+    @given(_requests_one_bound_past())
+    def test_one_value_past_its_bound_is_a_usage_error(self, request):
+        """Exit 2 with no output and the one error line of that bound;
+        main_seq raises nothing."""
+        family, flags, message = request
+        argv = _spellings(family, flags)[0]
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            assert main_seq(argv) == 2, argv
+        assert out.getvalue() == "" and err.getvalue().splitlines() == [f"error: {message}"], argv
 
 
 README = (Path(__file__).resolve().parent.parent / "README.md").read_text()
@@ -984,9 +1086,17 @@ class TestRootCommand:
             (["lonesum", "--rows=2", "--cols=2"], poly, unused),
             (["multi-poly-euler", "--ks=1,2", "--alpha=1", "--beta=2", "--n=3"], multi, unused),
             (["poly-euler-abc", "--k=1", "--alpha=1", "--beta=2", "--gamma=1", "--n=2"], multi, unused),
+            # Both Euler conventions, the 4t-cosh-t quotient, the smallest
+            # orders and the plain quotient at x = 0.
+            (["euler", "--convention=secant", "--n=12"], base, unused),
+            (["poly-euler-sasaki", "--k=2", "--n=12"], poly, unused),
+            (["poly-euler", "--k=-2", "--n=0"], poly, unused),
+            (["poly-bernoulli", "--k=3", "--n=0"], poly, unused),
+            (["multi-poly-bernoulli", "--ks=2,1", "--n=1"], multi, unused),
+            (["multi-poly-euler", "--ks=2,1,-1", "--n=12"], multi, unused),
         ]:
             proc = subprocess.run(
-                [sys.executable, "-c", code, *argv], capture_output=True, text=True, timeout=60
+                [sys.executable, "-W", "error", "-c", code, *argv], capture_output=True, text=True, timeout=60
             )
             assert proc.returncode == 0, proc.stderr
             exit_code, printed, loaded = ast.literal_eval(proc.stdout)
@@ -1008,7 +1118,9 @@ class TestRootCommand:
             "lean = any(importlib.util.find_spec(m) for m in ('_sha2', '_sha256'))\n"
             "print(repr((codes, lean, 'hashlib' in sys.modules, '_hashlib' in sys.modules)))\n"
         )
-        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=120)
+        proc = subprocess.run(
+            [sys.executable, "-W", "error", "-c", code], capture_output=True, text=True, timeout=120
+        )
         assert proc.returncode == 0, proc.stderr
         codes, lean, hashlib_loaded, openssl_loaded = ast.literal_eval(proc.stdout)
         assert codes == (0, 0)
@@ -1030,7 +1142,9 @@ class TestRootCommand:
             "    audit = main_audit(['--order=3']), [m for m in heavy if m in sys.modules]\n"
             "print(repr((verify, audit)))\n"
         )
-        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=120)
+        proc = subprocess.run(
+            [sys.executable, "-W", "error", "-c", code], capture_output=True, text=True, timeout=120
+        )
         assert proc.returncode == 0, proc.stderr
         assert ast.literal_eval(proc.stdout) == ((0, []), (0, ["json"]))
 

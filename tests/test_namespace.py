@@ -1,5 +1,6 @@
 """The package namespace: every public name resolves to its home module's
-object, and a bare ``import polyeuler`` loads no layer."""
+object, and a bare ``import polyeuler`` loads no layer (checked in child
+interpreters run with ``-W error``, so a warning fails the test)."""
 
 import pkgutil
 import re
@@ -54,7 +55,9 @@ def test_bare_import_loads_no_layer():
         "print(polyeuler.DEFAULT_ORDER, polyeuler.DEFAULT_SEED, polyeuler.__version__)\n"
         "print(sorted(m for m in sys.modules if m.startswith('polyeuler.')))\n"
     )
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=60)
+    proc = subprocess.run(
+        [sys.executable, "-W", "error", "-c", code], capture_output=True, text=True, timeout=60
+    )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines() == ["10 0 0.1.0", "[]"]
 
@@ -68,7 +71,9 @@ def test_layers_resolve_as_attributes():
         "print([getattr(polyeuler, m).__name__ for m in "
         "('multifamily', 'polyfamily', 'polylog')])\n"
     )
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=60)
+    proc = subprocess.run(
+        [sys.executable, "-W", "error", "-c", code], capture_output=True, text=True, timeout=60
+    )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines() == [
         "Egf polyeuler.classical",
