@@ -342,8 +342,8 @@ MUTANTS = (
     Mutant(
         "measure-drops-a-figure",
         "tools/measure.py",
-        "FIGURES = (source_size, constructions, shift_table_memory, kernel_timings, audit_max_rss, cold_start)\n",
-        "FIGURES = (source_size, constructions, shift_table_memory, kernel_timings, cold_start)\n",
+        "kernel_timings, audit_max_rss, seq_max_rss, cold_start\n",
+        "kernel_timings, seq_max_rss, cold_start\n",
         ("tools/tests/test_measure.py",),
         "killed",
     ),
@@ -376,6 +376,15 @@ MUTANTS = (
         "            value is None or max(abs(value.numerator), value.denominator) < 10**MAX_DIGITS,\n",
         "            value is None or abs(value.numerator) < 10**MAX_DIGITS,\n",
         ("tests/test_cli.py::TestDrawnRequests::test_one_value_past_its_bound_is_a_usage_error",),
+        "killed",
+    ),
+    Mutant(
+        # Every command in a scope again: polyseq would hold its tables to exit.
+        "seq-request-opens-a-scope",
+        "src/polyeuler/cli.py",
+        "def _dispatch(",
+        "@cache_scope()\ndef _dispatch(",
+        ("tests/test_cli.py::test_a_polyseq_request_opens_no_cache_scope",),
         "killed",
     ),
     Mutant(

@@ -4,10 +4,12 @@ Three argparse programs, installed as three console scripts, and a
 hand-written root dispatcher (``python -m polyeuler {seq|verify|audit}``)
 that hands the rest of the command line to one of them.  Each program has
 one parse function, from its command line to its arguments; a parser is
-built for the one request that reads it, and none is kept.  Exit codes: 0
-success (or whitelisted audit verdict), 1 unexpected identity failure, 2
-usage error.  All rational values cross the boundary in the canonical text
-form ("-3/4", "5").
+built for the one request that reads it, and none is kept.  polyverify
+runs an identity's variants in one ``exact.cache_scope``, as they read the
+same series again; a polyseq request reads no memo twice and opens none.
+Exit codes: 0 success (or whitelisted audit verdict), 1 unexpected
+identity failure, 2 usage error.  All rational values cross the boundary
+in the canonical text form ("-3/4", "5").
 
 polyseq reads a fully spelled command line without argparse: one family,
 and each flag as --flag=value, or as --flag value with a value that does
@@ -190,8 +192,8 @@ def _sequence_for(args: argparse.Namespace) -> list[Fraction]:
     order = _resolve_order(args.n, "--n")
     ks = args.ks if args.ks is not None else ()
     _require(len(ks) <= MAX_DEPTH, f"--ks takes at most {MAX_DEPTH} indices")
-    indices = ks if args.k is None else ks + (args.k,)
-    _require(all(abs(k) <= MAX_K for k in indices), f"indices must lie in -{MAX_K}..{MAX_K}")
+    indices, named = (ks, "--ks indices") if args.k is None else (ks + (args.k,), "--k")
+    _require(all(abs(k) <= MAX_K for k in indices), f"{named} must lie in -{MAX_K}..{MAX_K}")
     for flag in ("x", "alpha", "beta", "gamma"):
         value = getattr(args, flag)
         _require(
@@ -301,6 +303,7 @@ def _result_line(result: audit.CaseResult, order: int, seed: int) -> str:
     return line
 
 
+@cache_scope()
 def cmd_verify(args: argparse.Namespace) -> int:
     from . import audit
 
@@ -355,7 +358,6 @@ def cmd_audit(args: argparse.Namespace) -> int:
     return 0 if audit.report_ok(report) else 1
 
 
-@cache_scope()
 def _dispatch(parse: Callable, runner: Callable, argv: Sequence[str] | None) -> int:
     args = parse(argv)
     try:

@@ -18,8 +18,8 @@ integer arithmetic: the other layers import ``_ratio``, ``_reduced``,
 ``lowest_terms`` and ``integer_numerators`` rather than reducing a rational
 or putting rationals over one denominator themselves.
 Every cache of the package, such as ``_division_table`` of a division's
-divisor, is a ``_memo``: its values last one ``cache_scope``, a request of
-the audit or of a command.
+divisor, is a ``_memo``: its values last one ``cache_scope``, opened only
+where a memo is read again (the audit and polyverify; polyseq opens none).
 """
 
 from __future__ import annotations
@@ -153,7 +153,8 @@ CacheInfo = namedtuple("CacheInfo", "hits misses maxsize currsize")
 def cache_scope() -> Iterator[None]:
     """Keep what every ``_memo`` computes until the block ends, with no size
     bound; outside any scope nothing is kept.  A scope opened inside another
-    reuses the outer one.  ``@cache_scope()`` also works as a decorator."""
+    reuses the outer one.  ``@cache_scope()`` also works as a decorator, as
+    on ``audit.run_all`` and ``cli.cmd_verify``, whose cases read series again."""
     outer = _SCOPE.get()
     token = _SCOPE.set(defaultdict(dict) if outer is None else outer)
     try:

@@ -560,16 +560,16 @@ class TestSizeBounds:
         assert f"--order must be <= {MAX_N}" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
-        "argv",
+        "argv, named",
         [
-            ["poly-euler", "--k", "8000"],
-            ["poly-bernoulli", f"--k=-{MAX_K + 1}"],
-            ["multi-poly-euler", f"--ks=1,{MAX_K + 1}"],
+            (["poly-euler", "--k", "8000"], "--k"),
+            (["poly-bernoulli", f"--k=-{MAX_K + 1}"], "--k"),
+            (["multi-poly-euler", f"--ks=1,{MAX_K + 1}"], "--ks indices"),
         ],
     )
-    def test_index_above_limit_exits_2(self, argv, capsys):
+    def test_index_above_limit_exits_2(self, argv, named, capsys):
         assert main_seq([*argv, "--n", "4"]) == 2
-        assert f"indices must lie in -{MAX_K}..{MAX_K}" in capsys.readouterr().err
+        assert f"error: {named} must lie in -{MAX_K}..{MAX_K}\n" == capsys.readouterr().err
 
     def test_depth_above_limit_exits_2(self, capsys):
         ks = ",".join(["1"] * (MAX_DEPTH + 1))
@@ -805,8 +805,10 @@ def _flag_values(max_n, depths):
 def _legal_requests(draw, families=_SEQUENCE_FAMILIES, max_n=30, depths=(1, 4)):
     """A legal polyseq request as its family and its flags in --help order:
     each needed flag, --n (the oracle needs the order), and any others the
-    family reads.  A fifth of the draws with --beta take it as -alpha, where
-    every value is 0."""
+    family reads.  Where every value is 0, at alpha + beta = 0: half of the
+    two-parameter multi-poly-euler draws take --beta as -alpha with a
+    nonzero --alpha and --n at least the depth, and a fifth of the other
+    draws with --beta take it as -alpha."""
     family = draw(st.sampled_from(families))
     needed, optional = FAMILIES[family]
     values = _flag_values(max_n, depths)
@@ -818,9 +820,26 @@ def _legal_requests(draw, families=_SEQUENCE_FAMILIES, max_n=30, depths=(1, 4)):
     flags = {flag: draw(values[flag]) for flag in _SEQ_FLAGS if flag in chosen}
     if "gamma" in flags and "ks" in flags:
         flags["ks"] = flags["ks"].split(",")[0]  # the three-parameter family takes one index
-    if "beta" in flags and draw(st.integers(0, 4)) == 0:
+    two_parameter = family == "multi-poly-euler" and flags.keys() & {"beta", "gamma"} == {"beta"}
+    if two_parameter and draw(st.integers(0, 1)) == 0:
+        flags["alpha"] = draw(values["alpha"].filter(lambda alpha: Fraction(alpha) != 0))
+        flags["beta"] = str(-Fraction(flags["alpha"]))
+        # past the first r values, which vanish at every alpha and beta
+        flags["n"] = str(draw(st.integers(flags["ks"].count(",") + 1, max_n)))
+    elif "beta" in flags and draw(st.integers(0, 4)) == 0:
         flags["beta"] = str(-Fraction(flags["alpha"]))
     return family, flags
+
+
+def _opposite(family, flags):
+    """Whether the request is the two-parameter multi-poly-euler family at
+    alpha + beta = 0 with alpha != 0, every value of which is 0."""
+    return (
+        family == "multi-poly-euler"
+        and "gamma" not in flags
+        and Fraction(flags.get("alpha", 0)) != 0
+        and Fraction(flags["alpha"]) + Fraction(flags["beta"]) == 0
+    )
 
 
 def _slipped(flags):
@@ -862,7 +881,8 @@ def _requests_one_bound_past(draw):
     elif past in ("k", "ks"):
         ks = flags[past].split(",")
         ks[draw(st.integers(0, len(ks) - 1))] = draw(st.sampled_from((str(MAX_K + 1), str(-MAX_K - 1))))
-        flags[past], message = ",".join(ks), f"indices must lie in -{MAX_K}..{MAX_K}"
+        named = "--k" if past == "k" else "--ks indices"
+        flags[past], message = ",".join(ks), f"{named} must lie in -{MAX_K}..{MAX_K}"
     else:
         digits = draw(st.integers(10**MAX_DIGITS, 10 ** (MAX_DIGITS + 1) - 1))
         flags[past] = draw(st.sampled_from((f"{digits}", f"-{digits}", f"1/{digits}", f"-1/{digits}")))
@@ -883,6 +903,8 @@ class TestDrawnRequests:
         with contextlib.redirect_stdout(out):
             assert main_seq(argv) == 0, argv
         disagrees = False
+        if _opposite(family, flags):
+            assert set(_printed_values(out.getvalue(), flags.get("format", "plain"))) == {"0"}, argv
         for p in _PRIMES:
             printed = _printed_residues(out.getvalue(), p, flags.get("format", "plain"))
             assert printed == _sweep_oracle(family, flags, p), (argv, p)
@@ -893,16 +915,19 @@ class TestDrawnRequests:
         """And, as a control, the slipped oracle disagrees on at least an
         eighth of the draws (16-28% of them over nine seeds): on the
         rest a slip changes nothing, as for one index, no x, n = 0 or
-        alpha + beta = 0."""
-        disagreed = []
+        alpha + beta = 0.  The draws reach the two-parameter shape at
+        alpha + beta = 0 with alpha != 0 (11 of the 300 here)."""
+        disagreed, opposite = [], []
 
         @settings(max_examples=300)
         @given(_legal_requests())
         def check(request):
             disagreed.append(self._check(*request))
+            opposite.append(_opposite(*request))
 
         check()
         assert len(disagreed) >= 250 and 8 * sum(disagreed) >= len(disagreed), (sum(disagreed), len(disagreed))
+        assert sum(opposite) >= 5, sum(opposite)
 
     @settings(max_examples=6)
     @given(_legal_requests(("multi-poly-bernoulli", "multi-poly-euler"), 60, (MAX_DEPTH, MAX_DEPTH)))
@@ -1173,11 +1198,41 @@ def _holds_a_parser(value) -> bool:
     return any(isinstance(item, argparse.ArgumentParser) for item in [value, *items])
 
 
+def test_a_polyseq_request_opens_no_cache_scope(monkeypatch, capsys):
+    """A polyseq request reads no memo twice, so it runs outside any
+    ``exact.cache_scope`` and each memo keeps nothing; polyverify runs the
+    variants of one id in one scope.  The spy is ``_power_sums``, which the
+    memoised ``_division_table`` calls on each miss."""
+    scopes = []
+    power_sums = exact._power_sums
+
+    def spy(*args):
+        scopes.append(exact._SCOPE.get())
+        return power_sums(*args)
+
+    monkeypatch.setattr(exact, "_power_sums", spy)
+    assert main_seq(["multi-poly-euler", "--ks=1,2", "--x=1/3", "--alpha=2/3", "--beta=-1/4", "--n=12"]) == 0
+    assert scopes and all(scope is None for scope in scopes)
+    scopes.clear()
+    assert main_verify(["thm2", "--order", "4"]) == 0
+    assert scopes and all(scope is not None for scope in scopes)
+
+
+def test_verify_reads_the_euler_series_again_across_variants(capsys):
+    """combined's two variants share one scope: at order 10, from cleared
+    caches, they read the Euler cache 2,886 times and build 1,911 series."""
+    polyfamily._euler_egf.cache_clear()
+    assert main_verify(["combined", "--order", "10"]) == 0
+    assert polyfamily._euler_egf.cache_info()[:2] == (2886, 1911)
+
+
 def test_each_request_leaves_its_caches_empty(capsys):
-    """Each program runs its request in one ``exact.cache_scope``: the
-    requests below reach every cache, and once they return the caches hold
-    nothing while their miss counts remain to be read.  No parser is kept
-    either: no module-level value of the package is, or holds, one."""
+    """No request leaves a cache filled: polyverify's ``exact.cache_scope``
+    and the audit's end with the request, and a polyseq request opens none,
+    so outside any scope its memos keep nothing.  The requests below reach
+    every cache, and once they return the caches hold nothing while their
+    miss counts remain to be read.  No parser is kept either: no
+    module-level value of the package is, or holds, one."""
     caches = (
         polyfamily._li_numerator,
         polyfamily._euler_egf,

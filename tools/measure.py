@@ -7,7 +7,7 @@ Usage (from the repository root):
 
 Each figure is one function that returns its lines; ``main`` prints them in
 order.  All of them read the ``src/`` of this checkout: the first four in
-this process, the last two in fresh ones.  Tier 1 pins the rest of what
+this process, the last three in fresh ones.  Tier 1 pins the rest of what
 the package does exactly, so it is not measured here: the order-10 audit's
 ``_shift_table`` traffic and ``_ratio`` reads, and which standard modules
 the audit and ``polyverify`` load (``tests/test_multifamily.py``,
@@ -35,9 +35,16 @@ sys.path.insert(0, str(SRC))
 REQUESTS = ("multi-poly-euler --ks=1,2 --alpha=1 --beta=2 --n=3", "bernoulli --n=1")
 ROUNDS = 9
 
+# The rational multi-poly-euler request at every polyseq limit (cli.MAX_*):
+# 8 indices of |k| = 16, n = 200, and x, alpha and beta of 4 digits.
+AT_LIMIT = (
+    "multi-poly-euler --ks=16,-16,16,-16,16,-16,16,-16"
+    " --x=-9999/9998 --alpha=9998/9999 --beta=9999/9997 --n=200"
+)
+
 # A child's ru_maxrss starts at the RSS of the process it was forked from,
-# and exec keeps it, so the audit is forked from this launcher, which runs
-# without site, far below the audit's peak, and not from measure.py.
+# and exec keeps it, so each request is forked from this launcher, which
+# runs without site, far below the request's peak, and not from measure.py.
 _RSS_LAUNCHER = """
 import os, resource, sys
 pid = os.fork()
@@ -45,9 +52,9 @@ if pid == 0:
     null = os.open(os.devnull, os.O_WRONLY)
     os.dup2(null, 1)
     os.dup2(null, 2)
-    os.execv(sys.executable, [sys.executable, "-m", "polyeuler", "audit", "--order", "10"])
+    os.execv(sys.executable, [sys.executable, "-m", "polyeuler", *sys.argv[1:]])
 if os.waitpid(pid, 0)[1]:
-    sys.exit("the audit failed")
+    sys.exit("the request failed")
 print(resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss)
 """
 
@@ -152,10 +159,22 @@ def _run(argv: list[str], path: Path) -> subprocess.CompletedProcess:
     return subprocess.run(argv, cwd=path, env=env, check=True, capture_output=True, text=True)
 
 
+def _max_rss_mb(request: str) -> float:
+    """The max RSS of a fresh ``python -m polyeuler <request>``, in MB."""
+    kib = int(_run([sys.executable, "-S", "-c", _RSS_LAUNCHER, *request.split()], SRC).stdout)
+    return kib / 1024
+
+
 def audit_max_rss() -> list[str]:
     """The max RSS of a fresh ``python -m polyeuler audit --order 10``."""
-    kib = int(_run([sys.executable, "-S", "-c", _RSS_LAUNCHER], SRC).stdout)
-    return [f"order-10 audit, max RSS: {kib / 1024:.1f} MB (a fresh process)"]
+    return [f"order-10 audit, max RSS: {_max_rss_mb('audit --order 10'):.1f} MB (a fresh process)"]
+
+
+def seq_max_rss() -> list[str]:
+    """The max RSS of a fresh ``AT_LIMIT`` request, which builds the largest
+    division table a polyseq request can."""
+    mb = _max_rss_mb(f"seq {AT_LIMIT}")
+    return [f"at-limit rational multi-poly-euler, max RSS: {mb:.1f} MB (a fresh process)"]
 
 
 def _package_copy(into: Path, compiled: bool) -> Path:
@@ -191,7 +210,9 @@ def cold_start() -> list[str]:
     ]
 
 
-FIGURES = (source_size, constructions, shift_table_memory, kernel_timings, audit_max_rss, cold_start)
+FIGURES = (
+    source_size, constructions, shift_table_memory, kernel_timings, audit_max_rss, seq_max_rss, cold_start
+)
 
 
 def main() -> int:

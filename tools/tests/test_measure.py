@@ -34,6 +34,7 @@ LABELS = [
     rf"thm3_explicit\(\(1, 2, -1, 1\), 1/3, n = 6, caps 20 and 4\): {MS}",
     rf"thm4_explicit\(3, 1/3, \(2/3, -1/4, 3/7\), statement, n = 40\): {MS}",
     rf"order-10 audit, max RSS: {DECIMAL} MB \(a fresh process\)",
+    rf"at-limit rational multi-poly-euler, max RSS: {DECIMAL} MB \(a fresh process\)",
     rf"seq multi-poly-euler --ks=1,2 --alpha=1 --beta=2 --n=3: {MEDIAN}",
     rf"seq bernoulli --n=1: {MEDIAN}",
     rf"seq multi-poly-euler --ks=1,2 --alpha=1 --beta=2 --n=3 from bytecode: {MEDIAN}",
@@ -54,7 +55,7 @@ def measured():
     real_run = measure._run
 
     def spy(argv, path):
-        if "seq" in argv and path not in loaded:
+        if argv[1:4] == ["-m", "polyeuler", "seq"] and path not in loaded:  # a cold-start request
             verbose = real_run([argv[0], "-v", *argv[1:]], path)
             files = [Path(m.group(1)) for m in map(_CODE_OBJECT.match, verbose.stderr.splitlines()) if m]
             package = path / "polyeuler"
