@@ -72,6 +72,16 @@ MUTANTS = (
         "killed",
     ),
     Mutant(
+        # 1 + e^{3t} multiplied in as e^{3t}: without c_0 = 1 the ratio
+        # test passes a factor whose constant term is not 1.
+        "exp-factor-test-skips-the-constant-term",
+        "src/polyeuler/exact.py",
+        "        if e[0] == den and all(e[m + 1] * den == e[m] * e[1] for m in range(1, n)):\n",
+        "        if all(e[m + 1] * den == e[m] * e[1] for m in range(1, n)):\n",
+        ("tests/test_exact.py::TestTimesExp",),
+        "killed",
+    ),
+    Mutant(
         "ratio-reads-a-float",
         "src/polyeuler/exact.py",
         "    if type(value) not in (int, Fraction):\n",

@@ -34,7 +34,6 @@ _EXPORTS = {
         "egf_exp_linear",
         "egf_exp_sum",
         "egf_mul",
-        "egf_times_exp",
         "format_rational",
         "parse_rational",
     ),

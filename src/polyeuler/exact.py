@@ -10,13 +10,15 @@ order by ``_order``, which refuses a float order before a cache could
 answer it.  Below them a rational is an integer pair, never turned back
 into a ``Fraction`` to be read again, and a series passes between kernels
 as integer numerators over one denominator, not reduced:
-``_times_exp`` (the Taylor shift), ``_dilate`` (the one dilation t -> ct),
-``_shift_down`` (the division by t^s), ``_div_exp_sum`` and
-``_compose_one_minus_exp`` (the composition with 1 - e^{-t}) take it so,
-and only the ``Egf`` a caller keeps is built.  This is the one home of that
-integer arithmetic: the other layers import ``_ratio``, ``_reduced``,
-``lowest_terms`` and ``integer_numerators`` rather than reducing a rational
-or putting rationals over one denominator themselves.
+``_times_exp`` (the Taylor shift, which ``egf_mul`` runs for a factor
+e^{ct}, so it is the one route of every e^{ct} product), ``_dilate`` (the
+one dilation t -> ct), ``_shift_down`` (the division by t^s),
+``_div_exp_sum`` and ``_compose_one_minus_exp`` (the composition with
+1 - e^{-t}) take it so, and only the ``Egf`` a caller keeps is built.
+This is the one home of that integer arithmetic: the other layers import
+``_ratio``, ``_reduced``, ``lowest_terms`` and ``integer_numerators``
+rather than reducing a rational or putting rationals over one denominator
+themselves.
 Every cache of the package, such as ``_division_table`` of a division's
 divisor, is a ``_memo``: its values last one ``cache_scope``, opened only
 where a memo is read again (the audit and polyverify; polyseq opens none).
@@ -340,19 +342,29 @@ def egf_scale(f: Egf, value: RationalLike) -> Egf:
 
 
 def egf_mul(f: Egf, g: Egf) -> Egf:
-    """Binomial-convolution product: c_n = sum_i C(n,i) f_i g_{n-i}.
+    """Product of f and g to the smaller order N of the two.
 
-    With f = a/D_f and g = b/D_g, c_n is the integer convolution of a and b
-    over D_f D_g.
+    A factor, in either argument, that is exactly e^{ct} to order N is
+    multiplied in by the Taylor shift ``_times_exp`` of the other factor,
+    the one kernel of every e^{ct} product the package forms; at c = 0 the
+    product is the other factor, truncated.  On the factor's numerators e_n
+    over E the test is c_0 = 1 (e_0 = E) and c_{m+1} c_0 = c_m c_1
+    (e_{m+1} E = e_m e_1), O(N) products that stop at the first mismatch,
+    and c = e_1/E in lowest terms.  Any other product is the binomial
+    convolution c_n = sum_i C(n,i) f_i g_{n-i}, for f = a/D_f and
+    g = b/D_g the integer convolution of a and b over D_f D_g.
     """
     n = min(f.order, g.order)
+    for (e, den), other in ((f.numerators(), g.truncate(n)), (g.numerators(), f.truncate(n))):
+        if e[0] == den and all(e[m + 1] * den == e[m] * e[1] for m in range(1, n)):
+            return _times_exp(*other.numerators(), _reduced(e[1], den)) if n and e[1] else other
     a, df = f.numerators()
     b, dg = g.numerators()
     out = []
     for m in range(n + 1):
         acc = 0
         for i in range(m + 1):
-            if a[i]:  # e^{xt} at x = 0 (seq-deep: 2x at n = 22-26), g^m in egf_compose (1.3x)
+            if a[i]:  # the powers g^m of egf_compose's general branch (1.3x)
                 acc += comb(m, i) * a[i] * b[m - i]
         out.append(acc)
     return Egf.of(out, df * dg)
@@ -576,13 +588,10 @@ def _div_exp_sum(
     return Egf.of(list(map(mul, known, reversed(den_pow))), df * s * lift * den_pow[-1])
 
 
-def egf_times_exp(f: Egf, value: RationalLike) -> Egf:
-    """The product e^{value * t} f, by the Taylor shift ``_times_exp``."""
-    return _times_exp(*f.numerators(), _ratio(value))
-
-
 def _times_exp(a: Sequence[int], d: int, value: Ratio) -> Egf:
-    """e^{(p/q) t} f for f = a/d and value = (p, q), by a Taylor shift (Horner's scheme).
+    """e^{(p/q) t} f for f = a/d and value = (p, q), by a Taylor shift
+    (Horner's scheme): ``egf_mul`` with an e^{ct} factor, and the Euler
+    shape's e^{wt}, which ``polyfamily._euler_egf`` passes as its pair.
 
     With f = a/d, coefficient n is sum_i C(n,i) p^{n-i} q^i a_i / (d q^n).
     So the rows start from R_0[i] = q^i a_i, and

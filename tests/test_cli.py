@@ -470,6 +470,12 @@ _SASAKI_AT_LIMIT_SHA256 = {
     MAX_K: "a454b52753fb6742b07d44008023b8decba1f21335b5e550ba9f4d9258655637",
     -MAX_K: "e111524b00b6ed01665830c53d733922a8169eb0eaed16169095d5a4191e81c3",
 }
+# The same for poly-bernoulli --k=K --x=_X --n=MAX_N, recorded while its
+# e^{xt} factor was still multiplied in by the binomial convolution.
+_BERNOULLI_AT_LIMIT_SHA256 = {
+    MAX_K: "da87f647c06330709241e3af354c4e5522768f32d04ae314eece148092907e04",
+    -MAX_K: "a5241cc60ce339592d549610b840bd3b155242f3f8936842cf5ad47c4e6c4afd",
+}
 
 # The same for requests at the limits that read the plain shape, alpha = 0 and
 # beta = 1 with no x, recorded while its quotient was still divided by its
@@ -633,6 +639,21 @@ class TestSizeBounds:
         assert len(out.splitlines()) == MAX_N + 1
         assert _sha256(out) == _SASAKI_AT_LIMIT_SHA256[k]
         _assert_oracle_agrees(out, lambda p: oracles.poly_euler_sasaki_mod(k, MAX_N, p))
+
+    @pytest.mark.parametrize("k", sorted(_BERNOULLI_AT_LIMIT_SHA256))
+    def test_poly_bernoulli_at_the_index_order_and_digit_limits(self, k, capsys):
+        """The widest e^{xt} product a request forms: x = _X at n = MAX_N,
+        checked by the route _sweep_oracle takes for poly-bernoulli."""
+        assert main_seq(["poly-bernoulli", f"--k={k}", f"--x={_X}", f"--n={MAX_N}"]) == 0
+        out = capsys.readouterr().out
+        assert len(out.splitlines()) == MAX_N + 1
+        assert _sha256(out) == _BERNOULLI_AT_LIMIT_SHA256[k]
+
+        def oracle(p):
+            plain = oracles.multi_poly_bernoulli_mod((k,), MAX_N, p)
+            return oracles.times_exp_mod(plain, oracles.residue(_X, p), p)
+
+        _assert_oracle_agrees(out, oracle)
 
 
 def _plain_table(values):

@@ -2,11 +2,12 @@
 
 import sys
 from fractions import Fraction
-from math import gcd
+from math import factorial, gcd
 
 import pytest
 from hypothesis import example, given, strategies as st
 
+from polyeuler import exact
 from polyeuler.exact import (
     DivisionByNonUnit,
     Egf,
@@ -29,14 +30,13 @@ from polyeuler.exact import (
     egf_exp_sum,
     egf_mul,
     egf_scale,
-    egf_times_exp,
     format_rational,
     integer_numerators,
     parse_integer,
     parse_rational,
 )
 
-from oracles import cofactor_det
+from oracles import cofactor_det, egf_from_ord, ord_exp, ord_mul, residue, times_exp_mod
 
 F = Fraction
 
@@ -617,7 +617,6 @@ class TestEntriesReadIntOrFraction:
         "det": lambda v: det([[1, v], [v, 1]]),
         "integer_numerators": lambda v: integer_numerators([1, v]),
         "egf_exp_linear": lambda v: egf_exp_linear(v, 2),
-        "egf_times_exp": lambda v: egf_times_exp(exp_t(2), v),
         "egf_exp_sum": lambda v: egf_exp_sum(((1, v),), 2),
         "egf_div_exp_sum": lambda v: egf_div_exp_sum(exp_t(2), ((1, v),)),
         "format_rational": format_rational,
@@ -636,29 +635,100 @@ def wide_series(order):
 
 
 class TestTimesExp:
-    """The Taylor-shift product e^{wt} f, against the binomial convolution."""
+    """``egf_mul`` with a factor e^{wt}, in either position, which it
+    multiplies in by the Taylor shift ``_times_exp``, checked against the
+    oracles' ordinary product at small n and mod two primes at n = 56 and
+    n = 200; any other factor takes the binomial convolution."""
 
-    @given(f=series, w=st.fractions(min_value=-5, max_value=5, max_denominator=7))
-    @example(f=wide_series(56), w=F(-13, 6))
-    @example(f=wide_series(56), w=F(0))
-    @example(f=wide_series(200), w=F(-7, 3))
-    @example(f=wide_series(200), w=F(0))
-    @example(f=wide_series(200), w=F(11, 4))
-    @example(f=Egf.constant(F(5, 3), 0), w=F(7, 2))
-    @example(f=exp_t(6), w=F(0))
-    @example(f=exp_t(6), w=F(-3))
-    @example(f=Egf((F(1, 2), F(-2, 3), F(0), F(4))), w=F(2))
-    def test_matches_product_with_exponential(self, f, w):
-        assert egf_times_exp(f, w) == egf_mul(egf_exp_linear(w, f.order), f)
+    @staticmethod
+    def product(f, w, first, order=None):
+        """e^{wt} f by ``egf_mul``, the exponential at ``order`` (f's own
+        order if None) and in the first position if ``first``."""
+        exp_wt = egf_exp_linear(w, f.order if order is None else order)
+        return egf_mul(exp_wt, f) if first else egf_mul(f, exp_wt)
 
-    def test_integer_argument(self):
-        assert egf_times_exp(exp_t(5), 2) == egf_exp_linear(3, 5)
+    @staticmethod
+    def oracle(coeffs, w):
+        """e^{wt} f for f's EGF coefficients, by the ordinary product."""
+        order = len(coeffs) - 1
+        ordinary = [c / factorial(n) for n, c in enumerate(coeffs)]
+        return egf_from_ord(ord_mul(ord_exp(w, order), ordinary, order))
+
+    @staticmethod
+    def spied(monkeypatch):
+        """The rates ``egf_mul`` hands to ``_times_exp`` from now on."""
+        rates, shift = [], exact._times_exp
+
+        def spy(a, d, value):
+            rates.append(value)
+            return shift(a, d, value)
+
+        monkeypatch.setattr(exact, "_times_exp", spy)
+        return rates
+
+    @given(
+        f=series,
+        w=st.fractions(min_value=-5, max_value=5, max_denominator=7),
+        first=st.booleans(),
+        extra=st.integers(-2, 2),
+    )
+    @example(f=Egf.constant(F(5, 3), 0), w=F(7, 2), first=True, extra=0)
+    @example(f=exp_t(6), w=F(0), first=True, extra=0)
+    @example(f=exp_t(6), w=F(0), first=False, extra=-3)
+    @example(f=exp_t(6), w=F(-3), first=False, extra=0)
+    @example(f=exp_t(5), w=F(2), first=True, extra=0)
+    @example(f=Egf((F(1, 2), F(-2, 3), F(0), F(4))), w=F(2), first=False, extra=2)
+    def test_matches_the_ordinary_product(self, f, w, first, extra):
+        """The exponential shorter or longer than f by up to two orders."""
+        order = max(f.order + extra, 0)
+        expected = self.oracle(f.coeffs[: order + 1], w)
+        assert list(self.product(f, w, first, order).coeffs) == expected
+
+    @pytest.mark.parametrize("first", [True, False], ids=["first", "second"])
+    @pytest.mark.parametrize(
+        "order, w",
+        [(56, F(-13, 6)), (56, F(0)), (200, F(-7, 3)), (200, F(0)), (200, F(11, 4))],
+    )
+    def test_wide_series_mod_both_primes(self, order, w, first):
+        f = wide_series(order)
+        product = self.product(f, w, first)
+        for p in (2**61 - 1, 2**31 - 1):
+            expected = times_exp_mod([residue(c, p) for c in f.coeffs], residue(w, p), p)
+            assert [residue(c, p) for c in product.coeffs] == expected
 
     def test_rate_and_series_with_denominators(self):
         """e^{-2t/5} (1/3 + t/2 - t^2/2!), worked by hand as
         sum_i C(n,i) (-2/5)^{n-i} a_i: the rows start from 5^i a_i."""
-        product = egf_times_exp(Egf((F(1, 3), F(1, 2), F(-1))), F(-2, 5))
-        assert product.coeffs == (F(1, 3), F(11, 30), F(-101, 75))
+        f = Egf((F(1, 3), F(1, 2), F(-1)))
+        for first in (True, False):
+            assert self.product(f, F(-2, 5), first).coeffs == (F(1, 3), F(11, 30), F(-101, 75))
+
+    @pytest.mark.parametrize("first", [True, False], ids=["first", "second"])
+    def test_an_exponential_factor_takes_the_taylor_shift(self, first, monkeypatch):
+        """The rate goes to ``_times_exp`` in lowest terms; at rate 0 the
+        product is the other factor itself, or that factor truncated."""
+        rates = self.spied(monkeypatch)
+        f = Egf((F(1, 3), F(1, 2), F(-1), F(5, 7)))
+        self.product(f, F(-6, 4), first)
+        assert rates == [(-3, 2)]
+        assert self.product(f, 0, first) is f
+        assert self.product(f, 0, first, 5) is f
+        assert self.product(f, 0, first, 1) == f.truncate(1)
+        assert rates == [(-3, 2)]
+
+    @pytest.mark.parametrize("first", [True, False], ids=["first", "second"])
+    @pytest.mark.parametrize("bent", range(7))
+    def test_a_factor_one_coefficient_off_e3t_takes_the_convolution(self, bent, first, monkeypatch):
+        """Control: e^{3t} to t^6 with coefficient ``bent`` raised by 1 is no
+        exponential, so the product is the convolution, and still right."""
+        rates = self.spied(monkeypatch)
+        coeffs = [F(3) ** n + (n == bent) for n in range(7)]
+        f = Egf((F(1, 2), F(-2, 3), F(0), F(4), F(1, 5), F(-1), F(2, 9)))
+        product = egf_mul(Egf(coeffs), f) if first else egf_mul(f, Egf(coeffs))
+        ordinary = [c / factorial(n) for n, c in enumerate(coeffs)]
+        expected = ord_mul(ordinary, [c / factorial(n) for n, c in enumerate(f.coeffs)], 6)
+        assert list(product.coeffs) == egf_from_ord(expected)
+        assert rates == []
 
 
 class TestComposeBranches:

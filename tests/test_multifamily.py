@@ -1020,7 +1020,6 @@ SERIES_KERNELS = (
     "egf_div_exp_sum",
     "_div_exp_sum",
     "_dilate",
-    "egf_times_exp",
     "_times_exp",
     "egf_compose",
     "_compose_one_minus_exp",

@@ -6,6 +6,7 @@ from math import comb, factorial, gcd
 import pytest
 from hypothesis import given, strategies as st
 
+from polyeuler import exact, polyfamily
 from polyeuler.classical import bernoulli_numbers, bernoulli_polynomial, poly_eval
 from polyeuler.polylog import li_of_inner
 from polyeuler.exact import (
@@ -84,6 +85,30 @@ class TestPolyBernoulli:
         slip = oracles.poly_bernoulli_negative(10, factorial_power=1)
         wrong = {(n, k) for k in range(11) for n, v in enumerate(poly_bernoulli(-k, 0, 10)) if v != slip[n][k]}
         assert wrong == {(n, k) for n in range(2, 11) for k in range(2, 11)}
+
+    @pytest.mark.parametrize("x", [F(-9, 7), F(0)])
+    def test_e_xt_is_multiplied_in_by_the_taylor_shift(self, x, monkeypatch):
+        """The shape's one egf_mul call hands e^{xt} to ``exact._times_exp``
+        at x != 0, and at x = 0 returns the quotient, its second factor."""
+        calls, inside = [], []
+        mul, shift = polyfamily.egf_mul, exact._times_exp
+
+        def mul_spy(f, g):
+            inside.append(True)
+            product = mul(f, g)
+            inside.pop()
+            calls.append(("egf_mul", product is g))
+            return product
+
+        def shift_spy(a, d, value):
+            calls.append(("_times_exp", bool(inside), value))
+            return shift(a, d, value)
+
+        monkeypatch.setattr(polyfamily, "egf_mul", mul_spy)
+        monkeypatch.setattr(exact, "_times_exp", shift_spy)
+        assert poly_bernoulli(2, x, 12) == oracles.poly_bernoulli_egf(2, x, 12)
+        through_shift = [("_times_exp", True, x.as_integer_ratio()), ("egf_mul", False)]
+        assert calls == (through_shift if x else [("egf_mul", True)])
 
 
 class TestPolyEuler:

@@ -121,13 +121,14 @@ def shift_table_memory() -> list[str]:
 
 def kernel_timings() -> list[str]:
     """Best-of-5 timings of what no benchmark workload reaches: the general
-    ``egf_compose`` branch, ``det``, and ``thm3_explicit`` and
-    ``thm4_explicit`` past the audit's caps and n."""
+    ``egf_compose`` branch, ``det``, ``thm3_explicit`` and
+    ``thm4_explicit`` past the audit's caps and n, and the e^{xt} product
+    of an at-limit ``poly-bernoulli`` request."""
     import timeit
     from fractions import Fraction
     from math import comb, factorial
 
-    from polyeuler import exact, multifamily, polylog
+    from polyeuler import exact, multifamily, polyfamily, polylog
 
     def best_ms(call, number: int) -> float:
         return min(timeit.repeat(call, number=number, repeat=5)) / number * 1e3
@@ -149,6 +150,13 @@ def kernel_timings() -> list[str]:
     params = multifamily.LogParams(Fraction(2, 3), Fraction(-1, 4), Fraction(3, 7))
     ms = best_ms(lambda: multifamily.thm4_explicit(3, Fraction(1, 3), params, 40, "statement"), 5)
     lines.append(f"thm4_explicit(3, 1/3, (2/3, -1/4, 3/7), statement, n = 40): {ms:.3f} ms (best of 5)")
+    # The product of the widest poly-bernoulli request (k = 16, n = 200, a
+    # 4-digit x), which egf_mul multiplies in by the Taylor shift.
+    ks, x = polylog.validate_kvector((16,)), Fraction(-9999, 9998)
+    quotient = exact.egf_div_shifted(polyfamily._li_numerator(ks, 201), polyfamily._one_minus_exp(201), 1)
+    exp_xt = exact.egf_exp_linear(x, 200)
+    ms = best_ms(lambda: exact.egf_mul(exp_xt, quotient), 1)
+    lines.append(f"egf_mul(e^(xt), k = 16 Bernoulli quotient), x = -9999/9998, n = 200: {ms:.3f} ms (best of 5)")
     return lines
 
 
