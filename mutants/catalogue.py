@@ -398,6 +398,32 @@ MUTANTS = (
         "killed",
     ),
     Mutant(
+        # r^{n-j} in place of the printed r^{n-k}: the as-printed row repaired.
+        "combined-printed-sum-at-s-equal-r",
+        "src/polyeuler/multifamily.py",
+        "_thm2_sum(ks, 1, params, order)",
+        "_thm2_sum(ks, len(ks), params, order)",
+        ("tests/test_audit.py::TestSeedFreeWitnesses",),
+        "killed",
+    ),
+    Mutant(
+        "readme-registry-verdict-flipped",
+        "README.md",
+        "| eq3-bernoulli-det | determinant representation vs t/(e^t-1) series | PASS |\n",
+        "| eq3-bernoulli-det | determinant representation vs t/(e^t-1) series | FAIL |\n",
+        ("tests/test_audit.py::TestReadmeRegistry",),
+        "killed",
+    ),
+    Mutant(
+        # Any output passes: a request that prints other bytes is timed as correct.
+        "limit-runner-skips-the-digest",
+        "tools/bench_pairs.py",
+        '        correct &= hashlib.sha256(stdout).hexdigest() == row["sha256"]\n',
+        "        correct &= bool(stdout)\n",
+        ("tools/tests/test_bench_pairs.py::test_a_wrong_digest_fails_the_limit_file",),
+        "killed",
+    ),
+    Mutant(
         "def1-constant-by-min",
         "src/polyeuler/audit.py",
         "        constant = next(iter(candidates)) if len(candidates) == 1 else None\n",

@@ -3,13 +3,17 @@
 import hashlib
 import json
 import random
+import re
 import subprocess
 import sys
 from fractions import Fraction
+from itertools import product
+from pathlib import Path
 
+import oracles
 import pytest
 
-from polyeuler import audit
+from polyeuler import audit, multifamily
 from polyeuler.audit import (
     FAIL,
     INCONCLUSIVE,
@@ -30,6 +34,7 @@ from polyeuler.audit import (
 )
 from polyeuler.cli import main_verify
 from polyeuler.exact import Egf, parse_rational
+from polyeuler.multifamily import LogParams
 
 EXPECTED_IDS = {
     "eq2-power-sum",
@@ -88,6 +93,36 @@ class TestRegistry:
     def test_unknown_identity_raises(self):
         with pytest.raises(UnknownIdentity):
             run_identity(IdentityCase("nosuch", None, {}))
+
+
+def _readme_registry():
+    """README's registry table as (id, variant, verdict) triples in its row
+    order: a row's ids share its bracketed variants ("default" when it has
+    none), and a variant reads the word after its name in the verdict
+    column, or else the column's one verdict word."""
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    section = readme.partition("\n## The registry\n")[2].partition("\n## ")[0]
+    words = "PASS|FAIL|INCONCLUSIVE"
+    triples = []
+    for ids, verdict in re.findall(r"^\| (.+?) \| .+? \| (.+?) \|$", section, re.MULTILINE)[1:]:
+        ids, _, variants = ids.partition(" [")
+        for case_id in ids.split(", "):
+            for variant in variants.rstrip("]").split(", ") if variants else ["default"]:
+                named = re.search(rf"(?:^|; ){re.escape(variant)} ({words})\b", verdict)
+                (word,) = [named[1]] if named else set(re.findall(rf"\b(?:{words})\b", verdict))
+                triples.append((case_id, variant, word))
+    return triples
+
+
+class TestReadmeRegistry:
+    def test_readme_table_lists_every_variant_with_its_documented_verdict(self):
+        """In the registry's order; None is written "default"."""
+        documented = [
+            (case_id, variant or "default", verdict)
+            for case_id, entry in audit._TABLE.items()
+            for variant, verdict in entry.variants.items()
+        ]
+        assert _readme_registry() == documented
 
 
 class TestSingleVerdicts:
@@ -176,6 +211,13 @@ class TestRunAll:
         for result in report6.cases:
             assert is_expected(result)
 
+    @pytest.mark.parametrize("seed", range(2, 8))
+    def test_every_variant_keeps_its_documented_verdict_at_other_seeds(self, seed):
+        """Seeds 0 and 1 are pinned byte for byte (TestReportBytes): the
+        verdicts must not move with the seed's grid at order 3 either."""
+        report = run_all(seed=seed, order=3)
+        assert [(r.id, r.variant, r.verdict) for r in report.cases if not is_expected(r)] == []
+
 
 class TestDocumentedVerdicts:
     def test_whitelisted_case_must_keep_its_verdict(self):
@@ -212,6 +254,119 @@ class TestDocumentedVerdicts:
         unexpected = {(r.id, r.variant) for r in report.cases if not is_expected(r)}
         assert unexpected == passing_discrepancies
         assert not report_ok(report)
+
+
+# The bounded search for a seed-free witness: integer entries in -bound..bound,
+# nonzero indices as in the audit's grids, alpha + beta != 0 as in its
+# samples, and n <= 6.  Points are ordered by the sum of their entries'
+# absolute values, then as itertools.product gives them, entries ascending
+# and depth 1 first.
+_N_MAX = 6
+
+
+def _thm4_points(bound):
+    """(k, alpha, beta, gamma, x) in the search's order."""
+    entries = range(-bound, bound + 1)
+    points = ((k, *rest) for k in entries if k for rest in product(entries, repeat=4) if rest[0] + rest[1])
+    return sorted(points, key=lambda point: sum(map(abs, point)))
+
+
+def _combined_points(bound):
+    """(ks, alpha, beta, x) in the search's order."""
+    entries = range(-bound, bound + 1)
+    indices = [k for k in entries if k]
+    points = (
+        (ks, *rest)
+        for depth in (1, 2)
+        for ks in product(indices, repeat=depth)
+        for rest in product(entries, repeat=3)
+        if rest[0] + rest[1]
+    )
+    return sorted(points, key=lambda point: sum(map(abs, point[0])) + sum(map(abs, point[1:])))
+
+
+def _first_witness(points, sides):
+    """The least n <= _N_MAX at which the package's two sides differ at some
+    point, and the first such point in the order given: (n, point, series,
+    printed), or None.  sides(point, order) gives both sides for n <= order;
+    once a witness is known, later points are read only below its n."""
+    found = None
+    for point in points:
+        order = _N_MAX if found is None else found[0] - 1
+        series, printed = sides(point, order)
+        n = next((n for n in range(order + 1) if series[n] != printed[n]), None)
+        if n is not None:
+            found = (n, point, series[n], printed[n])
+    return found
+
+
+def _thm4_sides(variant):
+    def sides(point, order):
+        k, alpha, beta, gamma, x = point
+        params = LogParams(alpha, beta, gamma)
+        printed = [multifamily.thm4_explicit(k, x, params, n, variant).value for n in range(order + 1)]
+        return multifamily.poly_euler_abc(k, x, params, order), printed
+
+    return sides
+
+
+def _combined_sides(rhs):
+    def sides(point, order):
+        ks, alpha, beta, x = point
+        params = LogParams(alpha, beta)
+        return multifamily.multi_poly_euler_xab(ks, x, params, order), rhs(ks, x, params, order).coeffs
+
+    return sides
+
+
+class TestSeedFreeWitnesses:
+    """The FAIL rows whose report counterexample comes from seeded rational
+    samples, thm4 and combined[as-printed], fail at small integer points
+    too.  Each witness's two values come from the oracles, and the
+    package's two sides give the same two."""
+
+    @pytest.mark.parametrize("variant", multifamily.THM4_VARIANTS)
+    def test_thm4_fails_at_n_one(self, variant):
+        """k = 1, (alpha, beta, gamma, x) = (0, 1, 1, 0): series 1, printed 2."""
+        params = LogParams(0, 1, 1)
+        assert oracles.poly_euler_abc_egf(1, 0, 0, 1, 1, 1)[1] == multifamily.poly_euler_abc(1, 0, params, 1)[1] == 1
+        assert oracles.thm4_sum(1, 0, 0, 1, 1, 1, variant)[0] == 2
+        assert multifamily.thm4_explicit(1, 0, params, 1, variant).value == 2
+
+    def test_combined_as_printed_fails_at_n_three(self):
+        """ks = (1, 1), alpha = beta = 1, x = 0: series 0, printed -6, and
+        the repaired sum 0."""
+        ks, params = (1, 1), LogParams(1, 1)
+        assert oracles.multi_poly_euler_xab_egf(ks, 0, 1, 1, 3)[3] == 0
+        assert multifamily.multi_poly_euler_xab(ks, 0, params, 3)[3] == 0
+        assert oracles.combined_sum_printed(ks, 0, 1, 1, 3)[3] == -6
+        assert multifamily.combined_rhs_printed(ks, 0, params, 3).coeffs[3] == -6
+        assert oracles.combined_sum(ks, 0, 1, 1, 3)[3] == 0
+        assert multifamily.combined_rhs(ks, 0, params, 3).coeffs[3] == 0
+
+    @pytest.mark.parametrize("variant", multifamily.THM4_VARIANTS)
+    def test_first_thm4_witness_of_the_search(self, variant):
+        """k = -1, (alpha, beta, gamma, x) = (-1, 0, 0, 0) at n = 1: series
+        -1, printed -2."""
+        found = _first_witness(_thm4_points(2), _thm4_sides(variant))
+        assert found == (1, (-1, -1, 0, 0, 0), -1, -2)
+        assert oracles.poly_euler_abc_egf(-1, 0, -1, 0, 0, 1)[1] == -1
+        assert oracles.thm4_sum(-1, 0, -1, 0, 0, 1, variant)[0] == -2
+
+    def test_first_combined_as_printed_witness_of_the_search(self):
+        """ks = (-1, -1), alpha = -1, beta = 0, x = 0 at n = 3: series -27,
+        printed -21."""
+        found = _first_witness(_combined_points(2), _combined_sides(multifamily.combined_rhs_printed))
+        assert found == (3, ((-1, -1), -1, 0, 0), -27, -21)
+        assert oracles.multi_poly_euler_xab_egf((-1, -1), 0, -1, 0, 3)[3] == -27
+        assert oracles.combined_sum_printed((-1, -1), 0, -1, 0, 3)[3] == -21
+
+    def test_repaired_combined_has_no_witness_within_the_bound(self):
+        """The control, over entries in -1..1: the repaired double sum agrees
+        with the series at all 108 points for every n <= 6."""
+        points = _combined_points(1)
+        assert len(points) == 108
+        assert _first_witness(points, _combined_sides(multifamily.combined_rhs)) is None
 
 
 class TestCompareControls:

@@ -450,43 +450,19 @@ class TestAuditCommand:
 
 _KS = tuple(MAX_K * (-1) ** i for i in range(MAX_DEPTH))
 _KS_AT_LIMIT = ",".join(map(str, _KS))
-# Rationals with MAX_DIGITS digits in numerator and denominator, all distinct.
+# x, alpha and beta with MAX_DIGITS digits in numerator and denominator, all
+# distinct, as in the at-limit table below.
 _TOP = 10**MAX_DIGITS - 1
-_AT_DIGIT_LIMIT = [f"{-_TOP}/{_TOP - 1}", f"{_TOP - 1}/{_TOP}", f"{_TOP}/{_TOP - 2}", f"{-_TOP + 2}/{_TOP}"]
-_X, _ALPHA, _BETA, _GAMMA = map(Fraction, _AT_DIGIT_LIMIT)
+_AT_DIGIT_LIMIT = [f"{-_TOP}/{_TOP - 1}", f"{_TOP - 1}/{_TOP}", f"{_TOP}/{_TOP - 2}"]
+_X, _ALPHA, _BETA = map(Fraction, _AT_DIGIT_LIMIT)
 
 
-# sha256 of the stdout of each at-limit request and of the sweep below,
-# recorded before the series kernels moved to integer numerators.
-_AT_LIMIT_SHA256 = {
-    "multi-poly-bernoulli": "02216c0508036abd95cf3e23fae0d33497a4c7e1f34f48208687b3b162610934",
-    "multi-poly-euler": "0030e2c0d458b213be05a9b84a4780559efc044737dcf42e050c19eaaf600c48",
-    "poly-euler-abc": "c1d7152c64a57ba691ecb5b3e5cc123d1cdfe6bf8364c1074d42660a164d9c84",
-}
+# The at-limit polyseq requests and the sha256 of their stdout, each with
+# the change before which it was recorded, so that no pin comes from the
+# kernel it checks.  tools/bench_pairs.py's limit workload reads the same file.
+_AT_LIMIT = json.loads((Path(__file__).resolve().parent / "at_limit.json").read_text())
+# The same for the sweep below.
 _SWEEP_SHA256 = "d671b4e7a72a054002050da0af899a970b42f18cbbec3adbcc1e47a056c011cf"
-# The same for poly-euler-sasaki --k=K --n=MAX_N, recorded while the
-# quotient still went through the general egf_div.
-_SASAKI_AT_LIMIT_SHA256 = {
-    MAX_K: "a454b52753fb6742b07d44008023b8decba1f21335b5e550ba9f4d9258655637",
-    -MAX_K: "e111524b00b6ed01665830c53d733922a8169eb0eaed16169095d5a4191e81c3",
-}
-# The same for poly-bernoulli --k=K --x=_X --n=MAX_N, recorded while its
-# e^{xt} factor was still multiplied in by the binomial convolution.
-_BERNOULLI_AT_LIMIT_SHA256 = {
-    MAX_K: "da87f647c06330709241e3af354c4e5522768f32d04ae314eece148092907e04",
-    -MAX_K: "a5241cc60ce339592d549610b840bd3b155242f3f8936842cf5ad47c4e6c4afd",
-}
-
-# The same for requests at the limits that read the plain shape, alpha = 0 and
-# beta = 1 with no x, recorded while its quotient was still divided by its
-# r + 1 exponentials rather than composed.
-_PLAIN_AT_LIMIT_SHA256 = {
-    ("multi-poly-euler", f"--ks={_KS_AT_LIMIT}"): (
-        "e65753b3a4af2ada31a89ab1fb02675c2444a0f05ce893a31157729b864b04fc"
-    ),
-    ("poly-euler", f"--k={MAX_K}"): "bd2a6db1ed3dbbc3eb16137dff011bdc718ffa2387f637f0cafb38f2f603f512",
-    ("poly-euler", f"--k={-MAX_K}"): "8357271f1275f1e9f15d83ff4264efc78d841766de438c29d3db124b5ee158b3",
-}
 
 
 def _sha256(text):
@@ -528,23 +504,6 @@ def _printed_residues(out, p, fmt="plain"):
         assert den, f"a printed denominator is divisible by {p}"
         residues.append(_decimal_mod(num, p) * pow(den, -1, p) % p)
     return residues
-
-
-# What each request of _AT_LIMIT_SHA256 prints, mod p, by the oracles' route.
-_AT_LIMIT_ORACLES = {
-    "multi-poly-bernoulli": lambda p: oracles.multi_poly_bernoulli_mod(_KS, MAX_N, p),
-    "multi-poly-euler": lambda p: oracles.euler_shape_mod(
-        _KS, _ALPHA, _BETA, len(_KS) * _X, MAX_N, p
-    ),
-    "poly-euler-abc": lambda p: oracles.euler_shape_mod(
-        (MAX_K,), _ALPHA, _BETA, _GAMMA * _X, MAX_N, p
-    ),
-}
-
-
-def _assert_oracle_agrees(out, oracle):
-    for p in _PRIMES:
-        assert _printed_residues(out, p) == oracle(p), p
 
 
 class TestSizeBounds:
@@ -599,61 +558,18 @@ class TestSizeBounds:
         assert "Traceback" not in proc.stderr
         assert f"--x takes at most {MAX_DIGITS} digits" in proc.stderr
 
-    def test_request_at_every_limit_runs(self, capsys):
-        assert main_seq(["multi-poly-bernoulli", f"--ks={_KS_AT_LIMIT}", f"--n={MAX_N}"]) == 0
+    @pytest.mark.parametrize("command", list(_AT_LIMIT))
+    def test_request_at_the_limits_runs(self, command, capsys):
+        """Each request of the at-limit table prints MAX_N + 1 lines, its
+        pinned bytes, and values that _sweep_oracle gives mod both primes."""
+        family, *rest = command.split()
+        assert main_seq(command.split()) == 0
         out = capsys.readouterr().out
         assert len(out.splitlines()) == MAX_N + 1
-        assert _sha256(out) == _AT_LIMIT_SHA256["multi-poly-bernoulli"]
-        _assert_oracle_agrees(out, _AT_LIMIT_ORACLES["multi-poly-bernoulli"])
-
-    @pytest.mark.parametrize(
-        "argv",
-        [
-            ["multi-poly-euler", f"--ks={_KS_AT_LIMIT}"]
-            + [f"--{flag}={value}" for flag, value in zip(("x", "alpha", "beta"), _AT_DIGIT_LIMIT)],
-            ["poly-euler-abc", f"--k={MAX_K}"]
-            + [f"--{flag}={v}" for flag, v in zip(("x", "alpha", "beta", "gamma"), _AT_DIGIT_LIMIT)],
-        ],
-        ids=["multi-poly-euler", "poly-euler-abc"],
-    )
-    def test_request_at_every_limit_with_rationals_runs(self, argv, capsys):
-        assert main_seq([*argv, f"--n={MAX_N}"]) == 0
-        out = capsys.readouterr().out
-        assert len(out.splitlines()) == MAX_N + 1
-        assert _sha256(out) == _AT_LIMIT_SHA256[argv[0]]
-        _assert_oracle_agrees(out, _AT_LIMIT_ORACLES[argv[0]])
-
-    @pytest.mark.parametrize("argv", sorted(_PLAIN_AT_LIMIT_SHA256), ids=" ".join)
-    def test_plain_request_at_the_limits(self, argv, capsys):
-        assert main_seq([*argv, f"--n={MAX_N}"]) == 0
-        out = capsys.readouterr().out
-        assert len(out.splitlines()) == MAX_N + 1
-        assert _sha256(out) == _PLAIN_AT_LIMIT_SHA256[argv]
-        ks = tuple(map(int, argv[1].partition("=")[2].split(",")))
-        _assert_oracle_agrees(out, lambda p: oracles.euler_shape_mod(ks, 0, 1, 0, MAX_N, p))
-
-    @pytest.mark.parametrize("k", sorted(_SASAKI_AT_LIMIT_SHA256))
-    def test_sasaki_at_the_index_and_order_limits(self, k, capsys):
-        assert main_seq(["poly-euler-sasaki", f"--k={k}", f"--n={MAX_N}"]) == 0
-        out = capsys.readouterr().out
-        assert len(out.splitlines()) == MAX_N + 1
-        assert _sha256(out) == _SASAKI_AT_LIMIT_SHA256[k]
-        _assert_oracle_agrees(out, lambda p: oracles.poly_euler_sasaki_mod(k, MAX_N, p))
-
-    @pytest.mark.parametrize("k", sorted(_BERNOULLI_AT_LIMIT_SHA256))
-    def test_poly_bernoulli_at_the_index_order_and_digit_limits(self, k, capsys):
-        """The widest e^{xt} product a request forms: x = _X at n = MAX_N,
-        checked by the route _sweep_oracle takes for poly-bernoulli."""
-        assert main_seq(["poly-bernoulli", f"--k={k}", f"--x={_X}", f"--n={MAX_N}"]) == 0
-        out = capsys.readouterr().out
-        assert len(out.splitlines()) == MAX_N + 1
-        assert _sha256(out) == _BERNOULLI_AT_LIMIT_SHA256[k]
-
-        def oracle(p):
-            plain = oracles.multi_poly_bernoulli_mod((k,), MAX_N, p)
-            return oracles.times_exp_mod(plain, oracles.residue(_X, p), p)
-
-        _assert_oracle_agrees(out, oracle)
+        assert _sha256(out) == _AT_LIMIT[command]["sha256"]
+        flags = dict(flag[2:].split("=", 1) for flag in rest)
+        for p in _PRIMES:
+            assert _printed_residues(out, p) == _sweep_oracle(family, flags, p), p
 
 
 def _plain_table(values):
@@ -670,9 +586,9 @@ class TestFiniteFormulas:
     tables at the limits byte for byte; with the index vector reversed,
     neither digest comes out."""
 
-    PINNED = (
-        _AT_LIMIT_SHA256["multi-poly-bernoulli"],
-        _PLAIN_AT_LIMIT_SHA256[("multi-poly-euler", f"--ks={_KS_AT_LIMIT}")],
+    PINNED = tuple(
+        _AT_LIMIT[f"{family} --ks={_KS_AT_LIMIT} --n={MAX_N}"]["sha256"]
+        for family in ("multi-poly-bernoulli", "multi-poly-euler")
     )
 
     @staticmethod

@@ -9,7 +9,9 @@ For each workload (default: every workload in BENCHMARK.json) it runs
 ``python3 perfbench/run.py --workload W --seed S --seconds T --trace 0``,
 unchanged, with T the ``run_seconds`` of BENCHMARK.json, ten times in a
 checkout of the base commit (default HEAD) and ten times in this working
-tree.  The base checkout is the
+tree.  The workload ``limit`` is not perfbench's: one run of it is each
+request of ``tests/at_limit.json`` as a fresh ``python -m polyeuler seq``
+process (``run_limit``).  The base checkout is the
 commit's files extracted by ``git archive`` into a temporary directory,
 so it needs no network and leaves nothing in the repository.  Pair i runs
 the base first when i is even and the tree first when it is odd, so a
@@ -30,8 +32,11 @@ One run that is not correct, or that fails, marks the whole file
 from __future__ import annotations
 
 import argparse
+import hashlib
 import json
 import os
+import resource
+import shutil
 import statistics
 import subprocess
 import sys
@@ -45,6 +50,11 @@ PAIRS = 10
 # A gain is claimed only if the tree wins at least this share of the pairs
 # (9 of 10) and its median gain exceeds the base's quartile spread.
 GAIN_SHARE = 0.9
+# The workload of the polyseq requests at the CLI limits, which no perfbench
+# workload runs, and the table of their stdout digests that tier 1 pins.
+LIMIT = "limit"
+LIMIT_TABLE = ROOT / "tests" / "at_limit.json"
+LIMIT_COMMAND = "python3 -m polyeuler seq REQUEST, a fresh process per row of tests/at_limit.json"
 
 
 def pair_order(pair: int) -> tuple[str, str]:
@@ -72,6 +82,38 @@ def run_benchmark(checkout: Path, workload: str, seed: int, seconds: int) -> dic
         "src_sha256": meta["src_sha256"],
         "probe_median_s": meta["probe_median_s"],
     }
+
+
+def run_request(src: Path, request: str) -> tuple[bytes, float]:
+    """``python3 -m polyeuler seq <request>`` as a fresh process, from a copy
+    of ``src/polyeuler`` without bytecode that writes none, as
+    ``measure.cold_start`` runs it, so that both sides compile alike: its
+    stdout (empty if it exits nonzero) and its CPU seconds."""
+    with tempfile.TemporaryDirectory() as tmp:
+        shutil.copytree(src / "polyeuler", Path(tmp) / "polyeuler", ignore=shutil.ignore_patterns("__pycache__"))
+        env = {**os.environ, "PYTHONPATH": tmp, "PYTHONDONTWRITEBYTECODE": "1"}
+        before = resource.getrusage(resource.RUSAGE_CHILDREN)
+        argv = [sys.executable, "-m", "polyeuler", "seq", *request.split()]
+        proc = subprocess.run(argv, cwd=tmp, env=env, capture_output=True)
+        after = resource.getrusage(resource.RUSAGE_CHILDREN)
+    cpu = after.ru_utime + after.ru_stime - before.ru_utime - before.ru_stime
+    return (b"" if proc.returncode else proc.stdout), cpu
+
+
+def run_limit(checkout: Path, workload: str, seed: int, seconds: int) -> dict:
+    """One run of the limit workload on ``checkout``'s own ``src/``.  It is
+    correct only if every stdout hashes to the digest in this tree's table,
+    so a base from before a change is checked against the same pins."""
+    metrics, correct = {}, True
+    for request, row in json.loads(LIMIT_TABLE.read_text()).items():
+        stdout, metrics[f"cpu_s {request}"] = run_request(checkout / "src", request)
+        correct &= hashlib.sha256(stdout).hexdigest() == row["sha256"]
+    return {"correct": correct, "metrics": {**metrics, "cpu_s": sum(metrics.values())}}
+
+
+def run_workload(checkout: Path, workload: str, seed: int, seconds: int) -> dict:
+    """``run_limit`` for the limit workload, ``run_benchmark`` for the others."""
+    return (run_limit if workload == LIMIT else run_benchmark)(checkout, workload, seed, seconds)
 
 
 def quartiles(values: list[float]) -> dict:
@@ -170,12 +212,18 @@ def main(argv: list[str] | None = None) -> int:
     declared = json.loads((ROOT / "BENCHMARK.json").read_text())
     end_to_end = {metric["name"]: metric for metric in declared["end_to_end"]}
     workloads = args.workload or [w["name"] for w in declared["workloads"]]
+    if LIMIT in workloads:
+        # Each request's CPU and their sum; CPU drifts with the host as
+        # wall_s does, so they take its bound.
+        names = [f"cpu_s {request}" for request in json.loads(LIMIT_TABLE.read_text())]
+        limit = {"better": "lower", "bound": end_to_end["wall_s"]["bound"]}
+        end_to_end.update(dict.fromkeys([*names, "cpu_s"], limit))
     seconds = declared["run_seconds"]
     base = _git("rev-parse", args.base).strip()
     with tempfile.TemporaryDirectory() as tmp:
         _extract(base, Path(tmp))
         checkouts = {"base": Path(tmp) / "base", "tree": ROOT}
-        report = run_pairs(run_benchmark, checkouts, workloads, PAIRS, args.seed, seconds, end_to_end)
+        report = run_pairs(run_workload, checkouts, workloads, PAIRS, args.seed, seconds, end_to_end)
     tree = {"commit": _git("rev-parse", "HEAD").strip(), "dirty": _dirty(_git("status", "--porcelain"))}
     command = f"python3 perfbench/run.py --workload W --seed {args.seed} --seconds {seconds}"
     out = {
@@ -183,6 +231,7 @@ def main(argv: list[str] | None = None) -> int:
         "base": {"commit": base},
         "tree": tree,
         "command": command + " --trace 0",
+        **({"limit_command": LIMIT_COMMAND} if LIMIT in workloads else {}),
         "pairs": PAIRS,
         **report,
     }

@@ -17,6 +17,7 @@ the audit and ``polyverify`` load (``tests/test_multifamily.py``,
 from __future__ import annotations
 
 import compileall
+import json
 import os
 import shutil
 import statistics
@@ -35,12 +36,8 @@ sys.path.insert(0, str(SRC))
 REQUESTS = ("multi-poly-euler --ks=1,2 --alpha=1 --beta=2 --n=3", "bernoulli --n=1")
 ROUNDS = 9
 
-# The rational multi-poly-euler request at every polyseq limit (cli.MAX_*):
-# 8 indices of |k| = 16, n = 200, and x, alpha and beta of 4 digits.
-AT_LIMIT = (
-    "multi-poly-euler --ks=16,-16,16,-16,16,-16,16,-16"
-    " --x=-9999/9998 --alpha=9998/9999 --beta=9999/9997 --n=200"
-)
+# The polyseq requests at the limits (cli.MAX_*) whose stdout tier 1 pins.
+LIMIT_TABLE = ROOT / "tests" / "at_limit.json"
 
 # A child's ru_maxrss starts at the RSS of the process it was forked from,
 # and exec keeps it, so each request is forked from this launcher, which
@@ -179,9 +176,12 @@ def audit_max_rss() -> list[str]:
 
 
 def seq_max_rss() -> list[str]:
-    """The max RSS of a fresh ``AT_LIMIT`` request, which builds the largest
-    division table a polyseq request can."""
-    mb = _max_rss_mb(f"seq {AT_LIMIT}")
+    """The max RSS of a fresh request of the ``LIMIT_TABLE``: its rational
+    multi-poly-euler row, which builds the largest division table a polyseq
+    request can."""
+    table = json.loads(LIMIT_TABLE.read_text())
+    request = next(r for r in table if r.startswith("multi-poly-euler ") and "--alpha=" in r)
+    mb = _max_rss_mb(f"seq {request}")
     return [f"at-limit rational multi-poly-euler, max RSS: {mb:.1f} MB (a fresh process)"]
 
 

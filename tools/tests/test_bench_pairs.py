@@ -1,5 +1,6 @@
 """Tests of bench_pairs.py with a fake runner: python3 -m pytest tools/tests"""
 
+import hashlib
 import json
 from pathlib import Path
 
@@ -247,3 +248,97 @@ def test_a_run_that_exits_nonzero_is_not_correct(tmp_path):
     _fake_run_py(tmp_path, "print('error: boom', file=sys.stderr)\nsys.exit(1)\n")
     out = bench_pairs.run_benchmark(tmp_path, "seq-deep", 0, 25)
     assert (out["correct"], out["metrics"], out["error"]) == (False, {}, "error: boom")
+
+
+def _limit_table(tmp_path, requests):
+    """A table of the given requests in ``tmp_path``, each pinned to the
+    sha256 of the request's own text and a newline."""
+    table = {r: {"sha256": hashlib.sha256(f"{r}\n".encode()).hexdigest(), "recorded": "here"} for r in requests}
+    path = tmp_path / "at_limit.json"
+    path.write_text(json.dumps(table))
+    return path
+
+
+class FakeRequests:
+    """Echoes each request and takes 0.5 s of CPU on the base, 0.4 s in the
+    tree; the call listed in ``wrong``, as (side, request, index), prints
+    other bytes."""
+
+    def __init__(self, wrong=()):
+        self.calls = []
+        self.wrong = set(wrong)
+
+    def __call__(self, src, request):
+        side = "base" if src.parent.name == "base" else "tree"
+        index = sum(1 for c in self.calls if c == (side, request))
+        self.calls.append((side, request))
+        stdout = b"0\t1\n" if (side, request, index) in self.wrong else f"{request}\n".encode()
+        return stdout, 0.5 if side == "base" else 0.4
+
+
+def _limit_main(monkeypatch, tmp_path, requests):
+    _declare(tmp_path, ("seq-deep",))
+    table = _limit_table(tmp_path, ("poly-euler --k=16 --n=200", "bernoulli --n=200"))
+    monkeypatch.setattr(bench_pairs, "ROOT", tmp_path)
+    monkeypatch.setattr(bench_pairs, "LIMIT_TABLE", table)
+    monkeypatch.setattr(bench_pairs, "run_request", requests)
+    monkeypatch.setattr(bench_pairs, "_extract", lambda commit, into: (into / "base").mkdir())
+    monkeypatch.setattr(bench_pairs, "_git", lambda *args: "" if args[0] == "status" else "abc\n")
+    code = bench_pairs.main(["--label", "fake", "--workload", "limit"])
+    return code, json.loads((tmp_path / "BENCH_fake.json").read_text())
+
+
+def test_the_limit_workload_times_each_request_and_their_sum(monkeypatch, tmp_path):
+    """Ten pairs of one fresh process per request, on each side's own src/;
+    each request's CPU and their sum, under wall_s's bound."""
+    requests = FakeRequests()
+    code, written = _limit_main(monkeypatch, tmp_path, requests)
+    assert code == 0 and written["correct"] is True
+    assert written["limit_command"] == bench_pairs.LIMIT_COMMAND
+    assert list(written["workloads"]) == ["limit"]
+    assert [side for side, _ in requests.calls[:4]] == ["base", "base", "tree", "tree"]
+    assert len(requests.calls) == 40
+    metrics = written["workloads"]["limit"]["metrics"]
+    assert sorted(metrics) == ["cpu_s", "cpu_s bernoulli --n=200", "cpu_s poly-euler --k=16 --n=200"]
+    total = metrics["cpu_s"]
+    assert (total["base"]["median"], total["tree"]["median"]) == pytest.approx((1.0, 0.8))
+    assert [total[k] for k in ("bound", "pairs_won", "gain_rule_met", "within_bound")] == [0.24, 10, True, True]
+
+
+def test_a_wrong_digest_fails_the_limit_file(monkeypatch, tmp_path):
+    """One request of one run that prints other bytes makes its run, and the
+    whole file, not correct, and the exit status 1."""
+    code, written = _limit_main(monkeypatch, tmp_path, FakeRequests(wrong={("tree", "bernoulli --n=200", 3)}))
+    assert code == 1 and written["correct"] is False
+    runs = written["workloads"]["limit"]["runs"]
+    assert [(r["pair"], r["side"]) for r in runs if not r["correct"]] == [(3, "tree")]
+
+
+def test_the_default_workloads_leave_out_the_limit_workload(monkeypatch, tmp_path):
+    _declare(tmp_path, ("seq-deep", "audit"))
+    runner = FakeRunner({"wall_s": {"base": [1] * 10, "tree": [1] * 10}})
+    monkeypatch.setattr(bench_pairs, "ROOT", tmp_path)
+    monkeypatch.setattr(bench_pairs, "run_benchmark", runner)
+    monkeypatch.setattr(bench_pairs, "run_request", lambda src, request: pytest.fail(request))
+    monkeypatch.setattr(bench_pairs, "_extract", lambda commit, into: (into / "base").mkdir())
+    monkeypatch.setattr(bench_pairs, "_git", lambda *args: "abc\n")
+    assert bench_pairs.main(["--label", "fake"]) == 0
+    written = json.loads((tmp_path / "BENCH_fake.json").read_text())
+    assert list(written["workloads"]) == ["seq-deep", "audit"] and "limit_command" not in written
+
+
+def test_run_request_runs_a_fresh_process_from_a_copy_without_bytecode(tmp_path):
+    """The request's arguments reach the package's own __main__, which sees
+    no __pycache__ beside it and writes none."""
+    package = tmp_path / "src" / "polyeuler"
+    (package / "__pycache__").mkdir(parents=True)
+    (package / "__main__.py").write_text(
+        "import os, sys\n"
+        "here = os.path.dirname(__file__)\n"
+        "print(*sys.argv[1:], os.path.isdir(os.path.join(here, '__pycache__')), sys.dont_write_bytecode)\n"
+    )
+    stdout, cpu = bench_pairs.run_request(tmp_path / "src", "poly-euler --k=16 --n=200")
+    assert stdout == b"seq poly-euler --k=16 --n=200 False True\n"
+    assert cpu > 0
+    (package / "__main__.py").write_text("import sys\nprint('partial')\nsys.exit(1)\n")
+    assert bench_pairs.run_request(tmp_path / "src", "bernoulli --n=1")[0] == b""
