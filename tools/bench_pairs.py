@@ -225,12 +225,13 @@ def main(argv: list[str] | None = None) -> int:
         checkouts = {"base": Path(tmp) / "base", "tree": ROOT}
         report = run_pairs(run_workload, checkouts, workloads, PAIRS, args.seed, seconds, end_to_end)
     tree = {"commit": _git("rev-parse", "HEAD").strip(), "dirty": _dirty(_git("status", "--porcelain"))}
-    command = f"python3 perfbench/run.py --workload W --seed {args.seed} --seconds {seconds}"
+    command = f"python3 perfbench/run.py --workload W --seed {args.seed} --seconds {seconds} --trace 0"
     out = {
         "label": args.label,
         "base": {"commit": base},
         "tree": tree,
-        "command": command + " --trace 0",
+        # The command of each kind of workload that ran.
+        **({"command": command} if set(workloads) - {LIMIT} else {}),
         **({"limit_command": LIMIT_COMMAND} if LIMIT in workloads else {}),
         "pairs": PAIRS,
         **report,

@@ -294,7 +294,7 @@ def test_the_limit_workload_times_each_request_and_their_sum(monkeypatch, tmp_pa
     requests = FakeRequests()
     code, written = _limit_main(monkeypatch, tmp_path, requests)
     assert code == 0 and written["correct"] is True
-    assert written["limit_command"] == bench_pairs.LIMIT_COMMAND
+    assert written["limit_command"] == bench_pairs.LIMIT_COMMAND and "command" not in written
     assert list(written["workloads"]) == ["limit"]
     assert [side for side, _ in requests.calls[:4]] == ["base", "base", "tree", "tree"]
     assert len(requests.calls) == 40
