@@ -424,6 +424,42 @@ MUTANTS = (
         "killed",
     ),
     Mutant(
+        # h_m over g_s alone: the shifted system's pivot is C(m + s, m) g_s.
+        "division-pivot-without-the-binomial",
+        "src/polyeuler/exact.py",
+        "df * den * comb(k, m) * b[s])",
+        "df * den * b[s])",
+        ("tests/test_oracle_properties.py::test_every_kernel_reads_both_forms",),
+        "killed",
+    ),
+    Mutant(
+        # A divisor with zero constant term at shift 0 refused as a shift error.
+        "non-unit-divisor-refused-as-insufficient-vanishing",
+        "src/polyeuler/exact.py",
+        "    if not s and not b[0]:\n"
+        '        raise DivisionByNonUnit("divisor has zero constant term")\n',
+        "",
+        ("tests/test_exact.py::TestDiv::test_every_refusal_keeps_its_type_and_message",),
+        "killed",
+    ),
+    Mutant(
+        # A closed stdout ends in a BrokenPipeError traceback and exit 1.
+        "closed-stdout-not-caught",
+        "src/polyeuler/cli.py",
+        "    except BrokenPipeError:\n",
+        "    except ZeroDivisionError:\n",
+        ("tests/test_cli.py::TestClosedStdout",),
+        "killed",
+    ),
+    Mutant(
+        "seed-sweep-ignores-a-deviation",
+        "tools/seed_sweep.py",
+        "    return 1 if found else 0\n",
+        "    return 0\n",
+        ("tools/tests/test_seed_sweep.py",),
+        "killed",
+    ),
+    Mutant(
         "def1-constant-by-min",
         "src/polyeuler/audit.py",
         "        constant = next(iter(candidates)) if len(candidates) == 1 else None\n",

@@ -30,7 +30,6 @@ _EXPORTS = {
         "egf_compose",
         "egf_div",
         "egf_div_exp_sum",
-        "egf_div_shifted",
         "egf_exp_linear",
         "egf_exp_sum",
         "egf_mul",

@@ -20,8 +20,8 @@ from .exact import (
     _order,
     _ratio,
     det,
+    egf_div,
     egf_div_exp_sum,
-    egf_div_shifted,
     egf_exp_sum,
     integer_numerators,
 )
@@ -36,7 +36,7 @@ class EulerConvention(enum.Enum):
 def _bernoulli_series(order: int) -> Egf:
     """t/(e^t - 1) to the given order."""
     exp_minus_one = egf_exp_sum(((1, 1), (-1, 0)), order + 1)
-    return egf_div_shifted(Egf.t(order + 1), exp_minus_one, 1)
+    return egf_div(Egf.t(order + 1), exp_minus_one, 1)
 
 
 def bernoulli_numbers(order: int) -> list[Fraction]:

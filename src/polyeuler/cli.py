@@ -8,8 +8,9 @@ built for the one request that reads it, and none is kept.  polyverify
 runs an identity's variants in one ``exact.cache_scope``, as they read the
 same series again; a polyseq request reads no memo twice and opens none.
 Exit codes: 0 success (or whitelisted audit verdict), 1 unexpected
-identity failure, 2 usage error.  All rational values cross the boundary
-in the canonical text form ("-3/4", "5").
+identity failure, 2 usage error, 141 (128 + SIGPIPE, a shell's status for
+a writer that SIGPIPE stopped) for a stdout closed early, with no traceback.
+All rational values cross the boundary in the canonical text form ("-3/4", "5").
 
 polyseq reads a fully spelled command line without argparse: one family,
 and each flag as --flag=value, or as --flag value with a value that does
@@ -361,10 +362,16 @@ def cmd_audit(args: argparse.Namespace) -> int:
 def _dispatch(parse: Callable, runner: Callable, argv: Sequence[str] | None) -> int:
     args = parse(argv)
     try:
-        return runner(args)
+        status = runner(args)
+        sys.stdout.flush()  # so that a closed pipe raises here, not at exit
+        return status
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except BrokenPipeError:
+        # What is still buffered goes to devnull, so the flush at exit cannot fail.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
 
 
 def main_seq(argv: Sequence[str] | None = None) -> int:

@@ -12,9 +12,11 @@ into a ``Fraction`` to be read again, and a series passes between kernels
 as integer numerators over one denominator, not reduced:
 ``_times_exp`` (the Taylor shift, which ``egf_mul`` runs for a factor
 e^{ct}, so it is the one route of every e^{ct} product), ``_dilate`` (the
-one dilation t -> ct), ``_shift_down`` (the division by t^s),
-``_div_exp_sum`` and ``_compose_one_minus_exp`` (the composition with
-1 - e^{-t}) take it so, and only the ``Egf`` a caller keeps is built.
+one dilation t -> ct), ``_shift_down`` (which serves only the Sasaki
+numerator's division by t, as ``egf_div`` cancels a common t^s in its own
+recurrence), ``_div_exp_sum`` and ``_compose_one_minus_exp`` (the
+composition with 1 - e^{-t}) take it so, and only the ``Egf`` a caller
+keeps is built.
 This is the one home of that integer arithmetic: the other layers import
 ``_ratio``, ``_reduced``, ``lowest_terms`` and ``integer_numerators``
 rather than reducing a rational or putting rationals over one denominator
@@ -370,63 +372,50 @@ def egf_mul(f: Egf, g: Egf) -> Egf:
     return Egf.of(out, df * dg)
 
 
-def egf_div(f: Egf, g: Egf) -> Egf:
-    """Quotient h with egf_mul(h, g) = f up to the common order.
+def egf_div(f: Egf, g: Egf, shift: int = 0) -> Egf:
+    """Quotient h with egf_mul(h, g) = f, after cancelling a common factor
+    t^shift from both: the result's order is the smaller operand order less
+    ``shift``.
 
-    Solves the triangular system h_m g_0 = f_m - sum_{i<m} C(m,i) h_i g_{m-i};
-    the divisor must have a nonzero constant term.  With f = a/D_f and
-    g = b/D_g, and the quotients found so far carried as h_i = H_i / L over
-    the running lcm L of their reduced denominators,
-    h_m = (D_g a_m L - D_f sum_{i<m} C(m,i) H_i b_{m-i}) / (D_f L b_0),
-    reduced before it joins them.  Carrying reduced quotients keeps the
-    integers as small as the result.
+    Both series must vanish to order s = ``shift`` and g's coefficient of
+    t^s must be nonzero (at s = 0 a zero constant term raises
+    DivisionByNonUnit), so a division like t/(e^t - 1) is well defined
+    without silently guessing a cancellation.  Coefficient m + s of f = h g
+    is f_{m+s} = sum_{i<=m} C(m+s,i) h_i g_{m+s-i}, a triangular system in
+    h with pivots C(m+s,m) g_s, solved on the operands as they are.  With
+    f = a/D_f and g = b/D_g, and the quotients found so far carried as
+    h_i = H_i / L over the running lcm L of their reduced denominators,
+    h_m = (D_g a_{m+s} L - D_f sum_{i<m} C(m+s,i) H_i b_{m+s-i})
+    / (D_f L C(m+s,m) b_s), reduced before it joins them.  Carrying reduced
+    quotients keeps the integers as small as the result.
     """
-    b, dg = g.numerators()
-    if b[0] == 0:
-        raise DivisionByNonUnit("divisor has zero constant term")
-    n = min(f.order, g.order)
+    s = _order(shift, "shift must be >= 0")
+    if f.order < s or g.order < s:
+        raise InsufficientVanishing("series too short for the requested shift")
     a, df = f.numerators()
+    b, dg = g.numerators()
+    for j in range(s):
+        if a[j] or b[j]:
+            raise InsufficientVanishing(f"coefficient of t^{j} is nonzero; cannot cancel t^{s}")
+    if not s and not b[0]:
+        raise DivisionByNonUnit("divisor has zero constant term")
+    if not b[s]:
+        raise InsufficientVanishing(f"divisor vanishes beyond t^{s}; quotient would not be a power series")
     nums: list[int] = []
     den = 1
-    for m in range(n + 1):
+    for m in range(min(f.order, g.order) - s + 1):
+        k = m + s
         acc = 0
         for i in range(m):
             if nums[i]:  # the odd Bernoulli numbers: t/(e^t - 1) 1.5x faster at n = 200
-                acc += comb(m, i) * nums[i] * b[m - i]
-        top, bottom = _reduced(dg * a[m] * den - df * acc, df * den * b[0])
+                acc += comb(k, i) * nums[i] * b[k - i]
+        top, bottom = _reduced(dg * a[k] * den - df * acc, df * den * comb(k, m) * b[s])
         if den % bottom:
             grown = lcm(den, bottom)
             nums = [v * (grown // den) for v in nums]
             den = grown
         nums.append(top * (den // bottom))
     return Egf.of(nums, den)
-
-
-def egf_div_shifted(f: Egf, g: Egf, shift: int) -> Egf:
-    """Divide f by g after cancelling a common factor t^shift from both.
-
-    Both series must vanish to order ``shift`` and g's coefficient of
-    t^shift must be nonzero; the result's truncation order drops by
-    ``shift``.  This keeps divisions like t/(e^t - 1) well defined without
-    silently guessing a cancellation.
-    """
-    shift = _order(shift, "shift must be >= 0")
-    if shift == 0:
-        return egf_div(f, g)
-    if f.order < shift or g.order < shift:
-        raise InsufficientVanishing("series too short for the requested shift")
-    a, df = f.numerators()
-    b, dg = g.numerators()
-    for j in range(shift):
-        if a[j] or b[j]:
-            raise InsufficientVanishing(
-                f"coefficient of t^{j} is nonzero; cannot cancel t^{shift}"
-            )
-    if not b[shift]:
-        raise InsufficientVanishing(
-            f"divisor vanishes beyond t^{shift}; quotient would not be a power series"
-        )
-    return egf_div(Egf.of(*_shift_down(a, df, shift)), Egf.of(*_shift_down(b, dg, shift)))
 
 
 def _shift_down(nums: Sequence[int], den: int, s: int) -> tuple[list[int], int]:

@@ -18,14 +18,14 @@ exponentials by the binomial theorem.  The Euler shape and the Sasaki
 variant's 2e^t + 2e^{-t} hand their terms as integers to the fraction-free
 ``exact._div_exp_sum``, one cached row table per denominator and order;
 the Bernoulli shape forms its series from integer power sums
-(``_one_minus_exp``) to cancel t^r first.  Every other numerator is read
-off one cached series, Li_ks(1-e^{-t}): the Bernoulli shape uses it as it
-is, and the Sasaki variant and the Euler shape dilate it once by an
-integer c, coefficient n times c^n (``exact._dilate``; Kaneko's Stirling
-form at ct): c = 4, and c = (alpha + beta)K for the Euler division at Kt,
-K its rates' common denominator.  A series passes from one of these
-kernels to the next as integer numerators over one denominator, as
-``exact`` states.
+(``_one_minus_exp``), and ``exact.egf_div`` cancels t^r in its own
+recurrence.  Every other numerator is read off one cached series,
+Li_ks(1-e^{-t}): the Bernoulli shape uses it as it is, and the Sasaki
+variant and the Euler shape dilate it once by an integer c, coefficient n
+times c^n (``exact._dilate``; Kaneko's Stirling form at ct): c = 4, and
+c = (alpha + beta)K for the Euler division at Kt, K its rates' common
+denominator.  A series passes from one of these kernels to the next as
+integer numerators over one denominator, as ``exact`` states.
 The lonesum count is the combinatorial side of the negative-index
 poly-Bernoulli identity and is computed by brute enumeration, which keeps it
 an independent ground truth.
@@ -51,7 +51,7 @@ from .exact import (
     _ratio,
     _shift_down,
     _times_exp,
-    egf_div_shifted,
+    egf_div,
     egf_exp_linear,
     egf_mul,
     lowest_terms,
@@ -154,8 +154,8 @@ def _bernoulli_egf(ks: KVector, x: Fraction | int, order: int) -> Egf:
     """Li_ks(1-e^{-t}) / (1-e^{-t})^r e^{xt}, r = len(ks).
 
     Numerator and denominator both vanish to order exactly r (the nested sum
-    starts at degree r), so the division goes through the t^r-cancelling path,
-    reading the shared numerator at order + r.  It is not cached: every audit
+    starts at degree r), so ``egf_div`` cancels t^r from both, reading the
+    shared numerator at order + r.  It is not cached: every audit
     row reads each (ks, x, order) once, and polyseq serves one request per call.
     """
     r = len(ks)
@@ -166,7 +166,7 @@ def _bernoulli_egf(ks: KVector, x: Fraction | int, order: int) -> Egf:
     # perfbench/workloads.EXPECTED_CALLS requires an egf_mul call on seq-deep.
     exp_xt = egf_exp_linear(x, order)
     work = order + r
-    return egf_mul(exp_xt, egf_div_shifted(_li_numerator(ks, work), _one_minus_exp(work, r), r))
+    return egf_mul(exp_xt, egf_div(_li_numerator(ks, work), _one_minus_exp(work, r), r))
 
 
 def poly_bernoulli(k: int, x: Fraction | int, order: int) -> list[Fraction]:

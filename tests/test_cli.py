@@ -1122,6 +1122,39 @@ class TestRootCommand:
         assert proc.stdout.splitlines() == ["0\t1", "1\t-1/2", "2\t1/6"]
 
 
+class TestClosedStdout:
+    """A reader that closes the pipe early, as ``| head -1`` does: each
+    command ends quietly with the status a shell gives a writer stopped by
+    SIGPIPE, so polyaudit and polyverify do not read as an identity failure."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["seq", "bernoulli", "--n=5"],
+            ["seq", "euler", "--n=5", "--format=json"],
+            ["seq", "lonesum", "--rows=2", "--cols=2"],
+            ["audit", "--order", "3"],
+            ["verify", "thm1", "--order", "3"],
+        ],
+        ids=" ".join,
+    )
+    def test_closed_pipe_exits_quietly_with_the_sigpipe_status(self, argv):
+        read_end, write_end = os.pipe()
+        os.close(read_end)  # before the child starts, so every write fails
+        try:
+            proc = subprocess.run(
+                [sys.executable, "-W", "error", "-m", "polyeuler", *argv],
+                stdout=write_end,
+                stderr=subprocess.PIPE,
+                text=True,
+                timeout=120,
+            )
+        finally:
+            os.close(write_end)
+        assert "Traceback" not in proc.stderr, proc.stderr
+        assert proc.returncode == 141
+
+
 def _holds_a_parser(value) -> bool:
     """Whether ``value`` is an argparse parser, or a container holding one."""
     import argparse

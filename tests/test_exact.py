@@ -25,7 +25,6 @@ from polyeuler.exact import (
     egf_compose,
     egf_div,
     egf_div_exp_sum,
-    egf_div_shifted,
     egf_exp_linear,
     egf_exp_sum,
     egf_mul,
@@ -271,41 +270,70 @@ class TestDiv:
         n = min(f.order, g.order)
         assert egf_mul(egf_div(f, g), g) == f.truncate(n)
 
+    # Each refusal of egf_div as (f, g, shift, exception type, message).
+    REFUSALS = {
+        "unit": (Egf.t(5), Egf.t(5), 0, DivisionByNonUnit, "divisor has zero constant term"),
+        # An operand shorter than the shift has fewer than shift coefficients.
+        "too-short": (
+            Egf.t(1), Egf.of((0, 0, 0, 1)), 2, InsufficientVanishing, "series too short for the requested shift"
+        ),
+        "numerator-below-shift": (
+            exp_t(4), Egf.t(4), 1, InsufficientVanishing, "coefficient of t^0 is nonzero; cannot cancel t^1"
+        ),
+        "divisor-below-shift": (
+            Egf.of((0, 0, 2)), Egf.of((0, 1, 1)), 2, InsufficientVanishing,
+            "coefficient of t^1 is nonzero; cannot cancel t^2",
+        ),
+        "divisor-beyond-shift": (
+            Egf.of((0, 0, 2, 1)), Egf.of((0, 0, 0, 6)), 2, InsufficientVanishing,
+            "divisor vanishes beyond t^2; quotient would not be a power series",
+        ),
+    }
+
+    @pytest.mark.parametrize("case", REFUSALS)
+    def test_every_refusal_keeps_its_type_and_message(self, case):
+        f, g, shift, refusal, message = self.REFUSALS[case]
+        with pytest.raises(refusal) as caught:
+            egf_div(f, g, shift)
+        assert type(caught.value) is refusal
+        assert caught.value.args == (message,)
+
 
 class TestDivShifted:
     def test_bernoulli_series(self):
-        b = egf_div_shifted(Egf.t(4), egf_add(exp_t(4), Egf.constant(-1, 4)), 1)
+        b = egf_div(Egf.t(4), egf_add(exp_t(4), Egf.constant(-1, 4)), 1)
         assert b.order == 3
         assert b.coeffs[:3] == (1, F(-1, 2), F(1, 6))
 
     def test_t_over_t(self):
-        assert egf_div_shifted(Egf.t(3), Egf.t(3), 1) == Egf.constant(1, 2)
+        assert egf_div(Egf.t(3), Egf.t(3), 1) == Egf.constant(1, 2)
 
     def test_t_squared_over_exp_minus_one(self):
         # t^2/(e^t-1) equals t * (t/(e^t-1))
         t2 = Egf((F(0), F(0), F(2), F(0), F(0), F(0)))
         em1 = egf_add(exp_t(5), Egf.constant(-1, 5))
-        got = egf_div_shifted(t2, em1, 1)
-        bern = egf_div_shifted(Egf.t(5), em1, 1)
+        got = egf_div(t2, em1, 1)
+        bern = egf_div(Egf.t(5), em1, 1)
         assert got == egf_mul(Egf.t(4), bern)
 
     def test_rejects_insufficient_vanishing(self):
         with pytest.raises(InsufficientVanishing):
-            egf_div_shifted(exp_t(4), Egf.t(4), 1)
+            egf_div(exp_t(4), Egf.t(4), 1)
         with pytest.raises(InsufficientVanishing):
-            egf_div_shifted(Egf.t(4), exp_t(4), 1)
+            egf_div(Egf.t(4), exp_t(4), 1)
         # An operand shorter than the shift has fewer than shift coefficients.
         with pytest.raises(InsufficientVanishing):
-            egf_div_shifted(Egf.t(1), Egf.of((0, 0, 0, 1)), 2)
+            egf_div(Egf.t(1), Egf.of((0, 0, 0, 1)), 2)
 
     def test_rejects_overvanishing_divisor(self):
         t2 = Egf((F(0), F(0), F(2), F(0)))
         with pytest.raises(InsufficientVanishing):
-            egf_div_shifted(Egf.t(3), t2, 1)
+            egf_div(Egf.t(3), t2, 1)
 
     def test_shift_zero_is_plain_division(self):
         f, g = exp_t(4), egf_add(Egf.constant(2, 4), Egf.t(4))
-        assert egf_div_shifted(f, g, 0) == egf_div(f, g)
+        assert egf_div(f, g, 0) == egf_div(f, g)
+        assert egf_mul(egf_div(f, g, 0), g) == f
 
 
 class TestCompose:

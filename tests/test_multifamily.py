@@ -1016,7 +1016,6 @@ def _wrap_bindings(monkeypatch, wrappers):
 SERIES_KERNELS = (
     "egf_mul",
     "egf_div",
-    "egf_div_shifted",
     "egf_div_exp_sum",
     "_div_exp_sum",
     "_dilate",

@@ -20,7 +20,6 @@ from polyeuler.exact import (
     egf_add,
     egf_compose,
     egf_div,
-    egf_div_shifted,
     egf_mul,
     egf_scale,
     integer_numerators,
@@ -295,10 +294,14 @@ def both_forms(ordinary):
     g0=divisor_constants,
     g_tail=st.lists(wide_rationals, max_size=10),
     ks=st.lists(st.integers(min_value=-3, max_value=3), min_size=1, max_size=3).map(tuple),
+    shift=st.integers(min_value=0, max_value=3),
 )
-def test_every_kernel_reads_both_forms(forms, order, f, g0, g_tail, ks):
+@example(order=3, f=[F(1, 2), F(-3)], g0=F(-7, 3), g_tail=[F(5, 4)], ks=(2,), shift=2)
+def test_every_kernel_reads_both_forms(forms, order, f, g0, g_tail, ks, shift):
     """Each kernel, fed operands from both constructors in every combination,
-    against the oracles."""
+    against the oracles; the division also with both operands times t^shift,
+    whose pivots C(m + shift, m) differ from a plain division's from
+    shift = 2 on."""
     f, unit = padded(f, order), padded([g0] + g_tail, order)
     nil = [F(0)] + unit[1:]
     a = both_forms(f)[forms[0]]
@@ -310,10 +313,8 @@ def test_every_kernel_reads_both_forms(forms, order, f, g0, g_tail, ks):
     assert list(egf_mul(egf_mul(b, b), b).ordinary()) == ord_pow(unit, 3, order)
     assert list(egf_compose(a, n).ordinary()) == ord_compose(f, nil, order)
     assert list(a.truncate(order - 1).ordinary()) == f[:order]
-    shifted = both_forms([F(0)] + f[:order])[forms[0]]
-    assert list(egf_div_shifted(shifted, both_forms([F(0)] + unit[:order])[forms[1]], 1).ordinary()) == (
-        ord_div(f, unit, order - 1)
-    )
+    lifted = [both_forms([F(0)] * shift + v)[form] for v, form in zip((f, unit), forms)]
+    assert list(egf_div(*lifted, shift).ordinary()) == ord_div(f, unit, order)
     expected = ord_compose(multi_li_ordinary(ks, order), nil, order)
     assert list(li_of_inner(ks, n, order).ordinary()) == expected
 

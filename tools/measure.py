@@ -119,8 +119,9 @@ def shift_table_memory() -> list[str]:
 def kernel_timings() -> list[str]:
     """Best-of-5 timings of what no benchmark workload reaches: the general
     ``egf_compose`` branch, ``det``, ``thm3_explicit`` and
-    ``thm4_explicit`` past the audit's caps and n, and the e^{xt} product
-    of an at-limit ``poly-bernoulli`` request."""
+    ``thm4_explicit`` past the audit's caps and n, the e^{xt} product of an
+    at-limit ``poly-bernoulli`` request, and the division of the at-limit
+    ``multi-poly-bernoulli`` request, the largest ``egf_div`` a request runs."""
     import timeit
     from fractions import Fraction
     from math import comb, factorial
@@ -150,10 +151,16 @@ def kernel_timings() -> list[str]:
     # The product of the widest poly-bernoulli request (k = 16, n = 200, a
     # 4-digit x), which egf_mul multiplies in by the Taylor shift.
     ks, x = polylog.validate_kvector((16,)), Fraction(-9999, 9998)
-    quotient = exact.egf_div_shifted(polyfamily._li_numerator(ks, 201), polyfamily._one_minus_exp(201), 1)
+    quotient = exact.egf_div(polyfamily._li_numerator(ks, 201), polyfamily._one_minus_exp(201), 1)
     exp_xt = exact.egf_exp_linear(x, 200)
     ms = best_ms(lambda: exact.egf_mul(exp_xt, quotient), 1)
     lines.append(f"egf_mul(e^(xt), k = 16 Bernoulli quotient), x = -9999/9998, n = 200: {ms:.3f} ms (best of 5)")
+    # Li_ks(1 - e^{-t}) / (1 - e^{-t})^8 of the request with eight indices
+    # +-16 at n = 200, which cancels t^8 from both inside egf_div.
+    ks = polylog.validate_kvector((16, -16) * 4)
+    numerator, divisor = polyfamily._li_numerator(ks, 208), polyfamily._one_minus_exp(208, 8)
+    ms = best_ms(lambda: exact.egf_div(numerator, divisor, 8), 1)
+    lines.append(f"egf_div(depth-8 Bernoulli shape, shift 8), ks = (16, -16) x 4, n = 200: {ms:.3f} ms (best of 5)")
     return lines
 
 

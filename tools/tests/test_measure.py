@@ -34,6 +34,7 @@ LABELS = [
     rf"thm3_explicit\(\(1, 2, -1, 1\), 1/3, n = 6, caps 20 and 4\): {MS}",
     rf"thm4_explicit\(3, 1/3, \(2/3, -1/4, 3/7\), statement, n = 40\): {MS}",
     rf"egf_mul\(e\^\(xt\), k = 16 Bernoulli quotient\), x = -9999/9998, n = 200: {MS}",
+    rf"egf_div\(depth-8 Bernoulli shape, shift 8\), ks = \(16, -16\) x 4, n = 200: {MS}",
     rf"order-10 audit, max RSS: {DECIMAL} MB \(a fresh process\)",
     rf"at-limit rational multi-poly-euler, max RSS: {DECIMAL} MB \(a fresh process\)",
     rf"seq multi-poly-euler --ks=1,2 --alpha=1 --beta=2 --n=3: {MEDIAN}",
