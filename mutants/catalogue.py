@@ -460,6 +460,18 @@ MUTANTS = (
         "killed",
     ),
     Mutant(
+        # The left side's own series as cor1's right side, on a branch that
+        # no runtime soundness call reaches: the values do not move.
+        "cor1-returns-the-left-side-past-depth-three",
+        "src/polyeuler/multifamily.py",
+        "    ab = _euler_egf(ks, (0, 1), _ratio(params.alpha), _ratio(params.beta), _order(order)).numerators()\n",
+        "    if len(ks) > 3:\n"
+        "        return _xab_egf(ks, x, params.alpha, params.beta, order)\n"
+        "    ab = _euler_egf(ks, (0, 1), _ratio(params.alpha), _ratio(params.beta), _order(order)).numerators()\n",
+        ("tests/test_multifamily.py::TestRightSidesLoadOnlyAllowedNames",),
+        "killed",
+    ),
+    Mutant(
         "def1-constant-by-min",
         "src/polyeuler/audit.py",
         "        constant = next(iter(candidates)) if len(candidates) == 1 else None\n",

@@ -16,8 +16,8 @@ denominator, into one ``Egf`` (``.coeffs`` reads its values), which the
 audit compares by cross-multiplication with the family on the other side.
 That side is the series ``_xab_egf`` returns, which the list families
 (``multi_poly_euler*``) only turn into rationals; thm1 alone keeps the list
-wrapper.  The right sides never call a
-series product or another right side, so the audit's two sides stay independent.
+wrapper.  The rule that keeps the audit's two sides apart is stated once, in
+``tests/test_multifamily.py::TestRightSidesLoadOnlyAllowedNames``.
 thm1 and thm2 lift their numbers by (ln a + ln b)^n in one helper,
 ``_lift``.  thm2, cor1 and cor2 are one binomial shift each, summed term by
 term; the factors of a shift that hold no series value, the binomial

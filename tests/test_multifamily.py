@@ -1241,6 +1241,154 @@ class TestRightSidesReadOnlyTheirPrintedTerms:
         assert set(recorded["reads"]) == {expected}
 
 
+def _global_loads(function: ast.FunctionDef) -> dict[ast.Name, str | None]:
+    """The names ``function`` loads from the module or the builtins, each
+    with the attribute read off it (None for none); names in its parameter
+    annotations and return annotation map to the string "annotation"."""
+    params = [a for a in ast.walk(function.args) if isinstance(a, ast.arg)]
+    local = {a.arg for a in params}
+    local |= {n.id for n in ast.walk(function) if isinstance(n, ast.Name) and not isinstance(n.ctx, ast.Load)}
+    typed = {n for root in [a.annotation for a in params] + [function.returns] if root for n in ast.walk(root)}
+    attrs = {n.value: n.attr for n in ast.walk(function) if isinstance(n, ast.Attribute)}
+    return {
+        n: "annotation" if n in typed else attrs.get(n)
+        for n in ast.walk(function)
+        if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load) and n.id not in local
+    }
+
+
+class TestRightSidesLoadOnlyAllowedNames:
+    """The one statement of the rule that keeps an identity's two sides
+    apart: the right sides and audit instruments, their helpers and every
+    module-level function these name load only the global names allowed
+    below, ``Egf`` only as a type and through ``Egf.of``, and import
+    nothing.  So no right side can reach a series kernel, the left side's
+    ``_xab_egf``, a list family or another right side on any branch, where
+    the runtime classes above see one fixed call each."""
+
+    ROOTS = (
+        "thm1_rhs",
+        "thm2_rhs",
+        "cor1_rhs",
+        "addition_rhs",
+        "combined_rhs",
+        "combined_rhs_printed",
+        "thm3_explicit",
+        "thm4_explicit",
+        "_binomial_shift",
+        "_thm2_sum",
+        "_lift",
+    )
+    # Each allowed name that multifamily imports, by the module it comes from.
+    # Every egf_* kernel, _div_exp_sum, _times_exp, _dilate,
+    # _compose_one_minus_exp and _bernoulli_egf stays out.
+    IMPORTED = {
+        # The integer helpers, and Egf as a type and through Egf.of only.
+        "polyeuler.exact": (
+            "Egf", "Ratio", "_memo", "_order", "_ratio", "_reduced", "integer_powers", "lowest_terms"
+        ),
+        "polyeuler.polyfamily": ("_euler_egf",),  # the Euler-shape reader
+        "polyeuler.polylog": ("KVector", "validate_kvector"),
+        "fractions": ("Fraction",),
+        "math": ("comb", "lcm"),
+        "operator": ("mul",),
+        "typing": ("Sequence",),
+    }
+    # The module's own records, constants and term-by-term helpers: no list
+    # family, no _xab_egf and no right side.
+    OWN = (
+        "CappedSum",
+        "DegenerateParams",
+        "LogParams",
+        "THM4_VARIANTS",
+        "_binomial_shift",
+        "_lift",
+        "_log_ratios",
+        "_shift_table",
+        "_thm2_sum",
+        "_times",
+    )
+    BUILTINS = ("ValueError", "enumerate", "int", "len", "list", "map", "max", "range", "str", "sum", "tuple")
+    ALLOWED = frozenset([*(name for names in IMPORTED.values() for name in names), *OWN, *BUILTINS])
+
+    SOURCE = Path(multifamily.__file__).read_text(encoding="utf-8")
+
+    @classmethod
+    def check(cls, source: str) -> tuple[set[str], dict[str, list[str]]]:
+        """The functions checked in ``source``, and per function that breaks
+        the rule what it loads or does that the rule does not allow."""
+        defs = {n.name: n for n in ast.parse(source).body if isinstance(n, ast.FunctionDef)}
+        checked, todo, found = set(), list(cls.ROOTS), {}
+        while todo:
+            name = todo.pop()
+            if name in checked:
+                continue
+            checked.add(name)
+            offences = set()
+            for node, attr in _global_loads(defs[name]).items():
+                todo += [node.id] if node.id in defs else []
+                if node.id not in cls.ALLOWED:
+                    offences.add(node.id)
+                elif node.id == "Egf" and attr not in ("annotation", "of"):
+                    offences.add("Egf" if attr is None else f"Egf.{attr}")
+            if any(isinstance(n, (ast.Import, ast.ImportFrom)) for n in ast.walk(defs[name])):
+                offences.add("import")
+            if offences:
+                found[name] = sorted(offences)
+        return checked, found
+
+    def test_checks_the_right_sides_and_every_function_they_name(self):
+        checked, _ = self.check(self.SOURCE)
+        assert checked - set(self.ROOTS) == {"_log_ratios", "_shift_table", "_times"}
+
+    def test_loads_only_allowed_names(self):
+        assert self.check(self.SOURCE)[1] == {}
+
+    def test_each_allowed_import_is_its_home_object(self):
+        """No allowed name is another object imported under its spelling."""
+        for home, names in self.IMPORTED.items():
+            module = importlib.import_module(home)
+            for name in names:
+                assert getattr(multifamily, name) is getattr(module, name), name
+
+    # Negative controls: (old text, new text, what the check must report).
+    MUTATIONS = {
+        "left-side-past-depth-three": (
+            "    ab = _euler_egf(ks, (0, 1),",
+            "    if len(ks) > 3:\n"
+            "        return _xab_egf(ks, x, params.alpha, params.beta, order)\n"
+            "    ab = _euler_egf(ks, (0, 1),",
+            {"cor1_rhs": ["_xab_egf"]},
+        ),
+        "another-right-side": (
+            "_binomial_shift(*_thm2_sum(ks, r, params, order),",
+            "_binomial_shift(*thm2_rhs(ks, params, order).numerators(),",
+            {"combined_rhs": ["thm2_rhs"]},
+        ),
+        "import-inside": (
+            "    top, bottom = integer_powers(lam[0], order),",
+            "    from .exact import _dilate\n\n    top, bottom = integer_powers(lam[0], order),",
+            {"_lift": ["import"]},
+        ),
+        "egf-built-otherwise": (
+            "return Egf.of(*_thm2_sum(ks, len(ks), params, order))",
+            "return Egf.from_ordinary(*_thm2_sum(ks, len(ks), params, order))",
+            {"thm2_rhs": ["Egf.from_ordinary"]},
+        ),
+        "kernel-in-a-named-helper": (
+            "    shift_pow = integer_powers(s, order)\n",
+            "    shift_pow = egf_exp_linear(s, order).coeffs\n",
+            {"_shift_table": ["egf_exp_linear"]},
+        ),
+    }
+
+    @pytest.mark.parametrize("name", sorted(MUTATIONS))
+    def test_negative_control_breaks_the_rule(self, name):
+        old, new, expected = self.MUTATIONS[name]
+        assert self.SOURCE.count(old) == 1
+        assert self.check(self.SOURCE.replace(old, new))[1] == expected
+
+
 class TestLeftSidesDivideByTheirOwnTerms:
     """A theorem row's left side at (alpha, beta) is the quotient by that
     point's own (e^{-alpha t} + e^{beta t})^r, never a (0, 1) series

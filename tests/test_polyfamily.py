@@ -235,7 +235,7 @@ class TestLonesum:
 
 
 def _power(base, r):
-    """base^r as r - 1 products, base^0 = 1."""
+    """base^r as r products from the constant 1, so base^0 = 1."""
     power = Egf.constant(1, base.order)
     for _ in range(r):
         power = egf_mul(power, base)
@@ -243,16 +243,17 @@ def _power(base, r):
 
 
 class TestBinomialDenominators:
-    """Both family denominators are binomial sums of exponentials built by
-    egf_exp_sum; each must equal the r-th power of its base, one product
-    per factor."""
+    """Both family denominators are binomial sums of exponentials, the Euler
+    shape's built by egf_exp_sum and the Bernoulli shape's by
+    polyfamily._one_minus_exp; each must equal the r-th power of its base,
+    one product per factor."""
 
     rationals = st.fractions(min_value=-5, max_value=5, max_denominator=9)
     depths = st.integers(min_value=0, max_value=8)
     orders = st.integers(min_value=0, max_value=12)
 
     @given(alpha=rationals, beta=rationals, r=depths, order=orders)
-    def test_euler_shape_equals_egf_pow(self, alpha, beta, r, order):
+    def test_euler_shape_equals_the_power_of_its_base(self, alpha, beta, r, order):
         base = egf_add(egf_exp_linear(-alpha, order), egf_exp_linear(beta, order))
         weights, tops, den = _euler_terms(alpha.as_integer_ratio(), beta.as_integer_ratio(), r)
         terms = [(weight, F(top, den)) for weight, top in zip(weights, tops)]
@@ -281,7 +282,7 @@ class TestBinomialDenominators:
         assert _euler_terms(alpha, beta, r) == _integer_terms(rates)
 
     @given(r=depths, order=orders)
-    def test_bernoulli_shape_equals_egf_pow(self, r, order):
+    def test_bernoulli_shape_equals_the_power_of_its_base(self, r, order):
         base = egf_add(Egf.constant(1, order), egf_scale(egf_exp_linear(-1, order), -1))
         assert _one_minus_exp(order, r) == _power(base, r)
 

@@ -22,9 +22,10 @@ run's metrics and ``correct`` flag, and per end-to-end metric each side's
 median and quartiles, the number of pairs the tree won (ties count for
 neither side), whether a gain may be claimed (``gain_rule_met``) and
 whether the tree stays inside the metric's bound (``within_bound``).
-``resolved`` is false when the base's quartile spread exceeds the bound
-times the base median, unless every tree run is better than every base
-run: such a metric is too noisy for ``within_bound`` to show it unchanged.
+``resolved`` is false when the quartile spread of either side exceeds the
+bound times the base median, unless every tree run is better than every
+base run: such a metric is too noisy for ``within_bound`` to show it
+unchanged.
 One run that is not correct, or that fails, marks the whole file
 ``"correct": false`` and the exit status 1.
 """
@@ -129,10 +130,10 @@ def summarize(runs: list[dict], declared: dict[str, dict]) -> dict:
     by.  ``gain_rule_met``: the tree won at least ``GAIN_SHARE`` of the
     pairs and its median gain exceeds the base's quartile spread.
     ``within_bound``: the tree's median is worse than the base's by no more
-    than ``bound`` times the base median.  ``resolved``: the base's quartile
-    spread is at most ``bound`` times the base median, or every tree run is
-    better than every base run; an unresolved metric is too noisy for
-    ``within_bound`` to read it as unchanged."""
+    than ``bound`` times the base median.  ``resolved``: the quartile spread
+    of each side is at most ``bound`` times the base median, or every tree
+    run is better than every base run; an unresolved metric is too noisy
+    for ``within_bound`` to read it as unchanged."""
     sides = {(run["pair"], run["side"]): run["metrics"] for run in runs}
     pairs = sorted({run["pair"] for run in runs})
     out = {}
@@ -145,7 +146,7 @@ def summarize(runs: list[dict], declared: dict[str, dict]) -> dict:
         won = sum(sign * (t - b) > 0 for b, t in zip(values["base"], values["tree"]))
         stats = {side: quartiles(values[side]) for side in SIDES}
         base_median = stats["base"]["median"]
-        spread = stats["base"]["q3"] - stats["base"]["q1"]
+        spread, tree_spread = (stats[side]["q3"] - stats[side]["q1"] for side in SIDES)
         gain = sign * (stats["tree"]["median"] - base_median)
         separated = all(sign * (t - b) > 0 for t in values["tree"] for b in values["base"])
         out[name] = {
@@ -157,7 +158,7 @@ def summarize(runs: list[dict], declared: dict[str, dict]) -> dict:
             "median_gain_beyond_base_spread": gain > spread,
             "gain_rule_met": won >= GAIN_SHARE * len(pairs) and gain > spread,
             "within_bound": -gain <= entry["bound"] * abs(base_median),
-            "resolved": spread <= entry["bound"] * abs(base_median) or separated,
+            "resolved": max(spread, tree_spread) <= entry["bound"] * abs(base_median) or separated,
         }
     return out
 

@@ -16,7 +16,9 @@ the audit and ``polyverify`` load (``tests/test_multifamily.py``,
 
 from __future__ import annotations
 
+import ast
 import compileall
+import io
 import json
 import os
 import shutil
@@ -25,6 +27,7 @@ import subprocess
 import sys
 import tempfile
 import time
+import tokenize
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -56,10 +59,29 @@ print(resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss)
 """
 
 
+def code_lines(text: str) -> int:
+    """The lines of a module's source that hold a token other than a
+    comment or a newline, outside its module, class and function docstrings."""
+    docstrings = set()
+    for node in ast.walk(ast.parse(text)):
+        if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
+            if ast.get_docstring(node, clean=False) is not None:
+                docstrings.update(range(node.body[0].lineno, node.body[0].end_lineno + 1))
+    lines = set()
+    for token in tokenize.generate_tokens(io.StringIO(text).readline):
+        # A newline, an indent, a dedent and the end marker are blank.
+        if token.type != tokenize.COMMENT and token.string.strip():
+            lines.update(range(token.start[0], token.end[0] + 1))
+    return len(lines - docstrings)
+
+
 def source_size() -> list[str]:
     """The lines of ``src/polyeuler``, as ``wc -l`` counts and prints them,
-    so that the size line names the module that moved, and its ``@_memo``
-    decorators."""
+    so that the size line names the module that moved, then their code
+    lines (``code_lines``), the package's public names (``__all__``) and its
+    ``@_memo`` decorators."""
+    import polyeuler
+
     paths = sorted((SRC / "polyeuler").glob("*.py"))
     texts = [path.read_bytes() for path in paths]
     counts = [text.count(b"\n") for text in texts]
@@ -69,6 +91,8 @@ def source_size() -> list[str]:
     return [
         f"src/ lines: {sum(counts)}",
         *(f"{count:>{width}} {path.relative_to(ROOT)}" for count, path in zip(counts, paths)),
+        f"code lines: {sum(code_lines(text.decode('utf-8')) for text in texts)}",
+        f"public names: {len(polyeuler.__all__)}",
         f"scoped memo decorators: {memos}",
     ]
 

@@ -152,6 +152,15 @@ def test_a_spread_past_the_bound_is_not_resolved():
     assert _resolved(list(zip(BASE, [0.9] * 9 + [1.1])), bound=0.05) is False
 
 
+def test_a_noisy_tree_beside_a_quiet_base_is_not_resolved():
+    """BASE's spread is 6.5% of its median, but a tree of 0.6-1.5 spreads
+    over 55% of it, past a 24% bound: its median cannot show the metric
+    unchanged."""
+    noisy = [0.6, 0.7, 0.8, 0.9, 1.0, 1.1, 1.2, 1.3, 1.4, 1.5]
+    assert _resolved(list(zip(BASE, noisy))) is False
+    assert _resolved(list(zip(BASE, noisy)), better="higher") is False
+
+
 def test_a_noisy_metric_that_every_tree_run_beats_is_resolved():
     """A base of 1-2 has a spread of 0.65 on a median of 1.5, past a 24%
     bound; every tree run better than every base run resolves it, read

@@ -24,6 +24,8 @@ MODULES = sorted(path.name for path in (measure.SRC / "polyeuler").glob("*.py"))
 LABELS = [
     rf"src/ lines: {INTEGER}",
     *(rf" *{INTEGER} src/polyeuler/{re.escape(name)}" for name in MODULES),
+    rf"code lines: {INTEGER}",
+    rf"public names: {INTEGER}",
     rf"scoped memo decorators: {INTEGER}",
     rf"order-10 audit, Fraction constructions: {INTEGER}",
     rf"order-10 audit, Egf\.of constructions: {INTEGER}",
@@ -82,6 +84,28 @@ def test_the_module_lines_add_up_to_the_total(measured):
     lines, _ = measured
     total = int(re.fullmatch(LABELS[0], lines[0]).group(1))
     assert sum(int(line.split()[0]) for line in lines[1 : 1 + len(MODULES)]) == total
+
+
+def test_code_lines_leave_out_docstrings_comments_and_blank_lines():
+    module = (
+        '"""A module docstring\n\nover three lines."""\n'
+        "\n"
+        "# a comment-only line\n"
+        "total = (1 +\n"
+        "         2)  # a statement over two lines\n"
+        "\n"
+        "\n"
+        "def f():\n"
+        '    """A function docstring."""\n'
+        "    return total\n"
+        "\n"
+        "\n"
+        "class C:\n"
+        '    """A class docstring."""\n'
+        "    size = 1\n"
+    )
+    # The two lines of the statement, and the def, return, class and size lines.
+    assert measure.code_lines(module) == 6
 
 
 def test_each_copy_runs_from_its_own_bytecode_or_none(measured):
