@@ -12,8 +12,8 @@ into a ``Fraction`` to be read again, and a series passes between kernels
 as integer numerators over one denominator, not reduced:
 ``_times_exp`` (the Taylor shift, which ``egf_mul`` runs for a factor
 e^{ct}, so it is the one route of every e^{ct} product), ``_dilate`` (the
-one dilation t -> ct), ``_shift_down`` (which serves only the Sasaki
-numerator's division by t, as ``egf_div`` cancels a common t^s in its own
+one dilation t -> ct), ``_shift_down`` (the division by t, which serves
+only the Sasaki numerator; ``egf_div`` cancels a common t^s in its own
 recurrence), ``_div_exp_sum`` and ``_compose_one_minus_exp`` (the
 composition with 1 - e^{-t}) take it so, and only the ``Egf`` a caller
 keeps is built.
@@ -418,12 +418,11 @@ def egf_div(f: Egf, g: Egf, shift: int = 0) -> Egf:
     return Egf.of(nums, den)
 
 
-def _shift_down(nums: Sequence[int], den: int, s: int) -> tuple[list[int], int]:
-    """nums/den divided by t^s, assuming the first s coefficients vanish:
-    coefficient m becomes c_{m+s} m!/(m+s)! = c_{m+s} / (s! C(m+s, s))."""
-    steps = [comb(m + s, s) for m in range(len(nums) - s)]
-    scale = lcm(*steps)
-    return [nums[m + s] * (scale // c) for m, c in enumerate(steps)], den * factorial(s) * scale
+def _shift_down(nums: Sequence[int], den: int) -> tuple[list[int], int]:
+    """nums/den divided by t, assuming c_0 vanishes: coefficient m becomes
+    c_{m+1}/(m+1), over den lcm(1..N) for the order N of nums/den."""
+    scale = lcm(*range(1, len(nums)))
+    return [nums[m] * (scale // m) for m in range(1, len(nums))], den * scale
 
 
 def egf_compose(f: Egf, g: Egf) -> Egf:

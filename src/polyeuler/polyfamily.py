@@ -187,7 +187,7 @@ def poly_euler_sasaki(k: int, order: int) -> list[Fraction]:
     # with no series built for the divisor and no series product.
     ks = validate_kvector((k,))
     nums, den = _dilate(*_li_numerator(ks, _order(order) + 1).numerators(), (4, 1))
-    return list(_div_exp_sum(*_shift_down(nums, den, 1), (2, 2), (1, -1), 1).coeffs)
+    return list(_div_exp_sum(*_shift_down(nums, den), (2, 2), (1, -1), 1).coeffs)
 
 
 def lonesum_count(n: int, k: int) -> int:

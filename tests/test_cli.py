@@ -18,9 +18,10 @@ from pathlib import Path
 
 import oracles
 import pytest
+from caches import package_caches
 from hypothesis import given, settings, strategies as st
 
-from polyeuler import audit, classical, exact, multifamily, polyfamily
+from polyeuler import audit, exact, polyfamily
 from polyeuler.cli import (
     FAMILIES,
     MAX_DEPTH,
@@ -1201,15 +1202,11 @@ def test_each_request_leaves_its_caches_empty(capsys):
     and the audit's end with the request, and a polyseq request opens none,
     so outside any scope its memos keep nothing.  The requests below reach
     every cache, and once they return the caches hold nothing while their
-    miss counts remain to be read.  No parser is kept either: no
+    miss counts remain to be read.  The caches are found, not listed, so a
+    new one that the requests miss fails here.  No parser is kept either: no
     module-level value of the package is, or holds, one."""
-    caches = (
-        polyfamily._li_numerator,
-        polyfamily._euler_egf,
-        exact._division_table,
-        multifamily._shift_table,
-        classical._bernoulli_series,
-    )
+    caches = package_caches()
+    assert caches
     for cache in caches:
         cache.cache_clear()
     assert main_seq(["multi-poly-euler", "--ks=1,2", "--x=1/3", "--alpha=2/3", "--beta=-1/4", "--n=12"]) == 0

@@ -50,6 +50,7 @@ from polyeuler.polyfamily import poly_bernoulli, poly_euler, poly_euler_sasaki
 from polyeuler.polylog import li_of_inner, multi_li_series
 
 import oracles
+from caches import package_caches
 
 F = Fraction
 
@@ -605,17 +606,6 @@ class TestThm4Instrument:
             thm4_explicit(1, F(1, 2), self.P, -1, variant)
 
 
-def _package_caches():
-    """Every cache (an ``exact._memo``) defined at module level in the package."""
-    found = {}
-    for info in pkgutil.iter_modules(polyeuler.__path__):
-        module = importlib.import_module(f"polyeuler.{info.name}")
-        for value in vars(module).values():
-            if callable(getattr(value, "cache_info", None)):
-                found[id(value)] = value
-    return list(found.values())
-
-
 class TestEulerShapeCaches:
     """The Euler shape is cached once per (ks, w, alpha, beta, order), the
     three rationals as integer pairs in lowest terms; the w = 0 entry is the quotient that every other w multiplies by e^{wt}.
@@ -644,7 +634,7 @@ class TestEulerShapeCaches:
 
     @pytest.mark.parametrize("requests", [REQUESTS, REQUESTS[::-1]], ids=["forward", "reversed"])
     def test_cold_then_warm_match_oracle(self, requests):
-        for cache in _package_caches():
+        for cache in package_caches():
             cache.cache_clear()
         expected = [oracles.multi_poly_euler_xab_egf(*request) for request in requests]
         counts = []
@@ -709,7 +699,7 @@ class TestEulerShapeCaches:
     def test_every_cache_is_scoped(self):
         """A call made outside a cache scope reaches every cache and keeps
         nothing: the same call made again misses every cache again."""
-        caches = _package_caches()
+        caches = package_caches()
         assert {c.__name__ for c in caches} == self.CACHES
         for cache in caches:
             cache.cache_clear()
@@ -732,7 +722,7 @@ class TestEulerShapeCaches:
 
     def test_every_cache_is_reused(self):
         """A cache that the audit never hits again only holds memory."""
-        caches = _package_caches()
+        caches = package_caches()
         assert {c.__name__ for c in caches} == self.CACHES
         for cache in caches:
             cache.cache_clear()
@@ -767,7 +757,7 @@ class TestEulerShapeCaches:
             calls.append(len(nums) - 1)
             return original(nums, den, *divisor)
 
-        for cache in _package_caches():
+        for cache in package_caches():
             cache.cache_clear()
         _wrap_bindings(monkeypatch, {original: counted})
         audit.run_all(0, 10)
@@ -790,7 +780,7 @@ class TestEulerShapeCaches:
             calls.append(None)
             return original(value)
 
-        for cache in _package_caches():
+        for cache in package_caches():
             cache.cache_clear()
         _wrap_bindings(monkeypatch, {original: counted})
         audit.run_all(0, 10)
@@ -811,7 +801,7 @@ class TestCacheScope:
         traced, where size-bounded global caches kept about 2 MB of them;
         inside one scope a repeated request hits."""
         self.requests(LogParams(F(9, 7), F(-1, 5)))
-        for cache in _package_caches():
+        for cache in package_caches():
             cache.cache_clear()
         tracemalloc.start()
         try:
@@ -882,7 +872,7 @@ class TestSeriesPassAsIntegers:
             built.append(args)
             return original(cls, *args)
 
-        for cache in _package_caches():
+        for cache in package_caches():
             cache.cache_clear()
         with exact.cache_scope():
             call()
@@ -952,7 +942,7 @@ class TestBinomialShift:
         caches builds one shift table per distinct (shift, order) key, 107,
         and reads them 6,718 times more.  A key that held a second rational
         shows here as more misses."""
-        for cache in _package_caches():
+        for cache in package_caches():
             cache.cache_clear()
         audit.run_all(0, 10)
         info = _shift_table.cache_info()
@@ -1054,7 +1044,7 @@ class TestRightSidesCallNoSeriesKernel:
         outside and inside ``_euler_egf`` reads."""
         calls = {"outside": [], "inside": []}
         depth = [0]
-        caches = _package_caches()
+        caches = package_caches()
         for cache in caches:
             cache.cache_clear()
 
@@ -1198,7 +1188,7 @@ class TestRightSidesReadOnlyTheirPrintedTerms:
         caches; yields the forbidden calls and the outermost Euler reads."""
         calls = {"forbidden": [], "reads": []}
         depth = [0]
-        for cache in _package_caches():
+        for cache in package_caches():
             cache.cache_clear()
 
         def forbidden(original):
@@ -1224,7 +1214,7 @@ class TestRightSidesReadOnlyTheirPrintedTerms:
         wrappers[polyfamily._euler_egf] = euler_read(polyfamily._euler_egf)
         _wrap_bindings(monkeypatch, wrappers)
         yield calls
-        for cache in _package_caches():
+        for cache in package_caches():
             cache.cache_clear()
 
     @pytest.mark.parametrize("name", sorted(CALLS))
@@ -1416,11 +1406,11 @@ class TestLeftSidesDivideByTheirOwnTerms:
             terms.append(divisor)
             return original(nums, den, *divisor)
 
-        for cache in _package_caches():
+        for cache in package_caches():
             cache.cache_clear()
         _wrap_bindings(monkeypatch, {original: wrapper})
         yield terms
-        for cache in _package_caches():
+        for cache in package_caches():
             cache.cache_clear()
 
     @pytest.mark.parametrize("case_id, variant", CASES)
@@ -1461,7 +1451,7 @@ class TestPlainShapeIsComposed:
         _wrap_bindings(monkeypatch, {original: wrapper})
 
         def run(call):
-            for cache in _package_caches():
+            for cache in package_caches():
                 cache.cache_clear()
             divisions.clear()
             with exact.cache_scope():
@@ -1469,7 +1459,7 @@ class TestPlainShapeIsComposed:
             return _TABLE.cache_info().misses, _LI.cache_info().misses, len(divisions)
 
         yield run
-        for cache in _package_caches():
+        for cache in package_caches():
             cache.cache_clear()
 
     @pytest.mark.parametrize(
@@ -1497,7 +1487,7 @@ class TestPlainShapeIsComposed:
             nums, den = original(*args).numerators()
             return exact.Egf.of([*nums[:-1], nums[-1] + 1], den)
 
-        for cache in _package_caches():
+        for cache in package_caches():
             cache.cache_clear()
         _wrap_bindings(monkeypatch, {original: faulty})
         cases = {(c.id, c.variant): c for c in audit.build_registry(0, 4)}

@@ -11,7 +11,8 @@ unchanged, with T the ``run_seconds`` of BENCHMARK.json, ten times in a
 checkout of the base commit (default HEAD) and ten times in this working
 tree.  The workload ``limit`` is not perfbench's: one run of it is each
 request of ``tests/at_limit.json`` as a fresh ``python -m polyeuler seq``
-process (``run_limit``).  The base checkout is the
+process, from one bytecode-free copy of the checkout's ``src/`` per run
+(``run_limit``).  The base checkout is the
 commit's files extracted by ``git archive`` into a temporary directory,
 so it needs no network and leaves nothing in the repository.  Pair i runs
 the base first when i is even and the tree first when it is odd, so a
@@ -37,13 +38,14 @@ import hashlib
 import json
 import os
 import resource
-import shutil
 import statistics
 import subprocess
 import sys
 import tarfile
 import tempfile
 from pathlib import Path
+
+from measure import package_copy, run_fresh
 
 ROOT = Path(__file__).resolve().parent.parent
 SIDES = ("base", "tree")
@@ -85,30 +87,27 @@ def run_benchmark(checkout: Path, workload: str, seed: int, seconds: int) -> dic
     }
 
 
-def run_request(src: Path, request: str) -> tuple[bytes, float]:
-    """``python3 -m polyeuler seq <request>`` as a fresh process, from a copy
-    of ``src/polyeuler`` without bytecode that writes none, as
-    ``measure.cold_start`` runs it, so that both sides compile alike: its
-    stdout (empty if it exits nonzero) and its CPU seconds."""
-    with tempfile.TemporaryDirectory() as tmp:
-        shutil.copytree(src / "polyeuler", Path(tmp) / "polyeuler", ignore=shutil.ignore_patterns("__pycache__"))
-        env = {**os.environ, "PYTHONPATH": tmp, "PYTHONDONTWRITEBYTECODE": "1"}
-        before = resource.getrusage(resource.RUSAGE_CHILDREN)
-        argv = [sys.executable, "-m", "polyeuler", "seq", *request.split()]
-        proc = subprocess.run(argv, cwd=tmp, env=env, capture_output=True)
-        after = resource.getrusage(resource.RUSAGE_CHILDREN)
+def run_request(copy: Path, request: str) -> tuple[bytes, float]:
+    """``python3 -m polyeuler seq <request>`` as ``measure.run_fresh`` runs it
+    from ``copy``, so that both sides compile alike: its stdout (empty if
+    it exits nonzero) and its CPU seconds."""
+    before = resource.getrusage(resource.RUSAGE_CHILDREN)
+    proc = run_fresh([sys.executable, "-m", "polyeuler", "seq", *request.split()], copy, check=False)
+    after = resource.getrusage(resource.RUSAGE_CHILDREN)
     cpu = after.ru_utime + after.ru_stime - before.ru_utime - before.ru_stime
     return (b"" if proc.returncode else proc.stdout), cpu
 
 
 def run_limit(checkout: Path, workload: str, seed: int, seconds: int) -> dict:
-    """One run of the limit workload on ``checkout``'s own ``src/``.  It is
-    correct only if every stdout hashes to the digest in this tree's table,
-    so a base from before a change is checked against the same pins."""
+    """One run of the limit workload on one ``package_copy`` of ``checkout``'s
+    own ``src/``.  It is correct only if every stdout hashes to the digest in
+    this tree's table, so a base from before a change meets the same pins."""
     metrics, correct = {}, True
-    for request, row in json.loads(LIMIT_TABLE.read_text()).items():
-        stdout, metrics[f"cpu_s {request}"] = run_request(checkout / "src", request)
-        correct &= hashlib.sha256(stdout).hexdigest() == row["sha256"]
+    with tempfile.TemporaryDirectory() as tmp:
+        copy = package_copy(checkout / "src", Path(tmp))
+        for request, row in json.loads(LIMIT_TABLE.read_text()).items():
+            stdout, metrics[f"cpu_s {request}"] = run_request(copy, request)
+            correct &= hashlib.sha256(stdout).hexdigest() == row["sha256"]
     return {"correct": correct, "metrics": {**metrics, "cpu_s": sum(metrics.values())}}
 
 

@@ -7,10 +7,12 @@ Usage (from the repository root):
 
 Each figure is one function that returns its lines; ``main`` prints them in
 order.  All of them read the ``src/`` of this checkout: the first four in
-this process, the last three in fresh ones.  Tier 1 pins the rest of what
-the package does exactly, so it is not measured here: the order-10 audit's
-``_shift_table`` traffic and ``_ratio`` reads, and which standard modules
-the audit and ``polyverify`` load (``tests/test_multifamily.py``,
+this process, the last three in fresh ones (``run_fresh``, as the limit
+workload of ``bench_pairs.py`` runs) from a copy without ``src/``'s
+``__pycache__``.  Tier 1 pins the rest of what the package does exactly,
+so it is not measured here: the order-10 audit's ``_shift_table`` traffic
+and ``_ratio`` reads, and which standard modules the audit and
+``polyverify`` load (``tests/test_multifamily.py``,
 ``tests/test_cli.py::TestRootCommand``).
 """
 
@@ -188,60 +190,58 @@ def kernel_timings() -> list[str]:
     return lines
 
 
-def _run(argv: list[str], path: Path) -> subprocess.CompletedProcess:
-    """``argv`` in a fresh process that imports polyeuler from ``path`` and
-    writes no bytecode."""
-    env = {**os.environ, "PYTHONPATH": str(path), "PYTHONDONTWRITEBYTECODE": "1"}
-    return subprocess.run(argv, cwd=path, env=env, check=True, capture_output=True, text=True)
+def package_copy(src: Path, into: Path, compiled: bool = False) -> Path:
+    """A copy of ``src/polyeuler`` under ``into`` without ``__pycache__``, or
+    with every module compiled once by compileall."""
+    shutil.copytree(src / "polyeuler", into / "polyeuler", ignore=shutil.ignore_patterns("__pycache__"))
+    if compiled and not compileall.compile_dir(into / "polyeuler", quiet=1):
+        raise RuntimeError(f"compileall failed in {into}")
+    return into
+
+
+def run_fresh(argv: list[str], copy: Path, check: bool = True) -> subprocess.CompletedProcess:
+    """``argv`` in a fresh process that imports polyeuler from ``copy``, a
+    ``package_copy``, and writes no bytecode; its output as bytes."""
+    env = {**os.environ, "PYTHONPATH": str(copy), "PYTHONDONTWRITEBYTECODE": "1"}
+    return subprocess.run(argv, cwd=copy, env=env, check=check, capture_output=True)
 
 
 def _max_rss_mb(request: str) -> float:
     """The max RSS of a fresh ``python -m polyeuler <request>``, in MB."""
-    kib = int(_run([sys.executable, "-S", "-c", _RSS_LAUNCHER, *request.split()], SRC).stdout)
-    return kib / 1024
+    argv = [sys.executable, "-S", "-c", _RSS_LAUNCHER, *request.split()]
+    with tempfile.TemporaryDirectory() as tmp:
+        return int(run_fresh(argv, package_copy(SRC, Path(tmp))).stdout) / 1024
 
 
 def audit_max_rss() -> list[str]:
-    """The max RSS of a fresh ``python -m polyeuler audit --order 10``."""
+    """The max RSS of a fresh ``python -m polyeuler audit --order 10`` from source."""
     return [f"order-10 audit, max RSS: {_max_rss_mb('audit --order 10'):.1f} MB (a fresh process)"]
 
 
 def seq_max_rss() -> list[str]:
-    """The max RSS of a fresh request of the ``LIMIT_TABLE``: its rational
-    multi-poly-euler row, which builds the largest division table a polyseq
-    request can."""
+    """The max RSS of a fresh request of the ``LIMIT_TABLE``, from source:
+    its rational multi-poly-euler row, which builds the largest division
+    table a polyseq request can."""
     table = json.loads(LIMIT_TABLE.read_text())
     request = next(r for r in table if r.startswith("multi-poly-euler ") and "--alpha=" in r)
     mb = _max_rss_mb(f"seq {request}")
     return [f"at-limit rational multi-poly-euler, max RSS: {mb:.1f} MB (a fresh process)"]
 
 
-def _package_copy(into: Path, compiled: bool) -> Path:
-    """A copy of ``src/polyeuler`` under ``into``, without bytecode, or
-    with every module compiled once by compileall."""
-    shutil.copytree(SRC / "polyeuler", into / "polyeuler", ignore=shutil.ignore_patterns("__pycache__"))
-    if compiled and not compileall.compile_dir(into / "polyeuler", quiet=1):
-        raise RuntimeError(f"compileall failed in {into}")
-    return into
-
-
 def cold_start() -> list[str]:
     """The median wall time of ``ROUNDS`` fresh ``seq`` processes per
-    request, from a copy of the package without bytecode and from one
-    compiled beforehand, so that the figures do not depend on whether a
-    ``__pycache__`` is in ``src/``.  The rounds alternate, so that every
-    request sees the same machine."""
+    request, from source and from a copy compiled beforehand.  The rounds
+    alternate, so that every request sees the same machine."""
     with tempfile.TemporaryDirectory() as tmp:
         copies = {
-            "": _package_copy(Path(tmp) / "source", compiled=False),
-            " from bytecode": _package_copy(Path(tmp) / "bytecode", compiled=True),
+            "": package_copy(SRC, Path(tmp) / "source"),
+            " from bytecode": package_copy(SRC, Path(tmp) / "bytecode", compiled=True),
         }
         times = {(request, copy): [] for copy in copies for request in REQUESTS}
         for _ in range(ROUNDS):
             for (request, copy), samples in times.items():
-                argv = [sys.executable, "-m", "polyeuler", "seq", *request.split()]
                 start = time.perf_counter()
-                _run(argv, copies[copy])
+                run_fresh([sys.executable, "-m", "polyeuler", "seq", *request.split()], copies[copy])
                 samples.append(time.perf_counter() - start)
     return [
         f"seq {request}{copy}: {statistics.median(samples) * 1e3:.1f} ms (median of {ROUNDS} fresh processes)"

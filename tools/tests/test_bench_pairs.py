@@ -271,14 +271,20 @@ def _limit_table(tmp_path, requests):
 class FakeRequests:
     """Echoes each request and takes 0.5 s of CPU on the base, 0.4 s in the
     tree; the call listed in ``wrong``, as (side, request, index), prints
-    other bytes."""
+    other bytes.  Its fake copier records each ``src/`` it is asked to copy
+    and hands it back as the copy."""
 
     def __init__(self, wrong=()):
         self.calls = []
+        self.copies = []
         self.wrong = set(wrong)
 
-    def __call__(self, src, request):
-        side = "base" if src.parent.name == "base" else "tree"
+    def copy(self, src, into):
+        self.copies.append(src)
+        return src
+
+    def __call__(self, copy, request):
+        side = "base" if copy.parent.name == "base" else "tree"
         index = sum(1 for c in self.calls if c == (side, request))
         self.calls.append((side, request))
         stdout = b"0\t1\n" if (side, request, index) in self.wrong else f"{request}\n".encode()
@@ -291,6 +297,7 @@ def _limit_main(monkeypatch, tmp_path, requests):
     monkeypatch.setattr(bench_pairs, "ROOT", tmp_path)
     monkeypatch.setattr(bench_pairs, "LIMIT_TABLE", table)
     monkeypatch.setattr(bench_pairs, "run_request", requests)
+    monkeypatch.setattr(bench_pairs, "package_copy", requests.copy)
     monkeypatch.setattr(bench_pairs, "_extract", lambda commit, into: (into / "base").mkdir())
     monkeypatch.setattr(bench_pairs, "_git", lambda *args: "" if args[0] == "status" else "abc\n")
     code = bench_pairs.main(["--label", "fake", "--workload", "limit"])
@@ -307,6 +314,10 @@ def test_the_limit_workload_times_each_request_and_their_sum(monkeypatch, tmp_pa
     assert list(written["workloads"]) == ["limit"]
     assert [side for side, _ in requests.calls[:4]] == ["base", "base", "tree", "tree"]
     assert len(requests.calls) == 40
+    # One copy of each checkout's own src/ per run, not one per request.
+    sides = ["base" if src.parent.name == "base" else "tree" for src in requests.copies]
+    assert sides == [side for pair in range(10) for side in pair_order(pair)]
+    assert {src for src in requests.copies if src.parent.name != "base"} == {tmp_path / "src"}
     metrics = written["workloads"]["limit"]["metrics"]
     assert sorted(metrics) == ["cpu_s", "cpu_s bernoulli --n=200", "cpu_s poly-euler --k=16 --n=200"]
     total = metrics["cpu_s"]
@@ -337,8 +348,8 @@ def test_the_default_workloads_leave_out_the_limit_workload(monkeypatch, tmp_pat
 
 
 def test_run_request_runs_a_fresh_process_from_a_copy_without_bytecode(tmp_path):
-    """The request's arguments reach the package's own __main__, which sees
-    no __pycache__ beside it and writes none."""
+    """The request's arguments reach the package's own __main__, in the
+    copy of ``src/``, which sees no __pycache__ beside it and writes none."""
     package = tmp_path / "src" / "polyeuler"
     (package / "__pycache__").mkdir(parents=True)
     (package / "__main__.py").write_text(
@@ -346,8 +357,9 @@ def test_run_request_runs_a_fresh_process_from_a_copy_without_bytecode(tmp_path)
         "here = os.path.dirname(__file__)\n"
         "print(*sys.argv[1:], os.path.isdir(os.path.join(here, '__pycache__')), sys.dont_write_bytecode)\n"
     )
-    stdout, cpu = bench_pairs.run_request(tmp_path / "src", "poly-euler --k=16 --n=200")
+    copy = bench_pairs.package_copy(tmp_path / "src", tmp_path / "copy")
+    stdout, cpu = bench_pairs.run_request(copy, "poly-euler --k=16 --n=200")
     assert stdout == b"seq poly-euler --k=16 --n=200 False True\n"
     assert cpu > 0
-    (package / "__main__.py").write_text("import sys\nprint('partial')\nsys.exit(1)\n")
-    assert bench_pairs.run_request(tmp_path / "src", "bernoulli --n=1")[0] == b""
+    (copy / "polyeuler" / "__main__.py").write_text("import sys\nprint('partial')\nsys.exit(1)\n")
+    assert bench_pairs.run_request(copy, "bernoulli --n=1")[0] == b""

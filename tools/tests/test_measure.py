@@ -1,9 +1,10 @@
 """Tests of measure.py: python3 -m pytest tools/tests
 
 main() runs once, for the whole module: its lines are read against the
-labels the job summary has always carried, and the cold-start requests
-are rerun under ``python -v`` once per copy of the package, to see where
-each module they load comes from."""
+labels the job summary has always carried, the cold-start requests are
+rerun under ``python -v`` once per copy of the package, to see where each
+module they load comes from, and the package each max-RSS launcher ran
+from is kept as it stood."""
 
 import contextlib
 import io
@@ -52,36 +53,40 @@ _CODE_OBJECT = re.compile(r"# code object from '?(.+?)'?$")
 
 @pytest.fixture(scope="module")
 def measured():
-    """main()'s lines, and per package copy the files that the first
+    """main()'s lines; per package copy the files that the first
     request run from it loaded its modules from, with the copy's bytecode
-    as it stood then."""
-    loaded = {}
-    real_run = measure._run
+    as it stood then; and per max-RSS launcher the directory it imported
+    the package from, with the files of that package once it had run."""
+    loaded, launched = {}, []
+    real_run = measure.run_fresh
 
     def spy(argv, path):
         if argv[1:4] == ["-m", "polyeuler", "seq"] and path not in loaded:  # a cold-start request
             verbose = real_run([argv[0], "-v", *argv[1:]], path)
-            files = [Path(m.group(1)) for m in map(_CODE_OBJECT.match, verbose.stderr.splitlines()) if m]
+            files = [Path(m.group(1)) for m in map(_CODE_OBJECT.match, verbose.stderr.decode().splitlines()) if m]
             package = path / "polyeuler"
             loaded[path] = ([f for f in files if package in f.parents], sorted(path.rglob("*.pyc")))
-        return real_run(argv, path)
+        proc = real_run(argv, path)
+        if argv[1] == "-S":  # a max-RSS launcher
+            launched.append((path, sorted(p.relative_to(path) for p in path.rglob("*"))))
+        return proc
 
     out = io.StringIO()
     with pytest.MonkeyPatch.context() as mp, contextlib.redirect_stdout(out):
-        mp.setattr(measure, "_run", spy)
+        mp.setattr(measure, "run_fresh", spy)
         assert measure.main() == 0
-    return out.getvalue().splitlines(), loaded
+    return out.getvalue().splitlines(), loaded, launched
 
 
 def test_every_label_once_in_order_with_a_number(measured):
-    lines, _ = measured
+    lines, _, _ = measured
     assert len(lines) == len(LABELS)
     for line, label in zip(lines, LABELS):
         assert re.fullmatch(label, line), (label, line)
 
 
 def test_the_module_lines_add_up_to_the_total(measured):
-    lines, _ = measured
+    lines, _, _ = measured
     total = int(re.fullmatch(LABELS[0], lines[0]).group(1))
     assert sum(int(line.split()[0]) for line in lines[1 : 1 + len(MODULES)]) == total
 
@@ -109,7 +114,7 @@ def test_code_lines_leave_out_docstrings_comments_and_blank_lines():
 
 
 def test_each_copy_runs_from_its_own_bytecode_or_none(measured):
-    _, loaded = measured
+    _, loaded, _ = measured
     assert [path.name for path in loaded] == ["source", "bytecode"]
     for path, (files, pycs) in loaded.items():
         package = path / "polyeuler"
@@ -121,3 +126,15 @@ def test_each_copy_runs_from_its_own_bytecode_or_none(measured):
         else:
             assert all(f.suffix == ".pyc" and f in pycs for f in files), (files, pycs)
             assert all(f.parent == package / "__pycache__" for f in pycs)
+
+
+def test_the_max_rss_launchers_run_from_a_copy_without_bytecode(measured):
+    """Both max-RSS requests import the package from a copy outside
+    ``src/`` that holds its modules and no ``__pycache__``, before and
+    after the request, as the unsuffixed cold-start lines do."""
+    _, _, launched = measured
+    assert len(launched) == 2
+    modules = sorted(Path("polyeuler", name) for name in MODULES)
+    for path, files in launched:
+        assert measure.SRC not in (path, *path.parents), path
+        assert files == [Path("polyeuler"), *modules], files
